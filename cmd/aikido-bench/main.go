@@ -8,10 +8,10 @@
 //
 //	aikido-bench [-experiment all|fig5|fig6|table1|table2|ablation|paging|
 //	              switch|providers|detectors|muxbench|epochs|vector|phase|
-//	              static|scaling|nondet|stm|crew]
+//	              scaling|nondet|stm|crew]
 //	             [-scale F] [-threads N] [-workers N] [-json FILE]
 //	             [-muxjson FILE] [-epochjson FILE] [-vecjson FILE]
-//	             [-phasejson FILE] [-staticjson FILE]
+//	             [-phasejson FILE]
 //	             [-epoch] [-dispatch inline|vectorized|phased]
 //	             [-analysis NAME[,NAME...]] [-deterministic]
 //	aikido-bench -experiment chaos [-chaos PLAN] [-scale F] [-workers N]
@@ -70,17 +70,6 @@
 // measures the split-phase win on permanently-hot pages (falseshare,
 // zipf-hot) under the same model, with every PARSEC model as guard rail.
 //
-// The static experiment (and -staticjson, the BENCH_10.json source)
-// measures the static privacy pre-pass (internal/staticanalysis): the
-// same Aikido FastTrack cell with pure dynamic classification vs the
-// pre-pass pruning provably-private PCs and pre-seeding single-owner
-// pages, over every PARSEC model (the guard rail) plus a
-// startup-dominated private suite (the headline — the win amortizes over
-// thread creation and first touches, not steady-state iterations). The
-// experiment doubles as CI's static equivalence leg: it exits nonzero if
-// any row's findings diverge between the two cells, a soundness tripwire
-// fires, or the pass unexpectedly falls back.
-//
 // -experiment chaos is the fault-isolation acceptance harness and is NOT
 // part of "all": it runs the chaos matrix (every Figure-5 model×mode cell
 // plus the epoch suite's demoting workloads and the hot phased cells)
@@ -93,7 +82,7 @@
 // five seeded plans plus the empty plan and asserts exit 0.
 //
 // An -experiment value that names no experiment exits 2 and lists the
-// valid names.
+// valid names, and so does a -scale that is not a finite positive number.
 //
 // -compare OLD,NEW is the CI bench-regression gate: both files must be
 // BENCH-style snapshots of the same schema and scale, and the command
@@ -104,6 +93,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"slices"
@@ -119,8 +109,8 @@ import (
 // named.
 var experimentNames = []string{"all", "fig5", "fig6", "table1", "table2",
 	"ablation", "paging", "switch", "providers", "detectors", "muxbench",
-	"epochs", "vector", "phase", "static", "scaling", "nondet", "stm",
-	"crew", "chaos"}
+	"epochs", "vector", "phase", "scaling", "nondet", "stm", "crew",
+	"chaos"}
 
 // checkExperiment rejects an -experiment value that names no experiment,
 // which would otherwise run nothing and exit 0.
@@ -129,6 +119,16 @@ func checkExperiment(name string) error {
 		return nil
 	}
 	return fmt.Errorf("unknown experiment %q (want %s)", name, strings.Join(experimentNames, ", "))
+}
+
+// checkScale rejects a -scale that is not a finite positive number: NaN
+// and ±Inf turn into meaningless iteration counts, and a value <= 0 would
+// silently run at scale 1.
+func checkScale(scale float64) error {
+	if math.IsNaN(scale) || math.IsInf(scale, 0) || scale <= 0 {
+		return fmt.Errorf("invalid -scale %v (want a finite number > 0)", scale)
+	}
+	return nil
 }
 
 func main() {
@@ -141,7 +141,6 @@ func main() {
 	epochOut := flag.String("epochjson", "", "write the epoch re-privatization report (BENCH_4.json snapshots) to this file (\"-\" = stdout)")
 	vecOut := flag.String("vecjson", "", "write the batch-vectorization report (BENCH_7.json snapshots) to this file (\"-\" = stdout)")
 	phaseOut := flag.String("phasejson", "", "write the split-phase hot-page report (BENCH_9.json snapshots) to this file (\"-\" = stdout)")
-	staticOut := flag.String("staticjson", "", "write the static privacy pre-pass report (BENCH_10.json snapshots) to this file (\"-\" = stdout)")
 	epoch := flag.Bool("epoch", false, "enable epoch-based re-privatization in every Aikido cell (CI diffs this against the baseline)")
 	dispatch := flag.String("dispatch", "inline", "analysis dispatch mode for every analysis-bearing cell: inline, vectorized or phased (CI diffs every non-inline mode against the inline baseline)")
 	det := flag.Bool("deterministic", false, "zero wall_ns in machine-readable reports so output bytes depend only on simulated metrics")
@@ -169,6 +168,10 @@ func main() {
 	}
 
 	if err := checkExperiment(*exp); err != nil {
+		fmt.Fprintf(os.Stderr, "aikido-bench: %v\n", err)
+		os.Exit(2)
+	}
+	if err := checkScale(*scale); err != nil {
 		fmt.Fprintf(os.Stderr, "aikido-bench: %v\n", err)
 		os.Exit(2)
 	}
@@ -210,11 +213,9 @@ func main() {
 		return f
 	}
 
-	// -json, -muxjson, -epochjson, -vecjson, -phasejson and -staticjson
-	// each replace the text experiments; given together, every requested
-	// report is produced.
-	if *jsonOut != "" || *muxOut != "" || *epochOut != "" || *vecOut != "" ||
-		*phaseOut != "" || *staticOut != "" {
+	// -json, -muxjson, -epochjson, -vecjson and -phasejson each replace the
+	// text experiments; given together, every requested report is produced.
+	if *jsonOut != "" || *muxOut != "" || *epochOut != "" || *vecOut != "" || *phaseOut != "" {
 		if *jsonOut != "" {
 			rep, err := experiments.BenchJSON(o)
 			if err != nil {
@@ -286,21 +287,6 @@ func main() {
 				defer out.Close()
 			}
 			if err := experiments.WritePhaseJSON(out, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "aikido-bench: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *staticOut != "" {
-			rep, err := experiments.StaticJSON(o)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "aikido-bench: staticjson: %v\n", err)
-				os.Exit(1)
-			}
-			out := openOut(*staticOut)
-			if out != os.Stdout {
-				defer out.Close()
-			}
-			if err := experiments.WriteStaticJSON(out, rep); err != nil {
 				fmt.Fprintf(os.Stderr, "aikido-bench: %v\n", err)
 				os.Exit(1)
 			}
@@ -421,28 +407,6 @@ func main() {
 			return err
 		}
 		experiments.WritePhaseAmortization(w, rows)
-		return nil
-	})
-	run("static", func() error {
-		rows, err := experiments.StaticAmortization(o)
-		if err != nil {
-			return err
-		}
-		experiments.WriteStaticAmortization(w, rows)
-		// The static experiment doubles as the CI equivalence leg: any
-		// findings divergence, tripwire or unexpected fallback is a
-		// soundness failure, not a performance result.
-		for _, r := range rows {
-			if !r.FindingsIdentical {
-				return fmt.Errorf("%s: findings diverge between dynamic and static cells", r.Name)
-			}
-			if r.Tripwires > 0 {
-				return fmt.Errorf("%s: %d soundness tripwires fired", r.Name, r.Tripwires)
-			}
-			if r.Fallback != "" {
-				return fmt.Errorf("%s: static pass fell back: %s", r.Name, r.Fallback)
-			}
-		}
 		return nil
 	})
 	run("scaling", func() error {

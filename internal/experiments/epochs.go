@@ -56,16 +56,9 @@ type epochCase struct {
 // pages are never single-owner, demotion must not fire, and its speedup
 // should sit at ~1.0x.
 func epochSuite(o Options) []epochCase {
-	iters := func(n int) int {
-		v := int(float64(n) * o.Scale)
-		if v < 1 {
-			v = 1
-		}
-		return v
-	}
 	phased := func(name string, stride, writePct, pagesPerPart int) workload.PhasedSpec {
 		return workload.PhasedSpec{
-			Name: name, Threads: 8, Phases: 6, PhaseIters: iters(400),
+			Name: name, Threads: 8, Phases: 6, PhaseIters: o.iters(400),
 			PagesPerPart: pagesPerPart, OpsPerIter: 8, AluOps: 6,
 			WritePct: writePct, MigrateStride: stride, WarmupOps: 1,
 		}
@@ -75,11 +68,17 @@ func epochSuite(o Options) []epochCase {
 		{"phased-readheavy", phased("phased-readheavy", 0, 10, 2)},
 		{"migratory", phased("migratory", 1, 0, 2)},
 		{"migratory-wide", phased("migratory-wide", 3, 0, 4)},
-		{"falseshare", workload.FalseSharingSpec{
-			Name: "falseshare", Threads: 8, Iters: iters(1200), Pages: 2,
-			OpsPerIter: 6, AluOps: 6, SlotStride: 64,
-		}},
+		falseShare(o),
 	}
+}
+
+// falseShare is the false-sharing workload: all eight threads write both
+// pages every epoch, so the pages never demote and stay permanently hot.
+func falseShare(o Options) epochCase {
+	return epochCase{"falseshare", workload.FalseSharingSpec{
+		Name: "falseshare", Threads: 8, Iters: o.iters(1200), Pages: 2,
+		OpsPerIter: 6, AluOps: 6, SlotStride: 64,
+	}}
 }
 
 // epochPolicy resolves the demotion policy the experiment (and the

@@ -75,6 +75,16 @@ func (o Options) normalize() Options {
 	return o
 }
 
+// iters scales a generated workload's iteration count n by the options,
+// never below 1.
+func (o Options) iters(n int) int {
+	v := int(float64(n) * o.Scale)
+	if v < 1 {
+		v = 1
+	}
+	return v
+}
+
 // apply resizes a benchmark model per the options.
 func (o Options) apply(b parsec.Benchmark) parsec.Benchmark {
 	b = b.WithScale(o.Scale)

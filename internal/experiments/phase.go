@@ -20,37 +20,15 @@ import (
 	"repro/internal/runner"
 	"repro/internal/sharing"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // phaseSuite is the hot-page workload matrix the phase experiment
 // appends to the PARSEC models: the false-sharing control that every
-// earlier optimization left at 1.00× (all eight threads write both pages
-// every epoch — the permanently-hot shape), plus the Zipf pair whose hot
-// row concentrates roughly half of all accesses onto one permanently-hot
-// page while its uniform row spreads them thin.
+// earlier optimization left at 1.00× (the permanently-hot shape), plus
+// the Zipf pair whose hot row concentrates roughly half of all accesses
+// onto one permanently-hot page while its uniform row spreads them thin.
 func phaseSuite(o Options) []epochCase {
-	iters := func(n int) int {
-		v := int(float64(n) * o.Scale)
-		if v < 1 {
-			v = 1
-		}
-		return v
-	}
-	z := func(name string, skew float64) workload.ZipfSpec {
-		return workload.ZipfSpec{
-			Name: name, Threads: 8, Iters: iters(300), Pages: 16,
-			OpsPerIter: 8, AluOps: 4, Skew: skew,
-		}
-	}
-	return []epochCase{
-		{"falseshare", workload.FalseSharingSpec{
-			Name: "falseshare", Threads: 8, Iters: iters(1200), Pages: 2,
-			OpsPerIter: 6, AluOps: 6, SlotStride: 64,
-		}},
-		{"zipf-uniform", z("zipf-uniform", 0)},
-		{"zipf-hot", z("zipf-hot", 1.2)},
-	}
+	return append([]epochCase{falseShare(o)}, zipfSuite(o)...)
 }
 
 // PhaseRow is one workload's split-phase measurement: the same Aikido
@@ -103,7 +81,7 @@ type PhaseRow struct {
 // at exactly 1.00×. This is BENCH_9.json.
 func PhaseAmortization(o Options) ([]PhaseRow, error) {
 	o = o.normalize()
-	units := o.amortPhaseUnits()
+	units := o.amortUnits(phaseSuite(o))
 	inlineCfg := core.DefaultConfig(core.ModeAikidoFastTrack).WithAnalyses(muxAmortizationSet...)
 	inlineCfg.Costs = stats.DispatchCosts()
 	inlineCfg.Epoch = sharing.DefaultEpochPolicy()
@@ -147,27 +125,6 @@ func PhaseAmortization(o Options) ([]PhaseRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// amortPhaseUnits is amortUnits with the phase suite in place of the
-// Zipf pair alone: every PARSEC model (the must-stay-joined guard rail)
-// plus falseshare and the Zipf pair (the hot rows).
-func (o Options) amortPhaseUnits() []amortUnit {
-	var units []amortUnit
-	for _, u := range o.amortUnits() {
-		if u.name == "zipf-uniform" || u.name == "zipf-hot" {
-			continue // re-added via phaseSuite, after falseshare
-		}
-		units = append(units, u)
-	}
-	for _, c := range phaseSuite(o) {
-		c := c
-		units = append(units, amortUnit{name: c.name,
-			spec: func(label string, cfg core.Config) runner.Spec {
-				return runner.Spec{Label: c.name + "/" + label, Source: c.src, Config: cfg}
-			}})
-	}
-	return units
 }
 
 // WritePhaseAmortization renders the split-phase table.

@@ -24,10 +24,7 @@ import (
 //     transition-cost model (BENCH_7.json);
 //   - aikido-phase-bench/v1: geomean_cycle_speedup_x — inline dispatch vs
 //     Doppel-style split-phase hot-page banking under the same model
-//     (BENCH_9.json);
-//   - aikido-static-bench/v1: geomean_cycle_speedup_x — pure dynamic
-//     classification vs the static privacy pre-pass under the default
-//     cost model (BENCH_10.json).
+//     (BENCH_9.json).
 type Snapshot struct {
 	Path    string
 	Schema  string
@@ -77,7 +74,7 @@ func ReadSnapshot(path string) (Snapshot, error) {
 		}
 		s.Speedup = f.GeomeanFastTrack / f.GeomeanAikido
 	case "aikido-mux-bench/v1", "aikido-epoch-bench/v1", "aikido-vector-bench/v1",
-		"aikido-phase-bench/v1", "aikido-static-bench/v1":
+		"aikido-phase-bench/v1":
 		s.Speedup = f.GeomeanSpeedup
 	default:
 		return Snapshot{}, fmt.Errorf("regress: %s: unknown schema %q", path, f.Schema)

@@ -60,16 +60,9 @@ type VectorRow struct {
 // roughly half of all accesses onto one page — a long-run stress for the
 // vectorized kernels' group cutting.
 func zipfSuite(o Options) []epochCase {
-	iters := func(n int) int {
-		v := int(float64(n) * o.Scale)
-		if v < 1 {
-			v = 1
-		}
-		return v
-	}
 	z := func(name string, skew float64) workload.ZipfSpec {
 		return workload.ZipfSpec{
-			Name: name, Threads: 8, Iters: iters(300), Pages: 16,
+			Name: name, Threads: 8, Iters: o.iters(300), Pages: 16,
 			OpsPerIter: 8, AluOps: 4, Skew: skew,
 		}
 	}
@@ -87,11 +80,11 @@ type amortUnit struct {
 	spec func(label string, cfg core.Config) runner.Spec
 }
 
-// amortUnits is the workload set the vector and phase amortization
-// experiments share: every PARSEC model plus the Zipf-skew pair, so each
-// snapshot carries both the paper's models and the page-locality extremes
-// the dispatch machinery is sensitive to.
-func (o Options) amortUnits() []amortUnit {
+// amortUnits is the workload set of a dispatch-amortization experiment:
+// every PARSEC model, then the generated suite, so each snapshot carries
+// both the paper's models and the page-locality extremes the dispatch
+// machinery is sensitive to.
+func (o Options) amortUnits(suite []epochCase) []amortUnit {
 	var units []amortUnit
 	for _, b := range parsec.All() {
 		bb := o.apply(b)
@@ -100,10 +93,10 @@ func (o Options) amortUnits() []amortUnit {
 				return cell(bb, label, cfg)
 			}})
 	}
-	for _, z := range zipfSuite(o) {
-		units = append(units, amortUnit{name: z.name,
+	for _, c := range suite {
+		units = append(units, amortUnit{name: c.name,
 			spec: func(label string, cfg core.Config) runner.Spec {
-				return runner.Spec{Label: z.name + "/" + label, Source: z.src, Config: cfg}
+				return runner.Spec{Label: c.name + "/" + label, Source: c.src, Config: cfg}
 			}})
 	}
 	return units
@@ -119,7 +112,7 @@ func (o Options) amortUnits() []amortUnit {
 // snapshot.
 func VectorAmortization(o Options) ([]VectorRow, error) {
 	o = o.normalize()
-	units := o.amortUnits()
+	units := o.amortUnits(zipfSuite(o))
 	inline := core.DefaultConfig(core.ModeFastTrackFull).WithAnalyses(muxAmortizationSet...)
 	inline.Costs = stats.DispatchCosts()
 	vector := inline

@@ -35,10 +35,6 @@
 //	           order and the run latches inline delivery — no banked
 //	           record is lost or duplicated; panics unwind to
 //	           containment.
-//	static   — once before the static privacy pre-pass runs. Errors and
-//	           panics both degrade the run to the unpruned dynamic-only
-//	           path (no summary applied, nothing pre-seeded); findings
-//	           are unaffected by construction.
 //
 // Seams without an error return (provider, analysis) escalate error-kind
 // faults to panics; the recovered value is still a typed *Fault, so the
@@ -68,10 +64,6 @@ const (
 	// the split-phase boundary where banked per-thread deltas k-way-merge
 	// back into canonical order — and only when deltas are pending.
 	SeamReconcile
-	// SeamStatic fires once before the static privacy pre-pass runs.
-	// Errors (and recovered panics) degrade the run to the unpruned
-	// dynamic-only path: no summary is applied, nothing is pre-seeded.
-	SeamStatic
 
 	numSeams
 )
@@ -89,8 +81,6 @@ func (s Seam) String() string {
 		return "analysis"
 	case SeamReconcile:
 		return "reconcile"
-	case SeamStatic:
-		return "static"
 	}
 	return "seam?"
 }
@@ -108,10 +98,8 @@ func ParseSeam(s string) (Seam, error) {
 		return SeamAnalysis, nil
 	case "reconcile":
 		return SeamReconcile, nil
-	case "static":
-		return SeamStatic, nil
 	}
-	return 0, fmt.Errorf("faultinject: unknown seam %q (want provider, guest, drain, analysis, reconcile or static)", s)
+	return 0, fmt.Errorf("faultinject: unknown seam %q (want provider, guest, drain, analysis or reconcile)", s)
 }
 
 // Kind is the manifestation of an injected fault.
@@ -216,23 +204,26 @@ func splitmix64(x uint64) uint64 {
 //	[seed=N;]KIND:SEAM[@COUNT][;KIND:SEAM[@COUNT]...]
 //
 // KIND is panic, error or stall; SEAM is provider, guest, drain,
-// analysis, reconcile or static; COUNT is the 1-based seam crossing to
-// fire on. A rule with no @COUNT gets a deterministic count derived from
-// the seed and the rule's position via splitmix64, so "seed=7;panic:analysis" names one
-// exact fault without spelling the crossing. The empty string is the
-// empty plan (nil, nil): no injection, byte-identical behaviour.
+// analysis or reconcile; COUNT is the 1-based seam crossing to fire on.
+// Empty elements (doubled, leading or trailing ';') are skipped and take
+// no position. A rule with no @COUNT gets a deterministic count derived
+// from the seed and the rule's position via splitmix64, so
+// "seed=7;panic:analysis" names one exact fault without spelling the
+// crossing. The empty string is the empty plan (nil, nil): no injection,
+// byte-identical behaviour.
 func ParsePlan(s string) (*Plan, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return nil, nil
 	}
-	p := &Plan{}
-	parts := strings.Split(s, ";")
-	for i, part := range parts {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
+	var elems []string
+	for _, part := range strings.Split(s, ";") {
+		if part = strings.TrimSpace(part); part != "" {
+			elems = append(elems, part)
 		}
+	}
+	p := &Plan{}
+	for i, part := range elems {
 		if v, ok := strings.CutPrefix(part, "seed="); ok {
 			if i != 0 {
 				return nil, fmt.Errorf("faultinject: seed= must be the first plan element, got %q at position %d", part, i)

@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -78,19 +79,28 @@ func TestParsePlanDerivedCounts(t *testing.T) {
 }
 
 func TestParsePlanErrors(t *testing.T) {
-	for _, s := range []string{
-		"panic",              // no seam
-		"panic:elsewhere",    // unknown seam
-		"explode:guest",      // unknown kind
-		"panic:guest@0",      // zero count
-		"panic:guest@x",      // non-numeric count
-		"seed=x;panic:guest", // bad seed
-		"panic:guest;seed=3", // seed not first
-		"seed=3",             // no rules
-		"panic:guest@1@2",    // double count separator parses as bad count
+	for _, tc := range []struct {
+		plan   string
+		errBit string // substring the error must contain ("" = any error)
+	}{
+		{"panic", ""},                             // no seam
+		{"panic:elsewhere", ""},                   // unknown seam
+		{"explode:guest", ""},                     // unknown kind
+		{"panic:guest@0", ""},                     // zero count
+		{"panic:guest@x", ""},                     // non-numeric count
+		{"seed=x;panic:guest", ""},                // bad seed
+		{"panic:guest;seed=3", ""},                // seed not first
+		{"seed=3", ""},                            // no rules
+		{"panic:guest@1@2", ""},                   // double count separator parses as bad count
+		{";panic:guest;;seed=3", "at position 1"}, // empty elements take no position
+		// The static pre-pass seam was deleted with the pass.
+		{"error:static@1", `unknown seam "static" (want provider, guest, drain, analysis or reconcile)`},
 	} {
-		if _, err := ParsePlan(s); err == nil {
-			t.Errorf("ParsePlan(%q) succeeded, want error", s)
+		_, err := ParsePlan(tc.plan)
+		if err == nil {
+			t.Errorf("ParsePlan(%q) succeeded, want error", tc.plan)
+		} else if !strings.Contains(err.Error(), tc.errBit) {
+			t.Errorf("ParsePlan(%q) = %q, want it to contain %q", tc.plan, err, tc.errBit)
 		}
 	}
 }
@@ -103,6 +113,55 @@ func TestParsePlanRejectsWorkerSeam(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `unknown seam "worker"`) {
 		t.Fatalf("ParsePlan(error:worker@2) = %v, want an unknown-seam error", err)
 	}
+}
+
+// TestParsePlanEmptyElements: empty elements take no position, so a
+// leading ';' does not push seed= off the front and every spelling below
+// parses to the same plan.
+func TestParsePlanEmptyElements(t *testing.T) {
+	want, err := ParsePlan("seed=3;panic:guest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []string{";seed=3;panic:guest", "seed=3;;panic:guest;", " ; seed=3 ;; panic:guest ; "} {
+		got, err := ParsePlan(s)
+		if err != nil {
+			t.Errorf("ParsePlan(%q): %v", s, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("ParsePlan(%q) = %+v, want %+v", s, got, want)
+		}
+	}
+}
+
+// FuzzParsePlan: ParsePlan never panics, and every plan it accepts
+// round-trips through String exactly, as Plan.String promises.
+func FuzzParsePlan(f *testing.F) {
+	// The CI chaos plans.
+	for _, s := range []string{
+		"",
+		"seed=1;panic:analysis",
+		"seed=2;error:drain@2;stall:guest@40",
+		"seed=3;error:guest@9;panic:provider@1;panic:drain@4",
+		"error:drain@2;panic:provider@1",
+		"seed=11;error:reconcile@1;panic:reconcile@3",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParsePlan(s)
+		if err != nil || p == nil {
+			return
+		}
+		rt, err := ParsePlan(p.String())
+		if err != nil {
+			t.Fatalf("ParsePlan(%q) accepted, but its String %q fails: %v", s, p.String(), err)
+		}
+		if !reflect.DeepEqual(rt, p) {
+			t.Fatalf("ParsePlan(%q) = %+v, round trip via %q = %+v", s, p, p.String(), rt)
+		}
+	})
 }
 
 // TestFireError: an error rule returns a typed *Fault exactly once, at

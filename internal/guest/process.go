@@ -92,10 +92,6 @@ type VMA struct {
 	Backing *Backing
 	// MirrorOf points at the VMA this region mirrors (for VMAMirror).
 	MirrorOf *VMA
-	// Owner is the thread the region belongs to (stack VMAs; NoTID for
-	// process-wide regions). The static privacy pre-pass keys stack
-	// pre-seeding off it.
-	Owner TID
 }
 
 // End returns the first address past the VMA.
@@ -328,17 +324,11 @@ func (p *Process) AddVMAListenerFront(l VMAListener) {
 
 // addVMA allocates backing frames, maps them and notifies listeners.
 func (p *Process) addVMA(base uint64, pages int, prot pagetable.Prot, kind VMAKind, name string) *VMA {
-	return p.addOwnedVMA(base, pages, prot, kind, name, NoTID)
-}
-
-// addOwnedVMA is addVMA for per-thread regions: the owner is set before
-// installation so every listener sees it in its first VMAAdded.
-func (p *Process) addOwnedVMA(base uint64, pages int, prot pagetable.Prot, kind VMAKind, name string, owner TID) *VMA {
 	b := &Backing{Frames: make([]vm.FrameID, pages), refs: 1}
 	for i := range b.Frames {
 		b.Frames[i] = p.M.AllocFrame()
 	}
-	v := &VMA{Base: base, Pages: pages, Prot: prot, Kind: kind, Name: name, Backing: b, Owner: owner}
+	v := &VMA{Base: base, Pages: pages, Prot: prot, Kind: kind, Name: name, Backing: b}
 	p.installVMA(v)
 	return v
 }

@@ -65,8 +65,8 @@ func (p *Process) newThread(entry isa.PC, arg uint64, creator TID) *Thread {
 	id := p.nextTID
 	p.nextTID++
 	stackBase := isa.StackBase + uint64(id-1)*isa.StackStride
-	stack := p.addOwnedVMA(stackBase, int(isa.StackSize/vm.PageSize), pagetable.ProtRW,
-		VMAStack, fmt.Sprintf("stack%d", id), id)
+	stack := p.addVMA(stackBase, int(isa.StackSize/vm.PageSize), pagetable.ProtRW,
+		VMAStack, fmt.Sprintf("stack%d", id))
 	t := &Thread{ID: id, State: Runnable, PC: entry, Stack: stack}
 	t.Regs[isa.R0] = arg
 	t.Regs[isa.TP] = stack.Base
