@@ -7,12 +7,10 @@
 // Usage:
 //
 //	aikido-bench [-experiment all|fig5|fig6|table1|table2|ablation|paging|
-//	              switch|providers|detectors|muxbench|epochs|vector|phase|
-//	              scaling|nondet|stm|crew]
+//	              switch|providers|detectors|muxbench|epochs|scaling|
+//	              nondet|stm|crew]
 //	             [-scale F] [-threads N] [-workers N] [-json FILE]
-//	             [-muxjson FILE] [-epochjson FILE] [-vecjson FILE]
-//	             [-phasejson FILE]
-//	             [-epoch] [-dispatch inline|vectorized|phased]
+//	             [-muxjson FILE] [-epochjson FILE] [-epoch]
 //	             [-analysis NAME[,NAME...]] [-deterministic]
 //	aikido-bench -experiment chaos [-chaos PLAN] [-scale F] [-workers N]
 //	aikido-bench -compare OLD.json,NEW.json [-max-regress-pct P]
@@ -47,42 +45,20 @@
 // measures the demotion win on the phased/migratory workload suite, where
 // it does fire.
 //
-// -dispatch selects the analysis dispatch mode for every analysis-bearing
-// cell: inline clean calls per access (the default); vectorized, which
-// banks accesses in per-thread rings drained in batches at
-// synchronization boundaries and feeds them through page-grouped batch
-// kernels that run-length coalesce same-state records; or phased —
-// inline delivery for joined pages plus Doppel-style split phases for hot
-// ones (see docs/phases.md): pages the sharing detector classifies as
-// many-writer-every-epoch bank their accesses in per-thread delta rings
-// at PhaseBankRecord instead of paying the per-access clean call, and a
-// reconciliation merge folds the deltas into canonical shadow state —
-// in (seq, addr, kind) order, strictly before every phase flip, sync
-// event or epoch sweep — so findings stay byte-identical to inline.
-// Under the default cost model both non-inline modes are byte-identical
-// to the inline baseline (vectorized kernels charge scalar-equivalent
-// costs; phased banking is charge-free and delivery order-preserving) —
-// CI's "-dispatch vectorized" and "-dispatch phased" equivalence legs
-// diff exactly that. The vector experiment (and -vecjson, the
-// BENCH_7.json source) measures what vectorized dispatch saves over
-// inline under the explicit transition-cost model (stats.DispatchCosts);
-// the phase experiment (and -phasejson, the BENCH_9.json source)
-// measures the split-phase win on permanently-hot pages (falseshare,
-// zipf-hot) under the same model, with every PARSEC model as guard rail.
-//
 // -experiment chaos is the fault-isolation acceptance harness and is NOT
 // part of "all": it runs the chaos matrix (every Figure-5 model×mode cell
-// plus the epoch suite's demoting workloads and the hot phased cells)
-// under the deterministic fault-injection plan given with -chaos
-// ("[seed=N;]KIND:SEAM[@COUNT];…", see internal/faultinject), and exits
-// nonzero if any containment contract breaks — an injected fault
-// escaping as a process crash, a failure that is not a typed error, a
-// report that differs between -workers N and -workers 1, or (with an
-// empty plan) any byte of divergence from the chaos-free matrix. CI runs
-// five seeded plans plus the empty plan and asserts exit 0.
+// plus the epoch suite's demoting workloads) under the deterministic
+// fault-injection plan given with -chaos ("[seed=N;]KIND:SEAM[@COUNT];…",
+// see internal/faultinject), and exits nonzero if any containment
+// contract breaks — an injected fault escaping as a process crash, a
+// failure that is not a typed error, a report that differs between
+// -workers N and -workers 1, or (with an empty plan) any byte of
+// divergence from the chaos-free matrix. CI runs five seeded plans plus
+// the empty plan and asserts exit 0.
 //
 // An -experiment value that names no experiment exits 2 and lists the
-// valid names, and so does a -scale that is not a finite positive number.
+// valid names, and so does a -scale that is not a finite positive number
+// or a negative -threads.
 //
 // -compare OLD,NEW is the CI bench-regression gate: both files must be
 // BENCH-style snapshots of the same schema and scale, and the command
@@ -100,7 +76,6 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/experiments"
 )
 
@@ -109,8 +84,7 @@ import (
 // named.
 var experimentNames = []string{"all", "fig5", "fig6", "table1", "table2",
 	"ablation", "paging", "switch", "providers", "detectors", "muxbench",
-	"epochs", "vector", "phase", "scaling", "nondet", "stm", "crew",
-	"chaos"}
+	"epochs", "scaling", "nondet", "stm", "crew", "chaos"}
 
 // checkExperiment rejects an -experiment value that names no experiment,
 // which would otherwise run nothing and exit 0.
@@ -131,6 +105,15 @@ func checkScale(scale float64) error {
 	return nil
 }
 
+// checkThreads rejects a negative -threads; 0 keeps each benchmark's
+// default thread count.
+func checkThreads(threads int) error {
+	if threads < 0 {
+		return fmt.Errorf("invalid -threads %d (want 0 for the benchmark default, or a positive count)", threads)
+	}
+	return nil
+}
+
 func main() {
 	exp := flag.String("experiment", "all", "which experiment: "+strings.Join(experimentNames, ", "))
 	scale := flag.Float64("scale", 1.0, "workload size multiplier (1.0 = simsmall-scaled default)")
@@ -139,10 +122,7 @@ func main() {
 	jsonOut := flag.String("json", "", "write a machine-readable bench report to this file (\"-\" = stdout) instead of running text experiments")
 	muxOut := flag.String("muxjson", "", "write the mux-amortization report (BENCH_3.json snapshots) to this file (\"-\" = stdout)")
 	epochOut := flag.String("epochjson", "", "write the epoch re-privatization report (BENCH_4.json snapshots) to this file (\"-\" = stdout)")
-	vecOut := flag.String("vecjson", "", "write the batch-vectorization report (BENCH_7.json snapshots) to this file (\"-\" = stdout)")
-	phaseOut := flag.String("phasejson", "", "write the split-phase hot-page report (BENCH_9.json snapshots) to this file (\"-\" = stdout)")
 	epoch := flag.Bool("epoch", false, "enable epoch-based re-privatization in every Aikido cell (CI diffs this against the baseline)")
-	dispatch := flag.String("dispatch", "inline", "analysis dispatch mode for every analysis-bearing cell: inline, vectorized or phased (CI diffs every non-inline mode against the inline baseline)")
 	det := flag.Bool("deterministic", false, "zero wall_ns in machine-readable reports so output bytes depend only on simulated metrics")
 	analyses := flag.String("analysis", "", "comma-separated analyses for every analysis-bearing cell (registry names; empty = default FastTrack)")
 	chaosPlan := flag.String("chaos", "", "with -experiment chaos: the fault-injection plan [seed=N;]KIND:SEAM[@COUNT];... (empty = idle-overhead identity check)")
@@ -175,14 +155,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "aikido-bench: %v\n", err)
 		os.Exit(2)
 	}
-	dm, err := core.ParseDispatchMode(*dispatch)
-	if err != nil {
+	if err := checkThreads(*threads); err != nil {
 		fmt.Fprintf(os.Stderr, "aikido-bench: %v\n", err)
 		os.Exit(2)
 	}
 	o := experiments.Options{Scale: *scale, Threads: *threads, Workers: *workers,
-		Deterministic: *det, Analyses: analysis.ParseList(*analyses), Epoch: *epoch,
-		Dispatch: dm}
+		Deterministic: *det, Analyses: analysis.ParseList(*analyses), Epoch: *epoch}
 	w := os.Stdout
 
 	// The chaos harness replaces the text experiments entirely (and is
@@ -213,9 +191,9 @@ func main() {
 		return f
 	}
 
-	// -json, -muxjson, -epochjson, -vecjson and -phasejson each replace the
-	// text experiments; given together, every requested report is produced.
-	if *jsonOut != "" || *muxOut != "" || *epochOut != "" || *vecOut != "" || *phaseOut != "" {
+	// -json, -muxjson and -epochjson each replace the text experiments;
+	// given together, every requested report is produced.
+	if *jsonOut != "" || *muxOut != "" || *epochOut != "" {
 		if *jsonOut != "" {
 			rep, err := experiments.BenchJSON(o)
 			if err != nil {
@@ -257,36 +235,6 @@ func main() {
 				defer out.Close()
 			}
 			if err := experiments.WriteEpochJSON(out, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "aikido-bench: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *vecOut != "" {
-			rep, err := experiments.VectorJSON(o)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "aikido-bench: vecjson: %v\n", err)
-				os.Exit(1)
-			}
-			out := openOut(*vecOut)
-			if out != os.Stdout {
-				defer out.Close()
-			}
-			if err := experiments.WriteVectorJSON(out, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "aikido-bench: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *phaseOut != "" {
-			rep, err := experiments.PhaseJSON(o)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "aikido-bench: phasejson: %v\n", err)
-				os.Exit(1)
-			}
-			out := openOut(*phaseOut)
-			if out != os.Stdout {
-				defer out.Close()
-			}
-			if err := experiments.WritePhaseJSON(out, rep); err != nil {
 				fmt.Fprintf(os.Stderr, "aikido-bench: %v\n", err)
 				os.Exit(1)
 			}
@@ -391,22 +339,6 @@ func main() {
 			return err
 		}
 		experiments.WriteEpochs(w, rows)
-		return nil
-	})
-	run("vector", func() error {
-		rows, err := experiments.VectorAmortization(o)
-		if err != nil {
-			return err
-		}
-		experiments.WriteVectorAmortization(w, rows)
-		return nil
-	})
-	run("phase", func() error {
-		rows, err := experiments.PhaseAmortization(o)
-		if err != nil {
-			return err
-		}
-		experiments.WritePhaseAmortization(w, rows)
 		return nil
 	})
 	run("scaling", func() error {

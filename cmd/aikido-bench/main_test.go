@@ -7,9 +7,9 @@ import (
 )
 
 // TestCheckExperiment: every listed experiment is accepted, and a name
-// that matches none — including the deleted deferred, parallel and
-// static experiments — is rejected with the valid names listed, instead
-// of running nothing and exiting 0.
+// that matches none — including the deleted deferred, parallel, vector,
+// phase and static experiments — is rejected with the valid names
+// listed, instead of running nothing and exiting 0.
 func TestCheckExperiment(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -17,8 +17,9 @@ func TestCheckExperiment(t *testing.T) {
 	}{
 		{"all", true},
 		{"fig5", true},
-		{"vector", true},
-		{"phase", true},
+		{"epochs", true},
+		{"vector", false},
+		{"phase", false},
 		{"static", false},
 		{"chaos", true},
 		{"crew", true},
@@ -62,6 +63,25 @@ func TestCheckScale(t *testing.T) {
 	} {
 		if err := checkScale(tc.scale); (err == nil) != tc.ok {
 			t.Errorf("checkScale(%v) = %v, want ok=%v", tc.scale, err, tc.ok)
+		}
+	}
+}
+
+// TestCheckThreads: a negative -threads is rejected instead of silently
+// running the benchmark default; 0 still selects that default.
+func TestCheckThreads(t *testing.T) {
+	for _, tc := range []struct {
+		threads int
+		ok      bool
+	}{
+		{0, true},
+		{1, true},
+		{16, true},
+		{-1, false},
+		{-3, false},
+	} {
+		if err := checkThreads(tc.threads); (err == nil) != tc.ok {
+			t.Errorf("checkThreads(%d) = %v, want ok=%v", tc.threads, err, tc.ok)
 		}
 	}
 }

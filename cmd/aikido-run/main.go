@@ -6,7 +6,6 @@
 //
 //	aikido-run [-bench NAME|all] [-mode native|dbi|fasttrack|aikido|profile]
 //	           [-analysis NAME[,NAME...]] [-max-findings N] [-epoch]
-//	           [-dispatch inline|vectorized|phased]
 //	           [-provider aikidovm|dos|dthreads] [-paging shadow|nested]
 //	           [-switch hypercall|segtrap|probe]
 //	           [-threads N] [-scale F] [-workers N] [-findings] [-list]
@@ -28,34 +27,14 @@
 // their instructions return to native speed; the epoch statistics lines
 // report the demotion traffic.
 //
-// -dispatch vectorized banks access events in per-thread rings, groups
-// each drained batch by page and hands contiguous same-page runs to the
-// detectors' batch kernels at synchronization boundaries, which coalesce
-// same-epoch runs and retire report-free singletons against one hoisted
-// metadata load; findings and statistics are byte-identical to the inline
-// default under the default cost model (the run report adds the
-// pipeline's drain/record counts). A drain fault (see -chaos, seam
-// "drain") replays the batch inline and latches inline dispatch for the
-// rest of the run. -dispatch phased delivers joined pages inline but
-// flips pages the sharing detector classifies as hot — many-writer every
-// epoch for a sustained streak — into Doppel-style split phases
-// (docs/phases.md): split-page accesses bank in per-thread delta rings
-// and a reconciliation merge replays them in canonical (seq, addr, kind)
-// order at every drain point, strictly before any phase flip, sync event
-// or epoch sweep, so findings are byte-identical to inline on any
-// schedule. Phased dispatch implies -epoch (the classifier lives in the
-// epoch sweep; the default policies are filled in when unset). A
-// reconcile fault (seam "reconcile") replays the merged batch inline and
-// latches inline dispatch — no banked record is lost or duplicated.
-//
 // -list-analyses prints the registry catalog: canonical names, the short
 // aliases that resolve to them, and the wrapper combinator in composed
 // form ("sampled:<name>").
 //
 // Fault isolation (see internal/faultinject and ARCHITECTURE.md):
 // -chaos injects a deterministic fault plan ("seed=N;KIND:SEAM[@COUNT];…"
-// with kinds panic|error|stall and seams
-// provider|guest|drain|analysis|reconcile) into every cell;
+// with kinds panic|error|stall and seams provider|guest|analysis) into
+// every cell;
 // -max-cycles and -cell-deadline bound each cell's simulated-cycle and
 // wall-clock consumption with typed budget errors;
 // -keep-going records failing cells in the report and finishes the rest
@@ -69,7 +48,7 @@
 //
 // Exit codes: 0 clean, 1 findings reported, 2 cell error (a run failed,
 // even under -keep-going), 3 flag/usage errors (including a -scale that
-// is not a finite positive number).
+// is not a finite positive number and a negative -threads).
 package main
 
 import (
@@ -107,7 +86,6 @@ func run(args []string) int {
 	analyses := fs.String("analysis", "fasttrack", "comma-separated analyses to multiplex onto one pass (see -list-analyses)")
 	maxFindings := fs.Int("max-findings", 0, "cap stored findings for the whole run, divided across the selected analyses (0 = each detector's default)")
 	epoch := fs.Bool("epoch", false, "enable epoch-based re-privatization of Shared pages (Aikido modes)")
-	dispatch := fs.String("dispatch", "inline", "analysis dispatch mode: inline (per access), vectorized (batched ring drains + page-grouped kernels) or phased (split-phase hot-page banking; implies -epoch)")
 	prov := fs.String("provider", "aikidovm", "per-thread protection provider: aikidovm, dos, dthreads (§7.1)")
 	paging := fs.String("paging", "shadow", "AikidoVM paging mode: shadow, nested (§3.2.2)")
 	swi := fs.String("switch", "hypercall", "context-switch interception: hypercall, segtrap, probe (§3.2.3)")
@@ -118,7 +96,7 @@ func run(args []string) int {
 	races := fs.Bool("races", false, "alias for -findings")
 	list := fs.Bool("list", false, "list benchmarks and exit")
 	listAn := fs.Bool("list-analyses", false, "list registered analyses and exit")
-	chaos := fs.String("chaos", "", "fault-injection plan: [seed=N;]KIND:SEAM[@COUNT];... (kinds panic|error|stall, seams provider|guest|drain|analysis|reconcile)")
+	chaos := fs.String("chaos", "", "fault-injection plan: [seed=N;]KIND:SEAM[@COUNT];... (kinds panic|error|stall, seams provider|guest|analysis)")
 	maxCycles := fs.Uint64("max-cycles", 0, "per-cell simulated-cycle budget (0 = unlimited); overrun is a typed cell error")
 	cellDeadline := fs.Duration("cell-deadline", 0, "per-cell wall-clock budget (0 = unlimited); overrun is a typed cell error")
 	keepGoing := fs.Bool("keep-going", false, "record failing cells and finish the sweep instead of aborting on the first error")
@@ -184,6 +162,10 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "aikido-run: invalid -scale %v (want a finite number > 0)\n", *scale)
 		return exitBadFlags
 	}
+	if *threads < 0 {
+		fmt.Fprintf(os.Stderr, "aikido-run: invalid -threads %d (want 0 for the benchmark default, or a positive count)\n", *threads)
+		return exitBadFlags
+	}
 	plan, err := faultinject.ParsePlan(*chaos)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "aikido-run: %v\n", err)
@@ -193,12 +175,6 @@ func run(args []string) int {
 	cfg := core.DefaultConfig(m)
 	cfg.Analyses = analysis.ParseList(*analyses)
 	cfg.MaxFindings = *maxFindings
-	dm, err := core.ParseDispatchMode(*dispatch)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "aikido-run: %v\n", err)
-		return exitBadFlags
-	}
-	cfg.Dispatch = dm
 	cfg.Provider = pk
 	cfg.Paging = pg
 	cfg.Switch = sw
@@ -289,18 +265,6 @@ func run(args []string) int {
 	fmt.Printf("memory refs      %d\n", res.Engine.MemRefs)
 	fmt.Printf("instrumented     %d\n", res.Engine.InstrumentedExecs)
 	fmt.Printf("context switches %d\n", res.GuestContextSwitches)
-	if res.DeferredDrains > 0 || res.DeferredFallbacks > 0 {
-		fmt.Printf("batch drains     %d (%d access records banked, %d inline fallbacks)\n",
-			res.DeferredDrains, res.DeferredRecords, res.DeferredFallbacks)
-	}
-	if res.DeferredGroups > 0 {
-		fmt.Printf("vector groups    %d (%d records retired in-kernel, %d scalar fallbacks)\n",
-			res.DeferredGroups, res.VectorCoalesced, res.VectorFallbacks)
-	}
-	if res.PhaseReconciles > 0 || res.PhaseBanked > 0 {
-		fmt.Printf("phase reconciles %d (%d records banked, %d pages split, %d rejoined)\n",
-			res.PhaseReconciles, res.PhaseBanked, res.SD.PagesSplit, res.SD.PagesJoined)
-	}
 	if m == core.ModeAikidoFastTrack || m == core.ModeAikidoProfile {
 		fmt.Printf("provider         %s (paging %s, switch %s)\n", pk, pg, sw)
 		fmt.Printf("shared accesses  %d (%.2f%% of memory refs)\n",

@@ -11,3 +11,16 @@ func TestRunRejectsBadScale(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsBadFlags: a negative -threads and the deleted -dispatch
+// flag are usage errors; neither runs anything.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-bench", "fluidanimate", "-threads", "-2"},
+		{"-bench", "fluidanimate", "-dispatch", "phased"},
+	} {
+		if code := run(args); code != exitBadFlags {
+			t.Errorf("run(%v) = %d, want %d", args, code, exitBadFlags)
+		}
+	}
+}

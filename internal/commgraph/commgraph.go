@@ -62,10 +62,6 @@ type Analysis struct {
 	// negative = none).
 	MaxEdges int
 
-	// vec describes the vectorized batch kernel (see batch.go); kept out
-	// of Counters so findings stay byte-identical across dispatch modes.
-	vec vecStats
-
 	C Counters
 }
 

@@ -117,33 +117,6 @@ func TestGuestErrorAbortsRun(t *testing.T) {
 	}
 }
 
-// TestDrainFallbackByteIdentical is the graceful-degradation contract
-// for the batched pipeline: when a drain fails (injected drain-seam
-// error), the merged batch is replayed inline, the pipeline latches to
-// inline delivery for the rest of the run, and the final Result is
-// byte-identical to a plain inline run outside the pipeline's own
-// counters — no lost, duplicated, or reordered events, same cycles.
-func TestDrainFallbackByteIdentical(t *testing.T) {
-	bench := parsec.All()[0].WithScale(0.25)
-	prog, err := workload.Build(bench.Spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(ModeAikidoFastTrack)
-	inline := runDispatch(t, prog, cfg, DispatchInline)
-
-	chaosCfg := cfg
-	chaosCfg.Chaos = mustPlan(t, "error:drain@2")
-	fallen := runDispatch(t, prog, chaosCfg, DispatchVectorized)
-	if fallen.DeferredFallbacks != 1 {
-		t.Fatalf("DeferredFallbacks = %d, want exactly 1 (one-shot trigger)", fallen.DeferredFallbacks)
-	}
-	if fallen.DeferredDrains == 0 || fallen.DeferredRecords == 0 {
-		t.Fatal("fallback run never drained a batch — the equivalence is vacuous")
-	}
-	requireIdentical(t, bench.Name+"/fallback/vectorized", inline, fallen)
-}
-
 // TestChaosEmptyPlanByteIdentical: a ruleless plan (seed only — the
 // parser refuses to build one, so construct it directly) must leave a
 // run byte-identical to no plan at all — the acceptance criterion that
@@ -154,22 +127,18 @@ func TestChaosEmptyPlanByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dispatch := range []DispatchMode{DispatchInline, DispatchVectorized} {
-		cfg := DefaultConfig(ModeAikidoFastTrack)
-		cfg.Dispatch = dispatch
-		plain, err := Run(prog, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Chaos = &faultinject.Plan{Seed: 7}
-		armed, err := Run(prog, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(plain, armed) {
-			t.Errorf("%v: empty chaos plan perturbed the run:\nplain: %+v\narmed: %+v",
-				dispatch, plain, armed)
-		}
+	cfg := DefaultConfig(ModeAikidoFastTrack)
+	plain, err := Run(prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Chaos = &faultinject.Plan{Seed: 7}
+	armed, err := Run(prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, armed) {
+		t.Errorf("empty chaos plan perturbed the run:\nplain: %+v\narmed: %+v", plain, armed)
 	}
 }
 

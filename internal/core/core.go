@@ -131,20 +131,6 @@ type Config struct {
 	// every member, so multi-analysis runs silently stored members×N.)
 	MaxFindings int
 
-	// Dispatch selects how access events reach the selected analyses:
-	// synchronously per access (DispatchInline, the default), banked in
-	// per-thread rings and fed through page-grouped batch kernels at
-	// synchronization boundaries (DispatchVectorized), or inline except
-	// for hot pages, whose accesses bank in split phases and reconcile at
-	// the next boundary (DispatchPhased). Findings are byte-identical in
-	// all three. Under the default cost model vectorized dispatch also
-	// keeps simulated counters and cycles identical to inline, and so does
-	// phased dispatch on workloads whose pages never split. See
-	// DispatchVectorized for the drain points, the grouping invariant and
-	// the inline fallback for register-dataflow analyses, and
-	// DispatchPhased for the split-phase contract.
-	Dispatch DispatchMode
-
 	// NoMirror is an ablation: instead of redirecting shared accesses to
 	// mirror pages, AikidoSD unprotects the page around every shared
 	// access and reprotects it afterwards (the strategy mirror pages
@@ -160,15 +146,6 @@ type Config struct {
 	// Shared state machine. See sharing.EpochPolicy and
 	// sharing.DefaultEpochPolicy.
 	Epoch sharing.EpochPolicy
-
-	// Phase parameterizes DispatchPhased's hot-page classifier (Doppel-
-	// style split phases; see sharing.PhasePolicy). It engages only in
-	// Aikido modes with DispatchPhased and an enabled Epoch policy — the
-	// classifier lives in the epoch sweep. NewSystem fills in
-	// sharing.DefaultEpochPolicy and sharing.DefaultPhasePolicy for an
-	// Aikido-mode DispatchPhased config that left either zero, so
-	// "-dispatch phased" alone names the whole refinement.
-	Phase sharing.PhasePolicy
 
 	// MaxCycles caps the run's simulated cycles: a run whose clock
 	// exceeds it at a scheduling-quantum boundary aborts with a typed
@@ -222,11 +199,8 @@ type System struct {
 	Analyses []analysis.Analysis
 
 	// an is the dispatch stack over Analyses (nil when none run): the mux,
-	// wrapped by the batched pipeline or the inline dispatch charger when
-	// the configuration asks for them, and by the chaos analysis seam
-	// outermost when a plan is armed.
-	an   analysis.Analysis
-	pipe *pipeline // non-nil only under effective vectorized or phased dispatch
+	// wrapped by the chaos analysis seam when a plan is armed.
+	an analysis.Analysis
 
 	// inj is this run's fault injector (nil without a chaos plan) and
 	// wallStart the MaxWall anchor, stamped when Run starts executing.
@@ -246,11 +220,11 @@ func (s *System) Analysis(name string) analysis.Analysis {
 	return nil
 }
 
-// newAnalyses instantiates the configured analyses, the mux that fans the
-// instrumented execution out to them, and the configured dispatch layer
-// over the mux. It must run after shadow memory is attached (factories may
-// require Env.Umbra). The findings cap is applied through the mux so its
-// per-run budget division governs multi-analysis selections.
+// newAnalyses instantiates the configured analyses and the mux that fans
+// the instrumented execution out to them. It must run after shadow memory
+// is attached (factories may require Env.Umbra). The findings cap is
+// applied through the mux so its per-run budget division governs
+// multi-analysis selections.
 func (s *System) newAnalyses() (analysis.Analysis, error) {
 	names := s.Cfg.Analyses
 	if names == nil {
@@ -269,32 +243,16 @@ func (s *System) newAnalyses() (analysis.Analysis, error) {
 	if max := s.Cfg.MaxFindings; max != 0 {
 		m.SetMaxFindings(max)
 	}
-	an := s.wrapDispatch(m)
-	if s.inj != nil && an != nil {
-		// The chaos analysis seam wraps OUTERMOST — above the batched
-		// pipeline — so its crossing counts (and therefore where a
-		// trigger lands) are identical under every dispatch mode: it
-		// observes the access stream as the instrumented hot paths emit
-		// it, before any banking.
-		an = &chaosAnalysis{Analysis: an, inj: s.inj}
+	if s.inj != nil {
+		// The chaos analysis seam observes the access stream exactly as
+		// the instrumented hot paths emit it.
+		return &chaosAnalysis{Analysis: m, inj: s.inj}, nil
 	}
-	return an, nil
+	return m, nil
 }
 
 // NewSystem loads prog and assembles the configured stack.
 func NewSystem(prog *isa.Program, cfg Config) (*System, error) {
-	if cfg.Dispatch == DispatchPhased &&
-		(cfg.Mode == ModeAikidoFastTrack || cfg.Mode == ModeAikidoProfile) {
-		// Phased dispatch is meaningless without the epoch sweep (the
-		// classifier's only home) and a split policy; fill the calibrated
-		// defaults so "-dispatch phased" alone names the refinement.
-		if !cfg.Epoch.Enabled() {
-			cfg.Epoch = sharing.DefaultEpochPolicy()
-		}
-		if !cfg.Phase.Enabled() {
-			cfg.Phase = sharing.DefaultPhasePolicy()
-		}
-	}
 	m := vm.NewMachine()
 	p, err := guest.NewProcess(m, prog)
 	if err != nil {
@@ -364,55 +322,8 @@ func NewSystem(prog *isa.Program, cfg Config) (*System, error) {
 		s.Engine.RuntimeTouch = s.SD.TouchCode
 		if cfg.Epoch.Enabled() {
 			s.SD.EnableEpochs(cfg.Epoch)
-			sweep := s.SD.EpochSweep
-			if s.pipe != nil && s.pipe.phased {
-				// Reconcile-then-sweep: the sweep is where pages flip
-				// phase, so every banked delta must reconcile into
-				// canonical shadow state first — a record banked under
-				// split must never be delivered after its page joins (or
-				// demotes). The drain is a no-op when nothing is banked.
-				pipe, sd := s.pipe, s.SD
-				sweep = func() {
-					pipe.drain()
-					sd.EpochSweep()
-				}
-			}
-			s.Epochs = newEpochClock(clock, cfg.Epoch.Interval, sweep)
-			tick := s.Epochs.MaybeTick
-			if s.pipe != nil && !s.pipe.phased {
-				// An armed epoch clock reads the simulated clock between
-				// accesses. Banked records carry analysis charges that
-				// have not landed yet, so a non-empty ring must drain
-				// before every boundary check for the clock values the
-				// check observes — and therefore the tick points — to be
-				// identical to inline dispatch. Epoch runs consequently
-				// drain per instrumented access: correctness keeps
-				// byte-identity, at the price of the batching win.
-				//
-				// Phased dispatch deliberately skips this composition:
-				// joined pages deliver (and charge) inline, so non-hot
-				// runs tick identically to inline anyway, while split
-				// pages' delayed charges are allowed to shift epoch
-				// boundaries — findings stay identical (the reconcile
-				// preserves order), cycles are the BENCH_9 win.
-				pipe, epochs := s.pipe, s.Epochs
-				tick = func() {
-					pipe.drain()
-					epochs.MaybeTick()
-				}
-			}
-			s.SD.SetEpochTicker(tick)
-			if s.pipe != nil && s.pipe.phased && cfg.Phase.Enabled() {
-				// The banker the detector routes split-page accesses to:
-				// the chaos analysis wrapper when a plan is armed (so the
-				// analysis seam's crossing counts include banked
-				// accesses), the pipeline itself otherwise.
-				banker := sharing.PhaseBanker(s.pipe)
-				if cb, ok := s.an.(sharing.PhaseBanker); ok {
-					banker = cb
-				}
-				s.SD.EnablePhases(cfg.Phase, banker)
-			}
+			s.Epochs = newEpochClock(clock, cfg.Epoch.Interval, s.SD.EpochSweep)
+			s.SD.SetEpochTicker(s.Epochs.MaybeTick)
 		}
 
 	default:
@@ -603,9 +514,8 @@ type Result struct {
 
 	// Findings maps each selected analysis's canonical name to its
 	// findings. Typed detail (races with PCs, lockset warnings, …) is
-	// recovered by asserting to the producing package's findings type;
-	// the deprecated accessors in compat.go do exactly that for the
-	// pre-registry result fields.
+	// recovered by asserting to the producing package's findings type,
+	// or through that package's helpers (fasttrack.RacesIn and the like).
 	Findings map[string]analysis.Findings
 
 	GuestContextSwitches uint64
@@ -615,35 +525,6 @@ type Result struct {
 	// clock (0 when Config.Epoch is disabled; demotion detail lives in
 	// SD.EpochSweeps / SD.PagesDemoted* / SD.PagesReshared).
 	EpochTicks uint64
-
-	// DeferredDrains and DeferredRecords describe the batched dispatch
-	// pipeline (vectorized or phased): drain batches replayed and access
-	// records banked. DeferredFallbacks counts drains that failed
-	// (injected drain- or reconcile-seam errors) and degraded the pipeline
-	// to inline delivery for the rest of the run. DeferredGroups counts
-	// page groups cut at drains, and VectorCoalesced/VectorFallbacks sum
-	// what the vectorized kernels did with their records (run-length
-	// retired vs punted to the scalar hook). All six are 0 under inline
-	// dispatch. Together with PhaseReconciles and PhaseBanked below they
-	// are the only Result fields that differ between the three dispatch
-	// modes, except where phased dispatch splits pages (see
-	// DispatchPhased).
-	DeferredDrains    uint64
-	DeferredRecords   uint64
-	DeferredFallbacks uint64
-	DeferredGroups    uint64
-	VectorCoalesced   uint64
-	VectorFallbacks   uint64
-
-	// PhaseReconciles counts split-phase reconciliation merges and
-	// PhaseBanked the access records banked through per-thread delta
-	// rings while their page was split (DispatchPhased; page-level flip
-	// counts live in SD.PagesSplit / SD.PagesJoined). Both are 0 in every
-	// other dispatch mode and on workloads that never go hot — which is
-	// exactly the phased byte-identity condition the equivalence tests
-	// assert.
-	PhaseReconciles uint64
-	PhaseBanked     uint64
 }
 
 // Run executes the assembled system to completion.
@@ -655,16 +536,6 @@ func (s *System) Run() (*Result, error) {
 	eres, err := s.Engine.Run()
 	if err != nil {
 		return nil, err
-	}
-	if s.pipe != nil {
-		// End-of-run drain point, BEFORE the cycle total is captured:
-		// records banked between the last sync event and process exit
-		// (SysExit fires no thread-exit hook) still carry analysis
-		// charges, and inline dispatch landed those before the engine
-		// stopped. eres.Cycles was snapshotted pre-drain, so the total is
-		// re-read from the shared clock below.
-		s.pipe.drain()
-		eres.Cycles = s.Clock.Cycles()
 	}
 	r := &Result{
 		Mode:                 s.Cfg.Mode,
@@ -689,21 +560,6 @@ func (s *System) Run() (*Result, error) {
 	}
 	if s.Epochs != nil {
 		r.EpochTicks = s.Epochs.Ticks
-	}
-	if s.pipe != nil {
-		r.DeferredDrains = s.pipe.drains
-		r.DeferredRecords = s.pipe.records
-		r.DeferredFallbacks = s.pipe.fallbacks
-		r.DeferredGroups = s.pipe.groupsN
-		r.PhaseReconciles = s.pipe.preconciles
-		r.PhaseBanked = s.pipe.precs
-		for _, a := range s.Analyses {
-			if vs, ok := a.(analysis.VectorStatser); ok {
-				st := vs.VectorStats()
-				r.VectorCoalesced += st.Coalesced
-				r.VectorFallbacks += st.Fallbacks
-			}
-		}
 	}
 	if len(s.Analyses) > 0 {
 		r.Findings = make(map[string]analysis.Findings, len(s.Analyses))

@@ -279,7 +279,7 @@ func TestSamplerWrapsAnyAnalysis(t *testing.T) {
 		t.Fatalf("sampled:lockset missing from findings map (have %v)", res.Findings)
 	}
 	// The sampler fed the inner LockSet a subset of the access stream;
-	// the deprecated accessors see through the wrapper.
+	// the typed findings helpers see through the wrapper.
 	if lsOf(res).Reads+lsOf(res).Writes == 0 {
 		t.Error("wrapped LockSet analyzed nothing")
 	}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/parsec"
 	"repro/internal/runner"
-	"repro/internal/sharing"
 )
 
 // ChaosMaxCycles is the simulated-cycle budget stamped on every chaos
@@ -34,9 +33,8 @@ type ChaosRow struct {
 	// Findings is each analysis's rendered findings, in canonical
 	// analysis order (empty for native and failed cells).
 	Findings []string `json:"findings,omitempty"`
-	// Fallbacks / RearmFailures count the degradations the cell absorbed
-	// (batched→inline drain fallbacks; rearm-failure demotion vetoes).
-	Fallbacks     uint64 `json:"fallbacks,omitempty"`
+	// RearmFailures counts the degradations the cell absorbed: epoch
+	// demotions vetoed because the provider's rearm failed.
 	RearmFailures uint64 `json:"rearm_failures,omitempty"`
 }
 
@@ -64,24 +62,16 @@ type ChaosReport struct {
 	// Deterministic reports that the -workers N report was byte-identical
 	// to a -workers 1 re-run (always re-checked, never assumed).
 	Deterministic bool `json:"deterministic"`
-	// Degradations absorbed across all completed cells.
-	FallbackRuns  int        `json:"fallback_runs"`
+	// RearmFailures sums the degradations absorbed across all completed
+	// cells.
 	RearmFailures uint64     `json:"rearm_failures"`
 	Rows          []ChaosRow `json:"rows"`
 }
 
 // chaosSpecs builds the chaos matrix: the full Figure-5 model×mode grid
-// (provider-agnostic seams: guest, analysis, and — under vectorized
-// dispatch — drain), plus the epoch suite's demoting workloads as
-// epoch-enabled Aikido cells under vectorized dispatch, which are the
-// only cells that cross the provider seam (RearmPage fires during
-// demotion) and guarantee drain-seam coverage regardless of o.Dispatch,
-// plus the permanently-hot phase suite rows (falseshare, zipf-hot) as
-// phased-dispatch cells, which guarantee reconcile-seam coverage: their
-// pages split within a few epochs, so every subsequent drain is a
-// reconciliation merge (an error-kind fault there replays the merged
-// batch inline and latches the pipeline — banked records are never lost
-// or duplicated).
+// (provider-agnostic seams: guest and analysis), plus the epoch suite's
+// demoting workloads as epoch-enabled Aikido cells, which are the only
+// cells that cross the provider seam (RearmPage fires during demotion).
 func (o Options) chaosSpecs(plan *faultinject.Plan, stamp bool) []runner.Spec {
 	var specs []runner.Spec
 	for _, b := range parsec.All() {
@@ -93,31 +83,15 @@ func (o Options) chaosSpecs(plan *faultinject.Plan, stamp bool) []runner.Spec {
 			specs = append(specs, spec)
 		}
 	}
-	epochCfg := o.analysisCell(core.ModeAikidoFastTrack)
+	epochCfg := core.DefaultConfig(core.ModeAikidoFastTrack)
 	epochCfg.Analyses = o.Analyses
 	epochCfg.Epoch = o.epochPolicy()
-	epochCfg.Dispatch = core.DispatchVectorized
 	if stamp {
 		epochCfg.Chaos = plan
 		epochCfg.MaxCycles = ChaosMaxCycles
 	}
 	for _, c := range epochSuite(o) {
 		specs = append(specs, runner.Spec{Label: c.name + "/epoch", Source: c.src, Config: epochCfg})
-	}
-	phCfg := o.analysisCell(core.ModeAikidoFastTrack)
-	phCfg.Analyses = o.Analyses
-	phCfg.Epoch = o.epochPolicy()
-	phCfg.Dispatch = core.DispatchPhased
-	phCfg.Phase = sharing.DefaultPhasePolicy()
-	if stamp {
-		phCfg.Chaos = plan
-		phCfg.MaxCycles = ChaosMaxCycles
-	}
-	for _, c := range phaseSuite(o) {
-		if c.name == "zipf-uniform" {
-			continue // the hot rows are the reconcile-seam guarantee
-		}
-		specs = append(specs, runner.Spec{Label: c.name + "/phase", Source: c.src, Config: phCfg})
 	}
 	return specs
 }
@@ -132,7 +106,6 @@ func chaosRows(specs []runner.Spec, rep *runner.Report) []ChaosRow {
 			for _, name := range m.Res.AnalysisNames() {
 				row.Findings = append(row.Findings, m.Res.Findings[name].Strings()...)
 			}
-			row.Fallbacks = m.Res.DeferredFallbacks
 			row.RearmFailures = m.Res.SD.RearmFailures
 		}
 		rows[i] = row
@@ -191,9 +164,6 @@ func ChaosSweep(o Options, planStr string) (*ChaosReport, error) {
 		Rows:        rows,
 	}
 	for _, row := range rows {
-		if row.Fallbacks > 0 {
-			r.FallbackRuns++
-		}
 		r.RearmFailures += row.RearmFailures
 	}
 	for _, ce := range rep.Failed {
@@ -247,8 +217,7 @@ func WriteChaos(w io.Writer, r *ChaosReport) {
 	fmt.Fprintf(w, "Chaos sweep: plan %s\n", plan)
 	fmt.Fprintf(w, "cells %d: %d completed, %d failed (all typed: %v); deterministic across worker counts: %v\n",
 		r.Cells, r.Completed, r.FailedCells, r.TypedErrors, r.Deterministic)
-	fmt.Fprintf(w, "degradations absorbed: %d batched→inline fallback runs, %d rearm failures\n",
-		r.FallbackRuns, r.RearmFailures)
+	fmt.Fprintf(w, "degradations absorbed: %d rearm failures\n", r.RearmFailures)
 	for _, ce := range r.Failed {
 		fmt.Fprintf(w, "  cell %3d %-28s %-7s %v\n", ce.Index, ce.Label, ce.Kind, ce.Err)
 	}

@@ -68,17 +68,13 @@ func epochSuite(o Options) []epochCase {
 		{"phased-readheavy", phased("phased-readheavy", 0, 10, 2)},
 		{"migratory", phased("migratory", 1, 0, 2)},
 		{"migratory-wide", phased("migratory-wide", 3, 0, 4)},
-		falseShare(o),
+		// All eight threads write both pages every epoch, so the pages
+		// never demote.
+		{"falseshare", workload.FalseSharingSpec{
+			Name: "falseshare", Threads: 8, Iters: o.iters(1200), Pages: 2,
+			OpsPerIter: 6, AluOps: 6, SlotStride: 64,
+		}},
 	}
-}
-
-// falseShare is the false-sharing workload: all eight threads write both
-// pages every epoch, so the pages never demote and stay permanently hot.
-func falseShare(o Options) epochCase {
-	return epochCase{"falseshare", workload.FalseSharingSpec{
-		Name: "falseshare", Threads: 8, Iters: o.iters(1200), Pages: 2,
-		OpsPerIter: 6, AluOps: 6, SlotStride: 64,
-	}}
 }
 
 // epochPolicy resolves the demotion policy the experiment (and the
@@ -94,7 +90,7 @@ func (o Options) epochPolicy() sharing.EpochPolicy { return sharing.DefaultEpoch
 func Epochs(o Options) ([]EpochRow, error) {
 	o = o.normalize()
 	suite := epochSuite(o)
-	base := o.analysisCell(core.ModeAikidoFastTrack)
+	base := core.DefaultConfig(core.ModeAikidoFastTrack)
 	base.Analyses = o.Analyses
 	epoch := base
 	epoch.Epoch = o.epochPolicy()

@@ -54,15 +54,6 @@ type Options struct {
 	// exactly that. The epochs experiment measures the win on the
 	// phased/migratory suite regardless of this flag.
 	Epoch bool
-	// Dispatch selects the analysis dispatch mode for every
-	// analysis-bearing cell: inline (the default), vectorized page-grouped
-	// batch kernels, or phased split-phase banking on hot pages. Under the
-	// default cost model all three are byte-identical on these reports —
-	// CI's equivalence legs diff each non-inline report against the inline
-	// baseline to pin exactly that. The vector and phase experiments
-	// measure their respective wins under the transition-cost model
-	// regardless of this flag.
-	Dispatch core.DispatchMode
 }
 
 // DefaultOptions is the full-size harness configuration.
@@ -136,7 +127,6 @@ func (o Options) modeCells(b parsec.Benchmark) []runner.Spec {
 		cfg := core.DefaultConfig(m.mode)
 		if m.mode != core.ModeNative {
 			cfg.Analyses = o.Analyses
-			cfg.Dispatch = o.Dispatch
 		}
 		if o.Epoch && m.mode == core.ModeAikidoFastTrack {
 			cfg.Epoch = o.epochPolicy()
@@ -144,14 +134,6 @@ func (o Options) modeCells(b parsec.Benchmark) []runner.Spec {
 		specs[i] = cell(b, m.label, cfg)
 	}
 	return specs
-}
-
-// analysisCell builds one analysis-bearing cell config under the options'
-// dispatch mode (the experiments that sweep a single mode use it).
-func (o Options) analysisCell(mode core.Mode) core.Config {
-	cfg := core.DefaultConfig(mode)
-	cfg.Dispatch = o.Dispatch
-	return cfg
 }
 
 // --- Figure 5 --------------------------------------------------------------
@@ -231,7 +213,7 @@ func Figure6(o Options) ([]Fig6Row, error) {
 	benches := parsec.All()
 	var specs []runner.Spec
 	for _, b := range benches {
-		specs = append(specs, cell(o.apply(b), "Aikido", o.analysisCell(core.ModeAikidoFastTrack)))
+		specs = append(specs, cell(o.apply(b), "Aikido", core.DefaultConfig(core.ModeAikidoFastTrack)))
 	}
 	cells, err := o.sweep(specs)
 	if err != nil {
@@ -344,7 +326,7 @@ func Table2(o Options) ([]Table2Row, float64, error) {
 	benches := parsec.All()
 	var specs []runner.Spec
 	for _, b := range benches {
-		specs = append(specs, cell(o.apply(b), "Aikido", o.analysisCell(core.ModeAikidoFastTrack)))
+		specs = append(specs, cell(o.apply(b), "Aikido", core.DefaultConfig(core.ModeAikidoFastTrack)))
 	}
 	cells, err := o.sweep(specs)
 	if err != nil {
@@ -400,8 +382,8 @@ type AblationRow struct {
 	Slow    float64 // slowdown vs native
 }
 
-// ablationVariants are the design points DESIGN.md calls out, compared
-// against a shared native baseline per benchmark.
+// ablationVariants are the ablated design points, compared against a
+// shared native baseline per benchmark.
 func ablationVariants() []struct {
 	label string
 	cfg   core.Config
@@ -419,9 +401,9 @@ func ablationVariants() []struct {
 	}
 }
 
-// Ablations quantifies the design choices DESIGN.md calls out:
-// mirror redirection vs unprotect/reprotect (the Abadi-style strategy of
-// §7.2), and DBI-only overhead as the floor.
+// Ablations quantifies two design choices: mirror redirection vs
+// unprotect/reprotect (the Abadi-style strategy of §7.2), and DBI-only
+// overhead as the floor.
 func Ablations(o Options) ([]AblationRow, error) {
 	o = o.normalize()
 	names := []string{"x264", "vips"}
@@ -509,11 +491,11 @@ func ExtensionDetectors(o Options) ([]DetectorRow, error) {
 	}
 	bb := o.apply(b)
 
-	muxCfg := o.analysisCell(core.ModeAikidoFastTrack).WithAnalyses(muxedDetectors...)
+	muxCfg := core.DefaultConfig(core.ModeAikidoFastTrack).WithAnalyses(muxedDetectors...)
 	specs := []runner.Spec{
 		cell(bb, "native", core.DefaultConfig(core.ModeNative)),
-		cell(bb, "fasttrack-full", o.analysisCell(core.ModeFastTrackFull)),
-		cell(bb, "sampled-fasttrack", o.analysisCell(core.ModeFastTrackFull).WithAnalyses("sampled")),
+		cell(bb, "fasttrack-full", core.DefaultConfig(core.ModeFastTrackFull)),
+		cell(bb, "sampled-fasttrack", core.DefaultConfig(core.ModeFastTrackFull).WithAnalyses("sampled")),
 		cell(bb, "aikido-mux", muxCfg),
 	}
 	cells, err := o.sweep(specs)

@@ -29,8 +29,8 @@ type MuxRow struct {
 	CycleSpeedup float64 `json:"cycle_speedup_x"`
 }
 
-// muxAmortizationSet is the analysis set the mux, vector and phase
-// amortization experiments host; it matches the detectors extension.
+// muxAmortizationSet is the analysis set the mux amortization experiment
+// hosts; it matches the detectors extension.
 var muxAmortizationSet = []string{"fasttrack", "lockset", "atomicity", "commgraph"}
 
 // MuxAmortization measures, per benchmark model, the cost of running N
@@ -48,10 +48,10 @@ func MuxAmortization(o Options) ([]MuxRow, error) {
 		bb := o.apply(b)
 		for _, name := range muxAmortizationSet {
 			specs = append(specs, cell(bb, name,
-				o.analysisCell(core.ModeAikidoFastTrack).WithAnalyses(name)))
+				core.DefaultConfig(core.ModeAikidoFastTrack).WithAnalyses(name)))
 		}
 		specs = append(specs, cell(bb, "mux",
-			o.analysisCell(core.ModeAikidoFastTrack).WithAnalyses(muxAmortizationSet...)))
+			core.DefaultConfig(core.ModeAikidoFastTrack).WithAnalyses(muxAmortizationSet...)))
 	}
 	cells, err := o.sweep(specs)
 	if err != nil {

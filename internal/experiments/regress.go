@@ -18,13 +18,7 @@ import (
 //   - aikido-mux-bench/v1: geomean_cycle_speedup_x — N sequential passes
 //     vs one multiplexed pass (BENCH_3.json);
 //   - aikido-epoch-bench/v1: geomean_cycle_speedup_x — terminal-Shared
-//     baseline vs epoch demotion (BENCH_4.json);
-//   - aikido-vector-bench/v1: geomean_cycle_speedup_x — per-access
-//     inline dispatch vs vectorized batch kernels under the
-//     transition-cost model (BENCH_7.json);
-//   - aikido-phase-bench/v1: geomean_cycle_speedup_x — inline dispatch vs
-//     Doppel-style split-phase hot-page banking under the same model
-//     (BENCH_9.json).
+//     baseline vs epoch demotion (BENCH_4.json).
 type Snapshot struct {
 	Path    string
 	Schema  string
@@ -73,8 +67,7 @@ func ReadSnapshot(path string) (Snapshot, error) {
 				path, f.GeomeanFastTrack, f.GeomeanAikido)
 		}
 		s.Speedup = f.GeomeanFastTrack / f.GeomeanAikido
-	case "aikido-mux-bench/v1", "aikido-epoch-bench/v1", "aikido-vector-bench/v1",
-		"aikido-phase-bench/v1":
+	case "aikido-mux-bench/v1", "aikido-epoch-bench/v1":
 		s.Speedup = f.GeomeanSpeedup
 	default:
 		return Snapshot{}, fmt.Errorf("regress: %s: unknown schema %q", path, f.Schema)

@@ -94,10 +94,11 @@ func TestCompareGateErrorPaths(t *testing.T) {
 		})
 	}
 
-	// The schemas of the deleted deferred and parallel dispatch snapshots
-	// and of the deleted static pre-pass snapshot are rejected, so an old
-	// -compare gate fails instead of passing.
-	for _, schema := range []string{"aikido-deferred-bench/v1", "aikido-parallel-bench/v1", "aikido-static-bench/v1"} {
+	// The schemas of the deleted deferred, parallel, vectorized and phased
+	// dispatch snapshots and of the deleted static pre-pass snapshot are
+	// rejected, so an old -compare gate fails instead of passing.
+	for _, schema := range []string{"aikido-deferred-bench/v1", "aikido-parallel-bench/v1",
+		"aikido-static-bench/v1", "aikido-vector-bench/v1", "aikido-phase-bench/v1"} {
 		path := write(strings.TrimSuffix(schema, "/v1")+".json",
 			`{"schema":"`+schema+`","scale":1,"geomean_cycle_speedup_x":1.5}`)
 		if s, err := ReadSnapshot(path); err == nil || !strings.Contains(err.Error(), "unknown schema") {

@@ -156,13 +156,6 @@ type Detector struct {
 	// analyzed access). Maintained via AddThread from the guest hooks.
 	liveThreads int
 
-	// vecCoalesced/vecFallbacks describe the vectorized batch kernel
-	// (records retired by a hoisted comparison vs punted to the scalar
-	// hook). Surfaced through VectorStats, deliberately NOT through
-	// Counters: findings must stay byte-identical across dispatch modes.
-	vecCoalesced uint64
-	vecFallbacks uint64
-
 	C Counters
 }
 

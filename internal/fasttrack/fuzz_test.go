@@ -4,33 +4,37 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/guest"
 	"repro/internal/isa"
 	"repro/internal/stats"
 )
 
-// fuzzOp decodes one 4-byte chunk of fuzz input into either an access
-// record appended to the current batch or a synchronization event that
-// flushes the batch first — mirroring the pipeline invariant the kernel
-// relies on (every sync hook drains before clocks move, so epochs never
-// flip inside one batch). Addresses scatter across several pages (group
-// boundaries), sizes include 8-byte-block straddles, and some chunks
-// repeat the previous record verbatim (same-seq ties in the run search).
+// fuzzAccess is one decoded access.
+type fuzzAccess struct {
+	tid   guest.TID
+	pc    isa.PC
+	addr  uint64
+	size  uint8
+	write bool
+}
+
+// fuzzDriver decodes 4-byte chunks of fuzz input into a stream of access
+// batches separated by synchronization events, the shape the
+// instrumented hot path produces: runs of accesses between sync hooks.
+// Addresses scatter across several pages (shadow chunk boundaries), sizes
+// include 8-byte-block straddles, and some chunks repeat the previous
+// access verbatim — the same-block runs FastTrack's same-epoch fast path
+// coalesces into one clock comparison each.
 type fuzzDriver struct {
 	d     *Detector
-	clock *stats.Clock
-	// deliver flushes one batch into the detector.
-	deliver func(d *Detector, recs []analysis.AccessRecord)
-	batch   []analysis.AccessRecord
-	seq     uint64
+	batch []fuzzAccess
 }
 
 func (f *fuzzDriver) flush() {
-	if len(f.batch) > 0 {
-		f.deliver(f.d, f.batch)
-		f.batch = f.batch[:0]
+	for _, a := range f.batch {
+		f.d.OnAccess(a.tid, a.pc, a.addr, a.size, a.write)
 	}
+	f.batch = f.batch[:0]
 }
 
 func (f *fuzzDriver) run(data []byte) {
@@ -41,7 +45,7 @@ func (f *fuzzDriver) run(data []byte) {
 		tid := guest.TID(1 + b1%4)
 		switch {
 		case op%16 == 15:
-			// Sync event: flush, then move clocks.
+			// Sync event: the batch reaches the detector before clocks move.
 			f.flush()
 			lock := int64(1 + b2%3)
 			if b3%2 == 0 {
@@ -50,40 +54,24 @@ func (f *fuzzDriver) run(data []byte) {
 				f.d.OnRelease(tid, lock)
 			}
 		case op%16 == 14 && len(f.batch) > 0:
-			// Repeat the previous record (same seq, same everything).
 			f.batch = append(f.batch, f.batch[len(f.batch)-1])
 		default:
-			addr := 0x10000 + (uint64(b2)*33+uint64(b3))%(4*4096)
-			size := uint8(1) << (b3 % 4)
-			f.seq++
-			f.batch = append(f.batch, analysis.AccessRecord{
-				Seq: f.seq, Addr: addr, PC: isa.PC(op),
-				TID: tid, Size: size, Write: b2%2 == 0, Shared: true,
+			f.batch = append(f.batch, fuzzAccess{
+				tid: tid, pc: isa.PC(op),
+				addr:  0x10000 + (uint64(b2)*33+uint64(b3))%(4*4096),
+				size:  uint8(1) << (b3 % 4),
+				write: b2%2 == 0,
 			})
 		}
 	}
 	f.flush()
 }
 
-// scalarDeliver replays a batch record-by-record through the inline hook.
-func scalarDeliver(d *Detector, recs []analysis.AccessRecord) {
-	for i := range recs {
-		r := &recs[i]
-		d.OnAccess(r.TID, r.PC, r.Addr, r.Size, r.Write)
-	}
-}
-
-// vectorDeliver cuts the batch into page groups and runs the kernel.
-func vectorDeliver(d *Detector, recs []analysis.AccessRecord) {
-	groups := analysis.GroupByPage(recs, nil)
-	d.OnAccessGroups(recs, groups)
-}
-
-// FuzzBatchCoalesce is the kernel's differential oracle: for any batch
-// stream the pipeline could legally deliver, the vectorized kernel must
-// produce exactly the races, counters, and simulated cycles of scalar
-// record-by-record replay (DefaultCosts pins cycles too: the kernel
-// charges scalar-equivalent costs when BatchCoalescedRecord is 0).
+// FuzzBatchCoalesce is the shadow store's differential oracle: for any
+// batch stream, the paged chunk table must produce exactly the races,
+// counters and simulated cycles of the retained map-based reference
+// store, including across same-block runs, epoch flips between batches
+// and block straddles.
 func FuzzBatchCoalesce(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3})
 	// A same-block write run with an epoch flip in the middle.
@@ -103,57 +91,19 @@ func FuzzBatchCoalesce(f *testing.F) {
 // coalesceOracle is the differential check shared by the fuzz target and
 // the blocking corpus-replay test.
 func coalesceOracle(t *testing.T, data []byte) {
-	scalarClock, vectorClock := &stats.Clock{}, &stats.Clock{}
-	scalar := &fuzzDriver{d: New(scalarClock, stats.DefaultCosts()), deliver: scalarDeliver}
-	vector := &fuzzDriver{d: New(vectorClock, stats.DefaultCosts()), deliver: vectorDeliver}
-	scalar.run(data)
-	vector.run(data)
-	if !reflect.DeepEqual(scalar.d.Races(), vector.d.Races()) {
-		t.Errorf("races diverge:\nscalar: %v\nvector: %v", scalar.d.Races(), vector.d.Races())
+	pagedClock, refClock := &stats.Clock{}, &stats.Clock{}
+	paged := &fuzzDriver{d: New(pagedClock, stats.DefaultCosts())}
+	ref := &fuzzDriver{d: New(refClock, stats.DefaultCosts())}
+	ref.d.UseReferenceVarStore()
+	paged.run(data)
+	ref.run(data)
+	if !reflect.DeepEqual(paged.d.Races(), ref.d.Races()) {
+		t.Errorf("races diverge:\npaged:     %v\nreference: %v", paged.d.Races(), ref.d.Races())
 	}
-	if scalar.d.C != vector.d.C {
-		t.Errorf("counters diverge:\nscalar: %+v\nvector: %+v", scalar.d.C, vector.d.C)
+	if paged.d.C != ref.d.C {
+		t.Errorf("counters diverge:\npaged:     %+v\nreference: %+v", paged.d.C, ref.d.C)
 	}
-	if scalarClock.Cycles() != vectorClock.Cycles() {
-		t.Errorf("cycles diverge: scalar %d, vector %d", scalarClock.Cycles(), vectorClock.Cycles())
+	if pagedClock.Cycles() != refClock.Cycles() {
+		t.Errorf("cycles diverge: paged %d, reference %d", pagedClock.Cycles(), refClock.Cycles())
 	}
-}
-
-// BenchmarkBatchCoalesce measures the kernel against scalar replay on a
-// coalescing-friendly batch (same-page runs with interleaved singletons),
-// and documents the kernel's allocation-free steady state.
-func BenchmarkBatchCoalesce(b *testing.B) {
-	const n = 256
-	recs := make([]analysis.AccessRecord, 0, n)
-	for i := 0; i < n; i++ {
-		// Three-record runs on rotating blocks of one page, alternating
-		// threads every run.
-		addr := uint64(0x10000 + 8*((i/3)%64))
-		recs = append(recs, analysis.AccessRecord{
-			Seq: uint64(i), Addr: addr, PC: isa.PC(i),
-			TID: guest.TID(1 + (i/3)%2), Size: 8, Write: i%6 < 3, Shared: true,
-		})
-	}
-	groups := analysis.GroupByPage(recs, nil)
-
-	b.Run("scalar", func(b *testing.B) {
-		d := New(&stats.Clock{}, stats.DispatchCosts())
-		d.AddThread(2)
-		scalarDeliver(d, recs) // warm metadata
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			scalarDeliver(d, recs)
-		}
-	})
-	b.Run("vectorized", func(b *testing.B) {
-		d := New(&stats.Clock{}, stats.DispatchCosts())
-		d.AddThread(2)
-		d.OnAccessGroups(recs, groups) // warm metadata
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			d.OnAccessGroups(recs, groups)
-		}
-	})
 }

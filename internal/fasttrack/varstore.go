@@ -88,20 +88,6 @@ func (s *pagedVarStore) chunk(block uint64) *varChunk {
 	return c
 }
 
-// chunkHoister is the optional varStore accessor behind the vectorized
-// kernel's per-group hoist: one chunk fetch serves every probe in a page
-// group. Only the paged store implements it; under the map reference
-// store the kernel simply skips the hoist and produces identical results
-// through per-record lookups.
-type chunkHoister interface {
-	chunkFor(block uint64) *varChunk
-}
-
-// chunkFor implements chunkHoister. Materializing here matches scalar
-// behaviour: every group delivers at least one record to this page, and
-// any record's first lookup would materialize the same chunk.
-func (s *pagedVarStore) chunkFor(block uint64) *varChunk { return s.chunk(block) }
-
 // mapVarStore is the original map-of-pointers store, kept as the reference
 // implementation for the equivalence tests.
 type mapVarStore struct {

@@ -24,17 +24,8 @@
 //	guest    — the engine's per-quantum check. Errors abort the run with
 //	           this package's typed Fault; panics unwind to the runner's
 //	           containment.
-//	drain    — the vectorized dispatch pipeline's ring drain. Errors
-//	           degrade the pipeline to inline delivery for the rest of
-//	           the run; panics unwind to containment.
-//	analysis — every analysis-bound access event (the outermost dispatch
-//	           wrapper).
-//	reconcile — the phased dispatch pipeline's split-phase reconciliation
-//	           merge (fires only when banked deltas are pending). Errors
-//	           degrade: the already-merged batch replays inline in seq
-//	           order and the run latches inline delivery — no banked
-//	           record is lost or duplicated; panics unwind to
-//	           containment.
+//	analysis — every analysis-bound access event (the wrapper over the
+//	           analysis mux).
 //
 // Seams without an error return (provider, analysis) escalate error-kind
 // faults to panics; the recovered value is still a typed *Fault, so the
@@ -56,14 +47,8 @@ const (
 	SeamProvider Seam = iota
 	// SeamGuest fires once per engine scheduling quantum.
 	SeamGuest
-	// SeamDrain fires once per vectorized-dispatch ring drain.
-	SeamDrain
 	// SeamAnalysis fires once per analysis-bound access event.
 	SeamAnalysis
-	// SeamReconcile fires once per phased-dispatch reconciliation merge —
-	// the split-phase boundary where banked per-thread deltas k-way-merge
-	// back into canonical order — and only when deltas are pending.
-	SeamReconcile
 
 	numSeams
 )
@@ -75,12 +60,8 @@ func (s Seam) String() string {
 		return "provider"
 	case SeamGuest:
 		return "guest"
-	case SeamDrain:
-		return "drain"
 	case SeamAnalysis:
 		return "analysis"
-	case SeamReconcile:
-		return "reconcile"
 	}
 	return "seam?"
 }
@@ -92,14 +73,10 @@ func ParseSeam(s string) (Seam, error) {
 		return SeamProvider, nil
 	case "guest":
 		return SeamGuest, nil
-	case "drain":
-		return SeamDrain, nil
 	case "analysis":
 		return SeamAnalysis, nil
-	case "reconcile":
-		return SeamReconcile, nil
 	}
-	return 0, fmt.Errorf("faultinject: unknown seam %q (want provider, guest, drain, analysis or reconcile)", s)
+	return 0, fmt.Errorf("faultinject: unknown seam %q (want provider, guest or analysis)", s)
 }
 
 // Kind is the manifestation of an injected fault.
@@ -203,8 +180,8 @@ func splitmix64(x uint64) uint64 {
 //
 //	[seed=N;]KIND:SEAM[@COUNT][;KIND:SEAM[@COUNT]...]
 //
-// KIND is panic, error or stall; SEAM is provider, guest, drain,
-// analysis or reconcile; COUNT is the 1-based seam crossing to fire on.
+// KIND is panic, error or stall; SEAM is provider, guest or analysis;
+// COUNT is the 1-based seam crossing to fire on.
 // Empty elements (doubled, leading or trailing ';') are skipped and take
 // no position. A rule with no @COUNT gets a deterministic count derived
 // from the seed and the rule's position via splitmix64, so

@@ -23,7 +23,7 @@ func TestParsePlanEmpty(t *testing.T) {
 }
 
 func TestParsePlanExplicit(t *testing.T) {
-	p, err := ParsePlan("seed=7;error:drain@2;panic:analysis@100;stall:guest@3")
+	p, err := ParsePlan("seed=7;error:provider@2;panic:analysis@100;stall:guest@3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestParsePlanExplicit(t *testing.T) {
 		t.Fatalf("plan = %+v", p)
 	}
 	want := []Rule{
-		{Seam: SeamDrain, Kind: KindError, Count: 2},
+		{Seam: SeamProvider, Kind: KindError, Count: 2},
 		{Seam: SeamAnalysis, Kind: KindPanic, Count: 100},
 		{Seam: SeamGuest, Kind: KindStall, Count: 3},
 	}
@@ -93,8 +93,11 @@ func TestParsePlanErrors(t *testing.T) {
 		{"seed=3", ""},                            // no rules
 		{"panic:guest@1@2", ""},                   // double count separator parses as bad count
 		{";panic:guest;;seed=3", "at position 1"}, // empty elements take no position
-		// The static pre-pass seam was deleted with the pass.
-		{"error:static@1", `unknown seam "static" (want provider, guest, drain, analysis or reconcile)`},
+		// The static pre-pass seam was deleted with the pass, and the drain
+		// and reconcile seams with vectorized and phased dispatch.
+		{"error:static@1", `unknown seam "static" (want provider, guest or analysis)`},
+		{"error:drain@1", `unknown seam "drain" (want provider, guest or analysis)`},
+		{"error:reconcile@1", `unknown seam "reconcile" (want provider, guest or analysis)`},
 	} {
 		_, err := ParsePlan(tc.plan)
 		if err == nil {
@@ -142,10 +145,10 @@ func FuzzParsePlan(f *testing.F) {
 	for _, s := range []string{
 		"",
 		"seed=1;panic:analysis",
-		"seed=2;error:drain@2;stall:guest@40",
-		"seed=3;error:guest@9;panic:provider@1;panic:drain@4",
-		"error:drain@2;panic:provider@1",
-		"seed=11;error:reconcile@1;panic:reconcile@3",
+		"seed=2;error:analysis@2;stall:guest@40",
+		"seed=3;error:guest@9;panic:provider@1;panic:analysis@4",
+		"panic:provider@1",
+		"seed=11;error:provider@1;stall:analysis@3",
 	} {
 		f.Add(s)
 	}
@@ -195,7 +198,7 @@ func TestFireError(t *testing.T) {
 
 // TestFirePanic: a panic rule panics with a typed *Fault.
 func TestFirePanic(t *testing.T) {
-	p, err := ParsePlan("panic:drain@1")
+	p, err := ParsePlan("panic:analysis@1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,15 +210,15 @@ func TestFirePanic(t *testing.T) {
 			if !ok {
 				t.Fatalf("recovered %v (%T), want *Fault", r, r)
 			}
-			if f.Seam != SeamDrain || f.Kind != KindPanic || f.Count != 1 {
+			if f.Seam != SeamAnalysis || f.Kind != KindPanic || f.Count != 1 {
 				t.Errorf("fault = %+v", f)
 			}
 		}()
-		in.Fire(SeamDrain)
+		in.Fire(SeamAnalysis)
 		t.Fatal("Fire did not panic")
 	}()
 	// One-shot: the next crossing is clean.
-	if err := in.Fire(SeamDrain); err != nil {
+	if err := in.Fire(SeamAnalysis); err != nil {
 		t.Errorf("second crossing: %v", err)
 	}
 }
@@ -246,19 +249,19 @@ func TestFireStall(t *testing.T) {
 // TestFireSeamsIndependent: counters are per seam; a rule on one seam
 // never observes crossings of another.
 func TestFireSeamsIndependent(t *testing.T) {
-	p, err := ParsePlan("error:guest@1;error:drain@2")
+	p, err := ParsePlan("error:guest@1;error:analysis@2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := p.NewInjector(nil)
-	if err := in.Fire(SeamDrain); err != nil {
-		t.Errorf("drain crossing 1 fired guest rule: %v", err)
+	if err := in.Fire(SeamAnalysis); err != nil {
+		t.Errorf("analysis crossing 1 fired guest rule: %v", err)
 	}
 	if err := in.Fire(SeamGuest); err == nil {
 		t.Error("guest crossing 1 did not fire")
 	}
-	if err := in.Fire(SeamDrain); err == nil {
-		t.Error("drain crossing 2 did not fire")
+	if err := in.Fire(SeamAnalysis); err == nil {
+		t.Error("analysis crossing 2 did not fire")
 	}
 }
 

@@ -3,7 +3,7 @@
 //
 // The real binaries are unavailable to a pure-Go reproduction, so each
 // model is calibrated to the *sharing characteristics* the paper measured
-// for the real benchmark (DESIGN.md §2):
+// for the real benchmark:
 //
 //   - the ratio of instrumented instruction executions to total
 //     memory-referencing executions (Table 2, column 2 / column 1);

@@ -94,22 +94,13 @@ type pageInfo struct {
 	epochTID   guest.TID // first thread to touch the page this epoch
 	epochHits  uint32    // accesses by epochTID this epoch
 	epochOther uint32    // accesses by every other thread this epoch
-	// Per-epoch writer accounting (phase.go; reset with the fields above).
-	epochWTID   guest.TID // first thread to WRITE the page this epoch
-	epochWOther uint32    // writes by threads other than epochWTID this epoch
 	// Cross-epoch streaks.
 	domTID      guest.TID // dominance candidate across consecutive epochs
 	domEpochs   uint8     // consecutive epochs dominated by domTID
 	quietEpochs uint8     // consecutive access-free epochs
-	hotEpochs   uint8     // consecutive many-writer epochs (phase.go)
-	calmEpochs  uint8     // consecutive not-hot epochs (phase.go)
 	graceEpoch  bool      // just turned Shared; exempt from the next sweep
 	wasDemoted  bool      // page was demoted at least once (reshare stats)
 	noDemote    bool      // RearmPage failed for this page; never demote it again
-	// split marks the page as in the Doppel-style split phase (phase.go):
-	// its accesses are banked through the PhaseBanker and reconciled at
-	// the next drain point instead of hitting analysis state inline.
-	split bool
 }
 
 // Analysis is the shared-data analysis plugged into AikidoSD — it receives
@@ -160,12 +151,6 @@ type Counters struct {
 	// from all further demotion. Nonzero only under fault injection or a
 	// genuinely broken provider.
 	RearmFailures uint64
-
-	// Split phases (phase.go; all zero when disabled). PagesSplit counts
-	// Shared→split flips (a hot streak crossed SplitAfter); PagesJoined
-	// counts split→joined flips (calm streak, demotion, or re-share).
-	PagesSplit  uint64
-	PagesJoined uint64
 }
 
 // Detector is one AikidoSD instance.
@@ -205,13 +190,6 @@ type Detector struct {
 	epochOn    bool
 	tick       func()
 	epochPages []epochPage
-
-	// Split phases (phase.go): the policy, its enable bit, the banker
-	// split-page accesses route to, and the current split-page count.
-	phase   PhasePolicy
-	phaseOn bool
-	banker  PhaseBanker
-	nsplit  int
 
 	// enabled gates page protection; Attach protects existing VMAs once
 	// at the end so partially constructed state never observes faults.
@@ -477,21 +455,10 @@ func (d *Detector) Instrument(pc isa.PC, in isa.Instr) *dbi.Plan {
 		// despite the global protection.
 		d.C.SharedPageAccesses++
 		if d.epochOn && pi.State == Shared {
-			d.noteSharedAccess(tid, pi, write)
+			d.noteSharedAccess(tid, pi)
 		}
 		if d.analysis != nil {
-			if pi.split {
-				// Split phase (phase.go): bank the access in the acting
-				// thread's private delta ring instead of touching
-				// canonical analysis state; the reconcile merge delivers
-				// it at the next drain point. pi.split is only ever set
-				// with a banker armed, and only flips at sweep
-				// boundaries, so this access is delivered before any
-				// phase change it could race with.
-				d.banker.OnSplitAccess(tid, pc, addr, size, write)
-			} else {
-				d.analysis.OnSharedAccess(tid, pc, addr, size, write)
-			}
+			d.analysis.OnSharedAccess(tid, pc, addr, size, write)
 		}
 		if d.noMirror {
 			// Ablation: unprotect for this thread around the access

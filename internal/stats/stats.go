@@ -8,7 +8,8 @@
 // charges its events to one shared Clock using the costs configured here.
 // The *ratios* between runs — who wins, by what factor — are then stable,
 // machine-independent, and directly comparable to the shapes in Figure 5,
-// Figure 6 and Table 1. See DESIGN.md §2.
+// Figure 6 and Table 1. See "Data flow: one memory access" in
+// ARCHITECTURE.md.
 package stats
 
 import (
@@ -120,63 +121,6 @@ type CostModel struct {
 	// of the re-JITed block. Charged only by the Aikido path; the
 	// full-instrumentation baseline pays ShadowTranslate inline instead.
 	InstrumentedExec uint64
-
-	// AnalysisDispatch models the per-event transition into the analysis
-	// runtime under inline dispatch — the DBI clean-call economics (§2.1):
-	// spilling application registers, switching to the analysis context,
-	// and the i-cache/d-cache pollution of bouncing between translated
-	// code and analysis code on every access. Charged per access per
-	// hosted analysis. The default model keeps it 0 (its effect is folded
-	// into the Analysis* terms, and every committed BENCH snapshot was
-	// calibrated without it); DispatchCosts turns it on to measure what
-	// batched dispatch amortizes.
-	AnalysisDispatch uint64
-	// BatchDrainBase is the per-analysis cost of entering the analysis
-	// runtime once per drained batch under vectorized dispatch, and
-	// BatchPerRecord the hand-off inside the drain loop, charged per
-	// record per analysis (each analysis's batch loop walks the records) —
-	// together the amortized counterpart of AnalysisDispatch (one
-	// transition per batch, then a tight loop with warm caches). Both
-	// default to 0 for the same calibration reason.
-	BatchDrainBase uint64
-	BatchPerRecord uint64
-	// BatchGroupBase is the per-analysis cost of opening one page group
-	// under vectorized dispatch: hoisting the shadow-chunk pointer and
-	// epoch clock for the group's page into registers. Charged per group
-	// per analysis by the grouped drain path only.
-	BatchGroupBase uint64
-	// BatchCoalescedRecord is the cost of retiring one record by a
-	// vectorized run-length tail: the hoisted state is already in
-	// registers, so a record costs one compare-and-count instead of a
-	// full per-access hook. It doubles as the vector-charging switch:
-	// when 0 (DefaultCosts), vectorized kernels charge the exact scalar
-	// per-record costs so every byte-identity suite sees identical
-	// cycles; when nonzero (DispatchCosts), a coalesced record charges
-	// this instead of its AnalysisFast/Slow + contention share — the
-	// amortization BENCH_7 measures. Scalar-fallback records always pay
-	// full scalar freight (plus BatchPerRecord hand-off when nonzero).
-	BatchCoalescedRecord uint64
-	// PhaseReconcileBase and PhaseBankRecord model Doppel-style split
-	// phases for hot pages, and together form the phase-charging switch.
-	// During a split phase, an access to a hot page is *banked* as a
-	// compact record in the acting thread's private delta ring instead of
-	// entering the analysis runtime; PhaseBankRecord is that ring store —
-	// one struct write into thread-local memory, no clean call, no shared
-	// metadata touched — charged once per banked record (banking happens
-	// once regardless of how many analyses are hosted). At a phase flip
-	// (sync hook, VMA change, epoch sweep — the existing full-barrier
-	// drain points) the banked deltas k-way-merge back into canonical
-	// global order and replay through the analyses; PhaseReconcileBase is
-	// the per-analysis cost of entering that reconciliation merge.
-	// When both are 0 (DefaultCosts) nothing phase-related is charged, so
-	// workloads whose pages never run hot stay byte-identical — findings,
-	// counters and cycles — with phases enabled. Under DispatchCosts the
-	// pair prices what split phases amortize: the per-access
-	// AnalysisDispatch clean call (150 × N analyses) that hot many-writer
-	// pages otherwise pay forever — the falseshare cell BENCH_9 finally
-	// moves above 1.00×.
-	PhaseReconcileBase uint64
-	PhaseBankRecord    uint64
 }
 
 // DefaultCosts returns the calibrated default cost model.
@@ -214,41 +158,6 @@ func DefaultCosts() CostModel {
 		MirrorContention:    5,
 		InstrumentedExec:    40,
 	}
-}
-
-// DispatchCosts returns the default model with the analysis-dispatch
-// transition terms enabled: the cost model the VectorAmortization
-// (BENCH_7.json) and PhaseAmortization (BENCH_9.json) experiments measure
-// under. Inline dispatch pays one AnalysisDispatch transition per access
-// per hosted analysis; vectorized dispatch pays one BatchDrainBase per
-// analysis per drain, a BatchGroupBase per page group, and coalesced
-// records at BatchCoalescedRecord — the batching amortization. The
-// magnitudes follow the DBI clean-call literature: a full-context clean
-// call costs on the order of a hundred cycles, while an element of an
-// unrolled processing loop costs a few.
-func DispatchCosts() CostModel {
-	c := DefaultCosts()
-	c.AnalysisDispatch = 150
-	// Entering a drain loop costs the same one clean call the inline path
-	// pays per access — the batching win is that the remaining records
-	// ride a register-resident loop at a few cycles each.
-	c.BatchDrainBase = 120
-	c.BatchPerRecord = 8
-	// Vectorized-kernel terms: opening a page group costs a couple of
-	// dependent loads (chunk pointer, thread clock) and retiring a record
-	// whose state is already hoisted costs one compare + counter update —
-	// the per-element economics of an unrolled SIMD-style loop over
-	// uniform metadata.
-	c.BatchGroupBase = 24
-	c.BatchCoalescedRecord = 4
-	// Phase terms: banking one record into a thread-private delta ring is
-	// one struct store into a warm cache line (no clean call, no shared
-	// state), and entering the reconciliation merge at a phase boundary
-	// costs the same order as any other batched entry into the analysis
-	// runtime.
-	c.PhaseReconcileBase = 120
-	c.PhaseBankRecord = 3
-	return c
 }
 
 // Clock accumulates simulated cycles. All components of one System share a

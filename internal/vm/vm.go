@@ -31,7 +31,8 @@ type Frame [PageSize]byte
 
 // Machine is the physical memory of the simulated host.
 // It is not safe for concurrent use; the simulator is single-goroutine by
-// design (determinism is a core requirement, see DESIGN.md §5).
+// design (determinism is a core requirement, see "Determinism lint" in
+// ARCHITECTURE.md).
 type Machine struct {
 	// frames is indexed directly by FrameID: IDs are allocated
 	// sequentially and never reused, so the per-access frame resolution is

@@ -5,7 +5,7 @@
 // Build emits an isa.Program realizing them.
 //
 // This is the substitution for the PARSEC binaries of the paper's
-// evaluation (DESIGN.md §2): the experiments' independent variables are
+// evaluation: the experiments' independent variables are
 // exactly these characteristics, taken from Table 2 and Figure 6, so a
 // synthetic program reproducing them exercises the same Aikido code paths
 // in the same proportions.
