@@ -9,7 +9,7 @@
 // atomicity checkers and record/replay as further clients; this package is
 // where those clients plug in.
 //
-// Three pieces implement the seam:
+// Four pieces implement the seam:
 //
 //   - Analysis is the hook surface an analysis implements: per-access
 //     events (full-instrumentation or shared-only), the guest
@@ -23,6 +23,8 @@
 //   - Mux fans one instrumented execution out to N registered analyses,
 //     so a single DBI+sharing pass amortizes its cost over every hosted
 //     analysis instead of paying one full execution per analysis.
+//   - Store is the paged per-variable metadata table (one cell per 8-byte
+//     block) the core detectors keep their shadow state in.
 //
 // The dispatch path is allocation-free: the Mux iterates a fixed slice of
 // interfaces, and every hook forwards without boxing — the per-access

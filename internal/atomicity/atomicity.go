@@ -26,13 +26,14 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/analysis"
 	"repro/internal/guest"
 	"repro/internal/isa"
 	"repro/internal/stats"
 )
 
 // BlockShift matches the other detectors' 8-byte variable granularity.
-const BlockShift = 3
+const BlockShift = analysis.BlockShift
 
 // Violation is one unserializable interleaving.
 type Violation struct {
@@ -61,13 +62,17 @@ type regionInfo struct {
 // varState is per-variable interleaving state.
 type varState struct {
 	// Last local access inside a region, per thread.
-	lastTID    guest.TID
 	lastRegion uint64
+	lastTID    guest.TID
 	lastWrite  bool
 	// Pending remote access that interleaved since lastTID's access.
-	remoteTID   guest.TID
 	remoteWrite bool
 	remoteValid bool
+	remoteTID   guest.TID
+	// touched marks a variable some access has reached. An access outside
+	// every region can leave the rest of the cell all-zero, so the zero
+	// value alone does not tell an untouched cell from a counted one.
+	touched bool
 }
 
 // Counters describes detector behaviour.
@@ -83,8 +88,8 @@ type Detector struct {
 	clock *stats.Clock
 	costs stats.CostModel
 
-	threads    map[guest.TID]*regionInfo
-	vars       map[uint64]*varState
+	threads    []regionInfo // indexed by TID
+	vars       analysis.Store[varState]
 	nextRegion uint64
 
 	violations []Violation
@@ -105,8 +110,6 @@ func New(clock *stats.Clock, costs stats.CostModel) *Detector {
 	return &Detector{
 		clock:         clock,
 		costs:         costs,
-		threads:       make(map[guest.TID]*regionInfo),
-		vars:          make(map[uint64]*varState),
 		seen:          make(map[uint64]struct{}),
 		MaxViolations: defaultMaxViolations,
 	}
@@ -120,13 +123,13 @@ func (d *Detector) Violations() []Violation {
 	return out
 }
 
+// region returns t's lock-nesting state, growing the per-thread table as
+// needed.
 func (d *Detector) region(t guest.TID) *regionInfo {
-	r, ok := d.threads[t]
-	if !ok {
-		r = &regionInfo{}
-		d.threads[t] = r
+	if int(t) >= len(d.threads) {
+		d.threads = append(d.threads, make([]regionInfo, int(t)+1-len(d.threads))...)
 	}
-	return r
+	return &d.threads[t]
 }
 
 // OnAccess processes one access per 8-byte block.
@@ -156,10 +159,9 @@ func (d *Detector) contention() uint64 {
 }
 
 func (d *Detector) access(tid guest.TID, pc isa.PC, block uint64, write bool) {
-	vs, ok := d.vars[block]
-	if !ok {
-		vs = &varState{}
-		d.vars[block] = vs
+	vs := d.vars.Cell(block)
+	if !vs.touched {
+		vs.touched = true
 		d.C.Variables++
 	}
 	reg := d.region(tid).region

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/analysis"
 	"repro/internal/guest"
 	"repro/internal/isa"
 	"repro/internal/stats"
@@ -43,13 +44,20 @@ type Counters struct {
 	Variables uint64
 }
 
+// lastWrite is one variable's cell: the thread that last wrote it, if any
+// thread has.
+type lastWrite struct {
+	tid     guest.TID
+	written bool
+}
+
 // Analysis is one communication-graph profiler. It implements the same
 // seam as the other detectors (core.analysis), so it runs under both the
 // full-instrumentation and Aikido configurations.
 type Analysis struct {
-	// lastWriter maps an 8-byte-aligned address to the last thread that
-	// wrote it.
-	lastWriter map[uint64]guest.TID
+	// lastWriter holds, per 8-byte variable, the last thread that wrote
+	// it.
+	lastWriter analysis.Store[lastWrite]
 	// edges accumulates communication weights.
 	edges map[Edge]uint64
 	// pageEdges aggregates at page granularity.
@@ -68,33 +76,34 @@ type Analysis struct {
 // New creates a profiler.
 func New(clock *stats.Clock, costs stats.CostModel) *Analysis {
 	return &Analysis{
-		lastWriter: make(map[uint64]guest.TID),
-		edges:      make(map[Edge]uint64),
-		pageEdges:  make(map[uint64]map[Edge]uint64),
-		clock:      clock,
-		costs:      costs,
+		edges:     make(map[Edge]uint64),
+		pageEdges: make(map[uint64]map[Edge]uint64),
+		clock:     clock,
+		costs:     costs,
 	}
 }
 
 // observe processes one access.
 func (a *Analysis) observe(tid guest.TID, addr uint64, write bool) {
 	a.clock.Charge(a.costs.AnalysisFast)
-	key := addr &^ 7
+	lw := a.lastWriter.Cell(addr)
 	if write {
 		a.C.Writes++
-		if _, seen := a.lastWriter[key]; !seen {
+		if !lw.written {
+			// A variable counts on its first write; reads of a
+			// never-written variable leave the cell untouched.
 			a.C.Variables++
+			lw.written = true
 		}
-		a.lastWriter[key] = tid
+		lw.tid = tid
 		return
 	}
 	a.C.Reads++
-	w, ok := a.lastWriter[key]
-	if !ok || w == tid {
+	if !lw.written || lw.tid == tid {
 		return
 	}
 	a.C.Communications++
-	e := Edge{From: w, To: tid}
+	e := Edge{From: lw.tid, To: tid}
 	a.edges[e]++
 	vpn := vm.PageNum(addr)
 	pe := a.pageEdges[vpn]

@@ -279,7 +279,7 @@ func NewSystem(prog *isa.Program, cfg Config) (*System, error) {
 		if s.an, err = s.newAnalyses(); err != nil {
 			return nil, err
 		}
-		tool := &fullTool{um: s.Um, an: s.an}
+		tool := newFullTool(s.Um, s.an)
 		s.Engine = dbi.New(p, nil, tool, clock, cfg.Costs, cfg.Engine)
 
 	case ModeAikidoFastTrack, ModeAikidoProfile:
@@ -454,10 +454,20 @@ func (s *System) wireHooks() {
 
 // fullTool is the conservative baseline: analysis instrumentation on every
 // memory access (the paper's "FastTrack" configuration when the analysis is
-// FastTrack), with Umbra providing the metadata translation.
+// FastTrack), with Umbra providing the metadata translation. Every memory
+// instruction shares its one plan.
 type fullTool struct {
-	um *umbra.Umbra
-	an analysis.Analysis
+	plan *dbi.Plan
+}
+
+func newFullTool(um *umbra.Umbra, an analysis.Analysis) *fullTool {
+	return &fullTool{plan: &dbi.Plan{PreAccess: func(tid guest.TID, pc isa.PC, addr uint64, size uint8, write bool) uint64 {
+		um.Translate(tid, addr) // metadata mapping, charges cycles
+		if an != nil {
+			an.OnAccess(tid, pc, addr, size, write)
+		}
+		return addr
+	}}}
 }
 
 // Instrument implements dbi.Tool.
@@ -465,13 +475,7 @@ func (f *fullTool) Instrument(pc isa.PC, in isa.Instr) *dbi.Plan {
 	if !in.Op.IsMemRef() {
 		return nil
 	}
-	return &dbi.Plan{PreAccess: func(tid guest.TID, pc isa.PC, addr uint64, size uint8, write bool) uint64 {
-		f.um.Translate(tid, addr) // metadata mapping, charges cycles
-		if f.an != nil {
-			f.an.OnAccess(tid, pc, addr, size, write)
-		}
-		return addr
-	}}
+	return f.plan
 }
 
 // kernelBus adapts the protection provider to the guest kernel's memory

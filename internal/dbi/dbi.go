@@ -357,26 +357,28 @@ func (e *Engine) lookup(tid guest.TID, pc isa.PC) *block {
 // DynamoRIO's unprotect/reprotect dance (§3.4).
 func (e *Engine) build(tid guest.TID, pc isa.PC) *block {
 	prog := e.P.Prog
-	b := &block{start: pc, end: pc}
-	for len(b.instrs) < e.Cfg.MaxBlock {
-		cur := pc + isa.PC(len(b.instrs))
-		if int(cur) >= len(prog.Code) {
-			break
-		}
-		in := prog.At(cur)
-		b.instrs = append(b.instrs, in)
-		var plan *Plan
-		if e.Tool != nil {
-			plan = e.Tool.Instrument(cur, in)
-		}
-		b.plans = append(b.plans, plan)
-		b.mem = append(b.mem, in.Op.IsMemRef())
-		b.end = cur + 1
+	// Find the block's extent first, so its arrays are allocated once at
+	// their final size.
+	n := 0
+	for n < e.Cfg.MaxBlock && int(pc)+n < len(prog.Code) {
+		op := prog.At(pc + isa.PC(n)).Op
+		n++
 		// Blocks end at control transfers and at instructions that may
 		// block or switch context (syscalls, locks), as in DynamoRIO.
-		if in.Op.IsBranch() || in.Op == isa.Syscall || in.Op == isa.Lock || in.Op == isa.Unlock {
+		if op.IsBranch() || op == isa.Syscall || op == isa.Lock || op == isa.Unlock {
 			break
 		}
+	}
+	b := &block{start: pc, end: pc + isa.PC(n),
+		instrs: make([]isa.Instr, n), plans: make([]*Plan, n), mem: make([]bool, n)}
+	for i := range b.instrs {
+		cur := pc + isa.PC(i)
+		in := prog.At(cur)
+		b.instrs[i] = in
+		if e.Tool != nil {
+			b.plans[i] = e.Tool.Instrument(cur, in)
+		}
+		b.mem[i] = in.Op.IsMemRef()
 	}
 	if e.RuntimeTouch != nil {
 		// One touch per code page the builder read.

@@ -3,6 +3,7 @@ package fasttrack
 import (
 	"testing"
 
+	"repro/internal/guest"
 	"repro/internal/stats"
 )
 
@@ -46,5 +47,38 @@ func BenchmarkPipelineOnAccess(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.OnAccess(1, 10, x, 8, true)
+	}
+}
+
+// TestLockHandoffNoAllocs pins the allocation-free release: once a lock's
+// clock exists, a release copies C_t into it instead of allocating a new
+// clock, so a steady-state acquire→release cycle (here handed back and
+// forth between two threads) allocates nothing.
+func TestLockHandoffNoAllocs(t *testing.T) {
+	d := New(&stats.Clock{}, stats.DefaultCosts())
+	cycle := func() {
+		d.OnAcquire(1, 7)
+		d.OnRelease(1, 7)
+		d.OnAcquire(2, 7)
+		d.OnRelease(2, 7)
+	}
+	cycle()
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Errorf("acquire→release cycle allocates %.1f objects, want 0", n)
+	}
+}
+
+// BenchmarkPipelineSync measures one lock acquire+release pair — the work
+// every guest critical section costs the detector.
+func BenchmarkPipelineSync(b *testing.B) {
+	d := New(&stats.Clock{}, stats.DefaultCosts())
+	var t guest.TID = 1
+	d.OnAcquire(t, 7)
+	d.OnRelease(t, 7)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.OnAcquire(t, 7)
+		d.OnRelease(t, 7)
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/analysis"
 	"repro/internal/guest"
 	"repro/internal/isa"
 	"repro/internal/stats"
@@ -34,7 +35,7 @@ import (
 )
 
 // BlockShift is log2 of the "variable" granularity (8-byte blocks, §4.2).
-const BlockShift = 3
+const BlockShift = analysis.BlockShift
 
 // BlockAddr returns the variable block containing addr.
 func BlockAddr(addr uint64) uint64 { return addr &^ ((1 << BlockShift) - 1) }
@@ -133,8 +134,11 @@ type Detector struct {
 	// clock fetch is a bounds-checked load, not a map probe.
 	threads []vclock.VC
 	locks   map[int64]vclock.VC
-	vars    varStore
 	bars    map[int64]*barrier
+	// vars is the paged shadow table of variable metadata; ref, when set,
+	// replaces it with the map-based reference store (equivalence tests).
+	vars analysis.Store[varState]
+	ref  *mapVarStore
 
 	// rvcs is the read-vector-clock arena: varStates reference entries by
 	// index so the shadow chunks themselves stay pointer-free. Slot 0 is
@@ -175,7 +179,6 @@ func New(clock *stats.Clock, costs stats.CostModel) *Detector {
 		clock:    clock,
 		costs:    costs,
 		locks:    make(map[int64]vclock.VC),
-		vars:     newPagedVarStore(),
 		bars:     make(map[int64]*barrier),
 		seen:     make(map[raceKey]struct{}),
 		rvcs:     make([]vclock.VC, 1), // slot 0 = "no read VC"
@@ -209,7 +212,7 @@ func (d *Detector) UseReferenceVarStore() {
 	if d.C.Reads+d.C.Writes != 0 {
 		panic("fasttrack: UseReferenceVarStore after accesses were processed")
 	}
-	d.vars = newMapVarStore()
+	d.ref = newMapVarStore()
 }
 
 // tvc returns thread t's vector clock, initializing a new thread at clock 1
@@ -238,7 +241,14 @@ func (d *Detector) setTVC(t vclock.TID, v vclock.VC) {
 // touch (lazy, as Aikido requires: "metadata is not maintained for memory"
 // until needed).
 func (d *Detector) variable(block uint64) *varState {
-	vs, fresh := d.vars.lookup(block)
+	var vs *varState
+	var fresh bool
+	if d.ref == nil {
+		vs = d.vars.Cell(block)
+		fresh = vs.fresh()
+	} else {
+		vs, fresh = d.ref.cell(block)
+	}
 	if fresh {
 		d.C.Variables++
 	}
@@ -441,13 +451,24 @@ func (d *Detector) OnAcquire(gtid guest.TID, lock int64) {
 	}
 }
 
-// OnRelease processes a lock release: L_m := C_t; C_t[t]++.
+// OnRelease processes a lock release: L_m := C_t; C_t[t]++. C_t is copied
+// into the lock's existing clock, so a lock released again and again
+// reuses one array instead of allocating a clock per release. Nothing
+// aliases L_m: acquires join it into the acquirer's own clock.
 func (d *Detector) OnRelease(gtid guest.TID, lock int64) {
 	d.C.SyncOps++
 	d.clock.Charge(d.costs.AnalysisSync)
 	t := vclock.TID(gtid)
 	ct := d.tvc(t)
-	d.locks[lock] = ct.Copy()
+	lm := d.locks[lock]
+	if len(lm) != len(ct) {
+		if cap(lm) < len(ct) {
+			lm = make(vclock.VC, len(ct))
+		}
+		lm = lm[:len(ct)]
+		d.locks[lock] = lm
+	}
+	copy(lm, ct)
 	d.setTVC(t, ct.Tick(t))
 }
 

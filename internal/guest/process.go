@@ -268,7 +268,7 @@ func NewProcess(m *vm.Machine, prog *isa.Program) (*Process, error) {
 	// queue holds only runnable-but-not-running threads).
 	main := p.newThread(prog.Entry, 0, NoTID)
 	p.current = main.ID
-	p.runq = p.runq[1:]
+	p.runq = popFront(p.runq)
 	return p, nil
 }
 

@@ -65,7 +65,7 @@ func (p *Process) DoUnlock(t *Thread, id int64) {
 	}
 	if len(l.waiters) > 0 {
 		next := l.waiters[0]
-		l.waiters = l.waiters[1:]
+		l.waiters = popFront(l.waiters)
 		l.holder = next // direct handoff keeps the order deterministic
 		p.wake(next)
 	} else {
@@ -225,7 +225,7 @@ func (p *Process) DoSyscall(t *Thread, num int64) (SyscallResult, error) {
 					p.Hooks.BarrierRelease(p.threads[a], id)
 				}
 			}
-			b.arrived = nil
+			b.arrived = b.arrived[:0]
 			return SyscallYield, nil
 		}
 		p.blockAtBarrier(t)

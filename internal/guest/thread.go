@@ -140,7 +140,7 @@ func (p *Process) Schedule() *Thread {
 	next := NoTID
 	for len(p.runq) > 0 {
 		cand := p.runq[0]
-		p.runq = p.runq[1:]
+		p.runq = popFront(p.runq)
 		if t, ok := p.threads[cand]; ok && t.State == Runnable {
 			next = cand
 			break
@@ -157,6 +157,13 @@ func (p *Process) Schedule() *Thread {
 		}
 	}
 	return p.threads[next]
+}
+
+// popFront removes a FIFO's head by shifting the rest down in place. The
+// backing array then never slides forward, so pushes keep reusing it: a
+// queue never holds more entries than there are threads.
+func popFront(q []TID) []TID {
+	return q[:copy(q, q[1:])]
 }
 
 // block marks the current thread blocked and schedules another. The caller

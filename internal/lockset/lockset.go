@@ -18,9 +18,12 @@
 package lockset
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
+	"repro/internal/analysis"
 	"repro/internal/guest"
 	"repro/internal/isa"
 	"repro/internal/stats"
@@ -28,7 +31,7 @@ import (
 
 // BlockShift matches FastTrack's variable granularity (8-byte blocks), so
 // the two detectors are comparable access-for-access.
-const BlockShift = 3
+const BlockShift = analysis.BlockShift
 
 // State is the Eraser ownership state of one variable.
 type State uint8
@@ -80,28 +83,22 @@ func (w Warning) String() string {
 		w.Addr, kind, w.TID, w.PC)
 }
 
-// lockSet is an immutable sorted set of lock ids; sets are interned so the
-// common case (same set as before) is a pointer comparison, mirroring
-// Eraser's lockset-index caching.
-type lockSet struct {
-	ids []int64
-}
+// setID names an interned lockset by its index in Detector.sets — Eraser's
+// lockset index. Variable cells and per-thread held sets carry the index,
+// not a pointer, so the paged variable store stays pointer-free and equal
+// sets compare as equal integers.
+type setID int32
 
-func (ls *lockSet) contains(id int64) bool {
-	i := sort.Search(len(ls.ids), func(i int) bool { return ls.ids[i] >= id })
-	return i < len(ls.ids) && ls.ids[i] == id
-}
+// emptySet is the index of the empty lockset, interned first.
+const emptySet setID = 0
 
-// key renders a canonical map key for interning.
-func (ls *lockSet) keyString() string {
-	return fmt.Sprint(ls.ids)
-}
-
-// varState is the per-variable Eraser metadata.
+// varState is the per-variable Eraser metadata. The zero value is a
+// Virgin variable, so an untouched cell of the paged store is recognizable
+// by its state.
 type varState struct {
 	state State
 	owner guest.TID
-	cv    *lockSet // candidate lockset C(v)
+	cv    setID // candidate lockset C(v)
 }
 
 // Counters describes detector behaviour.
@@ -117,10 +114,16 @@ type Detector struct {
 	clock *stats.Clock
 	costs stats.CostModel
 
-	held   map[guest.TID]*lockSet // locks_held(t)
-	vars   map[uint64]*varState
-	intern map[string]*lockSet
-	empty  *lockSet
+	held []setID // locks_held(t), indexed by TID; emptySet past the end
+	vars analysis.Store[varState]
+	// sets are the interned locksets by index, each an immutable sorted
+	// slice of lock ids; intern finds a set's index from its binary key
+	// (the ids' little-endian bytes). key and ids are scratch buffers for
+	// building a candidate set and its key.
+	sets   [][]int64
+	intern map[string]setID
+	key    []byte
+	ids    []int64
 
 	warnings []Warning
 	seen     map[uint64]struct{} // one warning per variable, as in Eraser
@@ -140,32 +143,69 @@ func New(clock *stats.Clock, costs stats.CostModel) *Detector {
 	d := &Detector{
 		clock:       clock,
 		costs:       costs,
-		held:        make(map[guest.TID]*lockSet),
-		vars:        make(map[uint64]*varState),
-		intern:      make(map[string]*lockSet),
+		intern:      make(map[string]setID),
 		seen:        make(map[uint64]struct{}),
 		MaxWarnings: defaultMaxWarnings,
 	}
-	d.empty = d.internSet(nil)
+	d.internSet(nil) // emptySet
 	return d
 }
 
-func (d *Detector) internSet(ids []int64) *lockSet {
-	ls := &lockSet{ids: ids}
-	k := ls.keyString()
-	if got, ok := d.intern[k]; ok {
+// internSet returns the index of the set with the given sorted ids,
+// interning a copy on first sight. Looking up an existing set allocates
+// nothing: the map index converts the key buffer without copying it.
+func (d *Detector) internSet(ids []int64) setID {
+	d.key = d.key[:0]
+	for _, id := range ids {
+		d.key = binary.LittleEndian.AppendUint64(d.key, uint64(id))
+	}
+	if got, ok := d.intern[string(d.key)]; ok {
 		return got
 	}
-	d.intern[k] = ls
-	return ls
+	id := setID(len(d.sets))
+	d.sets = append(d.sets, slices.Clone(ids))
+	d.intern[string(d.key)] = id
+	return id
 }
 
 // heldBy returns locks_held(t).
-func (d *Detector) heldBy(t guest.TID) *lockSet {
-	if ls, ok := d.held[t]; ok {
-		return ls
+func (d *Detector) heldBy(t guest.TID) setID {
+	if int(t) < len(d.held) {
+		return d.held[t]
 	}
-	return d.empty
+	return emptySet
+}
+
+// setHeld records locks_held(t), growing the per-thread table as needed.
+func (d *Detector) setHeld(t guest.TID, s setID) {
+	if int(t) >= len(d.held) {
+		d.held = append(d.held, make([]setID, int(t)+1-len(d.held))...)
+	}
+	d.held[t] = s
+}
+
+// plus returns the index of s ∪ {lock}. The candidate set is built in the
+// scratch buffer, so an acquire whose result was interned before
+// allocates nothing.
+func (d *Detector) plus(s setID, lock int64) setID {
+	ids := d.sets[s]
+	i, found := slices.BinarySearch(ids, lock)
+	if found {
+		return s
+	}
+	d.ids = slices.Insert(append(d.ids[:0], ids...), i, lock)
+	return d.internSet(d.ids)
+}
+
+// minus returns the index of s \ {lock}, allocation-free like plus.
+func (d *Detector) minus(s setID, lock int64) setID {
+	ids := d.sets[s]
+	i, found := slices.BinarySearch(ids, lock)
+	if !found {
+		return s
+	}
+	d.ids = slices.Delete(append(d.ids[:0], ids...), i, i+1)
+	return d.internSet(d.ids)
 }
 
 // Warnings returns the recorded violations sorted by address.
@@ -213,15 +253,11 @@ func (d *Detector) access(tid guest.TID, pc isa.PC, block uint64, write bool) {
 	} else {
 		d.C.Reads++
 	}
-	vs, ok := d.vars[block]
-	if !ok {
-		vs = &varState{state: Virgin}
-		d.vars[block] = vs
-		d.C.Variables++
-	}
+	vs := d.vars.Cell(block)
 
 	switch vs.state {
 	case Virgin:
+		d.C.Variables++
 		vs.state = Exclusive
 		vs.owner = tid
 		vs.cv = d.heldBy(tid)
@@ -250,33 +286,35 @@ func (d *Detector) access(tid guest.TID, pc isa.PC, block uint64, write bool) {
 	d.C.Refinements++
 	d.clock.Charge(d.costs.AnalysisSlow)
 	vs.cv = d.intersect(vs.cv, d.heldBy(tid))
-	if vs.state == SharedModified && len(vs.cv.ids) == 0 {
+	if vs.state == SharedModified && vs.cv == emptySet {
 		d.report(Warning{Addr: block, TID: tid, PC: pc, Write: write})
 	}
 }
 
 // intersect returns the interned intersection of two locksets.
-func (d *Detector) intersect(a, b *lockSet) *lockSet {
+func (d *Detector) intersect(a, b setID) setID {
 	if a == b {
 		return a
 	}
-	if len(a.ids) == 0 || len(b.ids) == 0 {
-		return d.empty
+	if a == emptySet || b == emptySet {
+		return emptySet
 	}
-	var out []int64
+	x, y := d.sets[a], d.sets[b]
+	out := d.ids[:0]
 	i, j := 0, 0
-	for i < len(a.ids) && j < len(b.ids) {
+	for i < len(x) && j < len(y) {
 		switch {
-		case a.ids[i] == b.ids[j]:
-			out = append(out, a.ids[i])
+		case x[i] == y[j]:
+			out = append(out, x[i])
 			i++
 			j++
-		case a.ids[i] < b.ids[j]:
+		case x[i] < y[j]:
 			i++
 		default:
 			j++
 		}
 	}
+	d.ids = out
 	return d.internSet(out)
 }
 
@@ -305,32 +343,14 @@ func (d *Detector) report(w Warning) {
 func (d *Detector) OnAcquire(tid guest.TID, lock int64) {
 	d.C.SyncOps++
 	d.clock.Charge(d.costs.AnalysisSync)
-	cur := d.heldBy(tid)
-	if cur.contains(lock) {
-		return
-	}
-	ids := make([]int64, 0, len(cur.ids)+1)
-	ids = append(ids, cur.ids...)
-	ids = append(ids, lock)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	d.held[tid] = d.internSet(ids)
+	d.setHeld(tid, d.plus(d.heldBy(tid), lock))
 }
 
 // OnRelease removes the lock from locks_held(t).
 func (d *Detector) OnRelease(tid guest.TID, lock int64) {
 	d.C.SyncOps++
 	d.clock.Charge(d.costs.AnalysisSync)
-	cur := d.heldBy(tid)
-	if !cur.contains(lock) {
-		return
-	}
-	ids := make([]int64, 0, len(cur.ids)-1)
-	for _, id := range cur.ids {
-		if id != lock {
-			ids = append(ids, id)
-		}
-	}
-	d.held[tid] = d.internSet(ids)
+	d.setHeld(tid, d.minus(d.heldBy(tid), lock))
 }
 
 // OnFork is a no-op: Eraser has no happens-before notion. Present so the

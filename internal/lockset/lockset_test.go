@@ -143,13 +143,13 @@ func TestAcquireReleaseIdempotent(t *testing.T) {
 	d := det()
 	d.OnAcquire(1, 5)
 	d.OnAcquire(1, 5) // re-acquire: no duplicate
-	if got := d.heldBy(1); len(got.ids) != 1 {
-		t.Errorf("held = %v", got.ids)
+	if got := d.sets[d.heldBy(1)]; len(got) != 1 {
+		t.Errorf("held = %v", got)
 	}
 	d.OnRelease(1, 5)
 	d.OnRelease(1, 5) // double release: no-op
-	if got := d.heldBy(1); len(got.ids) != 0 {
-		t.Errorf("held after release = %v", got.ids)
+	if got := d.sets[d.heldBy(1)]; len(got) != 0 {
+		t.Errorf("held after release = %v", got)
 	}
 }
 

@@ -167,6 +167,9 @@ type Detector struct {
 	instrumented []uint64
 	ninstr       int
 	analysis     Analysis
+	// directPlan and indirectPlan are the two instrumentation plans every
+	// instrumented instruction shares (Instrument).
+	directPlan, indirectPlan *dbi.Plan
 
 	// flush is wired to the DBI engine's Flush (SetEngine).
 	flush func(pc isa.PC) int
@@ -217,6 +220,7 @@ func Attach(p *guest.Process, prov Provider, um *umbra.Umbra,
 		clock:        clock,
 		costs:        costs,
 	}
+	d.directPlan, d.indirectPlan = d.newPlan(true), d.newPlan(false)
 
 	// Protect every existing application page, then keep protecting new
 	// segments as they appear (mmap/brk interception).
@@ -391,7 +395,9 @@ func (d *Detector) instrument(pc isa.PC) {
 }
 
 // Instrument implements dbi.Tool: instructions known to access shared pages
-// get the Figure 4 instrumentation; everything else runs untouched.
+// get the Figure 4 instrumentation; everything else runs untouched. All
+// instrumented instructions of one kind (direct or indirect) share one
+// prebuilt plan, so a re-JIT allocates no plan or closure.
 func (d *Detector) Instrument(pc isa.PC, in isa.Instr) *dbi.Plan {
 	if !in.Op.IsMemRef() {
 		return nil
@@ -399,7 +405,16 @@ func (d *Detector) Instrument(pc isa.PC, in isa.Instr) *dbi.Plan {
 	if !d.isInstrumented(pc) {
 		return nil
 	}
-	direct := in.Op.IsDirect()
+	if in.Op.IsDirect() {
+		return d.directPlan
+	}
+	return d.indirectPlan
+}
+
+// newPlan builds the Figure 4 instrumentation for direct or indirect
+// instructions. The callbacks read the detector's state at call time and
+// take everything else from their arguments.
+func (d *Detector) newPlan(direct bool) *dbi.Plan {
 	return &dbi.Plan{PreAccess: func(tid guest.TID, pc isa.PC, addr uint64, size uint8, write bool) uint64 {
 		if d.tick != nil {
 			// Epoch boundary check (allocation-free): a due sweep runs
