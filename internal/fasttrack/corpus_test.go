@@ -9,13 +9,13 @@ import (
 )
 
 // TestFuzzCorpusReplay promotes the checked-in fuzz corpus to a blocking
-// regression suite: every seed under testdata/fuzz/FuzzBatchCoalesce
+// regression suite: every seed under testdata/fuzz/FuzzVarStore
 // replays deterministically through the same differential oracle as the
 // fuzz target, under plain `go test` — no -fuzz flag, no fuzzing engine.
 // Open-ended fuzzing stays a separate, non-blocking CI leg; once an input
 // found there is checked in here, regressing on it fails the tier-1 suite.
 func TestFuzzCorpusReplay(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzBatchCoalesce")
+	dir := filepath.Join("testdata", "fuzz", "FuzzVarStore")
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("reading corpus dir: %v", err)
@@ -33,7 +33,7 @@ func TestFuzzCorpusReplay(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parsing corpus file: %v", err)
 			}
-			coalesceOracle(t, data)
+			varStoreOracle(t, data)
 		})
 	}
 }

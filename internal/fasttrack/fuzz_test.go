@@ -18,61 +18,55 @@ type fuzzAccess struct {
 	write bool
 }
 
-// fuzzDriver decodes 4-byte chunks of fuzz input into a stream of access
-// batches separated by synchronization events, the shape the
-// instrumented hot path produces: runs of accesses between sync hooks.
+// fuzzDriver decodes 4-byte chunks of fuzz input into a stream of
+// accesses and synchronization events, delivered to the detector in order.
 // Addresses scatter across several pages (shadow chunk boundaries), sizes
 // include 8-byte-block straddles, and some chunks repeat the previous
 // access verbatim — the same-block runs FastTrack's same-epoch fast path
-// coalesces into one clock comparison each.
+// serves with one clock comparison each.
 type fuzzDriver struct {
-	d     *Detector
-	batch []fuzzAccess
-}
-
-func (f *fuzzDriver) flush() {
-	for _, a := range f.batch {
-		f.d.OnAccess(a.tid, a.pc, a.addr, a.size, a.write)
-	}
-	f.batch = f.batch[:0]
+	d *Detector
 }
 
 func (f *fuzzDriver) run(data []byte) {
 	f.d.AddThread(4)
+	var last fuzzAccess
+	haveLast := false // a repeat needs an access since the last sync event
 	for len(data) >= 4 {
 		op, b1, b2, b3 := data[0], data[1], data[2], data[3]
 		data = data[4:]
 		tid := guest.TID(1 + b1%4)
 		switch {
 		case op%16 == 15:
-			// Sync event: the batch reaches the detector before clocks move.
-			f.flush()
 			lock := int64(1 + b2%3)
 			if b3%2 == 0 {
 				f.d.OnAcquire(tid, lock)
 			} else {
 				f.d.OnRelease(tid, lock)
 			}
-		case op%16 == 14 && len(f.batch) > 0:
-			f.batch = append(f.batch, f.batch[len(f.batch)-1])
+			haveLast = false
+			continue
+		case op%16 == 14 && haveLast:
+			// Repeat the previous access verbatim.
 		default:
-			f.batch = append(f.batch, fuzzAccess{
+			last = fuzzAccess{
 				tid: tid, pc: isa.PC(op),
 				addr:  0x10000 + (uint64(b2)*33+uint64(b3))%(4*4096),
 				size:  uint8(1) << (b3 % 4),
 				write: b2%2 == 0,
-			})
+			}
+			haveLast = true
 		}
+		f.d.OnAccess(last.tid, last.pc, last.addr, last.size, last.write)
 	}
-	f.flush()
 }
 
-// FuzzBatchCoalesce is the shadow store's differential oracle: for any
-// batch stream, the paged chunk table must produce exactly the races,
+// FuzzVarStore is the shadow store's differential oracle: for any access
+// and sync stream, the paged store must produce exactly the races,
 // counters and simulated cycles of the retained map-based reference
-// store, including across same-block runs, epoch flips between batches
+// store, including across same-block runs, epoch flips between accesses
 // and block straddles.
-func FuzzBatchCoalesce(f *testing.F) {
+func FuzzVarStore(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3})
 	// A same-block write run with an epoch flip in the middle.
 	f.Add([]byte{
@@ -85,12 +79,12 @@ func FuzzBatchCoalesce(f *testing.F) {
 		1, 0, 124, 3, 2, 1, 255, 1, 3, 2, 7, 2, 14, 0, 0, 0,
 		15, 0, 1, 0, 1, 3, 124, 3, 2, 2, 255, 3,
 	})
-	f.Fuzz(coalesceOracle)
+	f.Fuzz(varStoreOracle)
 }
 
-// coalesceOracle is the differential check shared by the fuzz target and
+// varStoreOracle is the differential check shared by the fuzz target and
 // the blocking corpus-replay test.
-func coalesceOracle(t *testing.T, data []byte) {
+func varStoreOracle(t *testing.T, data []byte) {
 	pagedClock, refClock := &stats.Clock{}, &stats.Clock{}
 	paged := &fuzzDriver{d: New(pagedClock, stats.DefaultCosts())}
 	ref := &fuzzDriver{d: New(refClock, stats.DefaultCosts())}

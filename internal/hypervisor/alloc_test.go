@@ -1,0 +1,46 @@
+package hypervisor
+
+import (
+	"testing"
+
+	"repro/internal/isa"
+	"repro/internal/vm"
+)
+
+// TestProtectionChurnNoAllocs pins the protection table's steady state:
+// once a page's rows, thread views and shadow chunks exist, protecting it,
+// granting and re-arming it per thread, refilling shadow entries and
+// clearing it again allocate nothing, under either paging mode.
+func TestProtectionChurnNoAllocs(t *testing.T) {
+	for _, nested := range []bool{false, true} {
+		name := "shadow"
+		if nested {
+			name = "nested"
+		}
+		t.Run(name, func(t *testing.T) {
+			var h *Hypervisor
+			if nested {
+				_, h = nestedFixture(t)
+			} else {
+				_, h = fixture(t)
+			}
+			lib := h.Lib()
+			vpn := vm.PageNum(isa.DataBase)
+			round := func() {
+				lib.ProtectPage(vpn)
+				lib.UnprotectForThread(1, vpn)
+				if _, fault := h.Load(1, isa.DataBase, 8, true); fault != nil {
+					t.Fatalf("owner load faults: %v", fault)
+				}
+				lib.RearmPage(vpn, 2)
+				if _, fault := h.Load(2, isa.DataBase, 8, true); fault != nil {
+					t.Fatalf("re-armed owner load faults: %v", fault)
+				}
+				lib.ClearPage(vpn)
+			}
+			if n := testing.AllocsPerRun(50, round); n != 0 {
+				t.Errorf("protection churn allocates %.1f objects per round, want 0", n)
+			}
+		})
+	}
+}

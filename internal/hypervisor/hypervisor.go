@@ -24,8 +24,10 @@ package hypervisor
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/guest"
+	"repro/internal/paged"
 	"repro/internal/pagetable"
 	"repro/internal/stats"
 	"repro/internal/vm"
@@ -35,78 +37,46 @@ import (
 // per-thread protection entry imposes no additional restriction.
 const protAll = pagetable.ProtRead | pagetable.ProtWrite | pagetable.ProtUser
 
-// pageProt is the per-page row of the per-thread protection table.
-type pageProt struct {
+// protRow is one row of the per-thread protection table, keyed by vpn
+// under shadow paging and by guest-physical frame under nested paging.
+// Rows are pointer-free: per-thread exceptions live in the threads' views,
+// and the row only counts them, so the table's chunks are noscan.
+type protRow struct {
 	// def is the protection applied to threads with no override — and,
-	// crucially, to threads created after the entry was installed.
+	// crucially, to threads created after the row was installed.
 	def pagetable.Prot
-	// override holds per-thread exceptions to def.
-	override map[guest.TID]pagetable.Prot
+	// set marks an installed row; an unset row imposes no restriction.
+	set bool
+	// overrides counts the threads whose view holds an exception to def
+	// for this key, so rows without exceptions never scan the views. 16
+	// bits suffice: every guest thread maps its own 64 KiB stack, so
+	// 65536 threads would need 4 GiB of guest stack.
+	overrides uint16
 }
 
-// shadowPTE is one cached translation in a thread's shadow page table. A
-// zero frame (vm.NoFrame) marks an empty slot: fills always carry a real
-// guest frame.
+// threadProt is one thread's exception to a protection row's default.
+type threadProt struct {
+	prot pagetable.Prot
+	set  bool
+}
+
+// shadowPTE is one cached translation in a thread's shadow page table. An
+// empty entry is zero: its prot allows nothing, and fills always carry a
+// real guest frame and a protection that allows the filling access.
 type shadowPTE struct {
 	frame vm.FrameID
 	prot  pagetable.Prot // effective = guest prot ∩ Aikido prot
 }
 
-// Shadow tables chunk the sparse VPN space exactly like pagetable.Table:
-// aligned spans of inline entries behind a one-entry last-chunk cache, so
-// the TLB-hit path of Translate is two bounds-checked loads and an index —
-// no map probes.
-const (
-	shadowChunkBits = 9
-	shadowChunkLen  = 1 << shadowChunkBits
-)
-
-// shadowChunk holds one aligned 2 MiB span of a thread's shadow table.
-type shadowChunk [shadowChunkLen]shadowPTE
-
-// shadowTable is one thread's shadow page table (ShadowPaging) or TLB +
-// cached EPT view (NestedPaging).
-type shadowTable struct {
-	chunks  map[uint64]*shadowChunk
-	lastKey uint64
-	last    *shadowChunk
-}
-
-// lookup returns the cached entry for vpn, if any.
-func (s *shadowTable) lookup(vpn uint64) (shadowPTE, bool) {
-	key := vpn >> shadowChunkBits
-	c := s.last
-	if c == nil || key != s.lastKey {
-		c = s.chunks[key]
-		if c == nil {
-			return shadowPTE{}, false
-		}
-		s.lastKey, s.last = key, c
-	}
-	e := c[vpn&(shadowChunkLen-1)]
-	return e, e.frame != vm.NoFrame
-}
-
-// set installs the entry for vpn.
-func (s *shadowTable) set(vpn uint64, e shadowPTE) {
-	key := vpn >> shadowChunkBits
-	c := s.last
-	if c == nil || key != s.lastKey {
-		c = s.chunks[key]
-		if c == nil {
-			c = new(shadowChunk)
-			s.chunks[key] = c
-		}
-		s.lastKey, s.last = key, c
-	}
-	c[vpn&(shadowChunkLen-1)] = e
-}
-
-// drop clears the entry for vpn.
-func (s *shadowTable) drop(vpn uint64) {
-	if c := s.chunks[vpn>>shadowChunkBits]; c != nil {
-		c[vpn&(shadowChunkLen-1)] = shadowPTE{}
-	}
+// view is one thread's translation state.
+type view struct {
+	// shadow caches translations by vpn: the thread's shadow page table
+	// under ShadowPaging, its TLB + cached EPT-view entries under
+	// NestedPaging. Populated lazily either way.
+	shadow paged.Table[shadowPTE]
+	// prot holds the thread's exceptions to the protection table, keyed
+	// like it.
+	prot paged.Table[threadProt]
 }
 
 // Stats are AikidoVM's event counters.
@@ -150,19 +120,16 @@ type Hypervisor struct {
 	mode       PagingMode
 	switchMode SwitchInterception
 
-	// shadow is the per-thread translation cache, indexed by the (small)
-	// TID: the shadow page table under ShadowPaging, the TLB + cached
-	// EPT-view entries under NestedPaging. Populated lazily either way.
-	shadow []*shadowTable
-	// cachedBy is the reverse map: vpn → threads whose shadow table
-	// caches a translation for it.
-	cachedBy map[uint64]map[guest.TID]struct{}
-	// prot is the per-thread protection table, keyed by vpn
-	// (ShadowPaging).
-	prot map[uint64]*pageProt
-	// protFrame is the per-thread protection table keyed by guest-
-	// physical frame (NestedPaging: EPT permissions attach to frames).
-	protFrame map[vm.FrameID]*pageProt
+	// views holds each thread's shadow table and protection exceptions,
+	// indexed by the (small) TID.
+	views []*view
+	// cachedBy is the reverse map: vpn → the threads whose shadow table
+	// caches a translation for it, as a mask of TID mod 64.
+	cachedBy paged.Table[uint64]
+	// prot is the per-thread protection table: one row per vpn under
+	// ShadowPaging, per guest-physical frame under NestedPaging (EPT
+	// permissions attach to frames).
+	prot paged.Table[protRow]
 	// frameVpns reverse-maps frames to the vpns observed mapping them,
 	// for EPT-permission invalidation (NestedPaging).
 	frameVpns map[vm.FrameID]map[uint64]struct{}
@@ -197,9 +164,6 @@ func New(m *vm.Machine, pt *pagetable.Table) *Hypervisor {
 	h := &Hypervisor{
 		m:          m,
 		pt:         pt,
-		cachedBy:   make(map[uint64]map[guest.TID]struct{}),
-		prot:       make(map[uint64]*pageProt),
-		protFrame:  make(map[vm.FrameID]*pageProt),
 		frameVpns:  make(map[vm.FrameID]map[uint64]struct{}),
 		tempUnprot: make(map[uint64]struct{}),
 		costs:      stats.DefaultCosts(),
@@ -257,23 +221,48 @@ func (h *Hypervisor) PTEUpdated(vpn uint64, old, new pagetable.PTE) {
 	h.invalidate(vpn)
 }
 
-// shadowOf returns tid's shadow table, or nil if none exists yet.
-func (h *Hypervisor) shadowOf(tid guest.TID) *shadowTable {
-	if uint32(tid) < uint32(len(h.shadow)) {
-		return h.shadow[tid]
+// viewOf returns tid's view, or nil if it has none yet.
+func (h *Hypervisor) viewOf(tid guest.TID) *view {
+	if uint32(tid) < uint32(len(h.views)) {
+		return h.views[tid]
 	}
 	return nil
 }
 
-// invalidate drops vpn from every shadow table caching it.
-func (h *Hypervisor) invalidate(vpn uint64) {
-	for tid := range h.cachedBy[vpn] {
-		if st := h.shadowOf(tid); st != nil {
-			st.drop(vpn)
-		}
-		h.Stats.ShadowInvalidations++
+// viewFor returns tid's view, creating it on first use.
+func (h *Hypervisor) viewFor(tid guest.TID) *view {
+	if v := h.viewOf(tid); v != nil {
+		return v
 	}
-	delete(h.cachedBy, vpn)
+	for int(tid) >= len(h.views) {
+		h.views = append(h.views, nil)
+	}
+	v := new(view)
+	h.views[tid] = v
+	return v
+}
+
+// invalidate drops vpn from every shadow table caching it. A mask bit
+// names every thread with that TID mod 64; of those, only the entries
+// actually present are dropped and counted. That count is exact: an entry
+// is present exactly when its thread filled vpn since vpn's last
+// invalidation, which is when the thread's bit was set.
+func (h *Hypervisor) invalidate(vpn uint64) {
+	m := h.cachedBy.Get(vpn)
+	if m == nil || *m == 0 {
+		return
+	}
+	for mask := *m; mask != 0; mask &= mask - 1 {
+		for tid := bits.TrailingZeros64(mask); tid < len(h.views); tid += 64 {
+			if v := h.views[tid]; v != nil {
+				if e := v.shadow.Get(vpn); e != nil && e.frame != vm.NoFrame {
+					*e = shadowPTE{}
+					h.Stats.ShadowInvalidations++
+				}
+			}
+		}
+	}
+	*m = 0
 }
 
 // ContextSwitch implements the guest hook: the guest kernel switched
@@ -287,27 +276,31 @@ func (h *Hypervisor) ContextSwitch(old, new guest.TID) {
 	h.charge(h.interceptCost() + h.tableSwitchCost())
 }
 
-// aikidoProt returns the Aikido-requested protection for (tid, vpn);
-// protAll when unrestricted. (ShadowPaging: keyed by virtual page.)
-func (h *Hypervisor) aikidoProt(tid guest.TID, vpn uint64) pagetable.Prot {
-	pp, ok := h.prot[vpn]
-	if !ok {
+// protForAccess returns the Aikido protection for tid's access to vpn,
+// currently backed by frame: the row keyed by the virtual page under shadow
+// paging, by the guest-physical frame under nested paging — except that
+// registered mirror ranges read through the unprotected alternate EPT
+// view. protAll when unrestricted.
+func (h *Hypervisor) protForAccess(tid guest.TID, vpn uint64, frame vm.FrameID) pagetable.Prot {
+	key := vpn
+	if h.mode == NestedPaging {
+		if h.isMirrorVpn(vpn) {
+			return protAll
+		}
+		key = uint64(frame)
+	}
+	r := h.prot.Get(key)
+	if r == nil || !r.set {
 		return protAll
 	}
-	if p, ok := pp.override[tid]; ok {
-		return p
+	if r.overrides > 0 {
+		if v := h.viewOf(tid); v != nil {
+			if o := v.prot.Get(key); o != nil && o.set {
+				return o.prot
+			}
+		}
 	}
-	return pp.def
-}
-
-// protForAccess dispatches the Aikido protection lookup on the paging mode:
-// virtual-page keyed under shadow paging, guest-physical-frame keyed (with
-// the mirror-alias exemption) under nested paging.
-func (h *Hypervisor) protForAccess(tid guest.TID, vpn uint64, frame vm.FrameID) pagetable.Prot {
-	if h.mode == NestedPaging {
-		return h.nestedProtFor(tid, vpn, frame)
-	}
-	return h.aikidoProt(tid, vpn)
+	return r.def
 }
 
 // Fault describes a fault observed by the virtual CPU on a user access.
@@ -347,15 +340,13 @@ func (h *Hypervisor) Translate(tid guest.TID, addr uint64, a pagetable.Access, u
 	vpn := vm.PageNum(addr)
 
 	// Fast path: shadow table (hardware TLB analogue).
-	if st := h.shadowOf(tid); st != nil && user {
-		if spte, ok := st.lookup(vpn); ok {
-			if spte.prot.Allows(a, true) {
-				h.Stats.TLBHits++
-				return spte.frame, vm.PageOff(addr), nil
-			}
-			// Cached entry denies: fall through to the slow path,
-			// which classifies the fault.
+	if v := h.viewOf(tid); v != nil && user {
+		if e := v.shadow.Get(vpn); e != nil && e.prot.Allows(a, true) {
+			h.Stats.TLBHits++
+			return e.frame, vm.PageOff(addr), nil
 		}
+		// No entry, or the cached entry denies: fall through to the
+		// slow path, which classifies the fault.
 	}
 
 	// Guest page-table walk (kernel-mode check first: is the access
@@ -408,23 +399,8 @@ func (h *Hypervisor) Translate(tid guest.TID, addr uint64, a pagetable.Access, u
 	// this is a hidden fault filling the thread's shadow page table;
 	// under nested paging it is a TLB miss paying the two-dimensional
 	// (guest + EPT) walk.
-	st := h.shadowOf(tid)
-	if st == nil {
-		if int(tid) >= len(h.shadow) {
-			ns := make([]*shadowTable, int(tid)+1)
-			copy(ns, h.shadow)
-			h.shadow = ns
-		}
-		st = &shadowTable{chunks: make(map[uint64]*shadowChunk)}
-		h.shadow[tid] = st
-	}
-	st.set(vpn, shadowPTE{frame: gpte.Frame, prot: eff})
-	cb := h.cachedBy[vpn]
-	if cb == nil {
-		cb = make(map[guest.TID]struct{})
-		h.cachedBy[vpn] = cb
-	}
-	cb[tid] = struct{}{}
+	*h.viewFor(tid).shadow.At(vpn) = shadowPTE{frame: gpte.Frame, prot: eff}
+	*h.cachedBy.At(vpn) |= 1 << (uint32(tid) & 63)
 	h.Stats.ShadowFills++
 	if h.mode == NestedPaging {
 		h.noteFrameVpn(gpte.Frame, vpn)

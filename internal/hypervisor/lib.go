@@ -28,43 +28,115 @@ func (l *Lib) RegisterFaultPages(readFaultPage, writeFaultPage, addrSlot uint64)
 	l.h.faultAddrSlot = addrSlot
 }
 
-// protEntry locates (or creates) the protection row for vpn in the table
-// the active paging mode keys on: the virtual page under shadow paging, the
-// backing guest-physical frame under nested paging. The returned invalidate
-// function drops the translation-cache entries the change affects.
-func (l *Lib) protEntry(vpn uint64, defProt pagetable.Prot) (*pageProt, func()) {
-	h := l.h
+// protKey returns the protection-table key for vpn in the active paging
+// mode: the virtual page under shadow paging, the backing guest-physical
+// frame under nested paging. ok is false when nested paging finds vpn
+// unmapped: EPT permissions cannot attach to a frame that does not exist,
+// so the request is dropped (AikidoSD never protects unmapped pages).
+func (h *Hypervisor) protKey(vpn uint64) (key uint64, ok bool) {
+	if h.mode != NestedPaging {
+		return vpn, true
+	}
+	frame, ok := h.frameOf(vpn)
+	return uint64(frame), ok
+}
+
+// protRowFor returns vpn's protection row, materializing it, and its key.
+// Under nested paging it also records that vpn maps the row's frame, so
+// the invalidation that follows reaches vpn's cached translation.
+func (h *Hypervisor) protRowFor(vpn uint64) (uint64, *protRow, bool) {
+	key, ok := h.protKey(vpn)
+	if !ok {
+		return 0, nil, false
+	}
 	if h.mode == NestedPaging {
-		if frame, ok := h.frameOf(vpn); ok {
-			pp := h.protFrame[frame]
-			if pp == nil {
-				pp = &pageProt{def: defProt, override: make(map[guest.TID]pagetable.Prot)}
-				h.protFrame[frame] = pp
-			}
-			h.noteFrameVpn(frame, vpn)
-			return pp, func() { h.invalidateFrame(frame) }
+		h.noteFrameVpn(vm.FrameID(key), vpn)
+	}
+	return key, h.prot.At(key), true
+}
+
+// protChanged drops the cached translations a change to key's row
+// affects: vpn's under shadow paging, every vpn known to map the frame
+// under nested paging.
+func (h *Hypervisor) protChanged(vpn, key uint64) {
+	if h.mode == NestedPaging {
+		h.invalidateFrame(vm.FrameID(key))
+		return
+	}
+	h.invalidate(vpn)
+}
+
+// setOverride installs tid's exception to row r.
+func (h *Hypervisor) setOverride(tid guest.TID, key uint64, r *protRow, prot pagetable.Prot) {
+	o := h.viewFor(tid).prot.At(key)
+	if !o.set {
+		r.overrides++
+	}
+	*o = threadProt{prot: prot, set: true}
+}
+
+// dropOverrides removes every thread's exception to row r. Only a row
+// with exceptions scans the thread views.
+func (h *Hypervisor) dropOverrides(key uint64, r *protRow) {
+	if r.overrides == 0 {
+		return
+	}
+	for _, v := range h.views {
+		if v == nil {
+			continue
 		}
-		// The page is not currently mapped; EPT permissions cannot be
-		// installed until it is. Fall through to the vpn-keyed table so
-		// the request is not lost — protForAccess consults only the
-		// frame table in nested mode, but AikidoSD never protects
-		// unmapped pages, so this path is defensive.
+		if o := v.prot.Get(key); o != nil {
+			*o = threadProt{}
+		}
 	}
-	pp := h.prot[vpn]
-	if pp == nil {
-		pp = &pageProt{def: defProt, override: make(map[guest.TID]pagetable.Prot)}
-		h.prot[vpn] = pp
+	r.overrides = 0
+}
+
+// rewriteRow is one protection-row update: vpn's default becomes def for
+// every current and future thread, every per-thread exception is dropped
+// when clear is set, and owner — when a real TID — is granted full access.
+func (h *Hypervisor) rewriteRow(vpn uint64, def pagetable.Prot, clear bool, owner guest.TID) {
+	key, r, ok := h.protRowFor(vpn)
+	if !ok {
+		return
 	}
-	return pp, func() { h.invalidate(vpn) }
+	r.def, r.set = def, true
+	if clear {
+		h.dropOverrides(key, r)
+	}
+	if owner != guest.NoTID {
+		h.setOverride(owner, key, r, protAll)
+	}
+	h.protChanged(vpn, key)
+}
+
+// clearRow removes all Aikido protection state from vpn.
+func (h *Hypervisor) clearRow(vpn uint64) {
+	key, ok := h.protKey(vpn)
+	if !ok {
+		return
+	}
+	if r := h.prot.Get(key); r != nil {
+		h.dropOverrides(key, r)
+		*r = protRow{}
+	}
+	h.protChanged(vpn, key)
 }
 
 // SetThreadProt installs a per-thread protection override for one page.
 // Other threads (and future threads) are unaffected.
 func (l *Lib) SetThreadProt(tid guest.TID, vpn uint64, prot pagetable.Prot) {
-	l.h.Stats.Hypercalls++
-	pp, inval := l.protEntry(vpn, protAll)
-	pp.override[tid] = prot
-	inval()
+	h := l.h
+	h.Stats.Hypercalls++
+	key, r, ok := h.protRowFor(vpn)
+	if !ok {
+		return
+	}
+	if !r.set {
+		*r = protRow{def: protAll, set: true}
+	}
+	h.setOverride(tid, key, r, prot)
+	h.protChanged(vpn, key)
 }
 
 // SetDefaultProt installs the protection applied to every thread without an
@@ -73,14 +145,7 @@ func (l *Lib) SetThreadProt(tid guest.TID, vpn uint64, prot pagetable.Prot) {
 // globally when it becomes shared.
 func (l *Lib) SetDefaultProt(vpn uint64, prot pagetable.Prot, clearOverrides bool) {
 	l.h.Stats.Hypercalls++
-	pp, inval := l.protEntry(vpn, 0)
-	pp.def = prot
-	if clearOverrides {
-		for k := range pp.override {
-			delete(pp.override, k)
-		}
-	}
-	inval()
+	l.h.rewriteRow(vpn, prot, clearOverrides, guest.NoTID)
 }
 
 // RegisterMirrorRange tells AikidoVM that [vpnBase, vpnBase+pages) is a
@@ -108,12 +173,7 @@ func (l *Lib) ProtectPage(vpn uint64) {
 // segments at startup and on mmap/brk ("one batched hypercall per segment").
 func (l *Lib) ProtectRange(vpnBase uint64, pages int) {
 	for i := 0; i < pages; i++ {
-		pp, inval := l.protEntry(vpnBase+uint64(i), 0)
-		pp.def = pagetable.ProtNone
-		for k := range pp.override {
-			delete(pp.override, k)
-		}
-		inval()
+		l.h.rewriteRow(vpnBase+uint64(i), pagetable.ProtNone, true, guest.NoTID)
 	}
 	l.h.Stats.Hypercalls++
 }
@@ -128,31 +188,14 @@ func (l *Lib) ProtectRange(vpnBase uint64, pages int) {
 // whole protection domain with a single permission-table update.
 func (l *Lib) RearmPage(vpn uint64, owner guest.TID) {
 	l.h.Stats.Hypercalls++
-	pp, inval := l.protEntry(vpn, 0)
-	pp.def = pagetable.ProtNone
-	for k := range pp.override {
-		delete(pp.override, k)
-	}
-	if owner != guest.NoTID {
-		pp.override[owner] = protAll
-	}
-	inval()
+	l.h.rewriteRow(vpn, pagetable.ProtNone, true, owner)
 }
 
 // ClearRange removes all Aikido protection state from [vpnBase,
 // vpnBase+pages) in one batched hypercall (segment unmap).
 func (l *Lib) ClearRange(vpnBase uint64, pages int) {
 	for i := 0; i < pages; i++ {
-		vpn := vpnBase + uint64(i)
-		if l.h.mode == NestedPaging {
-			if frame, ok := l.h.frameOf(vpn); ok {
-				delete(l.h.protFrame, frame)
-				l.h.invalidateFrame(frame)
-				continue
-			}
-		}
-		delete(l.h.prot, vpn)
-		l.h.invalidate(vpn)
+		l.h.clearRow(vpnBase + uint64(i))
 	}
 	l.h.Stats.Hypercalls++
 }
@@ -167,15 +210,7 @@ func (l *Lib) UnprotectForThread(tid guest.TID, vpn uint64) {
 // access freely again). Used by DynamoRIO's §3.4 unprotect/reprotect dance.
 func (l *Lib) ClearPage(vpn uint64) {
 	l.h.Stats.Hypercalls++
-	if l.h.mode == NestedPaging {
-		if frame, ok := l.h.frameOf(vpn); ok {
-			delete(l.h.protFrame, frame)
-			l.h.invalidateFrame(frame)
-			return
-		}
-	}
-	delete(l.h.prot, vpn)
-	l.h.invalidate(vpn)
+	l.h.clearRow(vpn)
 }
 
 // IsAikidoFault implements aikido_is_aikido_pagefault(): the signal handler

@@ -3,8 +3,6 @@ package hypervisor
 import (
 	"sort"
 
-	"repro/internal/guest"
-	"repro/internal/pagetable"
 	"repro/internal/vm"
 )
 
@@ -145,23 +143,6 @@ func (h *Hypervisor) frameOf(vpn uint64) (vm.FrameID, bool) {
 		return vm.NoFrame, false
 	}
 	return pte.Frame, true
-}
-
-// nestedProtFor returns the Aikido protection for (tid, vpn) under nested
-// paging: permissions live on the guest-physical frame, except that
-// registered mirror ranges read through the unprotected alternate EPT view.
-func (h *Hypervisor) nestedProtFor(tid guest.TID, vpn uint64, frame vm.FrameID) pagetable.Prot {
-	if h.isMirrorVpn(vpn) {
-		return protAll
-	}
-	pp, ok := h.protFrame[frame]
-	if !ok {
-		return protAll
-	}
-	if p, ok := pp.override[tid]; ok {
-		return p
-	}
-	return pp.def
 }
 
 // invalidateFrame drops every cached translation whose vpn is known to map

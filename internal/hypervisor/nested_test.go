@@ -257,16 +257,28 @@ func TestSwitchCostOrdering(t *testing.T) {
 	}
 }
 
-// TestNestedUnmappedProtFallback covers the defensive vpn-keyed fallback
-// when protection is requested for a page with no current guest mapping.
+// TestNestedUnmappedProtFallback covers a protection request for a page
+// with no current guest mapping under nested paging: there is no frame to
+// attach EPT permissions to, so the request is dropped — nothing is stored,
+// the hypercall is still counted, and the page is unprotected once mapped.
 func TestNestedUnmappedProtFallback(t *testing.T) {
-	_, h := nestedFixture(t)
+	p, h := nestedFixture(t)
 	lib := h.Lib()
-	const ghost = uint64(0x7fff_0000) // never mapped
-	lib.ProtectPage(ghost)            // must not panic
+	const ghost = uint64(0x7fff_0000) // not mapped yet
+	pre := h.Stats.Hypercalls
+	lib.ProtectPage(ghost) // must not panic
+	lib.RearmPage(ghost, 1)
 	lib.ClearPage(ghost)
-	if got := len(h.protFrame); got != 0 {
-		t.Errorf("frame table grew for unmapped page: %d entries", got)
+	if got := h.Stats.Hypercalls - pre; got != 3 {
+		t.Errorf("hypercalls = %d, want 3", got)
+	}
+	if h.prot.Get(ghost) != nil {
+		t.Error("protection table grew for an unmapped page")
+	}
+	lib.ProtectPage(ghost)
+	p.PT.Map(ghost, p.M.AllocFrame(), pagetable.ProtRW)
+	if _, fault := h.Load(2, ghost<<12, 8, true); fault != nil {
+		t.Errorf("request made while unmapped protects the page: %v", fault)
 	}
 }
 

@@ -1,0 +1,85 @@
+// Package paged is the one sparse table on the simulator's memory path: a
+// map from a 64-bit key (a page, frame or block number) to an inline cell.
+//
+// Every user keys a space that is sparse overall but dense where it is
+// populated — the guest page table and AikidoVM's shadow and protection
+// tables key by page or frame number (§3.2.4), the hosted analyses' shadow
+// metadata by 8-byte block (§4.2). A Table therefore stores aligned chunks
+// of 512 inline cells keyed by the key's high bits, behind a direct-mapped
+// chunk cache: a lookup near a recently used chunk is one tag comparison
+// and an index, with no map operation, and materializing a cell inside an
+// existing chunk allocates nothing.
+//
+// A Table does not know which cells are in use. Each user recognizes an
+// untouched cell by its contents (a zero frame, a clear set bit), so a cell
+// type whose zero value is reachable after a write must carry an explicit
+// flag. Keep cells pointer-free: chunks are then noscan, and the garbage
+// collector never walks them.
+package paged
+
+const (
+	// chunkBits is log2 of the cells per chunk: 512 cells, one aligned
+	// 2 MiB span of pages or 4 KiB span of 8-byte blocks.
+	chunkBits = 9
+	// chunkLen is the number of cells per chunk.
+	chunkLen = 1 << chunkBits
+	// cacheSlots sizes the direct-mapped chunk cache. Users alternate
+	// between regions (stack, globals, heap, mirrors) and keep several
+	// chunks live at once, which a single-entry memo would thrash on.
+	cacheSlots = 64
+)
+
+// Table holds one cell of type C per key. The zero value is an empty
+// table, ready for use.
+type Table[C any] struct {
+	chunks map[uint64]*[chunkLen]C
+	cache  [cacheSlots]slot[C]
+}
+
+// slot is one chunk-cache entry: the chunk whose number is tag-1. A zero
+// tag marks an empty slot, so the zero Table needs no initialization and a
+// lookup is one comparison.
+type slot[C any] struct {
+	tag uint64
+	c   *[chunkLen]C
+}
+
+// Get returns the cell for key, or nil when its chunk was never
+// materialized. It never allocates. The miss path probes the chunk map
+// inline rather than calling out, which keeps Get cheap enough to inline
+// into the translation fast path.
+func (t *Table[C]) Get(key uint64) *C {
+	n := key >> chunkBits
+	s := &t.cache[n&(cacheSlots-1)]
+	if s.tag != n+1 {
+		c := t.chunks[n]
+		if c == nil {
+			return nil
+		}
+		s.tag, s.c = n+1, c
+	}
+	return &s.c[key&(chunkLen-1)]
+}
+
+// At returns the cell for key, materializing its chunk on first touch.
+func (t *Table[C]) At(key uint64) *C {
+	n := key >> chunkBits
+	s := &t.cache[n&(cacheSlots-1)]
+	if s.tag != n+1 {
+		t.fill(s, n)
+	}
+	return &s.c[key&(chunkLen-1)]
+}
+
+// fill loads chunk n into s, allocating it if it was never touched.
+func (t *Table[C]) fill(s *slot[C], n uint64) {
+	c := t.chunks[n]
+	if c == nil {
+		if t.chunks == nil {
+			t.chunks = make(map[uint64]*[chunkLen]C)
+		}
+		c = new([chunkLen]C)
+		t.chunks[n] = c
+	}
+	s.tag, s.c = n+1, c
+}

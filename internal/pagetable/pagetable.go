@@ -13,8 +13,8 @@ package pagetable
 
 import (
 	"fmt"
-	"sort"
 
+	"repro/internal/paged"
 	"repro/internal/vm"
 )
 
@@ -105,27 +105,15 @@ type Listener interface {
 	PTEUpdated(vpn uint64, old, new PTE)
 }
 
-// Chunking of the VPN space: the guest address space is sparse (code,
+// Table is one guest page table (one per guest process). Its entries live
+// in a paged.Table keyed by vpn: the guest address space is sparse (code,
 // data, heap, mmap, and stacks sit at widely separated bases), but each
-// populated area is dense, so the table stores aligned chunks of inline
-// PTEs keyed by the high VPN bits — a walk is a chunk fetch (usually served
-// by the one-entry last-chunk cache) plus an index, not a map probe per
-// page. A PTE with Frame == vm.NoFrame marks an unmapped slot: Map rejects
-// NoFrame, so the zero value can never alias a real mapping.
-const (
-	chunkBits = 9 // 512 pages = 2 MiB of guest address space per chunk
-	chunkLen  = 1 << chunkBits
-)
-
-// ptChunk holds the entries for one aligned 2 MiB span of page numbers.
-type ptChunk [chunkLen]PTE
-
-// Table is one guest page table (one per guest process).
+// populated area is dense, so a walk is a chunk-cache hit and an index, not
+// a map probe per page. A PTE with Frame == vm.NoFrame marks an unmapped
+// slot: Map rejects NoFrame, so the zero value can never alias a real
+// mapping.
 type Table struct {
-	chunks   map[uint64]*ptChunk
-	lastKey  uint64
-	last     *ptChunk
-	mapped   int
+	ptes     paged.Table[PTE]
 	listener Listener
 
 	// Updates counts mutations; each one would cost a hypervisor trap in
@@ -134,40 +122,25 @@ type Table struct {
 }
 
 // New returns an empty page table.
-func New() *Table {
-	return &Table{chunks: make(map[uint64]*ptChunk)}
-}
+func New() *Table { return &Table{} }
 
 // SetListener installs the mutation observer (at most one; the hypervisor).
 func (t *Table) SetListener(l Listener) { t.listener = l }
 
-// chunk returns the chunk covering vpn through the last-chunk cache,
-// allocating it when alloc is set; nil when absent and alloc is false.
-func (t *Table) chunk(vpn uint64, alloc bool) *ptChunk {
-	key := vpn >> chunkBits
-	if c := t.last; c != nil && key == t.lastKey {
-		return c
+// mapped returns the entry for vpn, or nil when vpn is unmapped.
+func (t *Table) mapped(vpn uint64) *PTE {
+	if p := t.ptes.Get(vpn); p != nil && p.Frame != vm.NoFrame {
+		return p
 	}
-	c := t.chunks[key]
-	if c == nil {
-		if !alloc {
-			return nil
-		}
-		c = new(ptChunk)
-		t.chunks[key] = c
-	}
-	t.lastKey, t.last = key, c
-	return c
+	return nil
 }
 
 // Lookup returns the entry for vpn.
 func (t *Table) Lookup(vpn uint64) (PTE, bool) {
-	c := t.chunk(vpn, false)
-	if c == nil {
-		return PTE{}, false
+	if p := t.mapped(vpn); p != nil {
+		return *p, true
 	}
-	pte := c[vpn&(chunkLen-1)]
-	return pte, pte.Frame != vm.NoFrame
+	return PTE{}, false
 }
 
 // Map installs a mapping for vpn. Remapping an existing vpn is allowed (it
@@ -176,89 +149,53 @@ func (t *Table) Map(vpn uint64, frame vm.FrameID, prot Prot) {
 	if frame == vm.NoFrame {
 		panic(fmt.Sprintf("pagetable: mapping vpn %#x to the invalid frame", vpn))
 	}
-	c := t.chunk(vpn, true)
-	old := c[vpn&(chunkLen-1)]
-	if old.Frame == vm.NoFrame {
-		t.mapped++
-	}
-	pte := PTE{Frame: frame, Prot: prot}
-	c[vpn&(chunkLen-1)] = pte
-	t.Updates++
-	if t.listener != nil {
-		t.listener.PTEUpdated(vpn, old, pte)
-	}
+	p := t.ptes.At(vpn)
+	old := *p
+	*p = PTE{Frame: frame, Prot: prot}
+	t.update(vpn, old, *p)
 }
 
 // Unmap removes the mapping for vpn, returning the old entry.
 func (t *Table) Unmap(vpn uint64) (PTE, bool) {
-	c := t.chunk(vpn, false)
-	if c == nil {
+	p := t.mapped(vpn)
+	if p == nil {
 		return PTE{}, false
 	}
-	old := c[vpn&(chunkLen-1)]
-	if old.Frame == vm.NoFrame {
-		return PTE{}, false
-	}
-	c[vpn&(chunkLen-1)] = PTE{}
-	t.mapped--
-	t.Updates++
-	if t.listener != nil {
-		t.listener.PTEUpdated(vpn, old, PTE{})
-	}
+	old := *p
+	*p = PTE{}
+	t.update(vpn, old, PTE{})
 	return old, true
 }
 
 // SetProt changes the protection of an existing mapping. It reports whether
 // the vpn was mapped.
 func (t *Table) SetProt(vpn uint64, prot Prot) bool {
-	c := t.chunk(vpn, false)
-	if c == nil {
+	p := t.mapped(vpn)
+	if p == nil {
 		return false
 	}
-	old := c[vpn&(chunkLen-1)]
-	if old.Frame == vm.NoFrame {
-		return false
-	}
-	pte := PTE{Frame: old.Frame, Prot: prot}
-	c[vpn&(chunkLen-1)] = pte
-	t.Updates++
-	if t.listener != nil {
-		t.listener.PTEUpdated(vpn, old, pte)
-	}
+	old := *p
+	p.Prot = prot
+	t.update(vpn, old, *p)
 	return true
 }
 
-// Len returns the number of mapped pages.
-func (t *Table) Len() int { return t.mapped }
-
-// VPNs returns all mapped virtual page numbers in ascending order. Used by
-// the hypervisor to build a fresh shadow table for a new thread and by the
-// sharing detector to protect "all mapped pages" at startup (§3.3.2).
-func (t *Table) VPNs() []uint64 {
-	out := make([]uint64, 0, t.mapped)
-	for key, c := range t.chunks {
-		for i, pte := range c {
-			if pte.Frame != vm.NoFrame {
-				out = append(out, key<<chunkBits|uint64(i))
-			}
-		}
+// update counts a mutation and reports it to the listener.
+func (t *Table) update(vpn uint64, old, new PTE) {
+	t.Updates++
+	if t.listener != nil {
+		t.listener.PTEUpdated(vpn, old, new)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Walk translates a guest virtual address for the given access, returning
 // the PTE. A nil *Fault means the access is permitted.
 func (t *Table) Walk(addr uint64, a Access, user bool) (PTE, *Fault) {
-	vpn := vm.PageNum(addr)
-	c := t.chunk(vpn, false)
-	if c == nil {
+	p := t.mapped(vm.PageNum(addr))
+	if p == nil {
 		return PTE{}, &Fault{Addr: addr, Access: a, Unmapped: true}
 	}
-	pte := c[vpn&(chunkLen-1)]
-	if pte.Frame == vm.NoFrame {
-		return PTE{}, &Fault{Addr: addr, Access: a, Unmapped: true}
-	}
+	pte := *p
 	if !pte.Prot.Allows(a, user) {
 		return PTE{}, &Fault{Addr: addr, Access: a, Prot: pte.Prot}
 	}

@@ -116,24 +116,6 @@ func TestSetProtUnmapped(t *testing.T) {
 	}
 }
 
-func TestVPNsSorted(t *testing.T) {
-	m := vm.NewMachine()
-	pt := New()
-	for _, vpn := range []uint64{42, 7, 99, 1} {
-		pt.Map(vpn, m.AllocFrame(), ProtRW)
-	}
-	got := pt.VPNs()
-	want := []uint64{1, 7, 42, 99}
-	if len(got) != len(want) {
-		t.Fatalf("VPNs len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("VPNs = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestMapInvalidFramePanics(t *testing.T) {
 	pt := New()
 	defer func() {

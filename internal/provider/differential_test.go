@@ -14,7 +14,10 @@ import (
 
 // op is one step of a random protection/access script.
 type op struct {
-	Kind uint8 // 0 protect, 1 unprotect-for-thread, 2 clear, 3 load, 4 store, 5 switch
+	// Kind: 0 protect, 1 unprotect-for-thread, 2 clear, 3 load, 4 store,
+	// 5 switch, 6 rearm (owner TID, or no owner when Off is odd),
+	// 7 protect-range, 8 clear-range (1–3 pages, within the data pages).
+	Kind uint8
 	TID  uint8
 	Page uint8
 	Off  uint16
@@ -56,7 +59,8 @@ func enforcementOutcome(t *testing.T, kind Kind, nested bool, script []op) []uin
 		tid := guest.TID(o.TID%4 + 1)
 		vpn := baseVpn + uint64(o.Page%8)
 		addr := (vpn << 12) + uint64(o.Off%(4096-8))
-		switch o.Kind % 6 {
+		pages := min(1+int(o.Off%3), 8-int(o.Page%8))
+		switch o.Kind % 9 {
 		case 0:
 			prov.ProtectPage(vpn)
 		case 1:
@@ -87,6 +91,16 @@ func enforcementOutcome(t *testing.T, kind Kind, nested bool, script []op) []uin
 			}
 		case 5:
 			prov.ContextSwitch(guest.TID(o.Page%4+1), tid)
+		case 6:
+			owner := tid
+			if o.Off%2 == 1 {
+				owner = guest.NoTID
+			}
+			prov.RearmPage(vpn, owner)
+		case 7:
+			prov.ProtectRange(vpn, pages)
+		case 8:
+			prov.ClearRange(vpn, pages)
 		}
 	}
 	return trace
@@ -103,7 +117,7 @@ func TestEnforcementEquivalence(t *testing.T) {
 		s := make([]op, n)
 		for i := range s {
 			s[i] = op{
-				Kind: uint8(rng.Intn(6)),
+				Kind: uint8(rng.Intn(9)),
 				TID:  uint8(rng.Intn(4)),
 				Page: uint8(rng.Intn(8)),
 				Off:  uint16(rng.Intn(4096)),
@@ -111,7 +125,7 @@ func TestEnforcementEquivalence(t *testing.T) {
 		}
 		return s
 	}
-	for trial := 0; trial < 30; trial++ {
+	for trial := 0; trial < 300; trial++ {
 		script := gen()
 		ref := enforcementOutcome(t, AikidoVM, false, script)
 		for _, alt := range []struct {

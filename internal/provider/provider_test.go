@@ -76,7 +76,7 @@ func TestPerThreadIsolation(t *testing.T) {
 }
 
 // TestFutureThreadsInherit checks that a thread created after a protection
-// was installed observes it (the pageProt def semantics).
+// was installed observes it (a protection row's default semantics).
 func TestFutureThreadsInherit(t *testing.T) {
 	for _, kind := range allKinds {
 		t.Run(kind.String(), func(t *testing.T) {
