@@ -9,41 +9,34 @@
 //	aikido-bench [-experiment all|fig5|fig6|table1|table2|ablation|paging|
 //	              switch|providers|detectors|muxbench|epochs|scaling|
 //	              nondet|stm|crew]
-//	             [-scale F] [-threads N] [-workers N] [-json FILE]
-//	             [-muxjson FILE] [-epochjson FILE] [-epoch]
-//	             [-analysis NAME[,NAME...]] [-deterministic]
+//	             [-scale F] [-threads N] [-workers N] [-json FILE] [-epoch]
+//	             [-analysis NAME[,NAME...]]
 //	aikido-bench -experiment chaos [-chaos PLAN] [-scale F] [-workers N]
-//	aikido-bench -compare OLD.json,NEW.json [-max-regress-pct P]
 //
 // -analysis selects the analyses every analysis-bearing cell runs (registry
 // names, multiplexed onto one pass per cell); CI diffs the -json report at
 // "-analysis fasttrack" (and the "ft" alias) against the default to pin the
 // single-analysis path byte-identical through the registry seam. The
-// muxbench experiment (and -muxjson, the BENCH_<n>.json source) measures N
-// sequential single-analysis Aikido passes against ONE multiplexed pass
-// hosting the same N analyses.
+// muxbench experiment measures N sequential single-analysis Aikido passes
+// against ONE multiplexed pass hosting the same N analyses.
 //
 // Every model×mode experiment matrix is sharded across -workers concurrent
 // runner workers (default: all CPUs); results are identical at any worker
 // count. The nondet, stm and crew extensions run their own engines
 // (SP-bags, the STM, CREW record/replay) sequentially and ignore -workers.
 //
-// With -json, the Figure 5 workload matrix runs once per (model, mode) with
-// wall-clock timing and a machine-readable report is written to FILE ("-"
-// for stdout). Checked-in snapshots follow the BENCH_<n>.json convention —
-// one per PR that claims a performance change — so the repository carries
-// its own perf trajectory; take snapshots with -workers 1, since per-cell
-// wall_ns is inflated by contention when cells run concurrently (see
-// docs/benchmarking.md). -deterministic zeroes the report's wall_ns fields
-// so the bytes depend only on simulated metrics; CI uses it to diff
-// -workers 1 against -workers 8.
+// With -json, the Figure 5 workload matrix runs once per (model, mode) and
+// a machine-readable report of its simulated results is written to FILE
+// ("-" for stdout) instead of the text experiments. The report's bytes
+// depend only on the flags, never on -workers; CI diffs -workers 1 against
+// -workers 8. aikido-bench reports simulated results only; wall-clock time
+// is measured by bench/aikido-measure (see docs/benchmarking.md).
 //
 // -epoch enables epoch-based re-privatization (sharing.DefaultEpochPolicy)
 // in every Aikido cell: CI's 3-way equivalence leg diffs an -epoch report
 // against the baseline to pin that demotion never perturbs the PARSEC
-// models. The epochs experiment (and -epochjson, the BENCH_4.json source)
-// measures the demotion win on the phased/migratory workload suite, where
-// it does fire.
+// models. The epochs experiment measures the demotion win on the
+// phased/migratory workload suite, where it does fire.
 //
 // -experiment chaos is the fault-isolation acceptance harness and is NOT
 // part of "all": it runs the chaos matrix (every Figure-5 model×mode cell
@@ -59,11 +52,6 @@
 // An -experiment value that names no experiment exits 2 and lists the
 // valid names, and so does a -scale that is not a finite positive number
 // or a negative -threads.
-//
-// -compare OLD,NEW is the CI bench-regression gate: both files must be
-// BENCH-style snapshots of the same schema and scale, and the command
-// exits nonzero when NEW's geomean cycle speedup is more than
-// -max-regress-pct percent below OLD's.
 package main
 
 import (
@@ -120,32 +108,10 @@ func main() {
 	threads := flag.Int("threads", 0, "override worker threads (0 = benchmark default, 8)")
 	workers := flag.Int("workers", runtime.NumCPU(), "runner pool size for the experiment sweep (results are identical at any value)")
 	jsonOut := flag.String("json", "", "write a machine-readable bench report to this file (\"-\" = stdout) instead of running text experiments")
-	muxOut := flag.String("muxjson", "", "write the mux-amortization report (BENCH_3.json snapshots) to this file (\"-\" = stdout)")
-	epochOut := flag.String("epochjson", "", "write the epoch re-privatization report (BENCH_4.json snapshots) to this file (\"-\" = stdout)")
 	epoch := flag.Bool("epoch", false, "enable epoch-based re-privatization in every Aikido cell (CI diffs this against the baseline)")
-	det := flag.Bool("deterministic", false, "zero wall_ns in machine-readable reports so output bytes depend only on simulated metrics")
 	analyses := flag.String("analysis", "", "comma-separated analyses for every analysis-bearing cell (registry names; empty = default FastTrack)")
 	chaosPlan := flag.String("chaos", "", "with -experiment chaos: the fault-injection plan [seed=N;]KIND:SEAM[@COUNT];... (empty = idle-overhead identity check)")
-	compare := flag.String("compare", "", "OLD.json,NEW.json: compare two BENCH snapshots of one schema and fail on regression (CI gate)")
-	maxRegress := flag.Float64("max-regress-pct", 5, "with -compare, the allowed geomean-cycle-speedup regression in percent")
 	flag.Parse()
-
-	if *compare != "" {
-		oldPath, newPath, err := experiments.ParseComparePair(*compare)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "aikido-bench: %v\n", err)
-			os.Exit(2)
-		}
-		summary, err := experiments.CompareSnapshots(oldPath, newPath, *maxRegress)
-		if summary != "" {
-			fmt.Println(summary)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "aikido-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if err := checkExperiment(*exp); err != nil {
 		fmt.Fprintf(os.Stderr, "aikido-bench: %v\n", err)
@@ -160,7 +126,7 @@ func main() {
 		os.Exit(2)
 	}
 	o := experiments.Options{Scale: *scale, Threads: *threads, Workers: *workers,
-		Deterministic: *det, Analyses: analysis.ParseList(*analyses), Epoch: *epoch}
+		Analyses: analysis.ParseList(*analyses), Epoch: *epoch}
 	w := os.Stdout
 
 	// The chaos harness replaces the text experiments entirely (and is
@@ -179,65 +145,22 @@ func main() {
 		return
 	}
 
-	openOut := func(path string) *os.File {
-		if path == "-" {
-			return os.Stdout
+	// -json replaces the text experiments with the Figure 5 report.
+	if *jsonOut != "" {
+		rep, err := experiments.BenchJSON(o)
+		out := os.Stdout
+		if err == nil && *jsonOut != "-" {
+			out, err = os.Create(*jsonOut)
 		}
-		f, err := os.Create(path)
+		if err == nil {
+			err = experiments.WriteBenchJSON(out, rep)
+		}
+		if err == nil && out != os.Stdout {
+			err = out.Close()
+		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "aikido-bench: %v\n", err)
+			fmt.Fprintf(os.Stderr, "aikido-bench: json: %v\n", err)
 			os.Exit(1)
-		}
-		return f
-	}
-
-	// -json, -muxjson and -epochjson each replace the text experiments;
-	// given together, every requested report is produced.
-	if *jsonOut != "" || *muxOut != "" || *epochOut != "" {
-		if *jsonOut != "" {
-			rep, err := experiments.BenchJSON(o)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "aikido-bench: json: %v\n", err)
-				os.Exit(1)
-			}
-			out := openOut(*jsonOut)
-			if out != os.Stdout {
-				defer out.Close()
-			}
-			if err := experiments.WriteBenchJSON(out, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "aikido-bench: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *muxOut != "" {
-			rep, err := experiments.MuxJSON(o)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "aikido-bench: muxjson: %v\n", err)
-				os.Exit(1)
-			}
-			out := openOut(*muxOut)
-			if out != os.Stdout {
-				defer out.Close()
-			}
-			if err := experiments.WriteMuxJSON(out, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "aikido-bench: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *epochOut != "" {
-			rep, err := experiments.EpochJSON(o)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "aikido-bench: epochjson: %v\n", err)
-				os.Exit(1)
-			}
-			out := openOut(*epochOut)
-			if out != os.Stdout {
-				defer out.Close()
-			}
-			if err := experiments.WriteEpochJSON(out, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "aikido-bench: %v\n", err)
-				os.Exit(1)
-			}
 		}
 		return
 	}

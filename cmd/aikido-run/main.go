@@ -209,6 +209,7 @@ func run(args []string) int {
 			m, cfg.Analyses, *scale, rep.Workers)
 		fmt.Printf("%-15s %14s %14s %14s %14s %9s %9s\n",
 			"benchmark", "cycles", "instructions", "mem refs", "instrumented", "shared%", "findings")
+		var cycles, instrs, memRefs, instrumented uint64
 		total := 0
 		for _, c := range rep.Cells {
 			res := c.Res
@@ -220,11 +221,14 @@ func run(args []string) int {
 			fmt.Printf("%-15s %14d %14d %14d %14d %8.2f%% %9d\n",
 				c.Spec.Label, res.Cycles, res.Engine.Instructions, res.Engine.MemRefs,
 				res.Engine.InstrumentedExecs, 100*res.SharedAccessFraction(), res.TotalFindings())
+			cycles += res.Cycles
+			instrs += res.Engine.Instructions
+			memRefs += res.Engine.MemRefs
+			instrumented += res.Engine.InstrumentedExecs
 			total += res.TotalFindings()
 		}
-		t := rep.Totals
 		fmt.Printf("%-15s %14d %14d %14d %14d %9s %9d\n",
-			"total", t.Cycles, t.Instructions, t.MemRefs, t.InstrumentedExecs, "", total)
+			"total", cycles, instrs, memRefs, instrumented, "", total)
 		if printFindings {
 			for _, c := range rep.Cells {
 				if c.Res == nil {

@@ -34,7 +34,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/dbi"
-	"repro/internal/fasttrack"
 	"repro/internal/faultinject"
 	"repro/internal/guest"
 	"repro/internal/hypervisor"
@@ -581,13 +580,6 @@ func Run(prog *isa.Program, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return s.Run()
-}
-
-// TallyCounters implements stats.RunCounters, exposing the aggregate
-// counters the concurrent runner's per-worker tallies sum over.
-func (r *Result) TallyCounters() (cycles, instructions, memRefs, instrumented, shared, races uint64) {
-	return r.Cycles, r.Engine.Instructions, r.Engine.MemRefs,
-		r.Engine.InstrumentedExecs, r.SD.SharedPageAccesses, uint64(len(fasttrack.RacesIn(r.Findings)))
 }
 
 // SharedAccessFraction is Figure 6's metric: the fraction of all memory-

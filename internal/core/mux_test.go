@@ -124,8 +124,8 @@ func TestMuxEquivalenceOnParsec(t *testing.T) {
 // mux itself charges nothing, so a multiplexed run's cycles over the
 // no-analysis floor must equal the SUM of each member's single-run cycles
 // over the same floor. (Equivalently: one multiplexed pass saves exactly
-// N-1 guest executions' worth of DBI+sharing work — the amortization
-// BENCH_3.json snapshots.)
+// N-1 guest executions' worth of DBI+sharing work — the amortization the
+// muxbench experiment reports and TestDetectorGolden's mux cells pin.)
 func TestMuxCycleAdditivity(t *testing.T) {
 	prog := sharedProgram(120, false)
 	for _, mode := range []Mode{ModeFastTrackFull, ModeAikidoFastTrack} {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/parsec"
 	"repro/internal/runner"
+	"repro/internal/sharing"
 )
 
 // ChaosMaxCycles is the simulated-cycle budget stamped on every chaos
@@ -40,7 +41,6 @@ type ChaosRow struct {
 
 // ChaosReport is the chaos sweep's machine-readable document.
 type ChaosReport struct {
-	Schema string `json:"schema"` // "aikido-chaos/v1"
 	// Plan is the canonical rendering of the executed plan ("" = empty:
 	// the sweep then checks pure-overhead byte-identity instead).
 	Plan    string  `json:"plan"`
@@ -85,7 +85,7 @@ func (o Options) chaosSpecs(plan *faultinject.Plan, stamp bool) []runner.Spec {
 	}
 	epochCfg := core.DefaultConfig(core.ModeAikidoFastTrack)
 	epochCfg.Analyses = o.Analyses
-	epochCfg.Epoch = o.epochPolicy()
+	epochCfg.Epoch = sharing.DefaultEpochPolicy()
 	if stamp {
 		epochCfg.Chaos = plan
 		epochCfg.MaxCycles = ChaosMaxCycles
@@ -152,7 +152,6 @@ func ChaosSweep(o Options, planStr string) (*ChaosReport, error) {
 	}
 
 	r := &ChaosReport{
-		Schema:      "aikido-chaos/v1",
 		Plan:        plan.String(),
 		Scale:       o.Scale,
 		Workers:     o.Workers,

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"reflect"
@@ -40,9 +39,6 @@ type EpochRow struct {
 	FindingsIdentical bool `json:"findings_identical"`
 	// Races is the race count of the epoch-on run.
 	Races int `json:"races"`
-	// Wall-clock per cell (zeroed by -deterministic).
-	BaselineWallNS int64 `json:"baseline_wall_ns"`
-	EpochWallNS    int64 `json:"epoch_wall_ns"`
 }
 
 // epochCase is one suite entry: a workload source built by a generator.
@@ -54,7 +50,8 @@ type epochCase struct {
 // epochSuite is the phased/migratory/false-sharing workload matrix the
 // epochs experiment sweeps. The false-sharing row is the control: its
 // pages are never single-owner, demotion must not fire, and its speedup
-// should sit at ~1.0x.
+// should sit at ~1.0x. core's TestDetectorGolden repeats these specs at
+// scale 1, so a change here regenerates the golden.
 func epochSuite(o Options) []epochCase {
 	phased := func(name string, stride, writePct, pagesPerPart int) workload.PhasedSpec {
 		return workload.PhasedSpec{
@@ -77,23 +74,20 @@ func epochSuite(o Options) []epochCase {
 	}
 }
 
-// epochPolicy resolves the demotion policy the experiment (and the
-// -epoch flags) use.
-func (o Options) epochPolicy() sharing.EpochPolicy { return sharing.DefaultEpochPolicy() }
-
 // Epochs measures epoch-based re-privatization on the phased/migratory
 // workload suite: per workload, one Aikido cell with the terminal-Shared
 // baseline and one with demotion enabled, sharded across the runner pool
 // like every other experiment. Beyond the speedup it checks the
 // correctness half: every selected analysis must render identical
-// findings in both runs.
+// findings in both runs. TestDetectorGolden pins both runs of every
+// workload at scale 1.
 func Epochs(o Options) ([]EpochRow, error) {
 	o = o.normalize()
 	suite := epochSuite(o)
 	base := core.DefaultConfig(core.ModeAikidoFastTrack)
 	base.Analyses = o.Analyses
 	epoch := base
-	epoch.Epoch = o.epochPolicy()
+	epoch.Epoch = sharing.DefaultEpochPolicy()
 
 	var specs []runner.Spec
 	for _, c := range suite {
@@ -108,7 +102,7 @@ func Epochs(o Options) ([]EpochRow, error) {
 	var rows []EpochRow
 	for i, c := range suite {
 		b, e := cells[2*i].Res, cells[2*i+1].Res
-		row := EpochRow{
+		rows = append(rows, EpochRow{
 			Name:                   c.name,
 			BaselineCycles:         b.Cycles,
 			EpochCycles:            e.Cycles,
@@ -122,13 +116,7 @@ func Epochs(o Options) ([]EpochRow, error) {
 			EpochSharedAccesses:    e.SD.SharedPageAccesses,
 			FindingsIdentical:      findingsIdentical(b, e),
 			Races:                  len(races(e)),
-			BaselineWallNS:         cells[2*i].Wall.Nanoseconds(),
-			EpochWallNS:            cells[2*i+1].Wall.Nanoseconds(),
-		}
-		if o.Deterministic {
-			row.BaselineWallNS, row.EpochWallNS = 0, 0
-		}
-		rows = append(rows, row)
+		})
 	}
 	return rows, nil
 }
@@ -167,52 +155,4 @@ func WriteEpochs(w io.Writer, rows []EpochRow) {
 		speedups = append(speedups, r.CycleSpeedup)
 	}
 	fmt.Fprintf(w, "geomean cycle speedup: %.2fx\n", stats.Geomean(speedups))
-}
-
-// EpochReport is the BENCH_4.json document: the epoch re-privatization
-// trajectory snapshot.
-type EpochReport struct {
-	Schema string  `json:"schema"` // "aikido-epoch-bench/v1"
-	Scale  float64 `json:"scale"`
-	// Policy records the demotion policy the rows ran under.
-	Policy struct {
-		IntervalCycles uint64 `json:"interval_cycles"`
-		DemoteAfter    uint8  `json:"demote_after"`
-		QuietAfter     uint8  `json:"quiet_after"`
-		MinOwnerHits   uint32 `json:"min_owner_hits"`
-	} `json:"policy"`
-	Geomean           float64    `json:"geomean_cycle_speedup_x"`
-	FindingsIdentical bool       `json:"findings_identical"`
-	Rows              []EpochRow `json:"rows"`
-}
-
-// EpochJSON runs the epochs experiment and packages it as a
-// machine-readable report.
-func EpochJSON(o Options) (*EpochReport, error) {
-	rows, err := Epochs(o)
-	if err != nil {
-		return nil, err
-	}
-	o = o.normalize()
-	rep := &EpochReport{Schema: "aikido-epoch-bench/v1", Scale: o.Scale, Rows: rows}
-	p := o.epochPolicy()
-	rep.Policy.IntervalCycles = p.Interval
-	rep.Policy.DemoteAfter = p.DemoteAfter
-	rep.Policy.QuietAfter = p.QuietAfter
-	rep.Policy.MinOwnerHits = p.MinOwnerHits
-	rep.FindingsIdentical = true
-	var speedups []float64
-	for _, r := range rows {
-		speedups = append(speedups, r.CycleSpeedup)
-		rep.FindingsIdentical = rep.FindingsIdentical && r.FindingsIdentical
-	}
-	rep.Geomean = stats.Geomean(speedups)
-	return rep, nil
-}
-
-// WriteEpochJSON renders the report as indented JSON.
-func WriteEpochJSON(w io.Writer, rep *EpochReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }

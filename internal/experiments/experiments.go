@@ -24,6 +24,7 @@ import (
 	"repro/internal/parsec"
 	"repro/internal/runner"
 	"repro/internal/sampler"
+	"repro/internal/sharing"
 	"repro/internal/stats"
 )
 
@@ -37,10 +38,6 @@ type Options struct {
 	// Workers is the runner pool size for the experiment sweep
 	// (0 = runtime.NumCPU()). Results are identical at any value.
 	Workers int
-	// Deterministic zeroes wall-clock fields in machine-readable reports
-	// so the bytes depend only on simulated metrics. The CI equivalence
-	// leg uses this to diff -workers 1 against -workers 8.
-	Deterministic bool
 	// Analyses overrides the analysis selection for every
 	// analysis-bearing cell (registry names; nil = the default FastTrack
 	// configuration). Multiple names multiplex onto each cell's single
@@ -129,7 +126,7 @@ func (o Options) modeCells(b parsec.Benchmark) []runner.Spec {
 			cfg.Analyses = o.Analyses
 		}
 		if o.Epoch && m.mode == core.ModeAikidoFastTrack {
-			cfg.Epoch = o.epochPolicy()
+			cfg.Epoch = sharing.DefaultEpochPolicy()
 		}
 		specs[i] = cell(b, m.label, cfg)
 	}

@@ -10,24 +10,22 @@ import (
 )
 
 // BenchRecord is one (model, mode) measurement in a machine-readable bench
-// report: simulator wall-clock plus the paper's simulated metrics.
+// report: the paper's simulated metrics.
 type BenchRecord struct {
 	Name      string  `json:"name"`       // PARSEC model
 	Mode      string  `json:"mode"`       // "FastTrack" or "Aikido"
-	WallNS    int64   `json:"wall_ns"`    // simulator wall-clock for one run (0 in deterministic reports)
 	Cycles    uint64  `json:"cycles"`     // simulated cycles
 	SlowdownX float64 `json:"slowdown_x"` // vs native (Figure 5 metric)
 	SharedPct float64 `json:"shared_pct"` // shared-access % (Figure 6 metric)
 	Races     int     `json:"races"`      // reported races
 }
 
-// BenchReport is the document emitted by `aikido-bench -json`. Checked-in
-// snapshots follow the BENCH_<n>.json convention (one per PR that claims a
-// performance change), giving the repository a perf trajectory.
+// BenchReport is the document emitted by `aikido-bench -json`. It carries
+// simulated results only, so its bytes are a pure function of the options.
 //
 // The worker count is deliberately absent: a report produced at -workers 8
-// must be byte-identical to one produced at -workers 1 (modulo wall_ns,
-// which -deterministic zeroes), and CI diffs exactly that.
+// must be byte-identical to one produced at -workers 1, and CI diffs
+// exactly that.
 type BenchReport struct {
 	Schema           string        `json:"schema"` // "aikido-bench/v1"
 	Scale            float64       `json:"scale"`
@@ -37,11 +35,8 @@ type BenchReport struct {
 }
 
 // BenchJSON shards the Figure 5 workload matrix across the runner pool,
-// one cell per (model, mode) with wall-clock timing, and reconciles the
-// machine-readable report in canonical matrix order. With
-// o.Deterministic, wall_ns fields are zeroed so the report bytes depend
-// only on simulated metrics and therefore diff clean across worker
-// counts.
+// one cell per (model, mode), and reconciles the machine-readable report
+// in canonical matrix order.
 func BenchJSON(o Options) (*BenchReport, error) {
 	o = o.normalize()
 	rep := &BenchReport{Schema: "aikido-bench/v1", Scale: o.Scale}
@@ -61,15 +56,10 @@ func BenchJSON(o Options) (*BenchReport, error) {
 		for j, sm := range sweepModes[1:] {
 			label := sm.label
 			m := cells[stride*i+1+j]
-			wall := m.Wall.Nanoseconds()
-			if o.Deterministic {
-				wall = 0
-			}
 			slow := m.Res.Slowdown(native)
 			rep.Records = append(rep.Records, BenchRecord{
 				Name:      b.Name,
 				Mode:      label,
-				WallNS:    wall,
 				Cycles:    m.Res.Cycles,
 				SlowdownX: slow,
 				SharedPct: 100 * m.Res.SharedAccessFraction(),

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -23,8 +22,6 @@ type MuxRow struct {
 	MuxCycles            uint64 `json:"mux_cycles"`
 	SequentialExecutions uint64 `json:"sequential_instructions"`
 	MuxExecutions        uint64 `json:"mux_instructions"`
-	SequentialWallNS     int64  `json:"sequential_wall_ns"`
-	MuxWallNS            int64  `json:"mux_wall_ns"`
 	// CycleSpeedup is SequentialCycles / MuxCycles (>1 = the mux wins).
 	CycleSpeedup float64 `json:"cycle_speedup_x"`
 }
@@ -38,7 +35,8 @@ var muxAmortizationSet = []string{"fasttrack", "lockset", "atomicity", "commgrap
 // one multiplexed pass. The mux executes the guest (and pays DBI,
 // sharing detection, page protection and mirror redirection) once instead
 // of N times; only the per-analysis metadata work remains N-fold. This is
-// the registry refactor's headline number and the BENCH_3.json snapshot.
+// the registry refactor's headline number; TestDetectorGolden pins every
+// run behind it at scale 1.
 func MuxAmortization(o Options) ([]MuxRow, error) {
 	o = o.normalize()
 	benches := parsec.All()
@@ -64,15 +62,10 @@ func MuxAmortization(o Options) ([]MuxRow, error) {
 			m := cells[stride*i+j]
 			row.SequentialCycles += m.Res.Cycles
 			row.SequentialExecutions += m.Res.Engine.Instructions
-			row.SequentialWallNS += m.Wall.Nanoseconds()
 		}
 		mux := cells[stride*i+len(muxAmortizationSet)]
 		row.MuxCycles = mux.Res.Cycles
 		row.MuxExecutions = mux.Res.Engine.Instructions
-		row.MuxWallNS = mux.Wall.Nanoseconds()
-		if o.Deterministic {
-			row.SequentialWallNS, row.MuxWallNS = 0, 0
-		}
 		row.CycleSpeedup = stats.Ratio(row.SequentialCycles, row.MuxCycles)
 		rows = append(rows, row)
 	}
@@ -97,36 +90,4 @@ func WriteMuxAmortization(w io.Writer, rows []MuxRow) {
 	}
 	fmt.Fprintf(w, "geomean cycle speedup: %.2fx (guest executed once instead of %d times)\n",
 		stats.Geomean(speedups), n)
-}
-
-// MuxReport is the BENCH_3.json document: the registry refactor's
-// amortization trajectory snapshot.
-type MuxReport struct {
-	Schema  string   `json:"schema"` // "aikido-mux-bench/v1"
-	Scale   float64  `json:"scale"`
-	Geomean float64  `json:"geomean_cycle_speedup_x"`
-	Rows    []MuxRow `json:"rows"`
-}
-
-// MuxJSON runs the amortization experiment and packages it as a
-// machine-readable report.
-func MuxJSON(o Options) (*MuxReport, error) {
-	rows, err := MuxAmortization(o)
-	if err != nil {
-		return nil, err
-	}
-	rep := &MuxReport{Schema: "aikido-mux-bench/v1", Scale: o.normalize().Scale, Rows: rows}
-	var speedups []float64
-	for _, r := range rows {
-		speedups = append(speedups, r.CycleSpeedup)
-	}
-	rep.Geomean = stats.Geomean(speedups)
-	return rep, nil
-}
-
-// WriteMuxJSON renders the report as indented JSON.
-func WriteMuxJSON(w io.Writer, rep *MuxReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }

@@ -11,10 +11,7 @@ import (
 // single-analysis passes, and it executes the guest exactly once instead
 // of N times.
 func TestMuxAmortization(t *testing.T) {
-	o := DefaultOptions()
-	o.Scale = 0.25
-	o.Deterministic = true
-	rows, err := MuxAmortization(o)
+	rows, err := MuxAmortization(Options{Scale: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,29 +29,11 @@ func TestMuxAmortization(t *testing.T) {
 			t.Errorf("%s: executions %d, want exactly %d× the mux's %d",
 				r.Name, r.SequentialExecutions, n, r.MuxExecutions)
 		}
-		if r.SequentialWallNS != 0 || r.MuxWallNS != 0 {
-			t.Errorf("%s: deterministic report carries wall-clock", r.Name)
-		}
 	}
 	var buf bytes.Buffer
 	WriteMuxAmortization(&buf, rows)
 	if !strings.Contains(buf.String(), "geomean cycle speedup") {
 		t.Error("rendering incomplete")
-	}
-
-	rep, err := MuxJSON(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Schema != "aikido-mux-bench/v1" || rep.Geomean <= 1 {
-		t.Errorf("report schema/geomean: %q %.2f", rep.Schema, rep.Geomean)
-	}
-	buf.Reset()
-	if err := WriteMuxJSON(&buf, rep); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "\"geomean_cycle_speedup_x\"") {
-		t.Error("json rendering incomplete")
 	}
 }
 
@@ -62,7 +41,7 @@ func TestMuxAmortization(t *testing.T) {
 // default single-analysis report byte-identical when the selection names
 // the default explicitly (the CI mux-equivalence leg in miniature).
 func TestBenchJSONAnalysesOverride(t *testing.T) {
-	base := Options{Scale: 0.1, Workers: 2, Deterministic: true}
+	base := Options{Scale: 0.1, Workers: 2}
 	def, err := BenchJSON(base)
 	if err != nil {
 		t.Fatal(err)

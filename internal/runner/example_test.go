@@ -37,7 +37,7 @@ func ExampleSweep() {
 		fmt.Printf("%s: %.2fx vs native, %d races\n",
 			c.Spec.Label, c.Res.Slowdown(native), len(fasttrack.RacesIn(c.Res.Findings)))
 	}
-	fmt.Println("cells swept:", rep.Totals.Runs)
+	fmt.Println("cells swept:", len(rep.Cells))
 	// Output:
 	// vips/FastTrack: 51.00x vs native, 0 races
 	// vips/Aikido-FastTrack: 40.85x vs native, 0 races

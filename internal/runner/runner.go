@@ -4,8 +4,7 @@
 // worker goroutines while keeping the output bit-for-bit identical to a
 // sequential run.
 //
-// The determinism contract has three legs, mirroring the per-worker
-// sharded-state idiom of Doppel (narula/ddtxn):
+// The determinism contract has two legs:
 //
 //   - Isolation: every cell compiles its own guest program and assembles
 //     its own core.System, so no shadow state, clock, or detector is
@@ -13,23 +12,19 @@
 //     pure function of the workload spec (deterministic per-configuration
 //     seeding), so a cell's result depends only on the cell, never on
 //     which worker ran it or when.
-//   - Lock-free accumulation: each worker owns a private stats.Tally and
-//     writes each cell's result into that cell's own slot of the dense
-//     result slice; no mutexes or channels appear anywhere on the
-//     measurement path (dispatch is one atomic fetch-add per cell).
-//   - Deterministic reconciliation: after the pool joins, per-worker
-//     tallies are merged with order-independent integer sums and derived
-//     metrics (slowdowns, geomeans) are computed by the caller in
-//     canonical spec order from the dense slice — so the merged report is
-//     byte-identical for any worker count and any GOMAXPROCS.
+//   - Deterministic reconciliation: each worker writes each cell's result
+//     into that cell's own slot of the dense result slice (dispatch is one
+//     atomic fetch-add per cell), and derived metrics (slowdowns,
+//     geomeans) are computed by the caller in canonical spec order from
+//     that slice — so the report is byte-identical for any worker count
+//     and any GOMAXPROCS.
 //
 // Workers pull cells from an atomic work queue rather than by fixed
 // stride: experiment matrices repeat a [native, FastTrack, Aikido] mode
 // pattern, and a stride that shares a factor with the pattern period
 // would hand one worker every expensive cell. Which worker runs a cell
-// can never affect the output — results land at the cell's index and
-// tallies merge order-independently — so dynamic assignment costs no
-// determinism.
+// can never affect the output — results land at the cell's index — so
+// dynamic assignment costs no determinism.
 //
 // The same isolation property underwrites fault containment: every cell
 // runs under a recover() boundary (runCell), so a panicking analysis or
@@ -52,7 +47,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -80,10 +74,6 @@ type Measurement struct {
 	Spec Spec
 	// Res carries every layer's simulated statistics for the run.
 	Res *core.Result
-	// Wall is the simulator's wall-clock time for this cell. It is the
-	// only nondeterministic field; consumers that need byte-identical
-	// reports must omit or zero it (experiments.Options.Deterministic).
-	Wall time.Duration
 }
 
 // Options configures a sweep.
@@ -197,17 +187,13 @@ type Report struct {
 	// fail-fast path it holds the failures that had been recorded when
 	// the pool drained (always including the one returned as the error).
 	Failed []*CellError
-	// Totals is the merge of the per-worker tallies: order-independent
-	// sums over every completed cell.
-	Totals stats.Tally
 	// Workers is the pool size actually used.
 	Workers int
 }
 
 // Sweep executes every cell of specs on a worker pool and reconciles the
-// per-worker shards into a Report. The Report (minus wall-clock) is
-// byte-identical for any worker count; see the package comment for the
-// determinism contract.
+// results into a Report. The Report is byte-identical for any worker
+// count; see the package comment for the determinism contract.
 //
 // Failure handling: every cell runs under a recover() that converts
 // panics into typed *CellError values, so a panicking detector or an
@@ -233,19 +219,17 @@ func Sweep(specs []Spec, opt Options) (*Report, error) {
 
 	cells := make([]Measurement, len(specs))
 	errs := make([]*CellError, len(specs))
-	tallies := make([]stats.Tally, workers)
 
 	var next atomic.Int64
 	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			tally := &tallies[w]
 			// Dynamic queue: claim the next unclaimed cell. Each write
-			// below touches only the claimed cell's slot and this
-			// worker's private tally — no locks on the measurement path.
+			// below touches only the claimed cell's slot — no locks on
+			// the measurement path.
 			for opt.KeepGoing || !failed.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= len(specs) {
@@ -284,19 +268,14 @@ func Sweep(specs []Spec, opt Options) (*Report, error) {
 					continue
 				}
 				cells[i] = m
-				tally.Add(m.Res, m.Wall)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 
-	// Reconciliation: order-independent merge of the worker shards, then
-	// failures collected in canonical spec order (scheduling cannot
-	// change which failure is first).
+	// Reconciliation: failures collected in canonical spec order
+	// (scheduling cannot change which failure is first).
 	rep := &Report{Cells: cells, Workers: workers}
-	for w := range tallies {
-		rep.Totals.Merge(tallies[w])
-	}
 	for _, cerr := range errs {
 		if cerr != nil {
 			rep.Failed = append(rep.Failed, cerr)
@@ -338,12 +317,11 @@ func runCell(i int, s Spec, opt Options) (m Measurement, cerr *CellError) {
 	if opt.CellDeadline > 0 && cfg.MaxWall == 0 {
 		cfg.MaxWall = opt.CellDeadline
 	}
-	start := time.Now()
 	res, err := core.Run(prog, cfg)
 	if err != nil {
 		return Measurement{}, &CellError{Index: i, Label: s.Label, Kind: classify(err), Err: err}
 	}
-	return Measurement{Spec: s, Res: res, Wall: time.Since(start)}, nil
+	return Measurement{Spec: s, Res: res}, nil
 }
 
 // classify maps a run error to its failure kind: typed budget errors are

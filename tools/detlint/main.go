@@ -3,9 +3,10 @@
 // disassembly must be byte-identical run to run — so the patterns that
 // most often smuggle nondeterminism into Go code are banned outright:
 //
-//   - time.Now / time.Since anywhere outside internal/runner (the one
-//     package that legitimately measures wall clock, and whose
-//     measurements are explicitly excluded from deterministic reports).
+//   - time.Now / time.Since anywhere. No report reads the host clock;
+//     the simulated clock is the only time a result may depend on. The
+//     few deliberate reads (a wall-clock safety budget, the benchmark's
+//     own timer) each carry a //detlint:ok comment.
 //   - Package-level math/rand calls (rand.Intn, rand.Shuffle, ...),
 //     which draw from the global, unseeded source. Constructing an
 //     explicitly seeded generator (rand.New, rand.NewSource,
@@ -110,8 +111,6 @@ func lintFile(path string) ([]finding, error) {
 	timeName, randName := importNames(file)
 	mapVars := declaredMapVars(file)
 	sorted := sanitizedRanges(file)
-	// internal/runner owns wall-clock measurement by design.
-	wallExempt := strings.Contains(filepath.ToSlash(path), "internal/runner/")
 
 	var out []finding
 	report := func(pos token.Pos, msg string) {
@@ -134,9 +133,9 @@ func lintFile(path string) ([]finding, error) {
 				return true
 			}
 			switch {
-			case pkg.Name == timeName && (sel.Sel.Name == "Now" || sel.Sel.Name == "Since") && !wallExempt:
+			case pkg.Name == timeName && (sel.Sel.Name == "Now" || sel.Sel.Name == "Since"):
 				report(n.Pos(), fmt.Sprintf(
-					"time.%s outside internal/runner breaks deterministic replay; plumb the simulated clock or move the measurement into the runner",
+					"time.%s breaks deterministic replay; plumb the simulated clock, or mark a deliberate host-clock read with //detlint:ok <reason>",
 					sel.Sel.Name))
 			case pkg.Name == randName && !seededConstructor(sel.Sel.Name):
 				report(n.Pos(), fmt.Sprintf(

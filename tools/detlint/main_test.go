@@ -53,14 +53,18 @@ func g(s time.Time) time.Duration { return time.Since(s) }
 	wantFinding(t, msgs, "time.Since")
 }
 
-func TestWallClockExemptInRunner(t *testing.T) {
+// TestWallClockForbiddenInRunner: the runner has no wall-clock exemption;
+// only a //detlint:ok line comment allows a host-clock read.
+func TestWallClockForbiddenInRunner(t *testing.T) {
 	src := `package runner
 import "time"
 func f() time.Time { return time.Now() }
 `
-	if msgs := lintSource(t, "internal/runner/runner.go", src); len(msgs) != 0 {
-		t.Errorf("internal/runner should be exempt, got %v", msgs)
+	msgs := lintSource(t, "internal/runner/runner.go", src)
+	if len(msgs) != 1 {
+		t.Fatalf("want 1 finding, got %v", msgs)
 	}
+	wantFinding(t, msgs, "time.Now")
 }
 
 func TestAliasedImportStillCaught(t *testing.T) {
