@@ -1,11 +1,14 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"repro/internal/fasttrack"
 	"repro/internal/isa"
 	"repro/internal/sharing"
+	"repro/internal/vm"
 )
 
 // privateProgram: two threads, each hammering its own private array.
@@ -123,6 +126,50 @@ func TestAllModesProduceSameProgramResult(t *testing.T) {
 		res := mustRun(t, prog, mode)
 		if res.Console != want {
 			t.Errorf("%v: console = %q, want %q", mode, res.Console, want)
+		}
+	}
+}
+
+// TestPageStraddlingAccessAllModes stores 8 bytes at page end − k for
+// k = 1..7, loads them back and writes the loaded value to the console.
+// Every mode must split the access across the two pages and print the
+// stored bytes (the direct memory path of the native, dbi and FastTrack
+// modes used to hand the whole access to one frame, which panicked).
+func TestPageStraddlingAccessAllModes(t *testing.T) {
+	b := isa.NewBuilder("straddle")
+	area := b.Global(2*vm.PageSize, vm.PageSize)
+	out := b.Global(8, 8)
+	var want []byte
+	for k := uint64(1); k <= 7; k++ {
+		v := 0x0807060504030201 + k*0x1010101010101010
+		b.MovImm(isa.R1, int64(v))
+		b.MovImm(isa.R2, int64(area+vm.PageSize-k))
+		b.Store(isa.R2, 0, isa.R1)
+		b.Load(isa.R3, isa.R2, 0)
+		b.StoreAbs(out, isa.R3)
+		b.MovImm(isa.R0, int64(out))
+		b.MovImm(isa.R1, 8)
+		b.Syscall(isa.SysWrite)
+		want = binary.LittleEndian.AppendUint64(want, v)
+	}
+	b.Halt()
+	prog := b.MustFinish()
+
+	for _, mode := range []Mode{ModeNative, ModeDBI, ModeFastTrackFull, ModeAikidoFastTrack, ModeAikidoProfile} {
+		res, err := func() (res *Result, err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("panic: %v", r)
+				}
+			}()
+			return Run(prog, DefaultConfig(mode))
+		}()
+		if err != nil {
+			t.Errorf("%v: %v", mode, err)
+			continue
+		}
+		if res.Console != string(want) {
+			t.Errorf("%v: console = % x, want % x", mode, res.Console, want)
 		}
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/pagetable"
 	"repro/internal/stats"
+	"repro/internal/vm"
 )
 
 // Memory is the engine's user-mode data access path — the hypervisor MMU in
@@ -239,6 +240,8 @@ func New(p *guest.Process, mem Memory, tool Tool, clock *stats.Clock, costs stat
 }
 
 // directMemory walks the guest page table with no hypervisor (native mode).
+// An access that straddles a page end is split the way Hypervisor.Access
+// splits it: both pages are walked before either half is performed.
 type directMemory struct{ p *guest.Process }
 
 func (d directMemory) Load(_ guest.TID, addr uint64, size uint8, _ bool) (uint64, *hypervisor.Fault) {
@@ -246,7 +249,15 @@ func (d directMemory) Load(_ guest.TID, addr uint64, size uint8, _ bool) (uint64
 	if fault != nil {
 		return 0, &hypervisor.Fault{Addr: addr, Access: pagetable.AccessRead, Unmapped: fault.Unmapped}
 	}
-	return d.p.M.ReadU(pte.Frame, addr&(1<<12-1), size), nil
+	off := vm.PageOff(addr)
+	if off+uint64(size) <= vm.PageSize {
+		return d.p.M.ReadU(pte.Frame, off, size), nil
+	}
+	hi, hfault := d.nextPage(addr, pagetable.AccessRead)
+	if hfault != nil {
+		return 0, hfault
+	}
+	return d.p.M.ReadSplit(pte.Frame, hi, off, size), nil
 }
 
 func (d directMemory) Store(_ guest.TID, addr uint64, size uint8, val uint64, _ bool) *hypervisor.Fault {
@@ -254,8 +265,28 @@ func (d directMemory) Store(_ guest.TID, addr uint64, size uint8, val uint64, _ 
 	if fault != nil {
 		return &hypervisor.Fault{Addr: addr, Access: pagetable.AccessWrite, Unmapped: fault.Unmapped}
 	}
-	d.p.M.WriteU(pte.Frame, addr&(1<<12-1), size, val)
+	off := vm.PageOff(addr)
+	if off+uint64(size) <= vm.PageSize {
+		d.p.M.WriteU(pte.Frame, off, size, val)
+		return nil
+	}
+	hi, hfault := d.nextPage(addr, pagetable.AccessWrite)
+	if hfault != nil {
+		return hfault
+	}
+	d.p.M.WriteSplit(pte.Frame, hi, off, size, val)
 	return nil
+}
+
+// nextPage walks the page after addr's, for the second half of a
+// straddling access. A fault there reports that page's base address.
+func (d directMemory) nextPage(addr uint64, a pagetable.Access) (vm.FrameID, *hypervisor.Fault) {
+	next := vm.PageBase(addr) + vm.PageSize
+	pte, fault := d.p.PT.Walk(next, a, true)
+	if fault != nil {
+		return vm.NoFrame, &hypervisor.Fault{Addr: next, Access: a, Unmapped: fault.Unmapped}
+	}
+	return pte.Frame, nil
 }
 
 // Flush removes every cached block containing pc. The next execution

@@ -1,6 +1,7 @@
 package guest
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/isa"
@@ -42,5 +43,29 @@ func TestLockHandoffNoAllocs(t *testing.T) {
 	}
 	if p.ContextSwitches == switches || p.LockContentions == 0 {
 		t.Fatal("no contention or context switch — the guard is vacuous")
+	}
+}
+
+// TestThreadStartHeapBytes pins demand-zero thread stacks: creating a
+// thread maps a 16-page stack, but pages nobody writes cost no frame.
+// Averaged over 64 threads whose stacks are never written, thread creation
+// allocates under 16 KiB of heap per thread; backing each stack page with
+// its own frame up front costs more than 64 KiB.
+func TestThreadStartHeapBytes(t *testing.T) {
+	b := isa.NewBuilder("spawn")
+	b.Nop().Halt()
+	p := newProc(t, b.MustFinish())
+	main := p.Current()
+	const threads = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < threads; i++ {
+		p.newThread(0, 0, main.ID)
+	}
+	runtime.ReadMemStats(&after)
+	perThread := float64(after.TotalAlloc-before.TotalAlloc) / threads
+	t.Logf("thread creation allocates %.0f bytes per thread", perThread)
+	if perThread >= 16<<10 {
+		t.Errorf("thread creation allocates %.0f bytes per thread, want under %d", perThread, 16<<10)
 	}
 }

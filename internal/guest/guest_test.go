@@ -105,19 +105,31 @@ func TestBrkGrowth(t *testing.T) {
 
 func TestMapAliasSharesFrames(t *testing.T) {
 	p := newProc(t, tinyProgram(t))
-	base := p.Mmap(vm.PageSize, pagetable.ProtRW)
+	base := p.Mmap(2*vm.PageSize, pagetable.ProtRW)
 	orig := p.FindVMA(base)
 
 	mirror := p.MapAlias(orig, 0x5000_0000_0000, pagetable.ProtRW, VMAMirror, "mirror")
 	if mirror.Backing != orig.Backing {
 		t.Fatal("alias has its own backing")
 	}
-	// A write through one mapping is visible through the other.
+	// A write through one mapping is visible through the other. Neither
+	// page has been written, so the write is also the one that gives the
+	// demand-zero frame its page: page 0 first through the original,
+	// page 1 first through the mirror.
 	pte1, _ := p.PT.Walk(base, pagetable.AccessWrite, true)
 	p.M.WriteU(pte1.Frame, 8, 8, 0xabc)
 	pte2, _ := p.PT.Walk(mirror.Base, pagetable.AccessRead, true)
 	if v := p.M.ReadU(pte2.Frame, 8, 8); v != 0xabc {
 		t.Errorf("mirror read = %#x, want 0xabc", v)
+	}
+	mpte, _ := p.PT.Walk(mirror.Base+vm.PageSize, pagetable.AccessWrite, true)
+	p.M.WriteU(mpte.Frame, 24, 8, 0xdef)
+	opte, _ := p.PT.Walk(base+vm.PageSize, pagetable.AccessRead, true)
+	if v := p.M.ReadU(opte.Frame, 24, 8); v != 0xdef {
+		t.Errorf("original read of the mirror's write = %#x, want 0xdef", v)
+	}
+	if v := p.M.ReadU(opte.Frame, 16, 8); v != 0 {
+		t.Errorf("unwritten bytes of page 1 read %#x, want 0", v)
 	}
 	// Unmapping the original must not free shared frames.
 	if err := p.Munmap(base); err != nil {

@@ -465,20 +465,15 @@ func (h *Hypervisor) Access(tid guest.TID, addr uint64, size uint8, a pagetable.
 	if fault != nil {
 		return 0, fault
 	}
-	f2, o2, fault := h.Translate(tid, addr+first, a, user)
+	f2, _, fault := h.Translate(tid, addr+first, a, user)
 	if fault != nil {
 		return 0, fault
 	}
-	n1 := uint8(first)
-	n2 := size - n1
 	if a == pagetable.AccessWrite {
-		h.m.WriteU(f1, o1, n1, val)
-		h.m.WriteU(f2, o2, n2, val>>(8*n1))
+		h.m.WriteSplit(f1, f2, o1, size, val)
 		return 0, nil
 	}
-	lo := h.m.ReadU(f1, o1, n1)
-	hi := h.m.ReadU(f2, o2, n2)
-	return lo | hi<<(8*n1), nil
+	return h.m.ReadSplit(f1, f2, o1, size), nil
 }
 
 // Load is a user/kernel load via the MMU.

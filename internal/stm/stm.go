@@ -159,20 +159,46 @@ func (r *Runtime) setProt(vpn uint64, m *pageMeta) {
 // rawRead reads guest memory through the page table, bypassing all
 // protection (runtime-internal, like a kernel debugger read).
 func (r *Runtime) rawRead(addr uint64, size uint8) uint64 {
-	pte, ok := r.p.PT.Lookup(vm.PageNum(addr))
-	if !ok {
+	lo, hi, ok := r.rawFrames(addr, size)
+	switch {
+	case !ok:
 		return 0
+	case hi == vm.NoFrame:
+		return r.p.M.ReadU(lo, vm.PageOff(addr), size)
 	}
-	return r.p.M.ReadU(pte.Frame, vm.PageOff(addr), size)
+	return r.p.M.ReadSplit(lo, hi, vm.PageOff(addr), size)
 }
 
 // rawWrite is the write analogue of rawRead (undo-log rollback).
 func (r *Runtime) rawWrite(addr uint64, size uint8, val uint64) {
-	pte, ok := r.p.PT.Lookup(vm.PageNum(addr))
-	if !ok {
+	lo, hi, ok := r.rawFrames(addr, size)
+	switch {
+	case !ok:
+		return
+	case hi == vm.NoFrame:
+		r.p.M.WriteU(lo, vm.PageOff(addr), size, val)
 		return
 	}
-	r.p.M.WriteU(pte.Frame, vm.PageOff(addr), size, val)
+	r.p.M.WriteSplit(lo, hi, vm.PageOff(addr), size, val)
+}
+
+// rawFrames looks up the frame under addr and, when the size-byte access
+// straddles the page end, the next page's frame as hi (NoFrame otherwise).
+// Both pages are looked up before any side effect, as Hypervisor.Access
+// does; ok is false when either is unmapped.
+func (r *Runtime) rawFrames(addr uint64, size uint8) (lo, hi vm.FrameID, ok bool) {
+	pte, ok := r.p.PT.Lookup(vm.PageNum(addr))
+	if !ok {
+		return vm.NoFrame, vm.NoFrame, false
+	}
+	if vm.PageOff(addr)+uint64(size) <= vm.PageSize {
+		return pte.Frame, vm.NoFrame, true
+	}
+	next, ok := r.p.PT.Lookup(vm.PageNum(addr) + 1)
+	if !ok {
+		return vm.NoFrame, vm.NoFrame, false
+	}
+	return pte.Frame, next.Frame, true
 }
 
 // abort rolls back and releases a transaction (it stays formally active
@@ -251,6 +277,14 @@ func (r *Runtime) inRegion(addr uint64) bool {
 	return addr >= r.regionBase && addr < r.regionEnd
 }
 
+// secondPage returns the managed page holding the last byte of a
+// size-byte access at addr, when the access straddles into it. Such an
+// access holds both pages, so no half of it is visible mid-transaction.
+func (r *Runtime) secondPage(addr uint64, size uint8) (uint64, bool) {
+	end := addr + uint64(size) - 1
+	return vm.PageNum(end), vm.PageNum(end) != vm.PageNum(addr) && r.inRegion(end)
+}
+
 // PreAccess is the per-access barrier (dbi plan callback). It returns the
 // address at which the access should actually be performed.
 func (r *Runtime) PreAccess(tid guest.TID, pc isa.PC, addr uint64, size uint8, write bool) uint64 {
@@ -264,6 +298,9 @@ func (r *Runtime) PreAccess(tid guest.TID, pc isa.PC, addr uint64, size uint8, w
 		// form after faulting too often (§7.2).
 		if r.txAware[pc] {
 			r.resolveNonTx(vm.PageNum(addr))
+			if vpn, ok := r.secondPage(addr, size); ok {
+				r.resolveNonTx(vpn)
+			}
 			if maddr, ok := r.mir.Translate(addr); ok {
 				r.clock.Charge(r.costs.MirrorRedirect)
 				return maddr
@@ -285,6 +322,9 @@ func (r *Runtime) PreAccess(tid guest.TID, pc isa.PC, addr uint64, size uint8, w
 		return addr
 	}
 	r.own(tx, vm.PageNum(addr), write)
+	if vpn, ok := r.secondPage(addr, size); ok {
+		r.own(tx, vpn, write)
+	}
 	if write {
 		tx.undo = append(tx.undo, undoRec{addr: addr, size: size, old: r.rawRead(addr, size)})
 	}

@@ -230,6 +230,64 @@ func TestVacuousTxWithoutRuntime(t *testing.T) {
 	}
 }
 
+// TestStraddlingTxStore: a transactional 8-byte store at page end − 3
+// spans two pages of the managed region. While the transaction runs it
+// holds both pages for writing; committed, it leaves the stored value;
+// aborted, the undo log restores both halves exactly.
+func TestStraddlingTxStore(t *testing.T) {
+	const before, stored = 0x1122334455667788, 0x7a6b5c4d3e2f1001
+	for _, abort := range []bool{false, true} {
+		b := isa.NewBuilder("straddle-tx")
+		x := b.Global(2*vm.PageSize, vm.PageSize)
+		addr := x + vm.PageSize - 3
+		b.MovImm(rX, int64(addr))
+		b.MovImm(rV, before)
+		b.Store(rX, 0, rV) // pre-tx value
+		b.TxBegin()
+		b.MovImm(rV, stored)
+		b.Store(rX, 0, rV)
+		b.TxEnd()
+		b.Load(isa.R0, rX, 0)
+		b.Syscall(isa.SysExit)
+		s, err := New(b.MustFinish(), Config{Strong: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rtEnd := s.P.Hooks.TxEnd
+		held := 0
+		s.P.Hooks.TxEnd = func(th *guest.Thread) int64 {
+			tx := s.Rt.tx[th.ID]
+			for vpn := vm.PageNum(addr); vpn <= vm.PageNum(addr+7); vpn++ {
+				if m := s.Rt.pages[vpn]; m != nil && m.writer == tx {
+					held++
+				}
+			}
+			if abort {
+				s.Rt.abort(tx)
+			}
+			return rtEnd(th)
+		}
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantAborts, wantCommits := int64(stored), uint64(0), uint64(1)
+		if abort {
+			want, wantAborts, wantCommits = before, 1, 0
+		}
+		if res.ExitCode != want {
+			t.Errorf("abort=%v: value after TxEnd %#x, want %#x", abort, res.ExitCode, want)
+		}
+		if res.C.Aborts != wantAborts || res.C.Commits != wantCommits {
+			t.Errorf("abort=%v: aborts=%d commits=%d, want %d and %d",
+				abort, res.C.Aborts, res.C.Commits, wantAborts, wantCommits)
+		}
+		if held != 2 {
+			t.Errorf("abort=%v: transaction held %d of the store's 2 pages", abort, held)
+		}
+	}
+}
+
 // TestAbortRollsBackExactly: force an abort and check the memory state is
 // bitwise restored.
 func TestAbortRollsBackExactly(t *testing.T) {

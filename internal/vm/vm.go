@@ -6,9 +6,19 @@
 // machine frame handles. Two guest-virtual pages aliasing one frame — the
 // mechanism behind Aikido's mirror pages — is expressed simply by two page
 // table entries naming the same FrameID.
+//
+// Frames are demand-zero, like the anonymous memory of the Linux processes
+// Aikido runs: a freshly allocated FrameID costs no backing store until
+// its first write. Until then it names one shared zero page, which is
+// never written. The first write gives the ID its own page, in the ID's
+// own slot, so every mapping of the ID sees it. That coherence holds
+// because FrameIDs are the only frame handles that leave this package.
 package vm
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // PageShift is log2 of the page size. 4 KiB pages, as on x86-64.
 const PageShift = 12
@@ -26,8 +36,12 @@ type FrameID uint64
 // NoFrame is the invalid frame.
 const NoFrame FrameID = 0
 
-// Frame is the backing store of one physical page.
-type Frame [PageSize]byte
+// page is the backing store of one physical frame.
+type page [PageSize]byte
+
+// zeroPage backs every frame that has not been written yet. It is shared
+// by all machines and only ever read.
+var zeroPage page
 
 // Machine is the physical memory of the simulated host.
 // It is not safe for concurrent use; the simulator is single-goroutine by
@@ -37,25 +51,23 @@ type Machine struct {
 	// frames is indexed directly by FrameID: IDs are allocated
 	// sequentially and never reused, so the per-access frame resolution is
 	// one bounds-checked load instead of a map probe. Slot 0 (NoFrame) is
-	// permanently nil; freed frames leave nil holes.
-	frames []*Frame
+	// permanently nil; freed frames leave nil holes; a frame that was
+	// never written points at zeroPage.
+	frames []*page
 	live   int
-
-	// AllocCount counts frame allocations, for memory-footprint stats.
-	AllocCount uint64
 }
 
 // NewMachine returns an empty physical memory.
 func NewMachine() *Machine {
-	return &Machine{frames: make([]*Frame, 1, 64)}
+	return &Machine{frames: make([]*page, 1, 64)}
 }
 
-// AllocFrame allocates a zeroed physical frame.
+// AllocFrame allocates a frame that reads as zero. Its backing page is
+// allocated by the first write.
 func (m *Machine) AllocFrame() FrameID {
 	id := FrameID(len(m.frames))
-	m.frames = append(m.frames, new(Frame))
+	m.frames = append(m.frames, &zeroPage)
 	m.live++
-	m.AllocCount++
 	return id
 }
 
@@ -72,15 +84,24 @@ func (m *Machine) FreeFrame(id FrameID) {
 // Frames returns the number of live frames.
 func (m *Machine) Frames() int { return m.live }
 
-// frame returns the backing array, panicking on invalid frames: callers are
+// frame returns the backing page, panicking on invalid frames: callers are
 // the hypervisor/loader, which must never hold stale frame handles.
-func (m *Machine) frame(id FrameID) *Frame {
+func (m *Machine) frame(id FrameID) *page {
 	if uint64(id) < uint64(len(m.frames)) {
 		if f := m.frames[id]; f != nil {
 			return f
 		}
 	}
 	panic(fmt.Sprintf("vm: access to invalid frame %d", id))
+}
+
+// materialize gives a never-written frame its own zeroed page. Writers
+// call it only after their bounds checks pass, so a write that panics
+// leaves the frame as it was.
+func (m *Machine) materialize(id FrameID) *page {
+	f := new(page)
+	m.frames[id] = f
+	return f
 }
 
 // Read copies len(dst) bytes starting at off within frame id.
@@ -98,33 +119,91 @@ func (m *Machine) Write(id FrameID, off uint64, src []byte) {
 	if off+uint64(len(src)) > PageSize {
 		panic(fmt.Sprintf("vm: write crosses frame boundary: off %d len %d", off, len(src)))
 	}
+	if f == &zeroPage {
+		f = m.materialize(id)
+	}
 	copy(f[off:], src)
 }
 
-// ReadU reads an n-byte little-endian unsigned value (n ∈ {1,2,4,8}) at off.
-// The access must not cross the frame boundary; the MMU splits unaligned
-// guest accesses before they reach the machine.
+// ReadU reads an n-byte little-endian unsigned value at off. n is 1, 2, 4
+// or 8 for a whole guest access; the two halves of a page-straddling
+// access (ReadSplit) may have any width from 1 to 7. The access must not
+// cross the frame boundary; the MMU splits straddling guest accesses
+// before they reach the machine.
 func (m *Machine) ReadU(id FrameID, off uint64, n uint8) uint64 {
 	f := m.frame(id)
 	if off+uint64(n) > PageSize {
 		panic(fmt.Sprintf("vm: readU crosses frame boundary: off %d n %d", off, n))
 	}
+	b := f[off:]
+	switch n {
+	case 8:
+		return binary.LittleEndian.Uint64(b)
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b))
+	case 1:
+		return uint64(b[0])
+	}
 	var v uint64
 	for i := uint8(0); i < n; i++ {
-		v |= uint64(f[off+uint64(i)]) << (8 * i)
+		v |= uint64(b[i]) << (8 * i)
 	}
 	return v
 }
 
-// WriteU writes an n-byte little-endian unsigned value at off.
+// WriteU writes the low n bytes of v, little-endian, at off. Widths are
+// as for ReadU.
 func (m *Machine) WriteU(id FrameID, off uint64, n uint8, v uint64) {
 	f := m.frame(id)
 	if off+uint64(n) > PageSize {
 		panic(fmt.Sprintf("vm: writeU crosses frame boundary: off %d n %d", off, n))
 	}
-	for i := uint8(0); i < n; i++ {
-		f[off+uint64(i)] = byte(v >> (8 * i))
+	if f == &zeroPage {
+		f = m.materialize(id)
 	}
+	b := f[off:]
+	switch n {
+	case 8:
+		binary.LittleEndian.PutUint64(b, v)
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+	case 1:
+		b[0] = byte(v)
+	default:
+		for i := uint8(0); i < n; i++ {
+			b[i] = byte(v >> (8 * i))
+		}
+	}
+}
+
+// ReadSplit reads an n-byte little-endian value that starts at off in
+// frame lo and runs past the page end into the start of frame hi: the two
+// halves of a page-straddling guest access. Callers translate both pages
+// before calling it.
+func (m *Machine) ReadSplit(lo, hi FrameID, off uint64, n uint8) uint64 {
+	n1 := splitAt(off, n)
+	return m.ReadU(lo, off, n1) | m.ReadU(hi, 0, n-n1)<<(8*n1)
+}
+
+// WriteSplit is the store counterpart of ReadSplit. Both frames must be
+// valid: the half in lo is written before hi is checked.
+func (m *Machine) WriteSplit(lo, hi FrameID, off uint64, n uint8, v uint64) {
+	n1 := splitAt(off, n)
+	m.WriteU(lo, off, n1, v)
+	m.WriteU(hi, 0, n-n1, v>>(8*n1))
+}
+
+// splitAt returns how many of the n bytes at off fall before the page end,
+// panicking unless the access really straddles it.
+func splitAt(off uint64, n uint8) uint8 {
+	if off >= PageSize || off+uint64(n) <= PageSize {
+		panic(fmt.Sprintf("vm: split access does not straddle a page end: off %d n %d", off, n))
+	}
+	return uint8(PageSize - off)
 }
 
 // PageNum returns the virtual page number containing addr.
