@@ -395,15 +395,15 @@ func BenchmarkExtensionNondeterminator(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("spbags", func(b *testing.B) {
-		var rep *spbags.Report
+		var res *core.Result
 		for i := 0; i < b.N; i++ {
 			var err error
-			rep, err = spbags.Check(prog)
+			res, err = core.Run(prog, core.DefaultConfig(core.ModeFastTrackFull).WithAnalyses(spbags.Kind))
 			if err != nil {
 				b.Fatal(err)
 			}
 		}
-		b.ReportMetric(float64(len(rep.Races)), "races")
+		b.ReportMetric(float64(res.AnalysisFindings(spbags.Kind).Len()), "races")
 	})
 	b.Run("fasttrack", func(b *testing.B) {
 		var res *core.Result
@@ -533,8 +533,9 @@ func BenchmarkMemcheck(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	cfg := core.DefaultConfig(core.ModeFastTrackFull).WithAnalyses(memcheck.Kind)
 	for i := 0; i < b.N; i++ {
-		if _, _, err := memcheck.Run(prog); err != nil {
+		if _, err := core.Run(prog, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,7 +2,9 @@
 // Nondeterminator): a schedule-independent verdict for fork-join programs,
 // including the case that separates determinacy races from data races — a
 // lock-"protected" counter that FastTrack certifies race-free but whose
-// value still depends on the schedule.
+// value still depends on the schedule. SP-bags runs as the "spbags"
+// analysis of a fully instrumented core.System, which it switches to the
+// serial depth-first schedule.
 //
 // Run with:
 //
@@ -24,20 +26,21 @@ func check(label string, spec workload.ForkJoinSpec, note string) (spRaces, ftRa
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := spbags.Check(prog)
+	sp, err := core.Run(prog, core.DefaultConfig(core.ModeFastTrackFull).WithAnalyses(spbags.Kind))
 	if err != nil {
 		log.Fatal(err)
 	}
+	races := sp.AnalysisFindings(spbags.Kind).(*spbags.Findings).Races
 	ft, err := core.Run(prog, core.DefaultConfig(core.ModeFastTrackFull))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%-16s SP-bags: %3d   FastTrack: %3d   %s\n",
-		label, len(rep.Races), len(fasttrack.RacesIn(ft.Findings)), note)
-	if len(rep.Races) > 0 {
-		fmt.Printf("%-16s first report: %v\n", "", rep.Races[0])
+		label, len(races), len(fasttrack.RacesIn(ft.Findings)), note)
+	if len(races) > 0 {
+		fmt.Printf("%-16s first report: %v\n", "", races[0])
 	}
-	return len(rep.Races), len(fasttrack.RacesIn(ft.Findings))
+	return len(races), len(fasttrack.RacesIn(ft.Findings))
 }
 
 func main() {

@@ -1,7 +1,8 @@
 // Memory audit with the Umbra-hosted memory checker (paper §2.2, Dr.
 // Memory ref [8]): find an uninitialized read and a use-after-unmap in a
 // buggy guest program — the "finding memory usage errors" member of the
-// shadow-value tool family the Aikido paper builds on.
+// shadow-value tool family the Aikido paper builds on. The checker runs
+// as the "memcheck" analysis of a fully instrumented core.System.
 //
 // Run with:
 //
@@ -12,6 +13,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/memcheck"
 	"repro/internal/pagetable"
@@ -42,7 +44,13 @@ func buildBuggy() *isa.Program {
 
 func main() {
 	fmt.Println("=== memory audit (Umbra shadow-value tool, §2.2) ===")
-	c, res, err := memcheck.Run(buildBuggy())
+	s, err := core.NewSystem(buildBuggy(),
+		core.DefaultConfig(core.ModeFastTrackFull).WithAnalyses(memcheck.Kind))
+	if err != nil {
+		log.Fatal(err)
+	}
+	c := s.Analysis(memcheck.Kind).(*memcheck.Checker)
+	res, err := s.Run()
 	if err != nil {
 		// The use-after-unmap kills the guest, exactly as it would
 		// natively; the checker's report explains why.

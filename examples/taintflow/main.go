@@ -1,7 +1,9 @@
 // Taint tracking with an Umbra shadow map (paper §2.2, "tracking tainted
 // data"): follow untrusted input through registers, arithmetic, memory and
 // thread creation to an output sink — and confirm that laundering through
-// constants breaks the flow.
+// constants breaks the flow. The tracker runs as the "taint" analysis of
+// a fully instrumented core.System; its sources and sinks are set between
+// NewSystem and Run.
 //
 // Run with:
 //
@@ -12,6 +14,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/taint"
 	"repro/internal/vm"
@@ -42,15 +45,21 @@ func main() {
 	b.StoreAbs(output, isa.R1)       // tainted write into the sink
 	b.Halt()
 
-	tr, res, err := taint.Run(b.MustFinish(),
-		[]taint.Region{{Base: input, End: input + vm.PageSize}},
-		[]taint.Region{{Base: output, End: output + vm.PageSize}})
+	s, err := core.NewSystem(b.MustFinish(),
+		core.DefaultConfig(core.ModeFastTrackFull).WithAnalyses(taint.Kind))
+	if err != nil {
+		log.Fatal(err)
+	}
+	tr := s.Analysis(taint.Kind).(*taint.Tracker)
+	tr.AddSource(input, vm.PageSize)
+	tr.AddSink(output, vm.PageSize)
+	res, err := s.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("=== taint flow analysis (Umbra shadow-value tool, §2.2) ===")
-	fmt.Printf("guest exited %d after %d instructions\n\n", res.ExitCode, res.Counters.Instructions)
+	fmt.Printf("guest exited %d after %d instructions\n\n", res.ExitCode, res.Engine.Instructions)
 	flows := tr.Flows()
 	fmt.Printf("flows into the output buffer: %d\n", len(flows))
 	for _, f := range flows {

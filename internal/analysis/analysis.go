@@ -107,14 +107,15 @@ type Analysis interface {
 	Report() Findings
 }
 
-// Env is the context a Factory builds an analysis in. Clock and Costs are
-// always set; Process and Umbra are set when the factory runs inside an
-// assembled core.System (they are nil in bare harnesses, and factories
-// that require them must say so by returning an error).
+// Env is the context a Factory builds an analysis in. A core.System, the
+// one host of registry analyses, sets Clock, Costs and Process, and Umbra
+// in the modes that attach shadow memory. Factories that require a
+// facility the environment lacks say so by returning an error.
 type Env struct {
 	Clock *stats.Clock
 	Costs stats.CostModel
-	// Process is the guest process under analysis (nil outside a system).
+	// Process is the guest process under analysis. A factory may set its
+	// scheduling policy before the run starts (spbags does).
 	Process *guest.Process
 	// Umbra is the process's shadow-memory engine (nil outside a system,
 	// and in modes that do not attach shadow memory).

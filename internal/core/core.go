@@ -39,7 +39,6 @@ import (
 	"repro/internal/hypervisor"
 	"repro/internal/isa"
 	"repro/internal/mirror"
-	"repro/internal/pagetable"
 	"repro/internal/provider"
 	"repro/internal/sharing"
 	"repro/internal/stats"
@@ -99,7 +98,9 @@ type Config struct {
 	// the analysis registry ("fasttrack", "lockset", "atomicity",
 	// "commgraph", "sampled:<name>", "taint", "memcheck", "spbags", plus
 	// short aliases like "ft"). Multiple names multiplex onto one
-	// instrumented execution. nil selects DefaultAnalyses; an empty
+	// instrumented execution; a selection that includes "spbags" runs
+	// the guest under the serial depth-first schedule, which every member
+	// then observes. nil selects DefaultAnalyses; an empty
 	// non-nil slice runs no analysis at all (instrumentation without a
 	// client — the cost floor the mux-equivalence tests subtract).
 	Analyses []string
@@ -299,7 +300,7 @@ func NewSystem(prog *isa.Program, cfg Config) (*System, error) {
 		if s.inj != nil {
 			s.Prov = &chaosProvider{Interface: s.Prov, inj: s.inj}
 		}
-		p.SetBus(&kernelBus{prov: s.Prov})
+		p.SetBus(provider.KernelBus(s.Prov))
 		s.Um = umbra.Attach(p, clock, cfg.Costs)
 		s.Mir = mirror.Attach(p)
 		var client sharing.Analysis
@@ -475,31 +476,6 @@ func (f *fullTool) Instrument(pc isa.PC, in isa.Instr) *dbi.Plan {
 		return nil
 	}
 	return f.plan
-}
-
-// kernelBus adapts the protection provider to the guest kernel's memory
-// path. The provider resolves kernel accesses to protected pages its own
-// way — AikidoVM emulates the access (§3.2.6), the dOS kernel checks its
-// ownership table, the DTHREADS shim unprotects around it — and charges the
-// cost internally.
-type kernelBus struct {
-	prov provider.Interface
-}
-
-func (b *kernelBus) Load(tid guest.TID, addr uint64, size uint8, user bool) (uint64, *pagetable.Fault) {
-	v, fault := b.prov.Load(tid, addr, size, user)
-	if fault != nil {
-		return 0, &pagetable.Fault{Addr: fault.Addr, Access: fault.Access, Unmapped: fault.Unmapped}
-	}
-	return v, nil
-}
-
-func (b *kernelBus) Store(tid guest.TID, addr uint64, size uint8, val uint64, user bool) *pagetable.Fault {
-	fault := b.prov.Store(tid, addr, size, val, user)
-	if fault != nil {
-		return &pagetable.Fault{Addr: fault.Addr, Access: fault.Access, Unmapped: fault.Unmapped}
-	}
-	return nil
 }
 
 // Result is the outcome of one run with every layer's statistics.

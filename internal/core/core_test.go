@@ -3,7 +3,9 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/fasttrack"
 	"repro/internal/isa"
@@ -170,6 +172,36 @@ func TestPageStraddlingAccessAllModes(t *testing.T) {
 		}
 		if res.Console != string(want) {
 			t.Errorf("%v: console = % x, want % x", mode, res.Console, want)
+		}
+	}
+}
+
+// TestFallThroughGuestFails runs a guest whose code ends without a
+// branch, halt or exit: after its one instruction the thread's PC is past
+// the program. Every mode must return an error naming the thread and the
+// PC. An engine that built an empty block there would spin without
+// retiring an instruction or reaching a quantum boundary, where no budget
+// (MaxCycles here) can stop it, so a watchdog turns a hang into a failure.
+func TestFallThroughGuestFails(t *testing.T) {
+	b := isa.NewBuilder("fallthrough")
+	b.MovImm(isa.R4, 1)
+	prog := b.MustFinish()
+
+	for _, mode := range []Mode{ModeNative, ModeDBI, ModeFastTrackFull, ModeAikidoFastTrack, ModeAikidoProfile} {
+		cfg := DefaultConfig(mode)
+		cfg.MaxCycles = 1e6
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(prog, cfg)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "thread 1 pc 1: outside the program") {
+				t.Errorf("%v: err = %v, want thread 1 pc 1 outside the program", mode, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%v: run past the end of the program did not return", mode)
 		}
 	}
 }

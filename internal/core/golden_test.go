@@ -10,8 +10,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/isa"
+	"repro/internal/pagetable"
 	"repro/internal/parsec"
 	"repro/internal/sharing"
+	"repro/internal/taint"
+	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -22,12 +26,15 @@ var goldenAnalyses = []string{"fasttrack", "lockset", "atomicity", "commgraph"}
 
 // goldenCell is one pinned run. Its name is the cell's header line,
 // unique in the file, so firstDiff names the cell that moved. counters,
-// when set, prints the cell's extra counters after its cycles.
+// when set, prints the cell's extra counters after its cycles. setup,
+// when set, configures the assembled system before it runs (taint's
+// sources and sinks).
 type goldenCell struct {
 	name     string
 	src      workload.Source
 	cfg      Config
 	counters func(io.Writer, *Result)
+	setup    func(*System)
 }
 
 // goldenSources are the workloads of the detector cells: the ten PARSEC
@@ -132,6 +139,105 @@ func epochCells() []goldenCell {
 	return cells
 }
 
+// builtSource adapts a hand-built guest program to workload.Source.
+type builtSource struct {
+	name  string
+	build func() (*isa.Program, error)
+}
+
+func (s builtSource) Compile() (*isa.Program, error) { return s.build() }
+func (s builtSource) SourceName() string             { return s.name }
+
+// hostedCells are the scenario guests of the hosted detectors beyond the
+// core four: SP-bags on the three fork-join programs under both detector
+// modes, taint on the taintflow example's program and memcheck on a guest
+// with one uninitialized read, both under full instrumentation.
+func hostedCells() []goldenCell {
+	var cells []goldenCell
+	for _, spec := range []workload.ForkJoinSpec{
+		{Name: "fj-clean", Elems: 128, LeafSize: 8},
+		{Name: "fj-racy", Elems: 128, LeafSize: 8, RacyCounter: true},
+		{Name: "fj-locked", Elems: 128, LeafSize: 8, LockCounter: true},
+	} {
+		src := builtSource{name: spec.Name, build: func() (*isa.Program, error) {
+			return workload.BuildForkJoin(spec)
+		}}
+		for _, mode := range []Mode{ModeFastTrackFull, ModeAikidoFastTrack} {
+			cells = append(cells, goldenCell{
+				name: fmt.Sprintf("%s %s analyses=spbags", spec.Name, mode),
+				src:  src,
+				cfg:  DefaultConfig(mode).WithAnalyses("spbags"),
+			})
+		}
+	}
+	var input, output uint64
+	taintflow := builtSource{name: "taintflow", build: func() (*isa.Program, error) {
+		var prog *isa.Program
+		prog, input, output = taintflowProgram()
+		return prog, nil
+	}}
+	return append(cells,
+		goldenCell{
+			name: fmt.Sprintf("taintflow %s analyses=taint", ModeFastTrackFull),
+			src:  taintflow,
+			cfg:  DefaultConfig(ModeFastTrackFull).WithAnalyses("taint"),
+			setup: func(s *System) {
+				tr := s.Analysis("taint").(*taint.Tracker)
+				tr.AddSource(input, vm.PageSize)
+				tr.AddSink(output, vm.PageSize)
+			},
+		},
+		goldenCell{
+			name: fmt.Sprintf("uninit-read %s analyses=memcheck", ModeFastTrackFull),
+			src:  builtSource{name: "uninit-read", build: uninitReadProgram},
+			cfg:  DefaultConfig(ModeFastTrackFull).WithAnalyses("memcheck"),
+		})
+}
+
+// taintflowProgram is examples/taintflow's guest: untrusted input passes
+// through arithmetic, a memory round-trip and the spawn argument to the
+// output buffer, beside a clean constant write to the same buffer. It
+// returns the input (source) and output (sink) page addresses.
+func taintflowProgram() (prog *isa.Program, input, output uint64) {
+	b := isa.NewBuilder("taintflow")
+	input = b.Global(vm.PageSize, vm.PageSize)
+	output = b.Global(vm.PageSize, vm.PageSize)
+	scratch := b.Global(vm.PageSize, vm.PageSize)
+	b.LoadAbs(isa.R4, input)
+	b.MovImm(isa.R5, 0x5f)
+	b.Xor(isa.R4, isa.R4, isa.R5)
+	b.StoreAbs(scratch+32, isa.R4)
+	b.LoadAbs(isa.R6, scratch+32)
+	b.ThreadCreate("worker", isa.R6)
+	b.Mov(isa.R9, isa.R0)
+	b.MovImm(isa.R7, 7)
+	b.StoreAbs(output+64, isa.R7)
+	b.ThreadJoin(isa.R9)
+	b.MovImm(isa.R0, 0)
+	b.Syscall(isa.SysExit)
+	b.Label("worker")
+	b.AddImm(isa.R1, isa.R0, 100)
+	b.StoreAbs(output, isa.R1)
+	b.Halt()
+	return b.MustFinish(), input, output
+}
+
+// uninitReadProgram reads a freshly mapped buffer before writing it, then
+// exits cleanly: one uninitialized read and no crash.
+func uninitReadProgram() (*isa.Program, error) {
+	b := isa.NewBuilder("uninit-read")
+	b.MovImm(isa.R0, 4096)
+	b.MovImm(isa.R1, int64(pagetable.ProtRW))
+	b.Syscall(isa.SysMmap)
+	b.Mov(isa.R4, isa.R0)
+	b.Load(isa.R5, isa.R4, 128) // uninitialized
+	b.Store(isa.R4, 0, isa.R5)
+	b.Load(isa.R6, isa.R4, 0) // defined by the store
+	b.MovImm(isa.R0, 0)
+	b.Syscall(isa.SysExit)
+	return b.Finish()
+}
+
 // TestDetectorGolden pins, per cell, the simulated cycles, the cell's
 // extra counters and every analysis's Summary and Strings against
 // testdata/detectors.golden. FastTrack's paged store is also checked
@@ -139,18 +245,29 @@ func epochCells() []goldenCell {
 // atomicity checker and the communication-graph profiler have no such
 // reference, so this file is their byte-identity pin. The muxbench and
 // epochs experiments are sums and ratios of the mux and epoch cells, so
-// their results are pinned here too. Regenerate with
+// their results are pinned here too. The hosted cells pin taint, memcheck
+// and SP-bags on their scenario guests: a source-to-sink flow, an
+// uninitialized read, and the determinacy races of the serial depth-first
+// execution (all 45 on the racy and locked fork-join programs under full
+// instrumentation, 42 under Aikido). Regenerate with
 // `go test ./internal/core -run TestDetectorGolden -update`, and only for
 // a change that is meant to move a finding, a counter or a cycle.
 func TestDetectorGolden(t *testing.T) {
 	var buf bytes.Buffer
-	cells := append(append(detectorCells(), muxCells()...), epochCells()...)
+	cells := append(append(append(detectorCells(), muxCells()...), epochCells()...), hostedCells()...)
 	for _, c := range cells {
 		prog, err := c.src.Compile()
 		if err != nil {
 			t.Fatalf("%s: build: %v", c.name, err)
 		}
-		res, err := Run(prog, c.cfg)
+		s, err := NewSystem(prog, c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if c.setup != nil {
+			c.setup(s)
+		}
+		res, err := s.Run()
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

@@ -314,8 +314,9 @@ func TestSampledTaintKeepsRegisterDataflow(t *testing.T) {
 }
 
 // TestNewlyHostedDetectors: the three detectors that predate the registry
-// (taint, memcheck, spbags) now run through it — under full
-// instrumentation they behave like their standalone harnesses.
+// (taint, memcheck, spbags) run multiplexed on one fully instrumented
+// pass, and each reports. What they find on their scenario guests is
+// pinned by the hosted cells of TestDetectorGolden.
 func TestNewlyHostedDetectors(t *testing.T) {
 	prog := sharedProgram(40, false)
 	res := runNamed(t, prog, ModeFastTrackFull, []string{"memcheck", "spbags", "taint"})

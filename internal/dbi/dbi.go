@@ -135,11 +135,6 @@ type block struct {
 type Config struct {
 	// Quantum is the scheduling quantum in retired instructions.
 	Quantum uint64
-	// MaxBlock caps basic-block length in instructions.
-	MaxBlock int
-	// TraceThreshold promotes a block to the trace cache after this many
-	// executions. 0 disables traces.
-	TraceThreshold uint64
 	// ChargeDBI enables code-cache cost accounting. Native baseline runs
 	// keep it off so that "native time" is pure instruction cost.
 	ChargeDBI bool
@@ -152,17 +147,19 @@ type Config struct {
 	GateSpinLimit uint64
 }
 
-// defaultGateSpinLimit bounds gate-veto livelock detection.
-const defaultGateSpinLimit = 1 << 20
+const (
+	// defaultGateSpinLimit bounds gate-veto livelock detection.
+	defaultGateSpinLimit = 1 << 20
+	// maxBlock caps basic-block length in instructions.
+	maxBlock = 48
+	// traceThreshold promotes a block to the trace cache after this many
+	// executions.
+	traceThreshold = 64
+)
 
 // DefaultConfig returns the standard engine configuration.
 func DefaultConfig() Config {
-	return Config{
-		Quantum:        1000,
-		MaxBlock:       48,
-		TraceThreshold: 64,
-		ChargeDBI:      true,
-	}
+	return Config{Quantum: 1000, ChargeDBI: true}
 }
 
 // Engine executes one guest process.
@@ -198,12 +195,8 @@ type Engine struct {
 	// blocks is the code cache as a direct PC-indexed table: slot pc
 	// holds the block starting at pc (guest PCs are dense instruction
 	// indices, so the table is exact — dispatch is one bounds-checked
-	// load, with no hashing and no collisions). overflow catches blocks
-	// starting past the static code image (never hit by well-formed
-	// programs, kept for map-parity).
-	blocks   []*block
-	overflow map[isa.PC]*block
-	nblocks  int
+	// load, with no hashing and no collisions).
+	blocks []*block
 	// maxBlockLen is the longest block built so far; Flush only needs to
 	// scan start PCs within that window below the flushed PC.
 	maxBlockLen int
@@ -312,18 +305,6 @@ func (e *Engine) Flush(pc isa.PC) int {
 		b := e.blocks[start]
 		if b != nil && pc >= b.start && pc < b.end {
 			e.blocks[start] = nil
-			e.nblocks--
-			flushed = append(flushed, b)
-			if e.Cfg.ChargeDBI {
-				e.Clock.Charge(e.Costs.FlushBlock)
-			}
-			e.C.BlocksFlushed++
-		}
-	}
-	for start, b := range e.overflow {
-		if pc >= b.start && pc < b.end {
-			delete(e.overflow, start)
-			e.nblocks--
 			flushed = append(flushed, b)
 			if e.Cfg.ChargeDBI {
 				e.Clock.Charge(e.Costs.FlushBlock)
@@ -347,38 +328,19 @@ func (e *Engine) Flush(pc isa.PC) int {
 				b.next = nil
 			}
 		}
-		for _, b := range e.overflow {
-			if b.next != nil && dead(b.next) {
-				b.next = nil
-			}
-		}
 	}
 	e.prev = nil // the in-flight link source may be a flushed block
 	return len(flushed)
 }
 
-// CacheSize returns the number of cached blocks (tests).
-func (e *Engine) CacheSize() int { return e.nblocks }
-
-// lookup fetches or builds the block starting at pc.
+// lookup fetches or builds the block starting at pc, which must lie
+// inside the program.
 func (e *Engine) lookup(tid guest.TID, pc isa.PC) *block {
-	if int(pc) < len(e.blocks) {
-		if b := e.blocks[pc]; b != nil {
-			return b
-		}
-	} else if b, ok := e.overflow[pc]; ok {
+	if b := e.blocks[pc]; b != nil {
 		return b
 	}
 	b := e.build(tid, pc)
-	if int(pc) < len(e.blocks) {
-		e.blocks[pc] = b
-	} else {
-		if e.overflow == nil {
-			e.overflow = make(map[isa.PC]*block)
-		}
-		e.overflow[pc] = b
-	}
-	e.nblocks++
+	e.blocks[pc] = b
 	return b
 }
 
@@ -391,7 +353,7 @@ func (e *Engine) build(tid guest.TID, pc isa.PC) *block {
 	// Find the block's extent first, so its arrays are allocated once at
 	// their final size.
 	n := 0
-	for n < e.Cfg.MaxBlock && int(pc)+n < len(prog.Code) {
+	for n < maxBlock && int(pc)+n < len(prog.Code) {
 		op := prog.At(pc + isa.PC(n)).Op
 		n++
 		// Blocks end at control transfers and at instructions that may
@@ -482,7 +444,10 @@ func (e *Engine) runQuantum(t *guest.Thread) error {
 	e.C.Quanta++
 	budget := e.Cfg.Quantum
 	for budget > 0 && t.State == guest.Runnable && !e.P.Exited {
-		b := e.dispatch(t)
+		b, err := e.dispatch(t)
+		if err != nil {
+			return err
+		}
 		done, err := e.execBlock(t, b, &budget)
 		if err != nil {
 			return err
@@ -496,7 +461,11 @@ func (e *Engine) runQuantum(t *guest.Thread) error {
 
 // dispatch fetches the block at t.PC, charging the appropriate dispatch
 // cost (trace < linked < lookup) and maintaining links and trace promotion.
-func (e *Engine) dispatch(t *guest.Thread) *block {
+// A PC outside the program is an error. Program.Valid bounds the entry and
+// every branch target, so only code that falls through its last
+// instruction gets there; with no block to run, the thread could never
+// retire an instruction or end its quantum.
+func (e *Engine) dispatch(t *guest.Thread) (*block, error) {
 	var b *block
 	switch {
 	case e.prev != nil && e.prev.next != nil && e.prev.next.start == t.PC:
@@ -513,6 +482,10 @@ func (e *Engine) dispatch(t *guest.Thread) *block {
 			}
 		}
 	default:
+		if int(t.PC) >= len(e.blocks) {
+			return nil, fmt.Errorf("dbi: thread %d pc %d: outside the program (%d instructions)",
+				t.ID, t.PC, len(e.blocks))
+		}
 		b = e.lookup(t.ID, t.PC)
 		e.C.BlockLookups++
 		if e.Cfg.ChargeDBI {
@@ -523,11 +496,11 @@ func (e *Engine) dispatch(t *guest.Thread) *block {
 		}
 	}
 	b.execs++
-	if e.Cfg.TraceThreshold > 0 && !b.trace && b.execs >= e.Cfg.TraceThreshold {
+	if !b.trace && b.execs >= traceThreshold {
 		b.trace = true
 	}
 	e.prev = b
-	return b
+	return b, nil
 }
 
 // execBlock runs instructions of b starting at t.PC until the block ends,

@@ -404,9 +404,7 @@ func TestTracePromotionAndLinking(t *testing.T) {
 	b := isa.NewBuilder("hot")
 	b.LoopN(isa.R1, 500, func(b *isa.Builder) { b.Nop() })
 	b.Halt()
-	cfg := DefaultConfig()
-	cfg.TraceThreshold = 16
-	e, _ := run(t, b.MustFinish(), nil, cfg)
+	e, _ := run(t, b.MustFinish(), nil, DefaultConfig())
 	if e.C.TraceDispatches == 0 {
 		t.Error("hot loop never dispatched via trace")
 	}

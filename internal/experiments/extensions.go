@@ -260,7 +260,7 @@ func ExtensionNondeterminator(o Options) ([]NondetRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := spbags.Check(prog)
+		sp, err := core.Run(prog, core.DefaultConfig(core.ModeFastTrackFull).WithAnalyses(spbags.Kind))
 		if err != nil {
 			return nil, fmt.Errorf("%s spbags: %w", c.label, err)
 		}
@@ -270,7 +270,7 @@ func ExtensionNondeterminator(o Options) ([]NondetRow, error) {
 		}
 		rows = append(rows, NondetRow{
 			Program:        c.label,
-			SPBagsRaces:    len(rep.Races),
+			SPBagsRaces:    sp.AnalysisFindings(spbags.Kind).Len(),
 			FastTrackRaces: len(races(ft)),
 			Note:           c.note,
 		})

@@ -145,16 +145,16 @@ type Hooks struct {
 	TxEnd   func(t *Thread) int64
 }
 
-// Bus is the path by which the guest kernel touches memory on behalf of a
-// thread (user=false accesses). It is wired to the hypervisor MMU so kernel
-// accesses to Aikido-protected pages exercise the §3.2.6 emulation path.
+// Bus is the path by which the guest kernel reads memory on behalf of a
+// thread (user=false accesses; syscalls only ever read user buffers). It
+// is wired to the protection provider so kernel accesses to
+// Aikido-protected pages exercise the §3.2.6 emulation path.
 type Bus interface {
 	Load(tid TID, addr uint64, size uint8, user bool) (uint64, *pagetable.Fault)
-	Store(tid TID, addr uint64, size uint8, val uint64, user bool) *pagetable.Fault
 }
 
 // directBus is the default Bus: it walks the guest page table (kernel mode)
-// and accesses machine memory directly. Used when no hypervisor is present
+// and reads machine memory directly. Used when no hypervisor is present
 // (native runs and unit tests).
 type directBus struct{ p *Process }
 
@@ -164,15 +164,6 @@ func (b directBus) Load(_ TID, addr uint64, size uint8, _ bool) (uint64, *pageta
 		return 0, fault
 	}
 	return b.p.M.ReadU(pte.Frame, vm.PageOff(addr), size), nil
-}
-
-func (b directBus) Store(_ TID, addr uint64, size uint8, val uint64, _ bool) *pagetable.Fault {
-	pte, fault := b.p.PT.Walk(addr, pagetable.AccessWrite, false)
-	if fault != nil {
-		return fault
-	}
-	b.p.M.WriteU(pte.Frame, vm.PageOff(addr), size, val)
-	return nil
 }
 
 // SchedPolicy selects the guest scheduler's behaviour.
@@ -295,8 +286,9 @@ func encodeCode(prog *isa.Program) []byte {
 	return img
 }
 
-// SetBus replaces the kernel memory access path (wired to the hypervisor
-// MMU by the Aikido system assembly).
+// SetBus replaces the kernel memory access path (wired to the protection
+// provider by the Aikido and STM system assemblies; see
+// provider.KernelBus).
 func (p *Process) SetBus(b Bus) { p.bus = b }
 
 // AddVMAListener registers an address-space observer and replays existing
@@ -406,9 +398,6 @@ func (p *Process) FindVMA(addr uint64) *VMA {
 	}
 	return nil
 }
-
-// Brk returns the current program break.
-func (p *Process) Brk() uint64 { return p.brk }
 
 // KernelReadBytes reads n bytes at addr through the kernel access path,
 // used by syscalls that take user buffers.

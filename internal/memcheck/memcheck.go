@@ -16,10 +16,15 @@
 //   - stores mark bytes defined; munmap marks them unaddressable again,
 //     catching use-after-unmap.
 //
-// Unlike AikidoSD-hosted analyses, a memory checker must see *every*
-// access, so it instruments all memory-referencing instructions (the
-// conservative configuration whose cost Figure 5's FastTrack bars
-// represent).
+// The checker is a registry analysis ("memcheck") and runs only inside a
+// core.System. Unlike a shared-data analysis, a memory checker must see
+// *every* access, so its native configuration is full instrumentation
+// (core.ModeFastTrackFull, the conservative configuration whose cost
+// Figure 5's FastTrack bars represent). An invalid access kills the
+// guest, as it would natively: System.Run returns the fault, and the
+// checker, reached through System.Analysis("memcheck"), still holds the
+// reports up to the crash — Dr. Memory reports the invalid access *and*
+// the crash.
 package memcheck
 
 import (
@@ -27,12 +32,10 @@ import (
 	"sort"
 
 	"repro/internal/analysis"
-	"repro/internal/dbi"
 	"repro/internal/guest"
 	"repro/internal/isa"
 	"repro/internal/stats"
 	"repro/internal/umbra"
-	"repro/internal/vm"
 )
 
 // byteState is the per-byte shadow metadata.
@@ -181,17 +184,6 @@ func (h vmaHook) VMAAdded(v *guest.VMA) {
 // allocates fresh cells, so nothing to do beyond accounting.)
 func (h vmaHook) VMARemoved(v *guest.VMA) {}
 
-// Instrument implements dbi.Tool: every access is checked.
-func (c *Checker) Instrument(pc isa.PC, in isa.Instr) *dbi.Plan {
-	if !in.Op.IsMemRef() {
-		return nil
-	}
-	return &dbi.Plan{PreAccess: func(tid guest.TID, pc isa.PC, addr uint64, size uint8, write bool) uint64 {
-		c.check(tid, pc, addr, size, write)
-		return addr
-	}}
-}
-
 // check inspects/updates the shadow bytes of one access.
 func (c *Checker) check(tid guest.TID, pc isa.PC, addr uint64, size uint8, write bool) {
 	c.clock.Charge(c.costs.ShadowTranslate + uint64(size))
@@ -240,26 +232,4 @@ func (c *Checker) Reports() []Report {
 	copy(out, c.reports)
 	sort.Slice(out, func(i, j int) bool { return out[i].PC < out[j].PC })
 	return out
-}
-
-// Run assembles a bare checker stack (guest + DBI + Umbra + checker) and
-// executes prog — the convenience entry point for the example and tests.
-func Run(prog *isa.Program) (*Checker, *dbi.Result, error) {
-	p, err := guest.NewProcess(vm.NewMachine(), prog)
-	if err != nil {
-		return nil, nil, err
-	}
-	clock := &stats.Clock{}
-	costs := stats.DefaultCosts()
-	um := umbra.Attach(p, clock, costs)
-	c := Attach(p, um, clock, costs)
-	eng := dbi.New(p, nil, c, clock, costs, dbi.DefaultConfig())
-	res, err := eng.Run()
-	if err != nil {
-		// A truly invalid access kills the guest (as it would natively);
-		// the checker's reports up to that point are still valuable —
-		// Dr. Memory reports the invalid access *and* the crash.
-		return c, nil, err
-	}
-	return c, res, nil
 }

@@ -1,11 +1,26 @@
-package memcheck
+package memcheck_test
 
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/memcheck"
 	"repro/internal/pagetable"
 )
+
+// run hosts the checker in a fully instrumented core.System and runs prog.
+// The checker comes back with the run's error: an invalid access kills
+// the guest, and the reports made up to the crash remain.
+func run(t *testing.T, prog *isa.Program) (*memcheck.Checker, *core.Result, error) {
+	t.Helper()
+	s, err := core.NewSystem(prog, core.DefaultConfig(core.ModeFastTrackFull).WithAnalyses(memcheck.Kind))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run()
+	return s.Analysis(memcheck.Kind).(*memcheck.Checker), res, err
+}
 
 // TestCleanProgramNoReports: a program that initializes before reading
 // produces no reports.
@@ -20,7 +35,7 @@ func TestCleanProgramNoReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, res, err := Run(prog)
+	c, res, err := run(t, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +68,7 @@ func TestUninitializedMmapRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _, err := Run(prog)
+	c, _, err := run(t, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +76,7 @@ func TestUninitializedMmapRead(t *testing.T) {
 	if len(reps) != 1 {
 		t.Fatalf("reports = %v, want exactly the one uninitialized read", reps)
 	}
-	if reps[0].Kind != UninitializedRead {
+	if reps[0].Kind != memcheck.UninitializedRead {
 		t.Errorf("kind = %v", reps[0].Kind)
 	}
 	if c.C.Uninit == 0 {
@@ -88,13 +103,42 @@ func TestUseAfterUnmap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _, err := Run(prog)
+	c, _, err := run(t, prog)
 	if err == nil {
 		t.Fatal("use-after-unmap did not kill the guest")
 	}
 	reps := c.Reports()
-	if len(reps) != 1 || reps[0].Kind != InvalidAccess {
+	if len(reps) != 1 || reps[0].Kind != memcheck.InvalidAccess {
 		t.Fatalf("reports = %v, want one invalid access", reps)
+	}
+}
+
+// TestCrashKeepsEarlierReports: an uninitialized read followed by a
+// use-after-unmap. Run returns the fault, and the checker the system
+// hosts still reports both errors.
+func TestCrashKeepsEarlierReports(t *testing.T) {
+	b := isa.NewBuilder("audit")
+	b.MovImm(isa.R0, 4096)
+	b.MovImm(isa.R1, int64(pagetable.ProtRW))
+	b.Syscall(isa.SysMmap)
+	b.Mov(isa.R4, isa.R0)
+	b.Load(isa.R5, isa.R4, 128) // uninitialized
+	b.Mov(isa.R0, isa.R4)
+	b.Syscall(isa.SysMunmap)
+	b.Load(isa.R6, isa.R4, 0) // use after unmap
+	b.MovImm(isa.R0, 0)
+	b.Syscall(isa.SysExit)
+	s, err := core.NewSystem(b.MustFinish(), core.DefaultConfig(core.ModeFastTrackFull).WithAnalyses(memcheck.Kind))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err == nil {
+		t.Fatal("use-after-unmap did not kill the guest")
+	}
+	f := s.Analysis(memcheck.Kind).Report().(*memcheck.Findings)
+	if len(f.Reports) != 2 || f.Reports[0].Kind != memcheck.UninitializedRead ||
+		f.Reports[1].Kind != memcheck.InvalidAccess {
+		t.Errorf("reports after the crash = %v, want the uninitialized read and the invalid access", f.Strings())
 	}
 }
 
@@ -108,7 +152,7 @@ func TestWildPointer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _, err := Run(prog)
+	c, _, err := run(t, prog)
 	if err == nil {
 		t.Fatal("wild access did not kill the guest")
 	}
@@ -127,7 +171,7 @@ func TestStackIsDefined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _, err := Run(prog)
+	c, _, err := run(t, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +197,7 @@ func TestDedupPerPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _, err := Run(prog)
+	c, _, err := run(t, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,9 +210,9 @@ func TestDedupPerPC(t *testing.T) {
 }
 
 func TestReportString(t *testing.T) {
-	r := Report{Kind: InvalidAccess, TID: 2, PC: 5, Addr: 0x1000, Size: 8, Write: true}
-	if r.String() == "" || InvalidAccess.String() != "invalid access" ||
-		UninitializedRead.String() != "uninitialized read" {
+	r := memcheck.Report{Kind: memcheck.InvalidAccess, TID: 2, PC: 5, Addr: 0x1000, Size: 8, Write: true}
+	if r.String() == "" || memcheck.InvalidAccess.String() != "invalid access" ||
+		memcheck.UninitializedRead.String() != "uninitialized read" {
 		t.Error("report formatting broken")
 	}
 }

@@ -28,6 +28,7 @@ package provider
 import (
 	"repro/internal/guest"
 	"repro/internal/hypervisor"
+	"repro/internal/pagetable"
 )
 
 // Kind identifies a provider implementation.
@@ -134,4 +135,21 @@ type Interface interface {
 	OnSyscall(tid guest.TID, num int64)
 
 	Overhead() Stats
+}
+
+// KernelBus adapts a provider to the guest kernel's memory path
+// (guest.Bus). The provider resolves kernel reads of protected pages its
+// own way — AikidoVM emulates the access (§3.2.6), the dOS kernel checks
+// its ownership table, the DTHREADS shim unprotects around it — and
+// charges the cost internally.
+func KernelBus(prov Interface) guest.Bus { return kernelBus{prov} }
+
+type kernelBus struct{ prov Interface }
+
+func (b kernelBus) Load(tid guest.TID, addr uint64, size uint8, user bool) (uint64, *pagetable.Fault) {
+	v, fault := b.prov.Load(tid, addr, size, user)
+	if fault != nil {
+		return 0, &pagetable.Fault{Addr: fault.Addr, Access: fault.Access, Unmapped: fault.Unmapped}
+	}
+	return v, nil
 }

@@ -1,6 +1,7 @@
 package spbags
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/analysis"
@@ -13,10 +14,16 @@ const Kind = "spbags"
 
 func init() {
 	analysis.Register(Kind, func(env analysis.Env) (analysis.Analysis, error) {
-		d := New()
-		d.clock = env.Clock
-		d.costs = env.Costs
-		return d, nil
+		if env.Process == nil {
+			return nil, errors.New("spbags: requires a process to schedule (set Env.Process)")
+		}
+		// SP-bags is defined on the serial depth-first execution of a
+		// fork-join program, the Nondeterminator's execution model: each
+		// spawned child runs to completion before its creator resumes.
+		// Every other analysis in the same run observes that schedule
+		// too.
+		env.Process.Policy = guest.SchedSerialDFS
+		return New(env.Clock, env.Costs), nil
 	})
 }
 
@@ -31,25 +38,6 @@ func (d *Detector) OnSharedAccess(tid guest.TID, pc isa.PC, addr uint64, size ui
 	d.OnAccess(tid, pc, addr, size, write)
 }
 
-// OnAcquire implements analysis.Analysis: the Nondeterminator ignores
-// locks by design — a lock-"protected" conflict is still a determinacy
-// race (§1's schedule-independence contrast).
-func (d *Detector) OnAcquire(tid guest.TID, lock int64) {}
-
-// OnRelease implements analysis.Analysis (see OnAcquire).
-func (d *Detector) OnRelease(tid guest.TID, lock int64) {}
-
-// OnBarrierWait implements analysis.Analysis: barriers are outside the
-// strict fork-join subset SP-bags reasons about.
-func (d *Detector) OnBarrierWait(tid guest.TID, id int64) {}
-
-// OnBarrierRelease implements analysis.Analysis (see OnBarrierWait).
-func (d *Detector) OnBarrierRelease(tid guest.TID, id int64) {}
-
-// AddThread implements analysis.Analysis: task lifetime is tracked through
-// OnFork/OnExit/OnJoin, not a live count.
-func (d *Detector) AddThread(delta int) {}
-
 // SetMaxFindings implements analysis.Analysis, capping stored races
 // (0 restores the default).
 func (d *Detector) SetMaxFindings(n int) {
@@ -61,24 +49,13 @@ func (d *Detector) SetMaxFindings(n int) {
 	d.MaxRaces = n
 }
 
-// Report implements analysis.Analysis.
-//
-// A registry-hosted SP-bags instance observes whatever schedule the guest
-// ran; its verdict is schedule independent only when that schedule was the
-// canonical serial DFS (guest.SchedSerialDFS — what the standalone Check
-// harness configures). Hosted under a round-robin schedule the reports
-// are best-effort, like any dynamic detector's.
+// Report implements analysis.Analysis. The run followed the serial
+// depth-first schedule the factory set, so under full instrumentation the
+// verdict is the Nondeterminator's schedule-independent one for a strict
+// fork-join program; under Aikido it omits the races of the §6
+// first-access window, like every hosted detector.
 func (d *Detector) Report() analysis.Findings {
 	return &Findings{Counters: d.C, Races: d.Races()}
-}
-
-// charge bills sync/access work when the detector is clock-hosted
-// (registry instances); the standalone Nondeterminator harness predates
-// the cost model and runs unbilled.
-func (d *Detector) charge(c uint64) {
-	if d.clock != nil {
-		d.clock.Charge(c)
-	}
 }
 
 // Findings is the detector's analysis.Findings: determinacy races plus

@@ -32,13 +32,19 @@
 // an ancestor), no lock-based synchronization — exactly the Cilk subset the
 // Nondeterminator handles. Locks are ignored; a lock-"protected" conflict
 // is still reported (that is the tool's semantics: determinacy, not data
-// races).
+// races). The detector is a registry analysis ("spbags") and runs only
+// inside a core.System, whose process its factory switches to the serial
+// depth-first schedule. A program outside the subset can deadlock there:
+// a barrier of two or more threads never fills when each spawned child
+// runs to completion before its creator resumes, and the run ends in the
+// engine's deadlock error.
 package spbags
 
 import (
 	"fmt"
 	"sort"
 
+	"repro/internal/analysis"
 	"repro/internal/guest"
 	"repro/internal/isa"
 	"repro/internal/stats"
@@ -134,8 +140,11 @@ type Counters struct {
 
 // Detector is one SP-bags instance. It is driven by a serial depth-first
 // execution (guest.SchedSerialDFS); feeding it events from a parallel
-// schedule is a misuse and panics on structural violations.
+// schedule is a misuse and panics on structural violations. Locks and
+// barriers are outside its model, so it keeps NoSync's no-op hooks for
+// them.
 type Detector struct {
+	analysis.NoSync
 	nodes map[guest.TID]*node
 	// pending maps a completed-but-unjoined task to its bag root.
 	pending map[guest.TID]*node
@@ -148,9 +157,8 @@ type Detector struct {
 	// MaxRaces caps stored reports (further races are counted only).
 	MaxRaces int
 
-	// clock/costs are set on registry-hosted instances so the detector
-	// bills its work like every other hosted analysis; the standalone
-	// Check harness leaves them nil (unbilled).
+	// clock/costs bill the detector's work like every other hosted
+	// analysis's.
 	clock *stats.Clock
 	costs stats.CostModel
 
@@ -160,8 +168,9 @@ type Detector struct {
 // defaultMaxRaces is the default findings cap.
 const defaultMaxRaces = 100
 
-// New creates a detector whose root task is the main thread (TID 1).
-func New() *Detector {
+// New creates a detector whose root task is the main thread (TID 1),
+// billing its work to clock.
+func New(clock *stats.Clock, costs stats.CostModel) *Detector {
 	d := &Detector{
 		nodes:    make(map[guest.TID]*node),
 		pending:  make(map[guest.TID]*node),
@@ -169,6 +178,8 @@ func New() *Detector {
 		parent:   make(map[guest.TID]guest.TID),
 		shadow:   make(map[uint64]*cell),
 		MaxRaces: defaultMaxRaces,
+		clock:    clock,
+		costs:    costs,
 	}
 	d.nodes[1] = &node{kind: bagS, task: 1}
 	d.C.Tasks = 1
@@ -177,7 +188,7 @@ func New() *Detector {
 
 // OnFork registers a spawned task: it starts with a fresh S-bag of its own.
 func (d *Detector) OnFork(creator, child guest.TID) {
-	d.charge(d.costs.AnalysisSync)
+	d.clock.Charge(d.costs.AnalysisSync)
 	if _, dup := d.nodes[child]; dup {
 		panic(fmt.Sprintf("spbags: task %d forked twice", child))
 	}
@@ -191,7 +202,7 @@ func (d *Detector) OnFork(creator, child guest.TID) {
 // children) into a pending bag: until someone joins it, all of its work is
 // parallel with whatever runs next.
 func (d *Detector) OnExit(task guest.TID) {
-	d.charge(d.costs.AnalysisSync)
+	d.clock.Charge(d.costs.AnalysisSync)
 	n, ok := d.nodes[task]
 	if !ok {
 		panic(fmt.Sprintf("spbags: exit of unknown task %d", task))
@@ -211,7 +222,7 @@ func (d *Detector) OnExit(task guest.TID) {
 // OnJoin merges the joined child's pending bag into the joiner's S-bag:
 // the child's work is now serial-before everything the joiner does next.
 func (d *Detector) OnJoin(joiner, child guest.TID) {
-	d.charge(d.costs.AnalysisSync)
+	d.clock.Charge(d.costs.AnalysisSync)
 	pb, ok := d.pending[child]
 	if !ok {
 		// Join of a task whose bag already collapsed upward (joined via
@@ -254,7 +265,7 @@ func (d *Detector) report(addr uint64, prev access, prevWrite bool, cur access, 
 // Locations are tracked at 8-byte granularity like the Aikido FastTrack
 // port (§4.2).
 func (d *Detector) OnAccess(tid guest.TID, pc isa.PC, addr uint64, size uint8, write bool) {
-	d.charge(d.costs.AnalysisFast)
+	d.clock.Charge(d.costs.AnalysisFast)
 	key := addr &^ 7
 	c := d.shadow[key]
 	if c == nil {
@@ -296,8 +307,3 @@ func (d *Detector) Races() []Race {
 	})
 	return out
 }
-
-// RaceFree reports the detector's verdict: true guarantees (for this
-// input) that no schedule of the fork-join program exhibits a determinacy
-// race — the guarantee §1 attributes to the Nondeterminator.
-func (d *Detector) RaceFree() bool { return d.C.Races == 0 }

@@ -1,6 +1,7 @@
 package spbags_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -10,16 +11,25 @@ import (
 	"repro/internal/workload"
 )
 
-func check(t *testing.T, spec workload.ForkJoinSpec) *spbags.Report {
+// run hosts SP-bags in a fully instrumented core.System, which its
+// factory switches to the serial depth-first schedule, and runs prog.
+func run(t *testing.T, prog *isa.Program) (*core.Result, *spbags.Findings) {
+	t.Helper()
+	res, err := core.Run(prog, core.DefaultConfig(core.ModeFastTrackFull).WithAnalyses(spbags.Kind))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, res.AnalysisFindings(spbags.Kind).(*spbags.Findings)
+}
+
+// check runs the fork-join program of spec under SP-bags.
+func check(t *testing.T, spec workload.ForkJoinSpec) *spbags.Findings {
 	t.Helper()
 	prog, err := workload.BuildForkJoin(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := spbags.Check(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rep := run(t, prog)
 	return rep
 }
 
@@ -64,10 +74,7 @@ func TestDeterminacyVsDataRace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := spbags.Check(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rep := run(t, prog)
 	if len(rep.Races) == 0 {
 		t.Error("SP-bags should flag the lock-ordered counter as a determinacy race")
 	}
@@ -133,18 +140,10 @@ func buildSpawnReadJoin(t *testing.T, readBeforeJoin bool) *isa.Program {
 // TestJoinCreatesSerialOrder is the core SP-bags property: the same
 // write/read pair races iff the read precedes the join.
 func TestJoinCreatesSerialOrder(t *testing.T) {
-	racy, err := spbags.Check(buildSpawnReadJoin(t, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(racy.Races) == 0 {
+	if _, racy := run(t, buildSpawnReadJoin(t, true)); len(racy.Races) == 0 {
 		t.Error("read-before-join not reported")
 	}
-	clean, err := spbags.Check(buildSpawnReadJoin(t, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(clean.Races) != 0 {
+	if _, clean := run(t, buildSpawnReadJoin(t, false)); len(clean.Races) != 0 {
 		t.Errorf("read-after-join reported: %v", clean.Races)
 	}
 }
@@ -179,11 +178,7 @@ func TestGrandchildJoinedTransitively(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := spbags.Check(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Races) != 0 {
+	if _, rep := run(t, prog); len(rep.Races) != 0 {
 		t.Errorf("transitively joined write reported racy: %v", rep.Races)
 	}
 }
@@ -216,10 +211,7 @@ func TestNeverJoinedChildStaysParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := spbags.Check(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rep := run(t, prog)
 	// Joining mid collapses the unjoined leaf's bag into mid's pending
 	// bag — which the join then serializes. Hmm: the join of mid orders
 	// *everything mid's subtree did* before the parent's read, because
@@ -241,14 +233,46 @@ func TestSerialDFSExecutionOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := spbags.Check(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ExitCode != 0 {
-		t.Errorf("exit code %d", rep.ExitCode)
+	res, rep := run(t, prog)
+	if res.ExitCode != 0 {
+		t.Errorf("exit code %d", res.ExitCode)
 	}
 	if rep.Counters.Joins == 0 {
 		t.Error("no joins processed")
+	}
+}
+
+// TestBarrierProgramFails: a barrier of two threads is outside the strict
+// fork-join subset, and under the serial depth-first schedule it can never
+// fill — the creator is parked until its child exits, and the child waits
+// at the barrier for the creator. The run ends in the engine's deadlock
+// error instead of reporting races from some other schedule.
+func TestBarrierProgramFails(t *testing.T) {
+	b := isa.NewBuilder("barrier")
+	slot := b.GlobalU64(0)
+	b.MovImm(isa.R4, 0)
+	b.ThreadCreate("worker", isa.R4)
+	b.Mov(isa.R9, isa.R0)
+	b.LoadAbs(isa.R5, slot)
+	b.Barrier(1, 2)
+	b.ThreadJoin(isa.R9)
+	b.MovImm(isa.R0, 0)
+	b.Syscall(isa.SysExit)
+	b.Label("worker")
+	b.MovImm(isa.R7, 3)
+	b.StoreAbs(slot, isa.R7)
+	b.Barrier(1, 2)
+	b.Halt()
+	prog, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Run(prog, core.DefaultConfig(core.ModeFastTrackFull).WithAnalyses(spbags.Kind))
+	if err == nil {
+		t.Fatalf("barrier program ran to completion under spbags (%s), want a deadlock error",
+			res.AnalysisFindings(spbags.Kind).Summary())
+	}
+	if !strings.Contains(err.Error(), "deadlock") {
+		t.Errorf("error %q, want the engine's deadlock error", err)
 	}
 }

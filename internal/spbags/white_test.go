@@ -3,6 +3,8 @@ package spbags
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 func TestRaceStringFormat(t *testing.T) {
@@ -19,7 +21,7 @@ func TestRaceStringFormat(t *testing.T) {
 // TestMisuseDetection: structural violations panic rather than corrupt the
 // bags.
 func TestMisuseDetection(t *testing.T) {
-	d := New()
+	d := New(&stats.Clock{}, stats.DefaultCosts())
 	d.OnFork(1, 2)
 	func() {
 		defer func() {

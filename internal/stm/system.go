@@ -79,7 +79,9 @@ func New(prog *isa.Program, cfg Config) (*System, error) {
 
 	p.Hooks.TxBegin = rt.TxBegin
 	p.Hooks.TxEnd = rt.TxEnd
-	p.SetBus(&provBus{prov: prov})
+	// Kernel reads of transaction-protected pages are emulated (§3.2.6)
+	// rather than crashing the write syscall.
+	p.SetBus(provider.KernelBus(prov))
 
 	ecfg := cfg.Engine
 	if ecfg.Quantum == 0 {
@@ -125,25 +127,4 @@ func (b barrierTool) Instrument(pc isa.PC, in isa.Instr) *dbi.Plan {
 		return nil
 	}
 	return &dbi.Plan{PreAccess: b.rt.PreAccess}
-}
-
-// provBus routes guest-kernel accesses through the provider so kernel
-// reads of transaction-protected pages are emulated (§3.2.6) rather than
-// crashing the write syscall.
-type provBus struct{ prov provider.Interface }
-
-func (b *provBus) Load(tid guest.TID, addr uint64, size uint8, user bool) (uint64, *pagetable.Fault) {
-	v, fault := b.prov.Load(tid, addr, size, user)
-	if fault != nil {
-		return 0, &pagetable.Fault{Addr: fault.Addr, Access: fault.Access, Unmapped: fault.Unmapped}
-	}
-	return v, nil
-}
-
-func (b *provBus) Store(tid guest.TID, addr uint64, size uint8, val uint64, user bool) *pagetable.Fault {
-	fault := b.prov.Store(tid, addr, size, val, user)
-	if fault != nil {
-		return &pagetable.Fault{Addr: fault.Addr, Access: fault.Access, Unmapped: fault.Unmapped}
-	}
-	return nil
 }

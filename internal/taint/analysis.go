@@ -17,9 +17,7 @@ func init() {
 		if env.Umbra == nil || env.Process == nil {
 			return nil, errors.New("taint: requires a process with shadow memory (set Env.Process and Env.Umbra)")
 		}
-		t := New(env.Umbra, env.Clock, env.Costs)
-		t.prog = env.Process.Prog
-		return t, nil
+		return New(env.Process, env.Umbra, env.Clock, env.Costs), nil
 	})
 }
 
@@ -27,17 +25,14 @@ func init() {
 func (t *Tracker) Name() string { return Kind }
 
 // OnAccess implements analysis.Analysis: the memory half of the
-// propagation, driven by the hosting system's access stream instead of a
-// private instrumentation plan. The instruction's register operands are
-// recovered from the program by PC (PCs are dense instruction indices).
-// Under full instrumentation this is the tracker's native precision;
-// under Aikido it becomes a shared-data taint tracker — private-page
-// flows are invisible, the framework trade-off §1 describes for analyses
-// that fundamentally need every access.
+// propagation, driven by the hosting system's access stream. The
+// instruction's register operands are recovered from the program by PC
+// (PCs are dense instruction indices). Under full instrumentation this is
+// the tracker's native precision; under Aikido it becomes a shared-data
+// taint tracker — private-page flows are invisible, the framework
+// trade-off §1 describes for analyses that fundamentally need every
+// access.
 func (t *Tracker) OnAccess(tid guest.TID, pc isa.PC, addr uint64, size uint8, write bool) {
-	if t.prog == nil || int(pc) >= len(t.prog.Code) {
-		return
-	}
 	in := t.prog.Code[pc]
 	t.clock.Charge(t.costs.ShadowTranslate)
 	rf := t.regFile(tid)
@@ -67,35 +62,10 @@ func (t *Tracker) OnSharedAccess(tid guest.TID, pc isa.PC, addr uint64, size uin
 
 // OnFork implements analysis.Analysis: taint crosses thread creation
 // through the spawn argument (the child's R0 is the parent's R1 in the
-// guest ABI) — the same propagation OnThreadStarted performs in the
-// standalone harness.
+// guest ABI).
 func (t *Tracker) OnFork(parent, child guest.TID) {
-	if parent == guest.NoTID {
-		return
-	}
 	t.regFile(child)[isa.R0] = t.regFile(parent)[isa.R1]
 }
-
-// OnExit implements analysis.Analysis.
-func (t *Tracker) OnExit(tid guest.TID) {}
-
-// OnAcquire implements analysis.Analysis: locks carry no data flow.
-func (t *Tracker) OnAcquire(tid guest.TID, lock int64) {}
-
-// OnRelease implements analysis.Analysis.
-func (t *Tracker) OnRelease(tid guest.TID, lock int64) {}
-
-// OnJoin implements analysis.Analysis.
-func (t *Tracker) OnJoin(joiner, child guest.TID) {}
-
-// OnBarrierWait implements analysis.Analysis.
-func (t *Tracker) OnBarrierWait(tid guest.TID, id int64) {}
-
-// OnBarrierRelease implements analysis.Analysis.
-func (t *Tracker) OnBarrierRelease(tid guest.TID, id int64) {}
-
-// AddThread implements analysis.Analysis.
-func (t *Tracker) AddThread(delta int) {}
 
 // SetMaxFindings implements analysis.Analysis, capping stored flows
 // (0 restores the default; negative stores none — count only).

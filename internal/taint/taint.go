@@ -8,24 +8,26 @@
 // creation (the spawn argument), and reported when a tainted value reaches
 // a *sink* region (an output buffer a trusted consumer reads).
 //
-// The register half of the propagation rides the DBI engine's OnRetire
-// observer; the memory half uses instrumentation plans on loads and stores
-// (which see the resolved effective address). Like the memory checker, a
-// taint tracker must see every access, so it is a conservative
-// every-instruction tool — the cost class Aikido exists to avoid for
-// analyses that only need shared data.
+// The tracker is a registry analysis ("taint") and runs only inside a
+// core.System. The register half of the propagation rides the engine's
+// retire observer (OnRetire); the memory half is the access stream the
+// system delivers (OnAccess), which carries the resolved effective
+// address. Like the memory checker, a taint tracker must see every
+// access, so its native configuration is full instrumentation — the cost
+// class Aikido exists to avoid for analyses that only need shared data.
+// Sources and sinks are set between core.NewSystem and Run, on the
+// *Tracker that System.Analysis("taint") returns.
 package taint
 
 import (
 	"fmt"
 	"sort"
 
-	"repro/internal/dbi"
+	"repro/internal/analysis"
 	"repro/internal/guest"
 	"repro/internal/isa"
 	"repro/internal/stats"
 	"repro/internal/umbra"
-	"repro/internal/vm"
 )
 
 // Region is a half-open guest address range.
@@ -58,14 +60,16 @@ type Counters struct {
 	RegOps        uint64
 }
 
-// Tracker is one taint-tracking instance.
+// Tracker is one taint-tracking instance. Of the synchronization hooks it
+// implements only OnFork; locks, joins and barriers carry no data flow.
 type Tracker struct {
+	analysis.NoSync
 	regs    map[guest.TID]*[isa.NumRegs]bool
 	mem     *umbra.ShadowMap[bool]
 	sources []Region
 	sinks   []Region
-	// prog, when set (registry-hosted trackers), lets OnAccess recover an
-	// instruction's register operands from its PC.
+	// prog lets OnAccess recover an instruction's register operands from
+	// its PC.
 	prog *isa.Program
 
 	flows []Flow
@@ -83,11 +87,12 @@ type Tracker struct {
 // defaultMaxFlows is the default findings cap.
 const defaultMaxFlows = 64
 
-// New creates a tracker over the process's Umbra instance.
-func New(um *umbra.Umbra, clock *stats.Clock, costs stats.CostModel) *Tracker {
+// New creates a tracker for the process over its Umbra instance.
+func New(p *guest.Process, um *umbra.Umbra, clock *stats.Clock, costs stats.CostModel) *Tracker {
 	return &Tracker{
 		regs:     make(map[guest.TID]*[isa.NumRegs]bool),
 		mem:      umbra.NewShadowMap[bool](um, 1),
+		prog:     p.Prog,
 		dedup:    make(map[uint64]struct{}),
 		MaxFlows: defaultMaxFlows,
 		clock:    clock,
@@ -149,39 +154,9 @@ func (t *Tracker) setMem(tid guest.TID, addr uint64, size uint8, v bool) {
 	}
 }
 
-// Instrument implements dbi.Tool: the memory half of the propagation.
-func (t *Tracker) Instrument(pc isa.PC, in isa.Instr) *dbi.Plan {
-	if !in.Op.IsMemRef() {
-		return nil
-	}
-	write := in.Op.IsWrite()
-	rd, rt := in.Rd, in.Rt
-	return &dbi.Plan{PreAccess: func(tid guest.TID, pc isa.PC, addr uint64, size uint8, _ bool) uint64 {
-		t.clock.Charge(t.costs.ShadowTranslate)
-		rf := t.regFile(tid)
-		if write {
-			tainted := rf[rt]
-			t.setMem(tid, addr, size, tainted)
-			if tainted {
-				t.C.TaintedStores++
-				if inAny(t.sinks, addr) {
-					t.report(Flow{TID: tid, PC: pc, Addr: addr, Size: size})
-				}
-			}
-			return addr
-		}
-		tainted := t.memTainted(tid, addr, size)
-		rf[rd] = tainted
-		if tainted {
-			t.C.TaintedLoads++
-		}
-		return addr
-	}}
-}
-
 // OnRetire is the register half of the propagation, wired as the engine's
-// observer. Memory ops are handled by the instrumentation plan; everything
-// else follows the instruction's register dataflow.
+// observer. Memory ops are handled by OnAccess; everything else follows
+// the instruction's register dataflow.
 func (t *Tracker) OnRetire(th *guest.Thread, pc isa.PC, in isa.Instr) {
 	if in.Op.IsMemRef() {
 		return
@@ -203,15 +178,6 @@ func (t *Tracker) OnRetire(th *guest.Thread, pc isa.PC, in isa.Instr) {
 	}
 }
 
-// OnThreadStarted propagates taint across thread creation: the child's R0
-// is the parent's R1 (the spawn argument of the guest ABI).
-func (t *Tracker) OnThreadStarted(child *guest.Thread, creator guest.TID) {
-	if creator == guest.NoTID {
-		return
-	}
-	t.regFile(child.ID)[isa.R0] = t.regFile(creator)[isa.R1]
-}
-
 // report stores a deduplicated flow.
 func (t *Tracker) report(f Flow) {
 	t.C.Flows++
@@ -231,31 +197,4 @@ func (t *Tracker) Flows() []Flow {
 	copy(out, t.flows)
 	sort.Slice(out, func(i, j int) bool { return out[i].PC < out[j].PC })
 	return out
-}
-
-// Run assembles a tracker stack and executes prog with the given source and
-// sink regions.
-func Run(prog *isa.Program, sources, sinks []Region) (*Tracker, *dbi.Result, error) {
-	p, err := guest.NewProcess(vm.NewMachine(), prog)
-	if err != nil {
-		return nil, nil, err
-	}
-	clock := &stats.Clock{}
-	costs := stats.DefaultCosts()
-	um := umbra.Attach(p, clock, costs)
-	t := New(um, clock, costs)
-	for _, s := range sources {
-		t.sources = append(t.sources, s)
-	}
-	for _, s := range sinks {
-		t.sinks = append(t.sinks, s)
-	}
-	p.Hooks.ThreadStarted = t.OnThreadStarted
-	eng := dbi.New(p, nil, t, clock, costs, dbi.DefaultConfig())
-	eng.OnRetire = t.OnRetire
-	res, err := eng.Run()
-	if err != nil {
-		return t, nil, err
-	}
-	return t, res, nil
 }

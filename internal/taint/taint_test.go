@@ -1,19 +1,20 @@
-package taint
+package taint_test
 
 import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/taint"
 	"repro/internal/vm"
 )
 
 // layout builds a program skeleton with a source page, a sink page and a
 // scratch page, returning their bases.
 type layout struct {
-	b                    *isa.Builder
-	src, sink, scratch   uint64
-	sources, sinkRegions []Region
+	b                  *isa.Builder
+	src, sink, scratch uint64
 }
 
 func newLayout(name string) *layout {
@@ -21,21 +22,25 @@ func newLayout(name string) *layout {
 	src := b.Global(vm.PageSize, vm.PageSize)
 	sink := b.Global(vm.PageSize, vm.PageSize)
 	scratch := b.Global(vm.PageSize, vm.PageSize)
-	return &layout{
-		b: b, src: src, sink: sink, scratch: scratch,
-		sources:     []Region{{Base: src, End: src + vm.PageSize}},
-		sinkRegions: []Region{{Base: sink, End: sink + vm.PageSize}},
-	}
+	return &layout{b: b, src: src, sink: sink, scratch: scratch}
 }
 
-func (l *layout) run(t *testing.T) *Tracker {
+// run hosts the tracker in a fully instrumented core.System, marks the
+// source and sink pages between NewSystem and Run, and runs the program.
+func (l *layout) run(t *testing.T) *taint.Tracker {
 	t.Helper()
 	prog, err := l.b.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _, err := Run(prog, l.sources, l.sinkRegions)
+	s, err := core.NewSystem(prog, core.DefaultConfig(core.ModeFastTrackFull).WithAnalyses(taint.Kind))
 	if err != nil {
+		t.Fatal(err)
+	}
+	tr := s.Analysis(taint.Kind).(*taint.Tracker)
+	tr.AddSource(l.src, vm.PageSize)
+	tr.AddSink(l.sink, vm.PageSize)
+	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	return tr
@@ -175,7 +180,7 @@ func TestSyscallResultUntainted(t *testing.T) {
 }
 
 func TestFlowString(t *testing.T) {
-	f := Flow{TID: 3, PC: 9, Addr: 0x2000, Size: 8}
+	f := taint.Flow{TID: 3, PC: 9, Addr: 0x2000, Size: 8}
 	s := f.String()
 	for _, want := range []string{"0x2000", "thread 3", "pc 9"} {
 		if !strings.Contains(s, want) {
