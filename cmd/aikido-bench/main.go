@@ -9,7 +9,7 @@
 //	aikido-bench [-experiment all|fig5|fig6|table1|table2|ablation|paging|
 //	              switch|providers|detectors|muxbench|epochs|scaling|
 //	              nondet|stm|crew]
-//	             [-scale F] [-threads N] [-workers N] [-json FILE] [-epoch]
+//	             [-scale F] [-threads N] [-workers N] [-json FILE]
 //	             [-analysis NAME[,NAME...]]
 //	aikido-bench -experiment chaos [-chaos PLAN] [-scale F] [-workers N]
 //
@@ -32,10 +32,9 @@
 // -workers 8. aikido-bench reports simulated results only; wall-clock time
 // is measured by bench/aikido-measure (see docs/benchmarking.md).
 //
-// -epoch enables epoch-based re-privatization (sharing.DefaultEpochPolicy)
-// in every Aikido cell: CI's 3-way equivalence leg diffs an -epoch report
-// against the baseline to pin that demotion never perturbs the PARSEC
-// models. The epochs experiment measures the demotion win on the
+// Every Aikido cell runs with epoch demotion, core.DefaultConfig's
+// default; it never fires on the PARSEC models. The epochs experiment
+// measures its win against the terminal-Shared machine on the
 // phased/migratory workload suite, where it does fire.
 //
 // -experiment chaos is the fault-isolation acceptance harness and is NOT
@@ -108,7 +107,6 @@ func main() {
 	threads := flag.Int("threads", 0, "override worker threads (0 = benchmark default, 8)")
 	workers := flag.Int("workers", runtime.NumCPU(), "runner pool size for the experiment sweep (results are identical at any value)")
 	jsonOut := flag.String("json", "", "write a machine-readable bench report to this file (\"-\" = stdout) instead of running text experiments")
-	epoch := flag.Bool("epoch", false, "enable epoch-based re-privatization in every Aikido cell (CI diffs this against the baseline)")
 	analyses := flag.String("analysis", "", "comma-separated analyses for every analysis-bearing cell (registry names; empty = default FastTrack)")
 	chaosPlan := flag.String("chaos", "", "with -experiment chaos: the fault-injection plan [seed=N;]KIND:SEAM[@COUNT];... (empty = idle-overhead identity check)")
 	flag.Parse()
@@ -126,7 +124,7 @@ func main() {
 		os.Exit(2)
 	}
 	o := experiments.Options{Scale: *scale, Threads: *threads, Workers: *workers,
-		Analyses: analysis.ParseList(*analyses), Epoch: *epoch}
+		Analyses: analysis.ParseList(*analyses)}
 	w := os.Stdout
 
 	// The chaos harness replaces the text experiments entirely (and is

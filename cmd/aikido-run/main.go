@@ -5,7 +5,7 @@
 // Usage:
 //
 //	aikido-run [-bench NAME|all] [-mode native|dbi|fasttrack|aikido|profile]
-//	           [-analysis NAME[,NAME...]] [-max-findings N] [-epoch]
+//	           [-analysis NAME[,NAME...]] [-max-findings N]
 //	           [-provider aikidovm|dos|dthreads] [-paging shadow|nested]
 //	           [-switch hypercall|segtrap|probe]
 //	           [-threads N] [-scale F] [-workers N] [-findings] [-list]
@@ -21,11 +21,11 @@
 // findings surface: no per-detector switch exists here, and a newly
 // registered analysis shows up without touching this command.
 //
-// -epoch enables epoch-based re-privatization in the Aikido modes
-// (sharing.DefaultEpochPolicy): Shared pages that fall back to a single
-// owner are demoted to Private(owner)/Unused at epoch boundaries and
-// their instructions return to native speed; the epoch statistics lines
-// report the demotion traffic.
+// The Aikido modes run with epoch demotion, core.DefaultConfig's default:
+// Shared pages that fall back to a single owner are demoted to
+// Private(owner)/Unused at epoch boundaries and their instructions return
+// to native speed; the epoch statistics lines report the demotion
+// traffic.
 //
 // -list-analyses prints the registry catalog: canonical names, the short
 // aliases that resolve to them, and the wrapper combinator in composed
@@ -66,7 +66,6 @@ import (
 	"repro/internal/parsec"
 	"repro/internal/provider"
 	"repro/internal/runner"
-	"repro/internal/sharing"
 )
 
 // Exit codes, distinct so scripts can tell outcome classes apart.
@@ -85,7 +84,6 @@ func run(args []string) int {
 	mode := fs.String("mode", "aikido", "native, dbi, fasttrack, aikido, profile")
 	analyses := fs.String("analysis", "fasttrack", "comma-separated analyses to multiplex onto one pass (see -list-analyses)")
 	maxFindings := fs.Int("max-findings", 0, "cap stored findings for the whole run, divided across the selected analyses (0 = each detector's default)")
-	epoch := fs.Bool("epoch", false, "enable epoch-based re-privatization of Shared pages (Aikido modes)")
 	prov := fs.String("provider", "aikidovm", "per-thread protection provider: aikidovm, dos, dthreads (§7.1)")
 	paging := fs.String("paging", "shadow", "AikidoVM paging mode: shadow, nested (§3.2.2)")
 	swi := fs.String("switch", "hypercall", "context-switch interception: hypercall, segtrap, probe (§3.2.3)")
@@ -180,9 +178,6 @@ func run(args []string) int {
 	cfg.Switch = sw
 	cfg.Chaos = plan
 	cfg.MaxCycles = *maxCycles
-	if *epoch {
-		cfg.Epoch = sharing.DefaultEpochPolicy()
-	}
 
 	size := func(b parsec.Benchmark) parsec.Benchmark {
 		b = b.WithScale(*scale)
@@ -285,13 +280,11 @@ func run(args []string) int {
 		if res.SD.RearmFailures > 0 {
 			fmt.Printf("rearm failures   %d (affected pages stay instrumented)\n", res.SD.RearmFailures)
 		}
-		if *epoch {
-			fmt.Printf("epoch sweeps     %d (%d ticks)\n", res.SD.EpochSweeps, res.EpochTicks)
-			fmt.Printf("pages demoted    %d private, %d unused\n",
-				res.SD.PagesDemotedPrivate, res.SD.PagesDemotedUnused)
-			fmt.Printf("pages reshared   %d\n", res.SD.PagesReshared)
-			fmt.Printf("PCs uninstr'd    %d\n", res.SD.PCsUninstrumented)
-		}
+		fmt.Printf("epoch sweeps     %d (%d ticks)\n", res.SD.EpochSweeps, res.EpochTicks)
+		fmt.Printf("pages demoted    %d private, %d unused\n",
+			res.SD.PagesDemotedPrivate, res.SD.PagesDemotedUnused)
+		fmt.Printf("pages reshared   %d\n", res.SD.PagesReshared)
+		fmt.Printf("PCs uninstr'd    %d\n", res.SD.PCsUninstrumented)
 	}
 	// The findings table is registry-driven: one block per selected
 	// analysis, rendered through the uniform findings surface.

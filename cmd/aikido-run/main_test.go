@@ -13,11 +13,12 @@ func TestRunRejectsBadScale(t *testing.T) {
 }
 
 // TestRunRejectsBadFlags: a negative -threads and the deleted -dispatch
-// flag are usage errors; neither runs anything.
+// and -epoch flags are usage errors; none of them runs anything.
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-bench", "fluidanimate", "-threads", "-2"},
 		{"-bench", "fluidanimate", "-dispatch", "phased"},
+		{"-bench", "fluidanimate", "-epoch"},
 	} {
 		if code := run(args); code != exitBadFlags {
 			t.Errorf("run(%v) = %d, want %d", args, code, exitBadFlags)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/parsec"
-	"repro/internal/sharing"
 	"repro/internal/workload"
 )
 
@@ -157,7 +156,6 @@ func TestRearmFailureDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	epochCfg := DefaultConfig(ModeAikidoFastTrack)
-	epochCfg.Epoch = sharing.DefaultEpochPolicy()
 	base, err := Run(prog, epochCfg)
 	if err != nil {
 		t.Fatal(err)

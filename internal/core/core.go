@@ -137,14 +137,14 @@ type Config struct {
 	// exist to avoid; §3.3.2 and the Abadi et al. comparison in §7.2).
 	NoMirror bool
 
-	// Epoch enables epoch-based re-privatization of Shared pages in the
+	// Epoch is the epoch-based re-privatization of Shared pages in the
 	// Aikido modes: pages dominated by one thread (or untouched) for
 	// consecutive epochs are demoted back to Private(owner)/Unused, their
 	// protections re-armed through the provider and their instrumented
 	// instructions flushed, so effectively-private data returns to
-	// native-speed execution. The zero value keeps the paper's terminal
-	// Shared state machine. See sharing.EpochPolicy and
-	// sharing.DefaultEpochPolicy.
+	// native-speed execution. DefaultConfig sets
+	// sharing.DefaultEpochPolicy; the zero value is the paper's Figure 3
+	// machine, where Shared is terminal. See sharing.EpochPolicy.
 	Epoch sharing.EpochPolicy
 
 	// MaxCycles caps the run's simulated cycles: a run whose clock
@@ -166,9 +166,11 @@ type Config struct {
 	Chaos *faultinject.Plan
 }
 
-// DefaultConfig returns the standard configuration for a mode.
+// DefaultConfig returns the standard configuration for a mode, with epoch
+// demotion on.
 func DefaultConfig(m Mode) Config {
-	return Config{Mode: m, Costs: stats.DefaultCosts(), Engine: dbi.DefaultConfig()}
+	return Config{Mode: m, Costs: stats.DefaultCosts(), Engine: dbi.DefaultConfig(),
+		Epoch: sharing.DefaultEpochPolicy()}
 }
 
 // WithAnalyses returns a copy of the config selecting the named analyses.

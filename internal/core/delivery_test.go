@@ -177,10 +177,11 @@ func TestDeferredByteIdenticalOnParsec(t *testing.T) {
 }
 
 // TestDeferredByteIdenticalWithEpochs is the same reproducibility
-// contract where it is hardest: an armed epoch clock reads the simulated
-// clock between accesses, so every analysis charge must land before the
-// boundary check that follows it. Demotion-heavy suites, where sweeps
-// fire and re-arm pages, must reproduce exactly, tick for tick.
+// contract where it is hardest: the default configuration's armed epoch
+// clock reads the simulated clock between accesses, so every analysis
+// charge must land before the boundary check that follows it.
+// Demotion-heavy suites, where sweeps fire and re-arm pages, must
+// reproduce exactly, tick for tick.
 func TestDeferredByteIdenticalWithEpochs(t *testing.T) {
 	for _, src := range phasedSources() {
 		prog, err := src.Compile()
@@ -188,7 +189,6 @@ func TestDeferredByteIdenticalWithEpochs(t *testing.T) {
 			t.Fatalf("%s: %v", src.SourceName(), err)
 		}
 		cfg := DefaultConfig(ModeAikidoFastTrack)
-		cfg.Epoch = sharing.DefaultEpochPolicy()
 		first := runCfg(t, prog, cfg)
 		if first.SD.PagesDemotedPrivate == 0 || first.EpochTicks == 0 {
 			t.Errorf("%s: no demotion (ticks=%d) — the epoch coverage is vacuous",
@@ -467,6 +467,7 @@ func TestPhaseByteIdentical(t *testing.T) {
 	}
 	for name, prog := range progs {
 		cfg := DefaultConfig(ModeAikidoFastTrack)
+		cfg.Epoch = sharing.EpochPolicy{}
 		plain := runCfg(t, prog, cfg)
 		cfg.Epoch = sharing.DefaultEpochPolicy()
 		if name == "locked-counter" {
@@ -501,6 +502,7 @@ func TestPhaseSplitsHotPage(t *testing.T) {
 	prog := hotProgram(4, 3000)
 	cfg := DefaultConfig(ModeAikidoFastTrack)
 	cfg.Engine.Quantum = 200
+	cfg.Epoch = sharing.EpochPolicy{}
 	plain := runCfg(t, prog, cfg)
 	cfg.Epoch = hotEpochPolicy()
 	ep := runCfg(t, prog, cfg)
@@ -528,6 +530,7 @@ func TestPhaseReconcilePreservesRaces(t *testing.T) {
 	for _, quantum := range []uint64{7, 53, 311, 977} {
 		cfg := DefaultConfig(ModeAikidoFastTrack)
 		cfg.Engine.Quantum = quantum
+		cfg.Epoch = sharing.EpochPolicy{}
 		plain := runCfg(t, prog, cfg)
 		cfg.Epoch = hotEpochPolicy()
 		ep := runCfg(t, prog, cfg)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -24,50 +25,54 @@ func stripEpochCounters(c sharing.Counters) sharing.Counters {
 	return c
 }
 
-// TestEpochParsecByteIdentical is the invariant CI's 3-way equivalence
-// leg enforces end-to-end: with the default epoch policy enabled, the
-// steadily-sharing PARSEC models must behave byte-identically to the
-// terminal-Shared baseline — same cycles, same races, same engine and
-// sharing counters — because demotion never fires on them (every shared
-// page keeps being touched by several threads per epoch). The epoch
-// machinery must still be demonstrably armed: ticks occur.
+// TestEpochParsecByteIdentical pins that epoch demotion, on by default,
+// never perturbs the steadily-sharing PARSEC models: at scales 0.25 and
+// 0.1 (the size of the experiments package's BenchJSON tests) the
+// default configuration behaves byte-identically to the terminal-Shared
+// baseline — same cycles, same races, same engine and sharing counters —
+// because demotion never fires on them (every shared page keeps being
+// touched by several threads per epoch). The epoch machinery must still
+// be demonstrably armed: ticks occur.
 func TestEpochParsecByteIdentical(t *testing.T) {
-	ticked := false
-	for _, bench := range parsec.All() {
-		bench := bench.WithScale(0.25)
-		prog, err := workload.Build(bench.Spec)
-		if err != nil {
-			t.Fatalf("%s: build: %v", bench.Name, err)
+	terminal := DefaultConfig(ModeAikidoFastTrack)
+	terminal.Epoch = sharing.EpochPolicy{}
+	for _, scale := range []float64{0.25, 0.1} {
+		ticked := false
+		for _, bench := range parsec.All() {
+			bench := bench.WithScale(scale)
+			prog, err := workload.Build(bench.Spec)
+			if err != nil {
+				t.Fatalf("%s: build: %v", bench.Name, err)
+			}
+			base, err := Run(prog, terminal)
+			if err != nil {
+				t.Fatalf("%s: baseline: %v", bench.Name, err)
+			}
+			ep, err := Run(prog, DefaultConfig(ModeAikidoFastTrack))
+			if err != nil {
+				t.Fatalf("%s: epoch: %v", bench.Name, err)
+			}
+			label := fmt.Sprintf("%s scale=%v", bench.Name, scale)
+			ticked = ticked || ep.EpochTicks > 0
+			if d := ep.SD.PagesDemotedPrivate + ep.SD.PagesDemotedUnused; d != 0 {
+				t.Errorf("%s: default policy demoted %d pages on a steady model", label, d)
+			}
+			if base.Cycles != ep.Cycles {
+				t.Errorf("%s: cycles diverge: baseline %d, epoch %d", label, base.Cycles, ep.Cycles)
+			}
+			if !reflect.DeepEqual(racesOf(base), racesOf(ep)) {
+				t.Errorf("%s: races diverge:\nbaseline: %v\nepoch:    %v", label, racesOf(base), racesOf(ep))
+			}
+			if base.Engine != ep.Engine {
+				t.Errorf("%s: engine counters diverge:\nbaseline: %+v\nepoch:    %+v", label, base.Engine, ep.Engine)
+			}
+			if base.SD != stripEpochCounters(ep.SD) {
+				t.Errorf("%s: sharing counters diverge:\nbaseline: %+v\nepoch:    %+v", label, base.SD, ep.SD)
+			}
 		}
-		base, err := Run(prog, DefaultConfig(ModeAikidoFastTrack))
-		if err != nil {
-			t.Fatalf("%s: baseline: %v", bench.Name, err)
+		if !ticked {
+			t.Errorf("scale %v: epoch clock never ticked on any model: the equivalence was vacuous", scale)
 		}
-		cfg := DefaultConfig(ModeAikidoFastTrack)
-		cfg.Epoch = sharing.DefaultEpochPolicy()
-		ep, err := Run(prog, cfg)
-		if err != nil {
-			t.Fatalf("%s: epoch: %v", bench.Name, err)
-		}
-		ticked = ticked || ep.EpochTicks > 0
-		if d := ep.SD.PagesDemotedPrivate + ep.SD.PagesDemotedUnused; d != 0 {
-			t.Errorf("%s: default policy demoted %d pages on a steady model", bench.Name, d)
-		}
-		if base.Cycles != ep.Cycles {
-			t.Errorf("%s: cycles diverge: baseline %d, epoch %d", bench.Name, base.Cycles, ep.Cycles)
-		}
-		if !reflect.DeepEqual(racesOf(base), racesOf(ep)) {
-			t.Errorf("%s: races diverge:\nbaseline: %v\nepoch:    %v", bench.Name, racesOf(base), racesOf(ep))
-		}
-		if base.Engine != ep.Engine {
-			t.Errorf("%s: engine counters diverge:\nbaseline: %+v\nepoch:    %+v", bench.Name, base.Engine, ep.Engine)
-		}
-		if base.SD != stripEpochCounters(ep.SD) {
-			t.Errorf("%s: sharing counters diverge:\nbaseline: %+v\nepoch:    %+v", bench.Name, base.SD, ep.SD)
-		}
-	}
-	if !ticked {
-		t.Error("epoch clock never ticked on any model: the equivalence was vacuous")
 	}
 }
 
@@ -78,7 +83,8 @@ func TestEpochParsecByteIdentical(t *testing.T) {
 // pages are never single-owner — must not change by a single cycle.
 func TestEpochPhasedSpeedup(t *testing.T) {
 	epochCfg := DefaultConfig(ModeAikidoFastTrack)
-	epochCfg.Epoch = sharing.DefaultEpochPolicy()
+	terminal := epochCfg
+	terminal.Epoch = sharing.EpochPolicy{}
 
 	phased := workload.PhasedSpec{
 		Name: "phased", Threads: 8, Phases: 6, PhaseIters: 200,
@@ -99,7 +105,7 @@ func TestEpochPhasedSpeedup(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.src.SourceName(), err)
 		}
-		base, err := Run(prog, DefaultConfig(ModeAikidoFastTrack))
+		base, err := Run(prog, terminal)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +135,7 @@ func TestEpochPhasedSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Run(prog, DefaultConfig(ModeAikidoFastTrack))
+	base, err := Run(prog, terminal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,9 +193,9 @@ func TestEpochClockBoundaries(t *testing.T) {
 	})
 }
 
-// TestEpochDisabledNeverTicks is the "-epoch off" half of the boundary
-// contract: with no epoch policy the system wires no clock at all — zero
-// Ticks, zero sweeps, nil ticker — on a workload that shares pages
+// TestEpochDisabledNeverTicks is the terminal-Shared half of the boundary
+// contract: with the zero epoch policy the system wires no clock at all —
+// zero Ticks, zero sweeps, nil ticker — on a workload that shares pages
 // heavily enough that an armed clock would certainly have fired.
 func TestEpochDisabledNeverTicks(t *testing.T) {
 	bench, err := parsec.ByName("fluidanimate")
@@ -201,7 +207,9 @@ func TestEpochDisabledNeverTicks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSystem(prog, DefaultConfig(ModeAikidoFastTrack))
+	cfg := DefaultConfig(ModeAikidoFastTrack)
+	cfg.Epoch = sharing.EpochPolicy{}
+	s, err := NewSystem(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +223,9 @@ func TestEpochDisabledNeverTicks(t *testing.T) {
 	if res.EpochTicks != 0 || res.SD.EpochSweeps != 0 {
 		t.Errorf("disabled epochs ticked: ticks=%d sweeps=%d", res.EpochTicks, res.SD.EpochSweeps)
 	}
-	// The same run with the clock armed does tick — the zero above is a
-	// property of the configuration, not of the workload.
-	cfg := DefaultConfig(ModeAikidoFastTrack)
-	cfg.Epoch = sharing.DefaultEpochPolicy()
-	armed, err := Run(prog, cfg)
+	// The same run with the default, armed clock does tick — the zero
+	// above is a property of the configuration, not of the workload.
+	armed, err := Run(prog, DefaultConfig(ModeAikidoFastTrack))
 	if err != nil {
 		t.Fatal(err)
 	}

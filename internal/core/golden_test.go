@@ -117,9 +117,9 @@ func epochCells() []goldenCell {
 		workload.FalseSharingSpec{Name: "falseshare", Threads: 8, Iters: 1200, Pages: 2,
 			OpsPerIter: 6, AluOps: 6, SlotStride: 64},
 	}
-	off := DefaultConfig(ModeAikidoFastTrack)
-	on := off
-	on.Epoch = sharing.DefaultEpochPolicy()
+	on := DefaultConfig(ModeAikidoFastTrack)
+	off := on
+	off.Epoch = sharing.EpochPolicy{}
 	shared := func(w io.Writer, r *Result) {
 		fmt.Fprintf(w, "shared-accesses %d\n", r.SD.SharedPageAccesses)
 	}

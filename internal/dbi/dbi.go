@@ -2,9 +2,10 @@
 // simulator's DynamoRIO (paper §2.1). It executes guest programs through a
 // code cache of basic blocks:
 //
-//   - blocks are discovered lazily, copied into the cache, and may start at
+//   - blocks are discovered lazily, cached by start PC, and may start at
 //     any PC (so execution can resume at a faulting instruction after its
-//     block was flushed and rebuilt);
+//     block was flushed and rebuilt); builds recycle flushed blocks, so
+//     steady re-JIT allocates nothing;
 //   - consecutive blocks are linked directly, and hot blocks are promoted
 //     to traces, both of which reduce dispatch cost;
 //   - a Tool inspects every instruction at block-build time and may attach
@@ -117,13 +118,14 @@ type Counters struct {
 
 // block is one code-cache entry.
 type block struct {
-	start  isa.PC
+	start isa.PC
+	// instrs slices Program.Code, which nothing writes after compilation,
+	// and mem slices the engine's memRef table the same way; only plans
+	// belongs to the block.
 	instrs []isa.Instr
 	plans  []*Plan // parallel to instrs; nil = uninstrumented
-	// mem caches Op.IsMemRef per instruction: the classification is done
-	// once at build time instead of on every retired execution.
-	mem []bool
-	end isa.PC // first PC past the block
+	mem    []bool
+	end    isa.PC // first PC past the block
 	// next links the fall-through/jump successor once observed.
 	next *block
 	// execs counts executions for trace promotion; trace marks promotion.
@@ -200,6 +202,15 @@ type Engine struct {
 	// maxBlockLen is the longest block built so far; Flush only needs to
 	// scan start PCs within that window below the flushed PC.
 	maxBlockLen int
+	// memRef caches Op.IsMemRef per PC, classified once in New instead of
+	// on every retired execution; blocks slice it.
+	memRef []bool
+	// free holds flushed blocks for build to recycle, struct and plans
+	// array both, so a re-JIT allocates nothing. build runs only from
+	// dispatch, and a block flushed while it runs (the epoch sweep flushes
+	// from inside PreAccess) is read by execBlock until it returns, so a
+	// flushed block is never reused before the next dispatch.
+	free []*block
 
 	// directP, when non-nil, marks Mem as the built-in direct page-table
 	// walker: execMem calls it concretely instead of through the Memory
@@ -218,6 +229,10 @@ func New(p *guest.Process, mem Memory, tool Tool, clock *stats.Clock, costs stat
 	e := &Engine{
 		P: p, Mem: mem, Tool: tool, Clock: clock, Costs: costs, Cfg: cfg,
 		blocks: make([]*block, len(p.Prog.Code)),
+		memRef: make([]bool, len(p.Prog.Code)),
+	}
+	for pc, in := range p.Prog.Code {
+		e.memRef[pc] = in.Op.IsMemRef()
 	}
 	if mem == nil {
 		// Native runs walk the guest page table directly; keeping the
@@ -291,8 +306,9 @@ func (d directMemory) nextPage(addr uint64, a pagetable.Access) (vm.FrameID, *hy
 // uninstrumented copy).
 func (e *Engine) Flush(pc isa.PC) int {
 	// A block containing pc starts at most maxBlockLen-1 slots below pc,
-	// so only that window of the table needs scanning.
-	var flushed []*block
+	// so only that window of the table needs scanning. This call's
+	// victims go on the free list; flushed is their tail of it.
+	mark := len(e.free)
 	lo := 0
 	if e.maxBlockLen > 0 && int(pc) >= e.maxBlockLen {
 		lo = int(pc) - e.maxBlockLen + 1
@@ -305,13 +321,14 @@ func (e *Engine) Flush(pc isa.PC) int {
 		b := e.blocks[start]
 		if b != nil && pc >= b.start && pc < b.end {
 			e.blocks[start] = nil
-			flushed = append(flushed, b)
+			e.free = append(e.free, b)
 			if e.Cfg.ChargeDBI {
 				e.Clock.Charge(e.Costs.FlushBlock)
 			}
 			e.C.BlocksFlushed++
 		}
 	}
+	flushed := e.free[mark:]
 	if len(flushed) > 0 {
 		// Sever every direct link into a flushed block, exactly as
 		// DynamoRIO unlinks deleted fragments.
@@ -344,14 +361,14 @@ func (e *Engine) lookup(tid guest.TID, pc isa.PC) *block {
 	return b
 }
 
-// build copies instructions [pc, end) into a fresh block, consulting the
-// tool for instrumentation. Building reads the application's code pages,
-// which may be Aikido-protected — RuntimeTouch lets the system model
-// DynamoRIO's unprotect/reprotect dance (§3.4).
+// build makes the block of instructions [pc, end), consulting the tool for
+// instrumentation; it recycles a flushed block when one is free. Building
+// reads the application's code pages, which may be Aikido-protected —
+// RuntimeTouch lets the system model DynamoRIO's unprotect/reprotect dance
+// (§3.4).
 func (e *Engine) build(tid guest.TID, pc isa.PC) *block {
 	prog := e.P.Prog
-	// Find the block's extent first, so its arrays are allocated once at
-	// their final size.
+	// Find the block's extent first, so its plans array is sized once.
 	n := 0
 	for n < maxBlock && int(pc)+n < len(prog.Code) {
 		op := prog.At(pc + isa.PC(n)).Op
@@ -362,16 +379,24 @@ func (e *Engine) build(tid guest.TID, pc isa.PC) *block {
 			break
 		}
 	}
-	b := &block{start: pc, end: pc + isa.PC(n),
-		instrs: make([]isa.Instr, n), plans: make([]*Plan, n), mem: make([]bool, n)}
-	for i := range b.instrs {
-		cur := pc + isa.PC(i)
-		in := prog.At(cur)
-		b.instrs[i] = in
-		if e.Tool != nil {
-			b.plans[i] = e.Tool.Instrument(cur, in)
+	var b *block
+	if k := len(e.free) - 1; k >= 0 {
+		b, e.free[k] = e.free[k], nil
+		e.free = e.free[:k]
+	} else {
+		b = new(block)
+	}
+	plans := b.plans
+	if cap(plans) < n {
+		plans = make([]*Plan, n)
+	}
+	*b = block{start: pc, end: pc + isa.PC(n),
+		instrs: prog.Code[pc : pc+isa.PC(n)], plans: plans[:n], mem: e.memRef[pc : pc+isa.PC(n)]}
+	clear(b.plans)
+	if e.Tool != nil {
+		for i, in := range b.instrs {
+			b.plans[i] = e.Tool.Instrument(pc+isa.PC(i), in)
 		}
-		b.mem[i] = in.Op.IsMemRef()
 	}
 	if e.RuntimeTouch != nil {
 		// One touch per code page the builder read.

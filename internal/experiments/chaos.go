@@ -11,7 +11,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/parsec"
 	"repro/internal/runner"
-	"repro/internal/sharing"
 )
 
 // ChaosMaxCycles is the simulated-cycle budget stamped on every chaos
@@ -70,8 +69,9 @@ type ChaosReport struct {
 
 // chaosSpecs builds the chaos matrix: the full Figure-5 model×mode grid
 // (provider-agnostic seams: guest and analysis), plus the epoch suite's
-// demoting workloads as epoch-enabled Aikido cells, which are the only
-// cells that cross the provider seam (RearmPage fires during demotion).
+// demoting workloads as Aikido cells, which are the only cells that cross
+// the provider seam (RearmPage fires during demotion, which never happens
+// on the PARSEC models).
 func (o Options) chaosSpecs(plan *faultinject.Plan, stamp bool) []runner.Spec {
 	var specs []runner.Spec
 	for _, b := range parsec.All() {
@@ -85,7 +85,6 @@ func (o Options) chaosSpecs(plan *faultinject.Plan, stamp bool) []runner.Spec {
 	}
 	epochCfg := core.DefaultConfig(core.ModeAikidoFastTrack)
 	epochCfg.Analyses = o.Analyses
-	epochCfg.Epoch = sharing.DefaultEpochPolicy()
 	if stamp {
 		epochCfg.Chaos = plan
 		epochCfg.MaxCycles = ChaosMaxCycles

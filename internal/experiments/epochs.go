@@ -84,10 +84,10 @@ func epochSuite(o Options) []epochCase {
 func Epochs(o Options) ([]EpochRow, error) {
 	o = o.normalize()
 	suite := epochSuite(o)
-	base := core.DefaultConfig(core.ModeAikidoFastTrack)
-	base.Analyses = o.Analyses
-	epoch := base
-	epoch.Epoch = sharing.DefaultEpochPolicy()
+	epoch := core.DefaultConfig(core.ModeAikidoFastTrack)
+	epoch.Analyses = o.Analyses
+	base := epoch
+	base.Epoch = sharing.EpochPolicy{}
 
 	var specs []runner.Spec
 	for _, c := range suite {

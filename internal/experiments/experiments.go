@@ -24,7 +24,6 @@ import (
 	"repro/internal/parsec"
 	"repro/internal/runner"
 	"repro/internal/sampler"
-	"repro/internal/sharing"
 	"repro/internal/stats"
 )
 
@@ -44,13 +43,6 @@ type Options struct {
 	// pass. CI diffs -analysis fasttrack against the default to pin the
 	// single-analysis path byte-identical through the registry seam.
 	Analyses []string
-	// Epoch enables epoch-based re-privatization (the default
-	// sharing.EpochPolicy) in every Aikido cell. On the steadily-sharing
-	// PARSEC models demotion never fires and reports stay byte-identical
-	// to the terminal-Shared baseline — CI's 3-way equivalence leg diffs
-	// exactly that. The epochs experiment measures the win on the
-	// phased/migratory suite regardless of this flag.
-	Epoch bool
 }
 
 // DefaultOptions is the full-size harness configuration.
@@ -124,9 +116,6 @@ func (o Options) modeCells(b parsec.Benchmark) []runner.Spec {
 		cfg := core.DefaultConfig(m.mode)
 		if m.mode != core.ModeNative {
 			cfg.Analyses = o.Analyses
-		}
-		if o.Epoch && m.mode == core.ModeAikidoFastTrack {
-			cfg.Epoch = sharing.DefaultEpochPolicy()
 		}
 		specs[i] = cell(b, m.label, cfg)
 	}

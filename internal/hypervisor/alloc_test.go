@@ -3,14 +3,17 @@ package hypervisor
 import (
 	"testing"
 
+	"repro/internal/guest"
 	"repro/internal/isa"
+	"repro/internal/pagetable"
 	"repro/internal/vm"
 )
 
 // TestProtectionChurnNoAllocs pins the protection table's steady state:
 // once a page's rows, thread views and shadow chunks exist, protecting it,
-// granting and re-arming it per thread, refilling shadow entries and
-// clearing it again allocate nothing, under either paging mode.
+// granting and re-arming it per thread, refilling shadow entries, taking
+// an Aikido fault and clearing it again allocate nothing, under either
+// paging mode.
 func TestProtectionChurnNoAllocs(t *testing.T) {
 	for _, nested := range []bool{false, true} {
 		name := "shadow"
@@ -18,19 +21,26 @@ func TestProtectionChurnNoAllocs(t *testing.T) {
 			name = "nested"
 		}
 		t.Run(name, func(t *testing.T) {
+			var p *guest.Process
 			var h *Hypervisor
 			if nested {
-				_, h = nestedFixture(t)
+				p, h = nestedFixture(t)
 			} else {
-				_, h = fixture(t)
+				p, h = fixture(t)
 			}
 			lib := h.Lib()
+			lib.RegisterFaultPages(p.Mmap(vm.PageSize, pagetable.ProtWrite|pagetable.ProtUser),
+				p.Mmap(vm.PageSize, pagetable.ProtRO), p.Mmap(vm.PageSize, pagetable.ProtRW))
 			vpn := vm.PageNum(isa.DataBase)
 			round := func() {
 				lib.ProtectPage(vpn)
 				lib.UnprotectForThread(1, vpn)
 				if _, fault := h.Load(1, isa.DataBase, 8, true); fault != nil {
 					t.Fatalf("owner load faults: %v", fault)
+				}
+				if _, fault := h.Load(3, isa.DataBase+8, 8, true); fault == nil || !fault.Aikido ||
+					!lib.IsAikidoFault(fault.FakeAddr) || lib.FaultAddr() != isa.DataBase+8 {
+					t.Fatalf("non-owner load: fault %+v, want an Aikido fault at %#x", fault, isa.DataBase+8)
 				}
 				lib.RearmPage(vpn, 2)
 				if _, fault := h.Load(2, isa.DataBase, 8, true); fault != nil {

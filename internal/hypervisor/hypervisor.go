@@ -153,6 +153,9 @@ type Hypervisor struct {
 	clock *stats.Clock
 	costs stats.CostModel
 
+	// fault is the one Aikido fault record, rewritten by every delivery.
+	fault Fault
+
 	Stats Stats
 }
 
@@ -304,6 +307,9 @@ func (h *Hypervisor) protForAccess(tid guest.TID, vpn uint64, frame vm.FrameID) 
 }
 
 // Fault describes a fault observed by the virtual CPU on a user access.
+// An Aikido fault points at a record its hypervisor or provider rewrites on
+// the next Aikido fault, so a handler reads it synchronously and keeps no
+// pointer to it.
 type Fault struct {
 	// Addr is the faulting guest virtual address (the *true* address; the
 	// fake delivery address is FakeAddr).
@@ -423,9 +429,11 @@ func (h *Hypervisor) restoreTempUnprotected() {
 // deliverAikidoFault constructs the fake-fault delivery of §3.2.5: the
 // fault is reported at a pre-registered address whose protection matches
 // the access kind, and the true faulting address is written to the
-// registered guest memory slot.
+// registered guest memory slot. It reuses h.fault rather than allocating:
+// the handler consumes a fault before the guest makes its next access.
 func (h *Hypervisor) deliverAikidoFault(addr uint64, a pagetable.Access) *Fault {
-	f := &Fault{Addr: addr, Access: a, Aikido: true}
+	f := &h.fault
+	*f = Fault{Addr: addr, Access: a, Aikido: true}
 	switch a {
 	case pagetable.AccessRead:
 		f.FakeAddr = h.faultPageRead

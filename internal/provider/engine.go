@@ -45,6 +45,10 @@ type protEngine struct {
 	kernelDenied func(vpn uint64)
 	// fill is called on every translation-cache fill (TLB miss walk).
 	fill func()
+
+	// fault is the one per-thread-protection fault record, rewritten by
+	// every denial (see hypervisor.Fault).
+	fault hypervisor.Fault
 }
 
 // newProtEngine builds an enforcement engine over the process's page table.
@@ -143,7 +147,8 @@ func (e *protEngine) translate(tid guest.TID, addr uint64, a pagetable.Access, u
 	if !eff.Allows(a, true) {
 		// Per-thread protection denial: delivered as a plain SIGSEGV
 		// carrying the true faulting address (no fake-fault indirection).
-		return vm.NoFrame, 0, &hypervisor.Fault{Addr: addr, Access: a, Aikido: true}
+		e.fault = hypervisor.Fault{Addr: addr, Access: a, Aikido: true}
+		return vm.NoFrame, 0, &e.fault
 	}
 	ct := e.cache[tid]
 	if ct == nil {

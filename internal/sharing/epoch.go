@@ -59,9 +59,10 @@ func (p EpochPolicy) Enabled() bool {
 	return p.Interval > 0 && (p.DemoteAfter > 0 || p.QuietAfter > 0)
 }
 
-// DefaultEpochPolicy is the calibrated default: epochs long enough that
-// the steadily-sharing PARSEC models never demote (their findings and
-// cycles stay byte-identical to the terminal-Shared baseline, which CI
+// DefaultEpochPolicy is the calibrated default, which core.DefaultConfig
+// sets: epochs long enough that the steadily-sharing PARSEC models never
+// demote (their findings and cycles stay byte-identical to the
+// terminal-Shared baseline, which core's TestEpochParsecByteIdentical
 // pins), short enough that phased/migratory workloads demote within a
 // fraction of one phase.
 func DefaultEpochPolicy() EpochPolicy {

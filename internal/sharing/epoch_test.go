@@ -104,6 +104,7 @@ func TestEpochDemotionPreservesRaces(t *testing.T) {
 		prog := buildRacePattern(p)
 		run := func(epoch bool) *core.Result {
 			cfg := core.DefaultConfig(core.ModeAikidoFastTrack)
+			cfg.Epoch = sharing.EpochPolicy{}
 			if epoch {
 				cfg.Epoch = sharing.EpochPolicy{
 					// A schedule far more aggressive than any sane
@@ -213,7 +214,8 @@ func TestEpochHandoffRefaults(t *testing.T) {
 		t.Errorf("barrier-ordered ping-pong reported %d races", n)
 	}
 
-	base, err := core.Run(prog, core.DefaultConfig(core.ModeAikidoFastTrack))
+	cfg.Epoch = sharing.EpochPolicy{}
+	base, err := core.Run(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

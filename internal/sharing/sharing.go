@@ -460,7 +460,7 @@ func (d *Detector) newPlan(direct bool) *dbi.Plan {
 			// invalidation, not an emitted branch — steady-state direct
 			// code is either the unconditional rewrite (page Shared) or
 			// fully native (rebuilt after demotion), which is what
-			// keeps the -epoch PARSEC report byte-identical to the
+			// keeps the PARSEC reports byte-identical to the
 			// terminal-Shared baseline.
 			d.clock.Charge(d.costs.SharedCheck)
 			d.C.PrivateChecked++
