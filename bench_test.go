@@ -20,8 +20,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/crew"
-	"repro/internal/dbi"
 	"repro/internal/fasttrack"
 	"repro/internal/hypervisor"
 	"repro/internal/isa"
@@ -483,43 +481,6 @@ func stmBenchProgram() (*isa.Program, error) {
 	return bld.Finish()
 }
 
-// BenchmarkExtensionCREW measures CREW recording and replay (§7.1). The
-// workload keeps all nondeterminism in memory (no locks): CREW logs memory
-// ownership transitions, and kernel-side lock handoffs are outside the
-// protocol (SMP-ReVirt replays a whole machine, where lock state is also
-// just memory).
-func BenchmarkExtensionCREW(b *testing.B) {
-	prog, err := crewBenchProgram()
-	if err != nil {
-		b.Fatal(err)
-	}
-	recCfg := dbi.DefaultConfig()
-	b.Run("record", func(b *testing.B) {
-		var log *crew.Log
-		for i := 0; i < b.N; i++ {
-			var err error
-			_, log, err = crew.Record(prog, recCfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(log.Transitions)), "transitions")
-	})
-	b.Run("replay", func(b *testing.B) {
-		_, log, err := crew.Record(prog, recCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		repCfg := dbi.DefaultConfig()
-		repCfg.Quantum = 77
-		for i := 0; i < b.N; i++ {
-			if _, _, err := crew.Replay(prog, log, repCfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkMemcheck measures the Umbra-hosted memory checker — the
 // conservative every-access shadow tool whose cost class Figure 5's
 // FastTrack bars represent.
@@ -539,32 +500,4 @@ func BenchmarkMemcheck(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// crewBenchProgram is an unsynchronized racy-counter workload (memory-only
-// nondeterminism, replayable by CREW).
-func crewBenchProgram() (*isa.Program, error) {
-	bld := isa.NewBuilder("crew-bench")
-	counter := bld.GlobalU64(0)
-	tids := bld.GlobalArray(4)
-	for w := 0; w < 4; w++ {
-		bld.MovImm(isa.R4, int64(w))
-		bld.ThreadCreate("worker", isa.R4)
-		bld.StoreAbs(tids+uint64(8*w), isa.R0)
-	}
-	for w := 0; w < 4; w++ {
-		bld.LoadAbs(isa.R5, tids+uint64(8*w))
-		bld.ThreadJoin(isa.R5)
-	}
-	bld.MovImm(isa.R0, 0)
-	bld.Syscall(isa.SysExit)
-	bld.Label("worker")
-	bld.LoopN(isa.R2, 200, func(bld *isa.Builder) {
-		bld.LoadAbs(isa.R6, counter)
-		bld.Add(isa.R7, isa.R7, isa.R2)
-		bld.AddImm(isa.R6, isa.R6, 1)
-		bld.StoreAbs(counter, isa.R6)
-	})
-	bld.Halt()
-	return bld.Finish()
 }

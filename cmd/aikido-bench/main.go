@@ -2,16 +2,15 @@
 // Figure 6, Table 1, Table 2 — plus the ablation studies (mirror pages,
 // paging modes, context-switch interception, protection providers) and the
 // extension experiments (detector comparison, thread scaling,
-// Nondeterminator vs FastTrack, STM strong atomicity, CREW record/replay).
+// Nondeterminator vs FastTrack, STM strong atomicity).
 //
 // Usage:
 //
 //	aikido-bench [-experiment all|fig5|fig6|table1|table2|ablation|paging|
 //	              switch|providers|detectors|muxbench|epochs|scaling|
-//	              nondet|stm|crew]
+//	              nondet|stm]
 //	             [-scale F] [-threads N] [-workers N] [-json FILE]
 //	             [-analysis NAME[,NAME...]]
-//	aikido-bench -experiment chaos [-chaos PLAN] [-scale F] [-workers N]
 //
 // -analysis selects the analyses every analysis-bearing cell runs (registry
 // names, multiplexed onto one pass per cell); CI diffs the -json report at
@@ -22,8 +21,8 @@
 //
 // Every model×mode experiment matrix is sharded across -workers concurrent
 // runner workers (default: all CPUs); results are identical at any worker
-// count. The nondet, stm and crew extensions run their own engines
-// (SP-bags, the STM, CREW record/replay) sequentially and ignore -workers.
+// count. The nondet and stm extensions run sequentially and ignore
+// -workers.
 //
 // With -json, the Figure 5 workload matrix runs once per (model, mode) and
 // a machine-readable report of its simulated results is written to FILE
@@ -36,17 +35,6 @@
 // default; it never fires on the PARSEC models. The epochs experiment
 // measures its win against the terminal-Shared machine on the
 // phased/migratory workload suite, where it does fire.
-//
-// -experiment chaos is the fault-isolation acceptance harness and is NOT
-// part of "all": it runs the chaos matrix (every Figure-5 model×mode cell
-// plus the epoch suite's demoting workloads) under the deterministic
-// fault-injection plan given with -chaos ("[seed=N;]KIND:SEAM[@COUNT];…",
-// see internal/faultinject), and exits nonzero if any containment
-// contract breaks — an injected fault escaping as a process crash, a
-// failure that is not a typed error, a report that differs between
-// -workers N and -workers 1, or (with an empty plan) any byte of
-// divergence from the chaos-free matrix. CI runs five seeded plans plus
-// the empty plan and asserts exit 0.
 //
 // An -experiment value that names no experiment exits 2 and lists the
 // valid names, and so does a -scale that is not a finite positive number
@@ -66,12 +54,11 @@ import (
 	"repro/internal/experiments"
 )
 
-// experimentNames are the valid -experiment values: "all" runs every text
-// experiment after it in this order, and "chaos" (last) runs only when
-// named.
+// experimentNames are the valid -experiment values: "all" runs every
+// experiment after it in this order.
 var experimentNames = []string{"all", "fig5", "fig6", "table1", "table2",
 	"ablation", "paging", "switch", "providers", "detectors", "muxbench",
-	"epochs", "scaling", "nondet", "stm", "crew", "chaos"}
+	"epochs", "scaling", "nondet", "stm"}
 
 // checkExperiment rejects an -experiment value that names no experiment,
 // which would otherwise run nothing and exit 0.
@@ -108,7 +95,6 @@ func main() {
 	workers := flag.Int("workers", runtime.NumCPU(), "runner pool size for the experiment sweep (results are identical at any value)")
 	jsonOut := flag.String("json", "", "write a machine-readable bench report to this file (\"-\" = stdout) instead of running text experiments")
 	analyses := flag.String("analysis", "", "comma-separated analyses for every analysis-bearing cell (registry names; empty = default FastTrack)")
-	chaosPlan := flag.String("chaos", "", "with -experiment chaos: the fault-injection plan [seed=N;]KIND:SEAM[@COUNT];... (empty = idle-overhead identity check)")
 	flag.Parse()
 
 	if err := checkExperiment(*exp); err != nil {
@@ -126,22 +112,6 @@ func main() {
 	o := experiments.Options{Scale: *scale, Threads: *threads, Workers: *workers,
 		Analyses: analysis.ParseList(*analyses)}
 	w := os.Stdout
-
-	// The chaos harness replaces the text experiments entirely (and is
-	// excluded from -experiment all): it sweeps its own matrix twice for
-	// the determinism check and asserts its containment contracts,
-	// exiting nonzero — after rendering the report — when any fails.
-	if *exp == "chaos" {
-		rep, err := experiments.ChaosSweep(o, *chaosPlan)
-		if rep != nil {
-			experiments.WriteChaos(w, rep)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "aikido-bench: chaos: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	// -json replaces the text experiments with the Figure 5 report.
 	if *jsonOut != "" {
@@ -284,14 +254,6 @@ func main() {
 			return err
 		}
 		experiments.WriteExtensionSTM(w, rows)
-		return nil
-	})
-	run("crew", func() error {
-		rows, err := experiments.ExtensionCREW(o)
-		if err != nil {
-			return err
-		}
-		experiments.WriteExtensionCREW(w, rows)
 		return nil
 	})
 }

@@ -8,8 +8,8 @@ import (
 
 // TestCheckExperiment: every listed experiment is accepted, and a name
 // that matches none — including the deleted deferred, parallel, vector,
-// phase and static experiments — is rejected with the valid names
-// listed, instead of running nothing and exiting 0.
+// phase, static, chaos and crew experiments — is rejected with the valid
+// names listed, instead of running nothing and exiting 0.
 func TestCheckExperiment(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -21,8 +21,9 @@ func TestCheckExperiment(t *testing.T) {
 		{"vector", false},
 		{"phase", false},
 		{"static", false},
-		{"chaos", true},
-		{"crew", true},
+		{"stm", true},
+		{"chaos", false},
+		{"crew", false},
 		{"deferred", false},
 		{"parallel", false},
 		{"", false},
@@ -40,7 +41,7 @@ func TestCheckExperiment(t *testing.T) {
 			t.Errorf("checkExperiment(%q) = nil, want an error", tc.name)
 			continue
 		}
-		if !strings.Contains(err.Error(), "fig5, fig6") || !strings.Contains(err.Error(), "chaos") {
+		if !strings.Contains(err.Error(), "fig5, fig6") || !strings.Contains(err.Error(), "stm") {
 			t.Errorf("checkExperiment(%q) = %q, want the valid names listed", tc.name, err)
 		}
 	}

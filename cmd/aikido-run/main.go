@@ -10,7 +10,7 @@
 //	           [-switch hypercall|segtrap|probe]
 //	           [-threads N] [-scale F] [-workers N] [-findings] [-list]
 //	           [-list-analyses]
-//	           [-chaos PLAN] [-max-cycles N] [-cell-deadline D] [-keep-going]
+//	           [-max-cycles N] [-cell-deadline D] [-keep-going]
 //
 // -analysis takes any comma-separated selection from the analysis
 // registry ("fasttrack", "lockset", "atomicity", "commgraph", "taint",
@@ -31,20 +31,16 @@
 // aliases that resolve to them, and the wrapper combinator in composed
 // form ("sampled:<name>").
 //
-// Fault isolation (see internal/faultinject and ARCHITECTURE.md):
-// -chaos injects a deterministic fault plan ("seed=N;KIND:SEAM[@COUNT];…"
-// with kinds panic|error|stall and seams provider|guest|analysis) into
-// every cell;
-// -max-cycles and -cell-deadline bound each cell's simulated-cycle and
-// wall-clock consumption with typed budget errors;
-// -keep-going records failing cells in the report and finishes the rest
-// of the sweep instead of aborting on the first error.
+// Budgets and failures (see ARCHITECTURE.md): -max-cycles and
+// -cell-deadline bound each cell's simulated-cycle and wall-clock
+// consumption with typed budget errors; -keep-going records failing cells
+// in the report and finishes the rest of the sweep instead of aborting on
+// the first error.
 //
 // All execution goes through the concurrent runner (internal/runner):
 // -bench all shards the ten models across -workers pool workers, and the
-// printed statistics are identical at any worker count. A failing cell —
-// injected or genuine — never crashes the process: it surfaces as a
-// typed cell error.
+// printed statistics are identical at any worker count. A failing cell
+// never crashes the process: it surfaces as a typed cell error.
 //
 // Exit codes: 0 clean, 1 findings reported, 2 cell error (a run failed,
 // even under -keep-going), 3 flag/usage errors (including a -scale that
@@ -61,7 +57,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/hypervisor"
 	"repro/internal/parsec"
 	"repro/internal/provider"
@@ -94,7 +89,6 @@ func run(args []string) int {
 	races := fs.Bool("races", false, "alias for -findings")
 	list := fs.Bool("list", false, "list benchmarks and exit")
 	listAn := fs.Bool("list-analyses", false, "list registered analyses and exit")
-	chaos := fs.String("chaos", "", "fault-injection plan: [seed=N;]KIND:SEAM[@COUNT];... (kinds panic|error|stall, seams provider|guest|analysis)")
 	maxCycles := fs.Uint64("max-cycles", 0, "per-cell simulated-cycle budget (0 = unlimited); overrun is a typed cell error")
 	cellDeadline := fs.Duration("cell-deadline", 0, "per-cell wall-clock budget (0 = unlimited); overrun is a typed cell error")
 	keepGoing := fs.Bool("keep-going", false, "record failing cells and finish the sweep instead of aborting on the first error")
@@ -164,19 +158,12 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "aikido-run: invalid -threads %d (want 0 for the benchmark default, or a positive count)\n", *threads)
 		return exitBadFlags
 	}
-	plan, err := faultinject.ParsePlan(*chaos)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "aikido-run: %v\n", err)
-		return exitBadFlags
-	}
-
 	cfg := core.DefaultConfig(m)
 	cfg.Analyses = analysis.ParseList(*analyses)
 	cfg.MaxFindings = *maxFindings
 	cfg.Provider = pk
 	cfg.Paging = pg
 	cfg.Switch = sw
-	cfg.Chaos = plan
 	cfg.MaxCycles = *maxCycles
 
 	size := func(b parsec.Benchmark) parsec.Benchmark {
@@ -277,9 +264,6 @@ func run(args []string) int {
 			fmt.Printf("hypercalls       %d\n", res.HV.Hypercalls)
 		}
 		fmt.Printf("instrumented PCs %d\n", res.SD.InstrumentedPCs)
-		if res.SD.RearmFailures > 0 {
-			fmt.Printf("rearm failures   %d (affected pages stay instrumented)\n", res.SD.RearmFailures)
-		}
 		fmt.Printf("epoch sweeps     %d (%d ticks)\n", res.SD.EpochSweeps, res.EpochTicks)
 		fmt.Printf("pages demoted    %d private, %d unused\n",
 			res.SD.PagesDemotedPrivate, res.SD.PagesDemotedUnused)

@@ -12,16 +12,32 @@ func TestRunRejectsBadScale(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadFlags: a negative -threads and the deleted -dispatch
-// and -epoch flags are usage errors; none of them runs anything.
+// TestRunRejectsBadFlags: a negative -threads and the deleted -dispatch,
+// -epoch and -chaos flags are usage errors; none of them runs anything.
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-bench", "fluidanimate", "-threads", "-2"},
 		{"-bench", "fluidanimate", "-dispatch", "phased"},
 		{"-bench", "fluidanimate", "-epoch"},
+		{"-bench", "fluidanimate", "-chaos", "X"},
 	} {
 		if code := run(args); code != exitBadFlags {
 			t.Errorf("run(%v) = %d, want %d", args, code, exitBadFlags)
+		}
+	}
+}
+
+// TestRunCellErrorExit: a run whose cells fail exits with exitCellError,
+// on the sweep path under -keep-going and on the single-model fail-fast
+// path alike. A one-cycle budget fails every cell with a typed budget
+// error.
+func TestRunCellErrorExit(t *testing.T) {
+	for _, args := range [][]string{
+		{"-bench", "all", "-scale", "0.05", "-max-cycles", "1", "-keep-going"},
+		{"-bench", "vips", "-scale", "0.05", "-max-cycles", "1"},
+	} {
+		if code := run(args); code != exitCellError {
+			t.Errorf("run(%v) = %d, want %d", args, code, exitCellError)
 		}
 	}
 }

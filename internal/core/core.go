@@ -34,7 +34,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/dbi"
-	"repro/internal/faultinject"
 	"repro/internal/guest"
 	"repro/internal/hypervisor"
 	"repro/internal/isa"
@@ -159,11 +158,6 @@ type Config struct {
 	// suites must leave it 0. The runner's Options.CellDeadline fills
 	// this per cell when unset.
 	MaxWall time.Duration
-	// Chaos is the deterministic fault-injection plan (nil = none). The
-	// plan is immutable and shared across cells; each System builds its
-	// own injector, so trigger state never leaks between runs. See
-	// internal/faultinject and chaos.go for the seams.
-	Chaos *faultinject.Plan
 }
 
 // DefaultConfig returns the standard configuration for a mode, with epoch
@@ -200,13 +194,10 @@ type System struct {
 	// type-assert the members.
 	Analyses []analysis.Analysis
 
-	// an is the dispatch stack over Analyses (nil when none run): the mux,
-	// wrapped by the chaos analysis seam when a plan is armed.
+	// an is the mux over Analyses (nil when none run).
 	an analysis.Analysis
 
-	// inj is this run's fault injector (nil without a chaos plan) and
-	// wallStart the MaxWall anchor, stamped when Run starts executing.
-	inj       *faultinject.Injector
+	// wallStart is the MaxWall anchor, stamped when Run starts executing.
 	wallStart time.Time
 }
 
@@ -245,11 +236,6 @@ func (s *System) newAnalyses() (analysis.Analysis, error) {
 	if max := s.Cfg.MaxFindings; max != 0 {
 		m.SetMaxFindings(max)
 	}
-	if s.inj != nil {
-		// The chaos analysis seam observes the access stream exactly as
-		// the instrumented hot paths emit it.
-		return &chaosAnalysis{Analysis: m, inj: s.inj}, nil
-	}
 	return m, nil
 }
 
@@ -262,10 +248,6 @@ func NewSystem(prog *isa.Program, cfg Config) (*System, error) {
 	}
 	clock := &stats.Clock{}
 	s := &System{Cfg: cfg, Machine: m, Process: p, Clock: clock}
-	// One injector per System: the chaos plan is immutable and shared,
-	// the trigger state is this run's own. Stall faults charge the
-	// simulated clock, so a budgeted run surfaces them as *BudgetError.
-	s.inj = cfg.Chaos.NewInjector(clock.Charge)
 
 	switch cfg.Mode {
 	case ModeNative:
@@ -298,9 +280,6 @@ func NewSystem(prog *isa.Program, cfg Config) (*System, error) {
 			}
 			s.HV.SetSwitchInterception(cfg.Switch)
 			s.Prov = provider.NewAikidoVM(p, s.HV, clock, cfg.Costs)
-		}
-		if s.inj != nil {
-			s.Prov = &chaosProvider{Interface: s.Prov, inj: s.inj}
 		}
 		p.SetBus(provider.KernelBus(s.Prov))
 		s.Um = umbra.Attach(p, clock, cfg.Costs)

@@ -40,13 +40,6 @@ type Memory interface {
 // Plan is the instrumentation a Tool attaches to one memory-referencing
 // instruction at block-build time.
 type Plan struct {
-	// Gate, if non-nil, runs before anything else and may veto the access
-	// for now: returning false ends the thread's quantum without retiring
-	// the instruction, which re-executes when the thread is next
-	// scheduled. Replay tools (the SMP-ReVirt-style CREW replayer) use it
-	// to stall a thread until the logged ownership transition is its
-	// turn.
-	Gate func(tid guest.TID, pc isa.PC, addr uint64, size uint8, write bool) bool
 	// PreAccess runs with the resolved effective address before the
 	// access and returns the address at which the access must actually be
 	// performed — the mirror address when the tool redirects (§3.3.2), or
@@ -56,13 +49,6 @@ type Plan struct {
 	// PostAccess, if non-nil, runs after the access completes without
 	// faulting (used by the no-mirror ablation to reprotect pages).
 	PostAccess func(tid guest.TID, pc isa.PC, addr uint64, size uint8, write bool)
-	// NeedsExactCounts declares that the plan's callbacks read engine or
-	// thread state that the interpreter batches between instructions
-	// (per-thread instruction counts, cycle totals). The engine then
-	// settles all pending accounting before invoking the callbacks. The
-	// CREW recorder/replayer sets it (transition timestamps are
-	// per-thread instruction counts); pure analysis tools don't need it.
-	NeedsExactCounts bool
 }
 
 // Tool decides instrumentation at block-build time. AikidoSD (wrapping a
@@ -143,15 +129,9 @@ type Config struct {
 	// MaxSteps aborts runs exceeding this many retired instructions
 	// (guards against runaway workloads); 0 means no limit.
 	MaxSteps uint64
-	// GateSpinLimit aborts the run after this many consecutive Gate
-	// vetoes with no thread retiring an instruction — a stuck replay
-	// (log/schedule mismatch) rather than progress. 0 uses the default.
-	GateSpinLimit uint64
 }
 
 const (
-	// defaultGateSpinLimit bounds gate-veto livelock detection.
-	defaultGateSpinLimit = 1 << 20
 	// maxBlock caps basic-block length in instructions.
 	maxBlock = 48
 	// traceThreshold promotes a block to the trace cache after this many
@@ -186,12 +166,11 @@ type Engine struct {
 	// build on. Nil costs nothing.
 	OnRetire func(t *guest.Thread, pc isa.PC, in isa.Instr)
 	// OnQuantum, if set, runs before every scheduling quantum; a non-nil
-	// error aborts the run with that error. This is the engine's budget
-	// and fault-injection seam (internal/core wires cycle/wall budget
-	// checks and the chaos guest seam here): it sits on the existing
-	// scheduling boundary, fires a deterministic number of times per run,
-	// and costs one nil check when unset — so calibrated baselines are
-	// untouched.
+	// error aborts the run with that error. It serves resource budgets
+	// only (internal/core wires its cycle and wall budget checks here): it
+	// sits on the existing scheduling boundary, fires a deterministic
+	// number of times per run, and costs one nil check when unset — so
+	// calibrated baselines are untouched.
 	OnQuantum func() error
 
 	// blocks is the code cache as a direct PC-indexed table: slot pc
@@ -219,8 +198,7 @@ type Engine struct {
 
 	C Counters
 
-	prev      *block // last executed block, for linking
-	gateSpins uint64 // consecutive gate vetoes with no retirement
+	prev *block // last executed block, for linking
 }
 
 // New creates an engine over a loaded process. mem may be nil, in which
@@ -537,8 +515,10 @@ func (e *Engine) execBlock(t *guest.Thread, b *block, budget *uint64) (bool, err
 	// Batched accounting: straight-line runs accumulate retired-
 	// instruction counts in locals and settle them in one step at every
 	// exit or interposition point, instead of updating four memory
-	// locations per instruction. Plans whose callbacks observe batched
-	// state (Gate bookkeeping, NeedsExactCounts) force a settle first.
+	// locations per instruction. A plan callback runs mid-batch: it may
+	// read the clock, and sees it without the pending native-instruction
+	// charge; it must not read Thread.Instructions or Engine.C (see
+	// settle).
 	bud := *budget
 	var pend, pendMem uint64
 	for idx < len(b.instrs) {
@@ -556,29 +536,16 @@ func (e *Engine) execBlock(t *guest.Thread, b *block, budget *uint64) (bool, err
 		// Memory-referencing instructions may fault; handle first. The
 		// classification was hoisted to block-build time (b.mem).
 		if b.mem[idx] {
-			plan := b.plans[idx]
-			if plan != nil && (plan.Gate != nil || plan.NeedsExactCounts) {
-				e.settle(t, budget, bud, pend, pendMem)
-				pend, pendMem = 0, 0
-			}
-			outcome, err := e.execMem(t, pc, in, plan)
+			retired, err := e.execMem(t, pc, in, b.plans[idx])
 			if err != nil {
 				e.settle(t, budget, bud, pend, pendMem)
 				return true, err
 			}
-			switch outcome {
-			case memRetry:
+			if !retired {
 				// Fault + retry: the handler may have flushed this
 				// block; re-dispatch at the same PC.
 				e.settle(t, budget, bud, pend, pendMem)
 				return false, nil
-			case memYield:
-				// Gate veto: end the quantum without retiring; the
-				// instruction re-executes when the thread is next
-				// scheduled.
-				t.PC = pc
-				e.settle(t, budget, bud, pend, pendMem)
-				return true, nil
 			}
 			pend++
 			pendMem++
@@ -712,15 +679,16 @@ func (e *Engine) execBlock(t *guest.Thread, b *block, budget *uint64) (bool, err
 
 // settle writes back execBlock's batched accounting: the remaining budget
 // plus pend retired instructions (pendMem of them memory references). The
-// batch is equivalent to per-instruction updates because nothing between
-// two settle points reads the affected state — plans that do read it
-// declare NeedsExactCounts and force a settle first.
+// batch equals per-instruction updates for everything but plan callbacks,
+// which run between two settle points. They may read the clock, and see
+// it without the pending NativeInstr × pend charge; sharing's PreAccess
+// ticks the epoch clock from that reading, which is deterministic. No
+// callback may read Thread.Instructions or Engine.C.
 func (e *Engine) settle(t *guest.Thread, budget *uint64, bud, pend, pendMem uint64) {
 	*budget = bud
 	if pend == 0 {
 		return
 	}
-	e.gateSpins = 0
 	t.Instructions += pend
 	e.C.Instructions += pend
 	e.C.MemRefs += pendMem
@@ -731,7 +699,6 @@ func (e *Engine) settle(t *guest.Thread, budget *uint64, bud, pend, pendMem uint
 // inlines; the budget decrement is unconditional because every call site
 // sits after the loop's budget check.
 func (e *Engine) retire(t *guest.Thread, budget *uint64) {
-	e.gateSpins = 0
 	t.Instructions++
 	e.C.Instructions++
 	e.Clock.Charge(e.Costs.NativeInstr)
@@ -756,20 +723,10 @@ func (e *Engine) retireEnd(t *guest.Thread, budget *uint64, pc isa.PC, in *isa.I
 	}
 }
 
-// memOutcome is the result of executing one memory instruction.
-type memOutcome uint8
-
-const (
-	// memRetired: the access completed.
-	memRetired memOutcome = iota
-	// memRetry: the access faulted and the handler requested a retry.
-	memRetry
-	// memYield: a Gate vetoed the access; the thread's quantum ends.
-	memYield
-)
-
-// execMem executes one memory-referencing instruction.
-func (e *Engine) execMem(t *guest.Thread, pc isa.PC, in *isa.Instr, plan *Plan) (memOutcome, error) {
+// execMem executes one memory-referencing instruction. It reports whether
+// the access retired; false means it faulted and the handler asked for a
+// retry.
+func (e *Engine) execMem(t *guest.Thread, pc isa.PC, in *isa.Instr, plan *Plan) (bool, error) {
 	// Classify once; the opcode predicates would otherwise be re-evaluated
 	// up to four times per access.
 	write := in.Op.IsWrite()
@@ -779,19 +736,6 @@ func (e *Engine) execMem(t *guest.Thread, pc isa.PC, in *isa.Instr, plan *Plan) 
 		addr = uint64(in.Imm)
 	} else {
 		addr = t.Regs[in.Rs] + uint64(in.Imm)
-	}
-	if plan != nil && plan.Gate != nil && !plan.Gate(t.ID, pc, addr, in.Size, write) {
-		e.gateSpins++
-		limit := e.Cfg.GateSpinLimit
-		if limit == 0 {
-			limit = defaultGateSpinLimit
-		}
-		if e.gateSpins > limit {
-			return memYield, fmt.Errorf(
-				"dbi: thread %d pc %d: gate livelock after %d vetoes (replay log mismatch?)",
-				t.ID, pc, e.gateSpins)
-		}
-		return memYield, nil
 	}
 	target := addr
 	if plan != nil {
@@ -822,21 +766,21 @@ func (e *Engine) execMem(t *guest.Thread, pc isa.PC, in *isa.Instr, plan *Plan) 
 		if plan != nil && plan.PostAccess != nil {
 			plan.PostAccess(t.ID, pc, addr, in.Size, write)
 		}
-		return memRetired, nil
+		return true, nil
 	}
 
 	// Fault path: master signal handler.
 	e.C.Faults++
 	e.Clock.Charge(e.Costs.Fault)
 	if e.OnFault == nil {
-		return memRetry, fmt.Errorf("dbi: thread %d pc %d: unhandled %v", t.ID, pc, fault)
+		return false, fmt.Errorf("dbi: thread %d pc %d: unhandled %v", t.ID, pc, fault)
 	}
 	switch e.OnFault(t, pc, *in, fault) {
 	case FaultRetry:
 		e.C.Retries++
 		t.PC = pc // re-execute (block may have been flushed)
-		return memRetry, nil
+		return false, nil
 	default:
-		return memRetry, fmt.Errorf("dbi: thread %d pc %d: fatal %v", t.ID, pc, fault)
+		return false, fmt.Errorf("dbi: thread %d pc %d: fatal %v", t.ID, pc, fault)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/core"
-	"repro/internal/crew"
 	"repro/internal/dbi"
 	"repro/internal/hypervisor"
 	"repro/internal/parsec"
@@ -352,60 +351,5 @@ func WriteExtensionSTM(w io.Writer, rows []STMRow) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-20s %6d %9d %8d %10d %8d\n",
 			r.Variant, r.ExitCode, r.Commits, r.Aborts, r.Conflicts, r.Patched)
-	}
-}
-
-// --- Extension: CREW record/replay (§7.1) -----------------------------------
-
-// CREWRow is one replay configuration's fidelity check.
-type CREWRow struct {
-	Quantum    uint64
-	Reproduced bool
-	LogLen     int
-	Mismatches int
-}
-
-// ExtensionCREW records a racy program once and replays it under several
-// scheduler quanta, checking SMP-ReVirt's property: the CREW transition log
-// is sufficient to reproduce the execution exactly.
-func ExtensionCREW(o Options) ([]CREWRow, error) {
-	o = o.normalize()
-	iters := int(60 * o.Scale)
-	if iters < 10 {
-		iters = 10
-	}
-	prog, err := crewProgram(4, iters, 8)
-	if err != nil {
-		return nil, err
-	}
-	recCfg := dbi.DefaultConfig()
-	rec, log, err := crew.Record(prog, recCfg)
-	if err != nil {
-		return nil, err
-	}
-	var rows []CREWRow
-	for _, q := range []uint64{77, 250, 1000, 4096} {
-		cfg := dbi.DefaultConfig()
-		cfg.Quantum = q
-		rep, r, err := crew.Replay(prog, log, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("replay q=%d: %w", q, err)
-		}
-		rows = append(rows, CREWRow{
-			Quantum:    q,
-			Reproduced: rep.Console == rec.Console && rep.ExitCode == rec.ExitCode,
-			LogLen:     len(log.Transitions),
-			Mismatches: r.Mismatches,
-		})
-	}
-	return rows, nil
-}
-
-// WriteExtensionCREW renders the replay fidelity table.
-func WriteExtensionCREW(w io.Writer, rows []CREWRow) {
-	fmt.Fprintln(w, "Extension: SMP-ReVirt-style CREW record/replay (§7.1)")
-	fmt.Fprintf(w, "%-10s %12s %10s %12s\n", "quantum", "reproduced", "log len", "mismatches")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-10d %12v %10d %12d\n", r.Quantum, r.Reproduced, r.LogLen, r.Mismatches)
 	}
 }

@@ -164,29 +164,3 @@ func TestExtensionSTMStructure(t *testing.T) {
 		t.Error("rendering broken")
 	}
 }
-
-func TestExtensionCREWStructure(t *testing.T) {
-	rows, err := ExtensionCREW(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(rows))
-	}
-	for _, r := range rows {
-		if !r.Reproduced {
-			t.Errorf("quantum %d: replay did not reproduce the recording", r.Quantum)
-		}
-		if r.Mismatches != 0 {
-			t.Errorf("quantum %d: %d progress mismatches", r.Quantum, r.Mismatches)
-		}
-		if r.LogLen == 0 {
-			t.Error("empty CREW log")
-		}
-	}
-	var buf bytes.Buffer
-	WriteExtensionCREW(&buf, rows)
-	if !strings.Contains(buf.String(), "reproduced") {
-		t.Error("rendering broken")
-	}
-}

@@ -76,40 +76,3 @@ func stmProgram(workers, iters, obsIters int) (*isa.Program, error) {
 
 	return b.Finish()
 }
-
-// crewProgram builds the schedule-sensitive racy-counter program used by
-// ExtensionCREW: workers do unsynchronized read-modify-write cycles on one
-// counter with a widened race window; main prints the final counter bytes.
-func crewProgram(workers, iters, window int) (*isa.Program, error) {
-	b := isa.NewBuilder("crew-racyctr")
-	counter := b.GlobalU64(0)
-	tids := b.GlobalArray(workers)
-
-	for w := 0; w < workers; w++ {
-		b.MovImm(isa.R4, int64(w))
-		b.ThreadCreate("worker", isa.R4)
-		b.StoreAbs(tids+uint64(8*w), isa.R0)
-	}
-	for w := 0; w < workers; w++ {
-		b.LoadAbs(isa.R5, tids+uint64(8*w))
-		b.ThreadJoin(isa.R5)
-	}
-	b.MovImm(isa.R0, int64(counter))
-	b.MovImm(isa.R1, 8)
-	b.Syscall(isa.SysWrite)
-	b.MovImm(isa.R0, 0)
-	b.Syscall(isa.SysExit)
-
-	b.Label("worker")
-	b.LoopN(isa.R2, int64(iters), func(b *isa.Builder) {
-		b.LoadAbs(isa.R6, counter)
-		for i := 0; i < window; i++ {
-			b.Add(isa.R7, isa.R7, isa.R2)
-		}
-		b.AddImm(isa.R6, isa.R6, 1)
-		b.StoreAbs(counter, isa.R6)
-	})
-	b.Halt()
-
-	return b.Finish()
-}

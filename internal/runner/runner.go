@@ -27,13 +27,12 @@
 // dynamic assignment costs no determinism.
 //
 // The same isolation property underwrites fault containment: every cell
-// runs under a recover() boundary (runCell), so a panicking analysis or
-// an injected fault poisons only its own cell's private System. Failures
-// surface as typed *CellError values — in Report.Failed under
-// Options.KeepGoing, or as the returned error (with the partial Report
-// preserved) on the fail-fast path. See docs/benchmarking.md for the
-// error taxonomy and internal/faultinject for the chaos harness that
-// exercises it.
+// runs under a recover() boundary (runCell), so a panicking analysis
+// poisons only its own cell's private System. Failures surface as typed
+// *CellError values — in Report.Failed under Options.KeepGoing, or as the
+// returned error (with the partial Report preserved) on the fail-fast
+// path. See docs/benchmarking.md for the error taxonomy; the package's
+// tests plant a mid-run analysis panic to check the contract.
 package runner
 
 import (
@@ -103,11 +102,11 @@ type FailKind uint8
 const (
 	// FailCompile: the workload source failed to compile.
 	FailCompile FailKind = iota
-	// FailRun: core.Run returned an ordinary error (including injected
-	// error-kind faults; unwrap to *faultinject.Fault to identify them).
+	// FailRun: core.Run returned an ordinary error (a bad configuration,
+	// a guest fault, a deadlock).
 	FailRun
 	// FailPanic: the cell panicked and the worker's containment
-	// recovered it (injected panic-kind faults, detector bugs).
+	// recovered it (a detector or simulator bug).
 	FailPanic
 	// FailBudget: the cell exceeded Config.MaxCycles or its wall
 	// deadline (the error unwraps to *core.BudgetError).
@@ -134,7 +133,7 @@ func (k FailKind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()
 
 // CellError is the typed per-cell failure: which cell, how it failed,
 // and the underlying error. It wraps (Unwrap) the cause, so errors.As
-// reaches typed causes like *core.BudgetError and *faultinject.Fault
+// reaches typed causes like *core.BudgetError, and a panicked error,
 // through it.
 type CellError struct {
 	// Index and Label identify the cell in canonical spec order.
@@ -196,15 +195,15 @@ type Report struct {
 // count; see the package comment for the determinism contract.
 //
 // Failure handling: every cell runs under a recover() that converts
-// panics into typed *CellError values, so a panicking detector or an
-// injected fault can never take down the process or the sweep. Under
-// Options.KeepGoing failing cells are recorded in Report.Failed (in
-// canonical spec order) and every remaining cell still runs, with no
-// error returned. Otherwise the sweep fails fast: the first failing cell
-// in spec order is returned as a *CellError — independent of scheduling —
-// ALONGSIDE the partial Report, so the measurements completed before the
-// abort are never discarded (which cells those are depends on
-// scheduling; only the KeepGoing report is deterministic).
+// panics into typed *CellError values, so a panicking detector can never
+// take down the process or the sweep. Under Options.KeepGoing failing
+// cells are recorded in Report.Failed (in canonical spec order) and every
+// remaining cell still runs, with no error returned. Otherwise the sweep
+// fails fast: the first failing cell in spec order is returned as a
+// *CellError — independent of scheduling — ALONGSIDE the partial Report,
+// so the measurements completed before the abort are never discarded
+// (which cells those are depends on scheduling; only the KeepGoing report
+// is deterministic).
 func Sweep(specs []Spec, opt Options) (*Report, error) {
 	workers := opt.Workers
 	if workers <= 0 {
@@ -289,8 +288,8 @@ func Sweep(specs []Spec, opt Options) (*Report, error) {
 
 // runCell compiles and executes one cell in complete isolation: a fresh
 // program, a fresh machine, a fresh system. The deferred recover is the
-// containment boundary of the whole sweep engine: a panic anywhere in
-// the stack under this cell — detector bug, injected fault — becomes a
+// containment boundary of the whole sweep engine, and the only recover
+// outside tests: a panic anywhere in the stack under this cell becomes a
 // typed *CellError instead of a process crash. Cell isolation is what
 // makes the recovery safe: the cell's System is garbage, but nothing
 // else shares state with it.

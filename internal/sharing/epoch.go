@@ -200,14 +200,14 @@ func (d *Detector) EpochSweep() {
 		pi.epochHits, pi.epochOther = 0, 0
 
 		if d.epoch.DemoteAfter > 0 && pi.domEpochs >= d.epoch.DemoteAfter {
-			demoted = d.demote(e.vpn, pi, Private, pi.domTID) || demoted
-			// Off the list either way: demoted pages no longer need
-			// accounting, and a failed rearm marks the page noDemote —
-			// still Shared, still protected, never swept again.
+			// Off the list: demoted pages no longer need accounting.
+			d.demote(e.vpn, pi, Private, pi.domTID)
+			demoted = true
 			continue
 		}
 		if d.epoch.QuietAfter > 0 && pi.quietEpochs >= d.epoch.QuietAfter {
-			demoted = d.demote(e.vpn, pi, Unused, guest.NoTID) || demoted
+			d.demote(e.vpn, pi, Unused, guest.NoTID)
+			demoted = true
 			continue
 		}
 		d.epochPages[w] = e
@@ -228,21 +228,8 @@ func (d *Detector) EpochSweep() {
 // page is protected for every current and future thread, with the new
 // owner (if any) alone re-granted access. The provider charges its own
 // cost (hypercall, syscall, brokered mprotect).
-//
-// The rearm runs FIRST, and a failed (panicking) rearm aborts the
-// demotion before any shadow state changes: the page stays Shared with
-// its global protection armed, so no cross-thread access can slip
-// through — soundness degrades to "this page keeps paying
-// instrumentation forever", never to a protection hole. The page is
-// marked noDemote and reports false so the sweep drops it from epoch
-// accounting.
-func (d *Detector) demote(vpn uint64, pi *pageInfo, to PageState, owner guest.TID) bool {
-	if !d.tryRearm(vpn, owner) {
-		d.C.RearmFailures++
-		pi.noDemote = true
-		pi.domEpochs, pi.quietEpochs = 0, 0
-		return false
-	}
+func (d *Detector) demote(vpn uint64, pi *pageInfo, to PageState, owner guest.TID) {
+	d.prov.RearmPage(vpn, owner)
 	pi.State = to
 	pi.Owner = owner
 	pi.domEpochs, pi.quietEpochs = 0, 0
@@ -254,20 +241,6 @@ func (d *Detector) demote(vpn uint64, pi *pageInfo, to PageState, owner guest.TI
 	} else {
 		d.C.PagesDemotedUnused++
 	}
-	return true
-}
-
-// tryRearm is the recovery boundary around the provider's rearm
-// primitive — the one provider call made with shadow state mid-flight,
-// and therefore the one that must never unwind through the detector.
-func (d *Detector) tryRearm(vpn uint64, owner guest.TID) (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			ok = false
-		}
-	}()
-	d.prov.RearmPage(vpn, owner)
-	return true
 }
 
 // uninstrumentAll clears the instrumented-PC bitmap and flushes every

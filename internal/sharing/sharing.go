@@ -100,7 +100,6 @@ type pageInfo struct {
 	quietEpochs uint8     // consecutive access-free epochs
 	graceEpoch  bool      // just turned Shared; exempt from the next sweep
 	wasDemoted  bool      // page was demoted at least once (reshare stats)
-	noDemote    bool      // RearmPage failed for this page; never demote it again
 }
 
 // Analysis is the shared-data analysis plugged into AikidoSD — it receives
@@ -145,12 +144,6 @@ type Counters struct {
 	PagesDemotedUnused  uint64
 	PagesReshared       uint64
 	PCsUninstrumented   uint64
-	// RearmFailures counts demotions abandoned because the provider's
-	// RearmPage failed (panicked): the page keeps its Shared state and
-	// its global protection — soundness is untouched — and is excluded
-	// from all further demotion. Nonzero only under fault injection or a
-	// genuinely broken provider.
-	RearmFailures uint64
 }
 
 // Detector is one AikidoSD instance.
