@@ -351,22 +351,27 @@ func TestFirstAccessFalseNegativeWindow(t *testing.T) {
 	}
 }
 
-func TestKernelEmulationDuringWriteSyscall(t *testing.T) {
-	// The write syscall dereferences a user buffer that is protected
-	// (private to the writing thread after first touch — but the KERNEL
-	// still trips Aikido protection on pages private to other threads or
-	// unused). Easiest trigger: write a buffer the thread never touched.
+// kernelWriteProgram writes a buffer no thread has touched through the
+// write syscall. The buffer's page is still Unused, hence protected, so
+// the kernel's read of it trips Aikido protection. Its data is preset in
+// the image so no user access happens before the write.
+func kernelWriteProgram() *isa.Program {
 	b := isa.NewBuilder("kemul")
 	buf := b.Global(4096, 4096)
-	// Pre-set data via image so no user access happens before write.
 	copy(b.Data()[buf-isa.DataBase:], "abc")
 	b.MovImm(isa.R0, int64(buf))
 	b.MovImm(isa.R1, 3)
 	b.Syscall(isa.SysWrite)
 	b.Halt()
-	prog := b.MustFinish()
+	return b.MustFinish()
+}
 
-	res := mustRun(t, prog, ModeAikidoFastTrack)
+func TestKernelEmulationDuringWriteSyscall(t *testing.T) {
+	// The write syscall dereferences a user buffer that is protected
+	// (private to the writing thread after first touch — but the KERNEL
+	// still trips Aikido protection on pages private to other threads or
+	// unused). Easiest trigger: write a buffer the thread never touched.
+	res := mustRun(t, kernelWriteProgram(), ModeAikidoFastTrack)
 	if res.Console != "abc" {
 		t.Errorf("console = %q, want abc (kernel emulation must read protected page)", res.Console)
 	}

@@ -10,9 +10,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/hypervisor"
 	"repro/internal/isa"
 	"repro/internal/pagetable"
 	"repro/internal/parsec"
+	"repro/internal/provider"
 	"repro/internal/sharing"
 	"repro/internal/taint"
 	"repro/internal/vm"
@@ -194,6 +196,57 @@ func hostedCells() []goldenCell {
 		})
 }
 
+// configCells pin the configurations every other cell leaves at its
+// default, so that each simulated cost moves some cell: on vips at scale
+// 0.25, Aikido under the dOS and DTHREADS providers, nested paging, the
+// segment-trap and probe switch interceptions and the no-mirror ablation,
+// then native, DBI-only and FastTrack-full with the sampled wrapper; and
+// the kernel-write guest, whose syscall reads a page no thread has
+// touched, under each provider. Each prints its provider and hypervisor
+// counters.
+func configCells() []goldenCell {
+	layers := func(w io.Writer, r *Result) {
+		fmt.Fprintf(w, "prov %+v\nhv %+v\n", r.Prov, r.HV)
+	}
+	vips, err := parsec.ByName("vips")
+	if err != nil {
+		panic(err)
+	}
+	src := vips.WithScale(0.25).Spec
+	aikido := func(label string, set func(*Config)) goldenCell {
+		cfg := DefaultConfig(ModeAikidoFastTrack)
+		set(&cfg)
+		return goldenCell{name: fmt.Sprintf("%s %s %s", src.SourceName(), ModeAikidoFastTrack, label),
+			src: src, cfg: cfg, counters: layers}
+	}
+	cells := []goldenCell{
+		aikido("provider=dos", func(c *Config) { c.Provider = provider.DOS }),
+		aikido("provider=dthreads", func(c *Config) { c.Provider = provider.Dthreads }),
+		aikido("paging=nested", func(c *Config) { c.Paging = hypervisor.NestedPaging }),
+		aikido("switch=segtrap", func(c *Config) { c.Switch = hypervisor.SwitchSegTrap }),
+		aikido("switch=probe", func(c *Config) { c.Switch = hypervisor.SwitchProbe }),
+		aikido("no-mirror", func(c *Config) { c.NoMirror = true }),
+	}
+	for _, mode := range []Mode{ModeNative, ModeDBI} {
+		cells = append(cells, goldenCell{name: fmt.Sprintf("%s %s", src.SourceName(), mode),
+			src: src, cfg: DefaultConfig(mode), counters: layers})
+	}
+	cells = append(cells, goldenCell{
+		name: fmt.Sprintf("%s %s analyses=sampled", src.SourceName(), ModeFastTrackFull),
+		src:  src, cfg: DefaultConfig(ModeFastTrackFull).WithAnalyses("sampled"), counters: layers})
+	kwrite := builtSource{name: "kernel-write", build: func() (*isa.Program, error) {
+		return kernelWriteProgram(), nil
+	}}
+	for _, k := range []provider.Kind{provider.AikidoVM, provider.DOS, provider.Dthreads} {
+		cfg := DefaultConfig(ModeAikidoFastTrack)
+		cfg.Provider = k
+		cells = append(cells, goldenCell{
+			name: fmt.Sprintf("kernel-write %s provider=%s", ModeAikidoFastTrack, k),
+			src:  kwrite, cfg: cfg, counters: layers})
+	}
+	return cells
+}
+
 // taintflowProgram is examples/taintflow's guest: untrusted input passes
 // through arithmetic, a memory round-trip and the spawn argument to the
 // output buffer, beside a clean constant write to the same buffer. It
@@ -249,12 +302,13 @@ func uninitReadProgram() (*isa.Program, error) {
 // and SP-bags on their scenario guests: a source-to-sink flow, an
 // uninitialized read, and the determinacy races of the serial depth-first
 // execution (all 45 on the racy and locked fork-join programs under full
-// instrumentation, 42 under Aikido). Regenerate with
+// instrumentation, 42 under Aikido). The config cells come last, so that
+// raising any one simulated cost by a cycle moves at least one cell. Regenerate with
 // `go test ./internal/core -run TestDetectorGolden -update`, and only for
 // a change that is meant to move a finding, a counter or a cycle.
 func TestDetectorGolden(t *testing.T) {
 	var buf bytes.Buffer
-	cells := append(append(append(detectorCells(), muxCells()...), epochCells()...), hostedCells()...)
+	cells := append(append(append(append(detectorCells(), muxCells()...), epochCells()...), hostedCells()...), configCells()...)
 	for _, c := range cells {
 		prog, err := c.src.Compile()
 		if err != nil {
