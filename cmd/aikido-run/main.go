@@ -44,7 +44,8 @@
 //
 // Exit codes: 0 clean, 1 findings reported, 2 cell error (a run failed,
 // even under -keep-going), 3 flag/usage errors (including a -scale that
-// is not a finite positive number and a negative -threads).
+// is not a finite positive number and a negative -threads or
+// -max-findings).
 package main
 
 import (
@@ -158,6 +159,10 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "aikido-run: invalid -threads %d (want 0 for the benchmark default, or a positive count)\n", *threads)
 		return exitBadFlags
 	}
+	if *maxFindings < 0 {
+		fmt.Fprintf(os.Stderr, "aikido-run: invalid -max-findings %d (want 0 for each detector's default, or a positive cap)\n", *maxFindings)
+		return exitBadFlags
+	}
 	cfg := core.DefaultConfig(m)
 	cfg.Analyses = analysis.ParseList(*analyses)
 	cfg.MaxFindings = *maxFindings
@@ -264,7 +269,7 @@ func run(args []string) int {
 			fmt.Printf("hypercalls       %d\n", res.HV.Hypercalls)
 		}
 		fmt.Printf("instrumented PCs %d\n", res.SD.InstrumentedPCs)
-		fmt.Printf("epoch sweeps     %d (%d ticks)\n", res.SD.EpochSweeps, res.EpochTicks)
+		fmt.Printf("epoch sweeps     %d\n", res.SD.EpochSweeps)
 		fmt.Printf("pages demoted    %d private, %d unused\n",
 			res.SD.PagesDemotedPrivate, res.SD.PagesDemotedUnused)
 		fmt.Printf("pages reshared   %d\n", res.SD.PagesReshared)

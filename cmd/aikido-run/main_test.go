@@ -12,14 +12,16 @@ func TestRunRejectsBadScale(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadFlags: a negative -threads and the deleted -dispatch,
-// -epoch and -chaos flags are usage errors; none of them runs anything.
+// TestRunRejectsBadFlags: a negative -threads or -max-findings and the
+// deleted -dispatch, -epoch and -chaos flags are usage errors; none of
+// them runs anything.
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-bench", "fluidanimate", "-threads", "-2"},
 		{"-bench", "fluidanimate", "-dispatch", "phased"},
 		{"-bench", "fluidanimate", "-epoch"},
 		{"-bench", "fluidanimate", "-chaos", "X"},
+		{"-bench", "canneal", "-scale", "0.05", "-max-findings", "-1"},
 	} {
 		if code := run(args); code != exitBadFlags {
 			t.Errorf("run(%v) = %d, want %d", args, code, exitBadFlags)

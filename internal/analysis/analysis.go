@@ -108,12 +108,11 @@ type Analysis interface {
 }
 
 // Env is the context a Factory builds an analysis in. A core.System, the
-// one host of registry analyses, sets Clock, Costs and Process, and Umbra
+// one host of registry analyses, sets Clock and Process, and Umbra
 // in the modes that attach shadow memory. Factories that require a
 // facility the environment lacks say so by returning an error.
 type Env struct {
 	Clock *stats.Clock
-	Costs stats.CostModel
 	// Process is the guest process under analysis. A factory may set its
 	// scheduling policy before the run starts (spbags does).
 	Process *guest.Process

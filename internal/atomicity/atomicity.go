@@ -86,7 +86,6 @@ type Counters struct {
 // Detector is one atomicity checker instance.
 type Detector struct {
 	clock *stats.Clock
-	costs stats.CostModel
 
 	threads    []regionInfo // indexed by TID
 	vars       analysis.Store[varState]
@@ -106,10 +105,9 @@ type Detector struct {
 const defaultMaxViolations = 1000
 
 // New creates a detector charging costs to clock.
-func New(clock *stats.Clock, costs stats.CostModel) *Detector {
+func New(clock *stats.Clock) *Detector {
 	return &Detector{
 		clock:         clock,
-		costs:         costs,
 		seen:          make(map[uint64]struct{}),
 		MaxViolations: defaultMaxViolations,
 	}
@@ -139,7 +137,7 @@ func (d *Detector) OnAccess(tid guest.TID, pc isa.PC, addr uint64, size uint8, w
 	} else {
 		d.C.Reads++
 	}
-	d.clock.Charge(d.costs.AnalysisFast + d.contention())
+	d.clock.Charge(stats.AnalysisFast + d.contention())
 	first := addr &^ ((1 << BlockShift) - 1)
 	last := (addr + uint64(size) - 1) &^ ((1 << BlockShift) - 1)
 	for b := first; b <= last; b += 1 << BlockShift {
@@ -155,7 +153,7 @@ func (d *Detector) contention() uint64 {
 	if n > 8 {
 		n = 8
 	}
-	return d.costs.AnalysisContention * uint64(n)
+	return stats.AnalysisContention * uint64(n)
 }
 
 func (d *Detector) access(tid guest.TID, pc isa.PC, block uint64, write bool) {
@@ -244,7 +242,7 @@ func (d *Detector) report(v Violation) {
 // OnAcquire opens (or nests into) the thread's atomic region.
 func (d *Detector) OnAcquire(tid guest.TID, lock int64) {
 	d.C.SyncOps++
-	d.clock.Charge(d.costs.AnalysisSync)
+	d.clock.Charge(stats.AnalysisSync)
 	r := d.region(tid)
 	if r.depth == 0 {
 		d.nextRegion++
@@ -257,7 +255,7 @@ func (d *Detector) OnAcquire(tid guest.TID, lock int64) {
 // OnRelease closes the region when the outermost lock is dropped.
 func (d *Detector) OnRelease(tid guest.TID, lock int64) {
 	d.C.SyncOps++
-	d.clock.Charge(d.costs.AnalysisSync)
+	d.clock.Charge(stats.AnalysisSync)
 	r := d.region(tid)
 	if r.depth > 0 {
 		r.depth--

@@ -8,7 +8,7 @@ import (
 	"repro/internal/stats"
 )
 
-func det() *Detector { return New(&stats.Clock{}, stats.DefaultCosts()) }
+func det() *Detector { return New(&stats.Clock{}) }
 
 const v = uint64(0x3000)
 

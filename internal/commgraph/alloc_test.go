@@ -10,7 +10,7 @@ import (
 // materialize new variables on pages that already hold cells, and reads
 // by the writer, allocate nothing.
 func TestOnAccessNoAllocs(t *testing.T) {
-	a := New(&stats.Clock{}, stats.DefaultCosts())
+	a := New(&stats.Clock{})
 	const base, pages = uint64(0x1000), 8
 	for p := uint64(0); p < pages; p++ {
 		a.OnAccess(1, 0, base+p<<12, 8, true)
@@ -36,7 +36,7 @@ func TestOnAccessNoAllocs(t *testing.T) {
 // TestReadDoesNotCountVariable pins that a variable counts on its first
 // write only: a read of a never-written variable is not a variable.
 func TestReadDoesNotCountVariable(t *testing.T) {
-	a := New(&stats.Clock{}, stats.DefaultCosts())
+	a := New(&stats.Clock{})
 	a.OnAccess(1, 0, 0x1000, 8, false)
 	a.OnAccess(2, 0, 0x1000, 8, false)
 	if a.C.Variables != 0 || a.C.Communications != 0 {
@@ -53,7 +53,7 @@ func TestReadDoesNotCountVariable(t *testing.T) {
 // BenchmarkPipelineOnAccess measures a write and a read by the same
 // thread: the last-writer lookup every analyzed access pays.
 func BenchmarkPipelineOnAccess(b *testing.B) {
-	a := New(&stats.Clock{}, stats.DefaultCosts())
+	a := New(&stats.Clock{})
 	a.OnAccess(1, 0, 0x1000, 8, true)
 	b.ReportAllocs()
 	b.ResetTimer()

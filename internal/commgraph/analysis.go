@@ -12,7 +12,7 @@ const Kind = "commgraph"
 
 func init() {
 	analysis.Register(Kind, func(env analysis.Env) (analysis.Analysis, error) {
-		return New(env.Clock, env.Costs), nil
+		return New(env.Clock), nil
 	})
 	analysis.RegisterAlias("cg", Kind)
 }

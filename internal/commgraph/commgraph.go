@@ -64,7 +64,6 @@ type Analysis struct {
 	pageEdges map[uint64]map[Edge]uint64
 
 	clock *stats.Clock
-	costs stats.CostModel
 
 	// MaxEdges caps the edges a Report stores (heaviest first; 0 = all,
 	// negative = none).
@@ -74,18 +73,17 @@ type Analysis struct {
 }
 
 // New creates a profiler.
-func New(clock *stats.Clock, costs stats.CostModel) *Analysis {
+func New(clock *stats.Clock) *Analysis {
 	return &Analysis{
 		edges:     make(map[Edge]uint64),
 		pageEdges: make(map[uint64]map[Edge]uint64),
 		clock:     clock,
-		costs:     costs,
 	}
 }
 
 // observe processes one access.
 func (a *Analysis) observe(tid guest.TID, addr uint64, write bool) {
-	a.clock.Charge(a.costs.AnalysisFast)
+	a.clock.Charge(stats.AnalysisFast)
 	lw := a.lastWriter.Cell(addr)
 	if write {
 		a.C.Writes++

@@ -25,7 +25,7 @@ func cgEdges(r *core.Result) []commgraph.WeightedEdge {
 }
 
 func TestEdgeAccumulation(t *testing.T) {
-	a := New(&stats.Clock{}, stats.DefaultCosts())
+	a := New(&stats.Clock{})
 	a.OnAccess(1, 0, 0x1000, 8, true) // t1 writes
 	a.OnAccess(2, 1, 0x1000, 8, false)
 	a.OnAccess(2, 1, 0x1000, 8, false) // t2 reads twice: weight 2
@@ -48,7 +48,7 @@ func TestEdgeAccumulation(t *testing.T) {
 }
 
 func TestHotPages(t *testing.T) {
-	a := New(&stats.Clock{}, stats.DefaultCosts())
+	a := New(&stats.Clock{})
 	// Page 1 carries 3 communications, page 2 carries 1.
 	a.OnAccess(1, 0, 0x1000, 8, true)
 	for i := 0; i < 3; i++ {

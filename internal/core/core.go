@@ -103,7 +103,6 @@ type Config struct {
 	// non-nil slice runs no analysis at all (instrumentation without a
 	// client — the cost floor the mux-equivalence tests subtract).
 	Analyses []string
-	Costs    stats.CostModel
 	Engine   dbi.Config
 
 	// Paging selects AikidoVM's memory-virtualization strategy (§3.2.2):
@@ -163,8 +162,7 @@ type Config struct {
 // DefaultConfig returns the standard configuration for a mode, with epoch
 // demotion on.
 func DefaultConfig(m Mode) Config {
-	return Config{Mode: m, Costs: stats.DefaultCosts(), Engine: dbi.DefaultConfig(),
-		Epoch: sharing.DefaultEpochPolicy()}
+	return Config{Mode: m, Engine: dbi.DefaultConfig(), Epoch: sharing.DefaultEpochPolicy()}
 }
 
 // WithAnalyses returns a copy of the config selecting the named analyses.
@@ -181,12 +179,11 @@ type System struct {
 	Clock   *stats.Clock
 	Engine  *dbi.Engine
 
-	HV     *hypervisor.Hypervisor // nil unless Aikido mode with the AikidoVM provider
-	Prov   provider.Interface     // nil unless Aikido mode
-	Um     *umbra.Umbra           // nil in native/dbi modes
-	Mir    *mirror.Manager        // nil unless Aikido mode
-	SD     *sharing.Detector      // nil unless Aikido mode
-	Epochs *EpochClock            // nil unless Config.Epoch is enabled
+	HV   *hypervisor.Hypervisor // nil unless Aikido mode with the AikidoVM provider
+	Prov provider.Interface     // nil unless Aikido mode
+	Um   *umbra.Umbra           // nil in native/dbi modes
+	Mir  *mirror.Manager        // nil unless Aikido mode
+	SD   *sharing.Detector      // nil unless Aikido mode
 
 	// Analyses are the active analyses in configuration order (empty in
 	// native/dbi/profile modes). Callers needing a concrete detector's
@@ -226,7 +223,7 @@ func (s *System) newAnalyses() (analysis.Analysis, error) {
 	if len(names) == 0 {
 		return nil, nil
 	}
-	env := analysis.Env{Clock: s.Clock, Costs: s.Cfg.Costs, Process: s.Process, Umbra: s.Um}
+	env := analysis.Env{Clock: s.Clock, Process: s.Process, Umbra: s.Um}
 	as, err := analysis.NewAll(names, env)
 	if err != nil {
 		return nil, err
@@ -253,36 +250,36 @@ func NewSystem(prog *isa.Program, cfg Config) (*System, error) {
 	case ModeNative:
 		ecfg := cfg.Engine
 		ecfg.ChargeDBI = false
-		s.Engine = dbi.New(p, nil, nil, clock, cfg.Costs, ecfg)
+		s.Engine = dbi.New(p, nil, nil, clock, ecfg)
 
 	case ModeDBI:
-		s.Engine = dbi.New(p, nil, nil, clock, cfg.Costs, cfg.Engine)
+		s.Engine = dbi.New(p, nil, nil, clock, cfg.Engine)
 
 	case ModeFastTrackFull:
-		s.Um = umbra.Attach(p, clock, cfg.Costs)
+		s.Um = umbra.Attach(p, clock)
 		if s.an, err = s.newAnalyses(); err != nil {
 			return nil, err
 		}
 		tool := newFullTool(s.Um, s.an)
-		s.Engine = dbi.New(p, nil, tool, clock, cfg.Costs, cfg.Engine)
+		s.Engine = dbi.New(p, nil, tool, clock, cfg.Engine)
 
 	case ModeAikidoFastTrack, ModeAikidoProfile:
 		switch cfg.Provider {
 		case provider.DOS:
-			s.Prov = provider.NewDOS(p, clock, cfg.Costs)
+			s.Prov = provider.NewDOS(p, clock)
 		case provider.Dthreads:
-			s.Prov = provider.NewDthreads(p, clock, cfg.Costs)
+			s.Prov = provider.NewDthreads(p, clock)
 		default:
 			if cfg.Paging == hypervisor.NestedPaging {
-				s.HV = hypervisor.NewNested(m, p.PT)
+				s.HV = hypervisor.NewNested(m, p.PT, clock)
 			} else {
-				s.HV = hypervisor.New(m, p.PT)
+				s.HV = hypervisor.New(m, p.PT, clock)
 			}
 			s.HV.SetSwitchInterception(cfg.Switch)
-			s.Prov = provider.NewAikidoVM(p, s.HV, clock, cfg.Costs)
+			s.Prov = provider.NewAikidoVM(p, s.HV, clock)
 		}
 		p.SetBus(provider.KernelBus(s.Prov))
-		s.Um = umbra.Attach(p, clock, cfg.Costs)
+		s.Um = umbra.Attach(p, clock)
 		s.Mir = mirror.Attach(p)
 		var client sharing.Analysis
 		if cfg.Mode == ModeAikidoFastTrack {
@@ -293,19 +290,15 @@ func NewSystem(prog *isa.Program, cfg Config) (*System, error) {
 				client = s.an
 			}
 		}
-		s.SD = sharing.Attach(p, s.Prov, s.Um, s.Mir, client, clock, cfg.Costs)
+		s.SD = sharing.Attach(p, s.Prov, s.Um, s.Mir, client, clock)
 		if cfg.NoMirror {
 			s.SD.DisableMirror()
 		}
-		s.Engine = dbi.New(p, s.Prov, s.SD, clock, cfg.Costs, cfg.Engine)
+		s.Engine = dbi.New(p, s.Prov, s.SD, clock, cfg.Engine)
 		s.SD.SetEngine(s.Engine)
 		s.Engine.OnFault = s.SD.HandleFault
 		s.Engine.RuntimeTouch = s.SD.TouchCode
-		if cfg.Epoch.Enabled() {
-			s.SD.EnableEpochs(cfg.Epoch)
-			s.Epochs = newEpochClock(clock, cfg.Epoch.Interval, s.SD.EpochSweep)
-			s.SD.SetEpochTicker(s.Epochs.MaybeTick)
-		}
+		s.SD.EnableEpochs(cfg.Epoch)
 
 	default:
 		return nil, fmt.Errorf("core: unknown mode %d", cfg.Mode)
@@ -352,11 +345,10 @@ func asRetireObserver(a analysis.Analysis) (retireObserver, bool) {
 // costs.
 func (s *System) wireHooks() {
 	p := s.Process
-	costs := s.Cfg.Costs
 	clock := s.Clock
 
 	p.Hooks.ContextSwitch = func(old, new guest.TID) {
-		clock.Charge(costs.ContextSwitch)
+		clock.Charge(stats.ContextSwitch)
 		if s.Prov != nil {
 			// The provider charges its own switch cost on top of the
 			// guest's: the hypervisor's interception VM exit plus
@@ -480,11 +472,6 @@ type Result struct {
 
 	GuestContextSwitches uint64
 	GuestSyscalls        uint64
-
-	// EpochTicks counts epoch boundaries fired by the re-privatization
-	// clock (0 when Config.Epoch is disabled; demotion detail lives in
-	// SD.EpochSweeps / SD.PagesDemoted* / SD.PagesReshared).
-	EpochTicks uint64
 }
 
 // Run executes the assembled system to completion.
@@ -517,9 +504,6 @@ func (s *System) Run() (*Result, error) {
 	}
 	if s.SD != nil {
 		r.SD = s.SD.C
-	}
-	if s.Epochs != nil {
-		r.EpochTicks = s.Epochs.Ticks
 	}
 	if len(s.Analyses) > 0 {
 		r.Findings = make(map[string]analysis.Findings, len(s.Analyses))

@@ -190,9 +190,9 @@ func TestDeferredByteIdenticalWithEpochs(t *testing.T) {
 		}
 		cfg := DefaultConfig(ModeAikidoFastTrack)
 		first := runCfg(t, prog, cfg)
-		if first.SD.PagesDemotedPrivate == 0 || first.EpochTicks == 0 {
-			t.Errorf("%s: no demotion (ticks=%d) — the epoch coverage is vacuous",
-				src.SourceName(), first.EpochTicks)
+		if first.SD.PagesDemotedPrivate == 0 || first.SD.EpochSweeps == 0 {
+			t.Errorf("%s: no demotion (sweeps=%d) — the epoch coverage is vacuous",
+				src.SourceName(), first.SD.EpochSweeps)
 		}
 		requireIdentical(t, src.SourceName()+"/epoch", first, runCfg(t, prog, cfg))
 	}
@@ -484,11 +484,10 @@ func TestPhaseByteIdentical(t *testing.T) {
 			}
 			continue
 		}
-		if ep.SD.PagesDemotedPrivate != 0 || ep.EpochTicks == 0 {
-			t.Errorf("%s: demoted %d pages over %d ticks, want none over some",
-				name, ep.SD.PagesDemotedPrivate, ep.EpochTicks)
+		if ep.SD.PagesDemotedPrivate != 0 || ep.SD.EpochSweeps == 0 {
+			t.Errorf("%s: demoted %d pages over %d sweeps, want none over some",
+				name, ep.SD.PagesDemotedPrivate, ep.SD.EpochSweeps)
 		}
-		ep.EpochTicks = 0
 		ep.SD = stripEpochCounters(ep.SD)
 		plain.SD = stripEpochCounters(plain.SD)
 		requireIdentical(t, name, plain, ep)

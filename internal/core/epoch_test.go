@@ -8,7 +8,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/parsec"
 	"repro/internal/sharing"
-	"repro/internal/stats"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -32,12 +31,12 @@ func stripEpochCounters(c sharing.Counters) sharing.Counters {
 // baseline — same cycles, same races, same engine and sharing counters —
 // because demotion never fires on them (every shared page keeps being
 // touched by several threads per epoch). The epoch machinery must still
-// be demonstrably armed: ticks occur.
+// be demonstrably armed: sweeps occur.
 func TestEpochParsecByteIdentical(t *testing.T) {
 	terminal := DefaultConfig(ModeAikidoFastTrack)
 	terminal.Epoch = sharing.EpochPolicy{}
 	for _, scale := range []float64{0.25, 0.1} {
-		ticked := false
+		swept := false
 		for _, bench := range parsec.All() {
 			bench := bench.WithScale(scale)
 			prog, err := workload.Build(bench.Spec)
@@ -53,7 +52,7 @@ func TestEpochParsecByteIdentical(t *testing.T) {
 				t.Fatalf("%s: epoch: %v", bench.Name, err)
 			}
 			label := fmt.Sprintf("%s scale=%v", bench.Name, scale)
-			ticked = ticked || ep.EpochTicks > 0
+			swept = swept || ep.SD.EpochSweeps > 0
 			if d := ep.SD.PagesDemotedPrivate + ep.SD.PagesDemotedUnused; d != 0 {
 				t.Errorf("%s: default policy demoted %d pages on a steady model", label, d)
 			}
@@ -70,8 +69,8 @@ func TestEpochParsecByteIdentical(t *testing.T) {
 				t.Errorf("%s: sharing counters diverge:\nbaseline: %+v\nepoch:    %+v", label, base.SD, ep.SD)
 			}
 		}
-		if !ticked {
-			t.Errorf("scale %v: epoch clock never ticked on any model: the equivalence was vacuous", scale)
+		if !swept {
+			t.Errorf("scale %v: no epoch ended on any model: the equivalence was vacuous", scale)
 		}
 	}
 }
@@ -151,52 +150,10 @@ func TestEpochPhasedSpeedup(t *testing.T) {
 	}
 }
 
-// TestEpochClockBoundaries pins MaybeTick's arithmetic at the edges: the
-// deadline saturates instead of wrapping when cycles approach the uint64
-// limit (a wrapped deadline would sit below the clock forever and fire a
-// sweep on every subsequent check — a tick storm), and a huge interval
-// never ticks at all.
-func TestEpochClockBoundaries(t *testing.T) {
-	const max = ^uint64(0)
-
-	t.Run("wraparound saturates", func(t *testing.T) {
-		clock := &stats.Clock{}
-		sweeps := 0
-		c := newEpochClock(clock, max/2, func() { sweeps++ })
-		clock.Charge(max - 10) // cy >= next, and cy + interval wraps
-		c.MaybeTick()
-		if c.Ticks != 1 || sweeps != 1 {
-			t.Fatalf("first boundary: ticks=%d sweeps=%d, want 1/1", c.Ticks, sweeps)
-		}
-		if c.next != max {
-			t.Fatalf("deadline = %d, want saturation at %d", c.next, max)
-		}
-		// The storm check: further checks below the saturated deadline
-		// must not tick.
-		for i := 0; i < 5; i++ {
-			clock.Charge(1)
-			c.MaybeTick()
-		}
-		if c.Ticks != 1 || sweeps != 1 {
-			t.Errorf("post-saturation checks ticked: ticks=%d sweeps=%d, want 1/1", c.Ticks, sweeps)
-		}
-	})
-
-	t.Run("interval beyond remaining range", func(t *testing.T) {
-		clock := &stats.Clock{}
-		c := newEpochClock(clock, max-1, func() { t.Error("sweep fired before the interval elapsed") })
-		clock.Charge(1 << 40)
-		c.MaybeTick()
-		if c.Ticks != 0 {
-			t.Errorf("ticked %d times under an unelapsed %d-cycle interval", c.Ticks, max-1)
-		}
-	})
-}
-
 // TestEpochDisabledNeverTicks is the terminal-Shared half of the boundary
-// contract: with the zero epoch policy the system wires no clock at all —
-// zero Ticks, zero sweeps, nil ticker — on a workload that shares pages
-// heavily enough that an armed clock would certainly have fired.
+// contract: with the zero epoch policy no epoch ever ends — zero sweeps —
+// on a workload that shares pages heavily enough that an armed deadline
+// would certainly have passed.
 func TestEpochDisabledNeverTicks(t *testing.T) {
 	bench, err := parsec.ByName("fluidanimate")
 	if err != nil {
@@ -209,33 +166,26 @@ func TestEpochDisabledNeverTicks(t *testing.T) {
 	}
 	cfg := DefaultConfig(ModeAikidoFastTrack)
 	cfg.Epoch = sharing.EpochPolicy{}
-	s, err := NewSystem(prog, cfg)
+	res, err := Run(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Epochs != nil {
-		t.Fatal("epoch clock assembled without an epoch policy")
+	if res.SD.EpochSweeps != 0 {
+		t.Errorf("disabled epochs swept %d times", res.SD.EpochSweeps)
 	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EpochTicks != 0 || res.SD.EpochSweeps != 0 {
-		t.Errorf("disabled epochs ticked: ticks=%d sweeps=%d", res.EpochTicks, res.SD.EpochSweeps)
-	}
-	// The same run with the default, armed clock does tick — the zero
-	// above is a property of the configuration, not of the workload.
+	// The same run with the default, armed deadline does sweep — the
+	// zero above is a property of the configuration, not of the workload.
 	armed, err := Run(prog, DefaultConfig(ModeAikidoFastTrack))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if armed.EpochTicks == 0 {
-		t.Error("armed control never ticked: the disabled-clock check is vacuous")
+	if armed.SD.EpochSweeps == 0 {
+		t.Error("armed control never swept: the disabled-epoch check is vacuous")
 	}
 }
 
 // TestEpochFaultPathNeverTicks guards the deliberate asymmetry of the
-// tick wiring: only the instrumented PreAccess path checks the epoch
+// epoch deadline: only the instrumented PreAccess path checks the epoch
 // boundary; the fault path never does (a sweep demoting the faulting page
 // to the faulting thread mid-handling would make the delivered fault look
 // spurious). A single-thread workload keeps every page Private — all
@@ -263,9 +213,9 @@ func TestEpochFaultPathNeverTicks(t *testing.T) {
 	if res.Engine.InstrumentedExecs != 0 {
 		t.Fatal("single-thread run instrumented instructions: the guard is vacuous")
 	}
-	if res.EpochTicks != 0 || res.SD.EpochSweeps != 0 {
-		t.Errorf("fault-only run ticked: ticks=%d sweeps=%d (the fault path must never tick)",
-			res.EpochTicks, res.SD.EpochSweeps)
+	if res.SD.EpochSweeps != 0 {
+		t.Errorf("fault-only run swept %d times (the fault path must never end an epoch)",
+			res.SD.EpochSweeps)
 	}
 }
 

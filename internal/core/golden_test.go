@@ -128,7 +128,7 @@ func epochCells() []goldenCell {
 	demotion := func(w io.Writer, r *Result) {
 		shared(w, r)
 		fmt.Fprintf(w, "epoch ticks=%d demoted-private=%d demoted-unused=%d reshared=%d pcs-uninstrumented=%d\n",
-			r.EpochTicks, r.SD.PagesDemotedPrivate, r.SD.PagesDemotedUnused,
+			r.SD.EpochSweeps, r.SD.PagesDemotedPrivate, r.SD.PagesDemotedUnused,
 			r.SD.PagesReshared, r.SD.PCsUninstrumented)
 	}
 	var cells []goldenCell

@@ -31,7 +31,7 @@ func BenchmarkInterpreterThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		e := New(p, nil, nil, nil, stats.DefaultCosts(), DefaultConfig())
+		e := New(p, nil, nil, &stats.Clock{}, DefaultConfig())
 		res, err := e.Run()
 		if err != nil {
 			b.Fatal(err)
@@ -53,7 +53,7 @@ func BenchmarkBlockBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e := New(p, nil, nil, nil, stats.DefaultCosts(), DefaultConfig())
+	e := New(p, nil, nil, &stats.Clock{}, DefaultConfig())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pc := isa.PC(i % 3900)
@@ -84,7 +84,7 @@ func BenchmarkPipelineDispatch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		e := New(p, nil, nil, nil, stats.DefaultCosts(), DefaultConfig())
+		e := New(p, nil, nil, &stats.Clock{}, DefaultConfig())
 		res, err := e.Run()
 		if err != nil {
 			b.Fatal(err)

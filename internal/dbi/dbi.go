@@ -126,9 +126,6 @@ type Config struct {
 	// ChargeDBI enables code-cache cost accounting. Native baseline runs
 	// keep it off so that "native time" is pure instruction cost.
 	ChargeDBI bool
-	// MaxSteps aborts runs exceeding this many retired instructions
-	// (guards against runaway workloads); 0 means no limit.
-	MaxSteps uint64
 }
 
 const (
@@ -150,7 +147,6 @@ type Engine struct {
 	Mem   Memory
 	Tool  Tool
 	Clock *stats.Clock
-	Costs stats.CostModel
 	Cfg   Config
 
 	// OnFault is the master signal handler; nil treats all faults as
@@ -201,11 +197,12 @@ type Engine struct {
 	prev *block // last executed block, for linking
 }
 
-// New creates an engine over a loaded process. mem may be nil, in which
-// case a direct guest-page-table walker is used (native runs).
-func New(p *guest.Process, mem Memory, tool Tool, clock *stats.Clock, costs stats.CostModel, cfg Config) *Engine {
+// New creates an engine over a loaded process, charging its events to
+// clock. mem may be nil, in which case a direct guest-page-table walker is
+// used (native runs).
+func New(p *guest.Process, mem Memory, tool Tool, clock *stats.Clock, cfg Config) *Engine {
 	e := &Engine{
-		P: p, Mem: mem, Tool: tool, Clock: clock, Costs: costs, Cfg: cfg,
+		P: p, Mem: mem, Tool: tool, Clock: clock, Cfg: cfg,
 		blocks: make([]*block, len(p.Prog.Code)),
 		memRef: make([]bool, len(p.Prog.Code)),
 	}
@@ -218,9 +215,6 @@ func New(p *guest.Process, mem Memory, tool Tool, clock *stats.Clock, costs stat
 		// call on every access.
 		e.Mem = directMemory{p}
 		e.directP = p
-	}
-	if clock == nil {
-		e.Clock = &stats.Clock{}
 	}
 	return e
 }
@@ -301,7 +295,7 @@ func (e *Engine) Flush(pc isa.PC) int {
 			e.blocks[start] = nil
 			e.free = append(e.free, b)
 			if e.Cfg.ChargeDBI {
-				e.Clock.Charge(e.Costs.FlushBlock)
+				e.Clock.Charge(stats.FlushBlock)
 			}
 			e.C.BlocksFlushed++
 		}
@@ -385,7 +379,7 @@ func (e *Engine) build(tid guest.TID, pc isa.PC) *block {
 		}
 	}
 	if e.Cfg.ChargeDBI {
-		e.Clock.Charge(e.Costs.BuildBlockBase + e.Costs.BuildPerInstr*uint64(len(b.instrs)))
+		e.Clock.Charge(stats.BuildBlockBase + stats.BuildPerInstr*uint64(len(b.instrs)))
 	}
 	if len(b.instrs) > e.maxBlockLen {
 		e.maxBlockLen = len(b.instrs)
@@ -406,9 +400,6 @@ type Result struct {
 func (e *Engine) Run() (*Result, error) {
 	p := e.P
 	for p.Alive() {
-		if e.Cfg.MaxSteps > 0 && e.C.Instructions > e.Cfg.MaxSteps {
-			return nil, fmt.Errorf("dbi: exceeded %d instructions (runaway workload?)", e.Cfg.MaxSteps)
-		}
 		if e.OnQuantum != nil {
 			if err := e.OnQuantum(); err != nil {
 				return nil, err
@@ -476,12 +467,12 @@ func (e *Engine) dispatch(t *guest.Thread) (*block, error) {
 		if b.trace {
 			e.C.TraceDispatches++
 			if e.Cfg.ChargeDBI {
-				e.Clock.Charge(e.Costs.DispatchTrace)
+				e.Clock.Charge(stats.DispatchTrace)
 			}
 		} else {
 			e.C.LinkedDispatches++
 			if e.Cfg.ChargeDBI {
-				e.Clock.Charge(e.Costs.DispatchLinked)
+				e.Clock.Charge(stats.DispatchLinked)
 			}
 		}
 	default:
@@ -492,7 +483,7 @@ func (e *Engine) dispatch(t *guest.Thread) (*block, error) {
 		b = e.lookup(t.ID, t.PC)
 		e.C.BlockLookups++
 		if e.Cfg.ChargeDBI {
-			e.Clock.Charge(e.Costs.DispatchBlock)
+			e.Clock.Charge(stats.DispatchBlock)
 		}
 		if e.prev != nil && e.prev.next == nil {
 			e.prev.next = b // direct-link the observed successor
@@ -640,7 +631,7 @@ func (e *Engine) execBlock(t *guest.Thread, b *block, budget *uint64) (bool, err
 			e.settle(t, budget, bud, pend, pendMem)
 			e.retireEnd(t, budget, pc, in)
 			t.PC = pc + 1
-			e.Clock.Charge(e.Costs.Syscall)
+			e.Clock.Charge(stats.Syscall)
 			res, err := p.DoSyscall(t, in.Imm)
 			if err != nil {
 				return true, fmt.Errorf("dbi: thread %d pc %d: %w", t.ID, pc, err)
@@ -682,8 +673,8 @@ func (e *Engine) execBlock(t *guest.Thread, b *block, budget *uint64) (bool, err
 // batch equals per-instruction updates for everything but plan callbacks,
 // which run between two settle points. They may read the clock, and see
 // it without the pending NativeInstr × pend charge; sharing's PreAccess
-// ticks the epoch clock from that reading, which is deterministic. No
-// callback may read Thread.Instructions or Engine.C.
+// checks its epoch deadline against that reading, which is deterministic.
+// No callback may read Thread.Instructions or Engine.C.
 func (e *Engine) settle(t *guest.Thread, budget *uint64, bud, pend, pendMem uint64) {
 	*budget = bud
 	if pend == 0 {
@@ -692,7 +683,7 @@ func (e *Engine) settle(t *guest.Thread, budget *uint64, bud, pend, pendMem uint
 	t.Instructions += pend
 	e.C.Instructions += pend
 	e.C.MemRefs += pendMem
-	e.Clock.Charge(e.Costs.NativeInstr * pend)
+	e.Clock.Charge(stats.NativeInstr * pend)
 }
 
 // retire accounts one retired instruction. It is deliberately tiny so it
@@ -701,7 +692,7 @@ func (e *Engine) settle(t *guest.Thread, budget *uint64, bud, pend, pendMem uint
 func (e *Engine) retire(t *guest.Thread, budget *uint64) {
 	t.Instructions++
 	e.C.Instructions++
-	e.Clock.Charge(e.Costs.NativeInstr)
+	e.Clock.Charge(stats.NativeInstr)
 	*budget--
 }
 
@@ -771,7 +762,7 @@ func (e *Engine) execMem(t *guest.Thread, pc isa.PC, in *isa.Instr, plan *Plan) 
 
 	// Fault path: master signal handler.
 	e.C.Faults++
-	e.Clock.Charge(e.Costs.Fault)
+	e.Clock.Charge(stats.Fault)
 	if e.OnFault == nil {
 		return false, fmt.Errorf("dbi: thread %d pc %d: unhandled %v", t.ID, pc, fault)
 	}

@@ -1,6 +1,7 @@
 package dbi
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/guest"
@@ -16,7 +17,7 @@ func run(t *testing.T, prog *isa.Program, tool Tool, cfg Config) (*Engine, *Resu
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(p, nil, tool, nil, stats.DefaultCosts(), cfg)
+	e := New(p, nil, tool, &stats.Clock{}, cfg)
 	res, err := e.Run()
 	if err != nil {
 		t.Fatalf("run failed: %v", err)
@@ -41,7 +42,7 @@ func TestArithmeticAndControlFlow(t *testing.T) {
 	_ = p
 	// Re-run to inspect memory via a fresh engine exposing the process.
 	p2, _ := guest.NewProcess(vm.NewMachine(), prog)
-	e2 := New(p2, nil, nil, nil, stats.DefaultCosts(), DefaultConfig())
+	e2 := New(p2, nil, nil, &stats.Clock{}, DefaultConfig())
 	if _, err := e2.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestLoadStoreIndirect(t *testing.T) {
 	prog := b.MustFinish()
 
 	p, _ := guest.NewProcess(vm.NewMachine(), prog)
-	e := New(p, nil, nil, nil, stats.DefaultCosts(), DefaultConfig())
+	e := New(p, nil, nil, &stats.Clock{}, DefaultConfig())
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestMultiThreadProducerConsumer(t *testing.T) {
 	prog := b.MustFinish()
 
 	p, _ := guest.NewProcess(vm.NewMachine(), prog)
-	e := New(p, nil, nil, nil, stats.DefaultCosts(), DefaultConfig())
+	e := New(p, nil, nil, &stats.Clock{}, DefaultConfig())
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestBarrierSynchronizesPhases(t *testing.T) {
 	prog := b.MustFinish()
 
 	p, _ := guest.NewProcess(vm.NewMachine(), prog)
-	e := New(p, nil, nil, nil, stats.DefaultCosts(), DefaultConfig())
+	e := New(p, nil, nil, &stats.Clock{}, DefaultConfig())
 	res, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +222,7 @@ func TestDeadlockReported(t *testing.T) {
 	b.Halt()
 	prog := b.MustFinish()
 	p, _ := guest.NewProcess(vm.NewMachine(), prog)
-	e := New(p, nil, nil, nil, stats.DefaultCosts(), DefaultConfig())
+	e := New(p, nil, nil, &stats.Clock{}, DefaultConfig())
 	if _, err := e.Run(); err == nil {
 		t.Fatal("deadlock not reported")
 	}
@@ -294,7 +295,7 @@ func TestToolRedirection(t *testing.T) {
 	prog := b.MustFinish()
 
 	p, _ := guest.NewProcess(vm.NewMachine(), prog)
-	e := New(p, nil, &redirectTool{from: a, to: bb}, nil, stats.DefaultCosts(), DefaultConfig())
+	e := New(p, nil, &redirectTool{from: a, to: bb}, &stats.Clock{}, DefaultConfig())
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +318,7 @@ func TestFlushRebuildsBlocks(t *testing.T) {
 	prog := b.MustFinish()
 
 	p, _ := guest.NewProcess(vm.NewMachine(), prog)
-	e := New(p, nil, nil, nil, stats.DefaultCosts(), DefaultConfig())
+	e := New(p, nil, nil, &stats.Clock{}, DefaultConfig())
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +352,7 @@ func TestFaultHandlerRetry(t *testing.T) {
 	var handled int
 	var redirect bool
 	tool := &redirectTool{from: bad, to: g}
-	e := New(p, nil, instrumentIf(func() bool { return redirect }, tool), nil, stats.DefaultCosts(), DefaultConfig())
+	e := New(p, nil, instrumentIf(func() bool { return redirect }, tool), &stats.Clock{}, DefaultConfig())
 	e.OnFault = func(t *guest.Thread, pc isa.PC, in isa.Instr, f *hypervisor.Fault) FaultOutcome {
 		handled++
 		redirect = true
@@ -394,7 +395,7 @@ func TestUnhandledFaultIsFatal(t *testing.T) {
 	b.StoreAbs(0x7000_0000_0000, isa.R1)
 	b.Halt()
 	p, _ := guest.NewProcess(vm.NewMachine(), b.MustFinish())
-	e := New(p, nil, nil, nil, stats.DefaultCosts(), DefaultConfig())
+	e := New(p, nil, nil, &stats.Clock{}, DefaultConfig())
 	if _, err := e.Run(); err == nil {
 		t.Fatal("unmapped store did not kill the run")
 	}
@@ -430,7 +431,7 @@ func TestQuantumSwitchesThreads(t *testing.T) {
 	b.Halt()
 	prog := b.MustFinish()
 	p, _ := guest.NewProcess(vm.NewMachine(), prog)
-	e := New(p, nil, nil, nil, stats.DefaultCosts(), DefaultConfig())
+	e := New(p, nil, nil, &stats.Clock{}, DefaultConfig())
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +446,7 @@ func TestRuntimeTouchFiresPerCodePage(t *testing.T) {
 	b.Halt()
 	prog := b.MustFinish()
 	p, _ := guest.NewProcess(vm.NewMachine(), prog)
-	e := New(p, nil, nil, nil, stats.DefaultCosts(), DefaultConfig())
+	e := New(p, nil, nil, &stats.Clock{}, DefaultConfig())
 	var touched []uint64
 	e.RuntimeTouch = func(tid guest.TID, addr uint64) { touched = append(touched, addr) }
 	if _, err := e.Run(); err != nil {
@@ -461,16 +462,24 @@ func TestRuntimeTouchFiresPerCodePage(t *testing.T) {
 	}
 }
 
-func TestMaxStepsGuard(t *testing.T) {
+// TestOnQuantumErrorAborts pins the runaway guard that core's MaxCycles
+// budget rests on: an OnQuantum error stops an infinite-loop program at
+// the next scheduling quantum and is returned unchanged.
+func TestOnQuantumErrorAborts(t *testing.T) {
 	b := isa.NewBuilder("inf")
 	b.Label("x")
 	b.Jmp("x")
 	b.Halt()
-	cfg := DefaultConfig()
-	cfg.MaxSteps = 10_000
 	p, _ := guest.NewProcess(vm.NewMachine(), b.MustFinish())
-	e := New(p, nil, nil, nil, stats.DefaultCosts(), cfg)
-	if _, err := e.Run(); err == nil {
-		t.Fatal("infinite loop not caught by MaxSteps")
+	e := New(p, nil, nil, &stats.Clock{}, DefaultConfig())
+	stop := errors.New("runaway")
+	e.OnQuantum = func() error {
+		if e.C.Instructions > 10_000 {
+			return stop
+		}
+		return nil
+	}
+	if _, err := e.Run(); !errors.Is(err, stop) {
+		t.Fatalf("Run = %v, want the OnQuantum error", err)
 	}
 }

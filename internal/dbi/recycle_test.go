@@ -39,7 +39,7 @@ func TestRebuildAfterFlushNoAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := &Plan{PreAccess: func(_ guest.TID, _ isa.PC, addr uint64, _ uint8, _ bool) uint64 { return addr }}
-	e := New(p, nil, sharedPlanTool{plan}, nil, stats.DefaultCosts(), DefaultConfig())
+	e := New(p, nil, sharedPlanTool{plan}, &stats.Clock{}, DefaultConfig())
 
 	first := e.lookup(1, 0)
 	if n := e.Flush(2); n != 1 {
@@ -103,7 +103,7 @@ func TestFlushInsidePreAccess(t *testing.T) {
 			}
 			return addr
 		}}
-		e = New(p, nil, sharedPlanTool{plan}, nil, stats.DefaultCosts(), DefaultConfig())
+		e = New(p, nil, sharedPlanTool{plan}, &stats.Clock{}, DefaultConfig())
 		if _, err := e.Run(); err != nil {
 			t.Fatal(err)
 		}

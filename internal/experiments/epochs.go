@@ -23,7 +23,7 @@ type EpochRow struct {
 	EpochCycles    uint64  `json:"epoch_cycles"`
 	CycleSpeedup   float64 `json:"cycle_speedup_x"`
 	// Demotion behaviour of the epoch-on run.
-	EpochTicks          uint64 `json:"epoch_ticks"`
+	EpochSweeps         uint64 `json:"epoch_sweeps"`
 	PagesDemotedPrivate uint64 `json:"pages_demoted_private"`
 	PagesDemotedUnused  uint64 `json:"pages_demoted_unused"`
 	PagesReshared       uint64 `json:"pages_reshared"`
@@ -107,7 +107,7 @@ func Epochs(o Options) ([]EpochRow, error) {
 			BaselineCycles:         b.Cycles,
 			EpochCycles:            e.Cycles,
 			CycleSpeedup:           stats.Ratio(b.Cycles, e.Cycles),
-			EpochTicks:             e.EpochTicks,
+			EpochSweeps:            e.SD.EpochSweeps,
 			PagesDemotedPrivate:    e.SD.PagesDemotedPrivate,
 			PagesDemotedUnused:     e.SD.PagesDemotedUnused,
 			PagesReshared:          e.SD.PagesReshared,

@@ -11,7 +11,7 @@ import (
 // paged shadow table: once a block's chunk is materialized, the same-epoch
 // read and write paths allocate nothing.
 func TestOnAccessFastPathNoAllocs(t *testing.T) {
-	d := New(&stats.Clock{}, stats.DefaultCosts())
+	d := New(&stats.Clock{})
 	// Materialize thread clock and variable chunk.
 	d.OnAccess(1, 10, x, 8, true)
 	d.OnAccess(1, 11, x, 8, false)
@@ -41,7 +41,7 @@ func TestOnAccessFastPathNoAllocs(t *testing.T) {
 // the per-access cost every retired memory reference pays in FastTrack-full
 // mode.
 func BenchmarkPipelineOnAccess(b *testing.B) {
-	d := New(&stats.Clock{}, stats.DefaultCosts())
+	d := New(&stats.Clock{})
 	d.OnAccess(1, 10, x, 8, true)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -55,7 +55,7 @@ func BenchmarkPipelineOnAccess(b *testing.B) {
 // clock, so a steady-state acquire→release cycle (here handed back and
 // forth between two threads) allocates nothing.
 func TestLockHandoffNoAllocs(t *testing.T) {
-	d := New(&stats.Clock{}, stats.DefaultCosts())
+	d := New(&stats.Clock{})
 	cycle := func() {
 		d.OnAcquire(1, 7)
 		d.OnRelease(1, 7)
@@ -71,7 +71,7 @@ func TestLockHandoffNoAllocs(t *testing.T) {
 // BenchmarkPipelineSync measures one lock acquire+release pair — the work
 // every guest critical section costs the detector.
 func BenchmarkPipelineSync(b *testing.B) {
-	d := New(&stats.Clock{}, stats.DefaultCosts())
+	d := New(&stats.Clock{})
 	var t guest.TID = 1
 	d.OnAcquire(t, 7)
 	d.OnRelease(t, 7)

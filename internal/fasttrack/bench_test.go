@@ -10,7 +10,7 @@ import (
 // BenchmarkSameEpochWrite measures the dominant fast path: repeated writes
 // by one thread in one epoch.
 func BenchmarkSameEpochWrite(b *testing.B) {
-	d := New(&stats.Clock{}, stats.DefaultCosts())
+	d := New(&stats.Clock{})
 	d.OnAccess(1, 1, 0x1000, 8, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -21,7 +21,7 @@ func BenchmarkSameEpochWrite(b *testing.B) {
 // BenchmarkOrderedHandoff measures lock-ordered write handoffs between two
 // threads (ordered-epoch path + sync updates).
 func BenchmarkOrderedHandoff(b *testing.B) {
-	d := New(&stats.Clock{}, stats.DefaultCosts())
+	d := New(&stats.Clock{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t := guest.TID(i&1) + 1
@@ -34,7 +34,7 @@ func BenchmarkOrderedHandoff(b *testing.B) {
 // BenchmarkReadShared measures the read-vector-clock slow path: concurrent
 // readers updating their slots.
 func BenchmarkReadShared(b *testing.B) {
-	d := New(&stats.Clock{}, stats.DefaultCosts())
+	d := New(&stats.Clock{})
 	d.OnFork(1, 2)
 	d.OnFork(1, 3)
 	d.OnAccess(2, 1, 0x1000, 8, false)

@@ -128,7 +128,6 @@ type barrier struct {
 // Detector is one FastTrack instance.
 type Detector struct {
 	clock *stats.Clock
-	costs stats.CostModel
 
 	// threads is a dense slice indexed by the (small) TID: the per-access
 	// clock fetch is a bounds-checked load, not a map probe.
@@ -174,10 +173,9 @@ type raceKey struct {
 const defaultMaxRaces = 1000
 
 // New creates a detector charging analysis costs to clock.
-func New(clock *stats.Clock, costs stats.CostModel) *Detector {
+func New(clock *stats.Clock) *Detector {
 	return &Detector{
 		clock:    clock,
-		costs:    costs,
 		locks:    make(map[int64]vclock.VC),
 		bars:     make(map[int64]*barrier),
 		seen:     make(map[raceKey]struct{}),
@@ -310,7 +308,7 @@ func (d *Detector) contention() uint64 {
 	if n >= len(contentionScale) {
 		n = len(contentionScale) - 1
 	}
-	return d.costs.AnalysisContention * contentionScale[n]
+	return stats.AnalysisContention * contentionScale[n]
 }
 
 // OnAccess processes one memory access of size bytes at addr by thread tid
@@ -341,7 +339,7 @@ func (d *Detector) write(t vclock.TID, pc isa.PC, block uint64) {
 	// logical time — the dominant case.
 	if vs.w == e {
 		d.C.SameEpoch++
-		d.clock.Charge(d.costs.AnalysisFast)
+		d.clock.Charge(stats.AnalysisFast)
 		return
 	}
 
@@ -353,7 +351,7 @@ func (d *Detector) write(t vclock.TID, pc isa.PC, block uint64) {
 	// Read-write check: against the read epoch or the whole read VC.
 	if vs.rvcIdx != 0 {
 		d.C.SlowPath++
-		d.clock.Charge(d.costs.AnalysisSlow)
+		d.clock.Charge(stats.AnalysisSlow)
 		rvc := d.rvcs[vs.rvcIdx]
 		if !rvc.Leq(ct) {
 			d.report(Race{Addr: block, Kind: ReadWrite,
@@ -366,7 +364,7 @@ func (d *Detector) write(t vclock.TID, pc isa.PC, block uint64) {
 		vs.r = vclock.None
 	} else {
 		d.C.OrderedEpoch++
-		d.clock.Charge(d.costs.AnalysisFast)
+		d.clock.Charge(stats.AnalysisFast)
 		if vs.r != vclock.None && !vclock.HappensBefore(vs.r, ct) {
 			d.report(Race{Addr: block, Kind: ReadWrite,
 				PriorTID: vs.r.TID(), PriorPC: vs.rpc, CurrentTID: t, CurrentPC: pc})
@@ -386,12 +384,12 @@ func (d *Detector) read(t vclock.TID, pc isa.PC, block uint64) {
 	// READ SAME EPOCH.
 	if vs.r == e && vs.rvcIdx == 0 {
 		d.C.SameEpoch++
-		d.clock.Charge(d.costs.AnalysisFast)
+		d.clock.Charge(stats.AnalysisFast)
 		return
 	}
 	if vs.rvcIdx != 0 && d.rvcs[vs.rvcIdx].Get(t) == ct.Get(t) {
 		d.C.SameEpoch++
-		d.clock.Charge(d.costs.AnalysisFast)
+		d.clock.Charge(stats.AnalysisFast)
 		return
 	}
 
@@ -405,18 +403,18 @@ func (d *Detector) read(t vclock.TID, pc isa.PC, block uint64) {
 	case vs.rvcIdx != 0:
 		// READ SHARED: update this thread's slot in the read VC.
 		d.C.SlowPath++
-		d.clock.Charge(d.costs.AnalysisSlow)
+		d.clock.Charge(stats.AnalysisSlow)
 		d.rvcs[vs.rvcIdx] = d.rvcs[vs.rvcIdx].Set(t, ct.Get(t))
 	case vs.r == vclock.None || vclock.HappensBefore(vs.r, ct):
 		// READ EXCLUSIVE: the previous read is ordered before us.
 		d.C.OrderedEpoch++
-		d.clock.Charge(d.costs.AnalysisFast)
+		d.clock.Charge(stats.AnalysisFast)
 		vs.r = e
 	default:
 		// READ SHARE: concurrent reads — promote to a vector clock.
 		d.C.SlowPath++
 		d.C.ReadVCsAllocated++
-		d.clock.Charge(d.costs.AnalysisSlow)
+		d.clock.Charge(stats.AnalysisSlow)
 		rvc := vclock.VC{}.Set(vs.r.TID(), vs.r.Clock())
 		rvc = rvc.Set(t, ct.Get(t))
 		vs.rvcIdx = d.newRvc(rvc)
@@ -442,7 +440,7 @@ func (d *Detector) someConcurrentReader(rvc, ct vclock.VC) vclock.TID {
 // OnAcquire processes a lock acquire: C_t ⊔= L_m.
 func (d *Detector) OnAcquire(gtid guest.TID, lock int64) {
 	d.C.SyncOps++
-	d.clock.Charge(d.costs.AnalysisSync)
+	d.clock.Charge(stats.AnalysisSync)
 	t := vclock.TID(gtid)
 	if lm, ok := d.locks[lock]; ok {
 		d.setTVC(t, d.tvc(t).Join(lm))
@@ -457,7 +455,7 @@ func (d *Detector) OnAcquire(gtid guest.TID, lock int64) {
 // aliases L_m: acquires join it into the acquirer's own clock.
 func (d *Detector) OnRelease(gtid guest.TID, lock int64) {
 	d.C.SyncOps++
-	d.clock.Charge(d.costs.AnalysisSync)
+	d.clock.Charge(stats.AnalysisSync)
 	t := vclock.TID(gtid)
 	ct := d.tvc(t)
 	lm := d.locks[lock]
@@ -475,7 +473,7 @@ func (d *Detector) OnRelease(gtid guest.TID, lock int64) {
 // OnFork processes thread creation: C_child ⊔= C_parent; C_parent[p]++.
 func (d *Detector) OnFork(parent, child guest.TID) {
 	d.C.SyncOps++
-	d.clock.Charge(d.costs.AnalysisSync)
+	d.clock.Charge(stats.AnalysisSync)
 	p, c := vclock.TID(parent), vclock.TID(child)
 	d.setTVC(c, d.tvc(c).Join(d.tvc(p)))
 	d.setTVC(p, d.tvc(p).Tick(p))
@@ -484,7 +482,7 @@ func (d *Detector) OnFork(parent, child guest.TID) {
 // OnJoin processes a completed join: C_joiner ⊔= C_child.
 func (d *Detector) OnJoin(joiner, child guest.TID) {
 	d.C.SyncOps++
-	d.clock.Charge(d.costs.AnalysisSync)
+	d.clock.Charge(stats.AnalysisSync)
 	j, c := vclock.TID(joiner), vclock.TID(child)
 	d.setTVC(j, d.tvc(j).Join(d.tvc(c)))
 }
@@ -493,7 +491,7 @@ func (d *Detector) OnJoin(joiner, child guest.TID) {
 // the barrier's accumulator).
 func (d *Detector) OnBarrierWait(gtid guest.TID, id int64) {
 	d.C.SyncOps++
-	d.clock.Charge(d.costs.AnalysisSync)
+	d.clock.Charge(stats.AnalysisSync)
 	t := vclock.TID(gtid)
 	b := d.bars[id]
 	if b == nil {
@@ -509,7 +507,7 @@ func (d *Detector) OnBarrierWait(gtid guest.TID, id int64) {
 // barrier can be reused.
 func (d *Detector) OnBarrierRelease(gtid guest.TID, id int64) {
 	d.C.SyncOps++
-	d.clock.Charge(d.costs.AnalysisSync)
+	d.clock.Charge(stats.AnalysisSync)
 	t := vclock.TID(gtid)
 	b := d.bars[id]
 	if b == nil {

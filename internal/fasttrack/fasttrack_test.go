@@ -10,7 +10,7 @@ import (
 )
 
 func det() *Detector {
-	return New(&stats.Clock{}, stats.DefaultCosts())
+	return New(&stats.Clock{})
 }
 
 const x = uint64(0x1000)
@@ -238,7 +238,7 @@ func TestMaxRacesCap(t *testing.T) {
 
 func TestCountersAndCosts(t *testing.T) {
 	clk := &stats.Clock{}
-	d := New(clk, stats.DefaultCosts())
+	d := New(clk)
 	d.OnAccess(1, 10, x, 8, true)
 	d.OnAccess(1, 10, x, 8, true) // same epoch
 	if d.C.Writes != 2 || d.C.SameEpoch != 1 {

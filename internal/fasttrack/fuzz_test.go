@@ -86,8 +86,8 @@ func FuzzVarStore(f *testing.F) {
 // the blocking corpus-replay test.
 func varStoreOracle(t *testing.T, data []byte) {
 	pagedClock, refClock := &stats.Clock{}, &stats.Clock{}
-	paged := &fuzzDriver{d: New(pagedClock, stats.DefaultCosts())}
-	ref := &fuzzDriver{d: New(refClock, stats.DefaultCosts())}
+	paged := &fuzzDriver{d: New(pagedClock)}
+	ref := &fuzzDriver{d: New(refClock)}
 	ref.d.UseReferenceVarStore()
 	paged.run(data)
 	ref.run(data)

@@ -105,7 +105,7 @@ type traceOp struct {
 // produces impossible traces (a thread acting after it was joined) on
 // which epoch compression is legitimately weaker than full vector clocks.
 func runBoth(ops []traceOp) (ftRacy, orRacy map[uint64]bool) {
-	d := New(&stats.Clock{}, stats.DefaultCosts())
+	d := New(&stats.Clock{})
 	o := newOracle()
 	held := map[vclock.TID]map[int64]bool{} // keep lock discipline sane
 	dead := map[vclock.TID]bool{}

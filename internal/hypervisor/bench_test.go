@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/guest"
 	"repro/internal/isa"
+	"repro/internal/stats"
 	"repro/internal/vm"
 )
 
@@ -17,7 +18,7 @@ func benchFixture(b *testing.B) (*guest.Process, *Hypervisor) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return p, New(p.M, p.PT)
+	return p, New(p.M, p.PT, &stats.Clock{})
 }
 
 // BenchmarkTranslateTLBHit measures the shadow-table fast path taken by

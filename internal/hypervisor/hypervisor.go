@@ -148,10 +148,9 @@ type Hypervisor struct {
 	faultPageWrite uint64 // page mapped without write access
 	faultAddrSlot  uint64 // guest address where the true fault address is stored
 
-	// clock/costs account hypervisor-internal events (VM exits, walks,
-	// view switches). A nil clock disables accounting (unit tests).
+	// clock accounts hypervisor-internal events (VM exits, walks, view
+	// switches).
 	clock *stats.Clock
-	costs stats.CostModel
 
 	// fault is the one Aikido fault record, rewritten by every delivery.
 	fault Fault
@@ -159,25 +158,26 @@ type Hypervisor struct {
 	Stats Stats
 }
 
-// New creates an AikidoVM over the guest's page table and registers for its
-// update traps. The hypervisor starts in ShadowPaging mode with the
+// New creates an AikidoVM over the guest's page table, charging its
+// internal events to clock, and registers for the page table's update
+// traps. The hypervisor starts in ShadowPaging mode with the
 // kernel-hypercall context-switch interception, matching the paper's
 // prototype.
-func New(m *vm.Machine, pt *pagetable.Table) *Hypervisor {
+func New(m *vm.Machine, pt *pagetable.Table, clock *stats.Clock) *Hypervisor {
 	h := &Hypervisor{
 		m:          m,
 		pt:         pt,
 		frameVpns:  make(map[vm.FrameID]map[uint64]struct{}),
 		tempUnprot: make(map[uint64]struct{}),
-		costs:      stats.DefaultCosts(),
+		clock:      clock,
 	}
 	pt.SetListener(h)
 	return h
 }
 
 // NewNested creates an AikidoVM in NestedPaging mode (see PagingMode).
-func NewNested(m *vm.Machine, pt *pagetable.Table) *Hypervisor {
-	h := New(m, pt)
+func NewNested(m *vm.Machine, pt *pagetable.Table, clock *stats.Clock) *Hypervisor {
+	h := New(m, pt, clock)
 	h.mode = NestedPaging
 	return h
 }
@@ -190,20 +190,6 @@ func (h *Hypervisor) SetSwitchInterception(s SwitchInterception) { h.switchMode 
 
 // SwitchMode reports the context-switch interception mechanism.
 func (h *Hypervisor) SwitchMode() SwitchInterception { return h.switchMode }
-
-// SetAccounting attaches the simulated clock and cost model used to charge
-// hypervisor-internal events. A nil clock disables accounting.
-func (h *Hypervisor) SetAccounting(clock *stats.Clock, costs stats.CostModel) {
-	h.clock = clock
-	h.costs = costs
-}
-
-// charge adds n cycles when accounting is enabled.
-func (h *Hypervisor) charge(n uint64) {
-	if h.clock != nil {
-		h.clock.Charge(n)
-	}
-}
 
 // PTEUpdated implements pagetable.Listener: a guest page-table write.
 //
@@ -219,7 +205,7 @@ func (h *Hypervisor) charge(n uint64) {
 func (h *Hypervisor) PTEUpdated(vpn uint64, old, new pagetable.PTE) {
 	if h.mode == ShadowPaging {
 		h.Stats.GuestPTUpdates++
-		h.charge(h.costs.PTUpdateTrap)
+		h.clock.Charge(stats.PTUpdateTrap)
 	}
 	h.invalidate(vpn)
 }
@@ -276,7 +262,7 @@ func (h *Hypervisor) invalidate(vpn uint64) {
 func (h *Hypervisor) ContextSwitch(old, new guest.TID) {
 	h.current = new
 	h.Stats.ContextSwitches++
-	h.charge(h.interceptCost() + h.tableSwitchCost())
+	h.clock.Charge(h.interceptCost() + h.tableSwitchCost())
 }
 
 // protForAccess returns the Aikido protection for tid's access to vpn,
@@ -410,9 +396,9 @@ func (h *Hypervisor) Translate(tid guest.TID, addr uint64, a pagetable.Access, u
 	h.Stats.ShadowFills++
 	if h.mode == NestedPaging {
 		h.noteFrameVpn(gpte.Frame, vpn)
-		h.charge(h.costs.EPTWalk)
+		h.clock.Charge(stats.EPTWalk)
 	} else {
-		h.charge(h.costs.ShadowFill)
+		h.clock.Charge(stats.ShadowFill)
 	}
 	return gpte.Frame, vm.PageOff(addr), nil
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/guest"
 	"repro/internal/isa"
 	"repro/internal/pagetable"
+	"repro/internal/stats"
 	"repro/internal/vm"
 )
 
@@ -19,7 +20,7 @@ func fixture(t *testing.T) (*guest.Process, *Hypervisor) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := New(p.M, p.PT)
+	h := New(p.M, p.PT, &stats.Clock{})
 	return p, h
 }
 

@@ -3,6 +3,7 @@ package hypervisor
 import (
 	"sort"
 
+	"repro/internal/stats"
 	"repro/internal/vm"
 )
 
@@ -90,7 +91,7 @@ func (s SwitchInterception) RequiresGuestModification() bool {
 // The numbers are deliberately close: all three mechanisms cost roughly one
 // VM exit; the paper prefers FS/GS trapping for transparency, not speed.
 func (h *Hypervisor) interceptCost() uint64 {
-	base := h.costs.ContextSwitch
+	base := stats.ContextSwitch
 	switch h.switchMode {
 	case SwitchHypercall:
 		return base
@@ -109,9 +110,9 @@ func (h *Hypervisor) interceptCost() uint64 {
 // an EPTP switch under nested paging.
 func (h *Hypervisor) tableSwitchCost() uint64 {
 	if h.mode == NestedPaging {
-		return h.costs.EPTPSwitch
+		return stats.EPTPSwitch
 	}
-	return h.costs.ShadowRootSwitch
+	return stats.ShadowRootSwitch
 }
 
 // mirrorRange is one registered mirror alias range (nested paging only).

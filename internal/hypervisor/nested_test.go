@@ -20,7 +20,7 @@ func nestedFixture(t *testing.T) (*guest.Process, *Hypervisor) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewNested(p.M, p.PT)
+	h := NewNested(p.M, p.PT, &stats.Clock{})
 	return p, h
 }
 
@@ -148,14 +148,13 @@ func TestNestedNoPTUpdateTraps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			clock := &stats.Clock{}
 			var h *Hypervisor
 			if tc.nested {
-				h = NewNested(p.M, p.PT)
+				h = NewNested(p.M, p.PT, clock)
 			} else {
-				h = New(p.M, p.PT)
+				h = New(p.M, p.PT, clock)
 			}
-			clock := &stats.Clock{}
-			h.SetAccounting(clock, stats.DefaultCosts())
 
 			pre := clock.Cycles()
 			p.Mmap(4*vm.PageSize, pagetable.ProtRW) // guest PT writes
@@ -178,20 +177,18 @@ func TestNestedNoPTUpdateTraps(t *testing.T) {
 // translation-cache fill costs more under nested paging (two-dimensional
 // walk) than under shadow paging (shadow fill).
 func TestNestedTLBMissCostlier(t *testing.T) {
-	costs := stats.DefaultCosts()
 	fill := func(nested bool) uint64 {
 		b := isa.NewBuilder("misstest")
 		b.GlobalArray(8)
 		b.Nop().Halt()
 		p, _ := guest.NewProcess(vm.NewMachine(), b.MustFinish())
+		clock := &stats.Clock{}
 		var h *Hypervisor
 		if nested {
-			h = NewNested(p.M, p.PT)
+			h = NewNested(p.M, p.PT, clock)
 		} else {
-			h = New(p.M, p.PT)
+			h = New(p.M, p.PT, clock)
 		}
-		clock := &stats.Clock{}
-		h.SetAccounting(clock, costs)
 		pre := clock.Cycles()
 		h.Load(1, isa.DataBase, 8, true)
 		return clock.Cycles() - pre
@@ -229,15 +226,14 @@ func TestSwitchCostOrdering(t *testing.T) {
 		b := isa.NewBuilder("swtest")
 		b.Nop().Halt()
 		p, _ := guest.NewProcess(vm.NewMachine(), b.MustFinish())
+		clock := &stats.Clock{}
 		var h *Hypervisor
 		if nested {
-			h = NewNested(p.M, p.PT)
+			h = NewNested(p.M, p.PT, clock)
 		} else {
-			h = New(p.M, p.PT)
+			h = New(p.M, p.PT, clock)
 		}
 		h.SetSwitchInterception(mode)
-		clock := &stats.Clock{}
-		h.SetAccounting(clock, stats.DefaultCosts())
 		h.ContextSwitch(1, 2)
 		return clock.Cycles()
 	}

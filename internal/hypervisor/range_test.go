@@ -70,13 +70,3 @@ func TestRangeClearsOverrides(t *testing.T) {
 		t.Fatal("ProtectRange left thread 1's override in place")
 	}
 }
-
-// TestAccountingDisabledByDefault: a hypervisor without SetAccounting never
-// panics and charges nothing (unit-test configuration).
-func TestAccountingDisabledByDefault(t *testing.T) {
-	p, h := fixture(t)
-	h.ContextSwitch(1, 2)
-	p.Mmap(vm.PageSize, 0) // PTEUpdated path with nil clock
-	h.Load(1, isa.DataBase, 8, true)
-	// Reaching here without panic is the assertion.
-}

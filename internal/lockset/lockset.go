@@ -112,7 +112,6 @@ type Counters struct {
 // Detector is one Eraser LockSet instance.
 type Detector struct {
 	clock *stats.Clock
-	costs stats.CostModel
 
 	held []setID // locks_held(t), indexed by TID; emptySet past the end
 	vars analysis.Store[varState]
@@ -139,10 +138,9 @@ type Detector struct {
 const defaultMaxWarnings = 1000
 
 // New creates a detector charging analysis costs to clock.
-func New(clock *stats.Clock, costs stats.CostModel) *Detector {
+func New(clock *stats.Clock) *Detector {
 	d := &Detector{
 		clock:       clock,
-		costs:       costs,
 		intern:      make(map[string]setID),
 		seen:        make(map[uint64]struct{}),
 		MaxWarnings: defaultMaxWarnings,
@@ -233,7 +231,7 @@ func (d *Detector) contention() uint64 {
 	if n > 8 {
 		n = 8
 	}
-	return d.costs.AnalysisContention * uint64(n)
+	return stats.AnalysisContention * uint64(n)
 }
 
 // OnAccess processes one access, per 8-byte block.
@@ -261,11 +259,11 @@ func (d *Detector) access(tid guest.TID, pc isa.PC, block uint64, write bool) {
 		vs.state = Exclusive
 		vs.owner = tid
 		vs.cv = d.heldBy(tid)
-		d.clock.Charge(d.costs.AnalysisFast)
+		d.clock.Charge(stats.AnalysisFast)
 		return
 	case Exclusive:
 		if tid == vs.owner {
-			d.clock.Charge(d.costs.AnalysisFast)
+			d.clock.Charge(stats.AnalysisFast)
 			return
 		}
 		// Second thread: start refinement from the current holder set.
@@ -284,7 +282,7 @@ func (d *Detector) access(tid guest.TID, pc isa.PC, block uint64, write bool) {
 
 	// Refine C(v) ∩= locks_held(t).
 	d.C.Refinements++
-	d.clock.Charge(d.costs.AnalysisSlow)
+	d.clock.Charge(stats.AnalysisSlow)
 	vs.cv = d.intersect(vs.cv, d.heldBy(tid))
 	if vs.state == SharedModified && vs.cv == emptySet {
 		d.report(Warning{Addr: block, TID: tid, PC: pc, Write: write})
@@ -342,14 +340,14 @@ func (d *Detector) report(w Warning) {
 // OnAcquire adds the lock to locks_held(t).
 func (d *Detector) OnAcquire(tid guest.TID, lock int64) {
 	d.C.SyncOps++
-	d.clock.Charge(d.costs.AnalysisSync)
+	d.clock.Charge(stats.AnalysisSync)
 	d.setHeld(tid, d.plus(d.heldBy(tid), lock))
 }
 
 // OnRelease removes the lock from locks_held(t).
 func (d *Detector) OnRelease(tid guest.TID, lock int64) {
 	d.C.SyncOps++
-	d.clock.Charge(d.costs.AnalysisSync)
+	d.clock.Charge(stats.AnalysisSync)
 	d.setHeld(tid, d.minus(d.heldBy(tid), lock))
 }
 

@@ -17,7 +17,7 @@ func init() {
 		if env.Process == nil || env.Umbra == nil {
 			return nil, errors.New("memcheck: requires a process with shadow memory (set Env.Process and Env.Umbra)")
 		}
-		return Attach(env.Process, env.Umbra, env.Clock, env.Costs), nil
+		return Attach(env.Process, env.Umbra, env.Clock), nil
 	})
 }
 

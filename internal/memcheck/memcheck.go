@@ -116,7 +116,6 @@ type Checker struct {
 	dedup map[uint64]struct{}
 
 	clock *stats.Clock
-	costs stats.CostModel
 
 	// loading is true only while Attach replays the pre-existing address
 	// space: those regions are loader-initialized, hence defined.
@@ -128,13 +127,12 @@ type Checker struct {
 // Attach builds a checker over the process, tracking every application
 // region through Umbra. Regions that exist at attach time (code, data,
 // initial stacks) are treated as loader-initialized: defined.
-func Attach(p *guest.Process, um *umbra.Umbra, clock *stats.Clock, costs stats.CostModel) *Checker {
+func Attach(p *guest.Process, um *umbra.Umbra, clock *stats.Clock) *Checker {
 	c := &Checker{
 		shadow:     umbra.NewShadowMap[byteState](um, 1),
 		MaxReports: defaultMaxReports,
 		dedup:      make(map[uint64]struct{}),
 		clock:      clock,
-		costs:      costs,
 	}
 	// Regions that exist at attach time are loader-initialized: defined.
 	// AddVMAListener replays them through VMAAdded, so the hook marks
@@ -186,7 +184,7 @@ func (h vmaHook) VMARemoved(v *guest.VMA) {}
 
 // check inspects/updates the shadow bytes of one access.
 func (c *Checker) check(tid guest.TID, pc isa.PC, addr uint64, size uint8, write bool) {
-	c.clock.Charge(c.costs.ShadowTranslate + uint64(size))
+	c.clock.Charge(stats.ShadowTranslate + uint64(size))
 	if write {
 		c.C.Stores++
 	} else {

@@ -19,7 +19,6 @@ type vmProvider struct {
 	hv    *hypervisor.Hypervisor
 	lib   *hypervisor.Lib
 	clock *stats.Clock
-	costs stats.CostModel
 	stats Stats
 }
 
@@ -28,14 +27,13 @@ type vmProvider struct {
 // without read access, one without write access — and the slot where
 // AikidoVM records the true fault address, all in runtime VMAs that
 // AikidoSD never protects or mirrors.
-func NewAikidoVM(p *guest.Process, hv *hypervisor.Hypervisor, clock *stats.Clock, costs stats.CostModel) Interface {
-	v := &vmProvider{hv: hv, lib: hv.Lib(), clock: clock, costs: costs}
-	hv.SetAccounting(clock, costs)
+func NewAikidoVM(p *guest.Process, hv *hypervisor.Hypervisor, clock *stats.Clock) Interface {
+	v := &vmProvider{hv: hv, lib: hv.Lib(), clock: clock}
 	readFault := p.MapRuntime(faultPagesBase, 1, pagetable.ProtNone, "aikido-fault-r")
 	writeFault := p.MapRuntime(faultPagesBase+2*vm.PageSize, 1, pagetable.ProtRO, "aikido-fault-w")
 	slot := p.MapRuntime(faultPagesBase+4*vm.PageSize, 1, pagetable.ProtRW, "aikido-slot")
 	v.lib.RegisterFaultPages(readFault.Base, writeFault.Base, slot.Base)
-	v.charge(costs.Hypercall)
+	v.clock.Charge(stats.Hypercall)
 	return v
 }
 
@@ -51,12 +49,6 @@ func (v *vmProvider) Transparency() Transparency {
 		UnmodifiedOS:        !sw.RequiresGuestModification(),
 		UnmodifiedToolchain: true,
 		Notes:               "runs below the OS; context switches via " + sw.String(),
-	}
-}
-
-func (v *vmProvider) charge(n uint64) {
-	if v.clock != nil {
-		v.clock.Charge(n)
 	}
 }
 
@@ -88,38 +80,38 @@ func (v *vmProvider) Store(tid guest.TID, addr uint64, size uint8, val uint64, u
 func (v *vmProvider) accountKernel(pre uint64) {
 	if d := v.hv.Stats.KernelEmulations - pre; d > 0 {
 		v.stats.KernelBypasses += d
-		v.charge(d * v.costs.KernelEmulation)
+		v.clock.Charge(d * stats.KernelEmulation)
 	}
 }
 
 func (v *vmProvider) ProtectPage(vpn uint64) {
 	v.stats.ProtOps++
 	v.lib.ProtectPage(vpn)
-	v.charge(v.costs.Hypercall)
+	v.clock.Charge(stats.Hypercall)
 }
 
 func (v *vmProvider) ProtectRange(vpnBase uint64, pages int) {
 	v.stats.RangeOps++
 	v.lib.ProtectRange(vpnBase, pages)
-	v.charge(v.costs.Hypercall) // batched: one hypercall per segment
+	v.clock.Charge(stats.Hypercall) // batched: one hypercall per segment
 }
 
 func (v *vmProvider) ClearPage(vpn uint64) {
 	v.stats.ProtOps++
 	v.lib.ClearPage(vpn)
-	v.charge(v.costs.Hypercall)
+	v.clock.Charge(stats.Hypercall)
 }
 
 func (v *vmProvider) ClearRange(vpnBase uint64, pages int) {
 	v.stats.RangeOps++
 	v.lib.ClearRange(vpnBase, pages)
-	v.charge(v.costs.Hypercall)
+	v.clock.Charge(stats.Hypercall)
 }
 
 func (v *vmProvider) UnprotectForThread(tid guest.TID, vpn uint64) {
 	v.stats.ProtOps++
 	v.lib.UnprotectForThread(tid, vpn)
-	v.charge(v.costs.Hypercall)
+	v.clock.Charge(stats.Hypercall)
 }
 
 // RearmPage is the epoch-demotion hypercall: one VM exit rewrites the
@@ -128,12 +120,12 @@ func (v *vmProvider) UnprotectForThread(tid guest.TID, vpn uint64) {
 func (v *vmProvider) RearmPage(vpn uint64, owner guest.TID) {
 	v.stats.ProtOps++
 	v.lib.RearmPage(vpn, owner)
-	v.charge(v.costs.Hypercall)
+	v.clock.Charge(stats.Hypercall)
 }
 
 func (v *vmProvider) RegisterMirrorRange(vpnBase uint64, pages int) {
 	v.lib.RegisterMirrorRange(vpnBase, pages)
-	v.charge(v.costs.Hypercall)
+	v.clock.Charge(stats.Hypercall)
 }
 
 // FaultInfo implements the guest signal handler's
@@ -148,7 +140,7 @@ func (v *vmProvider) FaultInfo(f *hypervisor.Fault) (uint64, bool) {
 	return v.lib.FaultAddr(), true
 }
 
-func (v *vmProvider) ProtChangeCost() uint64 { return v.costs.Hypercall }
+func (v *vmProvider) ProtChangeCost() uint64 { return stats.Hypercall }
 
 // ContextSwitch delegates to the hypervisor, which charges the interception
 // VM exit and the translation-view switch (§3.2.3).

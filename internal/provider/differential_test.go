@@ -36,21 +36,20 @@ func enforcementOutcome(t *testing.T, kind Kind, nested bool, script []op) []uin
 		t.Fatal(err)
 	}
 	clock := &stats.Clock{}
-	costs := stats.DefaultCosts()
 	var prov Interface
 	switch kind {
 	case DOS:
-		prov = NewDOS(p, clock, costs)
+		prov = NewDOS(p, clock)
 	case Dthreads:
-		prov = NewDthreads(p, clock, costs)
+		prov = NewDthreads(p, clock)
 	default:
 		var hv *hypervisor.Hypervisor
 		if nested {
-			hv = hypervisor.NewNested(p.M, p.PT)
+			hv = hypervisor.NewNested(p.M, p.PT, clock)
 		} else {
-			hv = hypervisor.New(p.M, p.PT)
+			hv = hypervisor.New(p.M, p.PT, clock)
 		}
-		prov = NewAikidoVM(p, hv, clock, costs)
+		prov = NewAikidoVM(p, hv, clock)
 	}
 
 	baseVpn := vm.PageNum(isa.DataBase)

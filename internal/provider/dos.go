@@ -18,21 +18,20 @@ import (
 type dosProvider struct {
 	eng   *protEngine
 	clock *stats.Clock
-	costs stats.CostModel
 	stats Stats
 }
 
 // NewDOS builds the modified-kernel provider for p.
-func NewDOS(p *guest.Process, clock *stats.Clock, costs stats.CostModel) Interface {
-	d := &dosProvider{clock: clock, costs: costs}
+func NewDOS(p *guest.Process, clock *stats.Clock) Interface {
+	d := &dosProvider{clock: clock}
 	d.eng = newProtEngine(p)
 	d.eng.kernelDenied = func(vpn uint64) {
 		// The patched kernel checks its ownership table and proceeds —
 		// cheap, compared with AikidoVM's instruction emulation.
 		d.stats.KernelBypasses++
-		d.charge(d.costs.KernelCheck)
+		d.clock.Charge(stats.KernelCheck)
 	}
-	d.eng.fill = func() { d.charge(d.costs.ShadowFill) }
+	d.eng.fill = func() { d.clock.Charge(stats.ShadowFill) }
 	return d
 }
 
@@ -44,12 +43,6 @@ func (d *dosProvider) Transparency() Transparency {
 		UnmodifiedOS:        false,
 		UnmodifiedToolchain: true,
 		Notes:               "requires extensive kernel modifications (per-thread page tables in-kernel)",
-	}
-}
-
-func (d *dosProvider) charge(n uint64) {
-	if d.clock != nil {
-		d.clock.Charge(n)
 	}
 }
 
@@ -65,7 +58,7 @@ func (d *dosProvider) Store(tid guest.TID, addr uint64, size uint8, val uint64, 
 func (d *dosProvider) ProtectPage(vpn uint64) {
 	d.stats.ProtOps++
 	d.eng.setDefaultProt(vpn, pagetable.ProtNone, true)
-	d.charge(d.costs.Syscall)
+	d.clock.Charge(stats.Syscall)
 }
 
 func (d *dosProvider) ProtectRange(vpnBase uint64, pages int) {
@@ -73,13 +66,13 @@ func (d *dosProvider) ProtectRange(vpnBase uint64, pages int) {
 	for i := 0; i < pages; i++ {
 		d.eng.setDefaultProt(vpnBase+uint64(i), pagetable.ProtNone, true)
 	}
-	d.charge(d.costs.Syscall) // ranged syscall, one kernel entry
+	d.clock.Charge(stats.Syscall) // ranged syscall, one kernel entry
 }
 
 func (d *dosProvider) ClearPage(vpn uint64) {
 	d.stats.ProtOps++
 	d.eng.clear(vpn)
-	d.charge(d.costs.Syscall)
+	d.clock.Charge(stats.Syscall)
 }
 
 func (d *dosProvider) ClearRange(vpnBase uint64, pages int) {
@@ -87,13 +80,13 @@ func (d *dosProvider) ClearRange(vpnBase uint64, pages int) {
 	for i := 0; i < pages; i++ {
 		d.eng.clear(vpnBase + uint64(i))
 	}
-	d.charge(d.costs.Syscall)
+	d.clock.Charge(stats.Syscall)
 }
 
 func (d *dosProvider) UnprotectForThread(tid guest.TID, vpn uint64) {
 	d.stats.ProtOps++
 	d.eng.setThreadProt(tid, vpn, protAll)
-	d.charge(d.costs.Syscall)
+	d.clock.Charge(stats.Syscall)
 }
 
 // RearmPage is one syscall into the patched kernel: the ownership-table
@@ -104,7 +97,7 @@ func (d *dosProvider) RearmPage(vpn uint64, owner guest.TID) {
 	if owner != guest.NoTID {
 		d.eng.setThreadProt(owner, vpn, protAll)
 	}
-	d.charge(d.costs.Syscall)
+	d.clock.Charge(stats.Syscall)
 }
 
 // RegisterMirrorRange is a no-op: in-kernel protections key on virtual
@@ -122,20 +115,20 @@ func (d *dosProvider) FaultInfo(f *hypervisor.Fault) (uint64, bool) {
 	return f.Addr, true
 }
 
-func (d *dosProvider) ProtChangeCost() uint64 { return d.costs.Syscall }
+func (d *dosProvider) ProtChangeCost() uint64 { return stats.Syscall }
 
 // ContextSwitch swaps the thread's private page table: a root write inside
 // the switch the kernel was doing anyway — no VM exit.
 func (d *dosProvider) ContextSwitch(old, new guest.TID) {
 	d.stats.Switches++
-	d.charge(d.costs.ShadowRootSwitch)
+	d.clock.Charge(stats.ShadowRootSwitch)
 }
 
 // ThreadStarted clones the process page table for the new thread.
 func (d *dosProvider) ThreadStarted(tid, creator guest.TID) {
 	d.stats.ThreadSetups++
 	d.stats.ModeledMemPages += 8 // cloned table pages
-	d.charge(d.costs.ThreadTableSetup)
+	d.clock.Charge(stats.ThreadTableSetup)
 }
 
 func (d *dosProvider) ThreadExited(tid guest.TID) {}

@@ -24,21 +24,25 @@ import (
 type dthreadsProvider struct {
 	eng   *protEngine
 	clock *stats.Clock
-	costs stats.CostModel
 	stats Stats
 }
 
+// brokeredSyscall is one protection change the runtime brokers to every
+// process sharing the region: the mprotect syscall plus half again for
+// the broadcast.
+const brokeredSyscall = stats.Syscall + stats.Syscall/2
+
 // NewDthreads builds the processes-as-threads provider for p.
-func NewDthreads(p *guest.Process, clock *stats.Clock, costs stats.CostModel) Interface {
-	d := &dthreadsProvider{clock: clock, costs: costs}
+func NewDthreads(p *guest.Process, clock *stats.Clock) Interface {
+	d := &dthreadsProvider{clock: clock}
 	d.eng = newProtEngine(p)
 	d.eng.kernelDenied = func(vpn uint64) {
 		// EFAULT path: the runtime shim mprotects the buffer's pages
 		// around the syscall and restores them afterwards.
 		d.stats.KernelBypasses++
-		d.charge(2 * d.costs.Syscall)
+		d.clock.Charge(2 * stats.Syscall)
 	}
-	d.eng.fill = func() { d.charge(d.costs.ShadowFill) }
+	d.eng.fill = func() { d.clock.Charge(stats.ShadowFill) }
 	return d
 }
 
@@ -50,12 +54,6 @@ func (d *dthreadsProvider) Transparency() Transparency {
 		UnmodifiedOS:        true,
 		UnmodifiedToolchain: false,
 		Notes:               "requires a custom runtime converting threads to processes; single-process illusion is fragile (fds, signals)",
-	}
-}
-
-func (d *dthreadsProvider) charge(n uint64) {
-	if d.clock != nil {
-		d.clock.Charge(n)
 	}
 }
 
@@ -75,7 +73,7 @@ func (d *dthreadsProvider) ProtectPage(vpn uint64) {
 	// identical) plus the brokered syscall.
 	d.stats.ProtOps++
 	d.eng.setDefaultProt(vpn, pagetable.ProtNone, true)
-	d.charge(d.costs.Syscall + d.costs.Syscall/2)
+	d.clock.Charge(brokeredSyscall)
 }
 
 func (d *dthreadsProvider) ProtectRange(vpnBase uint64, pages int) {
@@ -83,13 +81,13 @@ func (d *dthreadsProvider) ProtectRange(vpnBase uint64, pages int) {
 	for i := 0; i < pages; i++ {
 		d.eng.setDefaultProt(vpnBase+uint64(i), pagetable.ProtNone, true)
 	}
-	d.charge(d.costs.Syscall + d.costs.Syscall/2)
+	d.clock.Charge(brokeredSyscall)
 }
 
 func (d *dthreadsProvider) ClearPage(vpn uint64) {
 	d.stats.ProtOps++
 	d.eng.clear(vpn)
-	d.charge(d.costs.Syscall + d.costs.Syscall/2)
+	d.clock.Charge(brokeredSyscall)
 }
 
 func (d *dthreadsProvider) ClearRange(vpnBase uint64, pages int) {
@@ -97,7 +95,7 @@ func (d *dthreadsProvider) ClearRange(vpnBase uint64, pages int) {
 	for i := 0; i < pages; i++ {
 		d.eng.clear(vpnBase + uint64(i))
 	}
-	d.charge(d.costs.Syscall + d.costs.Syscall/2)
+	d.clock.Charge(brokeredSyscall)
 }
 
 func (d *dthreadsProvider) UnprotectForThread(tid guest.TID, vpn uint64) {
@@ -105,7 +103,7 @@ func (d *dthreadsProvider) UnprotectForThread(tid guest.TID, vpn uint64) {
 	// this design is built around.
 	d.stats.ProtOps++
 	d.eng.setThreadProt(tid, vpn, protAll)
-	d.charge(d.costs.Syscall)
+	d.clock.Charge(stats.Syscall)
 }
 
 // RearmPage re-protects in every process and re-grants the owner with a
@@ -114,12 +112,12 @@ func (d *dthreadsProvider) UnprotectForThread(tid guest.TID, vpn uint64) {
 func (d *dthreadsProvider) RearmPage(vpn uint64, owner guest.TID) {
 	d.stats.ProtOps++
 	d.eng.setDefaultProt(vpn, pagetable.ProtNone, true)
-	cost := d.costs.Syscall + d.costs.Syscall/2
+	cost := brokeredSyscall
 	if owner != guest.NoTID {
 		d.eng.setThreadProt(owner, vpn, protAll)
-		cost += d.costs.Syscall
+		cost += stats.Syscall
 	}
-	d.charge(cost)
+	d.clock.Charge(cost)
 }
 
 // RegisterMirrorRange is a no-op: mprotect keys on virtual pages.
@@ -134,19 +132,19 @@ func (d *dthreadsProvider) FaultInfo(f *hypervisor.Fault) (uint64, bool) {
 	return f.Addr, true
 }
 
-func (d *dthreadsProvider) ProtChangeCost() uint64 { return d.costs.Syscall }
+func (d *dthreadsProvider) ProtChangeCost() uint64 { return stats.Syscall }
 
 // ContextSwitch is a full process switch: address-space change, TLB impact.
 func (d *dthreadsProvider) ContextSwitch(old, new guest.TID) {
 	d.stats.Switches++
-	d.charge(d.costs.ProcessSwitch)
+	d.clock.Charge(stats.ProcessSwitch)
 }
 
 // ThreadStarted forks a new process and copies the address-space metadata.
 func (d *dthreadsProvider) ThreadStarted(tid, creator guest.TID) {
 	d.stats.ThreadSetups++
 	d.stats.ModeledMemPages += 16 // forked page tables + runtime bookkeeping
-	d.charge(d.costs.Fork)
+	d.clock.Charge(stats.Fork)
 }
 
 func (d *dthreadsProvider) ThreadExited(tid guest.TID) {}
@@ -154,7 +152,7 @@ func (d *dthreadsProvider) ThreadExited(tid guest.TID) {}
 // OnSyscall charges the single-process-illusion tax: kernel state (fds,
 // brk, signal dispositions) is brokered between the processes.
 func (d *dthreadsProvider) OnSyscall(tid guest.TID, num int64) {
-	d.charge(d.costs.Syscall / 2)
+	d.clock.Charge(stats.Syscall / 2)
 }
 
 func (d *dthreadsProvider) Overhead() Stats { return d.stats }

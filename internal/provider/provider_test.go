@@ -21,15 +21,14 @@ func fixture(t *testing.T, kind Kind) (*guest.Process, Interface, *stats.Clock) 
 		t.Fatal(err)
 	}
 	clock := &stats.Clock{}
-	costs := stats.DefaultCosts()
 	switch kind {
 	case DOS:
-		return p, NewDOS(p, clock, costs), clock
+		return p, NewDOS(p, clock), clock
 	case Dthreads:
-		return p, NewDthreads(p, clock, costs), clock
+		return p, NewDthreads(p, clock), clock
 	default:
-		hv := hypervisor.New(p.M, p.PT)
-		return p, NewAikidoVM(p, hv, clock, costs), clock
+		hv := hypervisor.New(p.M, p.PT, clock)
+		return p, NewAikidoVM(p, hv, clock), clock
 	}
 }
 
@@ -190,9 +189,10 @@ func TestAikidoVMFullTransparencyWithSegTrap(t *testing.T) {
 	b := isa.NewBuilder("transp")
 	b.Nop().Halt()
 	p, _ := guest.NewProcess(vm.NewMachine(), b.MustFinish())
-	hv := hypervisor.New(p.M, p.PT)
+	clock := &stats.Clock{}
+	hv := hypervisor.New(p.M, p.PT, clock)
 	hv.SetSwitchInterception(hypervisor.SwitchSegTrap)
-	prov := NewAikidoVM(p, hv, &stats.Clock{}, stats.DefaultCosts())
+	prov := NewAikidoVM(p, hv, clock)
 	tr := prov.Transparency()
 	if !tr.UnmodifiedOS || !tr.UnmodifiedToolchain {
 		t.Errorf("AikidoVM+SegTrap should be fully transparent, got %+v", tr)

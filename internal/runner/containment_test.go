@@ -97,7 +97,7 @@ func containmentSpecs(t *testing.T) []Spec {
 	t.Helper()
 	specs := plantedSpecs(t)
 	specs[3] = Spec{Label: "boom", Source: panicSource{}, Config: core.DefaultConfig(core.ModeNative)}
-	specs[8].Config = core.Config{Mode: core.Mode(99), Costs: specs[8].Config.Costs}
+	specs[8].Config = core.Config{Mode: core.Mode(99)}
 	specs[8].Label = "bad-mode"
 	return specs
 }

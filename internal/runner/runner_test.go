@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/parsec"
-	"repro/internal/stats"
 )
 
 // testMatrix is the full Figure 5 model×mode matrix at a small scale:
@@ -98,7 +97,7 @@ func TestSweepReconciliation(t *testing.T) {
 // names the first failing cell in spec order, regardless of worker count.
 func TestSweepErrorDeterministic(t *testing.T) {
 	specs := testMatrix(t, 0.05)
-	bad := core.Config{Mode: core.Mode(99), Costs: stats.DefaultCosts()}
+	bad := core.Config{Mode: core.Mode(99)}
 	specs[7].Config = bad
 	specs[7].Label = "bad-seven"
 	specs[3].Config = bad

@@ -37,7 +37,7 @@ const Kind = "sampled"
 func init() {
 	analysis.RegisterWrapper(Kind, fasttrack.Kind,
 		func(inner analysis.Analysis, innerName string, env analysis.Env) (analysis.Analysis, error) {
-			return Wrap(inner, env.Clock, env.Costs, DefaultConfig()), nil
+			return Wrap(inner, env.Clock, DefaultConfig()), nil
 		})
 }
 
@@ -81,21 +81,20 @@ type Detector struct {
 
 	pcs   map[isa.PC]*pcState
 	clock *stats.Clock
-	costs stats.CostModel
 
 	C Counters
 }
 
 // New creates a sampling detector over a fresh FastTrack instance — the
 // LiteRace configuration the experiments compare against.
-func New(clock *stats.Clock, costs stats.CostModel, cfg Config) *Detector {
-	return Wrap(fasttrack.New(clock, costs), clock, costs, cfg)
+func New(clock *stats.Clock, cfg Config) *Detector {
+	return Wrap(fasttrack.New(clock), clock, cfg)
 }
 
 // Wrap creates a sampling detector over an arbitrary analysis. The
 // wrapped analysis sees the sampled access stream and every
 // synchronization event.
-func Wrap(inner analysis.Analysis, clock *stats.Clock, costs stats.CostModel, cfg Config) *Detector {
+func Wrap(inner analysis.Analysis, clock *stats.Clock, cfg Config) *Detector {
 	if cfg.InitialBurst == 0 {
 		cfg.InitialBurst = 1
 	}
@@ -108,7 +107,6 @@ func Wrap(inner analysis.Analysis, clock *stats.Clock, costs stats.CostModel, cf
 		cfg:   cfg,
 		pcs:   make(map[isa.PC]*pcState),
 		clock: clock,
-		costs: costs,
 	}
 }
 
@@ -140,7 +138,7 @@ func (d *Detector) OnAccess(tid guest.TID, pc isa.PC, addr uint64, size uint8, w
 	d.C.Seen++
 	// The sampling check itself is nearly free (a counter decrement in
 	// the instrumented code).
-	d.clock.Charge(d.costs.SharedCheck)
+	d.clock.Charge(stats.SharedCheck)
 
 	st := d.pcs[pc]
 	if st == nil {

@@ -7,7 +7,7 @@ import (
 	"repro/internal/stats"
 )
 
-func det() *Detector { return New(&stats.Clock{}, stats.DefaultCosts(), DefaultConfig()) }
+func det() *Detector { return New(&stats.Clock{}, DefaultConfig()) }
 
 func TestInitialBurstFullyAnalyzed(t *testing.T) {
 	d := det()

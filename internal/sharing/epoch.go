@@ -20,9 +20,10 @@ package sharing
 //
 // Accounting is packed into the existing page-state shadow table
 // (pageInfo): per epoch, each Shared page records its first toucher and
-// counts accesses by that thread vs everyone else. The epoch clock itself
-// lives in internal/core (core.EpochClock) and calls back into EpochSweep;
-// the detector only exposes the tick hook on its instrumented hot path.
+// counts accesses by that thread vs everyone else. An epoch ends when the
+// simulated clock passes the detector's deadline, checked on the
+// instrumented hot path only. The decision depends only on simulated
+// cycles, never on wall-clock time or host scheduling.
 
 import (
 	"math/bits"
@@ -85,7 +86,9 @@ type epochPage struct {
 	pi  *pageInfo
 }
 
-// EnableEpochs switches the detector to the demoting state machine. Must
+// EnableEpochs sets the detector's epoch policy. An enabled policy
+// switches it to the demoting state machine, with the first epoch ending
+// at p.Interval cycles; any other leaves Figure 3's terminal Shared. Must
 // be called before the guest runs (the list of Shared pages is maintained
 // from the first transition onwards).
 func (d *Detector) EnableEpochs(p EpochPolicy) {
@@ -94,15 +97,17 @@ func (d *Detector) EnableEpochs(p EpochPolicy) {
 	}
 	d.epoch = p
 	d.epochOn = p.Enabled()
+	d.epochEnd = p.Interval
 }
 
-// SetEpochTicker wires the epoch clock's tick check into the detector's
-// instrumented PreAccess path — and only there: the fault path must
-// never tick, because a sweep that demoted the faulting page to the
-// faulting thread mid-handling would make the delivered fault look
-// spurious. The callback must be allocation-free; internal/core's
-// EpochClock.MaybeTick is.
-func (d *Detector) SetEpochTicker(tick func()) { d.tick = tick }
+// maybeEndEpoch ends the current epoch once the simulated clock has
+// reached its deadline. It inlines into PreAccess: on the common path it
+// is a flag test and one compare.
+func (d *Detector) maybeEndEpoch() {
+	if d.epochOn && d.clock.Cycles() >= d.epochEnd {
+		d.endEpoch()
+	}
+}
 
 // EpochPages returns the number of Shared pages currently under epoch
 // accounting (tests).
@@ -145,20 +150,27 @@ func (d *Detector) noteSharedAccess(tid guest.TID, pi *pageInfo) {
 	}
 }
 
-// EpochSweep closes the current epoch: every Shared page's accounting is
-// folded into its dominance/quiescence streak, qualifying pages are
-// demoted — protection re-armed through the provider in one operation per
-// page — and, when anything was demoted, the instrumented-PC set is
-// cleared so demoted pages return to native-speed execution. Pages that
-// are still genuinely shared re-instrument themselves through the
-// ordinary fault path (they remain globally protected).
+// endEpoch closes the current epoch. The next one ends an interval past
+// the current cycle count; that deadline saturates instead of wrapping
+// when cycles approach the uint64 limit, since a wrapped deadline would
+// sit below the clock forever and end an epoch on every check. Then the
+// sweep: every Shared page's accounting is folded into its
+// dominance/quiescence streak, qualifying pages are demoted — protection
+// re-armed through the provider in one operation per page — and, when
+// anything was demoted, the instrumented-PC set is cleared so demoted
+// pages return to native-speed execution. Pages that are still genuinely
+// shared re-instrument themselves through the ordinary fault path (they
+// remain globally protected).
 //
-// Called by the epoch clock (internal/core) from the detector's own tick
-// points, so it never runs concurrently with an access.
-func (d *Detector) EpochSweep() {
-	if !d.epochOn {
-		return
+// Called only from the detector's own PreAccess path, so it never runs
+// concurrently with an access.
+func (d *Detector) endEpoch() {
+	cy := d.clock.Cycles()
+	next := cy + d.epoch.Interval
+	if next < cy {
+		next = ^uint64(0)
 	}
+	d.epochEnd = next
 	d.C.EpochSweeps++
 	w := 0
 	demoted := false

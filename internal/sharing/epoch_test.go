@@ -280,8 +280,8 @@ func TestEpochQuietDemotionWithZeroMinOwnerHits(t *testing.T) {
 	}
 }
 
-// TestEpochSweepStateMachine drives EpochSweep directly through the
-// public profile surface: a page shared by two threads, then accessed by
+// TestEpochSweepStateMachine drives the epoch sweep through the public
+// profile surface: a page shared by two threads, then accessed by
 // one, must demote to that owner after the configured dominance streak —
 // and an untouched page must fall to Unused via the quiet path.
 func TestEpochSweepStateMachine(t *testing.T) {

@@ -90,7 +90,7 @@ type pageInfo struct {
 	State PageState
 	Owner guest.TID // valid when State == Private
 
-	// Per-epoch accounting (reset by every EpochSweep).
+	// Per-epoch accounting (reset at the end of every epoch).
 	epochTID   guest.TID // first thread to touch the page this epoch
 	epochHits  uint32    // accesses by epochTID this epoch
 	epochOther uint32    // accesses by every other thread this epoch
@@ -168,7 +168,6 @@ type Detector struct {
 	flush func(pc isa.PC) int
 
 	clock *stats.Clock
-	costs stats.CostModel
 
 	// live reports concurrently live guest threads; mirror redirects pay
 	// a contention charge per extra thread (all redirected accesses
@@ -177,14 +176,14 @@ type Detector struct {
 	live func() int
 
 	// Epoch re-privatization (epoch.go): the policy, its enable bit, the
-	// epoch clock's tick hook, and the dense list of Shared pages the
-	// sweep walks. The tick fires ONLY from the instrumented PreAccess
-	// path — never from HandleFault, where a sweep demoting the faulting
-	// page to the faulting thread would make the delivered fault look
-	// stale (a spurious fault).
+	// cycle at which the current epoch ends, and the dense list of Shared
+	// pages the sweep walks. The deadline is checked ONLY on the
+	// instrumented PreAccess path — never from HandleFault, where a sweep
+	// demoting the faulting page to the faulting thread would make the
+	// delivered fault look stale (a spurious fault).
 	epoch      EpochPolicy
 	epochOn    bool
-	tick       func()
+	epochEnd   uint64
 	epochPages []epochPage
 
 	// enabled gates page protection; Attach protects existing VMAs once
@@ -203,7 +202,7 @@ type Detector struct {
 // (AikidoVM in the paper's configuration; the §7.1 baselines in the
 // providers ablation). The analysis may be nil (pure sharing profiling).
 func Attach(p *guest.Process, prov Provider, um *umbra.Umbra,
-	mir *mirror.Manager, analysis Analysis, clock *stats.Clock, costs stats.CostModel) *Detector {
+	mir *mirror.Manager, analysis Analysis, clock *stats.Clock) *Detector {
 
 	d := &Detector{
 		p: p, prov: prov, um: um, mir: mir,
@@ -211,7 +210,6 @@ func Attach(p *guest.Process, prov Provider, um *umbra.Umbra,
 		instrumented: make([]uint64, (len(p.Prog.Code)+63)/64),
 		analysis:     analysis,
 		clock:        clock,
-		costs:        costs,
 	}
 	d.directPlan, d.indirectPlan = d.newPlan(true), d.newPlan(false)
 
@@ -251,7 +249,7 @@ func (d *Detector) mirrorContention(write bool) uint64 {
 	if l := d.live(); l > 1 {
 		n = uint64(l - 1)
 	}
-	c := d.costs.MirrorContention * n * n
+	c := stats.MirrorContention * n * n
 	if write {
 		return 2 * c
 	}
@@ -409,19 +407,17 @@ func (d *Detector) Instrument(pc isa.PC, in isa.Instr) *dbi.Plan {
 // take everything else from their arguments.
 func (d *Detector) newPlan(direct bool) *dbi.Plan {
 	return &dbi.Plan{PreAccess: func(tid guest.TID, pc isa.PC, addr uint64, size uint8, write bool) uint64 {
-		if d.tick != nil {
-			// Epoch boundary check (allocation-free): a due sweep runs
-			// before this access observes page state, so demotions are
-			// never applied mid-lookup. This is the only tick point — in
-			// particular the fault path never ticks, so a delivered
-			// fault can never be made stale by a sweep that demotes the
-			// faulting page to the faulting thread mid-handling.
-			d.tick()
-		}
+		// Epoch boundary (allocation-free): a due sweep runs before this
+		// access observes page state, so demotions are never applied
+		// mid-lookup. This is the only place an epoch ends — in
+		// particular the fault path never ends one, so a delivered fault
+		// can never be made stale by a sweep that demotes the faulting
+		// page to the faulting thread mid-handling.
+		d.maybeEndEpoch()
 		// The emitted Figure-4 sequence: inlined translation, branch,
 		// mirror-address computation, plus the re-JITed block's lost
 		// optimization opportunities.
-		d.clock.Charge(d.costs.InstrumentedExec)
+		d.clock.Charge(stats.InstrumentedExec)
 		// shd_addr = app_to_shd(app_addr): the page-state lookup goes
 		// through Umbra's translation caches (charged inside Get).
 		pi := d.pages.Get(tid, addr)
@@ -431,7 +427,7 @@ func (d *Detector) newPlan(direct bool) *dbi.Plan {
 		if !direct {
 			// Indirect instructions carry the emitted shared/private
 			// branch; direct ones were rewritten unconditionally.
-			d.clock.Charge(d.costs.SharedCheck)
+			d.clock.Charge(stats.SharedCheck)
 			if pi.State != Shared {
 				// Private fast-ish path: jump over instrumentation
 				// and run the original access (it may fault and
@@ -455,7 +451,7 @@ func (d *Detector) newPlan(direct bool) *dbi.Plan {
 			// fully native (rebuilt after demotion), which is what
 			// keeps the PARSEC reports byte-identical to the
 			// terminal-Shared baseline.
-			d.clock.Charge(d.costs.SharedCheck)
+			d.clock.Charge(stats.SharedCheck)
 			d.C.PrivateChecked++
 			return addr
 		}
@@ -475,7 +471,7 @@ func (d *Detector) newPlan(direct bool) *dbi.Plan {
 			return addr
 		}
 		if m, ok := d.mir.Translate(addr); ok {
-			d.clock.Charge(d.costs.MirrorRedirect + d.mirrorContention(write))
+			d.clock.Charge(stats.MirrorRedirect + d.mirrorContention(write))
 			return m
 		}
 		// No mirror (should not happen for app segments): let the
@@ -513,6 +509,6 @@ func (d *Detector) TouchCode(tid guest.TID, addr uint64) {
 		d.C.DRUnprotects++
 		// Fault into DynamoRIO's handler + unprotect + reprotect at the
 		// provider's protection-change price.
-		d.clock.Charge(d.costs.Fault + 2*d.prov.ProtChangeCost())
+		d.clock.Charge(stats.Fault + 2*d.prov.ProtChangeCost())
 	}
 }

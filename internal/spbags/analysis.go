@@ -23,7 +23,7 @@ func init() {
 		// Every other analysis in the same run observes that schedule
 		// too.
 		env.Process.Policy = guest.SchedSerialDFS
-		return New(env.Clock, env.Costs), nil
+		return New(env.Clock), nil
 	})
 }
 

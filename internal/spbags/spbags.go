@@ -157,10 +157,9 @@ type Detector struct {
 	// MaxRaces caps stored reports (further races are counted only).
 	MaxRaces int
 
-	// clock/costs bill the detector's work like every other hosted
+	// clock bills the detector's work like every other hosted
 	// analysis's.
 	clock *stats.Clock
-	costs stats.CostModel
 
 	C Counters
 }
@@ -170,7 +169,7 @@ const defaultMaxRaces = 100
 
 // New creates a detector whose root task is the main thread (TID 1),
 // billing its work to clock.
-func New(clock *stats.Clock, costs stats.CostModel) *Detector {
+func New(clock *stats.Clock) *Detector {
 	d := &Detector{
 		nodes:    make(map[guest.TID]*node),
 		pending:  make(map[guest.TID]*node),
@@ -179,7 +178,6 @@ func New(clock *stats.Clock, costs stats.CostModel) *Detector {
 		shadow:   make(map[uint64]*cell),
 		MaxRaces: defaultMaxRaces,
 		clock:    clock,
-		costs:    costs,
 	}
 	d.nodes[1] = &node{kind: bagS, task: 1}
 	d.C.Tasks = 1
@@ -188,7 +186,7 @@ func New(clock *stats.Clock, costs stats.CostModel) *Detector {
 
 // OnFork registers a spawned task: it starts with a fresh S-bag of its own.
 func (d *Detector) OnFork(creator, child guest.TID) {
-	d.clock.Charge(d.costs.AnalysisSync)
+	d.clock.Charge(stats.AnalysisSync)
 	if _, dup := d.nodes[child]; dup {
 		panic(fmt.Sprintf("spbags: task %d forked twice", child))
 	}
@@ -202,7 +200,7 @@ func (d *Detector) OnFork(creator, child guest.TID) {
 // children) into a pending bag: until someone joins it, all of its work is
 // parallel with whatever runs next.
 func (d *Detector) OnExit(task guest.TID) {
-	d.clock.Charge(d.costs.AnalysisSync)
+	d.clock.Charge(stats.AnalysisSync)
 	n, ok := d.nodes[task]
 	if !ok {
 		panic(fmt.Sprintf("spbags: exit of unknown task %d", task))
@@ -222,7 +220,7 @@ func (d *Detector) OnExit(task guest.TID) {
 // OnJoin merges the joined child's pending bag into the joiner's S-bag:
 // the child's work is now serial-before everything the joiner does next.
 func (d *Detector) OnJoin(joiner, child guest.TID) {
-	d.clock.Charge(d.costs.AnalysisSync)
+	d.clock.Charge(stats.AnalysisSync)
 	pb, ok := d.pending[child]
 	if !ok {
 		// Join of a task whose bag already collapsed upward (joined via
@@ -265,7 +263,7 @@ func (d *Detector) report(addr uint64, prev access, prevWrite bool, cur access, 
 // Locations are tracked at 8-byte granularity like the Aikido FastTrack
 // port (§4.2).
 func (d *Detector) OnAccess(tid guest.TID, pc isa.PC, addr uint64, size uint8, write bool) {
-	d.clock.Charge(d.costs.AnalysisFast)
+	d.clock.Charge(stats.AnalysisFast)
 	key := addr &^ 7
 	c := d.shadow[key]
 	if c == nil {

@@ -21,7 +21,7 @@ func TestRaceStringFormat(t *testing.T) {
 // TestMisuseDetection: structural violations panic rather than corrupt the
 // bags.
 func TestMisuseDetection(t *testing.T) {
-	d := New(&stats.Clock{}, stats.DefaultCosts())
+	d := New(&stats.Clock{})
 	d.OnFork(1, 2)
 	func() {
 		defer func() {

@@ -80,22 +80,22 @@ func TestFormatters(t *testing.T) {
 	}
 }
 
-func TestDefaultCostsSanity(t *testing.T) {
-	c := DefaultCosts()
-	if c.NativeInstr != 1 {
+// TestCostSanity pins the structural relations between the costs that
+// the experiments rely on.
+func TestCostSanity(t *testing.T) {
+	if NativeInstr != 1 {
 		t.Error("native instruction must cost 1 cycle (the normalization unit)")
 	}
-	// Structural relations the experiments rely on.
-	if c.Fault <= c.Hypercall {
+	if Fault <= Hypercall {
 		t.Error("a fault must cost more than a hypercall")
 	}
-	if c.ShadowTranslateMiss <= c.ShadowTranslate {
+	if ShadowTranslateMiss <= ShadowTranslate {
 		t.Error("translation miss must cost more than a hit")
 	}
-	if c.AnalysisSlow <= c.AnalysisFast {
+	if AnalysisSlow <= AnalysisFast {
 		t.Error("analysis slow path must cost more than the fast path")
 	}
-	if c.DispatchLinked >= c.DispatchBlock {
+	if DispatchLinked >= DispatchBlock {
 		t.Error("linked dispatch must be cheaper than a lookup")
 	}
 }

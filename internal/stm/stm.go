@@ -97,7 +97,6 @@ type Runtime struct {
 	}
 	mir   *mirror.Manager
 	clock *stats.Clock
-	costs stats.CostModel
 
 	// Strong enables the page-protection strong-atomicity machinery;
 	// with it off the runtime is a weakly atomic undo-log STM (the
@@ -153,7 +152,7 @@ func (r *Runtime) setProt(vpn uint64, m *pageMeta) {
 	}
 	m.curProt = want
 	r.C.ProtChanges++
-	r.clock.Charge(r.costs.Hypercall)
+	r.clock.Charge(stats.Hypercall)
 }
 
 // rawRead reads guest memory through the page table, bypassing all
@@ -302,7 +301,7 @@ func (r *Runtime) PreAccess(tid guest.TID, pc isa.PC, addr uint64, size uint8, w
 				r.resolveNonTx(vpn)
 			}
 			if maddr, ok := r.mir.Translate(addr); ok {
-				r.clock.Charge(r.costs.MirrorRedirect)
+				r.clock.Charge(stats.MirrorRedirect)
 				return maddr
 			}
 		}
@@ -329,7 +328,7 @@ func (r *Runtime) PreAccess(tid guest.TID, pc isa.PC, addr uint64, size uint8, w
 		tx.undo = append(tx.undo, undoRec{addr: addr, size: size, old: r.rawRead(addr, size)})
 	}
 	if maddr, ok := r.mir.Translate(addr); ok {
-		r.clock.Charge(r.costs.MirrorRedirect)
+		r.clock.Charge(stats.MirrorRedirect)
 		return maddr
 	}
 	return addr
@@ -369,7 +368,7 @@ func (r *Runtime) TxBegin(t *guest.Thread) int64 {
 	tx.active = true
 	tx.aborted = false
 	tx.undo = tx.undo[:0]
-	r.clock.Charge(r.costs.AnalysisSync)
+	r.clock.Charge(stats.AnalysisSync)
 	return 1
 }
 
@@ -380,7 +379,7 @@ func (r *Runtime) TxEnd(t *guest.Thread) int64 {
 		return 1
 	}
 	tx.active = false
-	r.clock.Charge(r.costs.AnalysisSync)
+	r.clock.Charge(stats.AnalysisSync)
 	if tx.aborted {
 		r.C.Aborts++
 		return 0

@@ -49,9 +49,8 @@ func New(prog *isa.Program, cfg Config) (*System, error) {
 		return nil, err
 	}
 	clock := &stats.Clock{}
-	costs := stats.DefaultCosts()
-	hv := hypervisor.New(m, p.PT)
-	prov := provider.NewAikidoVM(p, hv, clock, costs)
+	hv := hypervisor.New(m, p.PT, clock)
+	prov := provider.NewAikidoVM(p, hv, clock)
 	mir := mirror.Attach(p)
 
 	dataPages := (uint64(len(prog.Data)) + vm.PageSize - 1) / vm.PageSize
@@ -64,7 +63,6 @@ func New(prog *isa.Program, cfg Config) (*System, error) {
 		prov:           prov,
 		mir:            mir,
 		clock:          clock,
-		costs:          costs,
 		Strong:         cfg.Strong,
 		PatchThreshold: cfg.PatchThreshold,
 		regionBase:     isa.DataBase,
@@ -87,7 +85,7 @@ func New(prog *isa.Program, cfg Config) (*System, error) {
 	if ecfg.Quantum == 0 {
 		ecfg = dbi.DefaultConfig()
 	}
-	eng := dbi.New(p, prov, barrierTool{rt}, clock, costs, ecfg)
+	eng := dbi.New(p, prov, barrierTool{rt}, clock, ecfg)
 	eng.OnFault = rt.HandleFault
 	return &System{Rt: rt, Engine: eng, P: p, Clock: clock}, nil
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/guest"
 	"repro/internal/isa"
+	"repro/internal/stats"
 )
 
 // Kind is the tracker's registry name.
@@ -17,7 +18,7 @@ func init() {
 		if env.Umbra == nil || env.Process == nil {
 			return nil, errors.New("taint: requires a process with shadow memory (set Env.Process and Env.Umbra)")
 		}
-		return New(env.Process, env.Umbra, env.Clock, env.Costs), nil
+		return New(env.Process, env.Umbra, env.Clock), nil
 	})
 }
 
@@ -34,7 +35,7 @@ func (t *Tracker) Name() string { return Kind }
 // access.
 func (t *Tracker) OnAccess(tid guest.TID, pc isa.PC, addr uint64, size uint8, write bool) {
 	in := t.prog.Code[pc]
-	t.clock.Charge(t.costs.ShadowTranslate)
+	t.clock.Charge(stats.ShadowTranslate)
 	rf := t.regFile(tid)
 	if write {
 		tainted := rf[in.Rt]

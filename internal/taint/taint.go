@@ -79,7 +79,6 @@ type Tracker struct {
 	MaxFlows int
 
 	clock *stats.Clock
-	costs stats.CostModel
 
 	C Counters
 }
@@ -88,7 +87,7 @@ type Tracker struct {
 const defaultMaxFlows = 64
 
 // New creates a tracker for the process over its Umbra instance.
-func New(p *guest.Process, um *umbra.Umbra, clock *stats.Clock, costs stats.CostModel) *Tracker {
+func New(p *guest.Process, um *umbra.Umbra, clock *stats.Clock) *Tracker {
 	return &Tracker{
 		regs:     make(map[guest.TID]*[isa.NumRegs]bool),
 		mem:      umbra.NewShadowMap[bool](um, 1),
@@ -96,7 +95,6 @@ func New(p *guest.Process, um *umbra.Umbra, clock *stats.Clock, costs stats.Cost
 		dedup:    make(map[uint64]struct{}),
 		MaxFlows: defaultMaxFlows,
 		clock:    clock,
-		costs:    costs,
 	}
 }
 

@@ -50,7 +50,7 @@ func BenchmarkPipelineTranslate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	u := Attach(p, &stats.Clock{}, stats.DefaultCosts())
+	u := Attach(p, &stats.Clock{})
 	addr := isa.DataBase + 64
 	b.ReportAllocs()
 	b.ResetTimer()

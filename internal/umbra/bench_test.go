@@ -18,7 +18,7 @@ func benchFixture(b *testing.B) (*guest.Process, *Umbra) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return p, Attach(p, &stats.Clock{}, stats.DefaultCosts())
+	return p, Attach(p, &stats.Clock{})
 }
 
 // BenchmarkTranslateInlineHit measures the per-thread memoization cache

@@ -71,7 +71,6 @@ type Umbra struct {
 	lastHitHi map[guest.TID]*Region
 
 	clock *stats.Clock
-	costs stats.CostModel
 
 	// removedListeners are notified when a region disappears so shadow
 	// maps can drop their cells.
@@ -82,11 +81,10 @@ type Umbra struct {
 
 // Attach creates an Umbra instance and registers it for the process's
 // address-space events (existing VMAs are replayed).
-func Attach(p *guest.Process, clock *stats.Clock, costs stats.CostModel) *Umbra {
+func Attach(p *guest.Process, clock *stats.Clock) *Umbra {
 	u := &Umbra{
 		byVMA: make(map[*guest.VMA]*Region),
 		clock: clock,
-		costs: costs,
 	}
 	p.AddVMAListener(u)
 	return u
@@ -155,11 +153,11 @@ func (u *Umbra) Translate(tid guest.TID, addr uint64) (*Region, uint64, bool) {
 	}
 	if r != nil && r.Contains(addr) {
 		u.Stats.InlineHits++
-		u.clock.Charge(u.costs.ShadowTranslate)
+		u.clock.Charge(stats.ShadowTranslate)
 		return r, addr - r.Base, true
 	}
 	u.Stats.GlobalLookups++
-	u.clock.Charge(u.costs.ShadowTranslateMiss)
+	u.clock.Charge(stats.ShadowTranslateMiss)
 	i := sort.Search(len(u.regions), func(i int) bool { return u.regions[i].End > addr })
 	if i < len(u.regions) && u.regions[i].Contains(addr) {
 		r := u.regions[i]

@@ -20,7 +20,7 @@ func fixture(t *testing.T) (*guest.Process, *Umbra, *stats.Clock) {
 		t.Fatal(err)
 	}
 	clk := &stats.Clock{}
-	u := Attach(p, clk, stats.DefaultCosts())
+	u := Attach(p, clk)
 	return p, u, clk
 }
 
@@ -79,15 +79,14 @@ func TestTranslateCaches(t *testing.T) {
 
 func TestTranslateChargesCycles(t *testing.T) {
 	_, u, clk := fixture(t)
-	costs := stats.DefaultCosts()
 	u.Translate(1, isa.DataBase) // miss
 	miss := clk.Cycles()
-	if miss != costs.ShadowTranslateMiss {
-		t.Errorf("miss cost = %d, want %d", miss, costs.ShadowTranslateMiss)
+	if miss != stats.ShadowTranslateMiss {
+		t.Errorf("miss cost = %d, want %d", miss, stats.ShadowTranslateMiss)
 	}
 	u.Translate(1, isa.DataBase+16) // hit
-	if clk.Cycles()-miss != costs.ShadowTranslate {
-		t.Errorf("hit cost = %d, want %d", clk.Cycles()-miss, costs.ShadowTranslate)
+	if clk.Cycles()-miss != stats.ShadowTranslate {
+		t.Errorf("hit cost = %d, want %d", clk.Cycles()-miss, stats.ShadowTranslate)
 	}
 }
 

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -44,6 +45,23 @@ func randomSpec(rng *rand.Rand, i int) Spec {
 	return s
 }
 
+// runawayInstrs bounds the property tests' bare runs: a builder bug that
+// emits an endless loop fails the test instead of hanging it.
+const runawayInstrs = 5_000_000
+
+// boundedEngine builds a tool-less engine over p whose run aborts at the
+// first scheduling quantum past runawayInstrs retired instructions.
+func boundedEngine(p *guest.Process) *dbi.Engine {
+	eng := dbi.New(p, nil, nil, &stats.Clock{}, dbi.DefaultConfig())
+	eng.OnQuantum = func() error {
+		if eng.C.Instructions > runawayInstrs {
+			return fmt.Errorf("exceeded %d instructions (runaway loop?)", runawayInstrs)
+		}
+		return nil
+	}
+	return eng
+}
+
 // runNative executes a program bare (no tools) and fails on any guest
 // error.
 func runNative(t *testing.T, prog *isa.Program) *dbi.Result {
@@ -52,10 +70,7 @@ func runNative(t *testing.T, prog *isa.Program) *dbi.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := dbi.DefaultConfig()
-	cfg.MaxSteps = 5_000_000
-	eng := dbi.New(p, nil, nil, &stats.Clock{}, stats.DefaultCosts(), cfg)
-	res, err := eng.Run()
+	res, err := boundedEngine(p).Run()
 	if err != nil {
 		t.Fatalf("%s: %v", prog.Name, err)
 	}
@@ -124,10 +139,7 @@ func TestRandomForkJoinSpecs(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.Policy = guest.SchedSerialDFS
-		cfg := dbi.DefaultConfig()
-		cfg.MaxSteps = 5_000_000
-		eng := dbi.New(p, nil, nil, &stats.Clock{}, stats.DefaultCosts(), cfg)
-		res, err := eng.Run()
+		res, err := boundedEngine(p).Run()
 		if err != nil {
 			t.Fatalf("spec %+v: %v", s, err)
 		}
