@@ -1,0 +1,85 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/isa"
+	"repro/internal/workload"
+)
+
+// spawnSpec is a spawn-only program: the main thread starts n workers,
+// each writes one word of its own private page and halts, and the main
+// thread joins them. Nothing is shared, so its cost is thread start.
+func spawnSpec(n int) workload.Spec {
+	return workload.Spec{Name: "spawn-only", Threads: n, Iters: 1, PrivateOps: 1, PrivatePages: 1}
+}
+
+func spawnOnly(tb testing.TB, n int) *isa.Program {
+	tb.Helper()
+	prog, err := spawnSpec(n).Compile()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return prog
+}
+
+// runBytes reports the heap bytes one Run of prog under cfg allocates,
+// NewSystem included: the least of three runs, so a runtime pool refill
+// in one of them does not count.
+func runBytes(t *testing.T, prog *isa.Program, cfg Config) uint64 {
+	t.Helper()
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(prog, cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestAikidoThreadStartBytes bounds what one more thread costs a whole
+// Aikido-FastTrack run: the bytes Run allocates for 33 spawned workers
+// minus those for one, per extra worker. Besides its thread, view, VMAs
+// and the frame it writes, a worker materializes a chunk of its own
+// shadow and override tables, and its stack a chunk of the shared
+// protection table. A worker costs about 12 KiB; 512-cell chunks would
+// make it about 24 KiB, past the bound.
+func TestAikidoThreadStartBytes(t *testing.T) {
+	const extra = 32
+	cfg := DefaultConfig(ModeAikidoFastTrack)
+	one := runBytes(t, spawnOnly(t, 1), cfg)
+	many := runBytes(t, spawnOnly(t, 1+extra), cfg)
+	perThread := float64(many-one) / extra
+	t.Logf("each started thread allocates %.0f bytes (1 worker: %d bytes, %d workers: %d bytes)",
+		perThread, one, 1+extra, many)
+	if perThread >= 16<<10 {
+		t.Errorf("each started thread allocates %.0f bytes, want under %d", perThread, 16<<10)
+	}
+}
+
+// BenchmarkThreadStart measures thread start end to end: compile,
+// NewSystem and Run of a 16-worker spawn-only program under
+// Aikido-FastTrack.
+func BenchmarkThreadStart(b *testing.B) {
+	src := spawnSpec(16)
+	cfg := DefaultConfig(ModeAikidoFastTrack)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		prog, err := src.Compile()
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys, err := NewSystem(prog, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sys.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

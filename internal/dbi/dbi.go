@@ -4,8 +4,9 @@
 //
 //   - blocks are discovered lazily, cached by start PC, and may start at
 //     any PC (so execution can resume at a faulting instruction after its
-//     block was flushed and rebuilt); builds recycle flushed blocks, so
-//     steady re-JIT allocates nothing;
+//     block was flushed and rebuilt); a block slices per-PC tables built
+//     once per engine and its struct comes from an engine-owned slab, and
+//     builds recycle flushed blocks, so no build allocates per block;
 //   - consecutive blocks are linked directly, and hot blocks are promoted
 //     to traces, both of which reduce dispatch cost;
 //   - a Tool inspects every instruction at block-build time and may attach
@@ -105,9 +106,9 @@ type Counters struct {
 // block is one code-cache entry.
 type block struct {
 	start isa.PC
-	// instrs slices Program.Code, which nothing writes after compilation,
-	// and mem slices the engine's memRef table the same way; only plans
-	// belongs to the block.
+	// instrs slices Program.Code, which nothing writes after compilation;
+	// plans and mem slice the engine's per-PC plan and memRef tables the
+	// same way.
 	instrs []isa.Instr
 	plans  []*Plan // parallel to instrs; nil = uninstrumented
 	mem    []bool
@@ -131,6 +132,8 @@ type Config struct {
 const (
 	// maxBlock caps basic-block length in instructions.
 	maxBlock = 48
+	// slabBlocks is how many block structs one slab allocation holds.
+	slabBlocks = 32
 	// traceThreshold promotes a block to the trace cache after this many
 	// executions.
 	traceThreshold = 64
@@ -180,11 +183,21 @@ type Engine struct {
 	// memRef caches Op.IsMemRef per PC, classified once in New instead of
 	// on every retired execution; blocks slice it.
 	memRef []bool
-	// free holds flushed blocks for build to recycle, struct and plans
-	// array both, so a re-JIT allocates nothing. build runs only from
-	// dispatch, and a block flushed while it runs (the epoch sweep flushes
-	// from inside PreAccess) is read by execBlock until it returns, so a
-	// flushed block is never reused before the next dispatch.
+	// plans holds each PC's Plan as the Tool last returned it; build
+	// writes a block's span and the block slices it. Overlapping blocks
+	// share their common PCs' entries. That is safe because a tool changes
+	// a PC's plan only together with a Flush of every block containing it
+	// (sharing's instrument and uninstrumentAll), and build runs only from
+	// dispatch: a block flushed while it runs (the epoch sweep flushes
+	// from inside PreAccess) reads its entries unchanged until it returns.
+	plans []*Plan
+	// slab holds block structs not yet handed out; build takes one when
+	// the free list is empty, so first builds allocate once per
+	// slabBlocks blocks.
+	slab []block
+	// free holds flushed blocks for build to recycle, so a re-JIT
+	// allocates nothing. For the reason given at plans, a flushed block is
+	// never reused before the next dispatch.
 	free []*block
 
 	// directP, when non-nil, marks Mem as the built-in direct page-table
@@ -205,6 +218,7 @@ func New(p *guest.Process, mem Memory, tool Tool, clock *stats.Clock, cfg Config
 		P: p, Mem: mem, Tool: tool, Clock: clock, Cfg: cfg,
 		blocks: make([]*block, len(p.Prog.Code)),
 		memRef: make([]bool, len(p.Prog.Code)),
+		plans:  make([]*Plan, len(p.Prog.Code)),
 	}
 	for pc, in := range p.Prog.Code {
 		e.memRef[pc] = in.Op.IsMemRef()
@@ -340,7 +354,6 @@ func (e *Engine) lookup(tid guest.TID, pc isa.PC) *block {
 // (§3.4).
 func (e *Engine) build(tid guest.TID, pc isa.PC) *block {
 	prog := e.P.Prog
-	// Find the block's extent first, so its plans array is sized once.
 	n := 0
 	for n < maxBlock && int(pc)+n < len(prog.Code) {
 		op := prog.At(pc + isa.PC(n)).Op
@@ -356,15 +369,14 @@ func (e *Engine) build(tid guest.TID, pc isa.PC) *block {
 		b, e.free[k] = e.free[k], nil
 		e.free = e.free[:k]
 	} else {
-		b = new(block)
+		if len(e.slab) == 0 {
+			e.slab = make([]block, slabBlocks)
+		}
+		b, e.slab = &e.slab[0], e.slab[1:]
 	}
-	plans := b.plans
-	if cap(plans) < n {
-		plans = make([]*Plan, n)
-	}
-	*b = block{start: pc, end: pc + isa.PC(n),
-		instrs: prog.Code[pc : pc+isa.PC(n)], plans: plans[:n], mem: e.memRef[pc : pc+isa.PC(n)]}
-	clear(b.plans)
+	end := pc + isa.PC(n)
+	*b = block{start: pc, end: end,
+		instrs: prog.Code[pc:end], plans: e.plans[pc:end], mem: e.memRef[pc:end]}
 	if e.Tool != nil {
 		for i, in := range b.instrs {
 			b.plans[i] = e.Tool.Instrument(pc+isa.PC(i), in)

@@ -22,9 +22,8 @@ func (s sharedPlanTool) Instrument(_ isa.PC, in isa.Instr) *Plan {
 
 // TestRebuildAfterFlushNoAllocs pins the allocation-free re-JIT: once a
 // block has been built and flushed, flushing and rebuilding it at the
-// same PC recycles the flushed struct and its plans array, and slices
-// the program's code and the memory-reference table instead of copying
-// them.
+// same PC recycles the flushed struct, and slices the program's code and
+// the engine's plan and memory-reference tables instead of copying them.
 func TestRebuildAfterFlushNoAllocs(t *testing.T) {
 	b := isa.NewBuilder("rejit")
 	g := b.GlobalU64(0)
@@ -133,5 +132,38 @@ func TestFlushInsidePreAccess(t *testing.T) {
 	}
 	if e.C.BlocksFlushed != 1 {
 		t.Errorf("BlocksFlushed = %d, want 1", e.C.BlocksFlushed)
+	}
+}
+
+// TestFirstBuildsAllocateBySlab pins that a first build allocates nothing
+// per block: a block slices the engine's per-PC tables and its struct
+// comes from the engine's slab, so building 2×slabBlocks blocks on a
+// fresh engine costs two slab allocations beyond New's own.
+func TestFirstBuildsAllocateBySlab(t *testing.T) {
+	b := isa.NewBuilder("firstbuilds")
+	g := b.GlobalU64(0)
+	for i := 0; i < 2*slabBlocks; i++ {
+		b.StoreAbs(g, isa.R1)
+	}
+	b.Halt()
+	p, err := guest.NewProcess(vm.NewMachine(), b.MustFinish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &Plan{PreAccess: func(_ guest.TID, _ isa.PC, addr uint64, _ uint8, _ bool) uint64 { return addr }}
+	tool, clock := sharedPlanTool{plan}, &stats.Clock{}
+	var e *Engine
+	newOnly := testing.AllocsPerRun(20, func() { e = New(p, nil, tool, clock, DefaultConfig()) })
+	withBuilds := testing.AllocsPerRun(20, func() {
+		e = New(p, nil, tool, clock, DefaultConfig())
+		for pc := isa.PC(0); pc < 2*slabBlocks; pc++ {
+			e.lookup(1, pc)
+		}
+	})
+	if e.C.BlocksBuilt != 2*slabBlocks || e.blocks[5].plans[0] != plan {
+		t.Fatalf("built %d blocks (plan %p), want %d instrumented", e.C.BlocksBuilt, e.blocks[5].plans[0], 2*slabBlocks)
+	}
+	if got := withBuilds - newOnly; got != 2 {
+		t.Errorf("%d first builds allocate %.1f objects, want 2 slabs", 2*slabBlocks, got)
 	}
 }

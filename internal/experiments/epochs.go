@@ -23,7 +23,6 @@ type EpochRow struct {
 	EpochCycles    uint64  `json:"epoch_cycles"`
 	CycleSpeedup   float64 `json:"cycle_speedup_x"`
 	// Demotion behaviour of the epoch-on run.
-	EpochSweeps         uint64 `json:"epoch_sweeps"`
 	PagesDemotedPrivate uint64 `json:"pages_demoted_private"`
 	PagesDemotedUnused  uint64 `json:"pages_demoted_unused"`
 	PagesReshared       uint64 `json:"pages_reshared"`
@@ -37,8 +36,6 @@ type EpochRow struct {
 	// re-protection guarantees the first post-demotion cross-thread
 	// access still faults, so nothing is missed on these workloads).
 	FindingsIdentical bool `json:"findings_identical"`
-	// Races is the race count of the epoch-on run.
-	Races int `json:"races"`
 }
 
 // epochCase is one suite entry: a workload source built by a generator.
@@ -107,7 +104,6 @@ func Epochs(o Options) ([]EpochRow, error) {
 			BaselineCycles:         b.Cycles,
 			EpochCycles:            e.Cycles,
 			CycleSpeedup:           stats.Ratio(b.Cycles, e.Cycles),
-			EpochSweeps:            e.SD.EpochSweeps,
 			PagesDemotedPrivate:    e.SD.PagesDemotedPrivate,
 			PagesDemotedUnused:     e.SD.PagesDemotedUnused,
 			PagesReshared:          e.SD.PagesReshared,
@@ -115,7 +111,6 @@ func Epochs(o Options) ([]EpochRow, error) {
 			BaselineSharedAccesses: b.SD.SharedPageAccesses,
 			EpochSharedAccesses:    e.SD.SharedPageAccesses,
 			FindingsIdentical:      findingsIdentical(b, e),
-			Races:                  len(races(e)),
 		})
 	}
 	return rows, nil

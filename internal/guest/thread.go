@@ -2,6 +2,7 @@ package guest
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/isa"
 	"repro/internal/pagetable"
@@ -66,7 +67,7 @@ func (p *Process) newThread(entry isa.PC, arg uint64, creator TID) *Thread {
 	p.nextTID++
 	stackBase := isa.StackBase + uint64(id-1)*isa.StackStride
 	stack := p.addVMA(stackBase, int(isa.StackSize/vm.PageSize), pagetable.ProtRW,
-		VMAStack, fmt.Sprintf("stack%d", id))
+		VMAStack, "stack"+strconv.Itoa(int(id)))
 	t := &Thread{ID: id, State: Runnable, PC: entry, Stack: stack}
 	t.Regs[isa.R0] = arg
 	t.Regs[isa.TP] = stack.Base

@@ -62,7 +62,7 @@ func (m *Manager) VMAAdded(v *guest.VMA) {
 	// abut (keeps faults attributable).
 	m.next += uint64(v.Pages+1) * vm.PageSize
 	mv := m.p.MapAlias(v, base, pagetable.ProtRW, guest.VMAMirror,
-		fmt.Sprintf("mirror(%s)", v.Name))
+		"mirror("+v.Name+")")
 	m.byOrig[v] = len(m.entries)
 	m.entries = append(m.entries, entry{base: v.Base, end: v.End(), delta: base - v.Base, mirror: mv})
 	m.Mirrored++

@@ -4,11 +4,18 @@
 // Every user keys a space that is sparse overall but dense where it is
 // populated — the guest page table and AikidoVM's shadow and protection
 // tables key by page or frame number (§3.2.4), the hosted analyses' shadow
-// metadata by 8-byte block (§4.2). A Table therefore stores aligned chunks
-// of 512 inline cells keyed by the key's high bits, behind a direct-mapped
-// chunk cache: a lookup near a recently used chunk is one tag comparison
-// and an index, with no map operation, and materializing a cell inside an
-// existing chunk allocates nothing.
+// metadata by 64-byte line of 8-byte blocks (§4.2). A Table therefore
+// stores aligned chunks of 64 inline cells keyed by the key's high bits,
+// behind a direct-mapped chunk cache: a lookup near a recently used chunk
+// is one tag comparison and an index, with no map operation, and
+// materializing a cell inside an existing chunk allocates nothing.
+//
+// Chunks are small because a table costs the chunks it touches: AikidoVM
+// gives every thread its own shadow and override tables, filled lazily,
+// so a thread that touches a few pages zeroes a few 64-cell chunks. A user
+// whose keys are denser than pages widens its cell instead of the chunk:
+// analysis.Store's cell is a line of eight blocks, so one chunk covers a
+// page.
 //
 // A Table does not know which cells are in use. Each user recognizes an
 // untouched cell by its contents (a zero frame, a clear set bit), so a cell
@@ -18,9 +25,9 @@
 package paged
 
 const (
-	// chunkBits is log2 of the cells per chunk: 512 cells, one aligned
-	// 2 MiB span of pages or 4 KiB span of 8-byte blocks.
-	chunkBits = 9
+	// chunkBits is log2 of the cells per chunk: 64 cells, one aligned
+	// 256 KiB span of pages.
+	chunkBits = 6
 	// chunkLen is the number of cells per chunk.
 	chunkLen = 1 << chunkBits
 	// cacheSlots sizes the direct-mapped chunk cache. Users alternate
@@ -70,6 +77,10 @@ func (t *Table[C]) At(key uint64) *C {
 	}
 	return &s.c[key&(chunkLen-1)]
 }
+
+// Chunks reports how many chunks the table has materialized; its cell
+// storage is Chunks × 64 cells.
+func (t *Table[C]) Chunks() int { return len(t.chunks) }
 
 // fill loads chunk n into s, allocating it if it was never touched.
 func (t *Table[C]) fill(s *slot[C], n uint64) {

@@ -99,14 +99,17 @@ func TestGetAbsentNoAllocs(t *testing.T) {
 // tableOracle decodes 4-byte records of fuzz input into a stream of At
 // writes, At reads and Get reads, and checks every result against a map.
 // Keys span 256 chunks (four per cache slot) plus the top of the key
-// space, so lookups evict and refill slots and probe absent chunks.
+// space, so lookups evict and refill slots and probe absent chunks. A
+// record's second byte is the chunk number and its third and fourth give
+// the in-chunk offset (b2<<1 | b3&1, reduced modulo chunkLen), so a corpus
+// entry names the same chunks and cache slots whatever the chunk size.
 func tableOracle(t *testing.T, data []byte) {
 	var tb Table[uint32]
 	ref := map[uint64]uint32{}
 	live := map[uint64]bool{} // materialized chunk numbers
 	for ; len(data) >= 4; data = data[4:] {
 		op, b1, b2, b3 := data[0], data[1], data[2], data[3]
-		key := uint64(b1)<<chunkBits | uint64(b2)<<1 | uint64(b3&1)
+		key := uint64(b1)<<chunkBits | (uint64(b2)<<1|uint64(b3&1))&(chunkLen-1)
 		if op&0x80 != 0 {
 			key |= 1 << 63
 		}

@@ -217,9 +217,9 @@ func (s *ShadowMap[T]) Get(tid guest.TID, addr uint64) *T {
 	}
 	id := int(r.ID)
 	if id >= len(s.cells) {
-		nc := make([][]T, id+1)
-		copy(nc, s.cells)
-		s.cells = nc
+		// Amortized growth: every thread stack is a new region, and a
+		// copy per region would make thread start O(regions).
+		s.cells = append(s.cells, make([][]T, id+1-len(s.cells))...)
 	}
 	c := s.cells[id]
 	if c == nil {
