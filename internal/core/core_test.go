@@ -358,7 +358,7 @@ func TestFirstAccessFalseNegativeWindow(t *testing.T) {
 func kernelWriteProgram() *isa.Program {
 	b := isa.NewBuilder("kemul")
 	buf := b.Global(4096, 4096)
-	copy(b.Data()[buf-isa.DataBase:], "abc")
+	b.Init(buf, []byte("abc"))
 	b.MovImm(isa.R0, int64(buf))
 	b.MovImm(isa.R1, 3)
 	b.Syscall(isa.SysWrite)

@@ -62,6 +62,35 @@ func TestAikidoThreadStartBytes(t *testing.T) {
 	}
 }
 
+// TestZeroPrivatePageBytes bounds what a data page nobody writes costs a
+// whole run, NewSystem included: 8 workers that each write one word of
+// their first private page, with 1 and with 33 private pages per worker,
+// per extra page. The loader maps every page of the data segment but
+// writes none of the zero ones, so an extra page costs its page-table
+// entries and its share of the paged tables' chunks, not a 4 KiB page.
+func TestZeroPrivatePageBytes(t *testing.T) {
+	const workers, extra = 8, 32
+	compile := func(pages int) *isa.Program {
+		prog, err := workload.Spec{Name: "zero-pages", Threads: workers, Iters: 1,
+			PrivateOps: 1, PrivatePages: pages}.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
+	}
+	one, many := compile(1), compile(1+extra)
+	for _, mode := range []Mode{ModeNative, ModeAikidoFastTrack} {
+		cfg := DefaultConfig(mode)
+		a, b := runBytes(t, one, cfg), runBytes(t, many, cfg)
+		perPage := (float64(b) - float64(a)) / (workers * extra)
+		t.Logf("%v: each zero private page allocates %.0f bytes (%d bytes with 1 page a worker, %d with %d)",
+			mode, perPage, a, b, 1+extra)
+		if perPage >= 512 {
+			t.Errorf("%v: each zero private page allocates %.0f bytes, want under 512", mode, perPage)
+		}
+	}
+}
+
 // BenchmarkThreadStart measures thread start end to end: compile,
 // NewSystem and Run of a 16-worker spawn-only program under
 // Aikido-FastTrack.

@@ -194,7 +194,7 @@ func TestBarrierSynchronizesPhases(t *testing.T) {
 func TestWriteSyscallThroughEngine(t *testing.T) {
 	b := isa.NewBuilder("hello")
 	msg := b.Global(3, 1)
-	copy(b.Data()[msg-isa.DataBase:], "hi\n")
+	b.Init(msg, []byte("hi\n"))
 	b.MovImm(isa.R0, int64(msg))
 	b.MovImm(isa.R1, 3)
 	b.Syscall(isa.SysWrite)

@@ -78,6 +78,50 @@ func TestWriteSyscallLengthGuard(t *testing.T) {
 	}
 }
 
+// TestBrkSyscallLengthGuard: a break that wraps the address space, or
+// that grows the heap by more than maxMapPages pages at once, fails the
+// syscall and maps nothing.
+func TestBrkSyscallLengthGuard(t *testing.T) {
+	for _, want := range []uint64{
+		^uint64(0),
+		^uint64(0) - vm.PageSize + 2, // the rounded break wraps to 0
+		isa.HeapBase + (maxMapPages+1)*vm.PageSize,
+	} {
+		p := newProc(t, tinyProgram(t))
+		main := p.Current()
+		vmas := len(p.VMAs())
+		main.Regs[isa.R0] = want
+		if _, err := p.DoSyscall(main, isa.SysBrk); err == nil {
+			t.Errorf("brk(%#x) accepted", want)
+		}
+		if got := mustBrk(t, p, 0); got != isa.HeapBase || len(p.VMAs()) != vmas {
+			t.Errorf("failed brk(%#x) moved the break to %#x or mapped a VMA", want, got)
+		}
+	}
+}
+
+// TestMmapSyscallLengthGuard: a length that wraps when rounded up to
+// pages, or one past maxMapPages pages, fails the syscall and maps
+// nothing.
+func TestMmapSyscallLengthGuard(t *testing.T) {
+	for _, length := range []uint64{
+		^uint64(0),
+		^uint64(0) - vm.PageSize + 2, // rounds up to 0
+		maxMapPages*vm.PageSize + 1,
+	} {
+		p := newProc(t, tinyProgram(t))
+		main := p.Current()
+		vmas := len(p.VMAs())
+		main.Regs[isa.R0] = length
+		if _, err := p.DoSyscall(main, isa.SysMmap); err == nil {
+			t.Errorf("mmap(%#x) accepted", length)
+		}
+		if len(p.VMAs()) != vmas || p.FindVMA(isa.MmapBase) != nil {
+			t.Errorf("failed mmap(%#x) mapped a VMA", length)
+		}
+	}
+}
+
 func TestWriteSyscallFaultingBuffer(t *testing.T) {
 	p := newProc(t, tinyProgram(t))
 	main := p.Current()
@@ -155,7 +199,7 @@ func TestOverlappingVMAPanics(t *testing.T) {
 func TestKernelReadBytes(t *testing.T) {
 	b := isa.NewBuilder("krb")
 	addr := b.Global(16, 8)
-	copy(b.Data()[addr-isa.DataBase:], "kernelread")
+	b.Init(addr, []byte("kernelread"))
 	b.Nop().Halt()
 	p := newProc(t, b.MustFinish())
 	got, fault := p.KernelReadBytes(1, addr, 10)

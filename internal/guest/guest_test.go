@@ -25,6 +25,24 @@ func newProc(t *testing.T, prog *isa.Program) *Process {
 	return p
 }
 
+func mustMmap(t *testing.T, p *Process, length uint64, prot pagetable.Prot) uint64 {
+	t.Helper()
+	base, err := p.Mmap(length, prot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return base
+}
+
+func mustBrk(t *testing.T, p *Process, want uint64) uint64 {
+	t.Helper()
+	brk, err := p.GrowBrk(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return brk
+}
+
 func TestLoaderLayout(t *testing.T) {
 	p := newProc(t, tinyProgram(t))
 
@@ -57,11 +75,44 @@ func TestLoaderLayout(t *testing.T) {
 	}
 }
 
+// TestZeroGlobalsStayUnmaterialized: the loader maps the whole data
+// segment but writes only its initialized prefix, and skips the prefix's
+// all-zero pages. A word initialized after a 1 MiB zero global reads back
+// through the page table, its page is the only data page with a page of
+// its own, and every other data page still reads zero.
+func TestZeroGlobalsStayUnmaterialized(t *testing.T) {
+	b := isa.NewBuilder("sparse")
+	big := b.Global(1<<20, vm.PageSize)
+	word := b.GlobalU64(0xfeed_f00d)
+	p := newProc(t, b.Nop().Halt().MustFinish())
+
+	data := p.FindVMA(isa.DataBase)
+	if data == nil || data.Pages != 257 || p.FindVMA(big+1<<20-1) != data {
+		t.Fatalf("data VMA %v, want 257 pages covering the zero global", data)
+	}
+	pte, fault := p.PT.Walk(word, pagetable.AccessRead, true)
+	if fault != nil {
+		t.Fatal(fault)
+	}
+	if v := p.M.ReadU(pte.Frame, vm.PageOff(word), 8); v != 0xfeed_f00d {
+		t.Errorf("initialized word reads %#x, want 0xfeedf00d", v)
+	}
+	for i, f := range data.Backing.Frames {
+		wantOwn := data.Base+uint64(i)*vm.PageSize == vm.PageBase(word)
+		if p.M.Materialized(f) != wantOwn {
+			t.Errorf("data page %d: materialized %v, want %v", i, !wantOwn, wantOwn)
+		}
+		if v := p.M.ReadU(f, 0, 8); !wantOwn && v != 0 {
+			t.Errorf("zero data page %d reads %#x", i, v)
+		}
+	}
+}
+
 func TestMmapMunmap(t *testing.T) {
 	p := newProc(t, tinyProgram(t))
 	framesBefore := p.M.Frames()
 
-	base := p.Mmap(3*vm.PageSize+1, pagetable.ProtRW)
+	base := mustMmap(t, p, 3*vm.PageSize+1, pagetable.ProtRW)
 	v := p.FindVMA(base)
 	if v == nil || v.Pages != 4 {
 		t.Fatalf("mmap VMA = %v, want 4 pages", v)
@@ -86,10 +137,10 @@ func TestMmapMunmap(t *testing.T) {
 
 func TestBrkGrowth(t *testing.T) {
 	p := newProc(t, tinyProgram(t))
-	if got := p.GrowBrk(0); got != isa.HeapBase {
+	if got := mustBrk(t, p, 0); got != isa.HeapBase {
 		t.Errorf("initial brk = %#x, want %#x", got, isa.HeapBase)
 	}
-	nb := p.GrowBrk(isa.HeapBase + 5000)
+	nb := mustBrk(t, p, isa.HeapBase+5000)
 	if nb != isa.HeapBase+2*vm.PageSize {
 		t.Errorf("brk = %#x, want %#x", nb, isa.HeapBase+2*vm.PageSize)
 	}
@@ -98,14 +149,14 @@ func TestBrkGrowth(t *testing.T) {
 		t.Fatal(fault)
 	}
 	// Shrink is a no-op.
-	if got := p.GrowBrk(isa.HeapBase); got != nb {
+	if got := mustBrk(t, p, isa.HeapBase); got != nb {
 		t.Errorf("shrink changed brk to %#x", got)
 	}
 }
 
 func TestMapAliasSharesFrames(t *testing.T) {
 	p := newProc(t, tinyProgram(t))
-	base := p.Mmap(2*vm.PageSize, pagetable.ProtRW)
+	base := mustMmap(t, p, 2*vm.PageSize, pagetable.ProtRW)
 	orig := p.FindVMA(base)
 
 	mirror := p.MapAlias(orig, 0x5000_0000_0000, pagetable.ProtRW, VMAMirror, "mirror")
@@ -163,7 +214,7 @@ func TestVMAListenerReplayAndEvents(t *testing.T) {
 			t.Errorf("listener replay missed %s", n)
 		}
 	}
-	base := p.Mmap(vm.PageSize, pagetable.ProtRW)
+	base := mustMmap(t, p, vm.PageSize, pagetable.ProtRW)
 	if added[len(added)-1] == "" {
 		t.Error("mmap VMA not announced")
 	}
@@ -357,7 +408,7 @@ func TestBarrier(t *testing.T) {
 func TestWriteSyscallAndConsole(t *testing.T) {
 	b := isa.NewBuilder("hello")
 	msg := b.Global(5, 1)
-	copy(b.Data()[msg-isa.DataBase:], "hello")
+	b.Init(msg, []byte("hello"))
 	b.Nop().Halt()
 	p := newProc(t, b.MustFinish())
 	main := p.Current()

@@ -250,8 +250,11 @@ func NewProcess(m *vm.Machine, prog *isa.Program) (*Process, error) {
 	codeVMA := p.addVMA(isa.CodeBase, codePages, pagetable.ProtRO, VMACode, "text")
 	p.writeImage(codeVMA, encodeCode(prog))
 
-	// Map the data segment read-write and install the initial image.
-	dataPages := int(vm.RoundUp(max64(uint64(len(prog.Data)), 1)) / vm.PageSize)
+	// Map the data segment read-write and install its initialized
+	// prefix. The rest of the segment is demand-zero: its pages, like
+	// the prefix's all-zero ones, get a page only when the guest writes
+	// them.
+	dataPages := int(vm.RoundUp(max64(prog.DataSize, 1)) / vm.PageSize)
 	dataVMA := p.addVMA(isa.DataBase, dataPages, pagetable.ProtRW, VMAData, "data")
 	p.writeImage(dataVMA, prog.Data)
 
@@ -373,15 +376,18 @@ func (p *Process) removeVMA(v *VMA) {
 	}
 }
 
+// zeroPage is what writeImage compares image pages against.
+var zeroPage [vm.PageSize]byte
+
 // writeImage copies data into the VMA's frames directly (loader path; no
-// protection checks).
+// protection checks). A page of the image that is all zero is skipped:
+// its frame already reads as zero.
 func (p *Process) writeImage(v *VMA, data []byte) {
 	for i := 0; i < v.Pages && len(data) > 0; i++ {
-		n := len(data)
-		if n > vm.PageSize {
-			n = vm.PageSize
+		n := min(len(data), vm.PageSize)
+		if !bytes.Equal(data[:n], zeroPage[:n]) {
+			p.M.Write(v.Backing.Frames[i], 0, data[:n])
 		}
-		p.M.Write(v.Backing.Frames[i], 0, data[:n])
 		data = data[n:]
 	}
 }

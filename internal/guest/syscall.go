@@ -134,7 +134,10 @@ func (p *Process) DoSyscall(t *Thread, num int64) (SyscallResult, error) {
 		if prot == 0 {
 			prot = pagetable.ProtRW
 		}
-		base := p.Mmap(length, prot)
+		base, err := p.Mmap(length, prot)
+		if err != nil {
+			return SyscallDone, err
+		}
 		t.Regs[isa.R0] = base
 		return SyscallDone, nil
 
@@ -147,8 +150,11 @@ func (p *Process) DoSyscall(t *Thread, num int64) (SyscallResult, error) {
 		return SyscallDone, nil
 
 	case isa.SysBrk:
-		want := t.Regs[isa.R0]
-		t.Regs[isa.R0] = p.GrowBrk(want)
+		brk, err := p.GrowBrk(t.Regs[isa.R0])
+		if err != nil {
+			return SyscallDone, err
+		}
+		t.Regs[isa.R0] = brk
 		return SyscallDone, nil
 
 	case isa.SysThreadCreate:
@@ -259,16 +265,24 @@ func (p *Process) blockAtBarrier(t *Thread) {
 	p.Schedule()
 }
 
+// maxMapPages caps one mapping: an mmap, or one growth of the break, of
+// more than 2^16 pages (256 MiB) fails instead of allocating its frames.
+const maxMapPages = 1 << 16
+
 // Mmap maps length bytes (rounded up to pages) of fresh anonymous memory
-// and returns the base address.
-func (p *Process) Mmap(length uint64, prot pagetable.Prot) uint64 {
+// and returns the base address. A length past 2^16 pages (256 MiB) is an
+// error.
+func (p *Process) Mmap(length uint64, prot pagetable.Prot) (uint64, error) {
+	if length > maxMapPages*vm.PageSize {
+		return 0, fmt.Errorf("guest: mmap of %d bytes exceeds the %d-page cap", length, maxMapPages)
+	}
 	pages := int(vm.RoundUp(max64(length, 1)) / vm.PageSize)
 	base := p.mmapNext
 	// Leave a one-page guard gap between mappings so regions never abut
 	// (keeps Umbra regions distinct).
 	p.mmapNext += uint64(pages+1) * vm.PageSize
 	p.addVMA(base, pages, prot, VMAMmap, fmt.Sprintf("mmap@%#x", base))
-	return base
+	return base, nil
 }
 
 // Munmap removes the mapping whose base address is addr.
@@ -286,14 +300,19 @@ func (p *Process) Munmap(addr uint64) error {
 // want (shrinking is ignored, like early Unix). Each growth adds a new heap
 // VMA chunk, which keeps VMA-granular listeners (mirroring, Umbra) simple —
 // this mirrors AikidoSD's emulation of brk with mmapped files (§3.3.3).
-func (p *Process) GrowBrk(want uint64) uint64 {
+// The heap ends at MmapBase at the latest, and one growth maps at most
+// 2^16 pages (256 MiB); a want past either bound is an error.
+func (p *Process) GrowBrk(want uint64) (uint64, error) {
 	if want <= p.brk {
-		return p.brk
+		return p.brk, nil
+	}
+	if want > isa.MmapBase || want-p.brk > maxMapPages*vm.PageSize {
+		return p.brk, fmt.Errorf("guest: brk from %#x to %#x grows past the mmap area or the %d-page cap", p.brk, want, maxMapPages)
 	}
 	newBrk := isa.HeapBase + vm.RoundUp(want-isa.HeapBase)
 	pages := int((newBrk - p.brk) / vm.PageSize)
 	p.addVMA(p.brk, pages, pagetable.ProtRW, VMAHeap,
 		fmt.Sprintf("heap@%#x", p.brk))
 	p.brk = newBrk
-	return p.brk
+	return p.brk, nil
 }

@@ -29,8 +29,10 @@ func TestProtectionChurnNoAllocs(t *testing.T) {
 				p, h = fixture(t)
 			}
 			lib := h.Lib()
-			lib.RegisterFaultPages(p.Mmap(vm.PageSize, pagetable.ProtWrite|pagetable.ProtUser),
-				p.Mmap(vm.PageSize, pagetable.ProtRO), p.Mmap(vm.PageSize, pagetable.ProtRW))
+			readPage, _ := p.Mmap(vm.PageSize, pagetable.ProtWrite|pagetable.ProtUser)
+			writePage, _ := p.Mmap(vm.PageSize, pagetable.ProtRO)
+			slotPage, _ := p.Mmap(vm.PageSize, pagetable.ProtRW)
+			lib.RegisterFaultPages(readPage, writePage, slotPage)
 			vpn := vm.PageNum(isa.DataBase)
 			round := func() {
 				lib.ProtectPage(vpn)

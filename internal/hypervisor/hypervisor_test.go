@@ -164,9 +164,9 @@ func TestFakeFaultDelivery(t *testing.T) {
 
 	// The runtime allocates the two delivery pages and the address slot
 	// (in a shadow/runtime region AikidoSD never protects).
-	readPage := p.Mmap(vm.PageSize, pagetable.Prot(pagetable.ProtWrite|pagetable.ProtUser)) // no read
-	writePage := p.Mmap(vm.PageSize, pagetable.ProtRO)                                      // no write
-	slotPage := p.Mmap(vm.PageSize, pagetable.ProtRW)
+	readPage, _ := p.Mmap(vm.PageSize, pagetable.Prot(pagetable.ProtWrite|pagetable.ProtUser)) // no read
+	writePage, _ := p.Mmap(vm.PageSize, pagetable.ProtRO)                                      // no write
+	slotPage, _ := p.Mmap(vm.PageSize, pagetable.ProtRW)
 	lib.RegisterFaultPages(readPage, writePage, slotPage)
 
 	vpn := vm.PageNum(isa.DataBase)

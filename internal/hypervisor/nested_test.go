@@ -157,7 +157,9 @@ func TestNestedNoPTUpdateTraps(t *testing.T) {
 			}
 
 			pre := clock.Cycles()
-			p.Mmap(4*vm.PageSize, pagetable.ProtRW) // guest PT writes
+			if _, err := p.Mmap(4*vm.PageSize, pagetable.ProtRW); err != nil { // guest PT writes
+				t.Fatal(err)
+			}
 			traps := h.Stats.GuestPTUpdates
 			cost := clock.Cycles() - pre
 			if tc.nested {

@@ -13,10 +13,13 @@ import (
 // (duplicate labels, undefined labels) are deferred to Finish so that
 // workload-generation code stays linear.
 type Builder struct {
-	name   string
-	code   []Instr
-	data   []byte
-	labels map[string]PC
+	name string
+	code []Instr
+	// data is the initialized prefix of the data image; dataSize is the
+	// whole segment, whose bytes past len(data) are zero.
+	data     []byte
+	dataSize uint64
+	labels   map[string]PC
 	// fixups records instructions whose Target awaits a label.
 	fixups []fixup
 	errs   []error
@@ -53,32 +56,58 @@ func (b *Builder) Label(name string) *Builder {
 }
 
 // Global allocates size bytes in the data segment aligned to align and
-// returns its guest virtual address.
+// returns its guest virtual address. The bytes read as zero until Init
+// sets them, and cost nothing in the program image: only the segment's
+// size grows. A negative size, or a global that would end past the
+// data segment (HeapBase - DataBase bytes), is a Finish error.
 func (b *Builder) Global(size, align int) uint64 {
 	if align <= 0 {
 		align = 8
 	}
-	for len(b.data)%align != 0 {
-		b.data = append(b.data, 0)
+	off := b.dataSize
+	if r := off % uint64(align); r != 0 {
+		off += uint64(align) - r
 	}
-	addr := DataBase + uint64(len(b.data))
-	b.data = append(b.data, make([]byte, size)...)
-	return addr
+	switch {
+	case size < 0:
+		b.errs = append(b.errs, fmt.Errorf("isa: global of negative size %d", size))
+	case off > maxDataSize || uint64(size) > maxDataSize-off:
+		b.errs = append(b.errs, fmt.Errorf("isa: global of %d bytes at data offset %#x overruns the %#x-byte data segment", size, off, maxDataSize))
+	default:
+		b.dataSize = off + uint64(size)
+	}
+	return DataBase + off
 }
 
 // GlobalU64 allocates an 8-byte global initialized to v.
 func (b *Builder) GlobalU64(v uint64) uint64 {
 	addr := b.Global(8, 8)
-	binary.LittleEndian.PutUint64(b.data[addr-DataBase:], v)
+	if v != 0 {
+		var w [8]byte
+		binary.LittleEndian.PutUint64(w[:], v)
+		b.Init(addr, w[:])
+	}
 	return addr
 }
 
 // GlobalArray allocates n 8-byte slots, 8-aligned, returning the base.
 func (b *Builder) GlobalArray(n int) uint64 { return b.Global(n*8, 8) }
 
-// Data exposes the data-segment image under construction so callers can
-// initialize globals allocated with Global (index by addr - DataBase).
-func (b *Builder) Data() []byte { return b.data }
+// Init sets the initial image of the data segment at addr to init. The
+// range must lie inside globals already allocated; one that does not is
+// a Finish error.
+func (b *Builder) Init(addr uint64, init []byte) *Builder {
+	off := addr - DataBase
+	if addr < DataBase || off > b.dataSize || uint64(len(init)) > b.dataSize-off {
+		b.errs = append(b.errs, fmt.Errorf("isa: init of %d bytes at %#x outside the %d-byte data segment", len(init), addr, b.dataSize))
+		return b
+	}
+	if end := off + uint64(len(init)); end > uint64(len(b.data)) {
+		b.data = append(b.data, make([]byte, end-uint64(len(b.data)))...)
+	}
+	copy(b.data[off:], init)
+	return b
+}
 
 // --- instruction helpers -------------------------------------------------
 
@@ -315,11 +344,12 @@ func (b *Builder) Finish() (*Program, error) {
 		}
 	}
 	p := &Program{
-		Name:   b.name,
-		Code:   b.code,
-		Entry:  0,
-		Data:   b.data,
-		Labels: b.labels,
+		Name:     b.name,
+		Code:     b.code,
+		Entry:    0,
+		Data:     b.data,
+		DataSize: b.dataSize,
+		Labels:   b.labels,
 	}
 	if err := p.Valid(); err != nil {
 		return nil, err

@@ -179,6 +179,8 @@ const (
 	LE             // signed less or equal
 	GT             // signed greater than
 	GE             // signed greater or equal
+
+	numConds
 )
 
 // Eval evaluates the condition on two operand values interpreted as signed

@@ -64,9 +64,14 @@ type Program struct {
 	Code []Instr
 	// Entry is the PC where the main thread starts.
 	Entry PC
-	// Data is the initial image of the static data segment, mapped at
-	// DataBase by the loader. Workload builders allocate globals here.
+	// Data is the initialized prefix of the static data segment's image,
+	// mapped at DataBase by the loader. Workload builders allocate
+	// globals in the segment and initialize some of them here.
 	Data []byte
+	// DataSize is the size of the data segment in bytes, at least
+	// len(Data). Bytes past len(Data) are zero: they cost no image here
+	// and no page in the loaded process until the guest writes them.
+	DataSize uint64
 	// Labels maps symbolic label names to PCs (for debugging and tests).
 	Labels map[string]PC
 }
@@ -80,7 +85,8 @@ const (
 	CodeBase uint64 = 0x0000_0000_0040_0000
 	// DataBase is where Program.Data is mapped.
 	DataBase uint64 = 0x0000_0000_1000_0000
-	// HeapBase is the initial program break.
+	// HeapBase is the initial program break, and the end of the largest
+	// data segment.
 	HeapBase uint64 = 0x0000_0000_2000_0000
 	// MmapBase is where anonymous mappings are placed (growing up).
 	MmapBase uint64 = 0x0000_0040_0000_0000
@@ -94,6 +100,10 @@ const (
 	// never abut).
 	StackStride uint64 = 1 << 20
 )
+
+// maxDataSize bounds Program.DataSize: the data segment ends where the
+// heap begins.
+const maxDataSize = HeapBase - DataBase
 
 // AddrOf returns the guest virtual address of the instruction at pc.
 func (p *Program) AddrOf(pc PC) uint64 {
@@ -123,13 +133,21 @@ func (p *Program) At(pc PC) Instr {
 }
 
 // Valid checks structural invariants: entry and all branch targets must be
-// in range, memory sizes must be 1/2/4/8. It returns the first violation.
+// in range, memory sizes must be 1/2/4/8, registers must be below NumRegs
+// and conditions at most GE, and the data image must fit a data segment
+// that ends below the heap. It returns the first violation.
 func (p *Program) Valid() error {
 	if len(p.Code) == 0 {
 		return fmt.Errorf("isa: program %q has no code", p.Name)
 	}
 	if int(p.Entry) >= len(p.Code) {
 		return fmt.Errorf("isa: program %q entry %d out of range", p.Name, p.Entry)
+	}
+	if uint64(len(p.Data)) > p.DataSize {
+		return fmt.Errorf("isa: program %q data image of %d bytes exceeds its %d-byte data segment", p.Name, len(p.Data), p.DataSize)
+	}
+	if p.DataSize > maxDataSize {
+		return fmt.Errorf("isa: program %q data segment of %d bytes runs into the heap at %#x", p.Name, p.DataSize, HeapBase)
 	}
 	for pc, in := range p.Code {
 		if in.Op.IsBranch() && in.Op != Halt {
@@ -146,6 +164,12 @@ func (p *Program) Valid() error {
 		}
 		if int(in.Op) >= int(numOps) {
 			return fmt.Errorf("isa: %q pc %d: bad opcode %d", p.Name, pc, in.Op)
+		}
+		if r := max(in.Rd, in.Rs, in.Rt); r >= NumRegs {
+			return fmt.Errorf("isa: %q pc %d: bad register %d", p.Name, pc, r)
+		}
+		if in.Cond >= numConds {
+			return fmt.Errorf("isa: %q pc %d: bad condition %d", p.Name, pc, in.Cond)
 		}
 	}
 	return nil

@@ -42,6 +42,24 @@ func TestValidEdgeCases(t *testing.T) {
 		{"sta-size5", Program{Name: "s5", Code: []Instr{{Op: StoreAbs, Size: 5}, halt}}, "bad access size 5"},
 		{"bad-op", Program{Name: "bo", Code: []Instr{{Op: numOps}, halt}}, "bad opcode"},
 		{"bad-op-hi", Program{Name: "bh", Code: []Instr{{Op: Op(200)}, halt}}, "bad opcode 200"},
+		// A register past the file would index out of the interpreter's
+		// register array; a condition past GE would never branch.
+		{"bad-rd", Program{Name: "rd", Code: []Instr{{Op: MovImm, Rd: NumRegs}, halt}}, "pc 0: bad register 16"},
+		{"bad-rs", Program{Name: "rs", Code: []Instr{{Op: Nop}, {Op: Load, Size: 8, Rs: 200}, halt}}, "pc 1: bad register 200"},
+		{"bad-rt", Program{Name: "rt", Code: []Instr{{Op: Store, Size: 8, Rt: 17}, halt}}, "pc 0: bad register 17"},
+		{"sp-ok", Program{Name: "sp", Code: []Instr{{Op: Add, Rd: SP, Rs: TP, Rt: SP}, halt}}, ""},
+		{"bad-cond", Program{Name: "bc", Code: []Instr{{Op: Br, Cond: GE + 1, Target: 1}, halt}}, "pc 0: bad condition 6"},
+		{"bri-bad-cond", Program{Name: "bic", Code: []Instr{{Op: Nop}, {Op: BrImm, Cond: Cond(255), Target: 0}, halt}},
+			"pc 1: bad condition 255"},
+		{"ge-ok", Program{Name: "ge", Code: []Instr{{Op: BrImm, Cond: GE, Target: 1}, halt}}, ""},
+		// The data image is a prefix of a data segment that ends below
+		// the heap.
+		{"data-ok", Program{Name: "d", Code: []Instr{halt}, Data: []byte{1}, DataSize: 1}, ""},
+		{"data-sparse-ok", Program{Name: "ds", Code: []Instr{halt}, DataSize: HeapBase - DataBase}, ""},
+		{"data-past-size", Program{Name: "dp", Code: []Instr{halt}, Data: []byte{1, 2}, DataSize: 1},
+			"data image of 2 bytes exceeds its 1-byte data segment"},
+		{"data-into-heap", Program{Name: "dh", Code: []Instr{halt}, DataSize: HeapBase - DataBase + 1},
+			"runs into the heap"},
 	}
 	for _, tc := range cases {
 		err := tc.prog.Valid()

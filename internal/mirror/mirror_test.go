@@ -70,7 +70,7 @@ func TestMirrorSeesWritesThroughOriginal(t *testing.T) {
 func TestMmapInterception(t *testing.T) {
 	p, m := fixture(t)
 	before := m.Mirrored
-	base := p.Mmap(2*vm.PageSize, pagetable.ProtRW)
+	base, _ := p.Mmap(2*vm.PageSize, pagetable.ProtRW)
 	if m.Mirrored != before+1 {
 		t.Fatal("new mmap not mirrored")
 	}
@@ -86,7 +86,9 @@ func TestMmapInterception(t *testing.T) {
 func TestBrkInterception(t *testing.T) {
 	p, m := fixture(t)
 	before := m.Mirrored
-	p.GrowBrk(isa.HeapBase + 3*vm.PageSize)
+	if _, err := p.GrowBrk(isa.HeapBase + 3*vm.PageSize); err != nil {
+		t.Fatal(err)
+	}
 	if m.Mirrored != before+1 {
 		t.Fatal("brk growth not mirrored")
 	}
@@ -110,7 +112,7 @@ func TestMirrorAddressesAreUnprotectedRW(t *testing.T) {
 
 func TestUnmapRemovesMirror(t *testing.T) {
 	p, m := fixture(t)
-	base := p.Mmap(vm.PageSize, pagetable.ProtRW)
+	base, _ := p.Mmap(vm.PageSize, pagetable.ProtRW)
 	ma, _ := m.Translate(base)
 	if err := p.Munmap(base); err != nil {
 		t.Fatal(err)
@@ -134,7 +136,9 @@ func TestMirrorsDoNotOverlap(t *testing.T) {
 	p, m := fixture(t)
 	// Map several segments and ensure all mirror ranges are disjoint.
 	for i := 0; i < 5; i++ {
-		p.Mmap(uint64(i+1)*vm.PageSize, pagetable.ProtRW)
+		if _, err := p.Mmap(uint64(i+1)*vm.PageSize, pagetable.ProtRW); err != nil {
+			t.Fatal(err)
+		}
 	}
 	type rng struct{ lo, hi uint64 }
 	var rs []rng

@@ -53,7 +53,7 @@ func New(prog *isa.Program, cfg Config) (*System, error) {
 	prov := provider.NewAikidoVM(p, hv, clock)
 	mir := mirror.Attach(p)
 
-	dataPages := (uint64(len(prog.Data)) + vm.PageSize - 1) / vm.PageSize
+	dataPages := (prog.DataSize + vm.PageSize - 1) / vm.PageSize
 	if dataPages == 0 {
 		dataPages = 1
 	}

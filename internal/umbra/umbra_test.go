@@ -30,7 +30,7 @@ func TestRegionsFromVMAs(t *testing.T) {
 	if u.Regions() < 3 {
 		t.Fatalf("Regions = %d, want >= 3", u.Regions())
 	}
-	base := p.Mmap(2*vm.PageSize, pagetable.ProtRW)
+	base, _ := p.Mmap(2*vm.PageSize, pagetable.ProtRW)
 	before := u.Regions()
 	_ = base
 	if u.Regions() != before {
@@ -102,7 +102,7 @@ func TestTranslateOutsideRegions(t *testing.T) {
 
 func TestRegionRemoval(t *testing.T) {
 	p, u, _ := fixture(t)
-	base := p.Mmap(vm.PageSize, pagetable.ProtRW)
+	base, _ := p.Mmap(vm.PageSize, pagetable.ProtRW)
 	if _, _, ok := u.Translate(1, base); !ok {
 		t.Fatal("mmap region not translatable")
 	}
@@ -155,7 +155,7 @@ func TestShadowMapPageGranule(t *testing.T) {
 func TestShadowMapDropsCellsWithRegion(t *testing.T) {
 	p, u, _ := fixture(t)
 	sm := NewShadowMap[uint32](u, 8)
-	base := p.Mmap(vm.PageSize, pagetable.ProtRW)
+	base, _ := p.Mmap(vm.PageSize, pagetable.ProtRW)
 	cell := sm.Get(1, base)
 	*cell = 7
 	before := sm.ShadowBytes()

@@ -55,7 +55,15 @@ type Machine struct {
 	// never written points at zeroPage.
 	frames []*page
 	live   int
+	// slab holds zeroed pages no frame has taken yet; materialize hands
+	// them out in order.
+	slab []page
 }
+
+// slabPages is how many pages materialize allocates at once. A run's
+// first writes then cost one allocation per slabPages pages, not one per
+// page; a page stays allocated while any frame of its slab is live.
+const slabPages = 16
 
 // NewMachine returns an empty physical memory.
 func NewMachine() *Machine {
@@ -95,14 +103,22 @@ func (m *Machine) frame(id FrameID) *page {
 	panic(fmt.Sprintf("vm: access to invalid frame %d", id))
 }
 
-// materialize gives a never-written frame its own zeroed page. Writers
-// call it only after their bounds checks pass, so a write that panics
-// leaves the frame as it was.
+// materialize gives a never-written frame its own zeroed page, the next
+// one in the slab. Writers call it only after their bounds checks pass,
+// so a write that panics leaves the frame as it was.
 func (m *Machine) materialize(id FrameID) *page {
-	f := new(page)
+	if len(m.slab) == 0 {
+		m.slab = make([]page, slabPages)
+	}
+	f := &m.slab[0]
+	m.slab = m.slab[1:]
 	m.frames[id] = f
 	return f
 }
+
+// Materialized reports whether frame id has its own page, i.e. whether
+// it has been written since it was allocated.
+func (m *Machine) Materialized(id FrameID) bool { return m.frame(id) != &zeroPage }
 
 // Read copies len(dst) bytes starting at off within frame id.
 func (m *Machine) Read(id FrameID, off uint64, dst []byte) {

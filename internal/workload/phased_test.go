@@ -67,7 +67,7 @@ func TestPhasedBuildDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(a.Code, b.Code) || !reflect.DeepEqual(a.Data, b.Data) {
+		if !reflect.DeepEqual(a.Code, b.Code) || !reflect.DeepEqual(a.Data, b.Data) || a.DataSize != b.DataSize {
 			t.Errorf("stride %d: BuildPhased is not deterministic", stride)
 		}
 	}

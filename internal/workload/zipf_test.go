@@ -49,7 +49,7 @@ func TestZipfBuildDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(a.Code, b.Code) || !reflect.DeepEqual(a.Data, b.Data) {
+		if !reflect.DeepEqual(a.Code, b.Code) || !reflect.DeepEqual(a.Data, b.Data) || a.DataSize != b.DataSize {
 			t.Errorf("skew %v: BuildZipf is not deterministic", skew)
 		}
 		if a.Name != s.SourceName() {
