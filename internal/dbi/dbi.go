@@ -107,12 +107,10 @@ type Counters struct {
 type block struct {
 	start isa.PC
 	// instrs slices Program.Code, which nothing writes after compilation;
-	// plans and mem slice the engine's per-PC plan and memRef tables the
-	// same way.
+	// plans slices the engine's per-PC plan table the same way.
 	instrs []isa.Instr
 	plans  []*Plan // parallel to instrs; nil = uninstrumented
-	mem    []bool
-	end    isa.PC // first PC past the block
+	end    isa.PC  // first PC past the block
 	// next links the fall-through/jump successor once observed.
 	next *block
 	// execs counts executions for trace promotion; trace marks promotion.
@@ -180,9 +178,6 @@ type Engine struct {
 	// maxBlockLen is the longest block built so far; Flush only needs to
 	// scan start PCs within that window below the flushed PC.
 	maxBlockLen int
-	// memRef caches Op.IsMemRef per PC, classified once in New instead of
-	// on every retired execution; blocks slice it.
-	memRef []bool
 	// plans holds each PC's Plan as the Tool last returned it; build
 	// writes a block's span and the block slices it. Overlapping blocks
 	// share their common PCs' entries. That is safe because a tool changes
@@ -217,11 +212,7 @@ func New(p *guest.Process, mem Memory, tool Tool, clock *stats.Clock, cfg Config
 	e := &Engine{
 		P: p, Mem: mem, Tool: tool, Clock: clock, Cfg: cfg,
 		blocks: make([]*block, len(p.Prog.Code)),
-		memRef: make([]bool, len(p.Prog.Code)),
 		plans:  make([]*Plan, len(p.Prog.Code)),
-	}
-	for pc, in := range p.Prog.Code {
-		e.memRef[pc] = in.Op.IsMemRef()
 	}
 	if mem == nil {
 		// Native runs walk the guest page table directly; keeping the
@@ -376,7 +367,7 @@ func (e *Engine) build(tid guest.TID, pc isa.PC) *block {
 	}
 	end := pc + isa.PC(n)
 	*b = block{start: pc, end: end,
-		instrs: prog.Code[pc:end], plans: e.plans[pc:end], mem: e.memRef[pc:end]}
+		instrs: prog.Code[pc:end], plans: e.plans[pc:end]}
 	if e.Tool != nil {
 		for i, in := range b.instrs {
 			b.plans[i] = e.Tool.Instrument(pc+isa.PC(i), in)
@@ -509,109 +500,117 @@ func (e *Engine) dispatch(t *guest.Thread) (*block, error) {
 	return b, nil
 }
 
+// regMask masks a register field into the register file. Program.Valid
+// rejects every field ≥ isa.NumRegs, so on any program the engine runs the
+// mask changes no index; it lets the compiler drop the bounds check from
+// each register access in execBlock.
+const regMask = isa.NumRegs - 1
+
 // execBlock runs instructions of b starting at t.PC until the block ends,
 // the quantum expires, or the thread blocks/halts/faults. It returns
 // done=true when the engine should end the quantum.
+//
+// This loop is the interpreter's floor, so an instruction costs only what
+// its semantics need:
+//   - every opcode, the four memory opcodes included, dispatches through
+//     one switch;
+//   - the quantum becomes a stop index once per entry, so no instruction
+//     tests or decrements a budget;
+//   - the PC lives in the loop index, and t.PC is written only where code
+//     outside the loop can read it: before a memory access (its plan, the
+//     memory path and the fault handler), before the OnRetire hook, at a
+//     lock, syscall or halt (the guest's hooks), and on every exit;
+//   - registers are indexed through regs, masked with regMask.
+//
+// Accounting is batched too: instructions [base, idx) have retired but are
+// not yet counted, and settle counts them in one step at every exit or
+// interposition point instead of updating four memory locations per
+// instruction. A plan callback runs mid-batch: it may read the clock, and
+// sees it without the pending native-instruction charge; it must not read
+// Thread.Instructions or Engine.C (see settle).
 func (e *Engine) execBlock(t *guest.Thread, b *block, budget *uint64) (bool, error) {
 	p := e.P
+	regs := &t.Regs
+	observe := e.OnRetire != nil
 	idx := int(t.PC - b.start)
-	// Batched accounting: straight-line runs accumulate retired-
-	// instruction counts in locals and settle them in one step at every
-	// exit or interposition point, instead of updating four memory
-	// locations per instruction. A plan callback runs mid-batch: it may
-	// read the clock, and sees it without the pending native-instruction
-	// charge; it must not read Thread.Instructions or Engine.C (see
-	// settle).
-	bud := *budget
-	var pend, pendMem uint64
-	for idx < len(b.instrs) {
-		if bud == 0 {
-			e.settle(t, budget, bud, pend, pendMem)
-			return true, nil
-		}
+	// The stop index is len(instrs): the block's end, or the instruction
+	// at which the quantum expires.
+	instrs := b.instrs
+	if *budget < uint64(len(instrs)-idx) {
+		instrs = instrs[:idx+int(*budget)]
+	}
+	base := idx
+	var pendMem uint64
+	for ; idx < len(instrs); idx++ {
 		// Instructions are read through a pointer into the (immutable
-		// after build) block body: the interpreter loop copies the
-		// fields it needs, not the whole struct, per retired
-		// instruction.
-		in := &b.instrs[idx]
-		pc := b.start + isa.PC(idx)
+		// after build) block body: the loop copies the fields it needs,
+		// not the whole struct, per retired instruction.
+		in := &instrs[idx]
+		switch in.Op {
+		case isa.Nop:
+		case isa.MovImm:
+			regs[in.Rd&regMask] = uint64(in.Imm)
+		case isa.Mov:
+			regs[in.Rd&regMask] = regs[in.Rs&regMask]
+		case isa.Add:
+			regs[in.Rd&regMask] = regs[in.Rs&regMask] + regs[in.Rt&regMask]
+		case isa.AddImm:
+			regs[in.Rd&regMask] = regs[in.Rs&regMask] + uint64(in.Imm)
+		case isa.Sub:
+			regs[in.Rd&regMask] = regs[in.Rs&regMask] - regs[in.Rt&regMask]
+		case isa.Mul:
+			regs[in.Rd&regMask] = regs[in.Rs&regMask] * regs[in.Rt&regMask]
+		case isa.Div:
+			if d := regs[in.Rt&regMask]; d == 0 {
+				regs[in.Rd&regMask] = 0
+			} else {
+				regs[in.Rd&regMask] = regs[in.Rs&regMask] / d
+			}
+		case isa.And:
+			regs[in.Rd&regMask] = regs[in.Rs&regMask] & regs[in.Rt&regMask]
+		case isa.Or:
+			regs[in.Rd&regMask] = regs[in.Rs&regMask] | regs[in.Rt&regMask]
+		case isa.Xor:
+			regs[in.Rd&regMask] = regs[in.Rs&regMask] ^ regs[in.Rt&regMask]
+		case isa.Shl:
+			regs[in.Rd&regMask] = regs[in.Rs&regMask] << (uint64(in.Imm) & 63)
+		case isa.Shr:
+			regs[in.Rd&regMask] = regs[in.Rs&regMask] >> (uint64(in.Imm) & 63)
 
-		// Memory-referencing instructions may fault; handle first. The
-		// classification was hoisted to block-build time (b.mem).
-		if b.mem[idx] {
+		case isa.Load, isa.Store, isa.LoadAbs, isa.StoreAbs:
+			pc := b.start + isa.PC(idx)
+			t.PC = pc
 			retired, err := e.execMem(t, pc, in, b.plans[idx])
 			if err != nil {
-				e.settle(t, budget, bud, pend, pendMem)
+				e.settle(t, budget, idx-base, pendMem)
 				return true, err
 			}
 			if !retired {
 				// Fault + retry: the handler may have flushed this
-				// block; re-dispatch at the same PC.
-				e.settle(t, budget, bud, pend, pendMem)
+				// block; re-dispatch at the same PC, which t.PC still
+				// holds.
+				e.settle(t, budget, idx-base, pendMem)
 				return false, nil
 			}
-			pend++
 			pendMem++
-			bud--
-			if e.OnRetire != nil {
-				e.settle(t, budget, bud, pend, pendMem)
-				pend, pendMem = 0, 0
-				e.observeRetire(t, pc, in)
-			}
-			idx++
-			t.PC = pc + 1
-			continue
-		}
-
-		switch in.Op {
-		case isa.Nop:
-		case isa.MovImm:
-			t.Regs[in.Rd] = uint64(in.Imm)
-		case isa.Mov:
-			t.Regs[in.Rd] = t.Regs[in.Rs]
-		case isa.Add:
-			t.Regs[in.Rd] = t.Regs[in.Rs] + t.Regs[in.Rt]
-		case isa.AddImm:
-			t.Regs[in.Rd] = t.Regs[in.Rs] + uint64(in.Imm)
-		case isa.Sub:
-			t.Regs[in.Rd] = t.Regs[in.Rs] - t.Regs[in.Rt]
-		case isa.Mul:
-			t.Regs[in.Rd] = t.Regs[in.Rs] * t.Regs[in.Rt]
-		case isa.Div:
-			if t.Regs[in.Rt] == 0 {
-				t.Regs[in.Rd] = 0
-			} else {
-				t.Regs[in.Rd] = t.Regs[in.Rs] / t.Regs[in.Rt]
-			}
-		case isa.And:
-			t.Regs[in.Rd] = t.Regs[in.Rs] & t.Regs[in.Rt]
-		case isa.Or:
-			t.Regs[in.Rd] = t.Regs[in.Rs] | t.Regs[in.Rt]
-		case isa.Xor:
-			t.Regs[in.Rd] = t.Regs[in.Rs] ^ t.Regs[in.Rt]
-		case isa.Shl:
-			t.Regs[in.Rd] = t.Regs[in.Rs] << (uint64(in.Imm) & 63)
-		case isa.Shr:
-			t.Regs[in.Rd] = t.Regs[in.Rs] >> (uint64(in.Imm) & 63)
 
 		case isa.Jmp:
-			e.settle(t, budget, bud, pend, pendMem)
-			e.retireEnd(t, budget, pc, in)
+			e.retireEnd(t, budget, idx+1-base, pendMem, b.start+isa.PC(idx), in)
 			t.PC = in.Target
 			return false, nil
 		case isa.Br:
-			e.settle(t, budget, bud, pend, pendMem)
-			e.retireEnd(t, budget, pc, in)
-			if in.Cond.Eval(t.Regs[in.Rs], t.Regs[in.Rt]) {
+			pc := b.start + isa.PC(idx)
+			e.retireEnd(t, budget, idx+1-base, pendMem, pc, in)
+			if in.Cond.Eval(regs[in.Rs&regMask], regs[in.Rt&regMask]) {
 				t.PC = in.Target
 			} else {
 				t.PC = pc + 1
 			}
 			return false, nil
 		case isa.BrImm:
-			e.settle(t, budget, bud, pend, pendMem)
-			e.retireEnd(t, budget, pc, in)
-			if in.Cond.Eval(t.Regs[in.Rs], uint64(in.Imm)) {
+			pc := b.start + isa.PC(idx)
+			e.retireEnd(t, budget, idx+1-base, pendMem, pc, in)
+			if in.Cond.Eval(regs[in.Rs&regMask], uint64(in.Imm)) {
 				t.PC = in.Target
 			} else {
 				t.PC = pc + 1
@@ -623,25 +622,29 @@ func (e *Engine) execBlock(t *guest.Thread, b *block, budget *uint64) (bool, err
 			// re-executes the Lock after the FIFO handoff. DoLock can
 			// block the thread (context-switch hooks), so pending
 			// accounting settles first.
-			e.settle(t, budget, bud, pend, pendMem)
+			pc := b.start + isa.PC(idx)
+			e.settle(t, budget, idx-base, pendMem)
+			t.PC = pc
 			if !p.DoLock(t, in.Imm) {
 				return true, nil
 			}
-			e.retireEnd(t, budget, pc, in)
+			e.retireEnd(t, budget, 1, 0, pc, in)
 			t.PC = pc + 1
 			return false, nil
 		case isa.Unlock:
-			e.settle(t, budget, bud, pend, pendMem)
+			pc := b.start + isa.PC(idx)
+			e.settle(t, budget, idx-base, pendMem)
+			t.PC = pc
 			p.DoUnlock(t, in.Imm)
-			e.retireEnd(t, budget, pc, in)
+			e.retireEnd(t, budget, 1, 0, pc, in)
 			t.PC = pc + 1
 			return false, nil
 
 		case isa.Syscall:
 			// PC advances before the syscall: blocked threads resume
 			// after it.
-			e.settle(t, budget, bud, pend, pendMem)
-			e.retireEnd(t, budget, pc, in)
+			pc := b.start + isa.PC(idx)
+			e.retireEnd(t, budget, idx+1-base, pendMem, pc, in)
 			t.PC = pc + 1
 			e.Clock.Charge(stats.Syscall)
 			res, err := p.DoSyscall(t, in.Imm)
@@ -657,55 +660,48 @@ func (e *Engine) execBlock(t *guest.Thread, b *block, budget *uint64) (bool, err
 			return false, nil
 
 		case isa.Halt:
-			e.settle(t, budget, bud, pend, pendMem)
-			e.retireEnd(t, budget, pc, in)
+			pc := b.start + isa.PC(idx)
+			e.retireEnd(t, budget, idx+1-base, pendMem, pc, in)
+			t.PC = pc
 			p.ExitThread(t)
 			return true, nil
 
 		default:
-			e.settle(t, budget, bud, pend, pendMem)
+			pc := b.start + isa.PC(idx)
+			e.settle(t, budget, idx-base, pendMem)
+			t.PC = pc
 			return true, fmt.Errorf("dbi: thread %d pc %d: bad opcode %v", t.ID, pc, in.Op)
 		}
-		pend++
-		bud--
-		if e.OnRetire != nil {
-			e.settle(t, budget, bud, pend, pendMem)
-			pend, pendMem = 0, 0
+		if observe {
+			pc := b.start + isa.PC(idx)
+			e.settle(t, budget, idx+1-base, pendMem)
+			base, pendMem = idx+1, 0
+			t.PC = pc
 			e.observeRetire(t, pc, in)
 		}
-		idx++
-		t.PC = pc + 1
 	}
-	e.settle(t, budget, bud, pend, pendMem)
-	return false, nil
+	t.PC = b.start + isa.PC(idx)
+	e.settle(t, budget, idx-base, pendMem)
+	// Stopping short of the block's end means the quantum expired.
+	return idx < len(b.instrs), nil
 }
 
-// settle writes back execBlock's batched accounting: the remaining budget
-// plus pend retired instructions (pendMem of them memory references). The
+// settle counts n retired instructions, mem of them memory references,
+// against the thread, the engine, the clock and the quantum budget. The
 // batch equals per-instruction updates for everything but plan callbacks,
 // which run between two settle points. They may read the clock, and see
-// it without the pending NativeInstr × pend charge; sharing's PreAccess
+// it without the pending NativeInstr × n charge; sharing's PreAccess
 // checks its epoch deadline against that reading, which is deterministic.
 // No callback may read Thread.Instructions or Engine.C.
-func (e *Engine) settle(t *guest.Thread, budget *uint64, bud, pend, pendMem uint64) {
-	*budget = bud
-	if pend == 0 {
+func (e *Engine) settle(t *guest.Thread, budget *uint64, n int, mem uint64) {
+	if n == 0 {
 		return
 	}
-	t.Instructions += pend
-	e.C.Instructions += pend
-	e.C.MemRefs += pendMem
-	e.Clock.Charge(stats.NativeInstr * pend)
-}
-
-// retire accounts one retired instruction. It is deliberately tiny so it
-// inlines; the budget decrement is unconditional because every call site
-// sits after the loop's budget check.
-func (e *Engine) retire(t *guest.Thread, budget *uint64) {
-	t.Instructions++
-	e.C.Instructions++
-	e.Clock.Charge(stats.NativeInstr)
-	*budget--
+	*budget -= uint64(n)
+	t.Instructions += uint64(n)
+	e.C.Instructions += uint64(n)
+	e.C.MemRefs += mem
+	e.Clock.Charge(stats.NativeInstr * uint64(n))
 }
 
 // observeRetire fires the OnRetire hook (taint tracking and similar
@@ -717,19 +713,23 @@ func (e *Engine) observeRetire(t *guest.Thread, pc isa.PC, in *isa.Instr) {
 	e.OnRetire(t, pc, *in)
 }
 
-// retireEnd is retire plus the observer hook, for block-ending instructions
-// (branches, locks, syscalls, halt) where one extra call doesn't matter.
-func (e *Engine) retireEnd(t *guest.Thread, budget *uint64, pc isa.PC, in *isa.Instr) {
-	e.retire(t, budget)
+// retireEnd settles n retired instructions, mem of them memory
+// references, the last of them the block-ending instruction in at pc
+// (a branch, lock, syscall or halt), and fires the OnRetire hook for it
+// with t.PC at pc.
+func (e *Engine) retireEnd(t *guest.Thread, budget *uint64, n int, mem uint64, pc isa.PC, in *isa.Instr) {
+	e.settle(t, budget, n, mem)
 	if e.OnRetire != nil {
+		t.PC = pc
 		e.observeRetire(t, pc, in)
 	}
 }
 
-// execMem executes one memory-referencing instruction. It reports whether
-// the access retired; false means it faulted and the handler asked for a
-// retry.
+// execMem executes one memory-referencing instruction, with t.PC at pc. It
+// reports whether the access retired; false means it faulted and the
+// handler asked for a retry.
 func (e *Engine) execMem(t *guest.Thread, pc isa.PC, in *isa.Instr, plan *Plan) (bool, error) {
+	regs := &t.Regs
 	// Classify once; the opcode predicates would otherwise be re-evaluated
 	// up to four times per access.
 	write := in.Op.IsWrite()
@@ -738,7 +738,7 @@ func (e *Engine) execMem(t *guest.Thread, pc isa.PC, in *isa.Instr, plan *Plan) 
 	if in.Op.IsDirect() {
 		addr = uint64(in.Imm)
 	} else {
-		addr = t.Regs[in.Rs] + uint64(in.Imm)
+		addr = regs[in.Rs&regMask] + uint64(in.Imm)
 	}
 	target := addr
 	if plan != nil {
@@ -753,18 +753,18 @@ func (e *Engine) execMem(t *guest.Thread, pc isa.PC, in *isa.Instr, plan *Plan) 
 	if dp := e.directP; dp != nil {
 		// Native path, devirtualized: page-table walk + frame access.
 		if write {
-			fault = directMemory{dp}.Store(t.ID, target, in.Size, t.Regs[in.Rt], true)
+			fault = directMemory{dp}.Store(t.ID, target, in.Size, regs[in.Rt&regMask], true)
 		} else {
 			val, fault = directMemory{dp}.Load(t.ID, target, in.Size, true)
 		}
 	} else if write {
-		fault = e.Mem.Store(t.ID, target, in.Size, t.Regs[in.Rt], true)
+		fault = e.Mem.Store(t.ID, target, in.Size, regs[in.Rt&regMask], true)
 	} else {
 		val, fault = e.Mem.Load(t.ID, target, in.Size, true)
 	}
 	if fault == nil {
 		if !write {
-			t.Regs[in.Rd] = val
+			regs[in.Rd&regMask] = val
 		}
 		if plan != nil && plan.PostAccess != nil {
 			plan.PostAccess(t.ID, pc, addr, in.Size, write)
@@ -781,7 +781,6 @@ func (e *Engine) execMem(t *guest.Thread, pc isa.PC, in *isa.Instr, plan *Plan) 
 	switch e.OnFault(t, pc, *in, fault) {
 	case FaultRetry:
 		e.C.Retries++
-		t.PC = pc // re-execute (block may have been flushed)
 		return false, nil
 	default:
 		return false, fmt.Errorf("dbi: thread %d pc %d: fatal %v", t.ID, pc, fault)

@@ -23,7 +23,7 @@ func (s sharedPlanTool) Instrument(_ isa.PC, in isa.Instr) *Plan {
 // TestRebuildAfterFlushNoAllocs pins the allocation-free re-JIT: once a
 // block has been built and flushed, flushing and rebuilding it at the
 // same PC recycles the flushed struct, and slices the program's code and
-// the engine's plan and memory-reference tables instead of copying them.
+// the engine's plan table instead of copying them.
 func TestRebuildAfterFlushNoAllocs(t *testing.T) {
 	b := isa.NewBuilder("rejit")
 	g := b.GlobalU64(0)
@@ -54,8 +54,8 @@ func TestRebuildAfterFlushNoAllocs(t *testing.T) {
 		t.Errorf("Flush plus rebuild allocates %.1f objects, want 0", n)
 	}
 	blk := e.blocks[0]
-	if len(blk.instrs) != 6 || blk.plans[1] != plan || blk.plans[0] != nil || !blk.mem[2] || blk.mem[3] {
-		t.Errorf("rebuilt block: %d instrs, plans %v, mem %v", len(blk.instrs), blk.plans, blk.mem)
+	if len(blk.instrs) != 6 || blk.plans[1] != plan || blk.plans[0] != nil || blk.plans[2] != plan || blk.plans[3] != nil {
+		t.Errorf("rebuilt block: %d instrs, plans %v", len(blk.instrs), blk.plans)
 	}
 	// AllocsPerRun makes one warm-up call before its 100 measured ones.
 	if e.C.BlocksBuilt != 103 || e.C.BlocksFlushed != 102 {

@@ -1,6 +1,7 @@
 package guest
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -141,12 +142,51 @@ func TestThreadCreateBadEntry(t *testing.T) {
 	}
 }
 
+// TestJoinUnknownThread joins ids no thread has. TID(R0) truncates to
+// int32, so the cases cover NoTID (0 and 1<<40), an id past the last
+// thread (99) and negative ids (1<<31 and 1<<32-1). Each must fail the
+// syscall, not panic, and leave the joiner runnable.
 func TestJoinUnknownThread(t *testing.T) {
+	for _, r0 := range []uint64{0, 99, 1 << 31, 1<<32 - 1, 1 << 40} {
+		t.Run(fmt.Sprintf("%#x", r0), func(t *testing.T) {
+			p := newProc(t, tinyProgram(t))
+			p.newThread(0, 0, 1)
+			main := p.Current()
+			main.Regs[isa.R0] = r0
+			if _, err := p.DoSyscall(main, isa.SysThreadJoin); err == nil {
+				t.Errorf("join of thread %d accepted", TID(r0))
+			}
+			if main.State != Runnable || p.Current() != main {
+				t.Errorf("failed join left the joiner %v, current %v", main.State, p.Current())
+			}
+			if th := p.Thread(TID(r0)); th != nil {
+				t.Errorf("Thread(%d) = %v, want nil", TID(r0), th)
+			}
+		})
+	}
+}
+
+// TestAliveUntilLastThreadHalts halts three threads out of creation
+// order: Alive stays true until the last one halts and turns false with
+// it, and Threads keeps listing every thread in creation order.
+func TestAliveUntilLastThreadHalts(t *testing.T) {
 	p := newProc(t, tinyProgram(t))
-	main := p.Current()
-	main.Regs[isa.R0] = 99
-	if _, err := p.DoSyscall(main, isa.SysThreadJoin); err == nil {
-		t.Error("join of unknown thread accepted")
+	p.newThread(0, 0, 1)
+	p.newThread(0, 0, 1)
+	for i, id := range []TID{2, 1, 3} {
+		if !p.Alive() {
+			t.Fatalf("Alive false with %d of 3 threads halted", i)
+		}
+		p.ExitThread(p.Thread(id))
+		if got := p.Threads(); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+			t.Errorf("after thread %d halted, Threads = %v, want [1 2 3]", id, got)
+		}
+	}
+	if p.Alive() {
+		t.Error("Alive after every thread halted")
+	}
+	if p.Current() != nil || p.Deadlocked() {
+		t.Errorf("finished process: current %v, deadlocked %v", p.Current(), p.Deadlocked())
 	}
 }
 

@@ -198,10 +198,13 @@ type Process struct {
 	vmas      []*VMA
 	listeners []VMAListener
 
-	threads map[TID]*Thread
+	// threads is indexed by TID: slot 0 (NoTID) stays nil, and a thread
+	// keeps its slot after it halts, so the next thread gets TID
+	// len(threads). live counts the threads not yet Done.
+	threads []*Thread
+	live    int
 	runq    []TID
 	current TID
-	nextTID TID
 
 	brk      uint64 // current program break
 	mmapNext uint64 // next anonymous mapping address
@@ -234,12 +237,11 @@ func NewProcess(m *vm.Machine, prog *isa.Program) (*Process, error) {
 		M:        m,
 		PT:       pagetable.New(),
 		Prog:     prog,
-		threads:  make(map[TID]*Thread),
+		threads:  []*Thread{nil},
 		locks:    make(map[int64]*lockState),
 		barriers: make(map[int64]*barrierState),
 		brk:      isa.HeapBase,
 		mmapNext: isa.MmapBase,
-		nextTID:  1,
 	}
 	p.bus = directBus{p}
 

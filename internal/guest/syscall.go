@@ -184,8 +184,8 @@ func (p *Process) DoSyscall(t *Thread, num int64) (SyscallResult, error) {
 
 	case isa.SysThreadJoin:
 		target := TID(t.Regs[isa.R0])
-		tt, ok := p.threads[target]
-		if !ok {
+		tt := p.Thread(target)
+		if tt == nil {
 			return SyscallDone, fmt.Errorf("guest: join of unknown thread %d", target)
 		}
 		if tt.State == Done {
@@ -228,7 +228,7 @@ func (p *Process) DoSyscall(t *Thread, num int64) (SyscallResult, error) {
 					p.wake(a)
 				}
 				if p.Hooks.BarrierRelease != nil {
-					p.Hooks.BarrierRelease(p.threads[a], id)
+					p.Hooks.BarrierRelease(p.Thread(a), id)
 				}
 			}
 			b.arrived = b.arrived[:0]

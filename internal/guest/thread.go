@@ -63,8 +63,7 @@ func (t *Thread) String() string { return fmt.Sprintf("thread %d (%s)", t.ID, t.
 // newThread allocates a TID and a private stack, initializes registers and
 // enqueues the thread.
 func (p *Process) newThread(entry isa.PC, arg uint64, creator TID) *Thread {
-	id := p.nextTID
-	p.nextTID++
+	id := TID(len(p.threads))
 	stackBase := isa.StackBase + uint64(id-1)*isa.StackStride
 	stack := p.addVMA(stackBase, int(isa.StackSize/vm.PageSize), pagetable.ProtRW,
 		VMAStack, "stack"+strconv.Itoa(int(id)))
@@ -72,7 +71,8 @@ func (p *Process) newThread(entry isa.PC, arg uint64, creator TID) *Thread {
 	t.Regs[isa.R0] = arg
 	t.Regs[isa.TP] = stack.Base
 	t.Regs[isa.SP] = stack.End() - 8
-	p.threads[id] = t
+	p.threads = append(p.threads, t)
+	p.live++
 	p.runq = append(p.runq, id)
 	if p.Hooks.ThreadStarted != nil {
 		p.Hooks.ThreadStarted(t, creator)
@@ -80,48 +80,37 @@ func (p *Process) newThread(entry isa.PC, arg uint64, creator TID) *Thread {
 	return t
 }
 
-// Thread returns the thread with the given id, or nil.
-func (p *Process) Thread(id TID) *Thread { return p.threads[id] }
+// Thread returns the thread with the given id, or nil when no thread has
+// it (NoTID, a negative id or one not yet created).
+func (p *Process) Thread(id TID) *Thread {
+	if id < 0 || int(id) >= len(p.threads) {
+		return nil
+	}
+	return p.threads[id]
+}
 
 // Threads returns all thread ids in creation order.
 func (p *Process) Threads() []TID {
-	out := make([]TID, 0, len(p.threads))
-	for id := TID(1); id < p.nextTID; id++ {
-		if _, ok := p.threads[id]; ok {
-			out = append(out, id)
-		}
+	out := make([]TID, 0, len(p.threads)-1)
+	for id := TID(1); int(id) < len(p.threads); id++ {
+		out = append(out, id)
 	}
 	return out
 }
 
 // Current returns the currently scheduled thread, or nil when the process
 // has no runnable work.
-func (p *Process) Current() *Thread {
-	if p.current == NoTID {
-		return nil
-	}
-	return p.threads[p.current]
-}
+func (p *Process) Current() *Thread { return p.Thread(p.current) }
 
 // Alive reports whether any thread can still make progress.
-func (p *Process) Alive() bool {
-	if p.Exited {
-		return false
-	}
-	for _, t := range p.threads {
-		if t.State != Done {
-			return true
-		}
-	}
-	return false
-}
+func (p *Process) Alive() bool { return !p.Exited && p.live > 0 }
 
 // Deadlocked reports whether live threads exist but none are runnable.
 func (p *Process) Deadlocked() bool {
 	if !p.Alive() {
 		return false
 	}
-	for _, t := range p.threads {
+	for _, t := range p.threads[1:] {
 		if t.State == Runnable {
 			return false
 		}
@@ -135,29 +124,30 @@ func (p *Process) Deadlocked() bool {
 func (p *Process) Schedule() *Thread {
 	old := p.current
 	// Rotate the current thread (if still runnable) to the back.
-	if cur, ok := p.threads[old]; ok && cur.State == Runnable {
+	if cur := p.Thread(old); cur != nil && cur.State == Runnable {
 		p.runq = append(p.runq, old)
 	}
-	next := NoTID
+	var next *Thread
 	for len(p.runq) > 0 {
-		cand := p.runq[0]
+		cand := p.Thread(p.runq[0])
 		p.runq = popFront(p.runq)
-		if t, ok := p.threads[cand]; ok && t.State == Runnable {
+		if cand != nil && cand.State == Runnable {
 			next = cand
 			break
 		}
 	}
-	p.current = next
-	if next == NoTID {
+	if next == nil {
+		p.current = NoTID
 		return nil
 	}
-	if next != old {
+	p.current = next.ID
+	if next.ID != old {
 		p.ContextSwitches++
 		if p.Hooks.ContextSwitch != nil {
-			p.Hooks.ContextSwitch(old, next)
+			p.Hooks.ContextSwitch(old, next.ID)
 		}
 	}
-	return p.threads[next]
+	return next
 }
 
 // popFront removes a FIFO's head by shifting the rest down in place. The
@@ -176,9 +166,9 @@ func (p *Process) block(t *Thread) {
 
 // wake makes a blocked thread runnable again.
 func (p *Process) wake(id TID) {
-	t, ok := p.threads[id]
-	if !ok || t.State != Blocked {
-		panic(fmt.Sprintf("guest: wake of %v in state %v", id, t.State))
+	t := p.Thread(id)
+	if t == nil || t.State != Blocked {
+		panic(fmt.Sprintf("guest: wake of thread %d, which is not blocked", id))
 	}
 	t.State = Runnable
 	p.runq = append(p.runq, id)
@@ -191,6 +181,7 @@ func (p *Process) wake(id TID) {
 // ExitThread halts t, wakes joiners, and reschedules if t was current.
 func (p *Process) ExitThread(t *Thread) {
 	t.State = Done
+	p.live--
 	if p.Hooks.ThreadExited != nil {
 		p.Hooks.ThreadExited(t)
 	}

@@ -7,8 +7,9 @@
 // metadata by 64-byte line of 8-byte blocks (§4.2). A Table therefore
 // stores aligned chunks of 64 inline cells keyed by the key's high bits,
 // behind a direct-mapped chunk cache: a lookup near a recently used chunk
-// is one tag comparison and an index, with no map operation, and
-// materializing a cell inside an existing chunk allocates nothing.
+// is one multiply, one tag comparison and an index, with no map
+// operation, and materializing a cell inside an existing chunk allocates
+// nothing.
 //
 // Chunks are small because a table costs the chunks it touches: AikidoVM
 // gives every thread its own shadow and override tables, filled lazily,
@@ -30,11 +31,21 @@ const (
 	chunkBits = 6
 	// chunkLen is the number of cells per chunk.
 	chunkLen = 1 << chunkBits
+	// cacheBits is log2 of cacheSlots.
+	cacheBits = 6
 	// cacheSlots sizes the direct-mapped chunk cache. Users alternate
 	// between regions (stack, globals, heap, mirrors) and keep several
 	// chunks live at once, which a single-entry memo would thrash on.
-	cacheSlots = 64
+	cacheSlots = 1 << cacheBits
 )
+
+// slotOf returns chunk n's chunk-cache slot: the top cacheBits bits of a
+// Fibonacci hash of the whole chunk number. Most address-space regions
+// start on 256 MiB boundaries, so their first chunks agree in all their
+// low bits: a slot taken from those bits would put the data, heap, mmap
+// and mirror bases and thread 1's stack in one slot, evicting each other.
+// The hash folds in every bit of n and still spreads consecutive chunks.
+func slotOf(n uint64) uint64 { return (n * 0x9E3779B97F4A7C15) >> (64 - cacheBits) }
 
 // Table holds one cell of type C per key. The zero value is an empty
 // table, ready for use.
@@ -57,7 +68,7 @@ type slot[C any] struct {
 // into the translation fast path.
 func (t *Table[C]) Get(key uint64) *C {
 	n := key >> chunkBits
-	s := &t.cache[n&(cacheSlots-1)]
+	s := &t.cache[slotOf(n)]
 	if s.tag != n+1 {
 		c := t.chunks[n]
 		if c == nil {
@@ -71,7 +82,7 @@ func (t *Table[C]) Get(key uint64) *C {
 // At returns the cell for key, materializing its chunk on first touch.
 func (t *Table[C]) At(key uint64) *C {
 	n := key >> chunkBits
-	s := &t.cache[n&(cacheSlots-1)]
+	s := &t.cache[slotOf(n)]
 	if s.tag != n+1 {
 		t.fill(s, n)
 	}

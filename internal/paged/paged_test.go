@@ -9,6 +9,32 @@ import (
 	"testing"
 )
 
+// chunksInSlot[s] lists the four smallest chunk numbers whose cache slot
+// is s, so a test can make chunks collide in the cache whatever slotOf
+// hashes.
+var chunksInSlot = func() (out [cacheSlots][4]uint64) {
+	var filled [cacheSlots]int
+	for n, left := uint64(0), cacheSlots*4; left > 0; n++ {
+		if s := slotOf(n); filled[s] < 4 {
+			out[s][filled[s]] = n
+			filled[s]++
+			left--
+		}
+	}
+	return out
+}()
+
+// collider returns a key in another chunk than key's whose chunk shares
+// key's cache slot, at the same in-chunk offset.
+func collider(key uint64) uint64 {
+	n := key >> chunkBits
+	m := n + 1
+	for slotOf(m) != slotOf(n) {
+		m++
+	}
+	return m<<chunkBits | key&(chunkLen-1)
+}
+
 // TestTableMatchesMap drives the table and a map with the same random
 // access stream — keys spread over more chunks than the chunk cache has
 // slots, so slots are evicted and refilled — and demands the same cell
@@ -18,7 +44,7 @@ func TestTableMatchesMap(t *testing.T) {
 	ref := map[uint64]uint64{}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 20000; i++ {
-		// 256 chunks, some 64 slots apart so they collide in the cache.
+		// 256 chunks over 64 slots, so chunks collide in the cache.
 		key := uint64(rng.Intn(256))<<chunkBits | uint64(rng.Intn(chunkLen))
 		c := tb.At(key)
 		if *c != ref[key] {
@@ -43,11 +69,11 @@ func TestCellIdentity(t *testing.T) {
 		t.Fatal("neighbouring keys share a cell")
 	}
 	// Evict k's cache slot with a colliding chunk, then come back.
-	tb.At(k + cacheSlots<<chunkBits)
+	tb.At(collider(k))
 	if tb.Get(k) != c {
 		t.Fatal("cell moved after its cache slot was evicted (Get)")
 	}
-	tb.At(k + cacheSlots<<chunkBits)
+	tb.At(collider(k))
 	if tb.At(k) != c {
 		t.Fatal("cell moved after its cache slot was evicted (At)")
 	}
@@ -58,7 +84,8 @@ func TestCellIdentity(t *testing.T) {
 // conflict eviction.
 func TestAtNoAllocs(t *testing.T) {
 	var tb Table[[3]uint64]
-	const a, b = uint64(0x2000), uint64(0x2000 + cacheSlots<<chunkBits)
+	a := uint64(0x2000)
+	b := collider(a)
 	tb.At(a)
 	tb.At(b)
 	next := a
@@ -100,16 +127,19 @@ func TestGetAbsentNoAllocs(t *testing.T) {
 // writes, At reads and Get reads, and checks every result against a map.
 // Keys span 256 chunks (four per cache slot) plus the top of the key
 // space, so lookups evict and refill slots and probe absent chunks. A
-// record's second byte is the chunk number and its third and fourth give
-// the in-chunk offset (b2<<1 | b3&1, reduced modulo chunkLen), so a corpus
-// entry names the same chunks and cache slots whatever the chunk size.
+// record's second byte b1 names the chunk: the (b1/64)-th smallest chunk
+// number whose cache slot is b1 mod 64. Its third and fourth give the
+// in-chunk offset (b2<<1 | b3&1, reduced modulo chunkLen). So a corpus
+// entry names the same cache slots whatever the slot function and the
+// chunk size: bytes 0, 64, 128 and 192 are four chunks in slot 0.
 func tableOracle(t *testing.T, data []byte) {
 	var tb Table[uint32]
 	ref := map[uint64]uint32{}
 	live := map[uint64]bool{} // materialized chunk numbers
 	for ; len(data) >= 4; data = data[4:] {
 		op, b1, b2, b3 := data[0], data[1], data[2], data[3]
-		key := uint64(b1)<<chunkBits | (uint64(b2)<<1|uint64(b3&1))&(chunkLen-1)
+		n := chunksInSlot[b1%cacheSlots][b1/cacheSlots]
+		key := n<<chunkBits | (uint64(b2)<<1|uint64(b3&1))&(chunkLen-1)
 		if op&0x80 != 0 {
 			key |= 1 << 63
 		}
