@@ -84,9 +84,9 @@ func matrixSpecs(scale float64) []runner.Spec {
 		bench = bench.WithScale(scale)
 		for _, m := range []core.Mode{core.ModeNative, core.ModeFastTrackFull, core.ModeAikidoFastTrack} {
 			specs = append(specs, runner.Spec{
-				Label:    bench.Name + "/" + m.String(),
-				Workload: bench.Spec,
-				Config:   core.DefaultConfig(m),
+				Label:  bench.Name + "/" + m.String(),
+				Source: bench.Spec,
+				Config: core.DefaultConfig(m),
 			})
 		}
 	}
@@ -219,7 +219,7 @@ func BenchmarkAblationMirror(b *testing.B) {
 		var res *core.Result
 		for i := 0; i < b.N; i++ {
 			cfg := core.DefaultConfig(core.ModeAikidoFastTrack)
-			cfg.NoMirror = true
+			cfg.Aikido.NoMirror = true
 			var err error
 			res, err = core.Run(prog, cfg)
 			if err != nil {
@@ -300,7 +300,7 @@ func BenchmarkAblationPaging(b *testing.B) {
 			var res *core.Result
 			for i := 0; i < b.N; i++ {
 				cfg := core.DefaultConfig(core.ModeAikidoFastTrack)
-				cfg.Paging = paging
+				cfg.Aikido.Paging = paging
 				var err error
 				res, err = core.Run(prog, cfg)
 				if err != nil {
@@ -337,7 +337,7 @@ func BenchmarkAblationSwitch(b *testing.B) {
 			var res *core.Result
 			for i := 0; i < b.N; i++ {
 				cfg := core.DefaultConfig(core.ModeAikidoFastTrack)
-				cfg.Switch = sw
+				cfg.Aikido.Switch = sw
 				var err error
 				res, err = core.Run(prog, cfg)
 				if err != nil {
@@ -372,7 +372,7 @@ func BenchmarkAblationProviders(b *testing.B) {
 			var res *core.Result
 			for i := 0; i < b.N; i++ {
 				cfg := core.DefaultConfig(core.ModeAikidoFastTrack)
-				cfg.Provider = kind
+				cfg.Aikido.Provider = kind
 				var err error
 				res, err = core.Run(prog, cfg)
 				if err != nil {

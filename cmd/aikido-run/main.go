@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	aikido-run [-bench NAME|all] [-mode native|dbi|fasttrack|aikido|profile]
-//	           [-analysis NAME[,NAME...]] [-max-findings N]
+//	aikido-run [-bench NAME|all] [-mode native|dbi|fasttrack|aikido]
+//	           [-analysis none|NAME[,NAME...]] [-max-findings N]
 //	           [-provider aikidovm|dos|dthreads] [-paging shadow|nested]
 //	           [-switch hypercall|segtrap|probe]
 //	           [-threads N] [-scale F] [-workers N] [-findings] [-list]
@@ -19,7 +19,14 @@
 // pass hosts every selected analysis, the paper's §7 framework claim in
 // flag form. The findings table is driven by the registry's uniform
 // findings surface: no per-detector switch exists here, and a newly
-// registered analysis shows up without touching this command.
+// registered analysis shows up without touching this command. The
+// default is the mode's core.DefaultConfig selection (FastTrack under
+// fasttrack and aikido); "-analysis none" selects none, which under
+// -mode aikido runs AikidoSD alone as a sharing profiler.
+//
+// A flag the selected stack would ignore (core.Config.Check) is a usage
+// error: -provider outside -mode aikido, -paging or -switch with another
+// provider than aikidovm, -analysis or -max-findings under native or dbi.
 //
 // The Aikido modes run with epoch demotion, core.DefaultConfig's default:
 // Shared pages that fall back to a single owner are demoted to
@@ -32,10 +39,10 @@
 // form ("sampled:<name>").
 //
 // Budgets and failures (see ARCHITECTURE.md): -max-cycles and
-// -cell-deadline bound each cell's simulated-cycle and wall-clock
-// consumption with typed budget errors; -keep-going records failing cells
-// in the report and finishes the rest of the sweep instead of aborting on
-// the first error.
+// -cell-deadline set each cell's core.Config.MaxCycles and MaxWall, which
+// bound its simulated-cycle and wall-clock consumption with typed budget
+// errors; -keep-going records failing cells in the report and finishes
+// the rest of the sweep instead of aborting on the first error.
 //
 // All execution goes through the concurrent runner (internal/runner):
 // -bench all shards the ten models across -workers pool workers, and the
@@ -44,8 +51,8 @@
 //
 // Exit codes: 0 clean, 1 findings reported, 2 cell error (a run failed,
 // even under -keep-going), 3 flag/usage errors (including a -scale that
-// is not a finite positive number and a negative -threads or
-// -max-findings).
+// is not a finite positive number, a negative -threads or -max-findings,
+// and a flag the selected stack would ignore).
 package main
 
 import (
@@ -77,8 +84,8 @@ func main() { os.Exit(run(os.Args[1:])) }
 func run(args []string) int {
 	fs := flag.NewFlagSet("aikido-run", flag.ContinueOnError)
 	bench := fs.String("bench", "fluidanimate", "benchmark name (see -list), or \"all\" to sweep every model")
-	mode := fs.String("mode", "aikido", "native, dbi, fasttrack, aikido, profile")
-	analyses := fs.String("analysis", "fasttrack", "comma-separated analyses to multiplex onto one pass (see -list-analyses)")
+	mode := fs.String("mode", "aikido", "native, dbi, fasttrack, aikido")
+	analyses := fs.String("analysis", "", "comma-separated analyses to multiplex onto one pass (see -list-analyses), or none (default: the mode's, fasttrack for fasttrack and aikido)")
 	maxFindings := fs.Int("max-findings", 0, "cap stored findings for the whole run, divided across the selected analyses (0 = each detector's default)")
 	prov := fs.String("provider", "aikidovm", "per-thread protection provider: aikidovm, dos, dthreads (§7.1)")
 	paging := fs.String("paging", "shadow", "AikidoVM paging mode: shadow, nested (§3.2.2)")
@@ -87,7 +94,6 @@ func run(args []string) int {
 	scale := fs.Float64("scale", 1.0, "workload size multiplier")
 	workers := fs.Int("workers", runtime.NumCPU(), "runner pool size for -bench all (results are identical at any value)")
 	findings := fs.Bool("findings", false, "print every detected race/warning/violation/flow")
-	races := fs.Bool("races", false, "alias for -findings")
 	list := fs.Bool("list", false, "list benchmarks and exit")
 	listAn := fs.Bool("list-analyses", false, "list registered analyses and exit")
 	maxCycles := fs.Uint64("max-cycles", 0, "per-cell simulated-cycle budget (0 = unlimited); overrun is a typed cell error")
@@ -99,8 +105,6 @@ func run(args []string) int {
 		}
 		return exitBadFlags
 	}
-	printFindings := *findings || *races
-
 	if *list {
 		for _, n := range parsec.Names() {
 			fmt.Println(n)
@@ -119,7 +123,6 @@ func run(args []string) int {
 		"dbi":       core.ModeDBI,
 		"fasttrack": core.ModeFastTrackFull,
 		"aikido":    core.ModeAikidoFastTrack,
-		"profile":   core.ModeAikidoProfile,
 	}[*mode]
 	if !ok {
 		fmt.Fprintf(os.Stderr, "aikido-run: unknown mode %q\n", *mode)
@@ -159,17 +162,22 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "aikido-run: invalid -threads %d (want 0 for the benchmark default, or a positive count)\n", *threads)
 		return exitBadFlags
 	}
-	if *maxFindings < 0 {
-		fmt.Fprintf(os.Stderr, "aikido-run: invalid -max-findings %d (want 0 for each detector's default, or a positive cap)\n", *maxFindings)
+	cfg := core.DefaultConfig(m)
+	if *analyses == "none" {
+		cfg.Analyses = nil
+	} else if *analyses != "" {
+		cfg.Analyses = analysis.ParseList(*analyses)
+	}
+	cfg.MaxFindings = *maxFindings
+	cfg.Aikido.Provider = pk
+	cfg.Aikido.Paging = pg
+	cfg.Aikido.Switch = sw
+	cfg.MaxCycles = *maxCycles
+	cfg.MaxWall = *cellDeadline
+	if err := cfg.Check(); err != nil {
+		fmt.Fprintf(os.Stderr, "aikido-run: %v\n", err)
 		return exitBadFlags
 	}
-	cfg := core.DefaultConfig(m)
-	cfg.Analyses = analysis.ParseList(*analyses)
-	cfg.MaxFindings = *maxFindings
-	cfg.Provider = pk
-	cfg.Paging = pg
-	cfg.Switch = sw
-	cfg.MaxCycles = *maxCycles
 
 	size := func(b parsec.Benchmark) parsec.Benchmark {
 		b = b.WithScale(*scale)
@@ -178,13 +186,13 @@ func run(args []string) int {
 		}
 		return b
 	}
-	ropt := runner.Options{KeepGoing: *keepGoing, CellDeadline: *cellDeadline}
+	ropt := runner.Options{KeepGoing: *keepGoing}
 
 	if *bench == "all" {
 		var specs []runner.Spec
 		for _, b := range parsec.All() {
 			b = size(b)
-			specs = append(specs, runner.Spec{Label: b.Name, Workload: b.Spec, Config: cfg})
+			specs = append(specs, runner.Spec{Label: b.Name, Source: b.Spec, Config: cfg})
 		}
 		ropt.Workers = *workers
 		rep, err := runner.Sweep(specs, ropt)
@@ -216,7 +224,7 @@ func run(args []string) int {
 		}
 		fmt.Printf("%-15s %14d %14d %14d %14d %9s %9d\n",
 			"total", cycles, instrs, memRefs, instrumented, "", total)
-		if printFindings {
+		if *findings {
 			for _, c := range rep.Cells {
 				if c.Res == nil {
 					continue
@@ -238,7 +246,7 @@ func run(args []string) int {
 	}
 	b = size(b)
 	ropt.Workers = 1
-	rep, err := runner.Sweep([]runner.Spec{{Label: b.Name, Workload: b.Spec, Config: cfg}}, ropt)
+	rep, err := runner.Sweep([]runner.Spec{{Label: b.Name, Source: b.Spec, Config: cfg}}, ropt)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "aikido-run: %v\n", err)
 		return exitCellError
@@ -256,8 +264,12 @@ func run(args []string) int {
 	fmt.Printf("memory refs      %d\n", res.Engine.MemRefs)
 	fmt.Printf("instrumented     %d\n", res.Engine.InstrumentedExecs)
 	fmt.Printf("context switches %d\n", res.GuestContextSwitches)
-	if m == core.ModeAikidoFastTrack || m == core.ModeAikidoProfile {
-		fmt.Printf("provider         %s (paging %s, switch %s)\n", pk, pg, sw)
+	if m == core.ModeAikidoFastTrack {
+		if pk == provider.AikidoVM {
+			fmt.Printf("provider         %s (paging %s, switch %s)\n", pk, pg, sw)
+		} else {
+			fmt.Printf("provider         %s\n", pk)
+		}
 		fmt.Printf("shared accesses  %d (%.2f%% of memory refs)\n",
 			res.SD.SharedPageAccesses, 100*res.SharedAccessFraction())
 		fmt.Printf("pages private    %d\n", res.SD.PagesPrivate)
@@ -283,7 +295,7 @@ func run(args []string) int {
 		fmt.Printf("analysis         %s: %s\n", name, f.Summary())
 		fmt.Printf("findings         %d\n", f.Len())
 		total += f.Len()
-		if printFindings {
+		if *findings {
 			for _, line := range f.Strings() {
 				fmt.Printf("  %s\n", line)
 			}

@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"io"
+	"os"
+	"strings"
+	"testing"
+)
 
 // TestRunRejectsBadScale: a -scale that is not a finite positive number
 // is a usage error, not a run at some other size.
@@ -12,9 +17,12 @@ func TestRunRejectsBadScale(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadFlags: a negative -threads or -max-findings and the
-// deleted -dispatch, -epoch and -chaos flags are usage errors; none of
-// them runs anything.
+// TestRunRejectsBadFlags: a negative -threads or -max-findings, the
+// deleted -dispatch, -epoch, -chaos and -races flags and the deleted
+// profile mode are usage errors, and so is every flag the selected stack
+// would ignore: paging and switch settings under a provider other than
+// AikidoVM, provider settings outside the Aikido mode, and analyses or a
+// findings cap in the native and dbi modes. None of them runs anything.
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-bench", "fluidanimate", "-threads", "-2"},
@@ -22,6 +30,13 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-bench", "fluidanimate", "-epoch"},
 		{"-bench", "fluidanimate", "-chaos", "X"},
 		{"-bench", "canneal", "-scale", "0.05", "-max-findings", "-1"},
+		{"-bench", "vips", "-scale", "0.05", "-mode", "profile"},
+		{"-bench", "vips", "-scale", "0.05", "-races"},
+		{"-bench", "vips", "-scale", "0.05", "-provider", "dos", "-paging", "nested", "-switch", "probe"},
+		{"-bench", "vips", "-scale", "0.05", "-provider", "dthreads", "-switch", "segtrap"},
+		{"-bench", "vips", "-scale", "0.05", "-mode", "native", "-provider", "dthreads", "-paging", "nested"},
+		{"-bench", "vips", "-scale", "0.05", "-mode", "dbi", "-analysis", "lockset"},
+		{"-bench", "vips", "-scale", "0.05", "-mode", "native", "-max-findings", "5"},
 	} {
 		if code := run(args); code != exitBadFlags {
 			t.Errorf("run(%v) = %d, want %d", args, code, exitBadFlags)
@@ -42,4 +57,40 @@ func TestRunCellErrorExit(t *testing.T) {
 			t.Errorf("run(%v) = %d, want %d", args, code, exitCellError)
 		}
 	}
+}
+
+// TestRunAnalysisNone: "-analysis none" under -mode aikido runs AikidoSD
+// alone, a sharing profiler: the run is clean and prints its sharing
+// statistics but no analysis line.
+func TestRunAnalysisNone(t *testing.T) {
+	out, code := runCaptured(t, "-bench", "vips", "-scale", "0.05", "-mode", "aikido", "-analysis", "none")
+	if code != exitClean {
+		t.Errorf("exit = %d, want %d", code, exitClean)
+	}
+	if !strings.Contains(out, "\nshared accesses ") {
+		t.Errorf("no sharing statistics in:\n%s", out)
+	}
+	if strings.Contains(out, "\nanalysis ") {
+		t.Errorf("an analysis ran:\n%s", out)
+	}
+}
+
+// runCaptured calls run with args and returns what it printed to stdout.
+func runCaptured(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = stdout }()
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	code := run(args)
+	w.Close()
+	return <-out, code
 }

@@ -78,7 +78,7 @@ func main() {
 	// single instrumented execution out to LockSet and FastTrack, so the
 	// comparison below comes from one run, not two.
 	cfg := core.DefaultConfig(core.ModeAikidoFastTrack).WithAnalyses("lockset", "fasttrack")
-	cfg.Engine.Quantum = 50
+	cfg.Quantum = 50
 	res, err := core.Run(prog, cfg)
 	if err != nil {
 		log.Fatal(err)

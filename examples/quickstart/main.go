@@ -52,7 +52,7 @@ func main() {
 	// Run natively (the normalization baseline), under full FastTrack,
 	// and under Aikido-FastTrack.
 	cfg := core.DefaultConfig(core.ModeAikidoFastTrack)
-	cfg.Engine.Quantum = 50 // fine-grained interleaving for the demo
+	cfg.Quantum = 50 // fine-grained interleaving for the demo
 	aikido, err := core.Run(prog, cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -63,7 +63,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fcfg := core.DefaultConfig(core.ModeFastTrackFull)
-	fcfg.Engine.Quantum = 50
+	fcfg.Quantum = 50
 	full, err := core.Run(prog, fcfg)
 	if err != nil {
 		log.Fatal(err)

@@ -74,7 +74,7 @@ func buildRNGProgram(nWorkers int, draws int64) (*isa.Program, uint64) {
 
 func run(prog *isa.Program, mode core.Mode) *core.Result {
 	cfg := core.DefaultConfig(mode)
-	cfg.Engine.Quantum = 60 // interleave generator calls
+	cfg.Quantum = 60 // interleave generator calls
 	res, err := core.Run(prog, cfg)
 	if err != nil {
 		log.Fatal(err)

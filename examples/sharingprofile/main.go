@@ -30,7 +30,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := core.Run(prog, core.DefaultConfig(core.ModeAikidoProfile))
+		res, err := core.Run(prog, core.DefaultConfig(core.ModeAikidoFastTrack).WithAnalyses())
 		if err != nil {
 			log.Fatalf("%s: %v", b.Name, err)
 		}

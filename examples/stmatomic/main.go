@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/dbi"
 	"repro/internal/isa"
 	"repro/internal/stm"
 	"repro/internal/vm"
@@ -93,8 +92,7 @@ func buildProgram() *isa.Program {
 }
 
 func run(strong bool, patch int) *stm.Result {
-	cfg := stm.Config{Strong: strong, PatchThreshold: patch, Engine: dbi.DefaultConfig()}
-	cfg.Engine.Quantum = 53 // frequent mid-transaction preemption
+	cfg := stm.Config{Strong: strong, PatchThreshold: patch, Quantum: 53} // frequent mid-transaction preemption
 	s, err := stm.New(buildProgram(), cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -11,7 +11,7 @@ func runWith(t *testing.T, prog *isa.Program, mode Mode, analyses ...string) *Re
 	t.Helper()
 	cfg := DefaultConfig(mode)
 	cfg.Analyses = analyses
-	cfg.Engine.Quantum = 50
+	cfg.Quantum = 50
 	res, err := Run(prog, cfg)
 	if err != nil {
 		t.Fatalf("%v/%v: %v", mode, analyses, err)

@@ -1,0 +1,96 @@
+package core
+
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/hypervisor"
+	"repro/internal/provider"
+	"repro/internal/sharing"
+)
+
+// TestConfigCheck: Check accepts every mode's DefaultConfig and the eight
+// provider settings that take effect, and rejects every setting that is
+// invalid or that the selected stack would ignore, naming the field. Each
+// rejected config also fails NewSystem before anything is assembled: a
+// zero Quantum used to hang every mode, because a run that retires nothing
+// charges no cycle and never trips a budget.
+func TestConfigCheck(t *testing.T) {
+	with := func(cfg Config, set func(*Config)) Config {
+		set(&cfg)
+		return cfg
+	}
+	type row struct {
+		name  string
+		cfg   Config
+		field string // "" when the config is valid
+	}
+	rows := []row{
+		{"unknown mode", Config{Mode: ModeAikidoFastTrack + 1, Quantum: 1000}, "Mode"},
+	}
+	for _, m := range []Mode{ModeNative, ModeDBI, ModeFastTrackFull, ModeAikidoFastTrack} {
+		def := DefaultConfig(m)
+		rows = append(rows,
+			row{m.String() + " default", def, ""},
+			row{m.String() + " quantum 0", with(def, func(c *Config) { c.Quantum = 0 }), "Quantum"},
+			row{m.String() + " quantum 0 with a cycle budget",
+				with(def, func(c *Config) { c.Quantum, c.MaxCycles = 0, 1e6 }), "Quantum"},
+			row{m.String() + " negative max findings", with(def, func(c *Config) { c.MaxFindings = -1 }), "MaxFindings"},
+			row{m.String() + " max findings without analysis",
+				with(def.WithAnalyses(), func(c *Config) { c.MaxFindings = 5 }), "MaxFindings"})
+	}
+	for _, m := range []Mode{ModeNative, ModeDBI} {
+		rows = append(rows,
+			row{m.String() + " with fasttrack", DefaultConfig(m).WithAnalyses("fasttrack"), "Analyses"},
+			row{m.String() + " with lockset", DefaultConfig(m).WithAnalyses("lockset"), "Analyses"},
+			row{m.String() + " with an empty selection", DefaultConfig(m).WithAnalyses([]string{}...), ""})
+	}
+	for _, m := range []Mode{ModeFastTrackFull, ModeAikidoFastTrack} {
+		def := DefaultConfig(m)
+		rows = append(rows,
+			row{m.String() + " max findings", with(def, func(c *Config) { c.MaxFindings = 5 }), ""},
+			row{m.String() + " no analysis", def.WithAnalyses(), ""})
+	}
+	for _, m := range []Mode{ModeNative, ModeDBI, ModeFastTrackFull} {
+		def := DefaultConfig(m)
+		rows = append(rows,
+			row{m.String() + " provider", with(def, func(c *Config) { c.Aikido.Provider = provider.Dthreads }), "Aikido"},
+			row{m.String() + " paging", with(def, func(c *Config) { c.Aikido.Paging = hypervisor.NestedPaging }), "Aikido"},
+			row{m.String() + " switch", with(def, func(c *Config) { c.Aikido.Switch = hypervisor.SwitchProbe }), "Aikido"},
+			row{m.String() + " no-mirror", with(def, func(c *Config) { c.Aikido.NoMirror = true }), "Aikido"},
+			row{m.String() + " epochs", with(def, func(c *Config) { c.Aikido.Epoch = sharing.DefaultEpochPolicy() }), "Aikido"})
+	}
+	accepted := 0
+	for _, set := range providerSettings() {
+		field := ""
+		switch {
+		case set.takesEffect():
+			accepted++
+		case set.paging != hypervisor.ShadowPaging:
+			field = "Aikido.Paging"
+		default:
+			field = "Aikido.Switch"
+		}
+		rows = append(rows, row{set.String(), set.config(), field})
+	}
+	if accepted != 8 {
+		t.Errorf("%d provider settings take effect, want 8", accepted)
+	}
+
+	prog := privateProgram(1)
+	for _, r := range rows {
+		err := r.cfg.Check()
+		if r.field == "" {
+			if err != nil {
+				t.Errorf("%s: Check = %v, want nil", r.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "Config."+r.field+":") {
+			t.Errorf("%s: Check = %v, want an error naming Config.%s", r.name, err, r.field)
+		}
+		if _, err := NewSystem(prog, r.cfg); err == nil {
+			t.Errorf("%s: NewSystem accepted the config", r.name)
+		}
+	}
+}

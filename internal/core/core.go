@@ -22,13 +22,12 @@
 //   - ModeFastTrackFull: the selected analyses instrumenting every memory
 //     access (the paper's "FastTrack" bars under the default selection);
 //   - ModeAikidoFastTrack: the full Aikido stack (the "Aikido-FastTrack"
-//     bars);
-//   - ModeAikidoProfile: AikidoSD alone as a sharing profiler (no
-//     analysis), demonstrating that Aikido hosts other shared-data
-//     analyses.
+//     bars); with no analysis selected it is AikidoSD alone, a sharing
+//     profiler, which shows that Aikido hosts other shared-data analyses.
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -66,7 +65,6 @@ const (
 	ModeDBI
 	ModeFastTrackFull
 	ModeAikidoFastTrack
-	ModeAikidoProfile
 )
 
 // String names the mode as in the paper's figures.
@@ -80,17 +78,12 @@ func (m Mode) String() string {
 		return "FastTrack"
 	case ModeAikidoFastTrack:
 		return "Aikido-FastTrack"
-	case ModeAikidoProfile:
-		return "Aikido-profile"
 	}
 	return "mode?"
 }
 
-// DefaultAnalyses is the analysis selection used when Config.Analyses is
-// nil: the paper's FastTrack configuration.
-var DefaultAnalyses = []string{"fasttrack"}
-
-// Config parameterizes a System.
+// Config parameterizes a System. Check rejects a config that sets a field
+// its mode would ignore.
 type Config struct {
 	Mode Mode
 	// Analyses names the shared-data analyses to run, resolved through
@@ -99,27 +92,11 @@ type Config struct {
 	// short aliases like "ft"). Multiple names multiplex onto one
 	// instrumented execution; a selection that includes "spbags" runs
 	// the guest under the serial depth-first schedule, which every member
-	// then observes. nil selects DefaultAnalyses; an empty
-	// non-nil slice runs no analysis at all (instrumentation without a
-	// client — the cost floor the mux-equivalence tests subtract).
+	// then observes. nil and empty both run no analysis (instrumentation
+	// without a client, the cost floor the mux-equivalence tests subtract;
+	// under Aikido, AikidoSD alone profiles sharing). DefaultConfig
+	// selects FastTrack in the two analysis modes.
 	Analyses []string
-	Engine   dbi.Config
-
-	// Paging selects AikidoVM's memory-virtualization strategy (§3.2.2):
-	// shadow paging (the paper's prototype, the default) or nested paging
-	// (the paper's "generally applicable" claim, with per-thread EPT
-	// permission views and the mirror-alias registration it requires).
-	Paging hypervisor.PagingMode
-	// Switch selects how AikidoVM intercepts guest context switches
-	// (§3.2.3): kernel hypercall (default), FS/GS-write trap, or
-	// trampoline probe.
-	Switch hypervisor.SwitchInterception
-	// Provider selects the per-thread page-protection mechanism (§7.1):
-	// the AikidoVM hypervisor (default), the dOS-style modified kernel,
-	// or the DTHREADS-style processes-as-threads runtime. The analysis
-	// results are identical across providers; the costs and transparency
-	// are not.
-	Provider provider.Kind
 
 	// MaxFindings caps stored findings — races, warnings, violations,
 	// flows — uniformly for the whole run (0 = each detector's default):
@@ -129,21 +106,12 @@ type Config struct {
 	// every member, so multi-analysis runs silently stored members×N.)
 	MaxFindings int
 
-	// NoMirror is an ablation: instead of redirecting shared accesses to
-	// mirror pages, AikidoSD unprotects the page around every shared
-	// access and reprotects it afterwards (the strategy mirror pages
-	// exist to avoid; §3.3.2 and the Abadi et al. comparison in §7.2).
-	NoMirror bool
+	// Quantum is the scheduling quantum in retired instructions. A zero
+	// quantum would retire nothing, and no budget would stop the run.
+	Quantum uint64
 
-	// Epoch is the epoch-based re-privatization of Shared pages in the
-	// Aikido modes: pages dominated by one thread (or untouched) for
-	// consecutive epochs are demoted back to Private(owner)/Unused, their
-	// protections re-armed through the provider and their instrumented
-	// instructions flushed, so effectively-private data returns to
-	// native-speed execution. DefaultConfig sets
-	// sharing.DefaultEpochPolicy; the zero value is the paper's Figure 3
-	// machine, where Shared is terminal. See sharing.EpochPolicy.
-	Epoch sharing.EpochPolicy
+	// Aikido holds the settings only ModeAikidoFastTrack reads.
+	Aikido AikidoConfig
 
 	// MaxCycles caps the run's simulated cycles: a run whose clock
 	// exceeds it at a scheduling-quantum boundary aborts with a typed
@@ -154,21 +122,98 @@ type Config struct {
 	// MaxWall caps the run's real (wall-clock) time, checked on the same
 	// quantum seam; exceeding it aborts with a typed *BudgetError. Wall
 	// time is inherently nondeterministic — deterministic byte-identity
-	// suites must leave it 0. The runner's Options.CellDeadline fills
-	// this per cell when unset.
+	// suites must leave it 0.
 	MaxWall time.Duration
 }
 
-// DefaultConfig returns the standard configuration for a mode, with epoch
-// demotion on.
-func DefaultConfig(m Mode) Config {
-	return Config{Mode: m, Engine: dbi.DefaultConfig(), Epoch: sharing.DefaultEpochPolicy()}
+// AikidoConfig configures the Aikido stack: the protection provider, its
+// paging and context-switch mechanisms, and AikidoSD's own options.
+type AikidoConfig struct {
+	// Provider selects the per-thread page-protection mechanism (§7.1):
+	// the AikidoVM hypervisor (default), the dOS-style modified kernel,
+	// or the DTHREADS-style processes-as-threads runtime. The analysis
+	// results are identical across providers; the costs and transparency
+	// are not.
+	Provider provider.Kind
+	// Paging selects AikidoVM's memory-virtualization strategy (§3.2.2):
+	// shadow paging (the paper's prototype, the default) or nested paging
+	// (the paper's "generally applicable" claim, with per-thread EPT
+	// permission views and the mirror-alias registration it requires).
+	Paging hypervisor.PagingMode
+	// Switch selects how AikidoVM intercepts guest context switches
+	// (§3.2.3): kernel hypercall (default), FS/GS-write trap, or
+	// trampoline probe.
+	Switch hypervisor.SwitchInterception
+
+	// NoMirror is an ablation: instead of redirecting shared accesses to
+	// mirror pages, AikidoSD unprotects the page around every shared
+	// access and reprotects it afterwards (the strategy mirror pages
+	// exist to avoid; §3.3.2 and the Abadi et al. comparison in §7.2).
+	NoMirror bool
+
+	// Epoch is the epoch-based re-privatization of Shared pages: pages
+	// dominated by one thread (or untouched) for consecutive epochs are
+	// demoted back to Private(owner)/Unused, their protections re-armed
+	// through the provider and their instrumented instructions flushed,
+	// so effectively-private data returns to native-speed execution.
+	// DefaultConfig sets sharing.DefaultEpochPolicy; the zero value is
+	// the paper's Figure 3 machine, where Shared is terminal. See
+	// sharing.EpochPolicy.
+	Epoch sharing.EpochPolicy
 }
 
-// WithAnalyses returns a copy of the config selecting the named analyses.
+// DefaultConfig returns the standard configuration for a mode: the
+// engine's default quantum, FastTrack in the two analysis modes, and
+// epoch demotion on in ModeAikidoFastTrack.
+func DefaultConfig(m Mode) Config {
+	c := Config{Mode: m, Quantum: dbi.DefaultConfig().Quantum}
+	switch m {
+	case ModeFastTrackFull:
+		c.Analyses = []string{"fasttrack"}
+	case ModeAikidoFastTrack:
+		c.Analyses = []string{"fasttrack"}
+		c.Aikido.Epoch = sharing.DefaultEpochPolicy()
+	}
+	return c
+}
+
+// WithAnalyses returns a copy of the config selecting the named analyses;
+// with no names it selects none.
 func (c Config) WithAnalyses(names ...string) Config {
 	c.Analyses = names
 	return c
+}
+
+// Check reports the first setting of c that is invalid or that the
+// selected mode would ignore. Each error names the Config field.
+func (c Config) Check() error {
+	if c.Mode > ModeAikidoFastTrack {
+		return fmt.Errorf("core: Config.Mode: unknown mode %d", c.Mode)
+	}
+	if c.Quantum == 0 {
+		return errors.New("core: Config.Quantum: 0 retires no instruction (want > 0)")
+	}
+	if c.MaxFindings < 0 {
+		return fmt.Errorf("core: Config.MaxFindings: %d is negative (want 0 for each detector's default, or a positive cap)", c.MaxFindings)
+	}
+	if (c.Mode == ModeNative || c.Mode == ModeDBI) && len(c.Analyses) > 0 {
+		return fmt.Errorf("core: Config.Analyses: %v, but mode %s runs no analysis", c.Analyses, c.Mode)
+	}
+	if c.MaxFindings > 0 && len(c.Analyses) == 0 {
+		return fmt.Errorf("core: Config.MaxFindings: %d, but no analysis is selected", c.MaxFindings)
+	}
+	if c.Mode != ModeAikidoFastTrack && c.Aikido != (AikidoConfig{}) {
+		return fmt.Errorf("core: Config.Aikido: set, but mode %s builds no Aikido stack", c.Mode)
+	}
+	if a := c.Aikido; a.Provider != provider.AikidoVM {
+		if a.Paging != hypervisor.ShadowPaging {
+			return fmt.Errorf("core: Config.Aikido.Paging: %s, but provider %s has no hypervisor paging", a.Paging, a.Provider)
+		}
+		if a.Switch != hypervisor.SwitchHypercall {
+			return fmt.Errorf("core: Config.Aikido.Switch: %s, but provider %s has no hypervisor switch interception", a.Switch, a.Provider)
+		}
+	}
+	return nil
 }
 
 // System is one assembled simulation.
@@ -185,8 +230,8 @@ type System struct {
 	Mir  *mirror.Manager        // nil unless Aikido mode
 	SD   *sharing.Detector      // nil unless Aikido mode
 
-	// Analyses are the active analyses in configuration order (empty in
-	// native/dbi/profile modes). Callers needing a concrete detector's
+	// Analyses are the active analyses in configuration order (empty when
+	// none is selected). Callers needing a concrete detector's
 	// extended surface (equivalence tests, taint source/sink setup)
 	// type-assert the members.
 	Analyses []analysis.Analysis
@@ -216,15 +261,11 @@ func (s *System) Analysis(name string) analysis.Analysis {
 // applied through the mux so its per-run budget division governs
 // multi-analysis selections.
 func (s *System) newAnalyses() (analysis.Analysis, error) {
-	names := s.Cfg.Analyses
-	if names == nil {
-		names = DefaultAnalyses
-	}
-	if len(names) == 0 {
+	if len(s.Cfg.Analyses) == 0 {
 		return nil, nil
 	}
 	env := analysis.Env{Clock: s.Clock, Process: s.Process, Umbra: s.Um}
-	as, err := analysis.NewAll(names, env)
+	as, err := analysis.NewAll(s.Cfg.Analyses, env)
 	if err != nil {
 		return nil, err
 	}
@@ -236,8 +277,11 @@ func (s *System) newAnalyses() (analysis.Analysis, error) {
 	return m, nil
 }
 
-// NewSystem loads prog and assembles the configured stack.
+// NewSystem checks cfg, loads prog and assembles the configured stack.
 func NewSystem(prog *isa.Program, cfg Config) (*System, error) {
+	if err := cfg.Check(); err != nil {
+		return nil, err
+	}
 	m := vm.NewMachine()
 	p, err := guest.NewProcess(m, prog)
 	if err != nil {
@@ -245,15 +289,12 @@ func NewSystem(prog *isa.Program, cfg Config) (*System, error) {
 	}
 	clock := &stats.Clock{}
 	s := &System{Cfg: cfg, Machine: m, Process: p, Clock: clock}
+	// Native time is pure instruction cost: no code-cache accounting.
+	ecfg := dbi.Config{Quantum: cfg.Quantum, ChargeDBI: cfg.Mode != ModeNative}
 
 	switch cfg.Mode {
-	case ModeNative:
-		ecfg := cfg.Engine
-		ecfg.ChargeDBI = false
+	case ModeNative, ModeDBI:
 		s.Engine = dbi.New(p, nil, nil, clock, ecfg)
-
-	case ModeDBI:
-		s.Engine = dbi.New(p, nil, nil, clock, cfg.Engine)
 
 	case ModeFastTrackFull:
 		s.Um = umbra.Attach(p, clock)
@@ -261,47 +302,39 @@ func NewSystem(prog *isa.Program, cfg Config) (*System, error) {
 			return nil, err
 		}
 		tool := newFullTool(s.Um, s.an)
-		s.Engine = dbi.New(p, nil, tool, clock, cfg.Engine)
+		s.Engine = dbi.New(p, nil, tool, clock, ecfg)
 
-	case ModeAikidoFastTrack, ModeAikidoProfile:
-		switch cfg.Provider {
+	case ModeAikidoFastTrack:
+		a := cfg.Aikido
+		switch a.Provider {
 		case provider.DOS:
 			s.Prov = provider.NewDOS(p, clock)
 		case provider.Dthreads:
 			s.Prov = provider.NewDthreads(p, clock)
 		default:
-			if cfg.Paging == hypervisor.NestedPaging {
+			if a.Paging == hypervisor.NestedPaging {
 				s.HV = hypervisor.NewNested(m, p.PT, clock)
 			} else {
 				s.HV = hypervisor.New(m, p.PT, clock)
 			}
-			s.HV.SetSwitchInterception(cfg.Switch)
+			s.HV.SetSwitchInterception(a.Switch)
 			s.Prov = provider.NewAikidoVM(p, s.HV, clock)
 		}
 		p.SetBus(provider.KernelBus(s.Prov))
 		s.Um = umbra.Attach(p, clock)
 		s.Mir = mirror.Attach(p)
-		var client sharing.Analysis
-		if cfg.Mode == ModeAikidoFastTrack {
-			if s.an, err = s.newAnalyses(); err != nil {
-				return nil, err
-			}
-			if s.an != nil {
-				client = s.an
-			}
+		if s.an, err = s.newAnalyses(); err != nil {
+			return nil, err
 		}
-		s.SD = sharing.Attach(p, s.Prov, s.Um, s.Mir, client, clock)
-		if cfg.NoMirror {
+		s.SD = sharing.Attach(p, s.Prov, s.Um, s.Mir, s.an, clock)
+		if a.NoMirror {
 			s.SD.DisableMirror()
 		}
-		s.Engine = dbi.New(p, s.Prov, s.SD, clock, cfg.Engine)
+		s.Engine = dbi.New(p, s.Prov, s.SD, clock, ecfg)
 		s.SD.SetEngine(s.Engine)
 		s.Engine.OnFault = s.SD.HandleFault
 		s.Engine.RuntimeTouch = s.SD.TouchCode
-		s.SD.EnableEpochs(cfg.Epoch)
-
-	default:
-		return nil, fmt.Errorf("core: unknown mode %d", cfg.Mode)
+		s.SD.EnableEpochs(a.Epoch)
 	}
 
 	s.wireHooks()

@@ -91,6 +91,18 @@ func mustRun(t *testing.T, prog *isa.Program, mode Mode) *Result {
 	return res
 }
 
+// everyStack is one config per stack NewSystem builds: each mode with its
+// default selection, then Aikido with no analysis (AikidoSD alone).
+func everyStack() []Config {
+	return []Config{
+		DefaultConfig(ModeNative),
+		DefaultConfig(ModeDBI),
+		DefaultConfig(ModeFastTrackFull),
+		DefaultConfig(ModeAikidoFastTrack),
+		DefaultConfig(ModeAikidoFastTrack).WithAnalyses(),
+	}
+}
+
 func TestAllModesProduceSameProgramResult(t *testing.T) {
 	// The observable behaviour (console output) must be identical in
 	// every mode: instrumentation must be transparent.
@@ -124,10 +136,13 @@ func TestAllModesProduceSameProgramResult(t *testing.T) {
 	prog := b.MustFinish()
 
 	want := string(rune(42 + '0'))
-	for _, mode := range []Mode{ModeNative, ModeDBI, ModeFastTrackFull, ModeAikidoFastTrack, ModeAikidoProfile} {
-		res := mustRun(t, prog, mode)
+	for _, cfg := range everyStack() {
+		res, err := Run(prog, cfg)
+		if err != nil {
+			t.Fatalf("%v %v: %v", cfg.Mode, cfg.Analyses, err)
+		}
 		if res.Console != want {
-			t.Errorf("%v: console = %q, want %q", mode, res.Console, want)
+			t.Errorf("%v %v: console = %q, want %q", cfg.Mode, cfg.Analyses, res.Console, want)
 		}
 	}
 }
@@ -157,21 +172,21 @@ func TestPageStraddlingAccessAllModes(t *testing.T) {
 	b.Halt()
 	prog := b.MustFinish()
 
-	for _, mode := range []Mode{ModeNative, ModeDBI, ModeFastTrackFull, ModeAikidoFastTrack, ModeAikidoProfile} {
+	for _, cfg := range everyStack() {
 		res, err := func() (res *Result, err error) {
 			defer func() {
 				if r := recover(); r != nil {
 					err = fmt.Errorf("panic: %v", r)
 				}
 			}()
-			return Run(prog, DefaultConfig(mode))
+			return Run(prog, cfg)
 		}()
 		if err != nil {
-			t.Errorf("%v: %v", mode, err)
+			t.Errorf("%v %v: %v", cfg.Mode, cfg.Analyses, err)
 			continue
 		}
 		if res.Console != string(want) {
-			t.Errorf("%v: console = % x, want % x", mode, res.Console, want)
+			t.Errorf("%v %v: console = % x, want % x", cfg.Mode, cfg.Analyses, res.Console, want)
 		}
 	}
 }
@@ -187,8 +202,7 @@ func TestFallThroughGuestFails(t *testing.T) {
 	b.MovImm(isa.R4, 1)
 	prog := b.MustFinish()
 
-	for _, mode := range []Mode{ModeNative, ModeDBI, ModeFastTrackFull, ModeAikidoFastTrack, ModeAikidoProfile} {
-		cfg := DefaultConfig(mode)
+	for _, cfg := range everyStack() {
 		cfg.MaxCycles = 1e6
 		done := make(chan error, 1)
 		go func() {
@@ -198,10 +212,10 @@ func TestFallThroughGuestFails(t *testing.T) {
 		select {
 		case err := <-done:
 			if err == nil || !strings.Contains(err.Error(), "thread 1 pc 1: outside the program") {
-				t.Errorf("%v: err = %v, want thread 1 pc 1 outside the program", mode, err)
+				t.Errorf("%v %v: err = %v, want thread 1 pc 1 outside the program", cfg.Mode, cfg.Analyses, err)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatalf("%v: run past the end of the program did not return", mode)
+			t.Fatalf("%v %v: run past the end of the program did not return", cfg.Mode, cfg.Analyses)
 		}
 	}
 }
@@ -282,7 +296,7 @@ func TestRacyCounterCaughtByBothDetectors(t *testing.T) {
 	prog := sharedProgram(60, false)
 	runFine := func(mode Mode) *Result {
 		cfg := DefaultConfig(mode)
-		cfg.Engine.Quantum = 50
+		cfg.Quantum = 50
 		res, err := Run(prog, cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
@@ -385,7 +399,7 @@ func TestNoMirrorAblationCorrectAndSlower(t *testing.T) {
 	normal := mustRun(t, prog, ModeAikidoFastTrack)
 
 	cfg := DefaultConfig(ModeAikidoFastTrack)
-	cfg.NoMirror = true
+	cfg.Aikido.NoMirror = true
 	nom, err := Run(prog, cfg)
 	if err != nil {
 		t.Fatalf("no-mirror run failed: %v", err)
@@ -411,14 +425,19 @@ func TestDBIOverheadBetweenNativeAndAnalysis(t *testing.T) {
 	}
 }
 
+// TestAikidoProfileMode: Aikido with no analysis selected is AikidoSD
+// alone, a sharing profiler.
 func TestAikidoProfileMode(t *testing.T) {
 	prog := sharedProgram(50, true)
-	res := mustRun(t, prog, ModeAikidoProfile)
-	if res.SD.PagesShared == 0 {
-		t.Error("profile mode detected no sharing")
+	res, err := Run(prog, DefaultConfig(ModeAikidoFastTrack).WithAnalyses())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ftOf(res).Reads+ftOf(res).Writes != 0 {
-		t.Error("profile mode ran an analysis")
+	if res.SD.PagesShared == 0 {
+		t.Error("profile run detected no sharing")
+	}
+	if len(res.Findings) != 0 || ftOf(res).Reads+ftOf(res).Writes != 0 {
+		t.Error("profile run ran an analysis")
 	}
 }
 

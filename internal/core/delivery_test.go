@@ -159,11 +159,11 @@ func TestDeferredByteIdenticalOnParsec(t *testing.T) {
 			t.Fatalf("%s: build: %v", bench.Name, err)
 		}
 		for _, mode := range []Mode{ModeFastTrackFull, ModeAikidoFastTrack} {
-			for _, sel := range [][]string{nil, mux4} {
+			for _, sel := range [][]string{{"fasttrack"}, mux4} {
 				cfg := DefaultConfig(mode)
 				cfg.Analyses = sel
 				label := bench.Name + "/" + mode.String()
-				if sel != nil {
+				if len(sel) > 1 {
 					label += "/mux"
 				}
 				first := runCfg(t, prog, cfg)
@@ -206,7 +206,7 @@ func TestDeferredDrainPoints(t *testing.T) {
 	prog := burstProgram(n)
 	for _, quantum := range []uint64{50, 100000} {
 		cfg := DefaultConfig(ModeFastTrackFull)
-		cfg.Engine.Quantum = quantum
+		cfg.Quantum = quantum
 		c := ftOf(runCfg(t, prog, cfg))
 		if c.Writes != 2*n || c.Reads != 0 {
 			t.Errorf("quantum %d: analyzed %d writes and %d reads, want %d writes and 0 reads",
@@ -467,12 +467,12 @@ func TestPhaseByteIdentical(t *testing.T) {
 	}
 	for name, prog := range progs {
 		cfg := DefaultConfig(ModeAikidoFastTrack)
-		cfg.Epoch = sharing.EpochPolicy{}
+		cfg.Aikido.Epoch = sharing.EpochPolicy{}
 		plain := runCfg(t, prog, cfg)
-		cfg.Epoch = sharing.DefaultEpochPolicy()
+		cfg.Aikido.Epoch = sharing.DefaultEpochPolicy()
 		if name == "locked-counter" {
 			// Too short for a default epoch: sweep it many times.
-			cfg.Epoch = hotEpochPolicy()
+			cfg.Aikido.Epoch = hotEpochPolicy()
 		}
 		ep := runCfg(t, prog, cfg)
 		if !reflect.DeepEqual(racesOf(plain), racesOf(ep)) {
@@ -500,10 +500,10 @@ func TestPhaseByteIdentical(t *testing.T) {
 func TestPhaseSplitsHotPage(t *testing.T) {
 	prog := hotProgram(4, 3000)
 	cfg := DefaultConfig(ModeAikidoFastTrack)
-	cfg.Engine.Quantum = 200
-	cfg.Epoch = sharing.EpochPolicy{}
+	cfg.Quantum = 200
+	cfg.Aikido.Epoch = sharing.EpochPolicy{}
 	plain := runCfg(t, prog, cfg)
-	cfg.Epoch = hotEpochPolicy()
+	cfg.Aikido.Epoch = hotEpochPolicy()
 	ep := runCfg(t, prog, cfg)
 	if ep.SD.EpochSweeps < 4 {
 		t.Fatalf("only %d sweeps — the hot page was never classified", ep.SD.EpochSweeps)
@@ -528,10 +528,10 @@ func TestPhaseReconcilePreservesRaces(t *testing.T) {
 	prog := hotProgram(4, 2000)
 	for _, quantum := range []uint64{7, 53, 311, 977} {
 		cfg := DefaultConfig(ModeAikidoFastTrack)
-		cfg.Engine.Quantum = quantum
-		cfg.Epoch = sharing.EpochPolicy{}
+		cfg.Quantum = quantum
+		cfg.Aikido.Epoch = sharing.EpochPolicy{}
 		plain := runCfg(t, prog, cfg)
-		cfg.Epoch = hotEpochPolicy()
+		cfg.Aikido.Epoch = hotEpochPolicy()
 		ep := runCfg(t, prog, cfg)
 		if ep.SD.EpochSweeps == 0 {
 			t.Fatalf("quantum %d: no epoch sweep", quantum)
@@ -687,7 +687,7 @@ func TestVectorizedRingFullSplit(t *testing.T) {
 	prog := burstProgram(n)
 	for _, quantum := range []uint64{50, 100000} {
 		cfg := DefaultConfig(ModeFastTrackFull)
-		cfg.Engine.Quantum = quantum
+		cfg.Quantum = quantum
 		c := ftOf(runCfg(t, prog, cfg))
 		if c.SameEpoch != 2*(n-1) {
 			t.Errorf("quantum %d: %d same-epoch hits on two %d-write bursts, want %d",

@@ -34,7 +34,7 @@ func stripEpochCounters(c sharing.Counters) sharing.Counters {
 // be demonstrably armed: sweeps occur.
 func TestEpochParsecByteIdentical(t *testing.T) {
 	terminal := DefaultConfig(ModeAikidoFastTrack)
-	terminal.Epoch = sharing.EpochPolicy{}
+	terminal.Aikido.Epoch = sharing.EpochPolicy{}
 	for _, scale := range []float64{0.25, 0.1} {
 		swept := false
 		for _, bench := range parsec.All() {
@@ -83,7 +83,7 @@ func TestEpochParsecByteIdentical(t *testing.T) {
 func TestEpochPhasedSpeedup(t *testing.T) {
 	epochCfg := DefaultConfig(ModeAikidoFastTrack)
 	terminal := epochCfg
-	terminal.Epoch = sharing.EpochPolicy{}
+	terminal.Aikido.Epoch = sharing.EpochPolicy{}
 
 	phased := workload.PhasedSpec{
 		Name: "phased", Threads: 8, Phases: 6, PhaseIters: 200,
@@ -165,7 +165,7 @@ func TestEpochDisabledNeverTicks(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig(ModeAikidoFastTrack)
-	cfg.Epoch = sharing.EpochPolicy{}
+	cfg.Aikido.Epoch = sharing.EpochPolicy{}
 	res, err := Run(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +202,7 @@ func TestEpochFaultPathNeverTicks(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig(ModeAikidoFastTrack)
-	cfg.Epoch = sharing.EpochPolicy{Interval: 1, DemoteAfter: 2, QuietAfter: 6, MinOwnerHits: 4}
+	cfg.Aikido.Epoch = sharing.EpochPolicy{Interval: 1, DemoteAfter: 2, QuietAfter: 6, MinOwnerHits: 4}
 	res, err := Run(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -251,8 +251,8 @@ func TestEpochTickNoAllocs(t *testing.T) {
 	b.Halt()
 	prog := b.MustFinish()
 
-	cfg := DefaultConfig(ModeAikidoProfile)
-	cfg.Epoch = sharing.EpochPolicy{Interval: 500, QuietAfter: 250, MinOwnerHits: 1}
+	cfg := DefaultConfig(ModeAikidoFastTrack).WithAnalyses()
+	cfg.Aikido.Epoch = sharing.EpochPolicy{Interval: 500, QuietAfter: 250, MinOwnerHits: 1}
 	s, err := NewSystem(prog, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -105,10 +105,10 @@ func ExampleRun_fastTrackFull() {
 
 // ExampleRun_aikidoProfile runs AikidoSD with no attached analysis —
 // Aikido as a standalone sharing profiler (the framework is
-// analysis-agnostic; §1.1).
+// analysis-agnostic; §1.1). WithAnalyses with no names selects none.
 func ExampleRun_aikidoProfile() {
 	prog := exampleProgram()
-	res, err := core.Run(prog, core.DefaultConfig(core.ModeAikidoProfile))
+	res, err := core.Run(prog, core.DefaultConfig(core.ModeAikidoFastTrack).WithAnalyses())
 	if err != nil {
 		panic(err)
 	}
@@ -116,7 +116,7 @@ func ExampleRun_aikidoProfile() {
 	fmt.Println("sharing observed:", res.SD.PagesShared > 0 && res.SD.SharedPageAccesses > 0)
 	fmt.Println("races:", len(fasttrack.RacesIn(res.Findings)))
 	// Output:
-	// mode: Aikido-profile
+	// mode: Aikido-FastTrack
 	// sharing observed: true
 	// races: 0
 }

@@ -121,7 +121,7 @@ func epochCells() []goldenCell {
 	}
 	on := DefaultConfig(ModeAikidoFastTrack)
 	off := on
-	off.Epoch = sharing.EpochPolicy{}
+	off.Aikido.Epoch = sharing.EpochPolicy{}
 	shared := func(w io.Writer, r *Result) {
 		fmt.Fprintf(w, "shared-accesses %d\n", r.SD.SharedPageAccesses)
 	}
@@ -220,12 +220,12 @@ func configCells() []goldenCell {
 			src: src, cfg: cfg, counters: layers}
 	}
 	cells := []goldenCell{
-		aikido("provider=dos", func(c *Config) { c.Provider = provider.DOS }),
-		aikido("provider=dthreads", func(c *Config) { c.Provider = provider.Dthreads }),
-		aikido("paging=nested", func(c *Config) { c.Paging = hypervisor.NestedPaging }),
-		aikido("switch=segtrap", func(c *Config) { c.Switch = hypervisor.SwitchSegTrap }),
-		aikido("switch=probe", func(c *Config) { c.Switch = hypervisor.SwitchProbe }),
-		aikido("no-mirror", func(c *Config) { c.NoMirror = true }),
+		aikido("provider=dos", func(c *Config) { c.Aikido.Provider = provider.DOS }),
+		aikido("provider=dthreads", func(c *Config) { c.Aikido.Provider = provider.Dthreads }),
+		aikido("paging=nested", func(c *Config) { c.Aikido.Paging = hypervisor.NestedPaging }),
+		aikido("switch=segtrap", func(c *Config) { c.Aikido.Switch = hypervisor.SwitchSegTrap }),
+		aikido("switch=probe", func(c *Config) { c.Aikido.Switch = hypervisor.SwitchProbe }),
+		aikido("no-mirror", func(c *Config) { c.Aikido.NoMirror = true }),
 	}
 	for _, mode := range []Mode{ModeNative, ModeDBI} {
 		cells = append(cells, goldenCell{name: fmt.Sprintf("%s %s", src.SourceName(), mode),
@@ -239,7 +239,7 @@ func configCells() []goldenCell {
 	}}
 	for _, k := range []provider.Kind{provider.AikidoVM, provider.DOS, provider.Dthreads} {
 		cfg := DefaultConfig(ModeAikidoFastTrack)
-		cfg.Provider = k
+		cfg.Aikido.Provider = k
 		cells = append(cells, goldenCell{
 			name: fmt.Sprintf("kernel-write %s provider=%s", ModeAikidoFastTrack, k),
 			src:  kwrite, cfg: cfg, counters: layers})

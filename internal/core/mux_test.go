@@ -40,7 +40,7 @@ func runNamed(t *testing.T, prog *isa.Program, mode Mode, names []string) *Resul
 	t.Helper()
 	cfg := DefaultConfig(mode)
 	cfg.Analyses = names
-	cfg.Engine.Quantum = 50
+	cfg.Quantum = 50
 	res, err := Run(prog, cfg)
 	if err != nil {
 		t.Fatalf("%v/%v: %v", mode, names, err)
@@ -162,18 +162,24 @@ func TestMuxRunCheaperThanSequentialRuns(t *testing.T) {
 	}
 }
 
-// TestEmptyAnalysesRunsNone: an empty non-nil selection is the explicit
-// "instrument but analyze nothing" configuration, while nil selects the
-// FastTrack default.
+// TestEmptyAnalysesRunsNone: Config.Analyses is read literally. nil, an
+// empty slice and WithAnalyses() all instrument but analyze nothing, in
+// both analysis modes; only DefaultConfig selects FastTrack.
 func TestEmptyAnalysesRunsNone(t *testing.T) {
 	prog := sharedProgram(30, false)
-	none := runNamed(t, prog, ModeAikidoFastTrack, []string{})
-	if len(none.Findings) != 0 {
-		t.Errorf("empty selection produced findings map: %v", none.Findings)
-	}
-	def := runNamed(t, prog, ModeAikidoFastTrack, nil)
-	if def.AnalysisFindings("fasttrack") == nil {
-		t.Error("nil selection did not run the FastTrack default")
+	for _, mode := range []Mode{ModeFastTrackFull, ModeAikidoFastTrack} {
+		for _, cfg := range []Config{
+			DefaultConfig(mode).WithAnalyses(),
+			DefaultConfig(mode).WithAnalyses([]string{}...),
+			{Mode: mode, Quantum: DefaultConfig(mode).Quantum},
+		} {
+			if res := runCfg(t, prog, cfg); len(res.Findings) != 0 {
+				t.Errorf("%v %#v: no selection produced findings: %v", mode, cfg.Analyses, res.Findings)
+			}
+		}
+		if def := runCfg(t, prog, DefaultConfig(mode)); def.AnalysisFindings("fasttrack") == nil {
+			t.Errorf("%v: DefaultConfig did not run FastTrack", mode)
+		}
 	}
 }
 
@@ -213,7 +219,7 @@ func TestMaxFindingsIsPerRun(t *testing.T) {
 	// below is cap-limited, not supply-limited.
 	cfg := DefaultConfig(ModeFastTrackFull)
 	cfg.Analyses = []string{"fasttrack", "lockset"}
-	cfg.Engine.Quantum = 50
+	cfg.Quantum = 50
 
 	// An even budget splits exactly: 1 finding per member, 2 in total.
 	cfg.MaxFindings = 2

@@ -30,7 +30,7 @@ func TestPagingModesAgree(t *testing.T) {
 	}
 	run := func(paging hypervisor.PagingMode) *Result {
 		cfg := DefaultConfig(ModeAikidoFastTrack)
-		cfg.Paging = paging
+		cfg.Aikido.Paging = paging
 		r, err := Run(prog, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -71,7 +71,7 @@ func TestNestedPagingTradeoffVisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig(ModeAikidoFastTrack)
-	cfg.Paging = hypervisor.NestedPaging
+	cfg.Aikido.Paging = hypervisor.NestedPaging
 	s, err := NewSystem(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestSwitchInterceptionInvariant(t *testing.T) {
 		hypervisor.SwitchHypercall, hypervisor.SwitchSegTrap, hypervisor.SwitchProbe,
 	} {
 		cfg := DefaultConfig(ModeAikidoFastTrack)
-		cfg.Switch = sw
+		cfg.Aikido.Switch = sw
 		r, err := Run(prog, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -1,52 +1,97 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/hypervisor"
 	"repro/internal/provider"
 	"repro/internal/workload"
 )
 
-// TestProvidersAgree runs one workload under all three per-thread
-// protection providers (§7.1) and requires identical analysis results:
-// the provider is a mechanism choice, invisible to AikidoSD and FastTrack.
+// providerSetting is one provider × paging × switch combination of an
+// Aikido config.
+type providerSetting struct {
+	kind   provider.Kind
+	paging hypervisor.PagingMode
+	sw     hypervisor.SwitchInterception
+}
+
+func (p providerSetting) String() string {
+	return fmt.Sprintf("%v/%v/%v", p.kind, p.paging, p.sw)
+}
+
+// config is the default Aikido config with p's provider settings.
+func (p providerSetting) config() Config {
+	cfg := DefaultConfig(ModeAikidoFastTrack)
+	cfg.Aikido.Provider, cfg.Aikido.Paging, cfg.Aikido.Switch = p.kind, p.paging, p.sw
+	return cfg
+}
+
+// takesEffect reports whether every part of p runs: AikidoVM reads its
+// paging mode and switch interception (§3.2.2, §3.2.3), while dOS and
+// DTHREADS read neither, so only their defaults take effect.
+func (p providerSetting) takesEffect() bool {
+	return p.kind == provider.AikidoVM ||
+		p.paging == hypervisor.ShadowPaging && p.sw == hypervisor.SwitchHypercall
+}
+
+// providerSettings enumerates all 18 combinations, starting with the
+// default, AikidoVM with shadow paging and the kernel hypercall.
+func providerSettings() []providerSetting {
+	var out []providerSetting
+	for _, kind := range []provider.Kind{provider.AikidoVM, provider.DOS, provider.Dthreads} {
+		for _, paging := range []hypervisor.PagingMode{hypervisor.ShadowPaging, hypervisor.NestedPaging} {
+			for _, sw := range []hypervisor.SwitchInterception{
+				hypervisor.SwitchHypercall, hypervisor.SwitchSegTrap, hypervisor.SwitchProbe,
+			} {
+				out = append(out, providerSetting{kind, paging, sw})
+			}
+		}
+	}
+	return out
+}
+
+// TestProvidersAgree runs one workload under each of the eight provider
+// settings that take effect — AikidoVM under both paging modes (§3.2.2)
+// and all three context-switch interceptions (§3.2.3), plus the dOS and
+// DTHREADS providers (§7.1) — and requires what the analysis and the guest
+// see to equal the default setting's: sharing counters, races, FastTrack
+// work, console, exit code and retired memory refs. The provider, its
+// paging and its interception are mechanisms; only the cycle costs may
+// differ.
 func TestProvidersAgree(t *testing.T) {
 	prog, err := workload.Build(pagingSpec(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(kind provider.Kind) *Result {
-		cfg := DefaultConfig(ModeAikidoFastTrack)
-		cfg.Provider = kind
-		r, err := Run(prog, cfg)
+	var base *Result
+	for _, set := range providerSettings() {
+		if !set.takesEffect() {
+			continue
+		}
+		r, err := Run(prog, set.config())
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%v: %v", set, err)
 		}
-		return r
-	}
-	vm := run(provider.AikidoVM)
-	dos := run(provider.DOS)
-	procs := run(provider.Dthreads)
-
-	for _, tc := range []struct {
-		name string
-		r    *Result
-	}{{"dos", dos}, {"dthreads", procs}} {
-		if tc.r.SD != vm.SD {
-			t.Errorf("%s sharing counters diverge:\n%+v\nvs aikidovm:\n%+v", tc.name, tc.r.SD, vm.SD)
+		if base == nil {
+			base = r
+			continue
 		}
-		if len(racesOf(tc.r)) != len(racesOf(vm)) {
-			t.Errorf("%s races = %d, aikidovm = %d", tc.name, len(racesOf(tc.r)), len(racesOf(vm)))
+		if r.SD != base.SD {
+			t.Errorf("%v sharing counters diverge:\n%+v\nvs default:\n%+v", set, r.SD, base.SD)
 		}
-		if ftOf(tc.r) != ftOf(vm) {
-			t.Errorf("%s FastTrack work diverges", tc.name)
+		if len(racesOf(r)) != len(racesOf(base)) {
+			t.Errorf("%v races = %d, default = %d", set, len(racesOf(r)), len(racesOf(base)))
 		}
-		if tc.r.Console != vm.Console || tc.r.ExitCode != vm.ExitCode {
-			t.Errorf("%s guest-visible behaviour diverges", tc.name)
+		if ftOf(r) != ftOf(base) {
+			t.Errorf("%v FastTrack work diverges:\n%+v\nvs default:\n%+v", set, ftOf(r), ftOf(base))
 		}
-		if tc.r.Engine.MemRefs != vm.Engine.MemRefs {
-			t.Errorf("%s retired mem refs = %d, aikidovm = %d",
-				tc.name, tc.r.Engine.MemRefs, vm.Engine.MemRefs)
+		if r.Console != base.Console || r.ExitCode != base.ExitCode {
+			t.Errorf("%v guest-visible behaviour diverges", set)
+		}
+		if r.Engine.MemRefs != base.Engine.MemRefs {
+			t.Errorf("%v retired mem refs = %d, default = %d", set, r.Engine.MemRefs, base.Engine.MemRefs)
 		}
 	}
 }
@@ -61,9 +106,7 @@ func TestProviderOverheadsDiffer(t *testing.T) {
 	}
 	cycles := map[provider.Kind]uint64{}
 	for _, kind := range []provider.Kind{provider.AikidoVM, provider.DOS, provider.Dthreads} {
-		cfg := DefaultConfig(ModeAikidoFastTrack)
-		cfg.Provider = kind
-		r, err := Run(prog, cfg)
+		r, err := Run(prog, providerSetting{kind: kind}.config())
 		if err != nil {
 			t.Fatal(err)
 		}

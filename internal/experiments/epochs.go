@@ -82,9 +82,11 @@ func Epochs(o Options) ([]EpochRow, error) {
 	o = o.normalize()
 	suite := epochSuite(o)
 	epoch := core.DefaultConfig(core.ModeAikidoFastTrack)
-	epoch.Analyses = o.Analyses
+	if o.Analyses != nil {
+		epoch.Analyses = o.Analyses
+	}
 	base := epoch
-	base.Epoch = sharing.EpochPolicy{}
+	base.Aikido.Epoch = sharing.EpochPolicy{}
 
 	var specs []runner.Spec
 	for _, c := range suite {

@@ -38,8 +38,9 @@ type Options struct {
 	// (0 = runtime.NumCPU()). Results are identical at any value.
 	Workers int
 	// Analyses overrides the analysis selection for every
-	// analysis-bearing cell (registry names; nil = the default FastTrack
-	// configuration). Multiple names multiplex onto each cell's single
+	// analysis-bearing cell (registry names). nil keeps each cell's
+	// core.DefaultConfig selection, FastTrack; a non-nil empty slice runs
+	// no analysis. Multiple names multiplex onto each cell's single
 	// pass. CI diffs -analysis fasttrack against the default to pin the
 	// single-analysis path byte-identical through the registry seam.
 	Analyses []string
@@ -92,7 +93,7 @@ func races(r *core.Result) []fasttrack.Race {
 
 // cell is one matrix entry: benchmark b under cfg.
 func cell(b parsec.Benchmark, label string, cfg core.Config) runner.Spec {
-	return runner.Spec{Label: b.Name + "/" + label, Workload: b.Spec, Config: cfg}
+	return runner.Spec{Label: b.Name + "/" + label, Source: b.Spec, Config: cfg}
 }
 
 // sweepModes are the columns of every slowdown experiment, in
@@ -108,13 +109,14 @@ var sweepModes = []struct {
 	{"Aikido", core.ModeAikidoFastTrack},
 }
 
-// modeCells returns one cell per sweep mode for benchmark b. The analysis
-// selection applies to the analysis-bearing modes (native ignores it).
+// modeCells returns one cell per sweep mode for benchmark b. A non-nil
+// analysis selection replaces the default in the analysis-bearing modes
+// (native runs none).
 func (o Options) modeCells(b parsec.Benchmark) []runner.Spec {
 	specs := make([]runner.Spec, len(sweepModes))
 	for i, m := range sweepModes {
 		cfg := core.DefaultConfig(m.mode)
-		if m.mode != core.ModeNative {
+		if m.mode != core.ModeNative && o.Analyses != nil {
 			cfg.Analyses = o.Analyses
 		}
 		specs[i] = cell(b, m.label, cfg)
@@ -375,7 +377,7 @@ func ablationVariants() []struct {
 	cfg   core.Config
 } {
 	noMirror := core.DefaultConfig(core.ModeAikidoFastTrack)
-	noMirror.NoMirror = true
+	noMirror.Aikido.NoMirror = true
 	return []struct {
 		label string
 		cfg   core.Config

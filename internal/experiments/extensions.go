@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/core"
-	"repro/internal/dbi"
 	"repro/internal/hypervisor"
 	"repro/internal/parsec"
 	"repro/internal/provider"
@@ -48,7 +47,7 @@ func AblationPaging(o Options) ([]PagingRow, error) {
 		specs = append(specs, cell(bb, "native", core.DefaultConfig(core.ModeNative)))
 		for _, paging := range pagings {
 			cfg := core.DefaultConfig(core.ModeAikidoFastTrack)
-			cfg.Paging = paging
+			cfg.Aikido.Paging = paging
 			specs = append(specs, cell(bb, paging.String(), cfg))
 		}
 	}
@@ -109,7 +108,7 @@ func AblationSwitch(o Options) ([]SwitchRow, error) {
 	specs := []runner.Spec{cell(bb, "native", core.DefaultConfig(core.ModeNative))}
 	for _, sw := range switches {
 		cfg := core.DefaultConfig(core.ModeAikidoFastTrack)
-		cfg.Switch = sw
+		cfg.Aikido.Switch = sw
 		specs = append(specs, cell(bb, sw.String(), cfg))
 	}
 	cells, err := o.sweep(specs)
@@ -172,7 +171,7 @@ func AblationProviders(o Options) ([]ProviderRow, error) {
 		specs = append(specs, cell(bb, "native", core.DefaultConfig(core.ModeNative)))
 		for _, kind := range kinds {
 			cfg := core.DefaultConfig(core.ModeAikidoFastTrack)
-			cfg.Provider = kind
+			cfg.Aikido.Provider = kind
 			specs = append(specs, cell(bb, kind.String(), cfg))
 		}
 	}
@@ -184,16 +183,9 @@ func AblationProviders(o Options) ([]ProviderRow, error) {
 	for i, name := range names {
 		native := cells[i*stride].Res
 		for j, kind := range kinds {
-			res := cells[i*stride+1+j].Res
-			var tr provider.Transparency
-			switch kind {
-			case provider.DOS:
-				tr = provider.Transparency{UnmodifiedOS: false, UnmodifiedToolchain: true}
-			case provider.Dthreads:
-				tr = provider.Transparency{UnmodifiedOS: true, UnmodifiedToolchain: false}
-			default:
-				tr = provider.Transparency{UnmodifiedOS: false, UnmodifiedToolchain: true} // hypercall switch mode
-			}
+			c := cells[i*stride+1+j]
+			res := c.Res
+			tr := kind.Transparency(c.Spec.Config.Aikido.Switch)
 			rows = append(rows, ProviderRow{
 				Name:         name,
 				Provider:     kind.String(),
@@ -321,8 +313,7 @@ func ExtensionSTM(o Options) ([]STMRow, error) {
 		{"weak (baseline)", stm.Config{Strong: false}},
 	} {
 		cfg := v.cfg
-		cfg.Engine = dbi.DefaultConfig()
-		cfg.Engine.Quantum = 53
+		cfg.Quantum = 53
 		s, err := stm.New(prog, cfg)
 		if err != nil {
 			return nil, err

@@ -188,9 +188,6 @@ func (h *Hypervisor) Mode() PagingMode { return h.mode }
 // SetSwitchInterception selects the context-switch interception mechanism.
 func (h *Hypervisor) SetSwitchInterception(s SwitchInterception) { h.switchMode = s }
 
-// SwitchMode reports the context-switch interception mechanism.
-func (h *Hypervisor) SwitchMode() SwitchInterception { return h.switchMode }
-
 // PTEUpdated implements pagetable.Listener: a guest page-table write.
 //
 // Under ShadowPaging this is a trapped write (the hypervisor write-protects

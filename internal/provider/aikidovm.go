@@ -40,18 +40,6 @@ func NewAikidoVM(p *guest.Process, hv *hypervisor.Hypervisor, clock *stats.Clock
 // Hypervisor exposes the wrapped AikidoVM (tests, stats collection).
 func (v *vmProvider) Hypervisor() *hypervisor.Hypervisor { return v.hv }
 
-func (v *vmProvider) Name() string { return "AikidoVM (hypervisor)" }
-func (v *vmProvider) Kind() Kind   { return AikidoVM }
-
-func (v *vmProvider) Transparency() Transparency {
-	sw := v.hv.SwitchMode()
-	return Transparency{
-		UnmodifiedOS:        !sw.RequiresGuestModification(),
-		UnmodifiedToolchain: true,
-		Notes:               "runs below the OS; context switches via " + sw.String(),
-	}
-}
-
 // Load routes user accesses through the per-thread shadow tables and kernel
 // accesses through the §3.2.6 emulation path, charging each emulated kernel
 // instruction.

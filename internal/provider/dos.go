@@ -35,17 +35,6 @@ func NewDOS(p *guest.Process, clock *stats.Clock) Interface {
 	return d
 }
 
-func (d *dosProvider) Name() string { return "dOS-style modified kernel" }
-func (d *dosProvider) Kind() Kind   { return DOS }
-
-func (d *dosProvider) Transparency() Transparency {
-	return Transparency{
-		UnmodifiedOS:        false,
-		UnmodifiedToolchain: true,
-		Notes:               "requires extensive kernel modifications (per-thread page tables in-kernel)",
-	}
-}
-
 func (d *dosProvider) Load(tid guest.TID, addr uint64, size uint8, user bool) (uint64, *hypervisor.Fault) {
 	return d.eng.access(tid, addr, size, pagetable.AccessRead, 0, user)
 }

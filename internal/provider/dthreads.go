@@ -46,17 +46,6 @@ func NewDthreads(p *guest.Process, clock *stats.Clock) Interface {
 	return d
 }
 
-func (d *dthreadsProvider) Name() string { return "DTHREADS-style processes-as-threads" }
-func (d *dthreadsProvider) Kind() Kind   { return Dthreads }
-
-func (d *dthreadsProvider) Transparency() Transparency {
-	return Transparency{
-		UnmodifiedOS:        true,
-		UnmodifiedToolchain: false,
-		Notes:               "requires a custom runtime converting threads to processes; single-process illusion is fragile (fds, signals)",
-	}
-}
-
 func (d *dthreadsProvider) Load(tid guest.TID, addr uint64, size uint8, user bool) (uint64, *hypervisor.Fault) {
 	return d.eng.access(tid, addr, size, pagetable.AccessRead, 0, user)
 }

@@ -67,8 +67,23 @@ type Transparency struct {
 	// UnmodifiedToolchain is true when applications need no custom
 	// compiler or runtime.
 	UnmodifiedToolchain bool
-	// Notes summarizes the residual requirements.
-	Notes string
+}
+
+// Transparency is the deployment cost of provider k when AikidoVM
+// intercepts context switches with sw (§7.1). Only AikidoVM reads sw: it
+// leaves the guest kernel unmodified unless it relies on the kernel's
+// switch hypercall. The dOS kernel must be patched, and DTHREADS needs
+// its custom runtime.
+func (k Kind) Transparency(sw hypervisor.SwitchInterception) Transparency {
+	switch k {
+	case AikidoVM:
+		return Transparency{UnmodifiedOS: !sw.RequiresGuestModification(), UnmodifiedToolchain: true}
+	case DOS:
+		return Transparency{UnmodifiedOS: false, UnmodifiedToolchain: true}
+	case Dthreads:
+		return Transparency{UnmodifiedOS: true, UnmodifiedToolchain: false}
+	}
+	return Transparency{}
 }
 
 // Stats aggregates provider-side event counts, shared across
@@ -97,10 +112,6 @@ type Stats struct {
 // dbi.Memory; the protection methods are what sharing.Detector consumes;
 // the lifecycle methods are wired to guest hooks by the system assembly.
 type Interface interface {
-	Name() string
-	Kind() Kind
-	Transparency() Transparency
-
 	// Load/Store are the user-mode (user=true) and kernel-mode
 	// (user=false) memory paths with per-thread protection enforced.
 	Load(tid guest.TID, addr uint64, size uint8, user bool) (uint64, *hypervisor.Fault)

@@ -173,8 +173,7 @@ func TestTransparencyMatrix(t *testing.T) {
 		Dthreads: {UnmodifiedOS: true, UnmodifiedToolchain: false},
 	}
 	for _, kind := range allKinds {
-		_, prov, _ := fixture(t, kind)
-		got := prov.Transparency()
+		got := kind.Transparency(hypervisor.SwitchHypercall)
 		if got.UnmodifiedOS != want[kind].UnmodifiedOS ||
 			got.UnmodifiedToolchain != want[kind].UnmodifiedToolchain {
 			t.Errorf("%v transparency = %+v, want %+v", kind, got, want[kind])
@@ -186,14 +185,7 @@ func TestTransparencyMatrix(t *testing.T) {
 // interception the hypervisor needs no guest modification at all — the
 // paper's headline transparency claim.
 func TestAikidoVMFullTransparencyWithSegTrap(t *testing.T) {
-	b := isa.NewBuilder("transp")
-	b.Nop().Halt()
-	p, _ := guest.NewProcess(vm.NewMachine(), b.MustFinish())
-	clock := &stats.Clock{}
-	hv := hypervisor.New(p.M, p.PT, clock)
-	hv.SetSwitchInterception(hypervisor.SwitchSegTrap)
-	prov := NewAikidoVM(p, hv, clock)
-	tr := prov.Transparency()
+	tr := AikidoVM.Transparency(hypervisor.SwitchSegTrap)
 	if !tr.UnmodifiedOS || !tr.UnmodifiedToolchain {
 		t.Errorf("AikidoVM+SegTrap should be fully transparent, got %+v", tr)
 	}
@@ -238,15 +230,6 @@ func TestKindStrings(t *testing.T) {
 	if AikidoVM.String() != "aikidovm" || DOS.String() != "dos-kernel" ||
 		Dthreads.String() != "dthreads-procs" {
 		t.Error("kind names changed")
-	}
-	for _, kind := range allKinds {
-		_, prov, _ := fixture(t, kind)
-		if prov.Kind() != kind {
-			t.Errorf("Kind() = %v, want %v", prov.Kind(), kind)
-		}
-		if prov.Name() == "" {
-			t.Error("empty provider name")
-		}
 	}
 }
 

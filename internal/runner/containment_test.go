@@ -239,11 +239,14 @@ func TestKeepGoingByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCellDeadline: an (unmeetably small) per-cell wall deadline fails
+// TestCellDeadline: an (unmeetably small) per-cell wall budget fails
 // cells with a typed budget error instead of hanging or crashing.
 func TestCellDeadline(t *testing.T) {
 	specs := testMatrix(t, 0.05)[:3]
-	rep, err := Sweep(specs, Options{Workers: 1, KeepGoing: true, CellDeadline: time.Nanosecond})
+	for i := range specs {
+		specs[i].Config.MaxWall = time.Nanosecond
+	}
+	rep, err := Sweep(specs, Options{Workers: 1, KeepGoing: true})
 	if err != nil {
 		t.Fatal(err)
 	}

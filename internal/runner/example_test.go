@@ -22,9 +22,9 @@ func ExampleSweep() {
 	var specs []runner.Spec
 	for _, m := range []core.Mode{core.ModeNative, core.ModeFastTrackFull, core.ModeAikidoFastTrack} {
 		specs = append(specs, runner.Spec{
-			Label:    b.Name + "/" + m.String(),
-			Workload: b.Spec,
-			Config:   core.DefaultConfig(m),
+			Label:  b.Name + "/" + m.String(),
+			Source: b.Spec,
+			Config: core.DefaultConfig(m),
 		})
 	}
 

@@ -43,7 +43,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/workload"
@@ -54,17 +53,14 @@ import (
 type Spec struct {
 	// Label names the cell in reports and errors ("vips/Aikido-FastTrack").
 	Label string
-	// Workload is the guest program specification. Each cell compiles it
-	// privately with workload.Build, which is deterministic, so cells
-	// never share compiled state.
-	Workload workload.Spec
-	// Source, when non-nil, supplies the guest program instead of
-	// Workload: any workload.Source (the phased/migratory/false-sharing
-	// generators, or a Spec) rides the same sweep machinery. Compilation
-	// must remain a pure function of the source for the determinism
-	// contract to hold.
+	// Source is the guest program: a workload.Spec, or any other
+	// workload.Source (the phased/migratory/false-sharing generators).
+	// Each cell compiles it privately, so cells never share compiled
+	// state; compilation must be a pure function of the source for the
+	// determinism contract to hold.
 	Source workload.Source
-	// Config is the core.System configuration for this cell.
+	// Config is the core.System configuration for this cell, budgets
+	// (MaxCycles, MaxWall) included.
 	Config core.Config
 }
 
@@ -87,12 +83,6 @@ type Options struct {
 	// the bytes are identical at any worker count — which cell fails is
 	// a property of the cell, never of scheduling.
 	KeepGoing bool
-	// CellDeadline is a per-cell wall-clock budget, copied into each
-	// cell's Config.MaxWall when that is unset (a cell's own MaxWall
-	// wins). Exceeding it fails the cell with a typed *core.BudgetError
-	// (FailBudget). Wall time is nondeterministic; byte-identity suites
-	// must leave it 0.
-	CellDeadline time.Duration
 }
 
 // FailKind classifies why a cell failed.
@@ -108,8 +98,8 @@ const (
 	// FailPanic: the cell panicked and the worker's containment
 	// recovered it (a detector or simulator bug).
 	FailPanic
-	// FailBudget: the cell exceeded Config.MaxCycles or its wall
-	// deadline (the error unwraps to *core.BudgetError).
+	// FailBudget: the cell exceeded Config.MaxCycles or Config.MaxWall
+	// (the error unwraps to *core.BudgetError).
 	FailBudget
 )
 
@@ -252,7 +242,7 @@ func Sweep(specs []Spec, opt Options) (*Report, error) {
 				if !opt.KeepGoing && failed.Load() {
 					return
 				}
-				m, cerr := runCell(i, specs[i], opt)
+				m, cerr := runCell(i, specs[i])
 				if cerr != nil {
 					errs[i] = cerr
 					if !opt.KeepGoing {
@@ -293,7 +283,7 @@ func Sweep(specs []Spec, opt Options) (*Report, error) {
 // typed *CellError instead of a process crash. Cell isolation is what
 // makes the recovery safe: the cell's System is garbage, but nothing
 // else shares state with it.
-func runCell(i int, s Spec, opt Options) (m Measurement, cerr *CellError) {
+func runCell(i int, s Spec) (m Measurement, cerr *CellError) {
 	defer func() {
 		if r := recover(); r != nil {
 			err, ok := r.(error)
@@ -304,19 +294,11 @@ func runCell(i int, s Spec, opt Options) (m Measurement, cerr *CellError) {
 				Stack: string(debug.Stack())}
 		}
 	}()
-	src := s.Source
-	if src == nil {
-		src = s.Workload
-	}
-	prog, err := src.Compile()
+	prog, err := s.Source.Compile()
 	if err != nil {
 		return Measurement{}, &CellError{Index: i, Label: s.Label, Kind: FailCompile, Err: err}
 	}
-	cfg := s.Config
-	if opt.CellDeadline > 0 && cfg.MaxWall == 0 {
-		cfg.MaxWall = opt.CellDeadline
-	}
-	res, err := core.Run(prog, cfg)
+	res, err := core.Run(prog, s.Config)
 	if err != nil {
 		return Measurement{}, &CellError{Index: i, Label: s.Label, Kind: classify(err), Err: err}
 	}

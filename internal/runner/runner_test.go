@@ -18,9 +18,9 @@ func testMatrix(t *testing.T, scale float64) []Spec {
 		b = b.WithScale(scale)
 		for _, m := range []core.Mode{core.ModeNative, core.ModeFastTrackFull, core.ModeAikidoFastTrack} {
 			specs = append(specs, Spec{
-				Label:    b.Name + "/" + m.String(),
-				Workload: b.Spec,
-				Config:   core.DefaultConfig(m),
+				Label:  b.Name + "/" + m.String(),
+				Source: b.Spec,
+				Config: core.DefaultConfig(m),
 			})
 		}
 	}

@@ -104,9 +104,9 @@ func TestEpochDemotionPreservesRaces(t *testing.T) {
 		prog := buildRacePattern(p)
 		run := func(epoch bool) *core.Result {
 			cfg := core.DefaultConfig(core.ModeAikidoFastTrack)
-			cfg.Epoch = sharing.EpochPolicy{}
+			cfg.Aikido.Epoch = sharing.EpochPolicy{}
 			if epoch {
-				cfg.Epoch = sharing.EpochPolicy{
+				cfg.Aikido.Epoch = sharing.EpochPolicy{
 					// A schedule far more aggressive than any sane
 					// deployment: epochs of a few thousand cycles,
 					// single-epoch demotion, instant quiet demotion.
@@ -196,7 +196,7 @@ func TestEpochHandoffRefaults(t *testing.T) {
 	prog := b.MustFinish()
 
 	cfg := core.DefaultConfig(core.ModeAikidoFastTrack)
-	cfg.Epoch = sharing.EpochPolicy{Interval: 3_000, DemoteAfter: 1, QuietAfter: 2, MinOwnerHits: 1}
+	cfg.Aikido.Epoch = sharing.EpochPolicy{Interval: 3_000, DemoteAfter: 1, QuietAfter: 2, MinOwnerHits: 1}
 	res, err := core.Run(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +214,7 @@ func TestEpochHandoffRefaults(t *testing.T) {
 		t.Errorf("barrier-ordered ping-pong reported %d races", n)
 	}
 
-	cfg.Epoch = sharing.EpochPolicy{}
+	cfg.Aikido.Epoch = sharing.EpochPolicy{}
 	base, err := core.Run(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -262,8 +262,8 @@ func TestEpochQuietDemotionWithZeroMinOwnerHits(t *testing.T) {
 	b.Halt()
 	prog := b.MustFinish()
 
-	cfg := core.DefaultConfig(core.ModeAikidoProfile)
-	cfg.Epoch = sharing.EpochPolicy{Interval: 2_000, DemoteAfter: 4, QuietAfter: 2, MinOwnerHits: 0}
+	cfg := core.DefaultConfig(core.ModeAikidoFastTrack).WithAnalyses()
+	cfg.Aikido.Epoch = sharing.EpochPolicy{Interval: 2_000, DemoteAfter: 4, QuietAfter: 2, MinOwnerHits: 0}
 	s, err := core.NewSystem(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -315,8 +315,8 @@ func TestEpochSweepStateMachine(t *testing.T) {
 	b.Halt()
 	prog := b.MustFinish()
 
-	cfg := core.DefaultConfig(core.ModeAikidoProfile)
-	cfg.Epoch = sharing.EpochPolicy{Interval: 2_000, DemoteAfter: 2, QuietAfter: 0, MinOwnerHits: 1}
+	cfg := core.DefaultConfig(core.ModeAikidoFastTrack).WithAnalyses()
+	cfg.Aikido.Epoch = sharing.EpochPolicy{Interval: 2_000, DemoteAfter: 2, QuietAfter: 0, MinOwnerHits: 1}
 	s, err := core.NewSystem(prog, cfg)
 	if err != nil {
 		t.Fatal(err)

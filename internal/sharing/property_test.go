@@ -79,7 +79,7 @@ func skipLabel(w int) string {
 func TestSharingStateMachineProperty(t *testing.T) {
 	prop := func(p pattern) bool {
 		prog := buildPattern(p)
-		s, err := core.NewSystem(prog, core.DefaultConfig(core.ModeAikidoProfile))
+		s, err := core.NewSystem(prog, core.DefaultConfig(core.ModeAikidoFastTrack).WithAnalyses())
 		if err != nil {
 			t.Logf("build: %v", err)
 			return false
@@ -134,7 +134,7 @@ func TestSharingDeterministicAcrossRuns(t *testing.T) {
 	prog := buildPattern(p)
 	var base *core.Result
 	for i := 0; i < 3; i++ {
-		res, err := core.Run(prog, core.DefaultConfig(core.ModeAikidoProfile))
+		res, err := core.Run(prog, core.DefaultConfig(core.ModeAikidoFastTrack).WithAnalyses())
 		if err != nil {
 			t.Fatal(err)
 		}

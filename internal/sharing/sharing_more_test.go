@@ -48,7 +48,7 @@ func TestMunmapClearsProtectionState(t *testing.T) {
 	b.Halt()
 	prog := b.MustFinish()
 
-	s, err := core.NewSystem(prog, core.DefaultConfig(core.ModeAikidoProfile))
+	s, err := core.NewSystem(prog, core.DefaultConfig(core.ModeAikidoFastTrack).WithAnalyses())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestNoMirrorAblationReprotects(t *testing.T) {
 	prog := b.MustFinish()
 
 	cfg := core.DefaultConfig(core.ModeAikidoFastTrack)
-	cfg.NoMirror = true
+	cfg.Aikido.NoMirror = true
 	s, err := core.NewSystem(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestCodePagesProtectedButExecutable(t *testing.T) {
 	b.StoreAbs(out, isa.R1)
 	b.Halt()
 	prog := b.MustFinish()
-	s, err := core.NewSystem(prog, core.DefaultConfig(core.ModeAikidoProfile))
+	s, err := core.NewSystem(prog, core.DefaultConfig(core.ModeAikidoFastTrack).WithAnalyses())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func build(t *testing.T, both bool) (*isa.Program, uint64, uint64, uint64) {
 
 func runSD(t *testing.T, prog *isa.Program) *core.System {
 	t.Helper()
-	s, err := core.NewSystem(prog, core.DefaultConfig(core.ModeAikidoProfile))
+	s, err := core.NewSystem(prog, core.DefaultConfig(core.ModeAikidoFastTrack).WithAnalyses())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestIndirectPrivateCheckPath(t *testing.T) {
 	prog := b.MustFinish()
 
 	cfg := core.DefaultConfig(core.ModeAikidoFastTrack)
-	cfg.Engine.Quantum = 40 // interleave within the loop
+	cfg.Quantum = 40 // interleave within the loop
 	s, err := core.NewSystem(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +312,7 @@ func TestNewMmapIsProtectedImmediately(t *testing.T) {
 	b.Halt()
 	prog := b.MustFinish()
 
-	s, err := core.NewSystem(prog, core.DefaultConfig(core.ModeAikidoProfile))
+	s, err := core.NewSystem(prog, core.DefaultConfig(core.ModeAikidoFastTrack).WithAnalyses())
 	if err != nil {
 		t.Fatal(err)
 	}

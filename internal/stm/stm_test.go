@@ -3,7 +3,6 @@ package stm
 import (
 	"testing"
 
-	"repro/internal/dbi"
 	"repro/internal/guest"
 	"repro/internal/isa"
 	"repro/internal/vm"
@@ -95,8 +94,7 @@ func txProgram(t *testing.T, workers, iters, obsIters int, checkTotal bool) *isa
 
 func runSTM(t *testing.T, prog *isa.Program, cfg Config, quantum uint64) *Result {
 	t.Helper()
-	cfg.Engine = dbi.DefaultConfig()
-	cfg.Engine.Quantum = quantum
+	cfg.Quantum = quantum
 	s, err := New(prog, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -35,8 +35,9 @@ type Config struct {
 	// PatchThreshold is the per-PC fault count that triggers patching
 	// the instruction to its transaction-aware form; 0 disables patching.
 	PatchThreshold int
-	// Engine overrides the DBI configuration (zero value = defaults).
-	Engine dbi.Config
+	// Quantum is the scheduling quantum in retired instructions (0 = the
+	// engine default).
+	Quantum uint64
 }
 
 // New assembles an STM system for prog. The managed region is the
@@ -81,9 +82,9 @@ func New(prog *isa.Program, cfg Config) (*System, error) {
 	// rather than crashing the write syscall.
 	p.SetBus(provider.KernelBus(prov))
 
-	ecfg := cfg.Engine
-	if ecfg.Quantum == 0 {
-		ecfg = dbi.DefaultConfig()
+	ecfg := dbi.DefaultConfig()
+	if cfg.Quantum != 0 {
+		ecfg.Quantum = cfg.Quantum
 	}
 	eng := dbi.New(p, prov, barrierTool{rt}, clock, ecfg)
 	eng.OnFault = rt.HandleFault
