@@ -17,7 +17,9 @@
 // "-analysis fasttrack" (and the "ft" alias) against the default to pin the
 // single-analysis path byte-identical through the registry seam. The
 // muxbench experiment measures N sequential single-analysis Aikido passes
-// against ONE multiplexed pass hosting the same N analyses.
+// against ONE multiplexed pass hosting the same N analyses. The empty
+// value keeps each cell's default; a value that names no analysis, only
+// commas and spaces, exits 2.
 //
 // Every model×mode experiment matrix is sharded across -workers concurrent
 // runner workers (default: all CPUs); results are identical at any worker
@@ -88,6 +90,18 @@ func checkThreads(threads int) error {
 	return nil
 }
 
+// checkAnalyses parses -analysis. The empty value keeps each cell's
+// default selection; a non-empty value that names no analysis (only
+// commas and spaces) is rejected rather than silently running that
+// default.
+func checkAnalyses(s string) ([]string, error) {
+	names := analysis.ParseList(s)
+	if names == nil && s != "" {
+		return nil, fmt.Errorf("-analysis %q names no analysis (omit -analysis, or pass \"\", for the default FastTrack)", s)
+	}
+	return names, nil
+}
+
 func main() {
 	exp := flag.String("experiment", "all", "which experiment: "+strings.Join(experimentNames, ", "))
 	scale := flag.Float64("scale", 1.0, "workload size multiplier (1.0 = simsmall-scaled default)")
@@ -109,8 +123,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "aikido-bench: %v\n", err)
 		os.Exit(2)
 	}
-	o := experiments.Options{Scale: *scale, Threads: *threads, Workers: *workers,
-		Analyses: analysis.ParseList(*analyses)}
+	names, err := checkAnalyses(*analyses)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "aikido-bench: %v\n", err)
+		os.Exit(2)
+	}
+	o := experiments.Options{Scale: *scale, Threads: *threads, Workers: *workers, Analyses: names}
 	w := os.Stdout
 
 	// -json replaces the text experiments with the Figure 5 report.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -64,6 +65,31 @@ func TestCheckScale(t *testing.T) {
 	} {
 		if err := checkScale(tc.scale); (err == nil) != tc.ok {
 			t.Errorf("checkScale(%v) = %v, want ok=%v", tc.scale, err, tc.ok)
+		}
+	}
+}
+
+// TestCheckAnalyses: the empty value keeps the default selection (nil),
+// names are parsed, and a value made only of commas and spaces is rejected
+// with a message pointing at the default.
+func TestCheckAnalyses(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []string
+		ok   bool
+	}{
+		{"", nil, true},
+		{"fasttrack", []string{"fasttrack"}, true},
+		{"ft, lockset", []string{"ft", "lockset"}, true},
+		{",", nil, false},
+		{" , ,", nil, false},
+	} {
+		got, err := checkAnalyses(tc.in)
+		if (err == nil) != tc.ok || !slices.Equal(got, tc.want) {
+			t.Errorf("checkAnalyses(%q) = %q, %v; want %q, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "default") {
+			t.Errorf("checkAnalyses(%q) = %q, want a pointer to the default", tc.in, err)
 		}
 	}
 }

@@ -22,7 +22,8 @@
 // registered analysis shows up without touching this command. The
 // default is the mode's core.DefaultConfig selection (FastTrack under
 // fasttrack and aikido); "-analysis none" selects none, which under
-// -mode aikido runs AikidoSD alone as a sharing profiler.
+// -mode aikido runs AikidoSD alone as a sharing profiler. A value that
+// names no analysis, only commas and spaces, is a usage error.
 //
 // A flag the selected stack would ignore (core.Config.Check) is a usage
 // error: -provider outside -mode aikido, -paging or -switch with another
@@ -166,7 +167,10 @@ func run(args []string) int {
 	if *analyses == "none" {
 		cfg.Analyses = nil
 	} else if *analyses != "" {
-		cfg.Analyses = analysis.ParseList(*analyses)
+		if cfg.Analyses = analysis.ParseList(*analyses); cfg.Analyses == nil {
+			fmt.Fprintf(os.Stderr, "aikido-run: -analysis %q names no analysis (use -analysis none to run none, or omit it for the mode's default)\n", *analyses)
+			return exitBadFlags
+		}
 	}
 	cfg.MaxFindings = *maxFindings
 	cfg.Aikido.Provider = pk

@@ -22,7 +22,9 @@ func TestRunRejectsBadScale(t *testing.T) {
 // profile mode are usage errors, and so is every flag the selected stack
 // would ignore: paging and switch settings under a provider other than
 // AikidoVM, provider settings outside the Aikido mode, and analyses or a
-// findings cap in the native and dbi modes. None of them runs anything.
+// findings cap in the native and dbi modes. An -analysis value that names
+// no analysis is one too: -analysis none is the one spelling of "no
+// analysis". None of them runs anything.
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-bench", "fluidanimate", "-threads", "-2"},
@@ -37,6 +39,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-bench", "vips", "-scale", "0.05", "-mode", "native", "-provider", "dthreads", "-paging", "nested"},
 		{"-bench", "vips", "-scale", "0.05", "-mode", "dbi", "-analysis", "lockset"},
 		{"-bench", "vips", "-scale", "0.05", "-mode", "native", "-max-findings", "5"},
+		{"-bench", "vips", "-scale", "0.05", "-mode", "aikido", "-analysis", ","},
+		{"-bench", "vips", "-scale", "0.05", "-mode", "fasttrack", "-analysis", " , ,"},
 	} {
 		if code := run(args); code != exitBadFlags {
 			t.Errorf("run(%v) = %d, want %d", args, code, exitBadFlags)

@@ -60,6 +60,11 @@ func TestConfigCheck(t *testing.T) {
 			row{m.String() + " no-mirror", with(def, func(c *Config) { c.Aikido.NoMirror = true }), "Aikido"},
 			row{m.String() + " epochs", with(def, func(c *Config) { c.Aikido.Epoch = sharing.DefaultEpochPolicy() }), "Aikido"})
 	}
+	aikido := DefaultConfig(ModeAikidoFastTrack)
+	rows = append(rows,
+		row{"unknown provider", with(aikido, func(c *Config) { c.Aikido.Provider = provider.Kind(9) }), "Aikido.Provider"},
+		row{"unknown paging", with(aikido, func(c *Config) { c.Aikido.Paging = hypervisor.PagingMode(9) }), "Aikido.Paging"},
+		row{"unknown switch", with(aikido, func(c *Config) { c.Aikido.Switch = hypervisor.SwitchInterception(9) }), "Aikido.Switch"})
 	accepted := 0
 	for _, set := range providerSettings() {
 		field := ""

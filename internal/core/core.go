@@ -205,6 +205,14 @@ func (c Config) Check() error {
 	if c.Mode != ModeAikidoFastTrack && c.Aikido != (AikidoConfig{}) {
 		return fmt.Errorf("core: Config.Aikido: set, but mode %s builds no Aikido stack", c.Mode)
 	}
+	switch a := c.Aikido; {
+	case a.Provider > provider.Dthreads:
+		return fmt.Errorf("core: Config.Aikido.Provider: unknown provider %d", a.Provider)
+	case a.Paging > hypervisor.NestedPaging:
+		return fmt.Errorf("core: Config.Aikido.Paging: unknown paging mode %d", a.Paging)
+	case a.Switch > hypervisor.SwitchProbe:
+		return fmt.Errorf("core: Config.Aikido.Switch: unknown switch interception %d", a.Switch)
+	}
 	if a := c.Aikido; a.Provider != provider.AikidoVM {
 		if a.Paging != hypervisor.ShadowPaging {
 			return fmt.Errorf("core: Config.Aikido.Paging: %s, but provider %s has no hypervisor paging", a.Paging, a.Provider)
@@ -330,7 +338,14 @@ func NewSystem(prog *isa.Program, cfg Config) (*System, error) {
 		if a.NoMirror {
 			s.SD.DisableMirror()
 		}
-		s.Engine = dbi.New(p, s.Prov, s.SD, clock, ecfg)
+		// The engine's user accesses go to the hypervisor itself, whose
+		// Load and Store are the AikidoVM provider's user path; the
+		// kernel bus keeps the provider for its emulation accounting.
+		var mem dbi.Memory = s.Prov
+		if s.HV != nil {
+			mem = s.HV
+		}
+		s.Engine = dbi.New(p, mem, s.SD, clock, ecfg)
 		s.SD.SetEngine(s.Engine)
 		s.Engine.OnFault = s.SD.HandleFault
 		s.Engine.RuntimeTouch = s.SD.TouchCode

@@ -31,8 +31,12 @@ import (
 	"repro/internal/vm"
 )
 
-// Memory is the engine's user-mode data access path — the hypervisor MMU in
-// Aikido runs, or a direct page-table walker in native runs.
+// Memory is the engine's user-mode data access path. Under the AikidoVM
+// provider it is the *hypervisor.Hypervisor itself, whose Load and Store
+// probe the thread's host TLB first; under dOS and DTHREADS it is the
+// provider; in every other mode it is the engine's direct page-table
+// walker. execMem calls the hypervisor and the walker without an
+// interface call.
 type Memory interface {
 	Load(tid guest.TID, addr uint64, size uint8, user bool) (uint64, *hypervisor.Fault)
 	Store(tid guest.TID, addr uint64, size uint8, val uint64, user bool) *hypervisor.Fault
@@ -195,11 +199,6 @@ type Engine struct {
 	// never reused before the next dispatch.
 	free []*block
 
-	// directP, when non-nil, marks Mem as the built-in direct page-table
-	// walker: execMem calls it concretely instead of through the Memory
-	// interface.
-	directP *guest.Process
-
 	C Counters
 
 	prev *block // last executed block, for linking
@@ -215,11 +214,7 @@ func New(p *guest.Process, mem Memory, tool Tool, clock *stats.Clock, cfg Config
 		plans:  make([]*Plan, len(p.Prog.Code)),
 	}
 	if mem == nil {
-		// Native runs walk the guest page table directly; keeping the
-		// concrete type in directP lets execMem bypass the interface
-		// call on every access.
 		e.Mem = directMemory{p}
-		e.directP = p
 	}
 	return e
 }
@@ -748,19 +743,30 @@ func (e *Engine) execMem(t *guest.Thread, pc isa.PC, in *isa.Instr, plan *Plan) 
 		e.C.InstrumentedExecs++
 	}
 
+	// The hypervisor and the direct walker are called concretely, with no
+	// interface call. The switch reads Mem at every access, so a wrapper
+	// that replaces Mem after New still sees every call.
 	var fault *hypervisor.Fault
 	var val uint64
-	if dp := e.directP; dp != nil {
-		// Native path, devirtualized: page-table walk + frame access.
+	switch m := e.Mem.(type) {
+	case *hypervisor.Hypervisor:
 		if write {
-			fault = directMemory{dp}.Store(t.ID, target, in.Size, regs[in.Rt&regMask], true)
+			fault = m.Store(t.ID, target, in.Size, regs[in.Rt&regMask], true)
 		} else {
-			val, fault = directMemory{dp}.Load(t.ID, target, in.Size, true)
+			val, fault = m.Load(t.ID, target, in.Size, true)
 		}
-	} else if write {
-		fault = e.Mem.Store(t.ID, target, in.Size, regs[in.Rt&regMask], true)
-	} else {
-		val, fault = e.Mem.Load(t.ID, target, in.Size, true)
+	case directMemory:
+		if write {
+			fault = m.Store(t.ID, target, in.Size, regs[in.Rt&regMask], true)
+		} else {
+			val, fault = m.Load(t.ID, target, in.Size, true)
+		}
+	default:
+		if write {
+			fault = m.Store(t.ID, target, in.Size, regs[in.Rt&regMask], true)
+		} else {
+			val, fault = m.Load(t.ID, target, in.Size, true)
+		}
 	}
 	if fault == nil {
 		if !write {

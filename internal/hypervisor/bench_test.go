@@ -21,14 +21,27 @@ func benchFixture(b *testing.B) (*guest.Process, *Hypervisor) {
 	return p, New(p.M, p.PT, &stats.Clock{})
 }
 
-// BenchmarkTranslateTLBHit measures the shadow-table fast path taken by
-// the vast majority of guest accesses.
+// BenchmarkTranslateTLBHit measures the host-TLB hit path taken by the
+// vast majority of guest loads.
 func BenchmarkTranslateTLBHit(b *testing.B) {
 	_, h := benchFixture(b)
 	h.Load(1, isa.DataBase, 8, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, f := h.Load(1, isa.DataBase+uint64(i&4088), 8, true); f != nil {
+			b.Fatal(f)
+		}
+	}
+}
+
+// BenchmarkTranslateTLBHitStore is its store twin, on a frame the first
+// store has already given its own page.
+func BenchmarkTranslateTLBHitStore(b *testing.B) {
+	_, h := benchFixture(b)
+	h.Store(1, isa.DataBase, 8, 0, true)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if f := h.Store(1, isa.DataBase+uint64(i&4088), 8, uint64(i), true); f != nil {
 			b.Fatal(f)
 		}
 	}

@@ -68,6 +68,18 @@ type shadowPTE struct {
 	prot  pagetable.Prot // effective = guest prot ∩ Aikido prot
 }
 
+// tlbSize is the number of entries in each thread's host TLB. A power of
+// two, so a vpn's slot is its low bits.
+const tlbSize = 32
+
+// tlbEntry is one host-TLB entry: the translation of the page whose vpn is
+// key>>1 - 1, readable by the thread and writable when key's low bit is
+// set. The zero entry is empty: no vpn has key>>1 == 0.
+type tlbEntry struct {
+	key   uint64
+	frame vm.FrameID
+}
+
 // view is one thread's translation state.
 type view struct {
 	// shadow caches translations by vpn: the thread's shadow page table
@@ -77,6 +89,15 @@ type view struct {
 	// prot holds the thread's exceptions to the protection table, keyed
 	// like it.
 	prot paged.Table[threadProt]
+	// tlb is the host's translation cache in front of shadow: a
+	// direct-mapped copy of recently used shadow entries, which Load and
+	// Store probe without a call. Every entry mirrors a present shadow
+	// entry and is dropped with it, so a hit is exactly a shadow hit.
+	// Entries hold FrameIDs, not host pages: a never-written frame names
+	// the shared zero page until a write, through any alias, gives it its
+	// own. It is pointer-free and comes after the tables' pointers, so
+	// the garbage collector's scan of a view stops before it.
+	tlb [tlbSize]tlbEntry
 }
 
 // Stats are AikidoVM's event counters.
@@ -87,7 +108,9 @@ type Stats struct {
 	// ShadowInvalidations counts shadow PTEs dropped due to guest
 	// page-table updates or protection changes.
 	ShadowInvalidations uint64
-	// TLBHits counts translations served from a thread's shadow table.
+	// TLBHits counts user translations served from a thread's shadow
+	// table, whether Load and Store found them in the view's host TLB or
+	// Translate in the shadow table behind it.
 	TLBHits uint64
 	// AikidoFaults counts faults caused by Aikido protections and
 	// delivered to guest userspace (the "Segmentation Faults" column of
@@ -243,6 +266,7 @@ func (h *Hypervisor) invalidate(vpn uint64) {
 			if v := h.views[tid]; v != nil {
 				if e := v.shadow.Get(vpn); e != nil && e.frame != vm.NoFrame {
 					*e = shadowPTE{}
+					v.tlbDrop(vpn)
 					h.Stats.ShadowInvalidations++
 				}
 			}
@@ -332,6 +356,7 @@ func (h *Hypervisor) Translate(tid guest.TID, addr uint64, a pagetable.Access, u
 	if v := h.viewOf(tid); v != nil && user {
 		if e := v.shadow.Get(vpn); e != nil && e.prot.Allows(a, true) {
 			h.Stats.TLBHits++
+			v.tlbFill(vpn, *e)
 			return e.frame, vm.PageOff(addr), nil
 		}
 		// No entry, or the cached entry denies: fall through to the
@@ -388,7 +413,10 @@ func (h *Hypervisor) Translate(tid guest.TID, addr uint64, a pagetable.Access, u
 	// this is a hidden fault filling the thread's shadow page table;
 	// under nested paging it is a TLB miss paying the two-dimensional
 	// (guest + EPT) walk.
-	*h.viewFor(tid).shadow.At(vpn) = shadowPTE{frame: gpte.Frame, prot: eff}
+	e := shadowPTE{frame: gpte.Frame, prot: eff}
+	v := h.viewFor(tid)
+	*v.shadow.At(vpn) = e
+	v.tlbFill(vpn, e)
 	*h.cachedBy.At(vpn) |= 1 << (uint32(tid) & 63)
 	h.Stats.ShadowFills++
 	if h.mode == NestedPaging {
@@ -467,13 +495,66 @@ func (h *Hypervisor) Access(tid guest.TID, addr uint64, size uint8, a pagetable.
 	return h.m.ReadSplit(f1, f2, o1, size), nil
 }
 
-// Load is a user/kernel load via the MMU.
+// tlbFill caches shadow entry e for vpn in the view's host TLB. Translate
+// fills only entries that allow the user access it served, so every entry
+// is readable.
+func (v *view) tlbFill(vpn uint64, e shadowPTE) {
+	key := (vpn + 1) << 1
+	if e.prot.Allows(pagetable.AccessWrite, true) {
+		key |= 1
+	}
+	v.tlb[vpn%tlbSize] = tlbEntry{key: key, frame: e.frame}
+}
+
+// tlbDrop removes vpn's host-TLB entry, if the view holds one.
+func (v *view) tlbDrop(vpn uint64) {
+	if e := &v.tlb[vpn%tlbSize]; e.key>>1 == vpn+1 {
+		*e = tlbEntry{}
+	}
+}
+
+// tlbProbe returns tid's host-TLB entry for the page of a size-byte user
+// access at addr, or nil when the view holds none or the access runs past
+// the page end.
+func (h *Hypervisor) tlbProbe(tid guest.TID, addr uint64, size uint8) *tlbEntry {
+	if uint32(tid) >= uint32(len(h.views)) || vm.PageOff(addr)+uint64(size) > vm.PageSize {
+		return nil
+	}
+	v := h.views[tid]
+	if v == nil {
+		return nil
+	}
+	vpn := vm.PageNum(addr)
+	if e := &v.tlb[vpn%tlbSize]; e.key>>1 == vpn+1 {
+		return e
+	}
+	return nil
+}
+
+// Load is a user/kernel load via the MMU. A user load that hits the
+// thread's host TLB reads its frame directly; every other load goes
+// through Access.
 func (h *Hypervisor) Load(tid guest.TID, addr uint64, size uint8, user bool) (uint64, *Fault) {
+	if user {
+		if e := h.tlbProbe(tid, addr, size); e != nil {
+			h.Stats.TLBHits++
+			return h.m.ReadWhole(e.frame, vm.PageOff(addr), size), nil
+		}
+	}
 	return h.Access(tid, addr, size, pagetable.AccessRead, 0, user)
 }
 
-// Store is a user/kernel store via the MMU.
+// Store is a user/kernel store via the MMU. A user store that hits a
+// writable host-TLB entry writes its frame directly, unless the frame has
+// never been written: that store goes through Access, where the machine
+// gives the frame its own page.
 func (h *Hypervisor) Store(tid guest.TID, addr uint64, size uint8, val uint64, user bool) *Fault {
+	if user {
+		if e := h.tlbProbe(tid, addr, size); e != nil && e.key&1 != 0 && h.m.WriteWhole(e.frame, vm.PageOff(addr), size, val) {
+			h.Stats.TLBHits++
+			return nil
+		}
+	}
 	_, fault := h.Access(tid, addr, size, pagetable.AccessWrite, val, user)
 	return fault
 }

@@ -42,26 +42,22 @@ func (v *vmProvider) Hypervisor() *hypervisor.Hypervisor { return v.hv }
 
 // Load routes user accesses through the per-thread shadow tables and kernel
 // accesses through the §3.2.6 emulation path, charging each emulated kernel
-// instruction.
+// instruction (a user access emulates none). Under AikidoVM the engine's
+// memory is the hypervisor itself, so the kernel bus is this method's
+// caller.
 func (v *vmProvider) Load(tid guest.TID, addr uint64, size uint8, user bool) (uint64, *hypervisor.Fault) {
-	if !user {
-		pre := v.hv.Stats.KernelEmulations
-		val, fault := v.hv.Load(tid, addr, size, false)
-		v.accountKernel(pre)
-		return val, fault
-	}
-	return v.hv.Load(tid, addr, size, true)
+	pre := v.hv.Stats.KernelEmulations
+	val, fault := v.hv.Load(tid, addr, size, user)
+	v.accountKernel(pre)
+	return val, fault
 }
 
 // Store is the write analogue of Load.
 func (v *vmProvider) Store(tid guest.TID, addr uint64, size uint8, val uint64, user bool) *hypervisor.Fault {
-	if !user {
-		pre := v.hv.Stats.KernelEmulations
-		fault := v.hv.Store(tid, addr, size, val, false)
-		v.accountKernel(pre)
-		return fault
-	}
-	return v.hv.Store(tid, addr, size, val, true)
+	pre := v.hv.Stats.KernelEmulations
+	fault := v.hv.Store(tid, addr, size, val, user)
+	v.accountKernel(pre)
+	return fault
 }
 
 // accountKernel charges the guest-kernel emulations performed since pre.

@@ -114,6 +114,9 @@ type Stats struct {
 type Interface interface {
 	// Load/Store are the user-mode (user=true) and kernel-mode
 	// (user=false) memory paths with per-thread protection enforced.
+	// They serve the kernel bus (KernelBus) under every provider, and
+	// the engine's user accesses under dOS and DTHREADS. Under AikidoVM
+	// the engine's memory is the hypervisor itself.
 	Load(tid guest.TID, addr uint64, size uint8, user bool) (uint64, *hypervisor.Fault)
 	Store(tid guest.TID, addr uint64, size uint8, val uint64, user bool) *hypervisor.Fault
 

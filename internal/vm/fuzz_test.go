@@ -16,17 +16,21 @@ const (
 )
 
 // machineOracle decodes 5-byte records of fuzz input into a stream of
-// AllocFrame, FreeFrame, Write, WriteU, Read and ReadU calls, and checks
-// each against a reference that backs every frame with its own array from
-// the start. Offsets range over the whole page, and a record with its top
-// bit set lands within 16 bytes of the page end, so widths 1–8 and short
-// slices often straddle it. Straddling accesses, use after free and double
-// free must panic and change nothing.
+// AllocFrame, FreeFrame, Write, WriteU, Read, ReadU, ReadWhole and
+// WriteWhole calls, and checks each against a reference that backs every
+// frame with its own array from the start. Offsets range over the whole
+// page, and a record with its top bit set lands within 16 bytes of the
+// page end, so widths 1–8 and short slices often straddle it. Straddling
+// accesses, use after free and double free must panic and change nothing.
+// WriteWhole must refuse, writing nothing, exactly the frames that no
+// Write or WriteU has written since they were allocated; it refuses them
+// before it looks at the offset, so a refusal never panics.
 func machineOracle(t *testing.T, data []byte) {
 	m := NewMachine()
 	var ids []FrameID // every frame allocated, freed ones included
 	ref := map[FrameID]*[PageSize]byte{}
-	var buf [256]byte // Write's source and Read's destination
+	written := map[FrameID]bool{} // the live frames Write or WriteU wrote
+	var buf [256]byte             // Write's source and Read's destination
 	if len(data) > 5*maxFuzzOps {
 		data = data[:5*maxFuzzOps]
 	}
@@ -38,7 +42,10 @@ func machineOracle(t *testing.T, data []byte) {
 		}
 		n := d%8 + 1
 		v := mix(uint64(op)<<32 | uint64(a)<<24 | uint64(b)<<16 | uint64(c)<<8 | uint64(d))
-		kind := (op & 0x7f) % 6
+		kind := (op & 0x7f) % 8
+		if kind >= 6 {
+			n = 1 << (d % 4) // ReadWhole and WriteWhole take whole accesses
+		}
 		if kind == 0 {
 			if len(ids) == maxFuzzFrames {
 				continue
@@ -65,11 +72,21 @@ func machineOracle(t *testing.T, data []byte) {
 			}
 			m.FreeFrame(id)
 			delete(ref, id)
+			delete(written, id)
 			continue
 		}
 		size := uint64(n)
 		if kind == 2 || kind == 4 {
 			size = uint64(d) // Write and Read move 0–255 bytes
+		}
+		if kind == 7 && live && !written[id] {
+			if m.WriteWhole(id, off, n, v) {
+				t.Fatalf("WriteWhole(frame %d, off %d, n %d) wrote a never-written frame", id, off, n)
+			}
+			if m.Materialized(id) {
+				t.Fatalf("WriteWhole materialized frame %d", id)
+			}
+			continue
 		}
 		if !live || off+size > PageSize {
 			var fn func()
@@ -80,8 +97,12 @@ func machineOracle(t *testing.T, data []byte) {
 				fn = func() { m.WriteU(id, off, n, v) }
 			case 4:
 				fn = func() { m.Read(id, off, buf[:size]) }
-			default:
+			case 5:
 				fn = func() { m.ReadU(id, off, n) }
+			case 6:
+				fn = func() { m.ReadWhole(id, off, n) }
+			default:
+				fn = func() { m.WriteWhole(id, off, n, v) }
 			}
 			if !panics(fn) {
 				t.Fatalf("op %d on frame %d (live %v) at off %d size %d did not panic", kind, id, live, off, size)
@@ -96,19 +117,30 @@ func machineOracle(t *testing.T, data []byte) {
 			}
 			m.Write(id, off, src)
 			copy(page[off:], src)
+			written[id] = true
 		case 3:
 			m.WriteU(id, off, n, v)
 			refWriteU(page[off:], n, v)
+			written[id] = true
 		case 4:
 			got := buf[:size]
 			m.Read(id, off, got)
 			if string(got) != string(page[off:off+size]) {
 				t.Fatalf("Read(frame %d, off %d, len %d) = % x, want % x", id, off, size, got, page[off:off+size])
 			}
-		default:
+		case 5:
 			if got, want := m.ReadU(id, off, n), refReadU(page[off:], n); got != want {
 				t.Fatalf("ReadU(frame %d, off %d, n %d) = %#x, want %#x", id, off, n, got, want)
 			}
+		case 6:
+			if got, want := m.ReadWhole(id, off, n), refReadU(page[off:], n); got != want {
+				t.Fatalf("ReadWhole(frame %d, off %d, n %d) = %#x, want %#x", id, off, n, got, want)
+			}
+		default:
+			if !m.WriteWhole(id, off, n, v) {
+				t.Fatalf("WriteWhole(frame %d, off %d, n %d) refused a written frame", id, off, n)
+			}
+			refWriteU(page[off:], n, v)
 		}
 	}
 	if m.Frames() != len(ref) {
@@ -136,6 +168,17 @@ func FuzzMachine(f *testing.F) {
 		0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
 		0x83, 1, 2, 0, 2, 0x83, 1, 4, 0, 4, 0x83, 1, 6, 0, 5,
 		0x85, 1, 2, 0, 2, 0x85, 0, 2, 0, 7, 4, 0, 0, 0, 255,
+	})
+	// One frame: a whole-access store to it while it is never written
+	// (refused), one past its page end (a panic), a WriteU that gives it
+	// its page, then whole-access stores and reads at widths 8, 4, 2 and
+	// 1, and a whole-access read past the page end.
+	f.Add([]byte{
+		0, 0, 0, 0, 0,
+		7, 0, 0, 8, 3, 0x87, 0, 2, 0, 3, 3, 0, 0, 0, 0,
+		7, 0, 0, 8, 3, 7, 0, 0, 16, 2, 7, 0, 0, 24, 1, 7, 0, 0, 32, 0,
+		6, 0, 0, 8, 3, 6, 0, 0, 16, 2, 6, 0, 0, 24, 1, 6, 0, 0, 32, 0,
+		0x86, 0, 1, 0, 3,
 	})
 	f.Fuzz(machineOracle)
 }

@@ -153,14 +153,8 @@ func (m *Machine) ReadU(id FrameID, off uint64, n uint8) uint64 {
 	}
 	b := f[off:]
 	switch n {
-	case 8:
-		return binary.LittleEndian.Uint64(b)
-	case 4:
-		return uint64(binary.LittleEndian.Uint32(b))
-	case 2:
-		return uint64(binary.LittleEndian.Uint16(b))
-	case 1:
-		return uint64(b[0])
+	case 1, 2, 4, 8:
+		return getLE(b, n)
 	}
 	var v uint64
 	for i := uint8(0); i < n; i++ {
@@ -181,18 +175,63 @@ func (m *Machine) WriteU(id FrameID, off uint64, n uint8, v uint64) {
 	}
 	b := f[off:]
 	switch n {
+	case 1, 2, 4, 8:
+		putLE(b, n, v)
+		return
+	}
+	for i := uint8(0); i < n; i++ {
+		b[i] = byte(v >> (8 * i))
+	}
+}
+
+// ReadWhole reads a whole guest access, n = 1, 2, 4 or 8 bytes,
+// little-endian at off in frame id, which must be live. It is ReadU
+// without the diagnostics, small enough to inline into the hypervisor's
+// TLB hit path; a caller guarantees off+n ≤ PageSize, and any other
+// misuse still panics, on a nil page or a short slice.
+func (m *Machine) ReadWhole(id FrameID, off uint64, n uint8) uint64 {
+	return getLE(m.frames[id][off:], n)
+}
+
+// WriteWhole is the store counterpart of ReadWhole. It writes nothing and
+// reports false, whatever off and n, when frame id has never been written:
+// the frame still names the shared zero page, and WriteU, which gives it
+// its own page, must take the store.
+func (m *Machine) WriteWhole(id FrameID, off uint64, n uint8, v uint64) bool {
+	f := m.frames[id]
+	if f == &zeroPage {
+		return false
+	}
+	putLE(f[off:], n, v)
+	return true
+}
+
+// getLE reads an n-byte little-endian value from the start of b, for n =
+// 1, 2, 4 or 8: the byte-order code of every whole access.
+func getLE(b []byte, n uint8) uint64 {
+	switch n {
+	case 8:
+		return binary.LittleEndian.Uint64(b)
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b))
+	}
+	return uint64(b[0])
+}
+
+// putLE writes the low n bytes of v, little-endian, at the start of b, for
+// n = 1, 2, 4 or 8.
+func putLE(b []byte, n uint8, v uint64) {
+	switch n {
 	case 8:
 		binary.LittleEndian.PutUint64(b, v)
 	case 4:
 		binary.LittleEndian.PutUint32(b, uint32(v))
 	case 2:
 		binary.LittleEndian.PutUint16(b, uint16(v))
-	case 1:
-		b[0] = byte(v)
 	default:
-		for i := uint8(0); i < n; i++ {
-			b[i] = byte(v >> (8 * i))
-		}
+		b[0] = byte(v)
 	}
 }
 
