@@ -22,13 +22,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/fasttrack"
 	"repro/internal/hypervisor"
-	"repro/internal/isa"
 	"repro/internal/memcheck"
 	"repro/internal/parsec"
-	"repro/internal/provider"
 	"repro/internal/runner"
 	"repro/internal/spbags"
-	"repro/internal/stm"
 	"repro/internal/workload"
 )
 
@@ -349,41 +346,6 @@ func BenchmarkAblationSwitch(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationProviders compares the per-thread protection providers
-// of §7.1 (AikidoVM hypervisor, dOS-style kernel, DTHREADS-style processes)
-// on the same workload.
-func BenchmarkAblationProviders(b *testing.B) {
-	bench, err := parsec.ByName("vips")
-	if err != nil {
-		b.Fatal(err)
-	}
-	bench = bench.WithScale(benchScale)
-	prog, err := workload.Build(bench.Spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	native, err := core.Run(prog, core.DefaultConfig(core.ModeNative))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, kind := range []provider.Kind{provider.AikidoVM, provider.DOS, provider.Dthreads} {
-		kind := kind
-		b.Run(kind.String(), func(b *testing.B) {
-			var res *core.Result
-			for i := 0; i < b.N; i++ {
-				cfg := core.DefaultConfig(core.ModeAikidoFastTrack)
-				cfg.Aikido.Provider = kind
-				var err error
-				res, err = core.Run(prog, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.Slowdown(native), "slowdown-x")
-		})
-	}
-}
-
 // BenchmarkExtensionNondeterminator measures the SP-bags determinacy check
 // (serial DFS execution + union-find bags) on a fork-join workload.
 func BenchmarkExtensionNondeterminator(b *testing.B) {
@@ -414,71 +376,6 @@ func BenchmarkExtensionNondeterminator(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(fasttrack.RacesIn(res.Findings))), "races")
 	})
-}
-
-// BenchmarkExtensionSTM measures the Abadi-style STM (§7.2) with strong
-// atomicity on vs off.
-func BenchmarkExtensionSTM(b *testing.B) {
-	rows := []struct {
-		label string
-		cfg   stm.Config
-	}{
-		{"strong", stm.Config{Strong: true}},
-		{"weak", stm.Config{Strong: false}},
-	}
-	for _, v := range rows {
-		v := v
-		b.Run(v.label, func(b *testing.B) {
-			var commits uint64
-			for i := 0; i < b.N; i++ {
-				prog, err := stmBenchProgram()
-				if err != nil {
-					b.Fatal(err)
-				}
-				s, err := stm.New(prog, v.cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := s.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				commits = res.C.Commits
-			}
-			b.ReportMetric(float64(commits), "commits")
-		})
-	}
-}
-
-// stmBenchProgram is a small transactional counter workload.
-func stmBenchProgram() (*isa.Program, error) {
-	bld := isa.NewBuilder("stm-bench")
-	x := bld.Global(4096, 4096)
-	tids := bld.GlobalArray(3)
-	for w := 0; w < 3; w++ {
-		bld.MovImm(isa.R7, int64(w))
-		bld.ThreadCreate("worker", isa.R7)
-		bld.StoreAbs(tids+uint64(8*w), isa.R0)
-	}
-	for w := 0; w < 3; w++ {
-		bld.LoadAbs(isa.R5, tids+uint64(8*w))
-		bld.ThreadJoin(isa.R5)
-	}
-	bld.MovImm(isa.R0, 0)
-	bld.Syscall(isa.SysExit)
-	bld.Label("worker")
-	bld.MovImm(isa.R4, int64(x))
-	bld.LoopN(isa.R2, 100, func(bld *isa.Builder) {
-		bld.Label(".retry")
-		bld.TxBegin()
-		bld.Load(isa.R5, isa.R4, 0)
-		bld.AddImm(isa.R5, isa.R5, 1)
-		bld.Store(isa.R4, 0, isa.R5)
-		bld.TxEnd()
-		bld.BrImm(isa.EQ, isa.R0, 0, ".retry")
-	})
-	bld.Halt()
-	return bld.Finish()
 }
 
 // BenchmarkMemcheck measures the Umbra-hosted memory checker — the

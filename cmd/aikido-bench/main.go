@@ -1,14 +1,13 @@
 // Command aikido-bench regenerates the paper's evaluation — Figure 5,
 // Figure 6, Table 1, Table 2 — plus the ablation studies (mirror pages,
-// paging modes, context-switch interception, protection providers) and the
-// extension experiments (detector comparison, thread scaling,
-// Nondeterminator vs FastTrack, STM strong atomicity).
+// paging modes, context-switch interception) and the extension
+// experiments (detector comparison, thread scaling, Nondeterminator vs
+// FastTrack).
 //
 // Usage:
 //
 //	aikido-bench [-experiment all|fig5|fig6|table1|table2|ablation|paging|
-//	              switch|providers|detectors|muxbench|epochs|scaling|
-//	              nondet|stm]
+//	              switch|detectors|muxbench|epochs|scaling|nondet]
 //	             [-scale F] [-threads N] [-workers N] [-json FILE]
 //	             [-analysis NAME[,NAME...]]
 //
@@ -23,8 +22,7 @@
 //
 // Every model×mode experiment matrix is sharded across -workers concurrent
 // runner workers (default: all CPUs); results are identical at any worker
-// count. The nondet and stm extensions run sequentially and ignore
-// -workers.
+// count. The nondet extension runs sequentially and ignores -workers.
 //
 // With -json, the Figure 5 workload matrix runs once per (model, mode) and
 // a machine-readable report of its simulated results is written to FILE
@@ -59,8 +57,8 @@ import (
 // experimentNames are the valid -experiment values: "all" runs every
 // experiment after it in this order.
 var experimentNames = []string{"all", "fig5", "fig6", "table1", "table2",
-	"ablation", "paging", "switch", "providers", "detectors", "muxbench",
-	"epochs", "scaling", "nondet", "stm"}
+	"ablation", "paging", "switch", "detectors", "muxbench", "epochs",
+	"scaling", "nondet"}
 
 // checkExperiment rejects an -experiment value that names no experiment,
 // which would otherwise run nothing and exit 0.
@@ -218,14 +216,6 @@ func main() {
 		experiments.WriteAblationSwitch(w, rows)
 		return nil
 	})
-	run("providers", func() error {
-		rows, err := experiments.AblationProviders(o)
-		if err != nil {
-			return err
-		}
-		experiments.WriteAblationProviders(w, rows)
-		return nil
-	})
 	run("detectors", func() error {
 		rows, err := experiments.ExtensionDetectors(o)
 		if err != nil {
@@ -264,14 +254,6 @@ func main() {
 			return err
 		}
 		experiments.WriteExtensionNondeterminator(w, rows)
-		return nil
-	})
-	run("stm", func() error {
-		rows, err := experiments.ExtensionSTM(o)
-		if err != nil {
-			return err
-		}
-		experiments.WriteExtensionSTM(w, rows)
 		return nil
 	})
 }

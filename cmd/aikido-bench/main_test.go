@@ -9,9 +9,11 @@ import (
 
 // TestCheckExperiment: every listed experiment is accepted, and a name
 // that matches none — including the deleted deferred, parallel, vector,
-// phase, static, chaos and crew experiments — is rejected with the valid
-// names listed, instead of running nothing and exiting 0.
+// phase, static, chaos, crew, providers and stm experiments — is rejected
+// with the valid names listed, instead of running nothing and exiting 0.
 func TestCheckExperiment(t *testing.T) {
+	const valid = "(want all, fig5, fig6, table1, table2, ablation, paging, " +
+		"switch, detectors, muxbench, epochs, scaling, nondet)"
 	for _, tc := range []struct {
 		name string
 		ok   bool
@@ -22,9 +24,11 @@ func TestCheckExperiment(t *testing.T) {
 		{"vector", false},
 		{"phase", false},
 		{"static", false},
-		{"stm", true},
+		{"nondet", true},
 		{"chaos", false},
 		{"crew", false},
+		{"providers", false},
+		{"stm", false},
 		{"deferred", false},
 		{"parallel", false},
 		{"", false},
@@ -42,7 +46,7 @@ func TestCheckExperiment(t *testing.T) {
 			t.Errorf("checkExperiment(%q) = nil, want an error", tc.name)
 			continue
 		}
-		if !strings.Contains(err.Error(), "fig5, fig6") || !strings.Contains(err.Error(), "stm") {
+		if !strings.HasSuffix(err.Error(), valid) {
 			t.Errorf("checkExperiment(%q) = %q, want the valid names listed", tc.name, err)
 		}
 	}

@@ -6,8 +6,7 @@
 //
 //	aikido-run [-bench NAME|all] [-mode native|dbi|fasttrack|aikido]
 //	           [-analysis none|NAME[,NAME...]] [-max-findings N]
-//	           [-provider aikidovm|dos|dthreads] [-paging shadow|nested]
-//	           [-switch hypercall|segtrap|probe]
+//	           [-paging shadow|nested] [-switch hypercall|segtrap|probe]
 //	           [-threads N] [-scale F] [-workers N] [-findings] [-list]
 //	           [-list-analyses]
 //	           [-max-cycles N] [-cell-deadline D] [-keep-going]
@@ -26,8 +25,8 @@
 // names no analysis, only commas and spaces, is a usage error.
 //
 // A flag the selected stack would ignore (core.Config.Check) is a usage
-// error: -provider outside -mode aikido, -paging or -switch with another
-// provider than aikidovm, -analysis or -max-findings under native or dbi.
+// error: -paging or -switch outside -mode aikido, and -analysis or
+// -max-findings under native or dbi.
 //
 // The Aikido modes run with epoch demotion, core.DefaultConfig's default:
 // Shared pages that fall back to a single owner are demoted to
@@ -68,7 +67,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hypervisor"
 	"repro/internal/parsec"
-	"repro/internal/provider"
 	"repro/internal/runner"
 )
 
@@ -88,7 +86,6 @@ func run(args []string) int {
 	mode := fs.String("mode", "aikido", "native, dbi, fasttrack, aikido")
 	analyses := fs.String("analysis", "", "comma-separated analyses to multiplex onto one pass (see -list-analyses), or none (default: the mode's, fasttrack for fasttrack and aikido)")
 	maxFindings := fs.Int("max-findings", 0, "cap stored findings for the whole run, divided across the selected analyses (0 = each detector's default)")
-	prov := fs.String("provider", "aikidovm", "per-thread protection provider: aikidovm, dos, dthreads (§7.1)")
 	paging := fs.String("paging", "shadow", "AikidoVM paging mode: shadow, nested (§3.2.2)")
 	swi := fs.String("switch", "hypercall", "context-switch interception: hypercall, segtrap, probe (§3.2.3)")
 	threads := fs.Int("threads", 0, "worker threads (0 = benchmark default)")
@@ -129,15 +126,6 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "aikido-run: unknown mode %q\n", *mode)
 		return exitBadFlags
 	}
-	pk, ok := map[string]provider.Kind{
-		"aikidovm": provider.AikidoVM,
-		"dos":      provider.DOS,
-		"dthreads": provider.Dthreads,
-	}[*prov]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "aikido-run: unknown provider %q\n", *prov)
-		return exitBadFlags
-	}
 	pg, ok := map[string]hypervisor.PagingMode{
 		"shadow": hypervisor.ShadowPaging,
 		"nested": hypervisor.NestedPaging,
@@ -173,7 +161,6 @@ func run(args []string) int {
 		}
 	}
 	cfg.MaxFindings = *maxFindings
-	cfg.Aikido.Provider = pk
 	cfg.Aikido.Paging = pg
 	cfg.Aikido.Switch = sw
 	cfg.MaxCycles = *maxCycles
@@ -269,21 +256,15 @@ func run(args []string) int {
 	fmt.Printf("instrumented     %d\n", res.Engine.InstrumentedExecs)
 	fmt.Printf("context switches %d\n", res.GuestContextSwitches)
 	if m == core.ModeAikidoFastTrack {
-		if pk == provider.AikidoVM {
-			fmt.Printf("provider         %s (paging %s, switch %s)\n", pk, pg, sw)
-		} else {
-			fmt.Printf("provider         %s\n", pk)
-		}
+		fmt.Printf("provider         aikidovm (paging %s, switch %s)\n", pg, sw)
 		fmt.Printf("shared accesses  %d (%.2f%% of memory refs)\n",
 			res.SD.SharedPageAccesses, 100*res.SharedAccessFraction())
 		fmt.Printf("pages private    %d\n", res.SD.PagesPrivate)
 		fmt.Printf("pages shared     %d\n", res.SD.PagesShared)
 		fmt.Printf("prot ops         %d (+%d ranged)\n", res.Prov.ProtOps, res.Prov.RangeOps)
 		fmt.Printf("provider faults  %d\n", res.Prov.Faults)
-		if pk == provider.AikidoVM {
-			fmt.Printf("aikido faults    %d\n", res.HV.AikidoFaults)
-			fmt.Printf("hypercalls       %d\n", res.HV.Hypercalls)
-		}
+		fmt.Printf("aikido faults    %d\n", res.HV.AikidoFaults)
+		fmt.Printf("hypercalls       %d\n", res.HV.Hypercalls)
 		fmt.Printf("instrumented PCs %d\n", res.SD.InstrumentedPCs)
 		fmt.Printf("epoch sweeps     %d\n", res.SD.EpochSweeps)
 		fmt.Printf("pages demoted    %d private, %d unused\n",

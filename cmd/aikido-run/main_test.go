@@ -18,11 +18,10 @@ func TestRunRejectsBadScale(t *testing.T) {
 }
 
 // TestRunRejectsBadFlags: a negative -threads or -max-findings, the
-// deleted -dispatch, -epoch, -chaos and -races flags and the deleted
-// profile mode are usage errors, and so is every flag the selected stack
-// would ignore: paging and switch settings under a provider other than
-// AikidoVM, provider settings outside the Aikido mode, and analyses or a
-// findings cap in the native and dbi modes. An -analysis value that names
+// deleted -dispatch, -epoch, -chaos, -races and -provider flags and the
+// deleted profile mode are usage errors, and so is every flag the selected
+// stack would ignore: paging settings outside the Aikido mode, and
+// analyses or a findings cap in the native and dbi modes. An -analysis value that names
 // no analysis is one too: -analysis none is the one spelling of "no
 // analysis". None of them runs anything.
 func TestRunRejectsBadFlags(t *testing.T) {
@@ -34,9 +33,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-bench", "canneal", "-scale", "0.05", "-max-findings", "-1"},
 		{"-bench", "vips", "-scale", "0.05", "-mode", "profile"},
 		{"-bench", "vips", "-scale", "0.05", "-races"},
-		{"-bench", "vips", "-scale", "0.05", "-provider", "dos", "-paging", "nested", "-switch", "probe"},
-		{"-bench", "vips", "-scale", "0.05", "-provider", "dthreads", "-switch", "segtrap"},
-		{"-bench", "vips", "-scale", "0.05", "-mode", "native", "-provider", "dthreads", "-paging", "nested"},
+		{"-bench", "vips", "-scale", "0.05", "-provider", "aikidovm"},
+		{"-bench", "vips", "-scale", "0.05", "-mode", "native", "-paging", "nested"},
 		{"-bench", "vips", "-scale", "0.05", "-mode", "dbi", "-analysis", "lockset"},
 		{"-bench", "vips", "-scale", "0.05", "-mode", "native", "-max-findings", "5"},
 		{"-bench", "vips", "-scale", "0.05", "-mode", "aikido", "-analysis", ","},

@@ -5,14 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/hypervisor"
-	"repro/internal/provider"
 	"repro/internal/sharing"
 )
 
-// TestConfigCheck: Check accepts every mode's DefaultConfig and the eight
-// provider settings that take effect, and rejects every setting that is
-// invalid or that the selected stack would ignore, naming the field. Each
-// rejected config also fails NewSystem before anything is assembled: a
+// TestConfigCheck: Check accepts every mode's DefaultConfig and the six
+// provider settings, and rejects every setting that is invalid or that
+// the selected stack would ignore, naming the field. Each rejected config
+// also fails NewSystem before anything is assembled: a
 // zero Quantum used to hang every mode, because a run that retires nothing
 // charges no cycle and never trips a budget.
 func TestConfigCheck(t *testing.T) {
@@ -54,7 +53,6 @@ func TestConfigCheck(t *testing.T) {
 	for _, m := range []Mode{ModeNative, ModeDBI, ModeFastTrackFull} {
 		def := DefaultConfig(m)
 		rows = append(rows,
-			row{m.String() + " provider", with(def, func(c *Config) { c.Aikido.Provider = provider.Dthreads }), "Aikido"},
 			row{m.String() + " paging", with(def, func(c *Config) { c.Aikido.Paging = hypervisor.NestedPaging }), "Aikido"},
 			row{m.String() + " switch", with(def, func(c *Config) { c.Aikido.Switch = hypervisor.SwitchProbe }), "Aikido"},
 			row{m.String() + " no-mirror", with(def, func(c *Config) { c.Aikido.NoMirror = true }), "Aikido"},
@@ -62,24 +60,14 @@ func TestConfigCheck(t *testing.T) {
 	}
 	aikido := DefaultConfig(ModeAikidoFastTrack)
 	rows = append(rows,
-		row{"unknown provider", with(aikido, func(c *Config) { c.Aikido.Provider = provider.Kind(9) }), "Aikido.Provider"},
 		row{"unknown paging", with(aikido, func(c *Config) { c.Aikido.Paging = hypervisor.PagingMode(9) }), "Aikido.Paging"},
 		row{"unknown switch", with(aikido, func(c *Config) { c.Aikido.Switch = hypervisor.SwitchInterception(9) }), "Aikido.Switch"})
-	accepted := 0
-	for _, set := range providerSettings() {
-		field := ""
-		switch {
-		case set.takesEffect():
-			accepted++
-		case set.paging != hypervisor.ShadowPaging:
-			field = "Aikido.Paging"
-		default:
-			field = "Aikido.Switch"
-		}
-		rows = append(rows, row{set.String(), set.config(), field})
+	settings := providerSettings()
+	for _, set := range settings {
+		rows = append(rows, row{set.String(), set.config(), ""})
 	}
-	if accepted != 8 {
-		t.Errorf("%d provider settings take effect, want 8", accepted)
+	if len(settings) != 6 {
+		t.Errorf("%d provider settings, want 6", len(settings))
 	}
 
 	prog := privateProgram(1)

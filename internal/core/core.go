@@ -126,15 +126,9 @@ type Config struct {
 	MaxWall time.Duration
 }
 
-// AikidoConfig configures the Aikido stack: the protection provider, its
-// paging and context-switch mechanisms, and AikidoSD's own options.
+// AikidoConfig configures the Aikido stack: AikidoVM's paging and
+// context-switch mechanisms, and AikidoSD's own options.
 type AikidoConfig struct {
-	// Provider selects the per-thread page-protection mechanism (§7.1):
-	// the AikidoVM hypervisor (default), the dOS-style modified kernel,
-	// or the DTHREADS-style processes-as-threads runtime. The analysis
-	// results are identical across providers; the costs and transparency
-	// are not.
-	Provider provider.Kind
 	// Paging selects AikidoVM's memory-virtualization strategy (§3.2.2):
 	// shadow paging (the paper's prototype, the default) or nested paging
 	// (the paper's "generally applicable" claim, with per-thread EPT
@@ -206,20 +200,10 @@ func (c Config) Check() error {
 		return fmt.Errorf("core: Config.Aikido: set, but mode %s builds no Aikido stack", c.Mode)
 	}
 	switch a := c.Aikido; {
-	case a.Provider > provider.Dthreads:
-		return fmt.Errorf("core: Config.Aikido.Provider: unknown provider %d", a.Provider)
 	case a.Paging > hypervisor.NestedPaging:
 		return fmt.Errorf("core: Config.Aikido.Paging: unknown paging mode %d", a.Paging)
 	case a.Switch > hypervisor.SwitchProbe:
 		return fmt.Errorf("core: Config.Aikido.Switch: unknown switch interception %d", a.Switch)
-	}
-	if a := c.Aikido; a.Provider != provider.AikidoVM {
-		if a.Paging != hypervisor.ShadowPaging {
-			return fmt.Errorf("core: Config.Aikido.Paging: %s, but provider %s has no hypervisor paging", a.Paging, a.Provider)
-		}
-		if a.Switch != hypervisor.SwitchHypercall {
-			return fmt.Errorf("core: Config.Aikido.Switch: %s, but provider %s has no hypervisor switch interception", a.Switch, a.Provider)
-		}
 	}
 	return nil
 }
@@ -232,8 +216,8 @@ type System struct {
 	Clock   *stats.Clock
 	Engine  *dbi.Engine
 
-	HV   *hypervisor.Hypervisor // nil unless Aikido mode with the AikidoVM provider
-	Prov provider.Interface     // nil unless Aikido mode
+	HV   *hypervisor.Hypervisor // nil unless Aikido mode
+	Prov *provider.AikidoVM     // nil unless Aikido mode
 	Um   *umbra.Umbra           // nil in native/dbi modes
 	Mir  *mirror.Manager        // nil unless Aikido mode
 	SD   *sharing.Detector      // nil unless Aikido mode
@@ -314,20 +298,13 @@ func NewSystem(prog *isa.Program, cfg Config) (*System, error) {
 
 	case ModeAikidoFastTrack:
 		a := cfg.Aikido
-		switch a.Provider {
-		case provider.DOS:
-			s.Prov = provider.NewDOS(p, clock)
-		case provider.Dthreads:
-			s.Prov = provider.NewDthreads(p, clock)
-		default:
-			if a.Paging == hypervisor.NestedPaging {
-				s.HV = hypervisor.NewNested(m, p.PT, clock)
-			} else {
-				s.HV = hypervisor.New(m, p.PT, clock)
-			}
-			s.HV.SetSwitchInterception(a.Switch)
-			s.Prov = provider.NewAikidoVM(p, s.HV, clock)
+		if a.Paging == hypervisor.NestedPaging {
+			s.HV = hypervisor.NewNested(m, p.PT, clock)
+		} else {
+			s.HV = hypervisor.New(m, p.PT, clock)
 		}
+		s.HV.SetSwitchInterception(a.Switch)
+		s.Prov = provider.NewAikidoVM(p, s.HV, clock)
 		p.SetBus(provider.KernelBus(s.Prov))
 		s.Um = umbra.Attach(p, clock)
 		s.Mir = mirror.Attach(p)
@@ -338,14 +315,9 @@ func NewSystem(prog *isa.Program, cfg Config) (*System, error) {
 		if a.NoMirror {
 			s.SD.DisableMirror()
 		}
-		// The engine's user accesses go to the hypervisor itself, whose
-		// Load and Store are the AikidoVM provider's user path; the
+		// The engine's user accesses go to the hypervisor itself; the
 		// kernel bus keeps the provider for its emulation accounting.
-		var mem dbi.Memory = s.Prov
-		if s.HV != nil {
-			mem = s.HV
-		}
-		s.Engine = dbi.New(p, mem, s.SD, clock, ecfg)
+		s.Engine = dbi.New(p, s.HV, s.SD, clock, ecfg)
 		s.SD.SetEngine(s.Engine)
 		s.Engine.OnFault = s.SD.HandleFault
 		s.Engine.RuntimeTouch = s.SD.TouchCode
@@ -400,8 +372,7 @@ func (s *System) wireHooks() {
 		if s.Prov != nil {
 			// The provider charges its own switch cost on top of the
 			// guest's: the hypervisor's interception VM exit plus
-			// translation-view switch (§3.2.3), the dOS root write, or
-			// the DTHREADS process switch.
+			// translation-view switch (§3.2.3).
 			s.Prov.ContextSwitch(old, new)
 		}
 	}
@@ -428,17 +399,9 @@ func (s *System) wireHooks() {
 	}
 	p.Hooks.ThreadExited = func(t *guest.Thread) {
 		live--
-		if s.Prov != nil {
-			s.Prov.ThreadExited(t.ID)
-		}
 		if an != nil {
 			an.OnExit(t.ID)
 			an.AddThread(-1)
-		}
-	}
-	if s.Prov != nil {
-		p.Hooks.Syscall = func(t *guest.Thread, num int64) {
-			s.Prov.OnSyscall(t.ID, num)
 		}
 	}
 	if s.SD != nil {

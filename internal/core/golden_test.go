@@ -14,7 +14,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/pagetable"
 	"repro/internal/parsec"
-	"repro/internal/provider"
 	"repro/internal/sharing"
 	"repro/internal/taint"
 	"repro/internal/vm"
@@ -198,12 +197,11 @@ func hostedCells() []goldenCell {
 
 // configCells pin the configurations every other cell leaves at its
 // default, so that each simulated cost moves some cell: on vips at scale
-// 0.25, Aikido under the dOS and DTHREADS providers, nested paging, the
-// segment-trap and probe switch interceptions and the no-mirror ablation,
-// then native, DBI-only and FastTrack-full with the sampled wrapper; and
-// the kernel-write guest, whose syscall reads a page no thread has
-// touched, under each provider. Each prints its provider and hypervisor
-// counters.
+// 0.25, Aikido under nested paging, the segment-trap and probe switch
+// interceptions and the no-mirror ablation, then native, DBI-only and
+// FastTrack-full with the sampled wrapper; and the kernel-write guest,
+// whose syscall reads a page no thread has touched. Each prints its
+// provider and hypervisor counters.
 func configCells() []goldenCell {
 	layers := func(w io.Writer, r *Result) {
 		fmt.Fprintf(w, "prov %+v\nhv %+v\n", r.Prov, r.HV)
@@ -220,8 +218,6 @@ func configCells() []goldenCell {
 			src: src, cfg: cfg, counters: layers}
 	}
 	cells := []goldenCell{
-		aikido("provider=dos", func(c *Config) { c.Aikido.Provider = provider.DOS }),
-		aikido("provider=dthreads", func(c *Config) { c.Aikido.Provider = provider.Dthreads }),
 		aikido("paging=nested", func(c *Config) { c.Aikido.Paging = hypervisor.NestedPaging }),
 		aikido("switch=segtrap", func(c *Config) { c.Aikido.Switch = hypervisor.SwitchSegTrap }),
 		aikido("switch=probe", func(c *Config) { c.Aikido.Switch = hypervisor.SwitchProbe }),
@@ -237,14 +233,9 @@ func configCells() []goldenCell {
 	kwrite := builtSource{name: "kernel-write", build: func() (*isa.Program, error) {
 		return kernelWriteProgram(), nil
 	}}
-	for _, k := range []provider.Kind{provider.AikidoVM, provider.DOS, provider.Dthreads} {
-		cfg := DefaultConfig(ModeAikidoFastTrack)
-		cfg.Aikido.Provider = k
-		cells = append(cells, goldenCell{
-			name: fmt.Sprintf("kernel-write %s provider=%s", ModeAikidoFastTrack, k),
-			src:  kwrite, cfg: cfg, counters: layers})
-	}
-	return cells
+	return append(cells, goldenCell{
+		name: fmt.Sprintf("kernel-write %s provider=aikidovm", ModeAikidoFastTrack),
+		src:  kwrite, cfg: DefaultConfig(ModeAikidoFastTrack), counters: layers})
 }
 
 // taintflowProgram is examples/taintflow's guest: untrusted input passes

@@ -31,12 +31,12 @@ import (
 	"repro/internal/vm"
 )
 
-// Memory is the engine's user-mode data access path. Under the AikidoVM
-// provider it is the *hypervisor.Hypervisor itself, whose Load and Store
-// probe the thread's host TLB first; under dOS and DTHREADS it is the
-// provider; in every other mode it is the engine's direct page-table
-// walker. execMem calls the hypervisor and the walker without an
-// interface call.
+// Memory is the engine's user-mode data access path. Under Aikido it is
+// the *hypervisor.Hypervisor itself, whose Load and Store probe the
+// thread's host TLB first; in every other mode it is the engine's direct
+// page-table walker. execMem calls the hypervisor and the walker without
+// an interface call, and any other Memory, such as a wrapper installed
+// after New, through the interface.
 type Memory interface {
 	Load(tid guest.TID, addr uint64, size uint8, user bool) (uint64, *hypervisor.Fault)
 	Store(tid guest.TID, addr uint64, size uint8, val uint64, user bool) *hypervisor.Fault

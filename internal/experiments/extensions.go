@@ -7,10 +7,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/hypervisor"
 	"repro/internal/parsec"
-	"repro/internal/provider"
 	"repro/internal/runner"
 	"repro/internal/spbags"
-	"repro/internal/stm"
 	"repro/internal/workload"
 )
 
@@ -137,81 +135,6 @@ func WriteAblationSwitch(w io.Writer, rows []SwitchRow) {
 	}
 }
 
-// --- Ablation: protection providers (§7.1) ----------------------------------
-
-// ProviderRow compares per-thread protection providers on one benchmark.
-type ProviderRow struct {
-	Name         string
-	Provider     string
-	Slow         float64
-	UnmodifiedOS bool
-	UnmodifiedTC bool // toolchain
-	ProtOps      uint64
-	KernelByp    uint64
-	Races        int
-}
-
-// AblationProviders runs Aikido-FastTrack over the three per-thread
-// protection providers of §7.1: AikidoVM (transparent, hypercall-priced),
-// the dOS-style modified kernel (cheap, invasive) and the DTHREADS-style
-// processes-as-threads runtime (cheap protection, expensive threads). The
-// detector results are identical; the cost/transparency trade is the point.
-func AblationProviders(o Options) ([]ProviderRow, error) {
-	o = o.normalize()
-	names := []string{"vips", "fluidanimate"}
-	kinds := []provider.Kind{provider.AikidoVM, provider.DOS, provider.Dthreads}
-	stride := 1 + len(kinds)
-	var specs []runner.Spec
-	for _, name := range names {
-		b, err := parsec.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		bb := o.apply(b)
-		specs = append(specs, cell(bb, "native", core.DefaultConfig(core.ModeNative)))
-		for _, kind := range kinds {
-			cfg := core.DefaultConfig(core.ModeAikidoFastTrack)
-			cfg.Aikido.Provider = kind
-			specs = append(specs, cell(bb, kind.String(), cfg))
-		}
-	}
-	cells, err := o.sweep(specs)
-	if err != nil {
-		return nil, err
-	}
-	var rows []ProviderRow
-	for i, name := range names {
-		native := cells[i*stride].Res
-		for j, kind := range kinds {
-			c := cells[i*stride+1+j]
-			res := c.Res
-			tr := kind.Transparency(c.Spec.Config.Aikido.Switch)
-			rows = append(rows, ProviderRow{
-				Name:         name,
-				Provider:     kind.String(),
-				Slow:         res.Slowdown(native),
-				UnmodifiedOS: tr.UnmodifiedOS,
-				UnmodifiedTC: tr.UnmodifiedToolchain,
-				ProtOps:      res.Prov.ProtOps + res.Prov.RangeOps,
-				KernelByp:    res.Prov.KernelBypasses,
-				Races:        len(races(res)),
-			})
-		}
-	}
-	return rows, nil
-}
-
-// WriteAblationProviders renders the provider ablation.
-func WriteAblationProviders(w io.Writer, rows []ProviderRow) {
-	fmt.Fprintln(w, "Ablation: per-thread protection providers (§7.1; identical races)")
-	fmt.Fprintf(w, "%-14s %-16s %10s %8s %10s %8s %8s %7s\n",
-		"benchmark", "provider", "slowdown", "unmodOS", "unmodTC", "protops", "kbypass", "races")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-14s %-16s %9.2fx %8v %10v %8d %8d %7d\n",
-			r.Name, r.Provider, r.Slow, r.UnmodifiedOS, r.UnmodifiedTC, r.ProtOps, r.KernelByp, r.Races)
-	}
-}
-
 // --- Extension: Nondeterminator (SP-bags) vs FastTrack ----------------------
 
 // NondetRow compares the determinacy detector with FastTrack on one
@@ -275,72 +198,5 @@ func WriteExtensionNondeterminator(w io.Writer, rows []NondetRow) {
 	fmt.Fprintf(w, "%-16s %10s %12s   %s\n", "program", "SP-bags", "FastTrack", "note")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-16s %10d %12d   %s\n", r.Program, r.SPBagsRaces, r.FastTrackRaces, r.Note)
-	}
-}
-
-// --- Extension: STM strong atomicity over mirror pages (§7.2) ---------------
-
-// STMRow is one STM configuration's outcome.
-type STMRow struct {
-	Variant   string
-	ExitCode  int64
-	Commits   uint64
-	Aborts    uint64
-	Conflicts uint64
-	Patched   uint64
-}
-
-// ExtensionSTM runs the Abadi-style STM stress program (§7.2) with the
-// page-protection machinery on and off: strong atomicity keeps the
-// invariant (exit 0); the weak baseline exposes mid-transaction state.
-func ExtensionSTM(o Options) ([]STMRow, error) {
-	o = o.normalize()
-	iters := int(120 * o.Scale)
-	if iters < 20 {
-		iters = 20
-	}
-	prog, err := stmProgram(3, iters, 400)
-	if err != nil {
-		return nil, err
-	}
-	var rows []STMRow
-	for _, v := range []struct {
-		label string
-		cfg   stm.Config
-	}{
-		{"strong (protected)", stm.Config{Strong: true}},
-		{"strong + patching", stm.Config{Strong: true, PatchThreshold: 3}},
-		{"weak (baseline)", stm.Config{Strong: false}},
-	} {
-		cfg := v.cfg
-		cfg.Quantum = 53
-		s, err := stm.New(prog, cfg)
-		if err != nil {
-			return nil, err
-		}
-		res, err := s.Run()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", v.label, err)
-		}
-		rows = append(rows, STMRow{
-			Variant:   v.label,
-			ExitCode:  res.ExitCode,
-			Commits:   res.C.Commits,
-			Aborts:    res.C.Aborts,
-			Conflicts: res.C.NonTxConflicts + res.C.TxTxConflicts,
-			Patched:   res.C.PatchedPCs,
-		})
-	}
-	return rows, nil
-}
-
-// WriteExtensionSTM renders the STM comparison.
-func WriteExtensionSTM(w io.Writer, rows []STMRow) {
-	fmt.Fprintln(w, "Extension: Abadi-style STM with strong atomicity over mirror pages (§7.2)")
-	fmt.Fprintln(w, "(exit 0 = invariant held; 1 = mid-tx state observed; 2 = lost updates)")
-	fmt.Fprintf(w, "%-20s %6s %9s %8s %10s %8s\n", "variant", "exit", "commits", "aborts", "conflicts", "patched")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-20s %6d %9d %8d %10d %8d\n",
-			r.Variant, r.ExitCode, r.Commits, r.Aborts, r.Conflicts, r.Patched)
 	}
 }

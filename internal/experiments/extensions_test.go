@@ -81,37 +81,6 @@ func TestAblationSwitchStructure(t *testing.T) {
 	}
 }
 
-func TestAblationProvidersStructure(t *testing.T) {
-	rows, err := AblationProviders(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 6 { // 2 benchmarks × 3 providers
-		t.Fatalf("rows = %d, want 6", len(rows))
-	}
-	for i := 0; i < len(rows); i += 3 {
-		vm, dos, procs := rows[i], rows[i+1], rows[i+2]
-		if vm.Races != dos.Races || dos.Races != procs.Races {
-			t.Errorf("%s: providers disagree on races: %d/%d/%d",
-				vm.Name, vm.Races, dos.Races, procs.Races)
-		}
-		// dOS does the same work without hypervisor transparency costs:
-		// it must be the cheapest.
-		if dos.Slow >= vm.Slow {
-			t.Errorf("%s: dOS (%.2fx) not cheaper than AikidoVM (%.2fx)",
-				vm.Name, dos.Slow, vm.Slow)
-		}
-		if vm.ProtOps == 0 || dos.ProtOps == 0 || procs.ProtOps == 0 {
-			t.Error("protection ops not counted")
-		}
-	}
-	var buf bytes.Buffer
-	WriteAblationProviders(&buf, rows)
-	if !strings.Contains(buf.String(), "dthreads-procs") {
-		t.Error("rendering lost providers")
-	}
-}
-
 func TestExtensionNondeterminatorStructure(t *testing.T) {
 	rows, err := ExtensionNondeterminator(quick)
 	if err != nil {
@@ -137,30 +106,6 @@ func TestExtensionNondeterminatorStructure(t *testing.T) {
 	var buf bytes.Buffer
 	WriteExtensionNondeterminator(&buf, rows)
 	if !strings.Contains(buf.String(), "SP-bags") {
-		t.Error("rendering broken")
-	}
-}
-
-func TestExtensionSTMStructure(t *testing.T) {
-	rows, err := ExtensionSTM(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
-	}
-	if rows[0].ExitCode != 0 {
-		t.Errorf("strong STM violated the invariant: %+v", rows[0])
-	}
-	if rows[1].ExitCode != 0 || rows[1].Patched == 0 {
-		t.Errorf("patched STM: %+v", rows[1])
-	}
-	if rows[2].ExitCode == 0 {
-		t.Log("weak STM happened to preserve the invariant at this scale (schedule luck)")
-	}
-	var buf bytes.Buffer
-	WriteExtensionSTM(&buf, rows)
-	if !strings.Contains(buf.String(), "strong") {
 		t.Error("rendering broken")
 	}
 }

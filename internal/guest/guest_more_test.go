@@ -19,10 +19,15 @@ func TestSysYield(t *testing.T) {
 	}
 }
 
+// TestUnknownSyscall: a number that names no syscall fails with an
+// error, including 9 and 10, the first two past SysYield.
 func TestUnknownSyscall(t *testing.T) {
 	p := newProc(t, tinyProgram(t))
-	if _, err := p.DoSyscall(p.Current(), 999); err == nil {
-		t.Error("unknown syscall accepted")
+	for _, num := range []int64{9, 10, 999} {
+		_, err := p.DoSyscall(p.Current(), num)
+		if want := fmt.Sprintf("guest: unknown syscall %d", num); err == nil || err.Error() != want {
+			t.Errorf("syscall %d: err = %v, want %q", num, err, want)
+		}
 	}
 }
 

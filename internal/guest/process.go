@@ -135,20 +135,12 @@ type Hooks struct {
 	// blocking); BarrierRelease fires once per thread when it is released.
 	BarrierWait    func(t *Thread, id int64)
 	BarrierRelease func(t *Thread, id int64)
-	// Syscall fires for every syscall entry.
-	Syscall func(t *Thread, num int64)
-	// TxBegin/TxEnd implement the SysTxBegin/SysTxEnd syscalls when an
-	// STM runtime is attached; the returned value becomes the guest R0
-	// (TxEnd: 1 = committed, 0 = aborted, retry). Nil hooks commit
-	// vacuously.
-	TxBegin func(t *Thread) int64
-	TxEnd   func(t *Thread) int64
 }
 
 // Bus is the path by which the guest kernel reads memory on behalf of a
-// thread (user=false accesses; syscalls only ever read user buffers). It
-// is wired to the protection provider so kernel accesses to
-// Aikido-protected pages exercise the §3.2.6 emulation path.
+// thread (user=false accesses; syscalls only ever read user buffers).
+// Under Aikido it is AikidoLib's provider (provider.KernelBus), so kernel
+// accesses to Aikido-protected pages exercise the §3.2.6 emulation path.
 type Bus interface {
 	Load(tid TID, addr uint64, size uint8, user bool) (uint64, *pagetable.Fault)
 }
@@ -292,8 +284,7 @@ func encodeCode(prog *isa.Program) []byte {
 }
 
 // SetBus replaces the kernel memory access path (wired to the protection
-// provider by the Aikido and STM system assemblies; see
-// provider.KernelBus).
+// provider by the Aikido system assembly; see provider.KernelBus).
 func (p *Process) SetBus(b Bus) { p.bus = b }
 
 // AddVMAListener registers an address-space observer and replays existing

@@ -103,9 +103,6 @@ const (
 // result in R0).
 func (p *Process) DoSyscall(t *Thread, num int64) (SyscallResult, error) {
 	p.SyscallCount++
-	if p.Hooks.Syscall != nil {
-		p.Hooks.Syscall(t, num)
-	}
 	switch num {
 	case isa.SysExit:
 		p.Exited = true
@@ -239,22 +236,6 @@ func (p *Process) DoSyscall(t *Thread, num int64) (SyscallResult, error) {
 
 	case isa.SysYield:
 		return SyscallYield, nil
-
-	case isa.SysTxBegin:
-		if p.Hooks.TxBegin != nil {
-			t.Regs[isa.R0] = uint64(p.Hooks.TxBegin(t))
-		} else {
-			t.Regs[isa.R0] = 1
-		}
-		return SyscallDone, nil
-
-	case isa.SysTxEnd:
-		if p.Hooks.TxEnd != nil {
-			t.Regs[isa.R0] = uint64(p.Hooks.TxEnd(t))
-		} else {
-			t.Regs[isa.R0] = 1
-		}
-		return SyscallDone, nil
 	}
 	return SyscallDone, fmt.Errorf("guest: unknown syscall %d", num)
 }

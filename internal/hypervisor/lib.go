@@ -92,18 +92,16 @@ func (h *Hypervisor) dropOverrides(key uint64, r *protRow) {
 	r.overrides = 0
 }
 
-// rewriteRow is one protection-row update: vpn's default becomes def for
-// every current and future thread, every per-thread exception is dropped
-// when clear is set, and owner — when a real TID — is granted full access.
-func (h *Hypervisor) rewriteRow(vpn uint64, def pagetable.Prot, clear bool, owner guest.TID) {
+// rearmRow is one protection-row update: vpn's default becomes no access
+// for every current and future thread, every per-thread exception is
+// dropped, and owner — when a real TID — is granted full access.
+func (h *Hypervisor) rearmRow(vpn uint64, owner guest.TID) {
 	key, r, ok := h.protRowFor(vpn)
 	if !ok {
 		return
 	}
-	r.def, r.set = def, true
-	if clear {
-		h.dropOverrides(key, r)
-	}
+	r.def, r.set = pagetable.ProtNone, true
+	h.dropOverrides(key, r)
 	if owner != guest.NoTID {
 		h.setOverride(owner, key, r, protAll)
 	}
@@ -139,15 +137,6 @@ func (l *Lib) SetThreadProt(tid guest.TID, vpn uint64, prot pagetable.Prot) {
 	h.protChanged(vpn, key)
 }
 
-// SetDefaultProt installs the protection applied to every thread without an
-// override — including threads created later. With clearOverrides it also
-// removes all per-thread exceptions, which is how a page is protected
-// globally when it becomes shared.
-func (l *Lib) SetDefaultProt(vpn uint64, prot pagetable.Prot, clearOverrides bool) {
-	l.h.Stats.Hypercalls++
-	l.h.rewriteRow(vpn, prot, clearOverrides, guest.NoTID)
-}
-
 // RegisterMirrorRange tells AikidoVM that [vpnBase, vpnBase+pages) is a
 // mirror alias of application memory. Under nested paging the hypervisor
 // installs an unprotected alternate EPT view for the range — without it,
@@ -163,9 +152,11 @@ func (l *Lib) RegisterMirrorRange(vpnBase uint64, pages int) {
 }
 
 // ProtectPage denies all userspace access to a page for every current and
-// future thread (used by AikidoSD at startup and when a page turns shared).
+// future thread and drops its per-thread exceptions (used by AikidoSD at
+// startup and when a page turns shared).
 func (l *Lib) ProtectPage(vpn uint64) {
-	l.SetDefaultProt(vpn, pagetable.ProtNone, true)
+	l.h.Stats.Hypercalls++
+	l.h.rearmRow(vpn, guest.NoTID)
 }
 
 // ProtectRange protects [vpnBase, vpnBase+pages) for every current and
@@ -173,7 +164,7 @@ func (l *Lib) ProtectPage(vpn uint64) {
 // segments at startup and on mmap/brk ("one batched hypercall per segment").
 func (l *Lib) ProtectRange(vpnBase uint64, pages int) {
 	for i := 0; i < pages; i++ {
-		l.h.rewriteRow(vpnBase+uint64(i), pagetable.ProtNone, true, guest.NoTID)
+		l.h.rearmRow(vpnBase+uint64(i), guest.NoTID)
 	}
 	l.h.Stats.Hypercalls++
 }
@@ -188,7 +179,7 @@ func (l *Lib) ProtectRange(vpnBase uint64, pages int) {
 // whole protection domain with a single permission-table update.
 func (l *Lib) RearmPage(vpn uint64, owner guest.TID) {
 	l.h.Stats.Hypercalls++
-	l.h.rewriteRow(vpn, pagetable.ProtNone, true, owner)
+	l.h.rearmRow(vpn, owner)
 }
 
 // ClearRange removes all Aikido protection state from [vpnBase,

@@ -314,18 +314,6 @@ func (b *Builder) ThreadJoin(reg Reg) *Builder {
 	return b
 }
 
-// TxBegin emits a transaction-begin syscall. Clobbers R0.
-func (b *Builder) TxBegin() *Builder {
-	b.Syscall(SysTxBegin)
-	return b
-}
-
-// TxEnd emits a transaction-end syscall; R0 is 1 on commit, 0 on abort.
-func (b *Builder) TxEnd() *Builder {
-	b.Syscall(SysTxEnd)
-	return b
-}
-
 // Finish resolves labels and returns the assembled, validated program.
 func (b *Builder) Finish() (*Program, error) {
 	if len(b.errs) > 0 {

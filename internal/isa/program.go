@@ -31,13 +31,6 @@ const (
 	SysBarrier
 	// SysYield voluntarily ends the thread's scheduling quantum.
 	SysYield
-	// SysTxBegin starts a memory transaction for the calling thread
-	// (handled by an attached STM runtime; a no-op returning 1 without
-	// one). R0 returns 1.
-	SysTxBegin
-	// SysTxEnd ends the calling thread's transaction. R0 returns 1 on
-	// commit, 0 on abort (the program should retry the transaction).
-	SysTxEnd
 
 	// NumSyscalls is the number of defined syscalls.
 	NumSyscalls
@@ -46,8 +39,7 @@ const (
 // SyscallName returns a human-readable name for a syscall number.
 func SyscallName(n int64) string {
 	names := [...]string{"exit", "write", "mmap", "munmap", "brk",
-		"thread_create", "thread_join", "barrier", "yield",
-		"tx_begin", "tx_end"}
+		"thread_create", "thread_join", "barrier", "yield"}
 	if n >= 0 && int(n) < len(names) {
 		return names[n]
 	}

@@ -1,6 +1,7 @@
 package provider
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,7 +9,6 @@ import (
 	"repro/internal/guest"
 	"repro/internal/hypervisor"
 	"repro/internal/isa"
-	"repro/internal/stats"
 	"repro/internal/vm"
 )
 
@@ -23,92 +23,206 @@ type op struct {
 	Off  uint16
 }
 
-// enforcementOutcome runs a script against one provider and returns the
-// observable decision trace: for each access, whether it succeeded and (for
-// provider faults) the faulting address.
-func enforcementOutcome(t *testing.T, kind Kind, nested bool, script []op) []uint64 {
-	t.Helper()
-	b := isa.NewBuilder("difftest")
-	b.GlobalArray(8 * 512) // 8 data pages
-	b.Nop().Halt()
-	p, err := guest.NewProcess(vm.NewMachine(), b.MustFinish())
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock := &stats.Clock{}
-	var prov Interface
-	switch kind {
-	case DOS:
-		prov = NewDOS(p, clock)
-	case Dthreads:
-		prov = NewDthreads(p, clock)
-	default:
-		var hv *hypervisor.Hypervisor
-		if nested {
-			hv = hypervisor.NewNested(p.M, p.PT, clock)
-		} else {
-			hv = hypervisor.New(p.M, p.PT, clock)
-		}
-		prov = NewAikidoVM(p, hv, clock)
-	}
+// dataPages is the number of data pages a script addresses.
+const dataPages = 8
 
-	baseVpn := vm.PageNum(isa.DataBase)
+// refModel is the reference semantics of per-thread page protection,
+// with no caches: per page, whether threads without an override are
+// denied (the default, which threads created later inherit), and the
+// threads whose override grants them full access. A page with no entry is
+// unprotected. Loaded values come from byte memory.
+type refModel struct {
+	denied  map[uint64]bool
+	granted map[uint64]map[guest.TID]bool
+	mem     map[uint64]byte
+}
+
+func newRefModel() *refModel {
+	return &refModel{
+		denied:  make(map[uint64]bool),
+		granted: make(map[uint64]map[guest.TID]bool),
+		mem:     make(map[uint64]byte),
+	}
+}
+
+// protect denies vpn to every thread and drops its overrides.
+func (m *refModel) protect(vpn uint64) {
+	m.denied[vpn] = true
+	delete(m.granted, vpn)
+}
+
+// unprotect grants tid full access to vpn; other threads keep the default.
+func (m *refModel) unprotect(tid guest.TID, vpn uint64) {
+	if m.granted[vpn] == nil {
+		m.granted[vpn] = make(map[guest.TID]bool)
+	}
+	m.granted[vpn][tid] = true
+}
+
+// clear removes every protection from vpn.
+func (m *refModel) clear(vpn uint64) {
+	delete(m.denied, vpn)
+	delete(m.granted, vpn)
+}
+
+// rearm protects vpn and, when owner is a real TID, grants owner alone.
+func (m *refModel) rearm(vpn uint64, owner guest.TID) {
+	m.protect(vpn)
+	if owner != guest.NoTID {
+		m.unprotect(owner, vpn)
+	}
+}
+
+func (m *refModel) allowed(tid guest.TID, vpn uint64) bool {
+	return !m.denied[vpn] || m.granted[vpn][tid]
+}
+
+func (m *refModel) load(addr uint64) uint64 {
+	var b [8]byte
+	for i := range b {
+		b[i] = m.mem[addr+uint64(i)]
+	}
+	return binary.LittleEndian.Uint64(b[:])
+}
+
+func (m *refModel) store(addr, val uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], val)
+	for i, c := range b {
+		m.mem[addr+uint64(i)] = c
+	}
+}
+
+// decoded is one script step in guest terms.
+type decoded struct {
+	kind  uint8
+	tid   guest.TID
+	vpn   uint64
+	addr  uint64
+	pages int
+	owner guest.TID
+	val   uint64
+}
+
+func decode(o op) decoded {
+	d := decoded{kind: o.Kind % 9, tid: guest.TID(o.TID%4 + 1)}
+	page := uint64(o.Page % dataPages)
+	d.vpn = vm.PageNum(isa.DataBase) + page
+	d.addr = d.vpn<<12 + uint64(o.Off%(vm.PageSize-8))
+	d.pages = min(1+int(o.Off%3), dataPages-int(page))
+	d.owner = d.tid
+	if o.Off%2 == 1 {
+		d.owner = guest.NoTID
+	}
+	d.val = uint64(o.Off) + 1
+	return d
+}
+
+// Trace records: a load that succeeded (value follows), a load that
+// faulted (true address follows), a store that succeeded, a store that
+// faulted (true address follows).
+const (
+	traceLoad uint64 = iota
+	traceLoadFault
+	traceStore
+	traceStoreFault
+)
+
+// modelOutcome runs a script against the reference model.
+func modelOutcome(script []op) []uint64 {
+	m := newRefModel()
 	var trace []uint64
 	for _, o := range script {
-		tid := guest.TID(o.TID%4 + 1)
-		vpn := baseVpn + uint64(o.Page%8)
-		addr := (vpn << 12) + uint64(o.Off%(4096-8))
-		pages := min(1+int(o.Off%3), 8-int(o.Page%8))
-		switch o.Kind % 9 {
+		d := decode(o)
+		switch d.kind {
 		case 0:
-			prov.ProtectPage(vpn)
+			m.protect(d.vpn)
 		case 1:
-			prov.UnprotectForThread(tid, vpn)
+			m.unprotect(d.tid, d.vpn)
 		case 2:
-			prov.ClearPage(vpn)
+			m.clear(d.vpn)
 		case 3:
-			v, fault := prov.Load(tid, addr, 8, true)
-			if fault != nil {
-				fa, ours := prov.FaultInfo(fault)
-				if !ours {
-					t.Fatalf("%v: genuine fault on mapped page: %v", kind, fault)
-				}
-				trace = append(trace, 1, fa)
+			if m.allowed(d.tid, d.vpn) {
+				trace = append(trace, traceLoad, m.load(d.addr))
 			} else {
-				trace = append(trace, 0, v)
+				trace = append(trace, traceLoadFault, d.addr)
 			}
 		case 4:
-			fault := prov.Store(tid, addr, 8, uint64(o.Off)+1, true)
-			if fault != nil {
-				fa, ours := prov.FaultInfo(fault)
-				if !ours {
-					t.Fatalf("%v: genuine fault on mapped page: %v", kind, fault)
-				}
-				trace = append(trace, 3, fa)
+			if m.allowed(d.tid, d.vpn) {
+				m.store(d.addr, d.val)
+				trace = append(trace, traceStore)
 			} else {
-				trace = append(trace, 2)
+				trace = append(trace, traceStoreFault, d.addr)
 			}
-		case 5:
-			prov.ContextSwitch(guest.TID(o.Page%4+1), tid)
 		case 6:
-			owner := tid
-			if o.Off%2 == 1 {
-				owner = guest.NoTID
-			}
-			prov.RearmPage(vpn, owner)
+			m.rearm(d.vpn, d.owner)
 		case 7:
-			prov.ProtectRange(vpn, pages)
+			for i := 0; i < d.pages; i++ {
+				m.protect(d.vpn + uint64(i))
+			}
 		case 8:
-			prov.ClearRange(vpn, pages)
+			for i := 0; i < d.pages; i++ {
+				m.clear(d.vpn + uint64(i))
+			}
 		}
 	}
 	return trace
 }
 
-// TestEnforcementEquivalence: for random scripts, the AikidoVM provider
-// (under both paging modes), the dOS provider and the DTHREADS provider
-// make identical allow/deny decisions with identical observable values —
-// the semantic core of the provider abstraction.
+// enforcementOutcome runs a script against AikidoVM: protection through
+// the provider, user accesses through the hypervisor as the engine makes
+// them, and faults classified by the provider.
+func enforcementOutcome(t *testing.T, paging hypervisor.PagingMode, script []op) []uint64 {
+	t.Helper()
+	hv, prov, _ := fixture(t, paging, dataPages)
+	var trace []uint64
+	faulted := func(rec uint64, fault *hypervisor.Fault) {
+		t.Helper()
+		fa, ours := prov.FaultInfo(fault)
+		if !ours {
+			t.Fatalf("%v: genuine fault on mapped page: %v", paging, fault)
+		}
+		trace = append(trace, rec, fa)
+	}
+	for _, o := range script {
+		d := decode(o)
+		switch d.kind {
+		case 0:
+			prov.ProtectPage(d.vpn)
+		case 1:
+			prov.UnprotectForThread(d.tid, d.vpn)
+		case 2:
+			prov.ClearPage(d.vpn)
+		case 3:
+			if v, fault := hv.Load(d.tid, d.addr, 8, true); fault != nil {
+				faulted(traceLoadFault, fault)
+			} else {
+				trace = append(trace, traceLoad, v)
+			}
+		case 4:
+			if fault := hv.Store(d.tid, d.addr, 8, d.val, true); fault != nil {
+				faulted(traceStoreFault, fault)
+			} else {
+				trace = append(trace, traceStore)
+			}
+		case 5:
+			prov.ContextSwitch(guest.TID(o.Page%4+1), d.tid)
+		case 6:
+			prov.RearmPage(d.vpn, d.owner)
+		case 7:
+			prov.ProtectRange(d.vpn, d.pages)
+		case 8:
+			prov.ClearRange(d.vpn, d.pages)
+		}
+	}
+	return trace
+}
+
+// TestEnforcementEquivalence: for random scripts, AikidoVM under shadow
+// and under nested paging makes the reference model's allow/deny decisions
+// with its loaded values and true fault addresses. The model has none of
+// AikidoVM's caches (host TLB, shadow tables, protection-row versions), so
+// a stale cached permission shows as a divergence.
 func TestEnforcementEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260612))
 	gen := func() []op {
@@ -118,32 +232,25 @@ func TestEnforcementEquivalence(t *testing.T) {
 			s[i] = op{
 				Kind: uint8(rng.Intn(9)),
 				TID:  uint8(rng.Intn(4)),
-				Page: uint8(rng.Intn(8)),
-				Off:  uint16(rng.Intn(4096)),
+				Page: uint8(rng.Intn(dataPages)),
+				Off:  uint16(rng.Intn(vm.PageSize)),
 			}
 		}
 		return s
 	}
 	for trial := 0; trial < 300; trial++ {
 		script := gen()
-		ref := enforcementOutcome(t, AikidoVM, false, script)
-		for _, alt := range []struct {
-			name   string
-			kind   Kind
-			nested bool
-		}{
-			{"aikidovm-nested", AikidoVM, true},
-			{"dos", DOS, false},
-			{"dthreads", Dthreads, false},
-		} {
-			got := enforcementOutcome(t, alt.kind, alt.nested, script)
-			if len(got) != len(ref) {
-				t.Fatalf("trial %d: %s trace length %d vs %d", trial, alt.name, len(got), len(ref))
+		want := modelOutcome(script)
+		for _, pg := range pagings {
+			got := enforcementOutcome(t, pg.paging, script)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d: %s trace length %d, model %d\nscript: %+v",
+					trial, pg.name, len(got), len(want), script)
 			}
 			for i := range got {
-				if got[i] != ref[i] {
-					t.Fatalf("trial %d: %s diverges at step %d: %d vs %d\nscript: %+v",
-						trial, alt.name, i, got[i], ref[i], script)
+				if got[i] != want[i] {
+					t.Fatalf("trial %d: %s diverges from the model at trace word %d: %d vs %d\nscript: %+v",
+						trial, pg.name, i, got[i], want[i], script)
 				}
 			}
 		}
@@ -151,21 +258,21 @@ func TestEnforcementEquivalence(t *testing.T) {
 }
 
 // TestProtectionIdempotence (quick): protecting a page twice behaves like
-// protecting it once, for every provider.
+// protecting it once, under both paging modes.
 func TestProtectionIdempotence(t *testing.T) {
 	f := func(page uint8, tid uint8, repeat uint8) bool {
-		for _, kind := range allKinds {
-			_, prov, _ := fixture(t, kind)
+		for _, pg := range pagings {
+			hv, prov, _ := fixture(t, pg.paging, 2)
 			vpn := vm.PageNum(isa.DataBase) + uint64(page%2)
 			n := int(repeat%3) + 1
 			for i := 0; i < n; i++ {
 				prov.ProtectPage(vpn)
 			}
-			if _, fault := prov.Load(guest.TID(tid%4+1), vpn<<12, 8, true); fault == nil {
+			if _, fault := hv.Load(guest.TID(tid%4+1), vpn<<12, 8, true); fault == nil {
 				return false
 			}
 			prov.UnprotectForThread(guest.TID(tid%4+1), vpn)
-			if _, fault := prov.Load(guest.TID(tid%4+1), vpn<<12, 8, true); fault != nil {
+			if _, fault := hv.Load(guest.TID(tid%4+1), vpn<<12, 8, true); fault != nil {
 				return false
 			}
 		}

@@ -10,8 +10,8 @@ package sharing
 //	Shared ──untouched for QuietAfter epochs─────────▶ Unused
 //
 // The mechanism is the one the page-protection seam already guarantees:
-// demotion re-arms the page's protection through the Provider (one
-// hypercall/syscall per page, cf. Oreo's versioned protection domains), so
+// demotion re-arms the page's protection through AikidoVM (one hypercall
+// per page, cf. Oreo's versioned protection domains), so
 // the first post-demotion access by any thread other than the new owner
 // still faults and re-drives the ordinary Figure 3 transitions. Soundness
 // is therefore unchanged — a cross-thread access can never slip through —
@@ -238,8 +238,8 @@ func (d *Detector) endEpoch() {
 // demote moves one Shared page back to Private(owner) or Unused and
 // re-arms its protection through the provider in a single operation: the
 // page is protected for every current and future thread, with the new
-// owner (if any) alone re-granted access. The provider charges its own
-// cost (hypercall, syscall, brokered mprotect).
+// owner (if any) alone re-granted access. The provider charges the
+// hypercall.
 func (d *Detector) demote(vpn uint64, pi *pageInfo, to PageState, owner guest.TID) {
 	d.prov.RearmPage(vpn, owner)
 	pi.State = to

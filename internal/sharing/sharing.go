@@ -22,36 +22,11 @@ import (
 	"repro/internal/hypervisor"
 	"repro/internal/isa"
 	"repro/internal/mirror"
+	"repro/internal/provider"
 	"repro/internal/stats"
 	"repro/internal/umbra"
 	"repro/internal/vm"
 )
-
-// Provider is the per-thread page-protection surface AikidoSD consumes —
-// the subset of internal/provider.Interface the detector needs. AikidoVM
-// (the paper's hypervisor) is the canonical implementation; the dOS-style
-// and DTHREADS-style baselines of §7.1 satisfy it too, which is what lets
-// the providers ablation swap the mechanism under an unchanged detector.
-// Implementations charge their own operation costs to the simulated clock.
-type Provider interface {
-	ProtectPage(vpn uint64)
-	ProtectRange(vpnBase uint64, pages int)
-	ClearRange(vpnBase uint64, pages int)
-	UnprotectForThread(tid guest.TID, vpn uint64)
-	// RearmPage re-protects one page for every current and future thread
-	// in a single operation, optionally re-granting access to one owner
-	// (owner == guest.NoTID re-arms for everyone). The epoch demotion
-	// primitive: Shared→Private(owner) and Shared→Unused both reduce to
-	// one protection change instead of a protect+unprotect pair.
-	RearmPage(vpn uint64, owner guest.TID)
-	RegisterMirrorRange(vpnBase uint64, pages int)
-	// FaultInfo reports whether the delivered fault was caused by
-	// provider protections and, if so, the true faulting address.
-	FaultInfo(f *hypervisor.Fault) (addr uint64, ours bool)
-	// ProtChangeCost is the cost of one protection change, used to model
-	// DynamoRIO's §3.4 unprotect/reprotect dance.
-	ProtChangeCost() uint64
-}
 
 // PageState is the sharing state of one application page.
 type PageState uint8
@@ -149,7 +124,7 @@ type Counters struct {
 // Detector is one AikidoSD instance.
 type Detector struct {
 	p    *guest.Process
-	prov Provider
+	prov *provider.AikidoVM
 	um   *umbra.Umbra
 	mir  *mirror.Manager
 
@@ -198,10 +173,9 @@ type Detector struct {
 }
 
 // Attach builds an AikidoSD over an assembled Aikido stack and protects the
-// application's entire address space through the given protection provider
-// (AikidoVM in the paper's configuration; the §7.1 baselines in the
-// providers ablation). The analysis may be nil (pure sharing profiling).
-func Attach(p *guest.Process, prov Provider, um *umbra.Umbra,
+// application's entire address space through AikidoVM. The analysis may be
+// nil (pure sharing profiling).
+func Attach(p *guest.Process, prov *provider.AikidoVM, um *umbra.Umbra,
 	mir *mirror.Manager, analysis Analysis, clock *stats.Clock) *Detector {
 
 	d := &Detector{
@@ -507,8 +481,8 @@ func (d *Detector) TouchCode(tid guest.TID, addr uint64) {
 	}
 	if faults {
 		d.C.DRUnprotects++
-		// Fault into DynamoRIO's handler + unprotect + reprotect at the
-		// provider's protection-change price.
-		d.clock.Charge(stats.Fault + 2*d.prov.ProtChangeCost())
+		// Fault into DynamoRIO's handler + unprotect + reprotect, one
+		// hypercall each.
+		d.clock.Charge(stats.Fault + 2*stats.Hypercall)
 	}
 }

@@ -67,21 +67,6 @@ const (
 	ContextSwitch uint64 = 300
 	// Syscall is the base guest syscall cost.
 	Syscall uint64 = 150
-	// ProcessSwitch is a full process context switch (address-space
-	// change), paid per switch by the DTHREADS-style processes-as-threads
-	// protection provider (§7.1).
-	ProcessSwitch uint64 = 600
-	// Fork is one process creation, paid per "thread" by the
-	// processes-as-threads provider.
-	Fork uint64 = 25000
-	// ThreadTableSetup is the cost of cloning a per-thread page table at
-	// thread creation, paid by the dOS-style modified-kernel provider
-	// (§7.1, ref [3]).
-	ThreadTableSetup uint64 = 5000
-	// KernelCheck is the modified kernel's ownership-table consultation
-	// when it touches a per-thread-protected page on a thread's behalf —
-	// the dOS analogue of AikidoVM's much dearer KernelEmulation (§3.2.6).
-	KernelCheck uint64 = 40
 
 	// ShadowTranslate is Umbra's app→shadow translation when the inlined
 	// memoization cache hits; ShadowTranslateMiss when the lean-procedure
