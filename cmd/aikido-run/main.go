@@ -261,8 +261,6 @@ func run(args []string) int {
 			res.SD.SharedPageAccesses, 100*res.SharedAccessFraction())
 		fmt.Printf("pages private    %d\n", res.SD.PagesPrivate)
 		fmt.Printf("pages shared     %d\n", res.SD.PagesShared)
-		fmt.Printf("prot ops         %d (+%d ranged)\n", res.Prov.ProtOps, res.Prov.RangeOps)
-		fmt.Printf("provider faults  %d\n", res.Prov.Faults)
 		fmt.Printf("aikido faults    %d\n", res.HV.AikidoFaults)
 		fmt.Printf("hypercalls       %d\n", res.HV.Hypercalls)
 		fmt.Printf("instrumented PCs %d\n", res.SD.InstrumentedPCs)

@@ -63,7 +63,8 @@ func TestRunCellErrorExit(t *testing.T) {
 
 // TestRunAnalysisNone: "-analysis none" under -mode aikido runs AikidoSD
 // alone, a sharing profiler: the run is clean and prints its sharing
-// statistics but no analysis line.
+// statistics, and AikidoVM's fault and hypercall counts once each, but no
+// analysis line.
 func TestRunAnalysisNone(t *testing.T) {
 	out, code := runCaptured(t, "-bench", "vips", "-scale", "0.05", "-mode", "aikido", "-analysis", "none")
 	if code != exitClean {
@@ -71,6 +72,16 @@ func TestRunAnalysisNone(t *testing.T) {
 	}
 	if !strings.Contains(out, "\nshared accesses ") {
 		t.Errorf("no sharing statistics in:\n%s", out)
+	}
+	for _, line := range []string{"\naikido faults ", "\nhypercalls "} {
+		if n := strings.Count(out, line); n != 1 {
+			t.Errorf("%q printed %d times, want once:\n%s", line[1:], n, out)
+		}
+	}
+	for _, line := range []string{"\nprot ops ", "\nprovider faults "} {
+		if strings.Contains(out, line) {
+			t.Errorf("%q printed; it repeats a count printed above:\n%s", line[1:], out)
+		}
 	}
 	if strings.Contains(out, "\nanalysis ") {
 		t.Errorf("an analysis ran:\n%s", out)

@@ -37,7 +37,6 @@ import (
 	"repro/internal/hypervisor"
 	"repro/internal/isa"
 	"repro/internal/mirror"
-	"repro/internal/provider"
 	"repro/internal/sharing"
 	"repro/internal/stats"
 	"repro/internal/umbra"
@@ -148,7 +147,7 @@ type AikidoConfig struct {
 	// Epoch is the epoch-based re-privatization of Shared pages: pages
 	// dominated by one thread (or untouched) for consecutive epochs are
 	// demoted back to Private(owner)/Unused, their protections re-armed
-	// through the provider and their instrumented instructions flushed,
+	// through AikidoLib and their instrumented instructions flushed,
 	// so effectively-private data returns to native-speed execution.
 	// DefaultConfig sets sharing.DefaultEpochPolicy; the zero value is
 	// the paper's Figure 3 machine, where Shared is terminal. See
@@ -217,7 +216,7 @@ type System struct {
 	Engine  *dbi.Engine
 
 	HV   *hypervisor.Hypervisor // nil unless Aikido mode
-	Prov *provider.AikidoVM     // nil unless Aikido mode
+	Prov *hypervisor.Lib        // AikidoLib; nil unless Aikido mode
 	Um   *umbra.Umbra           // nil in native/dbi modes
 	Mir  *mirror.Manager        // nil unless Aikido mode
 	SD   *sharing.Detector      // nil unless Aikido mode
@@ -304,8 +303,7 @@ func NewSystem(prog *isa.Program, cfg Config) (*System, error) {
 			s.HV = hypervisor.New(m, p.PT, clock)
 		}
 		s.HV.SetSwitchInterception(a.Switch)
-		s.Prov = provider.NewAikidoVM(p, s.HV, clock)
-		p.SetBus(provider.KernelBus(s.Prov))
+		s.Prov = hypervisor.NewLib(p, s.HV)
 		s.Um = umbra.Attach(p, clock)
 		s.Mir = mirror.Attach(p)
 		if s.an, err = s.newAnalyses(); err != nil {
@@ -315,8 +313,6 @@ func NewSystem(prog *isa.Program, cfg Config) (*System, error) {
 		if a.NoMirror {
 			s.SD.DisableMirror()
 		}
-		// The engine's user accesses go to the hypervisor itself; the
-		// kernel bus keeps the provider for its emulation accounting.
 		s.Engine = dbi.New(p, s.HV, s.SD, clock, ecfg)
 		s.SD.SetEngine(s.Engine)
 		s.Engine.OnFault = s.SD.HandleFault
@@ -369,11 +365,11 @@ func (s *System) wireHooks() {
 
 	p.Hooks.ContextSwitch = func(old, new guest.TID) {
 		clock.Charge(stats.ContextSwitch)
-		if s.Prov != nil {
-			// The provider charges its own switch cost on top of the
-			// guest's: the hypervisor's interception VM exit plus
-			// translation-view switch (§3.2.3).
-			s.Prov.ContextSwitch(old, new)
+		if s.HV != nil {
+			// The hypervisor charges its own switch cost on top of the
+			// guest's: the interception VM exit plus translation-view
+			// switch (§3.2.3).
+			s.HV.ContextSwitch(old, new)
 		}
 	}
 	// Live-thread tracking feeds the contention model of both the
@@ -387,9 +383,6 @@ func (s *System) wireHooks() {
 	}
 	p.Hooks.ThreadStarted = func(t *guest.Thread, creator guest.TID) {
 		live++
-		if s.Prov != nil {
-			s.Prov.ThreadStarted(t.ID, creator)
-		}
 		if an != nil {
 			an.AddThread(1)
 			if creator != guest.NoTID {
@@ -471,7 +464,6 @@ type Result struct {
 
 	Engine dbi.Counters
 	HV     hypervisor.Stats
-	Prov   provider.Stats
 	Umbra  umbra.Stats
 	SD     sharing.Counters
 
@@ -506,9 +498,6 @@ func (s *System) Run() (*Result, error) {
 	}
 	if s.HV != nil {
 		r.HV = s.HV.Stats
-	}
-	if s.Prov != nil {
-		r.Prov = s.Prov.Overhead()
 	}
 	if s.Um != nil {
 		r.Umbra = s.Um.Stats

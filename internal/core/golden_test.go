@@ -201,10 +201,10 @@ func hostedCells() []goldenCell {
 // interceptions and the no-mirror ablation, then native, DBI-only and
 // FastTrack-full with the sampled wrapper; and the kernel-write guest,
 // whose syscall reads a page no thread has touched. Each prints its
-// provider and hypervisor counters.
+// hypervisor counters.
 func configCells() []goldenCell {
 	layers := func(w io.Writer, r *Result) {
-		fmt.Fprintf(w, "prov %+v\nhv %+v\n", r.Prov, r.HV)
+		fmt.Fprintf(w, "hv %+v\n", r.HV)
 	}
 	vips, err := parsec.ByName("vips")
 	if err != nil {

@@ -138,11 +138,11 @@ type Hooks struct {
 }
 
 // Bus is the path by which the guest kernel reads memory on behalf of a
-// thread (user=false accesses; syscalls only ever read user buffers).
-// Under Aikido it is AikidoLib's provider (provider.KernelBus), so kernel
-// accesses to Aikido-protected pages exercise the §3.2.6 emulation path.
+// thread (kernel-mode accesses; syscalls only ever read user buffers).
+// Under Aikido it is AikidoLib (hypervisor.Lib), so kernel accesses to
+// Aikido-protected pages exercise the §3.2.6 emulation path.
 type Bus interface {
-	Load(tid TID, addr uint64, size uint8, user bool) (uint64, *pagetable.Fault)
+	Load(tid TID, addr uint64, size uint8) (uint64, *pagetable.Fault)
 }
 
 // directBus is the default Bus: it walks the guest page table (kernel mode)
@@ -150,7 +150,7 @@ type Bus interface {
 // (native runs and unit tests).
 type directBus struct{ p *Process }
 
-func (b directBus) Load(_ TID, addr uint64, size uint8, _ bool) (uint64, *pagetable.Fault) {
+func (b directBus) Load(_ TID, addr uint64, size uint8) (uint64, *pagetable.Fault) {
 	pte, fault := b.p.PT.Walk(addr, pagetable.AccessRead, false)
 	if fault != nil {
 		return 0, fault
@@ -283,8 +283,8 @@ func encodeCode(prog *isa.Program) []byte {
 	return img
 }
 
-// SetBus replaces the kernel memory access path (wired to the protection
-// provider by the Aikido system assembly; see provider.KernelBus).
+// SetBus replaces the kernel memory access path (wired to AikidoLib,
+// hypervisor.Lib, by the Aikido system assembly).
 func (p *Process) SetBus(b Bus) { p.bus = b }
 
 // AddVMAListener registers an address-space observer and replays existing
@@ -403,7 +403,7 @@ func (p *Process) FindVMA(addr uint64) *VMA {
 func (p *Process) KernelReadBytes(tid TID, addr uint64, n int) ([]byte, *pagetable.Fault) {
 	out := make([]byte, 0, n)
 	for i := 0; i < n; i++ {
-		v, fault := p.bus.Load(tid, addr+uint64(i), 1, false)
+		v, fault := p.bus.Load(tid, addr+uint64(i), 1)
 		if fault != nil {
 			return nil, fault
 		}

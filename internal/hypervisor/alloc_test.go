@@ -35,20 +35,23 @@ func TestProtectionChurnNoAllocs(t *testing.T) {
 			lib.RegisterFaultPages(readPage, writePage, slotPage)
 			vpn := vm.PageNum(isa.DataBase)
 			round := func() {
-				lib.ProtectPage(vpn)
+				lib.RearmPage(vpn, guest.NoTID)
 				lib.UnprotectForThread(1, vpn)
 				if _, fault := h.Load(1, isa.DataBase, 8, true); fault != nil {
 					t.Fatalf("owner load faults: %v", fault)
 				}
-				if _, fault := h.Load(3, isa.DataBase+8, 8, true); fault == nil || !fault.Aikido ||
-					!lib.IsAikidoFault(fault.FakeAddr) || lib.FaultAddr() != isa.DataBase+8 {
+				_, fault := h.Load(3, isa.DataBase+8, 8, true)
+				if fault == nil {
+					t.Fatalf("non-owner load did not fault, want an Aikido fault at %#x", isa.DataBase+8)
+				}
+				if addr, ours := lib.FaultInfo(fault); !ours || addr != isa.DataBase+8 {
 					t.Fatalf("non-owner load: fault %+v, want an Aikido fault at %#x", fault, isa.DataBase+8)
 				}
 				lib.RearmPage(vpn, 2)
 				if _, fault := h.Load(2, isa.DataBase, 8, true); fault != nil {
 					t.Fatalf("re-armed owner load faults: %v", fault)
 				}
-				lib.ClearPage(vpn)
+				lib.ClearRange(vpn, 1)
 			}
 			if n := testing.AllocsPerRun(50, round); n != 0 {
 				t.Errorf("protection churn allocates %.1f objects per round, want 0", n)

@@ -66,7 +66,7 @@ func BenchmarkShadowFill(b *testing.B) {
 // page, fault classification, delivery bookkeeping.
 func BenchmarkAikidoFaultDelivery(b *testing.B) {
 	_, h := benchFixture(b)
-	h.Lib().ProtectPage(vm.PageNum(isa.DataBase))
+	h.Lib().RearmPage(vm.PageNum(isa.DataBase), guest.NoTID)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, f := h.Load(1, isa.DataBase, 8, true); f == nil {

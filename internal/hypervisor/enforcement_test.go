@@ -1,4 +1,4 @@
-package provider
+package hypervisor
 
 import (
 	"encoding/binary"
@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/guest"
-	"repro/internal/hypervisor"
 	"repro/internal/isa"
 	"repro/internal/vm"
 )
@@ -170,15 +169,15 @@ func modelOutcome(script []op) []uint64 {
 }
 
 // enforcementOutcome runs a script against AikidoVM: protection through
-// the provider, user accesses through the hypervisor as the engine makes
-// them, and faults classified by the provider.
-func enforcementOutcome(t *testing.T, paging hypervisor.PagingMode, script []op) []uint64 {
+// AikidoLib, user accesses through the hypervisor as the engine makes
+// them, and faults classified by AikidoLib.
+func enforcementOutcome(t *testing.T, paging PagingMode, script []op) []uint64 {
 	t.Helper()
-	hv, prov, _ := fixture(t, paging, dataPages)
+	_, hv, lib := libFixture(t, paging, dataPages)
 	var trace []uint64
-	faulted := func(rec uint64, fault *hypervisor.Fault) {
+	faulted := func(rec uint64, fault *Fault) {
 		t.Helper()
-		fa, ours := prov.FaultInfo(fault)
+		fa, ours := lib.FaultInfo(fault)
 		if !ours {
 			t.Fatalf("%v: genuine fault on mapped page: %v", paging, fault)
 		}
@@ -188,11 +187,11 @@ func enforcementOutcome(t *testing.T, paging hypervisor.PagingMode, script []op)
 		d := decode(o)
 		switch d.kind {
 		case 0:
-			prov.ProtectPage(d.vpn)
+			lib.RearmPage(d.vpn, guest.NoTID)
 		case 1:
-			prov.UnprotectForThread(d.tid, d.vpn)
+			lib.UnprotectForThread(d.tid, d.vpn)
 		case 2:
-			prov.ClearPage(d.vpn)
+			lib.ClearRange(d.vpn, 1)
 		case 3:
 			if v, fault := hv.Load(d.tid, d.addr, 8, true); fault != nil {
 				faulted(traceLoadFault, fault)
@@ -206,13 +205,13 @@ func enforcementOutcome(t *testing.T, paging hypervisor.PagingMode, script []op)
 				trace = append(trace, traceStore)
 			}
 		case 5:
-			prov.ContextSwitch(guest.TID(o.Page%4+1), d.tid)
+			hv.ContextSwitch(guest.TID(o.Page%4+1), d.tid)
 		case 6:
-			prov.RearmPage(d.vpn, d.owner)
+			lib.RearmPage(d.vpn, d.owner)
 		case 7:
-			prov.ProtectRange(d.vpn, d.pages)
+			lib.ProtectRange(d.vpn, d.pages)
 		case 8:
-			prov.ClearRange(d.vpn, d.pages)
+			lib.ClearRange(d.vpn, d.pages)
 		}
 	}
 	return trace
@@ -242,7 +241,7 @@ func TestEnforcementEquivalence(t *testing.T) {
 		script := gen()
 		want := modelOutcome(script)
 		for _, pg := range pagings {
-			got := enforcementOutcome(t, pg.paging, script)
+			got := enforcementOutcome(t, pg.mode, script)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d: %s trace length %d, model %d\nscript: %+v",
 					trial, pg.name, len(got), len(want), script)
@@ -262,16 +261,16 @@ func TestEnforcementEquivalence(t *testing.T) {
 func TestProtectionIdempotence(t *testing.T) {
 	f := func(page uint8, tid uint8, repeat uint8) bool {
 		for _, pg := range pagings {
-			hv, prov, _ := fixture(t, pg.paging, 2)
+			_, hv, lib := libFixture(t, pg.mode, 2)
 			vpn := vm.PageNum(isa.DataBase) + uint64(page%2)
 			n := int(repeat%3) + 1
 			for i := 0; i < n; i++ {
-				prov.ProtectPage(vpn)
+				lib.RearmPage(vpn, guest.NoTID)
 			}
 			if _, fault := hv.Load(guest.TID(tid%4+1), vpn<<12, 8, true); fault == nil {
 				return false
 			}
-			prov.UnprotectForThread(guest.TID(tid%4+1), vpn)
+			lib.UnprotectForThread(guest.TID(tid%4+1), vpn)
 			if _, fault := hv.Load(guest.TID(tid%4+1), vpn<<12, 8, true); fault != nil {
 				return false
 			}

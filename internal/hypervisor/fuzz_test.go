@@ -97,7 +97,7 @@ func (f *fuzzVM) access(tid guest.TID, addr uint64, size uint8, write, user bool
 	if fault != nil {
 		o = outcome{faulted: true, aikido: fault.Aikido, unmapped: fault.Unmapped, addr: fault.Addr, fakeAddr: fault.FakeAddr}
 		if fault.Aikido {
-			o.slot = f.lib.FaultAddr()
+			o.slot, _ = f.lib.FaultInfo(fault)
 		}
 	}
 	return o
@@ -130,7 +130,7 @@ func (f *fuzzVM) step(op, a, b, c, d byte) outcome {
 	case 10:
 		f.pt.SetProt(vpn, guestProts[(d>>3)%4])
 	case 11:
-		f.lib.ProtectPage(vpn)
+		f.lib.RearmPage(vpn, guest.NoTID)
 	case 12:
 		f.lib.UnprotectForThread(tid, vpn)
 	case 13:
@@ -138,7 +138,7 @@ func (f *fuzzVM) step(op, a, b, c, d byte) outcome {
 	case 14:
 		f.lib.RearmPage(vpn, owners[c%5])
 	case 15:
-		f.lib.ClearPage(vpn)
+		f.lib.ClearRange(vpn, 1)
 	case 16:
 		f.lib.ClearRange(vpn, 1+int(c%3))
 	default:
@@ -214,7 +214,7 @@ const (
 	kLoad, kStore, kKernelLoad                        = 0, 4, 7
 	kMap, kUnmap, kSetProt                            = 8, 9, 10
 	kProtect, kUnprotect, kSetThreadProt, kRearm      = 11, 12, 13, 14
-	kClearPage, kClearRange, kSwitch                  = 15, 16, 17
+	kClearOne, kClearRange, kSwitch                   = 15, 16, 17
 	size8                                        byte = 3
 )
 
@@ -247,6 +247,6 @@ func FuzzTranslate(f *testing.F) {
 	f.Add(seq(rec(kStore, 3, 2, 0, size8), rec(kSetProt, 3, 0, 0, 8), rec(kLoad, 3, 2, 0, size8),
 		rec(kStore, 3, 2, 0, size8), rec(kSetProt, 3, 0, 0, 0), rec(kSetThreadProt, 3, 2, 0, 16),
 		rec(kLoad, 3, 2, 0, 2), rec(kStore, 3, 2, 0, size8), rec(kUnmap, 3, 0, 0, 0),
-		rec(kLoad, 3, 2, 0, size8), rec(kClearRange, 2, 0, 2, 0), rec(kClearPage, 3, 0, 0, 0)))
+		rec(kLoad, 3, 2, 0, size8), rec(kClearRange, 2, 0, 2, 0), rec(kClearOne, 3, 0, 0, 0)))
 	f.Fuzz(translateOracle)
 }

@@ -172,7 +172,7 @@ type Hypervisor struct {
 	faultAddrSlot  uint64 // guest address where the true fault address is stored
 
 	// clock accounts hypervisor-internal events (VM exits, walks, view
-	// switches).
+	// switches, hypercalls and kernel emulations).
 	clock *stats.Clock
 
 	// fault is the one Aikido fault record, rewritten by every delivery.
@@ -314,9 +314,9 @@ func (h *Hypervisor) protForAccess(tid guest.TID, vpn uint64, frame vm.FrameID) 
 }
 
 // Fault describes a fault observed by the virtual CPU on a user access.
-// An Aikido fault points at a record its hypervisor or provider rewrites on
-// the next Aikido fault, so a handler reads it synchronously and keeps no
-// pointer to it.
+// An Aikido fault points at a record its hypervisor rewrites on the next
+// Aikido fault, so a handler reads it synchronously and keeps no pointer
+// to it.
 type Fault struct {
 	// Addr is the faulting guest virtual address (the *true* address; the
 	// fake delivery address is FakeAddr).
@@ -347,8 +347,8 @@ func (f *Fault) Error() string {
 // performs the two-level walk (guest page table + per-thread protection).
 //
 // user=false models guest-kernel accesses: Aikido protections are handled
-// by emulation (§3.2.6) and never surface as faults; only genuine guest
-// faults are returned.
+// by emulation (§3.2.6), charged per emulated access, and never surface as
+// faults; only genuine guest faults are returned.
 func (h *Hypervisor) Translate(tid guest.TID, addr uint64, a pagetable.Access, user bool) (vm.FrameID, uint64, *Fault) {
 	vpn := vm.PageNum(addr)
 
@@ -388,6 +388,7 @@ func (h *Hypervisor) Translate(tid guest.TID, addr uint64, a pagetable.Access, u
 				h.invalidate(vpn)
 			}
 			h.Stats.KernelEmulations++
+			h.clock.Charge(stats.KernelEmulation)
 		}
 		return gpte.Frame, vm.PageOff(addr), nil
 	}

@@ -48,7 +48,7 @@ func TestPerThreadProtection(t *testing.T) {
 	lib := h.Lib()
 	vpn := vm.PageNum(isa.DataBase)
 
-	lib.ProtectPage(vpn)
+	lib.RearmPage(vpn, guest.NoTID)
 	if _, fault := h.Load(1, isa.DataBase, 8, true); fault == nil || !fault.Aikido {
 		t.Fatal("protected page readable / fault not classified Aikido")
 	}
@@ -64,7 +64,7 @@ func TestPerThreadProtection(t *testing.T) {
 
 	// Global re-protection (page became shared) hits both threads,
 	// clearing thread 1's override.
-	lib.ProtectPage(vpn)
+	lib.RearmPage(vpn, guest.NoTID)
 	if _, fault := h.Load(1, isa.DataBase, 8, true); fault == nil {
 		t.Fatal("global protect did not clear per-thread override")
 	}
@@ -77,7 +77,7 @@ func TestFutureThreadsInheritDefaultProt(t *testing.T) {
 	_, h := fixture(t)
 	lib := h.Lib()
 	vpn := vm.PageNum(isa.DataBase)
-	lib.ProtectPage(vpn)
+	lib.RearmPage(vpn, guest.NoTID)
 	// TID 99 never existed when the protection was installed.
 	if _, fault := h.Load(99, isa.DataBase, 8, true); fault == nil || !fault.Aikido {
 		t.Fatal("new thread not covered by default protection")
@@ -128,7 +128,7 @@ func TestKernelEmulationAndTempUnprotect(t *testing.T) {
 
 	// Let thread 1 own the page, then protect it for everyone else; the
 	// kernel (user=false) must still read it via emulation.
-	lib.ProtectPage(vpn)
+	lib.RearmPage(vpn, guest.NoTID)
 	if _, fault := h.Load(1, isa.DataBase, 8, false); fault != nil {
 		t.Fatalf("kernel access faulted: %v", fault)
 	}
@@ -170,7 +170,7 @@ func TestFakeFaultDelivery(t *testing.T) {
 	lib.RegisterFaultPages(readPage, writePage, slotPage)
 
 	vpn := vm.PageNum(isa.DataBase)
-	lib.ProtectPage(vpn)
+	lib.RearmPage(vpn, guest.NoTID)
 
 	_, fault := h.Load(1, isa.DataBase+0x123, 8, true)
 	if fault == nil || !fault.Aikido {
@@ -179,11 +179,8 @@ func TestFakeFaultDelivery(t *testing.T) {
 	if fault.FakeAddr != readPage {
 		t.Errorf("read fault delivered at %#x, want read page %#x", fault.FakeAddr, readPage)
 	}
-	if !lib.IsAikidoFault(fault.FakeAddr) {
-		t.Error("IsAikidoFault(fake addr) = false")
-	}
-	if got := lib.FaultAddr(); got != isa.DataBase+0x123 {
-		t.Errorf("FaultAddr = %#x, want %#x", got, isa.DataBase+0x123)
+	if got, ours := lib.FaultInfo(fault); !ours || got != isa.DataBase+0x123 {
+		t.Errorf("FaultInfo = %#x, %v, want %#x, true", got, ours, isa.DataBase+0x123)
 	}
 
 	// Write faults deliver at the write page.
@@ -193,7 +190,7 @@ func TestFakeFaultDelivery(t *testing.T) {
 	}
 	// A genuine guest fault is NOT an Aikido fault.
 	_, gf := h.Load(1, 0xdead0000, 8, true)
-	if lib.IsAikidoFault(gf.FakeAddr) {
+	if _, ours := lib.FaultInfo(gf); ours {
 		t.Error("guest fault classified as Aikido")
 	}
 }
@@ -214,7 +211,7 @@ func TestSplitAccessAcrossPages(t *testing.T) {
 	}
 	// Protecting only the second page makes the split store fault and
 	// leave the first page unmodified (no partial side effects).
-	h.Lib().ProtectPage(vm.PageNum(isa.DataBase) + 1)
+	h.Lib().RearmPage(vm.PageNum(isa.DataBase)+1, guest.NoTID)
 	before, _ := h.Load(1, isa.DataBase+vm.PageSize-8, 8, true)
 	if fault := h.Store(1, addr, 8, 0xffff, true); fault == nil {
 		t.Fatal("split store to protected second page succeeded")
@@ -236,9 +233,9 @@ func TestContextSwitchTracking(t *testing.T) {
 func TestHypercallCounting(t *testing.T) {
 	_, h := fixture(t)
 	lib := h.Lib()
-	lib.ProtectPage(1)
+	lib.RearmPage(1, guest.NoTID)
 	lib.UnprotectForThread(1, 1)
-	lib.ClearPage(1)
+	lib.ClearRange(1, 1)
 	if h.Stats.Hypercalls != 3 {
 		t.Errorf("Hypercalls = %d, want 3", h.Stats.Hypercalls)
 	}
@@ -248,8 +245,8 @@ func TestClearPageRestoresFreeAccess(t *testing.T) {
 	_, h := fixture(t)
 	lib := h.Lib()
 	vpn := vm.PageNum(isa.DataBase)
-	lib.ProtectPage(vpn)
-	lib.ClearPage(vpn)
+	lib.RearmPage(vpn, guest.NoTID)
+	lib.ClearRange(vpn, 1)
 	if _, fault := h.Load(7, isa.DataBase, 8, true); fault != nil {
 		t.Fatalf("cleared page still faults: %v", fault)
 	}
@@ -264,7 +261,7 @@ func TestProtectionChangeInvalidatesWarmShadow(t *testing.T) {
 		t.Fatal(fault)
 	}
 	// Now protect: the warm entry must not let thread 1 through.
-	lib.ProtectPage(vpn)
+	lib.RearmPage(vpn, guest.NoTID)
 	if _, fault := h.Load(1, isa.DataBase, 8, true); fault == nil {
 		t.Fatal("stale shadow entry bypassed new protection")
 	}

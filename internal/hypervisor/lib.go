@@ -3,18 +3,49 @@ package hypervisor
 import (
 	"repro/internal/guest"
 	"repro/internal/pagetable"
+	"repro/internal/stats"
 	"repro/internal/vm"
 )
 
 // Lib is AikidoLib: the userspace library through which the Aikido runtime
 // (DynamoRIO + AikidoSD) issues hypercalls that bypass the guest OS
-// (paper §3.1). Every mutator counts as one hypercall.
+// (paper §3.1), classifies the faults AikidoVM delivers (§3.2.5), and
+// through which the guest kernel reads user memory (§3.2.6). Every
+// mutator is one hypercall, counted and charged by hypercall.
 type Lib struct {
 	h *Hypervisor
 }
 
-// Lib returns the userspace hypercall interface of this AikidoVM.
+// Lib returns the userspace hypercall interface of this AikidoVM, with no
+// fault-delivery pages registered; NewLib registers them.
 func (h *Hypervisor) Lib() *Lib { return &Lib{h: h} }
+
+// Runtime-area layout for AikidoLib's fault-delivery pages (§3.2.5).
+const faultPagesBase uint64 = 0x0000_5800_0000_0000
+
+// NewLib performs AikidoLib's initialization for p over h (§3.2.5): two
+// delivery pages — one mapped without read access, one without write
+// access — and the slot where AikidoVM records the true fault address,
+// all in runtime VMAs that AikidoSD never protects or mirrors, registered
+// with one hypercall. The library then becomes p's kernel bus (§3.2.6).
+func NewLib(p *guest.Process, h *Hypervisor) *Lib {
+	l := h.Lib()
+	readFault := p.MapRuntime(faultPagesBase, 1, pagetable.ProtNone, "aikido-fault-r")
+	writeFault := p.MapRuntime(faultPagesBase+2*vm.PageSize, 1, pagetable.ProtRO, "aikido-fault-w")
+	slot := p.MapRuntime(faultPagesBase+4*vm.PageSize, 1, pagetable.ProtRW, "aikido-slot")
+	l.RegisterFaultPages(readFault.Base, writeFault.Base, slot.Base)
+	p.SetBus(l)
+	return l
+}
+
+// hypercall counts one AikidoLib hypercall and charges its VM exit, and
+// returns the hypervisor that serves it.
+func (l *Lib) hypercall() *Hypervisor {
+	h := l.h
+	h.Stats.Hypercalls++
+	h.clock.Charge(stats.Hypercall)
+	return h
+}
 
 // RegisterFaultPages registers the two special delivery pages allocated by
 // the runtime — one mapped without read access, one without write access —
@@ -22,10 +53,10 @@ func (h *Hypervisor) Lib() *Lib { return &Lib{h: h} }
 // (§3.2.5). The pages must be mapped in the guest application's address
 // space with protections matching the faults they stand in for.
 func (l *Lib) RegisterFaultPages(readFaultPage, writeFaultPage, addrSlot uint64) {
-	l.h.Stats.Hypercalls++
-	l.h.faultPageRead = readFaultPage
-	l.h.faultPageWrite = writeFaultPage
-	l.h.faultAddrSlot = addrSlot
+	h := l.hypercall()
+	h.faultPageRead = readFaultPage
+	h.faultPageWrite = writeFaultPage
+	h.faultAddrSlot = addrSlot
 }
 
 // protKey returns the protection-table key for vpn in the active paging
@@ -124,8 +155,7 @@ func (h *Hypervisor) clearRow(vpn uint64) {
 // SetThreadProt installs a per-thread protection override for one page.
 // Other threads (and future threads) are unaffected.
 func (l *Lib) SetThreadProt(tid guest.TID, vpn uint64, prot pagetable.Prot) {
-	h := l.h
-	h.Stats.Hypercalls++
+	h := l.hypercall()
 	key, r, ok := h.protRowFor(vpn)
 	if !ok {
 		return
@@ -145,50 +175,41 @@ func (l *Lib) SetThreadProt(tid guest.TID, vpn uint64, prot pagetable.Prot) {
 // call records nothing beyond the hypercall: virtual-page-keyed protections
 // never applied to the mirror range in the first place.
 func (l *Lib) RegisterMirrorRange(vpnBase uint64, pages int) {
-	l.h.Stats.Hypercalls++
-	if l.h.mode == NestedPaging {
-		l.h.addMirrorRange(vpnBase, pages)
+	if h := l.hypercall(); h.mode == NestedPaging {
+		h.addMirrorRange(vpnBase, pages)
 	}
-}
-
-// ProtectPage denies all userspace access to a page for every current and
-// future thread and drops its per-thread exceptions (used by AikidoSD at
-// startup and when a page turns shared).
-func (l *Lib) ProtectPage(vpn uint64) {
-	l.h.Stats.Hypercalls++
-	l.h.rearmRow(vpn, guest.NoTID)
 }
 
 // ProtectRange protects [vpnBase, vpnBase+pages) for every current and
 // future thread in one batched hypercall — how AikidoSD protects whole
 // segments at startup and on mmap/brk ("one batched hypercall per segment").
 func (l *Lib) ProtectRange(vpnBase uint64, pages int) {
+	h := l.hypercall()
 	for i := 0; i < pages; i++ {
-		l.h.rearmRow(vpnBase+uint64(i), guest.NoTID)
+		h.rearmRow(vpnBase+uint64(i), guest.NoTID)
 	}
-	l.h.Stats.Hypercalls++
 }
 
-// RearmPage re-arms Aikido protection on one page in a single hypercall:
-// the default becomes no-access for every current and future thread, all
-// per-thread exceptions are dropped, and — when owner is a real TID — the
-// owner alone is re-granted full access. This is the epoch-demotion
-// primitive (Shared→Private(owner) with an owner, Shared→Unused without):
-// where ProtectPage+UnprotectForThread would cost two VM exits, the
-// versioned protection row is rewritten under one, the way Oreo revokes a
-// whole protection domain with a single permission-table update.
+// RearmPage protects one page in a single hypercall: the default becomes
+// no access for every current and future thread, every per-thread
+// exception is dropped, and — when owner is a real TID — the owner alone
+// is re-granted full access. With guest.NoTID it is how AikidoSD protects
+// a page that turns Shared; it is also the epoch-demotion primitive
+// (Shared→Private(owner) with an owner, Shared→Unused without): where
+// protecting and then unprotecting for the owner would cost two VM exits,
+// the protection row is rewritten under one, the way Oreo revokes a whole
+// protection domain with a single permission-table update.
 func (l *Lib) RearmPage(vpn uint64, owner guest.TID) {
-	l.h.Stats.Hypercalls++
-	l.h.rearmRow(vpn, owner)
+	l.hypercall().rearmRow(vpn, owner)
 }
 
 // ClearRange removes all Aikido protection state from [vpnBase,
 // vpnBase+pages) in one batched hypercall (segment unmap).
 func (l *Lib) ClearRange(vpnBase uint64, pages int) {
+	h := l.hypercall()
 	for i := 0; i < pages; i++ {
-		l.h.clearRow(vpnBase + uint64(i))
+		h.clearRow(vpnBase + uint64(i))
 	}
-	l.h.Stats.Hypercalls++
 }
 
 // UnprotectForThread removes Aikido restrictions on a page for one thread
@@ -197,30 +218,29 @@ func (l *Lib) UnprotectForThread(tid guest.TID, vpn uint64) {
 	l.SetThreadProt(tid, vpn, protAll)
 }
 
-// ClearPage removes all Aikido protection state from a page (all threads
-// access freely again). Used by DynamoRIO's §3.4 unprotect/reprotect dance.
-func (l *Lib) ClearPage(vpn uint64) {
-	l.h.Stats.Hypercalls++
-	l.h.clearRow(vpn)
-}
-
-// IsAikidoFault implements aikido_is_aikido_pagefault(): the signal handler
-// checks whether the delivered fault address is one of the registered
-// delivery pages.
-func (l *Lib) IsAikidoFault(deliveredAddr uint64) bool {
-	return deliveredAddr != 0 &&
-		(deliveredAddr == l.h.faultPageRead || deliveredAddr == l.h.faultPageWrite)
-}
-
-// FaultAddr reads the true faulting address from the registered slot, the
-// way the guest signal handler does after IsAikidoFault returns true.
-func (l *Lib) FaultAddr() uint64 {
-	if l.h.faultAddrSlot == 0 {
-		return 0
+// FaultInfo implements the guest signal handler's
+// aikido_is_aikido_pagefault() check (§3.2.5): f is AikidoVM's when it was
+// delivered at one of the registered delivery pages, and then its true
+// address is the one AikidoVM wrote to the registered slot.
+func (l *Lib) FaultInfo(f *Fault) (addr uint64, ours bool) {
+	h := l.h
+	if !f.Aikido || f.FakeAddr == 0 || f.FakeAddr != h.faultPageRead && f.FakeAddr != h.faultPageWrite {
+		return 0, false
 	}
-	pte, ok := l.h.pt.Lookup(vm.PageNum(l.h.faultAddrSlot))
+	pte, ok := h.pt.Lookup(vm.PageNum(h.faultAddrSlot))
 	if !ok {
-		return 0
+		return 0, true
 	}
-	return l.h.m.ReadU(pte.Frame, vm.PageOff(l.h.faultAddrSlot), 8)
+	return h.m.ReadU(pte.Frame, vm.PageOff(h.faultAddrSlot), 8), true
+}
+
+// Load implements guest.Bus: the guest kernel reads user memory through
+// AikidoVM, which emulates a read of a page Aikido protects for tid
+// (§3.2.6). Only a genuine guest fault comes back.
+func (l *Lib) Load(tid guest.TID, addr uint64, size uint8) (uint64, *pagetable.Fault) {
+	v, f := l.h.Load(tid, addr, size, false)
+	if f != nil {
+		return 0, &pagetable.Fault{Addr: f.Addr, Access: f.Access, Unmapped: f.Unmapped}
+	}
+	return v, nil
 }

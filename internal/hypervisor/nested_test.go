@@ -42,7 +42,7 @@ func TestNestedPerThreadProtection(t *testing.T) {
 	lib := h.Lib()
 	vpn := vm.PageNum(isa.DataBase)
 
-	lib.ProtectPage(vpn)
+	lib.RearmPage(vpn, guest.NoTID)
 	if _, fault := h.Load(1, isa.DataBase, 8, true); fault == nil || !fault.Aikido {
 		t.Fatal("protected page readable under nested paging")
 	}
@@ -53,7 +53,7 @@ func TestNestedPerThreadProtection(t *testing.T) {
 	if _, fault := h.Load(2, isa.DataBase, 8, true); fault == nil || !fault.Aikido {
 		t.Fatal("thread 2 not isolated under nested paging")
 	}
-	lib.ProtectPage(vpn)
+	lib.RearmPage(vpn, guest.NoTID)
 	if _, fault := h.Load(1, isa.DataBase, 8, true); fault == nil {
 		t.Fatal("global protect did not clear per-thread EPT override")
 	}
@@ -74,7 +74,7 @@ func TestNestedAliasInheritsFrameProtection(t *testing.T) {
 	const aliasBase = 0x7100_0000_0000
 	p.MapAlias(data, aliasBase, pagetable.ProtRW, guest.VMAMirror, "alias")
 
-	lib.ProtectPage(vm.PageNum(isa.DataBase))
+	lib.RearmPage(vm.PageNum(isa.DataBase), guest.NoTID)
 	if _, fault := h.Load(1, isa.DataBase, 8, true); fault == nil {
 		t.Fatal("primary mapping not protected")
 	}
@@ -103,7 +103,7 @@ func TestShadowAliasUnaffected(t *testing.T) {
 	const aliasBase = 0x7100_0000_0000
 	p.MapAlias(data, aliasBase, pagetable.ProtRW, guest.VMAMirror, "alias")
 
-	lib.ProtectPage(vm.PageNum(isa.DataBase))
+	lib.RearmPage(vm.PageNum(isa.DataBase), guest.NoTID)
 	if _, fault := h.Load(1, aliasBase, 8, true); fault != nil {
 		t.Fatalf("alias faults under shadow paging: %v", fault)
 	}
@@ -120,11 +120,11 @@ func TestNestedCoherentThroughAlias(t *testing.T) {
 	p.MapAlias(data, aliasBase, pagetable.ProtRW, guest.VMAMirror, "alias")
 	lib.RegisterMirrorRange(vm.PageNum(aliasBase), data.Pages)
 
-	lib.ProtectPage(vm.PageNum(isa.DataBase))
+	lib.RearmPage(vm.PageNum(isa.DataBase), guest.NoTID)
 	if fault := h.Store(1, aliasBase+64, 8, 0xabcd, true); fault != nil {
 		t.Fatalf("mirror store faults: %v", fault)
 	}
-	lib.ClearPage(vm.PageNum(isa.DataBase))
+	lib.ClearRange(vm.PageNum(isa.DataBase), 1)
 	v, fault := h.Load(1, isa.DataBase+64, 8, true)
 	if fault != nil {
 		t.Fatalf("primary load faults after clear: %v", fault)
@@ -264,16 +264,16 @@ func TestNestedUnmappedProtFallback(t *testing.T) {
 	lib := h.Lib()
 	const ghost = uint64(0x7fff_0000) // not mapped yet
 	pre := h.Stats.Hypercalls
-	lib.ProtectPage(ghost) // must not panic
+	lib.RearmPage(ghost, guest.NoTID) // must not panic
 	lib.RearmPage(ghost, 1)
-	lib.ClearPage(ghost)
+	lib.ClearRange(ghost, 1)
 	if got := h.Stats.Hypercalls - pre; got != 3 {
 		t.Errorf("hypercalls = %d, want 3", got)
 	}
 	if h.prot.Get(ghost) != nil {
 		t.Error("protection table grew for an unmapped page")
 	}
-	lib.ProtectPage(ghost)
+	lib.RearmPage(ghost, guest.NoTID)
 	p.PT.Map(ghost, p.M.AllocFrame(), pagetable.ProtRW)
 	if _, fault := h.Load(2, ghost<<12, 8, true); fault != nil {
 		t.Errorf("request made while unmapped protects the page: %v", fault)
@@ -284,7 +284,7 @@ func TestNestedKernelEmulationPath(t *testing.T) {
 	_, h := nestedFixture(t)
 	lib := h.Lib()
 	vpn := vm.PageNum(isa.DataBase)
-	lib.ProtectPage(vpn)
+	lib.RearmPage(vpn, guest.NoTID)
 
 	// Kernel access to the protected page: emulated, never faults.
 	if _, fault := h.Load(1, isa.DataBase, 8, false); fault != nil {

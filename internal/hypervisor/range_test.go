@@ -3,6 +3,7 @@ package hypervisor
 import (
 	"testing"
 
+	"repro/internal/guest"
 	"repro/internal/isa"
 	"repro/internal/vm"
 )
@@ -54,13 +55,13 @@ func TestProtectRangeBatched(t *testing.T) {
 }
 
 // TestRangeClearsOverrides: ProtectRange removes prior per-thread
-// unprotections, like the single-page ProtectPage does.
+// unprotections, like the single-page RearmPage does.
 func TestRangeClearsOverrides(t *testing.T) {
 	_, h := fixture(t)
 	lib := h.Lib()
 	vpn := vm.PageNum(isa.DataBase)
 
-	lib.ProtectPage(vpn)
+	lib.RearmPage(vpn, guest.NoTID)
 	lib.UnprotectForThread(1, vpn)
 	if _, fault := h.Load(1, isa.DataBase, 8, true); fault != nil {
 		t.Fatal("override not installed")

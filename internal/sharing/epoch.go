@@ -156,7 +156,7 @@ func (d *Detector) noteSharedAccess(tid guest.TID, pi *pageInfo) {
 // sit below the clock forever and end an epoch on every check. Then the
 // sweep: every Shared page's accounting is folded into its
 // dominance/quiescence streak, qualifying pages are demoted — protection
-// re-armed through the provider in one operation per page — and, when
+// re-armed with one AikidoLib hypercall per page — and, when
 // anything was demoted, the instrumented-PC set is cleared so demoted
 // pages return to native-speed execution. Pages that are still genuinely
 // shared re-instrument themselves through the ordinary fault path (they
@@ -236,12 +236,11 @@ func (d *Detector) endEpoch() {
 }
 
 // demote moves one Shared page back to Private(owner) or Unused and
-// re-arms its protection through the provider in a single operation: the
-// page is protected for every current and future thread, with the new
-// owner (if any) alone re-granted access. The provider charges the
-// hypercall.
+// re-arms its protection with one AikidoLib hypercall, which Lib counts
+// and charges: the page is protected for every current and future thread,
+// with the new owner (if any) alone re-granted access.
 func (d *Detector) demote(vpn uint64, pi *pageInfo, to PageState, owner guest.TID) {
-	d.prov.RearmPage(vpn, owner)
+	d.lib.RearmPage(vpn, owner)
 	pi.State = to
 	pi.Owner = owner
 	pi.domEpochs, pi.quietEpochs = 0, 0

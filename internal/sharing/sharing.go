@@ -22,7 +22,6 @@ import (
 	"repro/internal/hypervisor"
 	"repro/internal/isa"
 	"repro/internal/mirror"
-	"repro/internal/provider"
 	"repro/internal/stats"
 	"repro/internal/umbra"
 	"repro/internal/vm"
@@ -123,10 +122,10 @@ type Counters struct {
 
 // Detector is one AikidoSD instance.
 type Detector struct {
-	p    *guest.Process
-	prov *provider.AikidoVM
-	um   *umbra.Umbra
-	mir  *mirror.Manager
+	p   *guest.Process
+	lib *hypervisor.Lib
+	um  *umbra.Umbra
+	mir *mirror.Manager
 
 	pages *umbra.ShadowMap[pageInfo]
 	// instrumented is a bitmap keyed by code-cache PC (PCs are dense
@@ -175,11 +174,11 @@ type Detector struct {
 // Attach builds an AikidoSD over an assembled Aikido stack and protects the
 // application's entire address space through AikidoVM. The analysis may be
 // nil (pure sharing profiling).
-func Attach(p *guest.Process, prov *provider.AikidoVM, um *umbra.Umbra,
+func Attach(p *guest.Process, lib *hypervisor.Lib, um *umbra.Umbra,
 	mir *mirror.Manager, analysis Analysis, clock *stats.Clock) *Detector {
 
 	d := &Detector{
-		p: p, prov: prov, um: um, mir: mir,
+		p: p, lib: lib, um: um, mir: mir,
 		pages:        umbra.NewShadowMap[pageInfo](um, vm.PageSize),
 		instrumented: make([]uint64, (len(p.Prog.Code)+63)/64),
 		analysis:     analysis,
@@ -240,13 +239,13 @@ func (d *Detector) VMAAdded(v *guest.VMA) {
 	case guest.VMAShadow:
 		return
 	case guest.VMAMirror:
-		// Tell the provider about the mirror alias: AikidoVM's nested-
-		// paging mode keys protections by guest-physical frame and needs
-		// an unprotected alternate EPT view for the mirror range.
-		d.prov.RegisterMirrorRange(vm.PageNum(v.Base), v.Pages)
+		// Tell AikidoVM about the mirror alias: its nested-paging mode
+		// keys protections by guest-physical frame and needs an
+		// unprotected alternate EPT view for the mirror range.
+		d.lib.RegisterMirrorRange(vm.PageNum(v.Base), v.Pages)
 		return
 	}
-	d.prov.ProtectRange(vm.PageNum(v.Base), v.Pages)
+	d.lib.ProtectRange(vm.PageNum(v.Base), v.Pages)
 	d.C.PagesProtected += uint64(v.Pages)
 }
 
@@ -256,7 +255,7 @@ func (d *Detector) VMARemoved(v *guest.VMA) {
 	case guest.VMAShadow, guest.VMAMirror:
 		return
 	}
-	d.prov.ClearRange(vm.PageNum(v.Base), v.Pages)
+	d.lib.ClearRange(vm.PageNum(v.Base), v.Pages)
 	d.dropEpochRange(vm.PageNum(v.Base), v.Pages)
 }
 
@@ -290,7 +289,7 @@ func (d *Detector) HandleFault(t *guest.Thread, pc isa.PC, in isa.Instr, f *hype
 	// Obtain the true faulting address the way the real handler does —
 	// for AikidoVM, from the registered slot rather than the (fake)
 	// delivery address (§3.2.5).
-	addr, ours := d.prov.FaultInfo(f)
+	addr, ours := d.lib.FaultInfo(f)
 	if !ours {
 		// Genuine segmentation fault in the application: not ours.
 		return dbi.FaultFatal
@@ -308,7 +307,7 @@ func (d *Detector) HandleFault(t *guest.Thread, pc isa.PC, in isa.Instr, f *hype
 		pi.State = Private
 		pi.Owner = t.ID
 		d.C.PagesPrivate++
-		d.prov.UnprotectForThread(t.ID, vpn)
+		d.lib.UnprotectForThread(t.ID, vpn)
 		return dbi.FaultRetry
 
 	case Private:
@@ -317,7 +316,7 @@ func (d *Detector) HandleFault(t *guest.Thread, pc isa.PC, in isa.Instr, f *hype
 			// possible after external protection churn. Repair and
 			// count it.
 			d.C.SpuriousFaults++
-			d.prov.UnprotectForThread(t.ID, vpn)
+			d.lib.UnprotectForThread(t.ID, vpn)
 			return dbi.FaultRetry
 		}
 		// Third scenario: a second thread touched the page — it is now
@@ -327,7 +326,7 @@ func (d *Detector) HandleFault(t *guest.Thread, pc isa.PC, in isa.Instr, f *hype
 		pi.Owner = guest.NoTID
 		d.C.PagesPrivate--
 		d.C.PagesShared++
-		d.prov.ProtectPage(vpn)
+		d.lib.RearmPage(vpn, guest.NoTID)
 		d.noteShared(vpn, pi)
 		d.instrument(pc)
 		return dbi.FaultRetry
@@ -441,7 +440,7 @@ func (d *Detector) newPlan(direct bool) *dbi.Plan {
 		if d.noMirror {
 			// Ablation: unprotect for this thread around the access
 			// (reprotected in PostAccess below).
-			d.prov.UnprotectForThread(tid, vm.PageNum(addr))
+			d.lib.UnprotectForThread(tid, vm.PageNum(addr))
 			return addr
 		}
 		if m, ok := d.mir.Translate(addr); ok {
@@ -457,7 +456,7 @@ func (d *Detector) newPlan(direct bool) *dbi.Plan {
 		}
 		pi := d.pages.Get(tid, addr)
 		if pi != nil && pi.State == Shared {
-			d.prov.ProtectPage(vm.PageNum(addr))
+			d.lib.RearmPage(vm.PageNum(addr), guest.NoTID)
 		}
 	}}
 }
