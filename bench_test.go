@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fasttrack"
-	"repro/internal/hypervisor"
 	"repro/internal/memcheck"
 	"repro/internal/parsec"
 	"repro/internal/runner"
@@ -269,78 +268,6 @@ func BenchmarkAblationDBI(b *testing.B) {
 		}
 		b.Run(bench.Name, func(b *testing.B) {
 			res := runMode(b, bench, core.ModeDBI)
-			b.ReportMetric(res.Slowdown(native), "slowdown-x")
-		})
-	}
-}
-
-// BenchmarkAblationPaging compares AikidoVM's shadow-paging and
-// nested-paging modes (§3.2.2): the analysis results are identical; the
-// cost structure (PT-update traps vs two-dimensional walks) is not.
-func BenchmarkAblationPaging(b *testing.B) {
-	bench, err := parsec.ByName("vips")
-	if err != nil {
-		b.Fatal(err)
-	}
-	bench = bench.WithScale(benchScale)
-	prog, err := workload.Build(bench.Spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	native, err := core.Run(prog, core.DefaultConfig(core.ModeNative))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, paging := range []hypervisor.PagingMode{hypervisor.ShadowPaging, hypervisor.NestedPaging} {
-		paging := paging
-		b.Run(paging.String(), func(b *testing.B) {
-			var res *core.Result
-			for i := 0; i < b.N; i++ {
-				cfg := core.DefaultConfig(core.ModeAikidoFastTrack)
-				cfg.Aikido.Paging = paging
-				var err error
-				res, err = core.Run(prog, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.Slowdown(native), "slowdown-x")
-			b.ReportMetric(float64(res.HV.GuestPTUpdates), "pt-traps")
-		})
-	}
-}
-
-// BenchmarkAblationSwitch compares the three context-switch interception
-// mechanisms of §3.2.3 on the barrier-heavy streamcluster model.
-func BenchmarkAblationSwitch(b *testing.B) {
-	bench, err := parsec.ByName("streamcluster")
-	if err != nil {
-		b.Fatal(err)
-	}
-	bench = bench.WithScale(benchScale)
-	prog, err := workload.Build(bench.Spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	native, err := core.Run(prog, core.DefaultConfig(core.ModeNative))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, sw := range []hypervisor.SwitchInterception{
-		hypervisor.SwitchHypercall, hypervisor.SwitchSegTrap, hypervisor.SwitchProbe,
-	} {
-		sw := sw
-		b.Run(sw.String(), func(b *testing.B) {
-			var res *core.Result
-			for i := 0; i < b.N; i++ {
-				cfg := core.DefaultConfig(core.ModeAikidoFastTrack)
-				cfg.Aikido.Switch = sw
-				var err error
-				res, err = core.Run(prog, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
 			b.ReportMetric(res.Slowdown(native), "slowdown-x")
 		})
 	}

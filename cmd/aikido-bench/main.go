@@ -1,13 +1,12 @@
 // Command aikido-bench regenerates the paper's evaluation — Figure 5,
-// Figure 6, Table 1, Table 2 — plus the ablation studies (mirror pages,
-// paging modes, context-switch interception) and the extension
-// experiments (detector comparison, thread scaling, Nondeterminator vs
-// FastTrack).
+// Figure 6, Table 1, Table 2 — plus the mirror-page ablation and the
+// extension experiments (detector comparison, thread scaling,
+// Nondeterminator vs FastTrack).
 //
 // Usage:
 //
-//	aikido-bench [-experiment all|fig5|fig6|table1|table2|ablation|paging|
-//	              switch|detectors|muxbench|epochs|scaling|nondet]
+//	aikido-bench [-experiment all|fig5|fig6|table1|table2|ablation|
+//	              detectors|muxbench|epochs|scaling|nondet]
 //	             [-scale F] [-threads N] [-workers N] [-json FILE]
 //	             [-analysis NAME[,NAME...]]
 //
@@ -57,8 +56,7 @@ import (
 // experimentNames are the valid -experiment values: "all" runs every
 // experiment after it in this order.
 var experimentNames = []string{"all", "fig5", "fig6", "table1", "table2",
-	"ablation", "paging", "switch", "detectors", "muxbench", "epochs",
-	"scaling", "nondet"}
+	"ablation", "detectors", "muxbench", "epochs", "scaling", "nondet"}
 
 // checkExperiment rejects an -experiment value that names no experiment,
 // which would otherwise run nothing and exit 0.
@@ -198,22 +196,6 @@ func main() {
 			return err
 		}
 		experiments.WriteAblations(w, rows)
-		return nil
-	})
-	run("paging", func() error {
-		rows, err := experiments.AblationPaging(o)
-		if err != nil {
-			return err
-		}
-		experiments.WriteAblationPaging(w, rows)
-		return nil
-	})
-	run("switch", func() error {
-		rows, err := experiments.AblationSwitch(o)
-		if err != nil {
-			return err
-		}
-		experiments.WriteAblationSwitch(w, rows)
 		return nil
 	})
 	run("detectors", func() error {

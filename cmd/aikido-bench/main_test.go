@@ -9,11 +9,12 @@ import (
 
 // TestCheckExperiment: every listed experiment is accepted, and a name
 // that matches none — including the deleted deferred, parallel, vector,
-// phase, static, chaos, crew, providers and stm experiments — is rejected
-// with the valid names listed, instead of running nothing and exiting 0.
+// phase, static, chaos, crew, providers, stm, paging and switch
+// experiments — is rejected with the valid names listed, instead of
+// running nothing and exiting 0.
 func TestCheckExperiment(t *testing.T) {
-	const valid = "(want all, fig5, fig6, table1, table2, ablation, paging, " +
-		"switch, detectors, muxbench, epochs, scaling, nondet)"
+	const valid = "(want all, fig5, fig6, table1, table2, ablation, " +
+		"detectors, muxbench, epochs, scaling, nondet)"
 	for _, tc := range []struct {
 		name string
 		ok   bool
@@ -29,6 +30,8 @@ func TestCheckExperiment(t *testing.T) {
 		{"crew", false},
 		{"providers", false},
 		{"stm", false},
+		{"paging", false},
+		{"switch", false},
 		{"deferred", false},
 		{"parallel", false},
 		{"", false},

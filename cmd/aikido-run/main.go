@@ -6,7 +6,6 @@
 //
 //	aikido-run [-bench NAME|all] [-mode native|dbi|fasttrack|aikido]
 //	           [-analysis none|NAME[,NAME...]] [-max-findings N]
-//	           [-paging shadow|nested] [-switch hypercall|segtrap|probe]
 //	           [-threads N] [-scale F] [-workers N] [-findings] [-list]
 //	           [-list-analyses]
 //	           [-max-cycles N] [-cell-deadline D] [-keep-going]
@@ -25,8 +24,8 @@
 // names no analysis, only commas and spaces, is a usage error.
 //
 // A flag the selected stack would ignore (core.Config.Check) is a usage
-// error: -paging or -switch outside -mode aikido, and -analysis or
-// -max-findings under native or dbi.
+// error: -analysis or -max-findings under native or dbi, and
+// -max-findings with no analysis.
 //
 // The Aikido modes run with epoch demotion, core.DefaultConfig's default:
 // Shared pages that fall back to a single owner are demoted to
@@ -65,7 +64,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
-	"repro/internal/hypervisor"
 	"repro/internal/parsec"
 	"repro/internal/runner"
 )
@@ -86,8 +84,6 @@ func run(args []string) int {
 	mode := fs.String("mode", "aikido", "native, dbi, fasttrack, aikido")
 	analyses := fs.String("analysis", "", "comma-separated analyses to multiplex onto one pass (see -list-analyses), or none (default: the mode's, fasttrack for fasttrack and aikido)")
 	maxFindings := fs.Int("max-findings", 0, "cap stored findings for the whole run, divided across the selected analyses (0 = each detector's default)")
-	paging := fs.String("paging", "shadow", "AikidoVM paging mode: shadow, nested (§3.2.2)")
-	swi := fs.String("switch", "hypercall", "context-switch interception: hypercall, segtrap, probe (§3.2.3)")
 	threads := fs.Int("threads", 0, "worker threads (0 = benchmark default)")
 	scale := fs.Float64("scale", 1.0, "workload size multiplier")
 	workers := fs.Int("workers", runtime.NumCPU(), "runner pool size for -bench all (results are identical at any value)")
@@ -126,23 +122,6 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "aikido-run: unknown mode %q\n", *mode)
 		return exitBadFlags
 	}
-	pg, ok := map[string]hypervisor.PagingMode{
-		"shadow": hypervisor.ShadowPaging,
-		"nested": hypervisor.NestedPaging,
-	}[*paging]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "aikido-run: unknown paging mode %q\n", *paging)
-		return exitBadFlags
-	}
-	sw, ok := map[string]hypervisor.SwitchInterception{
-		"hypercall": hypervisor.SwitchHypercall,
-		"segtrap":   hypervisor.SwitchSegTrap,
-		"probe":     hypervisor.SwitchProbe,
-	}[*swi]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "aikido-run: unknown switch mechanism %q\n", *swi)
-		return exitBadFlags
-	}
 	if math.IsNaN(*scale) || math.IsInf(*scale, 0) || *scale <= 0 {
 		fmt.Fprintf(os.Stderr, "aikido-run: invalid -scale %v (want a finite number > 0)\n", *scale)
 		return exitBadFlags
@@ -161,8 +140,6 @@ func run(args []string) int {
 		}
 	}
 	cfg.MaxFindings = *maxFindings
-	cfg.Aikido.Paging = pg
-	cfg.Aikido.Switch = sw
 	cfg.MaxCycles = *maxCycles
 	cfg.MaxWall = *cellDeadline
 	if err := cfg.Check(); err != nil {
@@ -256,7 +233,6 @@ func run(args []string) int {
 	fmt.Printf("instrumented     %d\n", res.Engine.InstrumentedExecs)
 	fmt.Printf("context switches %d\n", res.GuestContextSwitches)
 	if m == core.ModeAikidoFastTrack {
-		fmt.Printf("provider         aikidovm (paging %s, switch %s)\n", pg, sw)
 		fmt.Printf("shared accesses  %d (%.2f%% of memory refs)\n",
 			res.SD.SharedPageAccesses, 100*res.SharedAccessFraction())
 		fmt.Printf("pages private    %d\n", res.SD.PagesPrivate)

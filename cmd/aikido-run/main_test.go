@@ -18,12 +18,12 @@ func TestRunRejectsBadScale(t *testing.T) {
 }
 
 // TestRunRejectsBadFlags: a negative -threads or -max-findings, the
-// deleted -dispatch, -epoch, -chaos, -races and -provider flags and the
-// deleted profile mode are usage errors, and so is every flag the selected
-// stack would ignore: paging settings outside the Aikido mode, and
-// analyses or a findings cap in the native and dbi modes. An -analysis value that names
-// no analysis is one too: -analysis none is the one spelling of "no
-// analysis". None of them runs anything.
+// deleted -dispatch, -epoch, -chaos, -races, -provider, -paging and
+// -switch flags and the deleted profile mode are usage errors, and so is
+// every flag the selected stack would ignore: analyses or a findings cap
+// in the native and dbi modes. An -analysis value that names no analysis
+// is one too: -analysis none is the one spelling of "no analysis". None
+// of them runs anything.
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-bench", "fluidanimate", "-threads", "-2"},
@@ -34,7 +34,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-bench", "vips", "-scale", "0.05", "-mode", "profile"},
 		{"-bench", "vips", "-scale", "0.05", "-races"},
 		{"-bench", "vips", "-scale", "0.05", "-provider", "aikidovm"},
+		// -paging and -switch are unknown flags under every mode.
 		{"-bench", "vips", "-scale", "0.05", "-mode", "native", "-paging", "nested"},
+		{"-bench", "vips", "-scale", "0.05", "-mode", "aikido", "-paging", "nested"},
+		{"-bench", "vips", "-scale", "0.05", "-mode", "aikido", "-switch", "probe"},
 		{"-bench", "vips", "-scale", "0.05", "-mode", "dbi", "-analysis", "lockset"},
 		{"-bench", "vips", "-scale", "0.05", "-mode", "native", "-max-findings", "5"},
 		{"-bench", "vips", "-scale", "0.05", "-mode", "aikido", "-analysis", ","},

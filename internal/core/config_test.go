@@ -4,13 +4,12 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/hypervisor"
 	"repro/internal/sharing"
 )
 
-// TestConfigCheck: Check accepts every mode's DefaultConfig and the six
-// provider settings, and rejects every setting that is invalid or that
-// the selected stack would ignore, naming the field. Each rejected config
+// TestConfigCheck: Check accepts every mode's DefaultConfig, and rejects
+// every setting that is invalid or that the selected stack would ignore,
+// naming the field. Each rejected config
 // also fails NewSystem before anything is assembled: a
 // zero Quantum used to hang every mode, because a run that retires nothing
 // charges no cycle and never trips a budget.
@@ -53,21 +52,8 @@ func TestConfigCheck(t *testing.T) {
 	for _, m := range []Mode{ModeNative, ModeDBI, ModeFastTrackFull} {
 		def := DefaultConfig(m)
 		rows = append(rows,
-			row{m.String() + " paging", with(def, func(c *Config) { c.Aikido.Paging = hypervisor.NestedPaging }), "Aikido"},
-			row{m.String() + " switch", with(def, func(c *Config) { c.Aikido.Switch = hypervisor.SwitchProbe }), "Aikido"},
 			row{m.String() + " no-mirror", with(def, func(c *Config) { c.Aikido.NoMirror = true }), "Aikido"},
 			row{m.String() + " epochs", with(def, func(c *Config) { c.Aikido.Epoch = sharing.DefaultEpochPolicy() }), "Aikido"})
-	}
-	aikido := DefaultConfig(ModeAikidoFastTrack)
-	rows = append(rows,
-		row{"unknown paging", with(aikido, func(c *Config) { c.Aikido.Paging = hypervisor.PagingMode(9) }), "Aikido.Paging"},
-		row{"unknown switch", with(aikido, func(c *Config) { c.Aikido.Switch = hypervisor.SwitchInterception(9) }), "Aikido.Switch"})
-	settings := providerSettings()
-	for _, set := range settings {
-		rows = append(rows, row{set.String(), set.config(), ""})
-	}
-	if len(settings) != 6 {
-		t.Errorf("%d provider settings, want 6", len(settings))
 	}
 
 	prog := privateProgram(1)

@@ -125,19 +125,10 @@ type Config struct {
 	MaxWall time.Duration
 }
 
-// AikidoConfig configures the Aikido stack: AikidoVM's paging and
-// context-switch mechanisms, and AikidoSD's own options.
+// AikidoConfig configures the Aikido stack's AikidoSD options. AikidoVM
+// has none: it is the paper's prototype, shadow paging with context
+// switches reported by a guest-kernel hypercall.
 type AikidoConfig struct {
-	// Paging selects AikidoVM's memory-virtualization strategy (§3.2.2):
-	// shadow paging (the paper's prototype, the default) or nested paging
-	// (the paper's "generally applicable" claim, with per-thread EPT
-	// permission views and the mirror-alias registration it requires).
-	Paging hypervisor.PagingMode
-	// Switch selects how AikidoVM intercepts guest context switches
-	// (§3.2.3): kernel hypercall (default), FS/GS-write trap, or
-	// trampoline probe.
-	Switch hypervisor.SwitchInterception
-
 	// NoMirror is an ablation: instead of redirecting shared accesses to
 	// mirror pages, AikidoSD unprotects the page around every shared
 	// access and reprotects it afterwards (the strategy mirror pages
@@ -197,12 +188,6 @@ func (c Config) Check() error {
 	}
 	if c.Mode != ModeAikidoFastTrack && c.Aikido != (AikidoConfig{}) {
 		return fmt.Errorf("core: Config.Aikido: set, but mode %s builds no Aikido stack", c.Mode)
-	}
-	switch a := c.Aikido; {
-	case a.Paging > hypervisor.NestedPaging:
-		return fmt.Errorf("core: Config.Aikido.Paging: unknown paging mode %d", a.Paging)
-	case a.Switch > hypervisor.SwitchProbe:
-		return fmt.Errorf("core: Config.Aikido.Switch: unknown switch interception %d", a.Switch)
 	}
 	return nil
 }
@@ -297,12 +282,7 @@ func NewSystem(prog *isa.Program, cfg Config) (*System, error) {
 
 	case ModeAikidoFastTrack:
 		a := cfg.Aikido
-		if a.Paging == hypervisor.NestedPaging {
-			s.HV = hypervisor.NewNested(m, p.PT, clock)
-		} else {
-			s.HV = hypervisor.New(m, p.PT, clock)
-		}
-		s.HV.SetSwitchInterception(a.Switch)
+		s.HV = hypervisor.New(m, p.PT, clock)
 		s.Prov = hypervisor.NewLib(p, s.HV)
 		s.Um = umbra.Attach(p, clock)
 		s.Mir = mirror.Attach(p)
@@ -367,9 +347,9 @@ func (s *System) wireHooks() {
 		clock.Charge(stats.ContextSwitch)
 		if s.HV != nil {
 			// The hypervisor charges its own switch cost on top of the
-			// guest's: the interception VM exit plus translation-view
-			// switch (§3.2.3).
-			s.HV.ContextSwitch(old, new)
+			// guest's: the switch hypercall's VM exit plus the
+			// shadow-root swap (§3.2.3).
+			s.HV.ContextSwitch()
 		}
 	}
 	// Live-thread tracking feeds the contention model of both the

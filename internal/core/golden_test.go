@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/hypervisor"
 	"repro/internal/isa"
 	"repro/internal/pagetable"
 	"repro/internal/parsec"
@@ -197,8 +196,7 @@ func hostedCells() []goldenCell {
 
 // configCells pin the configurations every other cell leaves at its
 // default, so that each simulated cost moves some cell: on vips at scale
-// 0.25, Aikido under nested paging, the segment-trap and probe switch
-// interceptions and the no-mirror ablation, then native, DBI-only and
+// 0.25, Aikido under the no-mirror ablation, then native, DBI-only and
 // FastTrack-full with the sampled wrapper; and the kernel-write guest,
 // whose syscall reads a page no thread has touched. Each prints its
 // hypervisor counters.
@@ -211,18 +209,10 @@ func configCells() []goldenCell {
 		panic(err)
 	}
 	src := vips.WithScale(0.25).Spec
-	aikido := func(label string, set func(*Config)) goldenCell {
-		cfg := DefaultConfig(ModeAikidoFastTrack)
-		set(&cfg)
-		return goldenCell{name: fmt.Sprintf("%s %s %s", src.SourceName(), ModeAikidoFastTrack, label),
-			src: src, cfg: cfg, counters: layers}
-	}
-	cells := []goldenCell{
-		aikido("paging=nested", func(c *Config) { c.Aikido.Paging = hypervisor.NestedPaging }),
-		aikido("switch=segtrap", func(c *Config) { c.Aikido.Switch = hypervisor.SwitchSegTrap }),
-		aikido("switch=probe", func(c *Config) { c.Aikido.Switch = hypervisor.SwitchProbe }),
-		aikido("no-mirror", func(c *Config) { c.Aikido.NoMirror = true }),
-	}
+	noMirror := DefaultConfig(ModeAikidoFastTrack)
+	noMirror.Aikido.NoMirror = true
+	cells := []goldenCell{{name: fmt.Sprintf("%s %s no-mirror", src.SourceName(), ModeAikidoFastTrack),
+		src: src, cfg: noMirror, counters: layers}}
 	for _, mode := range []Mode{ModeNative, ModeDBI} {
 		cells = append(cells, goldenCell{name: fmt.Sprintf("%s %s", src.SourceName(), mode),
 			src: src, cfg: DefaultConfig(mode), counters: layers})
@@ -234,7 +224,7 @@ func configCells() []goldenCell {
 		return kernelWriteProgram(), nil
 	}}
 	return append(cells, goldenCell{
-		name: fmt.Sprintf("kernel-write %s provider=aikidovm", ModeAikidoFastTrack),
+		name: fmt.Sprintf("kernel-write %s", ModeAikidoFastTrack),
 		src:  kwrite, cfg: DefaultConfig(ModeAikidoFastTrack), counters: layers})
 }
 

@@ -12,8 +12,9 @@
 //     the backing files AikidoSD creates so it can map a segment twice);
 //   - context switches between threads of one process do not change the
 //     page table, so the hypervisor must be told about them explicitly
-//     (the Hooks.ContextSwitch notification models the FS/GS-write VM exit
-//     of paper §3.2.3);
+//     (the Hooks.ContextSwitch notification models the hypercall the
+//     paper's prototype adds to the kernel's context-switch procedure,
+//     §3.2.3);
 //   - the kernel dereferences user pointers (SysWrite), triggering the
 //     guest-OS fault emulation path of §3.2.6.
 package guest
@@ -117,8 +118,8 @@ type VMAListener interface {
 // optional.
 type Hooks struct {
 	// ContextSwitch fires when the scheduler switches threads within the
-	// process. The real kernel's write to the FS segment register at this
-	// point is what AikidoVM traps (§3.2.3).
+	// process, where the paper's prototype kernel makes its switch
+	// hypercall to AikidoVM (§3.2.3).
 	ContextSwitch func(old, new TID)
 	// ThreadStarted fires after a thread becomes runnable the first time.
 	ThreadStarted func(t *Thread, creator TID)

@@ -171,15 +171,15 @@ func modelOutcome(script []op) []uint64 {
 // enforcementOutcome runs a script against AikidoVM: protection through
 // AikidoLib, user accesses through the hypervisor as the engine makes
 // them, and faults classified by AikidoLib.
-func enforcementOutcome(t *testing.T, paging PagingMode, script []op) []uint64 {
+func enforcementOutcome(t *testing.T, script []op) []uint64 {
 	t.Helper()
-	_, hv, lib := libFixture(t, paging, dataPages)
+	_, hv, lib := libFixture(t, dataPages)
 	var trace []uint64
 	faulted := func(rec uint64, fault *Fault) {
 		t.Helper()
 		fa, ours := lib.FaultInfo(fault)
 		if !ours {
-			t.Fatalf("%v: genuine fault on mapped page: %v", paging, fault)
+			t.Fatalf("genuine fault on mapped page: %v", fault)
 		}
 		trace = append(trace, rec, fa)
 	}
@@ -205,7 +205,7 @@ func enforcementOutcome(t *testing.T, paging PagingMode, script []op) []uint64 {
 				trace = append(trace, traceStore)
 			}
 		case 5:
-			hv.ContextSwitch(guest.TID(o.Page%4+1), d.tid)
+			hv.ContextSwitch()
 		case 6:
 			lib.RearmPage(d.vpn, d.owner)
 		case 7:
@@ -217,9 +217,9 @@ func enforcementOutcome(t *testing.T, paging PagingMode, script []op) []uint64 {
 	return trace
 }
 
-// TestEnforcementEquivalence: for random scripts, AikidoVM under shadow
-// and under nested paging makes the reference model's allow/deny decisions
-// with its loaded values and true fault addresses. The model has none of
+// TestEnforcementEquivalence: for random scripts, AikidoVM makes the
+// reference model's allow/deny decisions with its loaded values and true
+// fault addresses. The model has none of
 // AikidoVM's caches (host TLB, shadow tables, protection-row versions), so
 // a stale cached permission shows as a divergence.
 func TestEnforcementEquivalence(t *testing.T) {
@@ -240,42 +240,36 @@ func TestEnforcementEquivalence(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		script := gen()
 		want := modelOutcome(script)
-		for _, pg := range pagings {
-			got := enforcementOutcome(t, pg.mode, script)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d: %s trace length %d, model %d\nscript: %+v",
-					trial, pg.name, len(got), len(want), script)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d: %s diverges from the model at trace word %d: %d vs %d\nscript: %+v",
-						trial, pg.name, i, got[i], want[i], script)
-				}
+		got := enforcementOutcome(t, script)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: trace length %d, model %d\nscript: %+v",
+				trial, len(got), len(want), script)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: diverges from the model at trace word %d: %d vs %d\nscript: %+v",
+					trial, i, got[i], want[i], script)
 			}
 		}
 	}
 }
 
 // TestProtectionIdempotence (quick): protecting a page twice behaves like
-// protecting it once, under both paging modes.
+// protecting it once.
 func TestProtectionIdempotence(t *testing.T) {
 	f := func(page uint8, tid uint8, repeat uint8) bool {
-		for _, pg := range pagings {
-			_, hv, lib := libFixture(t, pg.mode, 2)
-			vpn := vm.PageNum(isa.DataBase) + uint64(page%2)
-			n := int(repeat%3) + 1
-			for i := 0; i < n; i++ {
-				lib.RearmPage(vpn, guest.NoTID)
-			}
-			if _, fault := hv.Load(guest.TID(tid%4+1), vpn<<12, 8, true); fault == nil {
-				return false
-			}
-			lib.UnprotectForThread(guest.TID(tid%4+1), vpn)
-			if _, fault := hv.Load(guest.TID(tid%4+1), vpn<<12, 8, true); fault != nil {
-				return false
-			}
+		_, hv, lib := libFixture(t, 2)
+		vpn := vm.PageNum(isa.DataBase) + uint64(page%2)
+		n := int(repeat%3) + 1
+		for i := 0; i < n; i++ {
+			lib.RearmPage(vpn, guest.NoTID)
 		}
-		return true
+		if _, fault := hv.Load(guest.TID(tid%4+1), vpn<<12, 8, true); fault == nil {
+			return false
+		}
+		lib.UnprotectForThread(guest.TID(tid%4+1), vpn)
+		_, fault := hv.Load(guest.TID(tid%4+1), vpn<<12, 8, true)
+		return fault == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

@@ -48,13 +48,9 @@ type fuzzVM struct {
 	attempted uint64
 }
 
-func newFuzzVM(nested, twin bool) *fuzzVM {
+func newFuzzVM(twin bool) *fuzzVM {
 	f := &fuzzVM{m: vm.NewMachine(), pt: pagetable.New(), twin: twin}
-	if nested {
-		f.h = hypervisor.NewNested(f.m, f.pt, &stats.Clock{})
-	} else {
-		f.h = hypervisor.New(f.m, f.pt, &stats.Clock{})
-	}
+	f.h = hypervisor.New(f.m, f.pt, &stats.Clock{})
 	f.lib = f.h.Lib()
 	for i := range f.frames {
 		f.frames[i] = f.m.AllocFrame()
@@ -142,7 +138,7 @@ func (f *fuzzVM) step(op, a, b, c, d byte) outcome {
 	case 16:
 		f.lib.ClearRange(vpn, 1+int(c%3))
 	default:
-		f.h.ContextSwitch(f.h.Current(), tid)
+		f.h.ContextSwitch()
 	}
 	return outcome{}
 }
@@ -158,38 +154,32 @@ func (f *fuzzVM) checkIdentity(t *testing.T, name string, i int) {
 	}
 }
 
-// translateOracle runs the records of data, under each paging mode, on an
-// AikidoVM and on a twin that drops every cached translation before each
-// access, so that every twin access takes Translate's slow path. Every
-// access must show the guest the same value, fault class and fault
-// addresses on both, the frames must end equal, and the counters of each
-// must account for every user translation exactly once.
+// translateOracle runs the records of data on an AikidoVM and on a twin
+// that drops every cached translation before each access, so that every
+// twin access takes Translate's slow path. Every access must show the
+// guest the same value, fault class and fault addresses on both, the
+// frames must end equal, and the counters of each must account for every
+// user translation exactly once.
 func translateOracle(t *testing.T, data []byte) {
 	if len(data) > 5*maxFuzzOps {
 		data = data[:5*maxFuzzOps]
 	}
-	for _, nested := range []bool{false, true} {
-		name := "shadow"
-		if nested {
-			name = "nested"
+	real, twin := newFuzzVM(false), newFuzzVM(true)
+	for i, rec := 0, data; len(rec) >= 5; i, rec = i+1, rec[5:] {
+		got := real.step(rec[0], rec[1], rec[2], rec[3], rec[4])
+		want := twin.step(rec[0], rec[1], rec[2], rec[3], rec[4])
+		if got != want {
+			t.Fatalf("record %d % x: cached %+v, uncached %+v", i, rec[:5], got, want)
 		}
-		real, twin := newFuzzVM(nested, false), newFuzzVM(nested, true)
-		for i, rec := 0, data; len(rec) >= 5; i, rec = i+1, rec[5:] {
-			got := real.step(rec[0], rec[1], rec[2], rec[3], rec[4])
-			want := twin.step(rec[0], rec[1], rec[2], rec[3], rec[4])
-			if got != want {
-				t.Fatalf("%s record %d % x: cached %+v, uncached %+v", name, i, rec[:5], got, want)
-			}
-			real.checkIdentity(t, name+" cached", i)
-			twin.checkIdentity(t, name+" uncached", i)
-		}
-		var got, want [vm.PageSize]byte
-		for i, id := range real.frames {
-			real.m.Read(id, 0, got[:])
-			twin.m.Read(twin.frames[i], 0, want[:])
-			if got != want {
-				t.Fatalf("%s: frame %d differs at the end of the sequence", name, i)
-			}
+		real.checkIdentity(t, "cached", i)
+		twin.checkIdentity(t, "uncached", i)
+	}
+	var got, want [vm.PageSize]byte
+	for i, id := range real.frames {
+		real.m.Read(id, 0, got[:])
+		twin.m.Read(twin.frames[i], 0, want[:])
+		if got != want {
+			t.Fatalf("frame %d differs at the end of the sequence", i)
 		}
 	}
 }

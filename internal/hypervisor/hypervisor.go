@@ -13,7 +13,8 @@
 //     interface, standing in for the write-protection traps a real
 //     hypervisor places on guest page-table pages (§3.2.2).
 //   - Context switches between threads of one guest process arrive through
-//     ContextSwitch, standing in for the FS/GS-write VM exit (§3.2.3).
+//     ContextSwitch, standing in for the hypercall the paper's prototype
+//     adds to the guest kernel's context-switch procedure (§3.2.3).
 //   - Aikido-induced faults are delivered to the guest as a *fake* fault at
 //     an address pre-registered by AikidoLib, with the true faulting
 //     address written to a registered guest memory slot (§3.2.5).
@@ -37,8 +38,7 @@ import (
 // per-thread protection entry imposes no additional restriction.
 const protAll = pagetable.ProtRead | pagetable.ProtWrite | pagetable.ProtUser
 
-// protRow is one row of the per-thread protection table, keyed by vpn
-// under shadow paging and by guest-physical frame under nested paging.
+// protRow is one row of the per-thread protection table, keyed by vpn.
 // Rows are pointer-free: per-thread exceptions live in the threads' views,
 // and the row only counts them, so the table's chunks are noscan.
 type protRow struct {
@@ -48,7 +48,7 @@ type protRow struct {
 	// set marks an installed row; an unset row imposes no restriction.
 	set bool
 	// overrides counts the threads whose view holds an exception to def
-	// for this key, so rows without exceptions never scan the views. 16
+	// for this vpn, so rows without exceptions never scan the views. 16
 	// bits suffice: every guest thread maps its own 64 KiB stack, so
 	// 65536 threads would need 4 GiB of guest stack.
 	overrides uint16
@@ -82,12 +82,11 @@ type tlbEntry struct {
 
 // view is one thread's translation state.
 type view struct {
-	// shadow caches translations by vpn: the thread's shadow page table
-	// under ShadowPaging, its TLB + cached EPT-view entries under
-	// NestedPaging. Populated lazily either way.
+	// shadow is the thread's shadow page table, keyed by vpn and
+	// populated lazily.
 	shadow paged.Table[shadowPTE]
 	// prot holds the thread's exceptions to the protection table, keyed
-	// like it.
+	// by vpn like it.
 	prot paged.Table[threadProt]
 	// tlb is the host's translation cache in front of shadow: a
 	// direct-mapped copy of recently used shadow entries, which Load and
@@ -138,33 +137,17 @@ type Hypervisor struct {
 	m  *vm.Machine
 	pt *pagetable.Table
 
-	// mode selects shadow vs nested paging (§3.2.2); switchMode selects
-	// the context-switch interception mechanism (§3.2.3).
-	mode       PagingMode
-	switchMode SwitchInterception
-
 	// views holds each thread's shadow table and protection exceptions,
 	// indexed by the (small) TID.
 	views []*view
 	// cachedBy is the reverse map: vpn → the threads whose shadow table
 	// caches a translation for it, as a mask of TID mod 64.
 	cachedBy paged.Table[uint64]
-	// prot is the per-thread protection table: one row per vpn under
-	// ShadowPaging, per guest-physical frame under NestedPaging (EPT
-	// permissions attach to frames).
+	// prot is the per-thread protection table, one row per vpn.
 	prot paged.Table[protRow]
-	// frameVpns reverse-maps frames to the vpns observed mapping them,
-	// for EPT-permission invalidation (NestedPaging).
-	frameVpns map[vm.FrameID]map[uint64]struct{}
-	// mirrors are the registered mirror alias ranges that read through an
-	// unprotected alternate EPT view (NestedPaging; see PagingMode).
-	mirrors []mirrorRange
 	// tempUnprot holds pages temporarily unprotected for the guest
 	// kernel (USER bit cleared); restored on the next userspace fault.
 	tempUnprot map[uint64]struct{}
-
-	// current is the thread whose shadow table the virtual CPU uses.
-	current guest.TID
 
 	// fault delivery registration (AikidoLib, §3.2.5)
 	faultPageRead  uint64 // page mapped without read access
@@ -183,14 +166,11 @@ type Hypervisor struct {
 
 // New creates an AikidoVM over the guest's page table, charging its
 // internal events to clock, and registers for the page table's update
-// traps. The hypervisor starts in ShadowPaging mode with the
-// kernel-hypercall context-switch interception, matching the paper's
-// prototype.
+// traps.
 func New(m *vm.Machine, pt *pagetable.Table, clock *stats.Clock) *Hypervisor {
 	h := &Hypervisor{
 		m:          m,
 		pt:         pt,
-		frameVpns:  make(map[vm.FrameID]map[uint64]struct{}),
 		tempUnprot: make(map[uint64]struct{}),
 		clock:      clock,
 	}
@@ -198,35 +178,15 @@ func New(m *vm.Machine, pt *pagetable.Table, clock *stats.Clock) *Hypervisor {
 	return h
 }
 
-// NewNested creates an AikidoVM in NestedPaging mode (see PagingMode).
-func NewNested(m *vm.Machine, pt *pagetable.Table, clock *stats.Clock) *Hypervisor {
-	h := New(m, pt, clock)
-	h.mode = NestedPaging
-	return h
-}
-
-// Mode reports the paging mode.
-func (h *Hypervisor) Mode() PagingMode { return h.mode }
-
-// SetSwitchInterception selects the context-switch interception mechanism.
-func (h *Hypervisor) SetSwitchInterception(s SwitchInterception) { h.switchMode = s }
-
-// PTEUpdated implements pagetable.Listener: a guest page-table write.
-//
-// Under ShadowPaging this is a trapped write (the hypervisor write-protects
-// guest page-table pages, §3.2.2): it costs a VM exit plus emulation, and
-// the hypervisor applies the change to every thread's shadow table (here:
-// invalidates the cached translations, which repopulate with the per-thread
-// protection applied, §3.2.4).
-//
-// Under NestedPaging guest page-table updates need no hypervisor
-// involvement at all — the nested-paging advantage — and the invalidation
-// below only models the guest's own TLB shootdown.
+// PTEUpdated implements pagetable.Listener: a trapped guest page-table
+// write. The hypervisor write-protects guest page-table pages (§3.2.2), so
+// each write costs a VM exit plus emulation, and the hypervisor applies
+// the change to every thread's shadow table (here: invalidates the cached
+// translations, which repopulate with the per-thread protection applied,
+// §3.2.4).
 func (h *Hypervisor) PTEUpdated(vpn uint64, old, new pagetable.PTE) {
-	if h.mode == ShadowPaging {
-		h.Stats.GuestPTUpdates++
-		h.clock.Charge(stats.PTUpdateTrap)
-	}
+	h.Stats.GuestPTUpdates++
+	h.clock.Charge(stats.PTUpdateTrap)
 	h.invalidate(vpn)
 }
 
@@ -276,36 +236,26 @@ func (h *Hypervisor) invalidate(vpn uint64) {
 }
 
 // ContextSwitch implements the guest hook: the guest kernel switched
-// threads within the Aikido-enabled process. The hypervisor learns about
-// the switch through the configured interception mechanism (§3.2.3) and
-// activates the new thread's translation view — its shadow page table under
-// ShadowPaging, its EPT permission view under NestedPaging.
-func (h *Hypervisor) ContextSwitch(old, new guest.TID) {
-	h.current = new
+// threads within the Aikido-enabled process and told AikidoVM through the
+// hypercall added to its context-switch procedure (§3.2.3). The switch
+// costs that hypercall's VM exit and the swap to the new thread's shadow
+// page table root. No state changes: every translation names its thread.
+func (h *Hypervisor) ContextSwitch() {
 	h.Stats.ContextSwitches++
-	h.clock.Charge(h.interceptCost() + h.tableSwitchCost())
+	h.clock.Charge(stats.ContextSwitch + stats.ShadowRootSwitch)
 }
 
-// protForAccess returns the Aikido protection for tid's access to vpn,
-// currently backed by frame: the row keyed by the virtual page under shadow
-// paging, by the guest-physical frame under nested paging — except that
-// registered mirror ranges read through the unprotected alternate EPT
-// view. protAll when unrestricted.
-func (h *Hypervisor) protForAccess(tid guest.TID, vpn uint64, frame vm.FrameID) pagetable.Prot {
-	key := vpn
-	if h.mode == NestedPaging {
-		if h.isMirrorVpn(vpn) {
-			return protAll
-		}
-		key = uint64(frame)
-	}
-	r := h.prot.Get(key)
+// protForAccess returns the Aikido protection for tid's access to vpn:
+// tid's exception to vpn's row when it holds one, else the row's default;
+// protAll when unrestricted.
+func (h *Hypervisor) protForAccess(tid guest.TID, vpn uint64) pagetable.Prot {
+	r := h.prot.Get(vpn)
 	if r == nil || !r.set {
 		return protAll
 	}
 	if r.overrides > 0 {
 		if v := h.viewOf(tid); v != nil {
-			if o := v.prot.Get(key); o != nil && o.set {
+			if o := v.prot.Get(vpn); o != nil && o.set {
 				return o.prot
 			}
 		}
@@ -373,7 +323,7 @@ func (h *Hypervisor) Translate(tid guest.TID, addr uint64, a pagetable.Access, u
 		return vm.NoFrame, 0, &Fault{Addr: addr, Access: a, Unmapped: gfault.Unmapped}
 	}
 
-	ap := h.protForAccess(tid, vpn, gpte.Frame)
+	ap := h.protForAccess(tid, vpn)
 
 	if !user {
 		// Guest kernel access. If Aikido protection would deny it,
@@ -410,22 +360,15 @@ func (h *Hypervisor) Translate(tid guest.TID, addr uint64, a pagetable.Access, u
 		return vm.NoFrame, 0, h.deliverAikidoFault(addr, a)
 	}
 
-	// Populate the translation cache and succeed. Under shadow paging
-	// this is a hidden fault filling the thread's shadow page table;
-	// under nested paging it is a TLB miss paying the two-dimensional
-	// (guest + EPT) walk.
+	// Populate the thread's shadow page table (a hidden fault) and
+	// succeed.
 	e := shadowPTE{frame: gpte.Frame, prot: eff}
 	v := h.viewFor(tid)
 	*v.shadow.At(vpn) = e
 	v.tlbFill(vpn, e)
 	*h.cachedBy.At(vpn) |= 1 << (uint32(tid) & 63)
 	h.Stats.ShadowFills++
-	if h.mode == NestedPaging {
-		h.noteFrameVpn(gpte.Frame, vpn)
-		h.clock.Charge(stats.EPTWalk)
-	} else {
-		h.clock.Charge(stats.ShadowFill)
-	}
+	h.clock.Charge(stats.ShadowFill)
 	return gpte.Frame, vm.PageOff(addr), nil
 }
 
@@ -563,6 +506,3 @@ func (h *Hypervisor) Store(tid guest.TID, addr uint64, size uint8, val uint64, u
 // TempUnprotectedPages reports how many pages are currently temporarily
 // unprotected for the guest kernel (tests).
 func (h *Hypervisor) TempUnprotectedPages() int { return len(h.tempUnprot) }
-
-// Current returns the thread whose shadow table is active (tests).
-func (h *Hypervisor) Current() guest.TID { return h.current }

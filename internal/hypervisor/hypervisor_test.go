@@ -121,6 +121,32 @@ func TestShadowInvalidationOnGuestPTUpdate(t *testing.T) {
 	}
 }
 
+// TestNestedNoPTUpdateTraps pins the cost that nested paging, the
+// alternative §3.2.2 names, would save: under shadow paging each guest
+// page-table write an mmap makes traps to AikidoVM and is charged.
+func TestNestedNoPTUpdateTraps(t *testing.T) {
+	t.Run("shadow", func(t *testing.T) {
+		b := isa.NewBuilder("pttest")
+		b.Nop().Halt()
+		p, err := guest.NewProcess(vm.NewMachine(), b.MustFinish())
+		if err != nil {
+			t.Fatal(err)
+		}
+		clock := &stats.Clock{}
+		h := New(p.M, p.PT, clock)
+
+		pre := clock.Cycles()
+		if _, err := p.Mmap(4*vm.PageSize, pagetable.ProtRW); err != nil { // guest PT writes
+			t.Fatal(err)
+		}
+		traps := h.Stats.GuestPTUpdates
+		cost := clock.Cycles() - pre
+		if traps == 0 || cost != traps*stats.PTUpdateTrap {
+			t.Errorf("shadow paging trapped %d PT updates for %d cycles, want > 0 traps at stats.PTUpdateTrap = %d each", traps, cost, stats.PTUpdateTrap)
+		}
+	})
+}
+
 func TestKernelEmulationAndTempUnprotect(t *testing.T) {
 	_, h := fixture(t)
 	lib := h.Lib()
@@ -222,11 +248,28 @@ func TestSplitAccessAcrossPages(t *testing.T) {
 	}
 }
 
+// TestShadowAliasUnaffected: protections are keyed by virtual page, so
+// protecting a page leaves an alias of its frames (a mirror page)
+// readable.
+func TestShadowAliasUnaffected(t *testing.T) {
+	p, h := fixture(t)
+	lib := h.Lib()
+
+	data := p.FindVMA(isa.DataBase)
+	const aliasBase = 0x7100_0000_0000
+	p.MapAlias(data, aliasBase, pagetable.ProtRW, guest.VMAMirror, "alias")
+
+	lib.RearmPage(vm.PageNum(isa.DataBase), guest.NoTID)
+	if _, fault := h.Load(1, aliasBase, 8, true); fault != nil {
+		t.Fatalf("alias faults: %v", fault)
+	}
+}
+
 func TestContextSwitchTracking(t *testing.T) {
 	_, h := fixture(t)
-	h.ContextSwitch(1, 2)
-	if h.Current() != 2 || h.Stats.ContextSwitches != 1 {
-		t.Errorf("context switch not tracked: current=%d stats=%+v", h.Current(), h.Stats)
+	h.ContextSwitch()
+	if h.Stats.ContextSwitches != 1 {
+		t.Errorf("context switch not counted: stats=%+v", h.Stats)
 	}
 }
 

@@ -59,56 +59,18 @@ func (l *Lib) RegisterFaultPages(readFaultPage, writeFaultPage, addrSlot uint64)
 	h.faultAddrSlot = addrSlot
 }
 
-// protKey returns the protection-table key for vpn in the active paging
-// mode: the virtual page under shadow paging, the backing guest-physical
-// frame under nested paging. ok is false when nested paging finds vpn
-// unmapped: EPT permissions cannot attach to a frame that does not exist,
-// so the request is dropped (AikidoSD never protects unmapped pages).
-func (h *Hypervisor) protKey(vpn uint64) (key uint64, ok bool) {
-	if h.mode != NestedPaging {
-		return vpn, true
-	}
-	frame, ok := h.frameOf(vpn)
-	return uint64(frame), ok
-}
-
-// protRowFor returns vpn's protection row, materializing it, and its key.
-// Under nested paging it also records that vpn maps the row's frame, so
-// the invalidation that follows reaches vpn's cached translation.
-func (h *Hypervisor) protRowFor(vpn uint64) (uint64, *protRow, bool) {
-	key, ok := h.protKey(vpn)
-	if !ok {
-		return 0, nil, false
-	}
-	if h.mode == NestedPaging {
-		h.noteFrameVpn(vm.FrameID(key), vpn)
-	}
-	return key, h.prot.At(key), true
-}
-
-// protChanged drops the cached translations a change to key's row
-// affects: vpn's under shadow paging, every vpn known to map the frame
-// under nested paging.
-func (h *Hypervisor) protChanged(vpn, key uint64) {
-	if h.mode == NestedPaging {
-		h.invalidateFrame(vm.FrameID(key))
-		return
-	}
-	h.invalidate(vpn)
-}
-
-// setOverride installs tid's exception to row r.
-func (h *Hypervisor) setOverride(tid guest.TID, key uint64, r *protRow, prot pagetable.Prot) {
-	o := h.viewFor(tid).prot.At(key)
+// setOverride installs tid's exception to vpn's row r.
+func (h *Hypervisor) setOverride(tid guest.TID, vpn uint64, r *protRow, prot pagetable.Prot) {
+	o := h.viewFor(tid).prot.At(vpn)
 	if !o.set {
 		r.overrides++
 	}
 	*o = threadProt{prot: prot, set: true}
 }
 
-// dropOverrides removes every thread's exception to row r. Only a row
-// with exceptions scans the thread views.
-func (h *Hypervisor) dropOverrides(key uint64, r *protRow) {
+// dropOverrides removes every thread's exception to vpn's row r. Only a
+// row with exceptions scans the thread views.
+func (h *Hypervisor) dropOverrides(vpn uint64, r *protRow) {
 	if r.overrides == 0 {
 		return
 	}
@@ -116,7 +78,7 @@ func (h *Hypervisor) dropOverrides(key uint64, r *protRow) {
 		if v == nil {
 			continue
 		}
-		if o := v.prot.Get(key); o != nil {
+		if o := v.prot.Get(vpn); o != nil {
 			*o = threadProt{}
 		}
 	}
@@ -127,57 +89,45 @@ func (h *Hypervisor) dropOverrides(key uint64, r *protRow) {
 // for every current and future thread, every per-thread exception is
 // dropped, and owner — when a real TID — is granted full access.
 func (h *Hypervisor) rearmRow(vpn uint64, owner guest.TID) {
-	key, r, ok := h.protRowFor(vpn)
-	if !ok {
-		return
-	}
+	r := h.prot.At(vpn)
 	r.def, r.set = pagetable.ProtNone, true
-	h.dropOverrides(key, r)
+	h.dropOverrides(vpn, r)
 	if owner != guest.NoTID {
-		h.setOverride(owner, key, r, protAll)
+		h.setOverride(owner, vpn, r, protAll)
 	}
-	h.protChanged(vpn, key)
+	h.invalidate(vpn)
 }
 
 // clearRow removes all Aikido protection state from vpn.
 func (h *Hypervisor) clearRow(vpn uint64) {
-	key, ok := h.protKey(vpn)
-	if !ok {
-		return
-	}
-	if r := h.prot.Get(key); r != nil {
-		h.dropOverrides(key, r)
+	if r := h.prot.Get(vpn); r != nil {
+		h.dropOverrides(vpn, r)
 		*r = protRow{}
 	}
-	h.protChanged(vpn, key)
+	h.invalidate(vpn)
 }
 
 // SetThreadProt installs a per-thread protection override for one page.
 // Other threads (and future threads) are unaffected.
 func (l *Lib) SetThreadProt(tid guest.TID, vpn uint64, prot pagetable.Prot) {
 	h := l.hypercall()
-	key, r, ok := h.protRowFor(vpn)
-	if !ok {
-		return
-	}
+	r := h.prot.At(vpn)
 	if !r.set {
 		*r = protRow{def: protAll, set: true}
 	}
-	h.setOverride(tid, key, r, prot)
-	h.protChanged(vpn, key)
+	h.setOverride(tid, vpn, r, prot)
+	h.invalidate(vpn)
 }
 
 // RegisterMirrorRange tells AikidoVM that [vpnBase, vpnBase+pages) is a
-// mirror alias of application memory. Under nested paging the hypervisor
-// installs an unprotected alternate EPT view for the range — without it,
-// mirror accesses would inherit the guest-physical protection of the frames
-// they alias and fault forever (see PagingMode). Under shadow paging the
-// call records nothing beyond the hypercall: virtual-page-keyed protections
-// never applied to the mirror range in the first place.
+// mirror alias of application memory: one counted, charged hypercall that
+// records nothing. Protections are keyed by virtual page, so they never
+// applied to the mirror range. The call stays because its charge, once
+// per mirrored segment, is part of every calibrated Aikido cycle count;
+// dropping it is a recalibration (ARCHITECTURE.md, "Removed: nested
+// paging and the alternative switch interceptions").
 func (l *Lib) RegisterMirrorRange(vpnBase uint64, pages int) {
-	if h := l.hypercall(); h.mode == NestedPaging {
-		h.addMirrorRange(vpnBase, pages)
-	}
+	l.hypercall()
 }
 
 // ProtectRange protects [vpnBase, vpnBase+pages) for every current and

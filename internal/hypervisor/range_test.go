@@ -11,47 +11,33 @@ import (
 // TestProtectRangeBatched: a ranged protect denies every page in the range
 // for every thread while costing exactly one hypercall.
 func TestProtectRangeBatched(t *testing.T) {
-	for _, nested := range []bool{false, true} {
-		name := "shadow"
-		if nested {
-			name = "nested"
+	t.Run("shadow", func(t *testing.T) {
+		_, h := fixture(t)
+		base := vm.PageNum(isa.DataBase)
+		lib := h.Lib()
+
+		pre := h.Stats.Hypercalls
+		lib.ProtectRange(base, 2)
+		if got := h.Stats.Hypercalls - pre; got != 1 {
+			t.Errorf("ProtectRange cost %d hypercalls, want 1 (batched)", got)
 		}
-		t.Run(name, func(t *testing.T) {
-			var h *Hypervisor
-			var base uint64
-			if nested {
-				_, hh := nestedFixture(t)
-				h = hh
-			} else {
-				_, hh := fixture(t)
-				h = hh
+		for i := uint64(0); i < 2; i++ {
+			if _, fault := h.Load(3, (base+i)<<12, 8, true); fault == nil {
+				t.Errorf("page %d in range not protected", i)
 			}
-			base = vm.PageNum(isa.DataBase)
-			lib := h.Lib()
+		}
 
-			pre := h.Stats.Hypercalls
-			lib.ProtectRange(base, 2)
-			if got := h.Stats.Hypercalls - pre; got != 1 {
-				t.Errorf("ProtectRange cost %d hypercalls, want 1 (batched)", got)
+		pre = h.Stats.Hypercalls
+		lib.ClearRange(base, 2)
+		if got := h.Stats.Hypercalls - pre; got != 1 {
+			t.Errorf("ClearRange cost %d hypercalls, want 1 (batched)", got)
+		}
+		for i := uint64(0); i < 2; i++ {
+			if _, fault := h.Load(3, (base+i)<<12, 8, true); fault != nil {
+				t.Errorf("page %d still protected after ClearRange: %v", i, fault)
 			}
-			for i := uint64(0); i < 2; i++ {
-				if _, fault := h.Load(3, (base+i)<<12, 8, true); fault == nil {
-					t.Errorf("page %d in range not protected", i)
-				}
-			}
-
-			pre = h.Stats.Hypercalls
-			lib.ClearRange(base, 2)
-			if got := h.Stats.Hypercalls - pre; got != 1 {
-				t.Errorf("ClearRange cost %d hypercalls, want 1 (batched)", got)
-			}
-			for i := uint64(0); i < 2; i++ {
-				if _, fault := h.Load(3, (base+i)<<12, 8, true); fault != nil {
-					t.Errorf("page %d still protected after ClearRange: %v", i, fault)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestRangeClearsOverrides: ProtectRange removes prior per-thread

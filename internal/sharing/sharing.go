@@ -239,9 +239,11 @@ func (d *Detector) VMAAdded(v *guest.VMA) {
 	case guest.VMAShadow:
 		return
 	case guest.VMAMirror:
-		// Tell AikidoVM about the mirror alias: its nested-paging mode
-		// keys protections by guest-physical frame and needs an
-		// unprotected alternate EPT view for the mirror range.
+		// Tell AikidoVM about the mirror alias. AikidoVM keys
+		// protections by virtual page, so the alias was never
+		// protected and the hypercall records nothing; it stays
+		// because its charge is part of every calibrated Aikido
+		// cycle count.
 		d.lib.RegisterMirrorRange(vm.PageNum(v.Base), v.Pages)
 		return
 	}

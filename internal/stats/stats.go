@@ -45,21 +45,15 @@ const (
 	Fault uint64 = 3000
 	// Hypercall is one AikidoLib hypercall.
 	Hypercall uint64 = 400
-	// ShadowFill is one lazy shadow-page-table population (hidden fault)
-	// under shadow paging; EPTWalk is the two-dimensional guest+EPT walk
-	// paid on a TLB miss under nested paging (§3.2.2). The EPT walk is
-	// pricier per miss, but nested paging never pays PTUpdateTrap.
+	// ShadowFill is one lazy shadow-page-table population (a hidden
+	// fault, §3.2.2).
 	ShadowFill uint64 = 40
-	EPTWalk    uint64 = 120
 	// PTUpdateTrap is the VM exit + emulation cost of one trapped guest
-	// page-table write under shadow paging (§3.2.2); nested paging
-	// updates guest page tables without hypervisor involvement.
+	// page-table write (§3.2.2).
 	PTUpdateTrap uint64 = 800
 	// ShadowRootSwitch is the shadow-root (CR3-analogue) swap on a
-	// context switch under shadow paging; EPTPSwitch is the (cheaper)
-	// EPT-pointer switch under nested paging.
+	// context switch.
 	ShadowRootSwitch uint64 = 60
-	EPTPSwitch       uint64 = 40
 	// KernelEmulation is one guest-kernel instruction emulated by the
 	// hypervisor (§3.2.6).
 	KernelEmulation uint64 = 1500
