@@ -1,12 +1,12 @@
 // Command aikido-bench regenerates the paper's evaluation — Figure 5,
-// Figure 6, Table 1, Table 2 — plus the mirror-page ablation and the
-// extension experiments (detector comparison, thread scaling,
+// Figure 6, Table 1, Table 2 — plus the extension experiments (detector
+// comparison, mux amortization, epoch demotion, thread scaling,
 // Nondeterminator vs FastTrack).
 //
 // Usage:
 //
-//	aikido-bench [-experiment all|fig5|fig6|table1|table2|ablation|
-//	              detectors|muxbench|epochs|scaling|nondet]
+//	aikido-bench [-experiment all|fig5|fig6|table1|table2|detectors|
+//	              muxbench|epochs|scaling|nondet]
 //	             [-scale F] [-threads N] [-workers N] [-json FILE]
 //	             [-analysis NAME[,NAME...]]
 //
@@ -17,7 +17,8 @@
 // muxbench experiment measures N sequential single-analysis Aikido passes
 // against ONE multiplexed pass hosting the same N analyses. The empty
 // value keeps each cell's default; a value that names no analysis, only
-// commas and spaces, exits 2.
+// commas and spaces, or that names an unknown analysis or one analysis
+// twice, exits 2 before any cell runs.
 //
 // Every model×mode experiment matrix is sharded across -workers concurrent
 // runner workers (default: all CPUs); results are identical at any worker
@@ -56,7 +57,7 @@ import (
 // experimentNames are the valid -experiment values: "all" runs every
 // experiment after it in this order.
 var experimentNames = []string{"all", "fig5", "fig6", "table1", "table2",
-	"ablation", "detectors", "muxbench", "epochs", "scaling", "nondet"}
+	"detectors", "muxbench", "epochs", "scaling", "nondet"}
 
 // checkExperiment rejects an -experiment value that names no experiment,
 // which would otherwise run nothing and exit 0.
@@ -89,11 +90,14 @@ func checkThreads(threads int) error {
 // checkAnalyses parses -analysis. The empty value keeps each cell's
 // default selection; a non-empty value that names no analysis (only
 // commas and spaces) is rejected rather than silently running that
-// default.
+// default, and so is one that the analysis registry would reject.
 func checkAnalyses(s string) ([]string, error) {
 	names := analysis.ParseList(s)
 	if names == nil && s != "" {
 		return nil, fmt.Errorf("-analysis %q names no analysis (omit -analysis, or pass \"\", for the default FastTrack)", s)
+	}
+	if err := analysis.Check(names); err != nil {
+		return nil, fmt.Errorf("-analysis %q: %w", s, err)
 	}
 	return names, nil
 }
@@ -188,14 +192,6 @@ func main() {
 			return err
 		}
 		experiments.WriteTable2(w, rows, red)
-		return nil
-	})
-	run("ablation", func() error {
-		rows, err := experiments.Ablations(o)
-		if err != nil {
-			return err
-		}
-		experiments.WriteAblations(w, rows)
 		return nil
 	})
 	run("detectors", func() error {

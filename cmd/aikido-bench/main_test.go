@@ -9,11 +9,11 @@ import (
 
 // TestCheckExperiment: every listed experiment is accepted, and a name
 // that matches none — including the deleted deferred, parallel, vector,
-// phase, static, chaos, crew, providers, stm, paging and switch
+// phase, static, chaos, crew, providers, stm, paging, switch and ablation
 // experiments — is rejected with the valid names listed, instead of
 // running nothing and exiting 0.
 func TestCheckExperiment(t *testing.T) {
-	const valid = "(want all, fig5, fig6, table1, table2, ablation, " +
+	const valid = "(want all, fig5, fig6, table1, table2, " +
 		"detectors, muxbench, epochs, scaling, nondet)"
 	for _, tc := range []struct {
 		name string
@@ -32,6 +32,7 @@ func TestCheckExperiment(t *testing.T) {
 		{"stm", false},
 		{"paging", false},
 		{"switch", false},
+		{"ablation", false},
 		{"deferred", false},
 		{"parallel", false},
 		{"", false},
@@ -77,26 +78,31 @@ func TestCheckScale(t *testing.T) {
 }
 
 // TestCheckAnalyses: the empty value keeps the default selection (nil),
-// names are parsed, and a value made only of commas and spaces is rejected
-// with a message pointing at the default.
+// names are parsed, a value made only of commas and spaces is rejected
+// with a message pointing at the default, and so is a selection the
+// analysis registry would refuse: an unknown name (the deleted sampler's
+// included) or one analysis named twice.
 func TestCheckAnalyses(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want []string
-		ok   bool
+		err  string // a substring of the error; "" when the value is valid
 	}{
-		{"", nil, true},
-		{"fasttrack", []string{"fasttrack"}, true},
-		{"ft, lockset", []string{"ft", "lockset"}, true},
-		{",", nil, false},
-		{" , ,", nil, false},
+		{"", nil, ""},
+		{"fasttrack", []string{"fasttrack"}, ""},
+		{"ft, lockset", []string{"ft", "lockset"}, ""},
+		{",", nil, "default"},
+		{" , ,", nil, "default"},
+		{"bogus", nil, "unknown analysis"},
+		{"sampled", nil, "unknown analysis"},
+		{"ft,fasttrack", nil, "selected twice"},
 	} {
 		got, err := checkAnalyses(tc.in)
-		if (err == nil) != tc.ok || !slices.Equal(got, tc.want) {
-			t.Errorf("checkAnalyses(%q) = %q, %v; want %q, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		if (err == nil) != (tc.err == "") || !slices.Equal(got, tc.want) {
+			t.Errorf("checkAnalyses(%q) = %q, %v; want %q, ok=%v", tc.in, got, err, tc.want, tc.err == "")
 		}
-		if err != nil && !strings.Contains(err.Error(), "default") {
-			t.Errorf("checkAnalyses(%q) = %q, want a pointer to the default", tc.in, err)
+		if err != nil && !strings.Contains(err.Error(), tc.err) {
+			t.Errorf("checkAnalyses(%q) = %q, want it to say %q", tc.in, err, tc.err)
 		}
 	}
 }

@@ -12,10 +12,9 @@
 //
 // -analysis takes any comma-separated selection from the analysis
 // registry ("fasttrack", "lockset", "atomicity", "commgraph", "taint",
-// "memcheck", "spbags", "sampled[:NAME]", aliases like "ft"); multiple
-// names multiplex onto ONE instrumented execution — a single DBI+sharing
-// pass hosts every selected analysis, the paper's §7 framework claim in
-// flag form. The findings table is driven by the registry's uniform
+// "memcheck", "spbags", aliases like "ft"); multiple names multiplex onto
+// ONE instrumented execution — a single DBI+sharing pass hosts every
+// selected analysis, the paper's §7 framework claim in flag form. The findings table is driven by the registry's uniform
 // findings surface: no per-detector switch exists here, and a newly
 // registered analysis shows up without touching this command. The
 // default is the mode's core.DefaultConfig selection (FastTrack under
@@ -25,7 +24,8 @@
 //
 // A flag the selected stack would ignore (core.Config.Check) is a usage
 // error: -analysis or -max-findings under native or dbi, and
-// -max-findings with no analysis.
+// -max-findings with no analysis. So is an -analysis value that names an
+// unknown analysis, or one analysis twice ("ft,fasttrack").
 //
 // The Aikido modes run with epoch demotion, core.DefaultConfig's default:
 // Shared pages that fall back to a single owner are demoted to
@@ -33,9 +33,8 @@
 // to native speed; the epoch statistics lines report the demotion
 // traffic.
 //
-// -list-analyses prints the registry catalog: canonical names, the short
-// aliases that resolve to them, and the wrapper combinator in composed
-// form ("sampled:<name>").
+// -list-analyses prints the registry catalog: canonical names and the
+// short aliases that resolve to them.
 //
 // Budgets and failures (see ARCHITECTURE.md): -max-cycles and
 // -cell-deadline set each cell's core.Config.MaxCycles and MaxWall, which

@@ -42,6 +42,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-bench", "vips", "-scale", "0.05", "-mode", "native", "-max-findings", "5"},
 		{"-bench", "vips", "-scale", "0.05", "-mode", "aikido", "-analysis", ","},
 		{"-bench", "vips", "-scale", "0.05", "-mode", "fasttrack", "-analysis", " , ,"},
+		// Names the registry refuses, the deleted sampler's included.
+		{"-bench", "vips", "-scale", "0.05", "-analysis", "sampled"},
+		{"-bench", "vips", "-scale", "0.05", "-analysis", "sampled:lockset"},
+		{"-bench", "vips", "-scale", "0.05", "-analysis", "bogus"},
+		{"-bench", "vips", "-scale", "0.05", "-analysis", "ft,fasttrack"},
 	} {
 		if code := run(args); code != exitBadFlags {
 			t.Errorf("run(%v) = %d, want %d", args, code, exitBadFlags)

@@ -121,24 +121,6 @@ type Env struct {
 	Umbra *umbra.Umbra
 }
 
-// WrappedFindings is the optional surface wrapper findings (the sampler's)
-// implement so consumers can reach the wrapped analysis's typed findings
-// without importing the wrapper package. Unwrap peels it.
-type WrappedFindings interface {
-	InnerFindings() Findings
-}
-
-// Unwrap peels wrapper findings down to the innermost findings value.
-func Unwrap(f Findings) Findings {
-	for {
-		w, ok := f.(WrappedFindings)
-		if !ok {
-			return f
-		}
-		f = w.InnerFindings()
-	}
-}
-
 // NoSync is an embeddable base providing no-op implementations of every
 // synchronization hook, for analyses that only consume the access stream
 // (profilers) or a subset of the events. Embedders override what they

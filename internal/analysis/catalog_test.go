@@ -14,14 +14,14 @@ func TestCatalogListsAliasesAndWrappers(t *testing.T) {
 	r.Register("lockset", func(Env) (Analysis, error) { return nil, nil })
 	r.RegisterAlias("ft", "fasttrack")
 	r.RegisterAlias("races", "fasttrack")
-	r.RegisterWrapper("sampled", "fasttrack",
+	r.RegisterWrapper("wrap", "fasttrack",
 		func(inner Analysis, innerName string, env Env) (Analysis, error) { return inner, nil })
 
 	got := r.Catalog()
 	want := []string{
 		"fasttrack (alias: ft, races)",
 		"lockset",
-		`sampled:<name> (wrapper; "sampled" = sampled:fasttrack)`,
+		`wrap:<name> (wrapper; "wrap" = wrap:fasttrack)`,
 	}
 	if len(got) != len(want) {
 		t.Fatalf("catalog: got %d lines %q, want %d", len(got), got, len(want))

@@ -15,9 +15,6 @@ import (
 // per event: every hook is a loop over a fixed slice of interfaces, so
 // the per-access cycle accounting and the zero-allocation contract of a
 // multiplexed run are exactly the sum of its members'.
-//
-// A Mux implements Analysis, so it can itself be wrapped (a sampled mux)
-// or — in principle — nested.
 type Mux struct {
 	list []Analysis
 	name string

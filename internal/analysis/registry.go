@@ -12,10 +12,9 @@ import (
 // returns an error naming it.
 type Factory func(Env) (Analysis, error)
 
-// Wrapper builds an analysis around another one — the generalization that
-// lets the LiteRace-style sampler wrap *any* registered analysis, not just
-// FastTrack. innerName is the resolved registry name of inner, so the
-// wrapper can report a composed name ("sampled:lockset").
+// Wrapper builds an analysis around any registered one, selected by a
+// composed name ("wrap:lockset"). innerName is the resolved registry name
+// of inner, so the wrapper can label what it wraps.
 type Wrapper func(inner Analysis, innerName string, env Env) (Analysis, error)
 
 // Registry maps stable names to analysis factories. The zero value is
@@ -48,7 +47,7 @@ func (r *Registry) Register(name string, f Factory) {
 }
 
 // RegisterWrapper adds a named analysis combinator. The name resolves both
-// bare ("sampled" wraps defaultInner) and composed ("sampled:lockset").
+// bare ("wrap" wraps defaultInner) and composed ("wrap:lockset").
 func (r *Registry) RegisterWrapper(name, defaultInner string, w Wrapper) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -74,7 +73,7 @@ func (r *Registry) RegisterAlias(alias, name string) {
 }
 
 // Resolve canonicalizes a requested name: aliases expand, and a bare
-// wrapper name gains its default inner ("sampled" → "sampled:fasttrack").
+// wrapper name gains its default inner ("wrap" → "wrap:fasttrack").
 // Unknown names resolve to themselves; New reports them.
 func (r *Registry) Resolve(name string) string {
 	r.mu.RLock()
@@ -99,55 +98,79 @@ func (r *Registry) resolveLocked(name string) string {
 	return name
 }
 
+// lookup resolves name (aliases and wrapper-composition syntax included)
+// to its factory or, for a composed name, to its wrapper and inner name.
+// It reports an unknown analysis or wrapper.
+func (r *Registry) lookup(name string) (f Factory, w Wrapper, inner string, err error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	canon := r.resolveLocked(name)
+	if wname, in, ok := strings.Cut(canon, ":"); ok {
+		we, isWrap := r.wrappers[wname]
+		if !isWrap {
+			return nil, nil, "", fmt.Errorf("analysis: unknown wrapper %q in %q (have %s)", wname, name, strings.Join(r.names(), ", "))
+		}
+		return nil, we.w, in, nil
+	}
+	if f = r.factories[canon]; f == nil {
+		return nil, nil, "", fmt.Errorf("analysis: unknown analysis %q (have %s)", name, strings.Join(r.names(), ", "))
+	}
+	return f, nil, "", nil
+}
+
 // New builds the analysis registered under name (aliases and
 // wrapper-composition syntax included) in env.
 func (r *Registry) New(name string, env Env) (Analysis, error) {
-	r.mu.RLock()
-	canon := r.resolveLocked(name)
-	var (
-		factory Factory
-		wentry  wrapperEntry
-		isWrap  bool
-		inner   string
-	)
-	if wname, in, ok := strings.Cut(canon, ":"); ok {
-		wentry, isWrap = r.wrappers[wname]
-		inner = in
-		if !isWrap {
-			have := strings.Join(r.names(), ", ")
-			r.mu.RUnlock()
-			return nil, fmt.Errorf("analysis: unknown wrapper %q in %q (have %s)", wname, name, have)
-		}
-	} else {
-		factory = r.factories[canon]
+	f, w, inner, err := r.lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	r.mu.RUnlock()
-
-	if isWrap {
-		in, err := r.New(inner, env)
-		if err != nil {
-			return nil, err
-		}
-		return wentry.w(in, r.Resolve(inner), env)
+	if w == nil {
+		return f(env)
 	}
-	if factory == nil {
-		return nil, fmt.Errorf("analysis: unknown analysis %q (have %s)", name, strings.Join(r.Names(), ", "))
+	in, err := r.New(inner, env)
+	if err != nil {
+		return nil, err
 	}
-	return factory(env)
+	return w(in, r.Resolve(inner), env)
 }
 
-// NewAll builds one analysis per name, rejecting duplicates after
-// canonicalization (two copies of one detector would double-charge the
-// clock and report everything twice).
-func (r *Registry) NewAll(names []string, env Env) ([]Analysis, error) {
-	out := make([]Analysis, 0, len(names))
+// Check reports the first name that New would reject, or that selects an
+// analysis already selected once names are canonicalized (two copies of
+// one detector would double-charge the clock and report everything
+// twice). It builds nothing.
+func (r *Registry) Check(names []string) error {
 	seen := make(map[string]bool, len(names))
 	for _, n := range names {
 		canon := r.Resolve(n)
 		if seen[canon] {
-			return nil, fmt.Errorf("analysis: %q selected twice", canon)
+			return fmt.Errorf("analysis: %q selected twice", canon)
 		}
 		seen[canon] = true
+		if err := r.check(n); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// check reports why New would reject name, following New's recursion
+// through wrappers.
+func (r *Registry) check(name string) error {
+	_, w, inner, err := r.lookup(name)
+	if err == nil && w != nil {
+		return r.check(inner)
+	}
+	return err
+}
+
+// NewAll builds one analysis per name once Check accepts the names.
+func (r *Registry) NewAll(names []string, env Env) ([]Analysis, error) {
+	if err := r.Check(names); err != nil {
+		return nil, err
+	}
+	out := make([]Analysis, 0, len(names))
+	for _, n := range names {
 		a, err := r.New(n, env)
 		if err != nil {
 			return nil, err
@@ -158,7 +181,7 @@ func (r *Registry) NewAll(names []string, env Env) ([]Analysis, error) {
 }
 
 // Names returns the registered analysis names, sorted. Wrappers appear in
-// bare form ("sampled"); aliases are omitted.
+// bare form ("wrap"); aliases are omitted.
 func (r *Registry) Names() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -181,8 +204,7 @@ func (r *Registry) names() []string {
 // canonical names with the aliases that resolve to them, and wrappers in
 // composed form with their bare-name default spelled out. Unlike Names,
 // nothing resolvable from the command line is omitted — this is what
-// makes the wrapper combinator and the short aliases discoverable from
-// `aikido-run -list-analyses`.
+// makes the short aliases discoverable from `aikido-run -list-analyses`.
 func (r *Registry) Catalog() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -233,6 +255,9 @@ func New(name string, env Env) (Analysis, error) { return defaultRegistry.New(na
 
 // NewAll builds one analysis per name from the default registry.
 func NewAll(names []string, env Env) ([]Analysis, error) { return defaultRegistry.NewAll(names, env) }
+
+// Check reports the first name the default registry's NewAll would reject.
+func Check(names []string) error { return defaultRegistry.Check(names) }
 
 // Names lists the default registry.
 func Names() []string { return defaultRegistry.Names() }

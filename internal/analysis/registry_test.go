@@ -101,6 +101,38 @@ func TestRegistryNewAllRejectsDuplicates(t *testing.T) {
 	}
 }
 
+// TestRegistryCheck: Check accepts what NewAll would build, composed
+// names with a registered wrapper included, rejects what it would refuse,
+// and builds nothing either way.
+func TestRegistryCheck(t *testing.T) {
+	built := 0
+	r := &Registry{}
+	r.Register("alpha", func(Env) (Analysis, error) { built++; return &stub{name: "alpha"}, nil })
+	r.Register("beta", func(Env) (Analysis, error) { built++; return &stub{name: "beta"}, nil })
+	r.RegisterAlias("a", "alpha")
+	r.RegisterWrapper("wrap", "alpha", func(inner Analysis, innerName string, env Env) (Analysis, error) {
+		built++
+		return &stub{name: "wrap:" + innerName}, nil
+	})
+	for _, names := range [][]string{nil, {"alpha", "beta"}, {"a"}, {"wrap:beta"}, {"wrap", "alpha"}, {"wrap:wrap:beta"}} {
+		if err := r.Check(names); err != nil {
+			t.Errorf("Check(%q) = %v, want nil", names, err)
+		}
+	}
+	for _, names := range [][]string{{"bogus"}, {"nowrap:beta"}, {"wrap:bogus"}, {"wrap:"}, {"alpha", "a"}, {"wrap", "wrap:a"}} {
+		err := r.Check(names)
+		if err == nil {
+			t.Errorf("Check(%q) accepted", names)
+		}
+		if _, nerr := r.NewAll(names, Env{}); nerr == nil || nerr.Error() != err.Error() {
+			t.Errorf("NewAll(%q) = %v, want Check's %v", names, nerr, err)
+		}
+	}
+	if built != 0 {
+		t.Errorf("Check built %d analyses, want none", built)
+	}
+}
+
 func TestRegistryDuplicateRegistrationPanics(t *testing.T) {
 	r := newTestRegistry(t)
 	defer func() {

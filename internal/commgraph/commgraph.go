@@ -1,8 +1,8 @@
 // Package commgraph is a thread-communication-graph profiler hosted on the
-// Aikido sharing seam — a third shared-data analysis (after FastTrack,
-// LockSet, AVIO and the sampling detector) demonstrating the framework
-// claim of §1.1: Aikido accelerates any analysis that only needs to see
-// accesses to shared data.
+// Aikido sharing seam — a further shared-data analysis (after FastTrack,
+// LockSet and AVIO) demonstrating the framework claim of §1.1: Aikido
+// accelerates any analysis that only needs to see accesses to shared
+// data.
 //
 // The profiler records, per 8-byte variable and per page, which threads
 // wrote data that which other threads later read — the producer→consumer

@@ -47,12 +47,14 @@ func TestConfigCheck(t *testing.T) {
 		def := DefaultConfig(m)
 		rows = append(rows,
 			row{m.String() + " max findings", with(def, func(c *Config) { c.MaxFindings = 5 }), ""},
-			row{m.String() + " no analysis", def.WithAnalyses(), ""})
+			row{m.String() + " no analysis", def.WithAnalyses(), ""},
+			row{m.String() + " two analyses", def.WithAnalyses("ft", "lockset"), ""},
+			row{m.String() + " unknown analysis", def.WithAnalyses("bogus"), "Analyses"},
+			row{m.String() + " one analysis twice", def.WithAnalyses("ft", "fasttrack"), "Analyses"})
 	}
 	for _, m := range []Mode{ModeNative, ModeDBI, ModeFastTrackFull} {
 		def := DefaultConfig(m)
 		rows = append(rows,
-			row{m.String() + " no-mirror", with(def, func(c *Config) { c.Aikido.NoMirror = true }), "Aikido"},
 			row{m.String() + " epochs", with(def, func(c *Config) { c.Aikido.Epoch = sharing.DefaultEpochPolicy() }), "Aikido"})
 	}
 

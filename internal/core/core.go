@@ -50,7 +50,6 @@ import (
 	_ "repro/internal/commgraph"
 	_ "repro/internal/lockset"
 	_ "repro/internal/memcheck"
-	_ "repro/internal/sampler"
 	_ "repro/internal/spbags"
 	_ "repro/internal/taint"
 )
@@ -87,14 +86,15 @@ type Config struct {
 	Mode Mode
 	// Analyses names the shared-data analyses to run, resolved through
 	// the analysis registry ("fasttrack", "lockset", "atomicity",
-	// "commgraph", "sampled:<name>", "taint", "memcheck", "spbags", plus
-	// short aliases like "ft"). Multiple names multiplex onto one
-	// instrumented execution; a selection that includes "spbags" runs
-	// the guest under the serial depth-first schedule, which every member
-	// then observes. nil and empty both run no analysis (instrumentation
-	// without a client, the cost floor the mux-equivalence tests subtract;
-	// under Aikido, AikidoSD alone profiles sharing). DefaultConfig
-	// selects FastTrack in the two analysis modes.
+	// "commgraph", "taint", "memcheck", "spbags", plus short aliases like
+	// "ft"). Multiple names multiplex onto one instrumented execution; a
+	// selection that includes "spbags" runs the guest under the serial
+	// depth-first schedule, which every member then observes. Check
+	// rejects an unknown name and one analysis named twice. nil and
+	// empty both run no analysis (instrumentation without a client, the
+	// cost floor the mux-equivalence tests subtract; under Aikido,
+	// AikidoSD alone profiles sharing). DefaultConfig selects FastTrack
+	// in the two analysis modes.
 	Analyses []string
 
 	// MaxFindings caps stored findings — races, warnings, violations,
@@ -129,12 +129,6 @@ type Config struct {
 // has none: it is the paper's prototype, shadow paging with context
 // switches reported by a guest-kernel hypercall.
 type AikidoConfig struct {
-	// NoMirror is an ablation: instead of redirecting shared accesses to
-	// mirror pages, AikidoSD unprotects the page around every shared
-	// access and reprotects it afterwards (the strategy mirror pages
-	// exist to avoid; §3.3.2 and the Abadi et al. comparison in §7.2).
-	NoMirror bool
-
 	// Epoch is the epoch-based re-privatization of Shared pages: pages
 	// dominated by one thread (or untouched) for consecutive epochs are
 	// demoted back to Private(owner)/Unused, their protections re-armed
@@ -182,6 +176,9 @@ func (c Config) Check() error {
 	}
 	if (c.Mode == ModeNative || c.Mode == ModeDBI) && len(c.Analyses) > 0 {
 		return fmt.Errorf("core: Config.Analyses: %v, but mode %s runs no analysis", c.Analyses, c.Mode)
+	}
+	if err := analysis.Check(c.Analyses); err != nil {
+		return fmt.Errorf("core: Config.Analyses: %w", err)
 	}
 	if c.MaxFindings > 0 && len(c.Analyses) == 0 {
 		return fmt.Errorf("core: Config.MaxFindings: %d, but no analysis is selected", c.MaxFindings)
@@ -281,7 +278,6 @@ func NewSystem(prog *isa.Program, cfg Config) (*System, error) {
 		s.Engine = dbi.New(p, nil, tool, clock, ecfg)
 
 	case ModeAikidoFastTrack:
-		a := cfg.Aikido
 		s.HV = hypervisor.New(m, p.PT, clock)
 		s.Prov = hypervisor.NewLib(p, s.HV)
 		s.Um = umbra.Attach(p, clock)
@@ -290,14 +286,11 @@ func NewSystem(prog *isa.Program, cfg Config) (*System, error) {
 			return nil, err
 		}
 		s.SD = sharing.Attach(p, s.Prov, s.Um, s.Mir, s.an, clock)
-		if a.NoMirror {
-			s.SD.DisableMirror()
-		}
 		s.Engine = dbi.New(p, s.HV, s.SD, clock, ecfg)
 		s.SD.SetEngine(s.Engine)
 		s.Engine.OnFault = s.SD.HandleFault
 		s.Engine.RuntimeTouch = s.SD.TouchCode
-		s.SD.EnableEpochs(a.Epoch)
+		s.SD.EnableEpochs(cfg.Aikido.Epoch)
 	}
 
 	s.wireHooks()
@@ -311,29 +304,6 @@ func NewSystem(prog *isa.Program, cfg Config) (*System, error) {
 // want a per-instruction callback, and the common case must stay free.
 type retireObserver interface {
 	OnRetire(t *guest.Thread, pc isa.PC, in isa.Instr)
-}
-
-// analysisWrapper is the surface wrapper analyses (the sampler) expose so
-// optional interfaces of the wrapped analysis stay reachable.
-type analysisWrapper interface {
-	Inner() analysis.Analysis
-}
-
-// asRetireObserver unwraps a (possibly wrapped) analysis down to a retire
-// observer. Register dataflow is never sampled away — like
-// synchronization, it must stay sound for the wrapped analysis's state to
-// mean anything — so the observer is the innermost analysis itself.
-func asRetireObserver(a analysis.Analysis) (retireObserver, bool) {
-	for {
-		if ro, ok := a.(retireObserver); ok {
-			return ro, true
-		}
-		w, ok := a.(analysisWrapper)
-		if !ok {
-			return nil, false
-		}
-		a = w.Inner()
-	}
 }
 
 // wireHooks connects guest events to the hypervisor (context switches) and
@@ -394,7 +364,7 @@ func (s *System) wireHooks() {
 	// asks for it.
 	var observers []retireObserver
 	for _, a := range s.Analyses {
-		if ro, ok := asRetireObserver(a); ok {
+		if ro, ok := a.(retireObserver); ok {
 			observers = append(observers, ro)
 		}
 	}

@@ -394,24 +394,6 @@ func TestKernelEmulationDuringWriteSyscall(t *testing.T) {
 	}
 }
 
-func TestNoMirrorAblationCorrectAndSlower(t *testing.T) {
-	prog := sharedProgram(80, true)
-	normal := mustRun(t, prog, ModeAikidoFastTrack)
-
-	cfg := DefaultConfig(ModeAikidoFastTrack)
-	cfg.Aikido.NoMirror = true
-	nom, err := Run(prog, cfg)
-	if err != nil {
-		t.Fatalf("no-mirror run failed: %v", err)
-	}
-	if nom.Console != normal.Console {
-		t.Error("no-mirror ablation changed program behaviour")
-	}
-	if nom.Cycles <= normal.Cycles {
-		t.Errorf("no-mirror (%d cycles) not slower than mirror (%d)", nom.Cycles, normal.Cycles)
-	}
-}
-
 func TestDBIOverheadBetweenNativeAndAnalysis(t *testing.T) {
 	prog := privateProgram(200)
 	native := mustRun(t, prog, ModeNative)

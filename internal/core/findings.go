@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/fasttrack"
-	"repro/internal/sampler"
 )
 
 // This file is the name-keyed findings surface of a Result. The
@@ -45,17 +44,12 @@ func (r *Result) TotalFindings() int {
 }
 
 // FastTrack returns the live FastTrack detector instance, if one is
-// configured (directly or under the sampler) — the surface the
-// var-store equivalence tests use to swap implementations before a run.
+// configured — the surface the var-store equivalence tests use to swap
+// implementations before a run.
 func (s *System) FastTrack() *fasttrack.Detector {
 	for _, a := range s.Analyses {
-		switch d := a.(type) {
-		case *fasttrack.Detector:
+		if d, ok := a.(*fasttrack.Detector); ok {
 			return d
-		case *sampler.Detector:
-			if ft, ok := d.Inner().(*fasttrack.Detector); ok {
-				return ft
-			}
 		}
 	}
 	return nil

@@ -1,17 +1,15 @@
 package core
 
 import (
-	"repro/internal/analysis"
 	"repro/internal/atomicity"
 	"repro/internal/fasttrack"
 	"repro/internal/lockset"
-	"repro/internal/sampler"
 )
 
 // Test-local typed accessors over Result.Findings — the migration target
-// of the removed deprecated per-detector Result accessors. Each scans the
-// name-keyed findings map and recovers the producing package's typed view
-// (through analysis.Unwrap, so sampled runs resolve too).
+// of the removed deprecated per-detector Result accessors. Each looks up
+// the producing package's findings under its registry name and recovers
+// the typed view.
 
 func racesOf(r *Result) []fasttrack.Race { return fasttrack.RacesIn(r.Findings) }
 
@@ -22,28 +20,15 @@ func warningsOf(r *Result) []lockset.Warning { return lockset.WarningsIn(r.Findi
 func lsOf(r *Result) lockset.Counters { return lockset.CountersIn(r.Findings) }
 
 func violationsOf(r *Result) []atomicity.Violation {
-	for _, name := range r.AnalysisNames() {
-		if at, ok := analysis.Unwrap(r.Findings[name]).(*atomicity.Findings); ok {
-			return at.Violations
-		}
+	if at, ok := r.Findings[atomicity.Kind].(*atomicity.Findings); ok {
+		return at.Violations
 	}
 	return nil
 }
 
 func atomOf(r *Result) atomicity.Counters {
-	for _, name := range r.AnalysisNames() {
-		if at, ok := analysis.Unwrap(r.Findings[name]).(*atomicity.Findings); ok {
-			return at.Counters
-		}
+	if at, ok := r.Findings[atomicity.Kind].(*atomicity.Findings); ok {
+		return at.Counters
 	}
 	return atomicity.Counters{}
-}
-
-func samplingOf(r *Result) sampler.Counters {
-	for _, name := range r.AnalysisNames() {
-		if sf, ok := r.Findings[name].(*sampler.Findings); ok {
-			return sf.Counters
-		}
-	}
-	return sampler.Counters{}
 }

@@ -7,8 +7,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/isa"
 	"repro/internal/parsec"
-	"repro/internal/sampler"
-	"repro/internal/taint"
 	"repro/internal/workload"
 )
 
@@ -17,13 +15,13 @@ import (
 // registered by importing core.
 func TestRegistryPopulation(t *testing.T) {
 	want := []string{"atomicity", "commgraph", "fasttrack", "lockset",
-		"memcheck", "sampled", "spbags", "taint"}
+		"memcheck", "spbags", "taint"}
 	if got := analysis.Names(); !reflect.DeepEqual(got, want) {
 		t.Errorf("registry names = %v, want %v", got, want)
 	}
 	for alias, canon := range map[string]string{
 		"ft": "fasttrack", "ls": "lockset", "atom": "atomicity",
-		"cg": "commgraph", "sampled": "sampled:fasttrack",
+		"cg": "commgraph",
 	} {
 		if got := analysis.Resolve(alias); got != canon {
 			t.Errorf("Resolve(%q) = %q, want %q", alias, got, canon)
@@ -271,51 +269,6 @@ func TestMaxFindingsIsPerRun(t *testing.T) {
 	}
 	if got := res.AnalysisFindings("lockset").Len(); got != 1 {
 		t.Errorf("single-analysis run stored %d findings under cap 1, want 1", got)
-	}
-}
-
-// TestSamplerWrapsAnyAnalysis is the aliasing-hack satellite: the sampler
-// composes with any registered analysis through the registry, and the
-// sampled findings surface under the composed name.
-func TestSamplerWrapsAnyAnalysis(t *testing.T) {
-	prog := sharedProgram(200, false)
-	res := runNamed(t, prog, ModeFastTrackFull, []string{"sampled:lockset"})
-	f := res.AnalysisFindings("sampled:lockset")
-	if f == nil {
-		t.Fatalf("sampled:lockset missing from findings map (have %v)", res.Findings)
-	}
-	// The sampler fed the inner LockSet a subset of the access stream;
-	// the typed findings helpers see through the wrapper.
-	if lsOf(res).Reads+lsOf(res).Writes == 0 {
-		t.Error("wrapped LockSet analyzed nothing")
-	}
-	full := runNamed(t, prog, ModeFastTrackFull, []string{"lockset"})
-	if got, want := lsOf(res).Reads+lsOf(res).Writes, lsOf(full).Reads+lsOf(full).Writes; got >= want {
-		t.Errorf("sampled LockSet analyzed %d accesses, full %d — sampling never skipped", got, want)
-	}
-	// And "sampled" alone defaults to wrapping FastTrack.
-	def := runNamed(t, prog, ModeFastTrackFull, []string{"sampled"})
-	if def.AnalysisFindings("sampled:fasttrack") == nil {
-		t.Errorf("bare \"sampled\" did not resolve to sampled:fasttrack (have %v)", def.Findings)
-	}
-}
-
-// TestSampledTaintKeepsRegisterDataflow: wrapping the taint tracker in
-// the sampler must not disconnect its retire-observer half — register
-// dataflow, like synchronization, is never sampled away.
-func TestSampledTaintKeepsRegisterDataflow(t *testing.T) {
-	prog := sharedProgram(40, false)
-	res := runNamed(t, prog, ModeFastTrackFull, []string{"sampled:taint"})
-	f := res.AnalysisFindings("sampled:taint")
-	if f == nil {
-		t.Fatalf("sampled:taint missing from findings map (have %v)", res.AnalysisNames())
-	}
-	inner, ok := f.(*sampler.Findings).Inner.(*taint.Findings)
-	if !ok {
-		t.Fatalf("inner findings are %T, want *taint.Findings", f.(*sampler.Findings).Inner)
-	}
-	if inner.Counters.RegOps == 0 {
-		t.Error("wrapped taint tracker observed no register ops — OnRetire not wired through the sampler")
 	}
 }
 

@@ -51,9 +51,6 @@ type Plan struct {
 	// addr unchanged. The tool does its own analysis work and cost
 	// accounting inside this callback.
 	PreAccess func(tid guest.TID, pc isa.PC, addr uint64, size uint8, write bool) uint64
-	// PostAccess, if non-nil, runs after the access completes without
-	// faulting (used by the no-mirror ablation to reprotect pages).
-	PostAccess func(tid guest.TID, pc isa.PC, addr uint64, size uint8, write bool)
 }
 
 // Tool decides instrumentation at block-build time. AikidoSD (wrapping a
@@ -771,9 +768,6 @@ func (e *Engine) execMem(t *guest.Thread, pc isa.PC, in *isa.Instr, plan *Plan) 
 	if fault == nil {
 		if !write {
 			regs[in.Rd&regMask] = val
-		}
-		if plan != nil && plan.PostAccess != nil {
-			plan.PostAccess(t.ID, pc, addr, in.Size, write)
 		}
 		return true, nil
 	}

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5) on the simulated Aikido stack: Figure 5 (slowdowns),
 // Figure 6 (shared-access fractions), Table 1 (thread-count sweep), and
-// Table 2 (instrumentation statistics), plus ablations beyond the paper.
+// Table 2 (instrumentation statistics), plus extensions beyond the paper.
 //
 // Each experiment builds its model×mode matrix as runner cells, shards
 // them across the concurrent runner's worker pool (Options.Workers), and
@@ -23,7 +23,6 @@ import (
 	"repro/internal/lockset"
 	"repro/internal/parsec"
 	"repro/internal/runner"
-	"repro/internal/sampler"
 	"repro/internal/stats"
 )
 
@@ -361,81 +360,6 @@ func WriteTable2(w io.Writer, rows []Table2Row, reduction float64) {
 	fmt.Fprintf(w, "geomean reduction in instrumented memory instructions: %.2fx (paper: 6.75x)\n", reduction)
 }
 
-// --- Ablations (beyond the paper) ------------------------------------------
-
-// AblationRow compares design variants on one benchmark.
-type AblationRow struct {
-	Name    string
-	Variant string
-	Slow    float64 // slowdown vs native
-}
-
-// ablationVariants are the ablated design points, compared against a
-// shared native baseline per benchmark.
-func ablationVariants() []struct {
-	label string
-	cfg   core.Config
-} {
-	noMirror := core.DefaultConfig(core.ModeAikidoFastTrack)
-	noMirror.Aikido.NoMirror = true
-	return []struct {
-		label string
-		cfg   core.Config
-	}{
-		{"dbi-only", core.DefaultConfig(core.ModeDBI)},
-		{"aikido+mirror", core.DefaultConfig(core.ModeAikidoFastTrack)},
-		{"aikido-no-mirror", noMirror},
-		{"fasttrack-full", core.DefaultConfig(core.ModeFastTrackFull)},
-	}
-}
-
-// Ablations quantifies two design choices: mirror redirection vs
-// unprotect/reprotect (the Abadi-style strategy of §7.2), and DBI-only
-// overhead as the floor.
-func Ablations(o Options) ([]AblationRow, error) {
-	o = o.normalize()
-	names := []string{"x264", "vips"}
-	variants := ablationVariants()
-	stride := 1 + len(variants) // native + each variant
-	var specs []runner.Spec
-	for _, name := range names {
-		b, err := parsec.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		bb := o.apply(b)
-		specs = append(specs, cell(bb, "native", core.DefaultConfig(core.ModeNative)))
-		for _, v := range variants {
-			specs = append(specs, cell(bb, v.label, v.cfg))
-		}
-	}
-	cells, err := o.sweep(specs)
-	if err != nil {
-		return nil, err
-	}
-	var rows []AblationRow
-	for i, name := range names {
-		native := cells[i*stride].Res
-		for j, v := range variants {
-			rows = append(rows, AblationRow{
-				Name:    name,
-				Variant: v.label,
-				Slow:    cells[i*stride+1+j].Res.Slowdown(native),
-			})
-		}
-	}
-	return rows, nil
-}
-
-// WriteAblations renders the ablation table.
-func WriteAblations(w io.Writer, rows []AblationRow) {
-	fmt.Fprintln(w, "Ablations: mirror redirection vs unprotect/reprotect (slowdown vs native)")
-	fmt.Fprintf(w, "%-14s %-18s %10s\n", "benchmark", "variant", "slowdown")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-14s %-18s %9.2fx\n", r.Name, r.Variant, r.Slow)
-	}
-}
-
 // --- Extension: detector comparison (beyond the paper) ---------------------
 
 // DetectorRow compares one hosted analysis configuration on the racy
@@ -462,15 +386,15 @@ type DetectorRow struct {
 var muxedDetectors = []string{"fasttrack", "lockset", "atomicity", "commgraph"}
 
 // ExtensionDetectors runs the canneal model (with its §5.3 RNG race) under
-// the hosted analyses. Since the registry refactor, the Aikido-hosted
-// detectors — FastTrack, LockSet, the atomicity checker, the
-// communication-graph profiler — all ride ONE multiplexed execution
-// instead of one full run each: the sweep is native + full FastTrack +
-// sampled FastTrack + a single mux cell, and the per-analysis rows are
+// the hosted analyses. The Aikido-hosted detectors — FastTrack, LockSet,
+// the atomicity checker, the communication-graph profiler — all ride ONE
+// multiplexed execution instead of one full run each: the sweep is native,
+// full FastTrack and a single mux cell, and the per-analysis rows are
 // unpacked from the mux run's findings map. It quantifies the paper's
-// positioning: sampling is fast but can miss races; Aikido is fast with
-// only the first-access window; LockSet trades precision differently —
-// and the framework amortizes one DBI+sharing pass over all of them.
+// positioning: Aikido finds the races full FastTrack finds, missing only
+// the first-access window, at a fraction of its cost; LockSet trades
+// precision differently — and the framework amortizes one DBI+sharing
+// pass over all of them.
 func ExtensionDetectors(o Options) ([]DetectorRow, error) {
 	o = o.normalize()
 	b, err := parsec.ByName("canneal")
@@ -483,7 +407,6 @@ func ExtensionDetectors(o Options) ([]DetectorRow, error) {
 	specs := []runner.Spec{
 		cell(bb, "native", core.DefaultConfig(core.ModeNative)),
 		cell(bb, "fasttrack-full", core.DefaultConfig(core.ModeFastTrackFull)),
-		cell(bb, "sampled-fasttrack", core.DefaultConfig(core.ModeFastTrackFull).WithAnalyses("sampled")),
 		cell(bb, "aikido-mux", muxCfg),
 	}
 	cells, err := o.sweep(specs)
@@ -494,9 +417,8 @@ func ExtensionDetectors(o Options) ([]DetectorRow, error) {
 
 	rows := []DetectorRow{
 		detectorRow("fasttrack-full", cells[1].Res, cells[1].Res.AnalysisFindings("fasttrack"), native, false),
-		detectorRow("sampled-fasttrack", cells[2].Res, cells[2].Res.AnalysisFindings("sampled"), native, false),
 	}
-	mux := cells[3].Res
+	mux := cells[2].Res
 	for _, name := range muxedDetectors {
 		rows = append(rows,
 			detectorRow("aikido:"+name, mux, mux.AnalysisFindings(name), native, true))
@@ -513,9 +435,6 @@ func detectorRow(label string, res *core.Result, f analysis.Findings, native *co
 	row.Findings = f.Len()
 	// Unpack the typed findings for the analyzed-event count and the
 	// §5.3 RNG-race check.
-	if sf, ok := f.(*sampler.Findings); ok {
-		f = sf.Inner
-	}
 	switch tf := f.(type) {
 	case *fasttrack.Findings:
 		row.Analyzed = tf.Counters.Reads + tf.Counters.Writes

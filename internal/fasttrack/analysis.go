@@ -41,10 +41,7 @@ func (d *Detector) Report() analysis.Findings {
 }
 
 // RacesIn extracts the FastTrack races from a name-keyed findings map
-// (core.Result.Findings), whether the detector ran bare or under a
-// wrapper (sampled:fasttrack). Maps with several FastTrack-typed entries
-// (never produced by core, whose members are name-unique) yield the one
-// under the smallest name. It replaces the deprecated Result.Races
+// (core.Result.Findings). It replaces the deprecated Result.Races
 // accessor: callers consume Result.Findings and ask the producing package
 // for its typed view.
 func RacesIn(fs map[string]analysis.Findings) []Race {
@@ -63,21 +60,11 @@ func CountersIn(fs map[string]analysis.Findings) Counters {
 	return Counters{}
 }
 
-// findingsIn locates the FastTrack findings in a name-keyed map,
-// deterministically (smallest producing name wins).
+// findingsIn locates the FastTrack findings in a name-keyed map, where
+// they sit under Kind.
 func findingsIn(fs map[string]analysis.Findings) *Findings {
-	var best string
-	var found *Findings
-	for name, f := range fs {
-		ft, ok := analysis.Unwrap(f).(*Findings)
-		if !ok {
-			continue
-		}
-		if found == nil || name < best {
-			best, found = name, ft
-		}
-	}
-	return found
+	f, _ := fs[Kind].(*Findings)
+	return f
 }
 
 // Findings is the detector's analysis.Findings: the recorded races plus

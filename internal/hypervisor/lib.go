@@ -168,6 +168,16 @@ func (l *Lib) UnprotectForThread(tid guest.TID, vpn uint64) {
 	l.SetThreadProt(tid, vpn, protAll)
 }
 
+// UnprotectReprotect is the runtime's own read of a page protected for
+// the reading thread, DynamoRIO's code-page reads during block building
+// (§3.4): one hypercall unprotects the page and one reprotects it once the
+// read is done. Both are counted and charged; protections are left as
+// they were.
+func (l *Lib) UnprotectReprotect() {
+	l.hypercall()
+	l.hypercall()
+}
+
 // FaultInfo implements the guest signal handler's
 // aikido_is_aikido_pagefault() check (§3.2.5): f is AikidoVM's when it was
 // delivered at one of the registered delivery pages, and then its true

@@ -28,7 +28,8 @@ func libFixture(t *testing.T, dataPages int) (*guest.Process, *Hypervisor, *Lib)
 }
 
 // TestLibChargesAtCountSites: each AikidoLib mutator is one hypercall,
-// raising Stats.Hypercalls by one and the clock by exactly stats.Hypercall;
+// raising Stats.Hypercalls by one and the clock by exactly stats.Hypercall
+// (UnprotectReprotect is two, and raises both twice);
 // a trapped guest page-table write, a first user load (a shadow fill) and
 // a context switch each raise their counter by one and the clock by
 // exactly their cost; and a guest-kernel read of a protected byte through
@@ -41,31 +42,33 @@ func TestLibChargesAtCountSites(t *testing.T) {
 		for _, c := range []struct {
 			name  string
 			call  func()
-			count *uint64 // the counter the call raises by one
+			count *uint64 // the counter the call raises
+			n     uint64  // by how much
 			cost  uint64  // the cycles it charges
 		}{
-			{"RegisterFaultPages", func() { lib.RegisterFaultPages(h.faultPageRead, h.faultPageWrite, h.faultAddrSlot) }, &h.Stats.Hypercalls, stats.Hypercall},
-			{"SetThreadProt", func() { lib.SetThreadProt(1, vpn, pagetable.ProtRO) }, &h.Stats.Hypercalls, stats.Hypercall},
-			{"UnprotectForThread", func() { lib.UnprotectForThread(2, vpn) }, &h.Stats.Hypercalls, stats.Hypercall},
-			{"RegisterMirrorRange", func() { lib.RegisterMirrorRange(vm.PageNum(0x7100_0000_0000), 2) }, &h.Stats.Hypercalls, stats.Hypercall},
-			{"ProtectRange", func() { lib.ProtectRange(vpn, 2) }, &h.Stats.Hypercalls, stats.Hypercall},
-			{"RearmPage", func() { lib.RearmPage(vpn, 1) }, &h.Stats.Hypercalls, stats.Hypercall},
-			{"ClearRange", func() { lib.ClearRange(vpn, 2) }, &h.Stats.Hypercalls, stats.Hypercall},
+			{"RegisterFaultPages", func() { lib.RegisterFaultPages(h.faultPageRead, h.faultPageWrite, h.faultAddrSlot) }, &h.Stats.Hypercalls, 1, stats.Hypercall},
+			{"SetThreadProt", func() { lib.SetThreadProt(1, vpn, pagetable.ProtRO) }, &h.Stats.Hypercalls, 1, stats.Hypercall},
+			{"UnprotectForThread", func() { lib.UnprotectForThread(2, vpn) }, &h.Stats.Hypercalls, 1, stats.Hypercall},
+			{"RegisterMirrorRange", func() { lib.RegisterMirrorRange(vm.PageNum(0x7100_0000_0000), 2) }, &h.Stats.Hypercalls, 1, stats.Hypercall},
+			{"ProtectRange", func() { lib.ProtectRange(vpn, 2) }, &h.Stats.Hypercalls, 1, stats.Hypercall},
+			{"RearmPage", func() { lib.RearmPage(vpn, 1) }, &h.Stats.Hypercalls, 1, stats.Hypercall},
+			{"ClearRange", func() { lib.ClearRange(vpn, 2) }, &h.Stats.Hypercalls, 1, stats.Hypercall},
+			{"UnprotectReprotect", lib.UnprotectReprotect, &h.Stats.Hypercalls, 2, 2 * stats.Hypercall},
 			{"guest PT write", func() {
 				pte, _ := p.PT.Lookup(vpn)
 				p.PT.SetProt(vpn, pte.Prot)
-			}, &h.Stats.GuestPTUpdates, stats.PTUpdateTrap},
+			}, &h.Stats.GuestPTUpdates, 1, stats.PTUpdateTrap},
 			{"first user load", func() {
 				if _, fault := h.Load(3, isa.DataBase, 8, true); fault != nil {
 					t.Fatalf("load of a cleared page faulted: %v", fault)
 				}
-			}, &h.Stats.ShadowFills, stats.ShadowFill},
-			{"ContextSwitch", h.ContextSwitch, &h.Stats.ContextSwitches, stats.ContextSwitch + stats.ShadowRootSwitch},
+			}, &h.Stats.ShadowFills, 1, stats.ShadowFill},
+			{"ContextSwitch", h.ContextSwitch, &h.Stats.ContextSwitches, 1, stats.ContextSwitch + stats.ShadowRootSwitch},
 		} {
 			count, cycles := *c.count, h.clock.Cycles()
 			c.call()
-			if got := *c.count - count; got != 1 {
-				t.Errorf("%s counted %d, want 1", c.name, got)
+			if got := *c.count - count; got != c.n {
+				t.Errorf("%s counted %d, want %d", c.name, got, c.n)
 			}
 			if got := h.clock.Cycles() - cycles; got != c.cost {
 				t.Errorf("%s charged %d cycles, want %d", c.name, got, c.cost)

@@ -42,8 +42,8 @@ func (d *Detector) Report() analysis.Findings {
 }
 
 // WarningsIn extracts the LockSet warnings from a name-keyed findings map
-// (core.Result.Findings), whether the detector ran bare or wrapped. It
-// replaces the deprecated Result.Warnings accessor.
+// (core.Result.Findings). It replaces the deprecated Result.Warnings
+// accessor.
 func WarningsIn(fs map[string]analysis.Findings) []Warning {
 	if f := findingsIn(fs); f != nil {
 		return f.Warnings
@@ -60,21 +60,11 @@ func CountersIn(fs map[string]analysis.Findings) Counters {
 	return Counters{}
 }
 
-// findingsIn locates the LockSet findings in a name-keyed map,
-// deterministically (smallest producing name wins).
+// findingsIn locates the LockSet findings in a name-keyed map, where they
+// sit under Kind.
 func findingsIn(fs map[string]analysis.Findings) *Findings {
-	var best string
-	var found *Findings
-	for name, f := range fs {
-		ls, ok := analysis.Unwrap(f).(*Findings)
-		if !ok {
-			continue
-		}
-		if found == nil || name < best {
-			best, found = name, ls
-		}
-	}
-	return found
+	f, _ := fs[Kind].(*Findings)
+	return f
 }
 
 // Findings is the detector's analysis.Findings: locking-discipline

@@ -7,6 +7,8 @@ import (
 	"repro/internal/isa"
 	"repro/internal/memcheck"
 	"repro/internal/pagetable"
+	"repro/internal/parsec"
+	"repro/internal/workload"
 )
 
 // run hosts the checker in a fully instrumented core.System and runs prog.
@@ -214,5 +216,26 @@ func TestReportString(t *testing.T) {
 	if r.String() == "" || memcheck.InvalidAccess.String() != "invalid access" ||
 		memcheck.UninitializedRead.String() != "uninitialized read" {
 		t.Error("report formatting broken")
+	}
+}
+
+// BenchmarkMemcheck measures the Umbra-hosted memory checker — the
+// conservative every-access shadow tool whose cost class Figure 5's
+// FastTrack bars represent.
+func BenchmarkMemcheck(b *testing.B) {
+	bench, err := parsec.ByName("blackscholes")
+	if err != nil {
+		b.Fatal(err)
+	}
+	bench = bench.WithScale(0.5)
+	prog, err := workload.Build(bench.Spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.DefaultConfig(core.ModeFastTrackFull).WithAnalyses(memcheck.Kind)
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Run(prog, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package runner is the concurrent experiment engine: it shards a matrix
 // of (workload, configuration) cells — the model×mode sweeps behind
-// Figure 5, Figure 6, Tables 1–2 and the ablations — across a pool of
+// Figure 5, Figure 6, Tables 1–2 and the extensions — across a pool of
 // worker goroutines while keeping the output bit-for-bit identical to a
 // sequential run.
 //

@@ -2,6 +2,8 @@ package runner
 
 import (
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -11,7 +13,7 @@ import (
 
 // testMatrix is the full Figure 5 model×mode matrix at a small scale:
 // every PARSEC model under native, FastTrack-full and Aikido-FastTrack.
-func testMatrix(t *testing.T, scale float64) []Spec {
+func testMatrix(t testing.TB, scale float64) []Spec {
 	t.Helper()
 	var specs []Spec
 	for _, b := range parsec.All() {
@@ -134,5 +136,43 @@ func TestSweepDefaultWorkers(t *testing.T) {
 	}
 	if rep.Workers < 1 || rep.Workers > 2 {
 		t.Errorf("workers = %d, want 1..2 (NumCPU clamped to cells)", rep.Workers)
+	}
+}
+
+// BenchmarkMatrix measures the wall-clock of the complete model×mode sweep
+// through the concurrent runner at increasing pool sizes. The reported
+// speedup-x metric is the sequential (workers=1) wall-clock divided by
+// this pool size's: near-linear up to min(workers, cores) because cells
+// are fully isolated (no shared shadow state, no locks on the measurement
+// path). The simulated results are byte-identical at every pool size —
+// TestSweepByteIdenticalAcrossWorkers enforces it.
+func BenchmarkMatrix(b *testing.B) {
+	specs := testMatrix(b, 0.5)
+	counts := []int{1, 2, 4}
+	if n := runtime.NumCPU(); n > 4 {
+		counts = append(counts, n)
+	}
+	// The workers=1 sub-benchmark runs first and its own timing is the
+	// sequential reference for the later pool sizes' speedup-x metric
+	// (reported only when the sequential leg ran, i.e. not under a
+	// -bench filter that skips it).
+	var seqNsOp float64
+	for _, workers := range counts {
+		workers := workers
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Sweep(specs, Options{Workers: workers}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			nsOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			if workers == 1 {
+				seqNsOp = nsOp
+			}
+			if seqNsOp > 0 {
+				b.ReportMetric(seqNsOp/nsOp, "speedup-x")
+			}
+			b.ReportMetric(float64(len(specs)), "cells")
+		})
 	}
 }

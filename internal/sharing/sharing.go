@@ -163,10 +163,6 @@ type Detector struct {
 	// enabled gates page protection; Attach protects existing VMAs once
 	// at the end so partially constructed state never observes faults.
 	enabled bool
-	// noMirror switches instrumented shared accesses from mirror
-	// redirection to an unprotect/access/reprotect sequence — the
-	// strategy mirror pages exist to avoid (ablation; cf. §7.2).
-	noMirror bool
 
 	C Counters
 }
@@ -196,13 +192,6 @@ func Attach(p *guest.Process, lib *hypervisor.Lib, um *umbra.Umbra,
 // SetEngine wires the code-cache flush used when an instruction must be
 // re-JITed with instrumentation.
 func (d *Detector) SetEngine(e *dbi.Engine) { d.flush = e.Flush }
-
-// DisableMirror switches to the unprotect/reprotect ablation (no mirror
-// pages): each instrumented shared access temporarily lifts the page's
-// global protection and restores it afterwards, paying two hypercalls per
-// access. Benchmarked by the ablation harness to quantify what mirror pages
-// buy.
-func (d *Detector) DisableMirror() { d.noMirror = true }
 
 // SetLiveThreads wires the live-thread count used for mirror contention
 // accounting.
@@ -439,12 +428,6 @@ func (d *Detector) newPlan(direct bool) *dbi.Plan {
 		if d.analysis != nil {
 			d.analysis.OnSharedAccess(tid, pc, addr, size, write)
 		}
-		if d.noMirror {
-			// Ablation: unprotect for this thread around the access
-			// (reprotected in PostAccess below).
-			d.lib.UnprotectForThread(tid, vm.PageNum(addr))
-			return addr
-		}
 		if m, ok := d.mir.Translate(addr); ok {
 			d.clock.Charge(stats.MirrorRedirect + d.mirrorContention(write))
 			return m
@@ -452,14 +435,6 @@ func (d *Detector) newPlan(direct bool) *dbi.Plan {
 		// No mirror (should not happen for app segments): let the
 		// original access fault visibly rather than silently pass.
 		return addr
-	}, PostAccess: func(tid guest.TID, pc isa.PC, addr uint64, size uint8, write bool) {
-		if !d.noMirror {
-			return
-		}
-		pi := d.pages.Get(tid, addr)
-		if pi != nil && pi.State == Shared {
-			d.lib.RearmPage(vm.PageNum(addr), guest.NoTID)
-		}
 	}}
 }
 
@@ -482,8 +457,8 @@ func (d *Detector) TouchCode(tid guest.TID, addr uint64) {
 	}
 	if faults {
 		d.C.DRUnprotects++
-		// Fault into DynamoRIO's handler + unprotect + reprotect, one
-		// hypercall each.
-		d.clock.Charge(stats.Fault + 2*stats.Hypercall)
+		// Fault into DynamoRIO's handler, then unprotect and reprotect.
+		d.clock.Charge(stats.Fault)
+		d.lib.UnprotectReprotect()
 	}
 }

@@ -73,51 +73,6 @@ func TestSharedCountersConsistent(t *testing.T) {
 	}
 }
 
-func TestNoMirrorAblationReprotects(t *testing.T) {
-	// In the no-mirror ablation, a shared page must be re-protected after
-	// every instrumented access — later threads still fault on it.
-	b := isa.NewBuilder("nomirror")
-	pg := b.Global(vm.PageSize, vm.PageSize)
-	b.MovImm(isa.R5, 0)
-	b.ThreadCreate("w", isa.R5)
-	b.Mov(isa.R9, isa.R0)
-	b.MovImm(isa.R1, 1)
-	b.StoreAbs(pg, isa.R1)
-	b.ThreadJoin(isa.R9)
-	// Several more accesses once shared.
-	b.LoopN(isa.R2, 10, func(b *isa.Builder) {
-		b.LoadAbs(isa.R3, pg)
-	})
-	b.Halt()
-	b.Label("w")
-	b.MovImm(isa.R1, 2)
-	b.StoreAbs(pg, isa.R1)
-	b.Halt()
-	prog := b.MustFinish()
-
-	cfg := core.DefaultConfig(core.ModeAikidoFastTrack)
-	cfg.Aikido.NoMirror = true
-	s, err := core.NewSystem(prog, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, _ := s.SD.PageStateOf(pg); st != sharing.Shared {
-		t.Fatal("page not shared")
-	}
-	// The page must still be protected at the end (reprotected after the
-	// last access): a fresh translate for a third thread faults.
-	if _, fault := s.HV.Load(99, pg, 8, true); fault == nil || !fault.Aikido {
-		t.Error("no-mirror ablation left the shared page unprotected")
-	}
-	if res.SD.SharedPageAccesses == 0 {
-		t.Error("no shared accesses analyzed")
-	}
-}
-
 func TestCodePagesProtectedButExecutable(t *testing.T) {
 	// Execution streams from the code cache, so protected code pages
 	// never block execution — but a data LOAD from a code page goes

@@ -7,6 +7,7 @@ import (
 	"repro/internal/guest"
 	"repro/internal/isa"
 	"repro/internal/sharing"
+	"repro/internal/stats"
 	"repro/internal/vm"
 )
 
@@ -226,6 +227,36 @@ func TestDRCodeTouches(t *testing.T) {
 	// Code pages never become app-shared from DynamoRIO touches alone.
 	if st, _ := s.SD.PageStateOf(isa.CodeBase); st != sharing.Unused {
 		t.Errorf("code page state changed by DR touches: %v", st)
+	}
+}
+
+// TestDRCodeTouchCharges: DynamoRIO's read of a code page protected for
+// the reading thread is one fault into its handler plus two AikidoLib
+// hypercalls, unprotect and reprotect, each counted where it is charged,
+// and it leaves the page's state as it was. The touch's page-state lookup
+// is a shadow translation, a miss on the thread's first touch.
+func TestDRCodeTouchCharges(t *testing.T) {
+	prog, _, _, _ := build(t, false)
+	s, err := core.NewSystem(prog, core.DefaultConfig(core.ModeAikidoFastTrack).WithAnalyses())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := s.SD.PageStateOf(isa.CodeBase); st != sharing.Unused {
+		t.Fatalf("code page before the run: %v, want unused", st)
+	}
+	touches, hypercalls, cycles := s.SD.C.DRUnprotects, s.HV.Stats.Hypercalls, s.Clock.Cycles()
+	s.SD.TouchCode(1, isa.CodeBase)
+	if got := s.SD.C.DRUnprotects - touches; got != 1 {
+		t.Errorf("touch counted %d DR unprotects, want 1", got)
+	}
+	if got := s.HV.Stats.Hypercalls - hypercalls; got != 2 {
+		t.Errorf("touch counted %d hypercalls, want 2", got)
+	}
+	if got, want := s.Clock.Cycles()-cycles, stats.ShadowTranslateMiss+stats.Fault+2*stats.Hypercall; got != want {
+		t.Errorf("touch charged %d cycles, want ShadowTranslateMiss + Fault + 2 × Hypercall = %d", got, want)
+	}
+	if st, _ := s.SD.PageStateOf(isa.CodeBase); st != sharing.Unused {
+		t.Errorf("code page after the touch: %v, want unused", st)
 	}
 }
 
