@@ -22,7 +22,7 @@
 //
 // Every model×mode experiment matrix is sharded across -workers concurrent
 // runner workers (default: all CPUs); results are identical at any worker
-// count. The nondet extension runs sequentially and ignores -workers.
+// count.
 //
 // With -json, the Figure 5 workload matrix runs once per (model, mode) and
 // a machine-readable report of its simulated results is written to FILE

@@ -5,10 +5,9 @@
 // Usage:
 //
 //	aikido-run [-bench NAME|all] [-mode native|dbi|fasttrack|aikido]
-//	           [-analysis none|NAME[,NAME...]] [-max-findings N]
+//	           [-analysis none|NAME[,NAME...]]
 //	           [-threads N] [-scale F] [-workers N] [-findings] [-list]
-//	           [-list-analyses]
-//	           [-max-cycles N] [-cell-deadline D] [-keep-going]
+//	           [-list-analyses] [-max-cycles N]
 //
 // -analysis takes any comma-separated selection from the analysis
 // registry ("fasttrack", "lockset", "atomicity", "commgraph", "taint",
@@ -23,9 +22,8 @@
 // names no analysis, only commas and spaces, is a usage error.
 //
 // A flag the selected stack would ignore (core.Config.Check) is a usage
-// error: -analysis or -max-findings under native or dbi, and
-// -max-findings with no analysis. So is an -analysis value that names an
-// unknown analysis, or one analysis twice ("ft,fasttrack").
+// error: -analysis under native or dbi. So is an -analysis value that
+// names an unknown analysis, or one analysis twice ("ft,fasttrack").
 //
 // The Aikido modes run with epoch demotion, core.DefaultConfig's default:
 // Shared pages that fall back to a single owner are demoted to
@@ -36,21 +34,21 @@
 // -list-analyses prints the registry catalog: canonical names and the
 // short aliases that resolve to them.
 //
-// Budgets and failures (see ARCHITECTURE.md): -max-cycles and
-// -cell-deadline set each cell's core.Config.MaxCycles and MaxWall, which
-// bound its simulated-cycle and wall-clock consumption with typed budget
-// errors; -keep-going records failing cells in the report and finishes
-// the rest of the sweep instead of aborting on the first error.
+// Budgets and failures (see ARCHITECTURE.md): -max-cycles sets each
+// cell's core.Config.MaxCycles, which bounds its simulated cycles with a
+// typed budget error.
 //
 // All execution goes through the concurrent runner (internal/runner):
 // -bench all shards the ten models across -workers pool workers, and the
 // printed statistics are identical at any worker count. A failing cell
-// never crashes the process: it surfaces as a typed cell error.
+// never crashes the process or stops the sweep: every other cell still
+// runs and prints, and each failed cell is named on stderr as a typed
+// cell error.
 //
-// Exit codes: 0 clean, 1 findings reported, 2 cell error (a run failed,
-// even under -keep-going), 3 flag/usage errors (including a -scale that
-// is not a finite positive number, a negative -threads or -max-findings,
-// and a flag the selected stack would ignore).
+// Exit codes: 0 clean, 1 findings reported, 2 cell error (a run failed),
+// 3 flag/usage errors (including a -scale that is not a finite positive
+// number, a negative -threads, and a flag the selected stack would
+// ignore).
 package main
 
 import (
@@ -82,7 +80,6 @@ func run(args []string) int {
 	bench := fs.String("bench", "fluidanimate", "benchmark name (see -list), or \"all\" to sweep every model")
 	mode := fs.String("mode", "aikido", "native, dbi, fasttrack, aikido")
 	analyses := fs.String("analysis", "", "comma-separated analyses to multiplex onto one pass (see -list-analyses), or none (default: the mode's, fasttrack for fasttrack and aikido)")
-	maxFindings := fs.Int("max-findings", 0, "cap stored findings for the whole run, divided across the selected analyses (0 = each detector's default)")
 	threads := fs.Int("threads", 0, "worker threads (0 = benchmark default)")
 	scale := fs.Float64("scale", 1.0, "workload size multiplier")
 	workers := fs.Int("workers", runtime.NumCPU(), "runner pool size for -bench all (results are identical at any value)")
@@ -90,8 +87,6 @@ func run(args []string) int {
 	list := fs.Bool("list", false, "list benchmarks and exit")
 	listAn := fs.Bool("list-analyses", false, "list registered analyses and exit")
 	maxCycles := fs.Uint64("max-cycles", 0, "per-cell simulated-cycle budget (0 = unlimited); overrun is a typed cell error")
-	cellDeadline := fs.Duration("cell-deadline", 0, "per-cell wall-clock budget (0 = unlimited); overrun is a typed cell error")
-	keepGoing := fs.Bool("keep-going", false, "record failing cells and finish the sweep instead of aborting on the first error")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return exitClean
@@ -138,9 +133,7 @@ func run(args []string) int {
 			return exitBadFlags
 		}
 	}
-	cfg.MaxFindings = *maxFindings
 	cfg.MaxCycles = *maxCycles
-	cfg.MaxWall = *cellDeadline
 	if err := cfg.Check(); err != nil {
 		fmt.Fprintf(os.Stderr, "aikido-run: %v\n", err)
 		return exitBadFlags
@@ -153,7 +146,6 @@ func run(args []string) int {
 		}
 		return b
 	}
-	ropt := runner.Options{KeepGoing: *keepGoing}
 
 	if *bench == "all" {
 		var specs []runner.Spec
@@ -161,12 +153,7 @@ func run(args []string) int {
 			b = size(b)
 			specs = append(specs, runner.Spec{Label: b.Name, Source: b.Spec, Config: cfg})
 		}
-		ropt.Workers = *workers
-		rep, err := runner.Sweep(specs, ropt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "aikido-run: %v\n", err)
-			return exitCellError
-		}
+		rep := runner.Sweep(specs, *workers)
 		fmt.Printf("mode %s, analyses %v, scale %.2f, %d runner workers\n",
 			m, cfg.Analyses, *scale, rep.Workers)
 		fmt.Printf("%-15s %14s %14s %14s %14s %9s %9s\n",
@@ -176,8 +163,7 @@ func run(args []string) int {
 		for _, c := range rep.Cells {
 			res := c.Res
 			if res == nil {
-				// Failed under -keep-going: its slot is empty; the
-				// failure itself is listed below.
+				// Failed: its slot is empty; verdict names the failure.
 				continue
 			}
 			fmt.Printf("%-15s %14d %14d %14d %14d %8.2f%% %9d\n",
@@ -212,15 +198,10 @@ func run(args []string) int {
 		return exitBadFlags
 	}
 	b = size(b)
-	ropt.Workers = 1
-	rep, err := runner.Sweep([]runner.Spec{{Label: b.Name, Source: b.Spec, Config: cfg}}, ropt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "aikido-run: %v\n", err)
-		return exitCellError
-	}
+	rep := runner.Sweep([]runner.Spec{{Label: b.Name, Source: b.Spec, Config: cfg}}, 1)
 	res := rep.Cells[0].Res
 	if res == nil {
-		// The only cell failed under -keep-going.
+		// The only cell failed.
 		return verdict(rep, 0)
 	}
 

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/parsec"
 )
 
 // TestRunRejectsBadScale: a -scale that is not a finite positive number
@@ -17,20 +20,19 @@ func TestRunRejectsBadScale(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadFlags: a negative -threads or -max-findings, the
-// deleted -dispatch, -epoch, -chaos, -races, -provider, -paging and
-// -switch flags and the deleted profile mode are usage errors, and so is
-// every flag the selected stack would ignore: analyses or a findings cap
-// in the native and dbi modes. An -analysis value that names no analysis
-// is one too: -analysis none is the one spelling of "no analysis". None
-// of them runs anything.
+// TestRunRejectsBadFlags: a negative -threads, the deleted -dispatch,
+// -epoch, -chaos, -races, -provider, -paging, -switch, -max-findings,
+// -cell-deadline and -keep-going flags and the deleted profile mode are
+// usage errors, and so is every flag the selected stack would ignore:
+// analyses in the native and dbi modes. An -analysis value that names no
+// analysis is one too: -analysis none is the one spelling of "no
+// analysis". None of them runs anything.
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-bench", "fluidanimate", "-threads", "-2"},
 		{"-bench", "fluidanimate", "-dispatch", "phased"},
 		{"-bench", "fluidanimate", "-epoch"},
 		{"-bench", "fluidanimate", "-chaos", "X"},
-		{"-bench", "canneal", "-scale", "0.05", "-max-findings", "-1"},
 		{"-bench", "vips", "-scale", "0.05", "-mode", "profile"},
 		{"-bench", "vips", "-scale", "0.05", "-races"},
 		{"-bench", "vips", "-scale", "0.05", "-provider", "aikidovm"},
@@ -39,7 +41,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-bench", "vips", "-scale", "0.05", "-mode", "aikido", "-paging", "nested"},
 		{"-bench", "vips", "-scale", "0.05", "-mode", "aikido", "-switch", "probe"},
 		{"-bench", "vips", "-scale", "0.05", "-mode", "dbi", "-analysis", "lockset"},
-		{"-bench", "vips", "-scale", "0.05", "-mode", "native", "-max-findings", "5"},
+		// The findings cap, wall-clock deadline and fail-fast switch are
+		// gone: every sweep runs every cell.
+		{"-bench", "vips", "-scale", "0.05", "-max-findings", "5"},
+		{"-bench", "vips", "-scale", "0.05", "-cell-deadline", "1s"},
+		{"-bench", "all", "-scale", "0.05", "-keep-going"},
 		{"-bench", "vips", "-scale", "0.05", "-mode", "aikido", "-analysis", ","},
 		{"-bench", "vips", "-scale", "0.05", "-mode", "fasttrack", "-analysis", " , ,"},
 		// Names the registry refuses, the deleted sampler's included.
@@ -55,16 +61,25 @@ func TestRunRejectsBadFlags(t *testing.T) {
 }
 
 // TestRunCellErrorExit: a run whose cells fail exits with exitCellError,
-// on the sweep path under -keep-going and on the single-model fail-fast
-// path alike. A one-cycle budget fails every cell with a typed budget
+// on the sweep path and the single-model path alike, and names every
+// failed cell. A one-cycle budget fails every cell with a typed budget
 // error.
 func TestRunCellErrorExit(t *testing.T) {
-	for _, args := range [][]string{
-		{"-bench", "all", "-scale", "0.05", "-max-cycles", "1", "-keep-going"},
-		{"-bench", "vips", "-scale", "0.05", "-max-cycles", "1"},
+	for _, tc := range []struct {
+		args   []string
+		models []string
+	}{
+		{[]string{"-bench", "all", "-scale", "0.05", "-max-cycles", "1"}, parsec.Names()},
+		{[]string{"-bench", "vips", "-scale", "0.05", "-max-cycles", "1"}, []string{"vips"}},
 	} {
-		if code := run(args); code != exitCellError {
-			t.Errorf("run(%v) = %d, want %d", args, code, exitCellError)
+		_, stderr, code := runCaptured(t, tc.args...)
+		if code != exitCellError {
+			t.Errorf("run(%v) = %d, want %d", tc.args, code, exitCellError)
+		}
+		for i, name := range tc.models {
+			if want := fmt.Sprintf("failed cell %d (%s): budget: ", i, name); !strings.Contains(stderr, want) {
+				t.Errorf("run(%v): stderr does not name %q:\n%s", tc.args, want, stderr)
+			}
 		}
 	}
 }
@@ -74,7 +89,7 @@ func TestRunCellErrorExit(t *testing.T) {
 // statistics, and AikidoVM's fault and hypercall counts once each, but no
 // analysis line.
 func TestRunAnalysisNone(t *testing.T) {
-	out, code := runCaptured(t, "-bench", "vips", "-scale", "0.05", "-mode", "aikido", "-analysis", "none")
+	out, _, code := runCaptured(t, "-bench", "vips", "-scale", "0.05", "-mode", "aikido", "-analysis", "none")
 	if code != exitClean {
 		t.Errorf("exit = %d, want %d", code, exitClean)
 	}
@@ -96,22 +111,29 @@ func TestRunAnalysisNone(t *testing.T) {
 	}
 }
 
-// runCaptured calls run with args and returns what it printed to stdout.
-func runCaptured(t *testing.T, args ...string) (string, int) {
+// runCaptured calls run with args and returns what it printed to stdout
+// and to stderr.
+func runCaptured(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
+	capture := func(f **os.File) (restore func() string) {
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved := *f
+		*f = w
+		out := make(chan string)
+		go func() {
+			b, _ := io.ReadAll(r)
+			out <- string(b)
+		}()
+		return func() string {
+			*f = saved
+			w.Close()
+			return <-out
+		}
 	}
-	stdout := os.Stdout
-	os.Stdout = w
-	defer func() { os.Stdout = stdout }()
-	out := make(chan string)
-	go func() {
-		b, _ := io.ReadAll(r)
-		out <- string(b)
-	}()
-	code := run(args)
-	w.Close()
-	return <-out, code
+	restoreOut, restoreErr := capture(&os.Stdout), capture(&os.Stderr)
+	code = run(args)
+	return restoreOut(), restoreErr(), code
 }

@@ -22,8 +22,7 @@ func (a *nopAnalysis) OnAccess(tid guest.TID, pc isa.PC, addr uint64, size uint8
 func (a *nopAnalysis) OnSharedAccess(tid guest.TID, pc isa.PC, addr uint64, size uint8, write bool) {
 	a.n++
 }
-func (a *nopAnalysis) SetMaxFindings(int) {}
-func (a *nopAnalysis) Report() Findings   { return &stubFindings{name: a.name} }
+func (a *nopAnalysis) Report() Findings { return &stubFindings{name: a.name} }
 
 // TestMuxDispatchNoAllocs extends the pipeline's zero-allocation
 // regression contract (PR 1) through the multiplexed dispatch layer: the

@@ -15,7 +15,7 @@
 //     events (full-instrumentation or shared-only), the guest
 //     synchronization events that carry happens-before edges
 //     (lock/fork/join/exit/barrier), a live-thread count for contention
-//     models, a uniform findings cap, and a uniform Report.
+//     models, and a uniform Report.
 //   - Registry maps stable names ("fasttrack", "lockset", …) to analysis
 //     factories. Detector packages register themselves in init(), so a
 //     new analysis lands by adding one package — no enum case in core, no
@@ -95,13 +95,6 @@ type Analysis interface {
 	// analyses' metadata-contention models.
 	AddThread(delta int)
 
-	// SetMaxFindings caps stored findings (races, warnings, violations…).
-	// n > 0 stores at most n findings; n == 0 restores the analysis's
-	// default; n < 0 stores none at all. Findings beyond the cap are
-	// counted but not stored. The negative form exists for the Mux's
-	// per-run budget division, which must be able to hand a member an
-	// explicit zero allotment without resetting it to its default.
-	SetMaxFindings(n int)
 	// Report returns the analysis's findings. It may be called once, at
 	// the end of a run.
 	Report() Findings

@@ -107,39 +107,6 @@ func (m *Mux) AddThread(delta int) {
 	}
 }
 
-// SetMaxFindings implements Analysis with uniform per-run semantics: a
-// positive cap n is a budget for the whole multiplexed run, divided across
-// the members in dispatch order (earlier members receive the remainder),
-// so a mux of k analyses stores at most n findings in total. It used to
-// forward the full cap to every member, silently inflating "-analysis a,b
-// with cap n" to k×n stored findings. Members whose share is zero are set
-// to store nothing (the negative-cap contract of Analysis.SetMaxFindings);
-// n == 0 restores every member's default and n < 0 disables storage
-// everywhere.
-func (m *Mux) SetMaxFindings(n int) {
-	if n <= 0 {
-		for _, a := range m.list {
-			a.SetMaxFindings(n)
-		}
-		return
-	}
-	k := len(m.list)
-	if k == 0 {
-		return
-	}
-	share, extra := n/k, n%k
-	for i, a := range m.list {
-		s := share
-		if i < extra {
-			s++
-		}
-		if s == 0 {
-			s = -1 // zero share: store nothing (0 would mean "default")
-		}
-		a.SetMaxFindings(s)
-	}
-}
-
 // Report implements Analysis: the mux's findings concatenate its members'
 // in dispatch order. Callers that want per-analysis findings (core does)
 // iterate Analyses and call each member's Report instead.

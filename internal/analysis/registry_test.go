@@ -14,7 +14,6 @@ type stub struct {
 	NoSync
 	name    string
 	events  []string
-	max     int
 	shared  int
 	accs    int
 	threads int
@@ -30,7 +29,6 @@ func (s *stub) OnSharedAccess(tid guest.TID, pc isa.PC, addr uint64, size uint8,
 func (s *stub) OnFork(parent, child guest.TID) { s.events = append(s.events, "fork") }
 func (s *stub) OnExit(tid guest.TID)           { s.events = append(s.events, "exit") }
 func (s *stub) AddThread(delta int)            { s.threads += delta }
-func (s *stub) SetMaxFindings(n int)           { s.max = n }
 func (s *stub) Report() Findings {
 	return &stubFindings{name: s.name, lines: []string{s.name + "-finding"}}
 }
@@ -182,33 +180,13 @@ func TestMuxDispatchAndReport(t *testing.T) {
 	m.OnFork(1, 2)
 	m.OnExit(2)
 	m.AddThread(1)
-	// The findings cap is a per-run budget divided across members in
-	// dispatch order (remainder to the earlier members) — NOT forwarded
-	// whole, which used to inflate a cap of n to members×n.
-	m.SetMaxFindings(7)
-	for i, s := range []*stub{a, b} {
-		want := []int{4, 3}[i]
+	for _, s := range []*stub{a, b} {
 		if s.shared != 1 || s.accs != 1 || s.threads != 1 {
 			t.Errorf("%s: events not fanned out: %+v", s.name, s)
-		}
-		if s.max != want {
-			t.Errorf("%s: cap share = %d, want %d of the run budget 7", s.name, s.max, want)
 		}
 		if !reflect.DeepEqual(s.events, []string{"fork", "exit"}) {
 			t.Errorf("%s: sync events = %v", s.name, s.events)
 		}
-	}
-	// A budget below the member count hands later members an explicit
-	// "store nothing" (negative), never a default-restoring zero.
-	m.SetMaxFindings(1)
-	if a.max != 1 || b.max != -1 {
-		t.Errorf("cap 1 split = (%d, %d), want (1, -1)", a.max, b.max)
-	}
-	// Zero and negative forward unchanged: every member resets to its
-	// default / stores nothing respectively.
-	m.SetMaxFindings(0)
-	if a.max != 0 || b.max != 0 {
-		t.Errorf("cap 0 forwarded as (%d, %d), want (0, 0)", a.max, b.max)
 	}
 	f := m.Report()
 	if f.Len() != 2 {

@@ -24,17 +24,6 @@ func (d *Detector) Name() string { return Kind }
 // its lock releases, not its exit.
 func (d *Detector) OnExit(tid guest.TID) {}
 
-// SetMaxFindings implements analysis.Analysis, capping stored violations
-// (0 restores the default).
-func (d *Detector) SetMaxFindings(n int) {
-	if n == 0 {
-		n = defaultMaxViolations
-	} else if n < 0 {
-		n = 0 // explicit zero allotment: store nothing, count only
-	}
-	d.MaxViolations = n
-}
-
 // Report implements analysis.Analysis.
 func (d *Detector) Report() analysis.Findings {
 	return &Findings{Counters: d.C, Violations: d.Violations()}

@@ -94,22 +94,19 @@ type Detector struct {
 	violations []Violation
 	seen       map[uint64]struct{}
 
-	// MaxViolations caps stored reports.
-	MaxViolations int
-	liveThreads   int
+	liveThreads int
 
 	C Counters
 }
 
-// defaultMaxViolations is the default findings cap.
-const defaultMaxViolations = 1000
+// maxViolations caps stored reports.
+const maxViolations = 1000
 
 // New creates a detector charging costs to clock.
 func New(clock *stats.Clock) *Detector {
 	return &Detector{
-		clock:         clock,
-		seen:          make(map[uint64]struct{}),
-		MaxViolations: defaultMaxViolations,
+		clock: clock,
+		seen:  make(map[uint64]struct{}),
 	}
 }
 
@@ -232,7 +229,7 @@ func (d *Detector) report(v Violation) {
 		return
 	}
 	d.seen[v.Addr] = struct{}{}
-	if len(d.violations) < d.MaxViolations {
+	if len(d.violations) < maxViolations {
 		d.violations = append(d.violations, v)
 	}
 }

@@ -23,23 +23,9 @@ func (a *Analysis) Name() string { return Kind }
 // OnExit implements analysis.Analysis.
 func (a *Analysis) OnExit(tid guest.TID) {}
 
-// SetMaxFindings implements analysis.Analysis, capping the edges a Report
-// stores (heaviest first; 0 = all, negative = none). The full graph stays
-// queryable through Edges and HotPages.
-func (a *Analysis) SetMaxFindings(n int) {
-	a.MaxEdges = n
-}
-
-// Report implements analysis.Analysis.
+// Report implements analysis.Analysis: every edge, heaviest first.
 func (a *Analysis) Report() analysis.Findings {
-	edges := a.Edges()
-	switch {
-	case a.MaxEdges < 0:
-		edges = nil // explicit zero allotment: store nothing
-	case a.MaxEdges > 0 && len(edges) > a.MaxEdges:
-		edges = edges[:a.MaxEdges]
-	}
-	return &Findings{Counters: a.C, Edges: edges}
+	return &Findings{Counters: a.C, Edges: a.Edges()}
 }
 
 // Findings is the profiler's analysis.Findings: the communication graph's

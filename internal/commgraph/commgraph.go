@@ -65,10 +65,6 @@ type Analysis struct {
 
 	clock *stats.Clock
 
-	// MaxEdges caps the edges a Report stores (heaviest first; 0 = all,
-	// negative = none).
-	MaxEdges int
-
 	C Counters
 }
 

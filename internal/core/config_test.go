@@ -32,10 +32,7 @@ func TestConfigCheck(t *testing.T) {
 			row{m.String() + " default", def, ""},
 			row{m.String() + " quantum 0", with(def, func(c *Config) { c.Quantum = 0 }), "Quantum"},
 			row{m.String() + " quantum 0 with a cycle budget",
-				with(def, func(c *Config) { c.Quantum, c.MaxCycles = 0, 1e6 }), "Quantum"},
-			row{m.String() + " negative max findings", with(def, func(c *Config) { c.MaxFindings = -1 }), "MaxFindings"},
-			row{m.String() + " max findings without analysis",
-				with(def.WithAnalyses(), func(c *Config) { c.MaxFindings = 5 }), "MaxFindings"})
+				with(def, func(c *Config) { c.Quantum, c.MaxCycles = 0, 1e6 }), "Quantum"})
 	}
 	for _, m := range []Mode{ModeNative, ModeDBI} {
 		rows = append(rows,
@@ -46,7 +43,6 @@ func TestConfigCheck(t *testing.T) {
 	for _, m := range []Mode{ModeFastTrackFull, ModeAikidoFastTrack} {
 		def := DefaultConfig(m)
 		rows = append(rows,
-			row{m.String() + " max findings", with(def, func(c *Config) { c.MaxFindings = 5 }), ""},
 			row{m.String() + " no analysis", def.WithAnalyses(), ""},
 			row{m.String() + " two analyses", def.WithAnalyses("ft", "lockset"), ""},
 			row{m.String() + " unknown analysis", def.WithAnalyses("bogus"), "Analyses"},

@@ -29,7 +29,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/dbi"
@@ -97,14 +96,6 @@ type Config struct {
 	// in the two analysis modes.
 	Analyses []string
 
-	// MaxFindings caps stored findings — races, warnings, violations,
-	// flows — uniformly for the whole run (0 = each detector's default):
-	// the budget is divided across the selected analyses in configuration
-	// order, so "-analysis a,b" with a cap of N stores at most N findings
-	// in total, not N per analysis. (It used to be forwarded whole to
-	// every member, so multi-analysis runs silently stored members×N.)
-	MaxFindings int
-
 	// Quantum is the scheduling quantum in retired instructions. A zero
 	// quantum would retire nothing, and no budget would stop the run.
 	Quantum uint64
@@ -118,11 +109,6 @@ type Config struct {
 	// and only reads the clock, so it is deterministic and, when 0
 	// (unlimited), entirely absent — calibrated baselines never see it.
 	MaxCycles uint64
-	// MaxWall caps the run's real (wall-clock) time, checked on the same
-	// quantum seam; exceeding it aborts with a typed *BudgetError. Wall
-	// time is inherently nondeterministic — deterministic byte-identity
-	// suites must leave it 0.
-	MaxWall time.Duration
 }
 
 // AikidoConfig configures the Aikido stack's AikidoSD options. AikidoVM
@@ -171,17 +157,11 @@ func (c Config) Check() error {
 	if c.Quantum == 0 {
 		return errors.New("core: Config.Quantum: 0 retires no instruction (want > 0)")
 	}
-	if c.MaxFindings < 0 {
-		return fmt.Errorf("core: Config.MaxFindings: %d is negative (want 0 for each detector's default, or a positive cap)", c.MaxFindings)
-	}
 	if (c.Mode == ModeNative || c.Mode == ModeDBI) && len(c.Analyses) > 0 {
 		return fmt.Errorf("core: Config.Analyses: %v, but mode %s runs no analysis", c.Analyses, c.Mode)
 	}
 	if err := analysis.Check(c.Analyses); err != nil {
 		return fmt.Errorf("core: Config.Analyses: %w", err)
-	}
-	if c.MaxFindings > 0 && len(c.Analyses) == 0 {
-		return fmt.Errorf("core: Config.MaxFindings: %d, but no analysis is selected", c.MaxFindings)
 	}
 	if c.Mode != ModeAikidoFastTrack && c.Aikido != (AikidoConfig{}) {
 		return fmt.Errorf("core: Config.Aikido: set, but mode %s builds no Aikido stack", c.Mode)
@@ -211,9 +191,6 @@ type System struct {
 
 	// an is the mux over Analyses (nil when none run).
 	an analysis.Analysis
-
-	// wallStart is the MaxWall anchor, stamped when Run starts executing.
-	wallStart time.Time
 }
 
 // Analysis returns the active analysis registered under the (canonical)
@@ -230,9 +207,7 @@ func (s *System) Analysis(name string) analysis.Analysis {
 
 // newAnalyses instantiates the configured analyses and the mux that fans
 // the instrumented execution out to them. It must run after shadow memory
-// is attached (factories may require Env.Umbra). The findings cap is
-// applied through the mux so its per-run budget division governs
-// multi-analysis selections.
+// is attached (factories may require Env.Umbra).
 func (s *System) newAnalyses() (analysis.Analysis, error) {
 	if len(s.Cfg.Analyses) == 0 {
 		return nil, nil
@@ -243,11 +218,7 @@ func (s *System) newAnalyses() (analysis.Analysis, error) {
 		return nil, err
 	}
 	s.Analyses = as
-	m := analysis.NewMux(as...)
-	if max := s.Cfg.MaxFindings; max != 0 {
-		m.SetMaxFindings(max)
-	}
-	return m, nil
+	return analysis.NewMux(as...), nil
 }
 
 // NewSystem checks cfg, loads prog and assembles the configured stack.
@@ -429,10 +400,6 @@ type Result struct {
 
 // Run executes the assembled system to completion.
 func (s *System) Run() (*Result, error) {
-	if s.Cfg.MaxWall > 0 {
-		// Anchor the wall budget at execution start, not assembly time.
-		s.wallStart = time.Now() //detlint:ok wall budget anchor; only read by the MaxWall safety check
-	}
 	eres, err := s.Engine.Run()
 	if err != nil {
 		return nil, err

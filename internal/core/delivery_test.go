@@ -234,7 +234,6 @@ func (r *recordingAnalysis) OnAcquire(tid guest.TID, lock int64) {
 func (r *recordingAnalysis) OnRelease(tid guest.TID, lock int64) {
 	r.events = append(r.events, fmt.Sprintf("T%d-L%d", tid, lock))
 }
-func (r *recordingAnalysis) SetMaxFindings(int)        {}
 func (r *recordingAnalysis) Report() analysis.Findings { return nil }
 
 // TestDeferredMergeRestoresGlobalOrder: the mux hands every member the

@@ -159,13 +159,10 @@ func hostedCells() []goldenCell {
 		{Name: "fj-racy", Elems: 128, LeafSize: 8, RacyCounter: true},
 		{Name: "fj-locked", Elems: 128, LeafSize: 8, LockCounter: true},
 	} {
-		src := builtSource{name: spec.Name, build: func() (*isa.Program, error) {
-			return workload.BuildForkJoin(spec)
-		}}
 		for _, mode := range []Mode{ModeFastTrackFull, ModeAikidoFastTrack} {
 			cells = append(cells, goldenCell{
 				name: fmt.Sprintf("%s %s analyses=spbags", spec.Name, mode),
-				src:  src,
+				src:  spec,
 				cfg:  DefaultConfig(mode).WithAnalyses("spbags"),
 			})
 		}

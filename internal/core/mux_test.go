@@ -181,97 +181,6 @@ func TestEmptyAnalysesRunsNone(t *testing.T) {
 	}
 }
 
-// TestMaxFindingsIsPerRun pins the uniform per-run cap semantics:
-// Config.MaxFindings budgets the WHOLE run, divided across the selected
-// analyses in configuration order. It used to forward the full cap to
-// every mux member, so "-analysis a,b" with cap N silently stored up to
-// members×N findings (and before the registry, the cap was FastTrack-only
-// — a silent no-op for LockSet).
-func TestMaxFindingsIsPerRun(t *testing.T) {
-	// A program with many distinct unlocked shared variables, so both
-	// detectors would exceed a cap of 1.
-	b := isa.NewBuilder("manyraces")
-	arr := b.Global(4096, 4096)
-	spawn := func(label string) {
-		b.MovImm(isa.R5, 0)
-		b.ThreadCreate(label, isa.R5)
-		b.Mov(isa.R9, isa.R0)
-	}
-	body := func(b *isa.Builder) {
-		for i := int64(0); i < 6; i++ {
-			b.LoadAbs(isa.R3, arr+uint64(i*8))
-			b.AddImm(isa.R3, isa.R3, 1)
-			b.StoreAbs(arr+uint64(i*8), isa.R3)
-		}
-	}
-	spawn("w")
-	b.LoopN(isa.R2, 40, body)
-	b.ThreadJoin(isa.R9)
-	b.Halt()
-	b.Label("w")
-	b.LoopN(isa.R2, 40, body)
-	b.Halt()
-	prog := b.MustFinish()
-
-	// Both analyses find many distinct issues, so every stored finding
-	// below is cap-limited, not supply-limited.
-	cfg := DefaultConfig(ModeFastTrackFull)
-	cfg.Analyses = []string{"fasttrack", "lockset"}
-	cfg.Quantum = 50
-
-	// An even budget splits exactly: 1 finding per member, 2 in total.
-	cfg.MaxFindings = 2
-	res, err := Run(prog, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range cfg.Analyses {
-		f := res.AnalysisFindings(name)
-		if f == nil {
-			t.Fatalf("%s did not run", name)
-		}
-		if f.Len() != 1 {
-			t.Errorf("%s stored %d findings, want its share of the run budget (1)", name, f.Len())
-		}
-	}
-	if got := res.TotalFindings(); got != 2 {
-		t.Errorf("run stored %d findings under cap 2, want exactly 2", got)
-	}
-
-	// The regression shape: a budget below the member count must NOT
-	// inflate to one-per-member. Earlier members take the remainder;
-	// later ones store nothing (their findings are still counted).
-	cfg.MaxFindings = 1
-	res, err = Run(prog, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.TotalFindings(); got != 1 {
-		t.Errorf("run stored %d findings under cap 1, want exactly 1 (the pre-fix behaviour stored members×cap)", got)
-	}
-	if got := res.AnalysisFindings("fasttrack").Len(); got != 1 {
-		t.Errorf("fasttrack (first member) stored %d findings, want the whole budget (1)", got)
-	}
-	if got := res.AnalysisFindings("lockset").Len(); got != 0 {
-		t.Errorf("lockset (zero allotment) stored %d findings, want 0", got)
-	}
-	if lsOf(res).Reads == 0 {
-		t.Error("zero allotment stopped LockSet from analyzing (it must count, not store)")
-	}
-
-	// A single-analysis run keeps the whole budget — the cap behaves
-	// exactly as before the division for the common configuration.
-	cfg.Analyses = []string{"lockset"}
-	cfg.MaxFindings = 1
-	res, err = Run(prog, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.AnalysisFindings("lockset").Len(); got != 1 {
-		t.Errorf("single-analysis run stored %d findings under cap 1, want 1", got)
-	}
-}
-
 // TestNewlyHostedDetectors: the three detectors that predate the registry
 // (taint, memcheck, spbags) run multiplexed on one fully instrumented
 // pass, and each reports. What they find on their scenario guests is

@@ -164,9 +164,9 @@ type Engine struct {
 	// build on. Nil costs nothing.
 	OnRetire func(t *guest.Thread, pc isa.PC, in isa.Instr)
 	// OnQuantum, if set, runs before every scheduling quantum; a non-nil
-	// error aborts the run with that error. It serves resource budgets
-	// only (internal/core wires its cycle and wall budget checks here): it
-	// sits on the existing scheduling boundary, fires a deterministic
+	// error aborts the run with that error. It serves the simulated-cycle
+	// budget only (internal/core wires its Config.MaxCycles check here):
+	// it sits on the existing scheduling boundary, fires a deterministic
 	// number of times per run, and costs one nil check when unset — so
 	// calibrated baselines are untouched.
 	OnQuantum func() error

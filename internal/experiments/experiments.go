@@ -75,11 +75,11 @@ func (o Options) apply(b parsec.Benchmark) parsec.Benchmark {
 }
 
 // sweep shards the cells across the configured worker pool and returns
-// the measurements in cell order.
+// the measurements in cell order, or the first failed cell's error.
 func (o Options) sweep(specs []runner.Spec) ([]runner.Measurement, error) {
-	rep, err := runner.Sweep(specs, runner.Options{Workers: o.Workers})
-	if err != nil {
-		return nil, err
+	rep := runner.Sweep(specs, o.Workers)
+	if len(rep.Failed) > 0 {
+		return nil, rep.Failed[0]
 	}
 	return rep.Cells, nil
 }

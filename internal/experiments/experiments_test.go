@@ -178,8 +178,8 @@ func TestBenchJSONDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestTextExperimentsDeterministicAcrossWorkers: the text renderings of
-// the sweep-based experiments, the mux amortization and epochs tables
-// among them, are also identical at any pool size.
+// the sweep-based experiments, the mux amortization, epochs and nondet
+// tables among them, are also identical at any pool size.
 func TestTextExperimentsDeterministicAcrossWorkers(t *testing.T) {
 	render := func(workers int) string {
 		o := quick
@@ -200,6 +200,11 @@ func TestTextExperimentsDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		WriteEpochs(&buf, ep)
+		nondet, err := ExtensionNondeterminator(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		WriteExtensionNondeterminator(&buf, nondet)
 		return buf.String()
 	}
 	ref := render(1)

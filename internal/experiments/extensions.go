@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/runner"
 	"repro/internal/spbags"
 	"repro/internal/workload"
 )
@@ -42,20 +43,21 @@ func ExtensionNondeterminator(o Options) ([]NondetRow, error) {
 		{"locked-counter", workload.ForkJoinSpec{Name: "fj-locked", Elems: elems, LeafSize: 8, LockCounter: true},
 			"determinacy race but no data race: only SP-bags flags it"},
 	}
-	var rows []NondetRow
+	var specs []runner.Spec
 	for _, c := range cases {
-		prog, err := workload.BuildForkJoin(c.spec)
-		if err != nil {
-			return nil, err
-		}
-		sp, err := core.Run(prog, core.DefaultConfig(core.ModeFastTrackFull).WithAnalyses(spbags.Kind))
-		if err != nil {
-			return nil, fmt.Errorf("%s spbags: %w", c.label, err)
-		}
-		ft, err := core.Run(prog, core.DefaultConfig(core.ModeFastTrackFull))
-		if err != nil {
-			return nil, fmt.Errorf("%s fasttrack: %w", c.label, err)
-		}
+		specs = append(specs,
+			runner.Spec{Label: c.label + "/spbags", Source: c.spec,
+				Config: core.DefaultConfig(core.ModeFastTrackFull).WithAnalyses(spbags.Kind)},
+			runner.Spec{Label: c.label + "/fasttrack", Source: c.spec,
+				Config: core.DefaultConfig(core.ModeFastTrackFull)})
+	}
+	cells, err := o.sweep(specs)
+	if err != nil {
+		return nil, err
+	}
+	var rows []NondetRow
+	for i, c := range cases {
+		sp, ft := cells[2*i].Res, cells[2*i+1].Res
 		rows = append(rows, NondetRow{
 			Program:        c.label,
 			SPBagsRaces:    sp.AnalysisFindings(spbags.Kind).Len(),

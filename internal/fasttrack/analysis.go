@@ -24,17 +24,6 @@ func (d *Detector) Name() string { return Kind }
 // happens-before edge of its own (the join does).
 func (d *Detector) OnExit(tid guest.TID) {}
 
-// SetMaxFindings implements analysis.Analysis, capping stored races
-// (0 restores the default; negative stores none — count only).
-func (d *Detector) SetMaxFindings(n int) {
-	if n == 0 {
-		n = defaultMaxRaces
-	} else if n < 0 {
-		n = 0 // explicit zero allotment: store nothing, count only
-	}
-	d.MaxRaces = n
-}
-
 // Report implements analysis.Analysis.
 func (d *Detector) Report() analysis.Findings {
 	return &Findings{Counters: d.C, Races: d.Races(), Dropped: d.Dropped}

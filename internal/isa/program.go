@@ -102,19 +102,6 @@ func (p *Program) AddrOf(pc PC) uint64 {
 	return CodeBase + uint64(pc)*InstrBytes
 }
 
-// PCOf is the inverse of AddrOf. ok is false if addr is not in the code
-// segment.
-func (p *Program) PCOf(addr uint64) (PC, bool) {
-	if addr < CodeBase {
-		return 0, false
-	}
-	pc := (addr - CodeBase) / InstrBytes
-	if pc >= uint64(len(p.Code)) {
-		return 0, false
-	}
-	return PC(pc), true
-}
-
 // CodeBytes returns the size of the mapped code segment in bytes.
 func (p *Program) CodeBytes() uint64 { return uint64(len(p.Code)) * InstrBytes }
 

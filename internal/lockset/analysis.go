@@ -24,18 +24,6 @@ func (d *Detector) Name() string { return Kind }
 // notion beyond held locks, which die with the thread's events.
 func (d *Detector) OnExit(tid guest.TID) {}
 
-// SetMaxFindings implements analysis.Analysis, capping stored warnings
-// (0 restores the default). Before the uniform findings cap existed, the
-// system-level cap silently applied only to FastTrack.
-func (d *Detector) SetMaxFindings(n int) {
-	if n == 0 {
-		n = defaultMaxWarnings
-	} else if n < 0 {
-		n = 0 // explicit zero allotment: store nothing, count only
-	}
-	d.MaxWarnings = n
-}
-
 // Report implements analysis.Analysis.
 func (d *Detector) Report() analysis.Findings {
 	return &Findings{Counters: d.C, Warnings: d.Warnings()}

@@ -127,23 +127,20 @@ type Detector struct {
 	warnings []Warning
 	seen     map[uint64]struct{} // one warning per variable, as in Eraser
 
-	// MaxWarnings caps stored warnings.
-	MaxWarnings int
 	liveThreads int
 
 	C Counters
 }
 
-// defaultMaxWarnings is the default findings cap.
-const defaultMaxWarnings = 1000
+// maxWarnings caps stored warnings.
+const maxWarnings = 1000
 
 // New creates a detector charging analysis costs to clock.
 func New(clock *stats.Clock) *Detector {
 	d := &Detector{
-		clock:       clock,
-		intern:      make(map[string]setID),
-		seen:        make(map[uint64]struct{}),
-		MaxWarnings: defaultMaxWarnings,
+		clock:  clock,
+		intern: make(map[string]setID),
+		seen:   make(map[uint64]struct{}),
 	}
 	d.internSet(nil) // emptySet
 	return d
@@ -330,7 +327,7 @@ func (d *Detector) report(w Warning) {
 		return
 	}
 	d.seen[w.Addr] = struct{}{}
-	if len(d.warnings) < d.MaxWarnings {
+	if len(d.warnings) < maxWarnings {
 		d.warnings = append(d.warnings, w)
 	}
 }

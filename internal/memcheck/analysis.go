@@ -38,17 +38,6 @@ func (c *Checker) OnSharedAccess(tid guest.TID, pc isa.PC, addr uint64, size uin
 	c.check(tid, pc, addr, size, write)
 }
 
-// SetMaxFindings implements analysis.Analysis, capping stored reports
-// (0 restores the default).
-func (c *Checker) SetMaxFindings(n int) {
-	if n == 0 {
-		n = defaultMaxReports
-	} else if n < 0 {
-		n = 0 // explicit zero allotment: store nothing, count only
-	}
-	c.MaxReports = n
-}
-
 // Report implements analysis.Analysis.
 func (c *Checker) Report() analysis.Findings {
 	return &Findings{Counters: c.C, Reports: c.Reports()}

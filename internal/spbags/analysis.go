@@ -38,17 +38,6 @@ func (d *Detector) OnSharedAccess(tid guest.TID, pc isa.PC, addr uint64, size ui
 	d.OnAccess(tid, pc, addr, size, write)
 }
 
-// SetMaxFindings implements analysis.Analysis, capping stored races
-// (0 restores the default).
-func (d *Detector) SetMaxFindings(n int) {
-	if n == 0 {
-		n = defaultMaxRaces
-	} else if n < 0 {
-		n = 0 // explicit zero allotment: store nothing, count only
-	}
-	d.MaxRaces = n
-}
-
 // Report implements analysis.Analysis. The run followed the serial
 // depth-first schedule the factory set, so under full instrumentation the
 // verdict is the Nondeterminator's schedule-independent one for a strict

@@ -154,8 +154,6 @@ type Detector struct {
 
 	shadow map[uint64]*cell
 	races  []Race
-	// MaxRaces caps stored reports (further races are counted only).
-	MaxRaces int
 
 	// clock bills the detector's work like every other hosted
 	// analysis's.
@@ -164,8 +162,8 @@ type Detector struct {
 	C Counters
 }
 
-// defaultMaxRaces is the default findings cap.
-const defaultMaxRaces = 100
+// maxRaces caps stored reports (further races are counted only).
+const maxRaces = 100
 
 // New creates a detector whose root task is the main thread (TID 1),
 // billing its work to clock.
@@ -176,7 +174,6 @@ func New(clock *stats.Clock) *Detector {
 		children: make(map[guest.TID][]guest.TID),
 		parent:   make(map[guest.TID]guest.TID),
 		shadow:   make(map[uint64]*cell),
-		MaxRaces: defaultMaxRaces,
 		clock:    clock,
 	}
 	d.nodes[1] = &node{kind: bagS, task: 1}
@@ -252,7 +249,7 @@ func (d *Detector) parallelWith(a access) bool {
 // report records one race (capped).
 func (d *Detector) report(addr uint64, prev access, prevWrite bool, cur access, curWrite bool) {
 	d.C.Races++
-	if len(d.races) < d.MaxRaces {
+	if len(d.races) < maxRaces {
 		d.races = append(d.races, Race{
 			Addr: addr, Prev: prev, Cur: cur, PrevWrite: prevWrite, CurWrite: curWrite,
 		})

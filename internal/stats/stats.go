@@ -12,10 +12,7 @@
 // ARCHITECTURE.md.
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Simulated cycle costs of mechanism events. They are loosely calibrated
 // so that a FastTrack-style analysis of every memory access lands in the
@@ -115,9 +112,6 @@ func (c *Clock) Charge(n uint64) { c.cycles += n }
 // Cycles returns the accumulated simulated time.
 func (c *Clock) Cycles() uint64 { return c.cycles }
 
-// Reset zeroes the clock.
-func (c *Clock) Reset() { c.cycles = 0 }
-
 // Slowdown returns the ratio of this clock to a baseline cycle count,
 // the "slowdown vs native" metric of Figure 5 (lower is better).
 func (c *Clock) Slowdown(baseline uint64) float64 {
@@ -151,9 +145,3 @@ func Geomean(xs []float64) float64 {
 	}
 	return math.Pow(prod, 1/float64(n))
 }
-
-// FormatX renders a slowdown like "76.25x".
-func FormatX(v float64) string { return fmt.Sprintf("%.2fx", v) }
-
-// FormatPct renders a fraction as a percentage like "12.3%".
-func FormatPct(v float64) string { return fmt.Sprintf("%.2f%%", 100*v) }

@@ -68,17 +68,6 @@ func (t *Tracker) OnFork(parent, child guest.TID) {
 	t.regFile(child)[isa.R0] = t.regFile(parent)[isa.R1]
 }
 
-// SetMaxFindings implements analysis.Analysis, capping stored flows
-// (0 restores the default; negative stores none — count only).
-func (t *Tracker) SetMaxFindings(n int) {
-	if n == 0 {
-		n = defaultMaxFlows
-	} else if n < 0 {
-		n = 0 // explicit zero allotment: store nothing, count only
-	}
-	t.MaxFlows = n
-}
-
 // Report implements analysis.Analysis.
 func (t *Tracker) Report() analysis.Findings {
 	return &Findings{Counters: t.C, Flows: t.Flows()}

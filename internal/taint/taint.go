@@ -75,26 +75,23 @@ type Tracker struct {
 	flows []Flow
 	// dedup suppresses repeated flows from one (pc, sink-address) pair.
 	dedup map[uint64]struct{}
-	// MaxFlows caps stored reports.
-	MaxFlows int
 
 	clock *stats.Clock
 
 	C Counters
 }
 
-// defaultMaxFlows is the default findings cap.
-const defaultMaxFlows = 64
+// maxFlows caps stored reports.
+const maxFlows = 64
 
 // New creates a tracker for the process over its Umbra instance.
 func New(p *guest.Process, um *umbra.Umbra, clock *stats.Clock) *Tracker {
 	return &Tracker{
-		regs:     make(map[guest.TID]*[isa.NumRegs]bool),
-		mem:      umbra.NewShadowMap[bool](um, 1),
-		prog:     p.Prog,
-		dedup:    make(map[uint64]struct{}),
-		MaxFlows: defaultMaxFlows,
-		clock:    clock,
+		regs:  make(map[guest.TID]*[isa.NumRegs]bool),
+		mem:   umbra.NewShadowMap[bool](um, 1),
+		prog:  p.Prog,
+		dedup: make(map[uint64]struct{}),
+		clock: clock,
 	}
 }
 
@@ -184,7 +181,7 @@ func (t *Tracker) report(f Flow) {
 		return
 	}
 	t.dedup[key] = struct{}{}
-	if len(t.flows) < t.MaxFlows {
+	if len(t.flows) < maxFlows {
 		t.flows = append(t.flows, f)
 	}
 }

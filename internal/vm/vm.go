@@ -270,15 +270,6 @@ func PageBase(addr uint64) uint64 { return addr &^ uint64(PageMask) }
 // PageOff returns addr's offset within its page.
 func PageOff(addr uint64) uint64 { return addr & PageMask }
 
-// PagesSpanned returns how many pages the byte range [addr, addr+size)
-// touches. size 0 spans 0 pages.
-func PagesSpanned(addr, size uint64) uint64 {
-	if size == 0 {
-		return 0
-	}
-	return PageNum(addr+size-1) - PageNum(addr) + 1
-}
-
 // RoundUp rounds size up to a whole number of pages.
 func RoundUp(size uint64) uint64 {
 	return (size + PageMask) &^ uint64(PageMask)

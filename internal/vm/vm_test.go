@@ -236,12 +236,6 @@ func TestPageArithmetic(t *testing.T) {
 	if PageOff(PageSize+5) != 5 {
 		t.Error("PageOff wrong")
 	}
-	if PagesSpanned(0, 0) != 0 {
-		t.Error("empty range spans pages")
-	}
-	if PagesSpanned(0, 1) != 1 || PagesSpanned(PageSize-1, 2) != 2 {
-		t.Error("PagesSpanned wrong")
-	}
 	if RoundUp(0) != 0 || RoundUp(1) != PageSize || RoundUp(PageSize) != PageSize {
 		t.Error("RoundUp wrong")
 	}

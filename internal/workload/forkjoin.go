@@ -46,6 +46,12 @@ func (s *ForkJoinSpec) Validate() error {
 	return nil
 }
 
+// SourceName implements Source.
+func (s ForkJoinSpec) SourceName() string { return s.Name }
+
+// Compile implements Source.
+func (s ForkJoinSpec) Compile() (*isa.Program, error) { return BuildForkJoin(s) }
+
 // Tasks returns the number of tasks the recursion will spawn (excluding
 // the main thread), for test arithmetic.
 func (s *ForkJoinSpec) Tasks() int {

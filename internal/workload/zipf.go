@@ -17,9 +17,8 @@ import (
 // pages, and larger exponents concentrate them onto the first few ranks —
 // at 1.2, roughly half of all accesses land on the hottest page.
 //
-// The skew exists to stress page-keyed machinery: vectorized dispatch's
-// group cutting (hot pages produce long runs) and phased dispatch's
-// hot-page classifier.
+// The skew concentrates Aikido's shared-page path onto a few hot pages:
+// their mirror redirects and the contention charged on them.
 type ZipfSpec struct {
 	// Name labels the generated program.
 	Name string

@@ -5,8 +5,9 @@
 //
 //   - time.Now / time.Since anywhere. No report reads the host clock;
 //     the simulated clock is the only time a result may depend on. The
-//     few deliberate reads (a wall-clock safety budget, the benchmark's
-//     own timer) each carry a //detlint:ok comment.
+//     one deliberate read is the benchmark module's own timer (bench/),
+//     which carries a //detlint:ok comment; TestNoAllowlistedLines keeps
+//     internal/, cmd/, examples/ and tools/ free of such exceptions.
 //   - Package-level math/rand calls (rand.Intn, rand.Shuffle, ...),
 //     which draw from the global, unseeded source. Constructing an
 //     explicitly seeded generator (rand.New, rand.NewSource,
@@ -55,33 +56,26 @@ func main() {
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
+	fail := func(err error) {
+		fmt.Fprintf(os.Stderr, "detlint: %v\n", err)
+		os.Exit(2)
+	}
 	var findings []finding
 	for _, arg := range args {
 		root := strings.TrimSuffix(strings.TrimSuffix(arg, "..."), "/")
 		if root == "" {
 			root = "."
 		}
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() {
-				name := d.Name()
-				if name == "testdata" || strings.HasPrefix(name, ".") && path != root {
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			fs, ferr := lintFile(path)
-			findings = append(findings, fs...)
-			return ferr
-		})
+		paths, err := goFiles(root)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "detlint: %v\n", err)
-			os.Exit(2)
+			fail(err)
+		}
+		for _, path := range paths {
+			found, err := lintFile(path)
+			if err != nil {
+				fail(err)
+			}
+			findings = append(findings, found...)
 		}
 	}
 	sort.Slice(findings, func(i, j int) bool {
@@ -98,6 +92,29 @@ func main() {
 		fmt.Fprintf(os.Stderr, "detlint: %d determinism finding(s)\n", len(findings))
 		os.Exit(1)
 	}
+}
+
+// goFiles lists the non-test Go files under root, skipping testdata and
+// dot directories.
+func goFiles(root string) ([]string, error) {
+	var paths []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if name == "testdata" || strings.HasPrefix(name, ".") && path != root {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			paths = append(paths, path)
+		}
+		return nil
+	})
+	return paths, err
 }
 
 // lintFile parses one file and applies every rule to it.

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"go/parser"
+	"go/token"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -164,5 +168,41 @@ func h() time.Time {
 	msgs := lintSource(t, "p/p.go", src)
 	if len(msgs) != 1 {
 		t.Fatalf("want 1 finding (reasonless allowlist rejected), got %v", msgs)
+	}
+}
+
+// TestNoAllowlistedLines: every non-test file under internal/, cmd/,
+// examples/ and tools/ lints clean, and none of them carries a line the
+// allowlist would silence. The simulated clock is the only time a
+// result may depend on, so these directories need no host-clock
+// exception; only the benchmark module (bench/), which times the host,
+// keeps its //detlint:ok lines.
+func TestNoAllowlistedLines(t *testing.T) {
+	for _, dir := range []string{"internal", "cmd", "examples", "tools"} {
+		paths, err := goFiles(filepath.Join("..", "..", dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(paths) == 0 {
+			t.Fatalf("no Go files under %s", dir)
+		}
+		for _, path := range paths {
+			findings, err := lintFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range findings {
+				t.Errorf("%s:%d: %s", path, f.pos.Line, f.msg)
+			}
+			fset := token.NewFileSet()
+			file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := slices.Sorted(maps.Keys(allowlist(fset, file)))
+			for _, line := range lines {
+				t.Errorf("%s:%d: //detlint:ok silences the linter", path, line)
+			}
+		}
 	}
 }
