@@ -39,14 +39,13 @@ import (
 	"repro/internal/umbra"
 )
 
-// Findings is the uniform result surface every analysis returns: a stable
-// producer name, the number of stored findings, one deterministic line per
-// finding, and a one-line counters summary. Consumers that need the full
-// typed detail (races with PCs, lockset warnings, …) type-assert to the
-// producing package's concrete findings type.
+// Findings is the uniform result surface every analysis returns: the
+// number of stored findings, one deterministic line per finding, and a
+// one-line counters summary. Results are keyed by the producing
+// analysis's name. Consumers that need the full typed detail (races with
+// PCs, lockset warnings, …) type-assert to the producing package's
+// concrete findings type.
 type Findings interface {
-	// Analysis names the producing analysis (its registry name).
-	Analysis() string
 	// Len is the number of stored findings (races, warnings, violations,
 	// flows, …). Findings beyond the analysis's cap are counted by the
 	// analysis but not stored.

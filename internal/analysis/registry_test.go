@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/guest"
@@ -38,7 +37,6 @@ type stubFindings struct {
 	lines []string
 }
 
-func (f *stubFindings) Analysis() string  { return f.name }
 func (f *stubFindings) Len() int          { return len(f.lines) }
 func (f *stubFindings) Strings() []string { return f.lines }
 func (f *stubFindings) Summary() string   { return f.name + "-summary" }
@@ -172,9 +170,6 @@ func TestParseList(t *testing.T) {
 func TestMuxDispatchAndReport(t *testing.T) {
 	a, b := &stub{name: "alpha"}, &stub{name: "beta"}
 	m := NewMux(a, b)
-	if m.Name() != "mux(alpha+beta)" {
-		t.Errorf("mux name = %q", m.Name())
-	}
 	m.OnSharedAccess(1, 2, 0x1000, 8, true)
 	m.OnAccess(1, 2, 0x1000, 8, false)
 	m.OnFork(1, 2)
@@ -187,16 +182,5 @@ func TestMuxDispatchAndReport(t *testing.T) {
 		if !reflect.DeepEqual(s.events, []string{"fork", "exit"}) {
 			t.Errorf("%s: sync events = %v", s.name, s.events)
 		}
-	}
-	f := m.Report()
-	if f.Len() != 2 {
-		t.Errorf("mux findings Len = %d", f.Len())
-	}
-	joined := strings.Join(f.Strings(), "\n")
-	if !strings.Contains(joined, "alpha: alpha-finding") || !strings.Contains(joined, "beta: beta-finding") {
-		t.Errorf("mux findings strings = %q", joined)
-	}
-	if !strings.Contains(f.Summary(), "alpha{alpha-summary}") {
-		t.Errorf("mux summary = %q", f.Summary())
 	}
 }

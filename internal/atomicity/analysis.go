@@ -36,9 +36,6 @@ type Findings struct {
 	Violations []Violation
 }
 
-// Analysis implements analysis.Findings.
-func (f *Findings) Analysis() string { return Kind }
-
 // Len implements analysis.Findings.
 func (f *Findings) Len() int { return len(f.Violations) }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
-	"repro/internal/guest"
 )
 
 // Kind is the profiler's registry name.
@@ -20,9 +19,6 @@ func init() {
 // Name implements analysis.Analysis.
 func (a *Analysis) Name() string { return Kind }
 
-// OnExit implements analysis.Analysis.
-func (a *Analysis) OnExit(tid guest.TID) {}
-
 // Report implements analysis.Analysis: every edge, heaviest first.
 func (a *Analysis) Report() analysis.Findings {
 	return &Findings{Counters: a.C, Edges: a.Edges()}
@@ -34,9 +30,6 @@ type Findings struct {
 	Counters Counters
 	Edges    []WeightedEdge
 }
-
-// Analysis implements analysis.Findings.
-func (f *Findings) Analysis() string { return Kind }
 
 // Len implements analysis.Findings.
 func (f *Findings) Len() int { return len(f.Edges) }

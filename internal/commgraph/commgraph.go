@@ -53,8 +53,12 @@ type lastWrite struct {
 
 // Analysis is one communication-graph profiler. It implements the same
 // seam as the other detectors (core.analysis), so it runs under both the
-// full-instrumentation and Aikido configurations.
+// full-instrumentation and Aikido configurations. Synchronization events
+// carry no communication edges of their own (the data flow is what the
+// profiler reports), so every synchronization hook is NoSync's no-op.
 type Analysis struct {
+	analysis.NoSync
+
 	// lastWriter holds, per 8-byte variable, the last thread that wrote
 	// it.
 	lastWriter analysis.Store[lastWrite]
@@ -117,31 +121,6 @@ func (a *Analysis) OnSharedAccess(tid guest.TID, pc isa.PC, addr uint64, size ui
 func (a *Analysis) OnAccess(tid guest.TID, pc isa.PC, addr uint64, size uint8, write bool) {
 	a.observe(tid, addr, write)
 }
-
-// Synchronization events carry no communication edges of their own (the
-// data flow is what the profiler reports), but they are part of the
-// analysis seam.
-
-// OnAcquire implements the seam.
-func (a *Analysis) OnAcquire(tid guest.TID, lock int64) {}
-
-// OnRelease implements the seam.
-func (a *Analysis) OnRelease(tid guest.TID, lock int64) {}
-
-// OnFork implements the seam.
-func (a *Analysis) OnFork(parent, child guest.TID) {}
-
-// OnJoin implements the seam.
-func (a *Analysis) OnJoin(joiner, child guest.TID) {}
-
-// OnBarrierWait implements the seam.
-func (a *Analysis) OnBarrierWait(tid guest.TID, id int64) {}
-
-// OnBarrierRelease implements the seam.
-func (a *Analysis) OnBarrierRelease(tid guest.TID, id int64) {}
-
-// AddThread implements the seam.
-func (a *Analysis) AddThread(delta int) {}
 
 // WeightedEdge is one graph edge with its observed weight.
 type WeightedEdge struct {

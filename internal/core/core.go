@@ -35,7 +35,6 @@ import (
 	"repro/internal/guest"
 	"repro/internal/hypervisor"
 	"repro/internal/isa"
-	"repro/internal/mirror"
 	"repro/internal/sharing"
 	"repro/internal/stats"
 	"repro/internal/umbra"
@@ -180,7 +179,6 @@ type System struct {
 	HV   *hypervisor.Hypervisor // nil unless Aikido mode
 	Prov *hypervisor.Lib        // AikidoLib; nil unless Aikido mode
 	Um   *umbra.Umbra           // nil in native/dbi modes
-	Mir  *mirror.Manager        // nil unless Aikido mode
 	SD   *sharing.Detector      // nil unless Aikido mode
 
 	// Analyses are the active analyses in configuration order (empty when
@@ -190,7 +188,7 @@ type System struct {
 	Analyses []analysis.Analysis
 
 	// an is the mux over Analyses (nil when none run).
-	an analysis.Analysis
+	an *analysis.Mux
 }
 
 // Analysis returns the active analysis registered under the (canonical)
@@ -208,7 +206,7 @@ func (s *System) Analysis(name string) analysis.Analysis {
 // newAnalyses instantiates the configured analyses and the mux that fans
 // the instrumented execution out to them. It must run after shadow memory
 // is attached (factories may require Env.Umbra).
-func (s *System) newAnalyses() (analysis.Analysis, error) {
+func (s *System) newAnalyses() (*analysis.Mux, error) {
 	if len(s.Cfg.Analyses) == 0 {
 		return nil, nil
 	}
@@ -252,11 +250,15 @@ func NewSystem(prog *isa.Program, cfg Config) (*System, error) {
 		s.HV = hypervisor.New(m, p.PT, clock)
 		s.Prov = hypervisor.NewLib(p, s.HV)
 		s.Um = umbra.Attach(p, clock)
-		s.Mir = mirror.Attach(p)
 		if s.an, err = s.newAnalyses(); err != nil {
 			return nil, err
 		}
-		s.SD = sharing.Attach(p, s.Prov, s.Um, s.Mir, s.an, clock)
+		// A nil *Mux would be a non-nil sharing.Analysis.
+		var an sharing.Analysis
+		if s.an != nil {
+			an = s.an
+		}
+		s.SD = sharing.Attach(p, s.Prov, s.Um, an, clock)
 		s.Engine = dbi.New(p, s.HV, s.SD, clock, ecfg)
 		s.SD.SetEngine(s.Engine)
 		s.Engine.OnFault = s.SD.HandleFault
@@ -293,35 +295,23 @@ func (s *System) wireHooks() {
 			s.HV.ContextSwitch()
 		}
 	}
-	// Live-thread tracking feeds the contention model of both the
-	// analysis (metadata lines) and the mirror redirect path. The main
-	// thread already exists (its ThreadStarted fired inside NewProcess,
-	// before these hooks were installed), so the count starts at 1.
-	live := 1
 	an := s.an
 	if an != nil {
-		an.AddThread(1) // the main thread, for the same reason
-	}
-	p.Hooks.ThreadStarted = func(t *guest.Thread, creator guest.TID) {
-		live++
-		if an != nil {
+		// Live-thread tracking feeds the analyses' metadata-contention
+		// model. The main thread already exists (its ThreadStarted fired
+		// inside NewProcess, before these hooks were installed), so it is
+		// counted here.
+		an.AddThread(1)
+		p.Hooks.ThreadStarted = func(t *guest.Thread, creator guest.TID) {
 			an.AddThread(1)
 			if creator != guest.NoTID {
 				an.OnFork(creator, t.ID)
 			}
 		}
-	}
-	p.Hooks.ThreadExited = func(t *guest.Thread) {
-		live--
-		if an != nil {
+		p.Hooks.ThreadExited = func(t *guest.Thread) {
 			an.OnExit(t.ID)
 			an.AddThread(-1)
 		}
-	}
-	if s.SD != nil {
-		s.SD.SetLiveThreads(func() int { return live })
-	}
-	if an != nil {
 		p.Hooks.LockAcquired = func(t *guest.Thread, l int64) { an.OnAcquire(t.ID, l) }
 		p.Hooks.LockReleased = func(t *guest.Thread, l int64) { an.OnRelease(t.ID, l) }
 		p.Hooks.ThreadJoined = func(joiner guest.TID, child *guest.Thread) {
@@ -358,7 +348,7 @@ type fullTool struct {
 	plan *dbi.Plan
 }
 
-func newFullTool(um *umbra.Umbra, an analysis.Analysis) *fullTool {
+func newFullTool(um *umbra.Umbra, an *analysis.Mux) *fullTool {
 	return &fullTool{plan: &dbi.Plan{PreAccess: func(tid guest.TID, pc isa.PC, addr uint64, size uint8, write bool) uint64 {
 		um.Translate(tid, addr) // metadata mapping, charges cycles
 		if an != nil {

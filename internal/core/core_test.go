@@ -220,6 +220,26 @@ func TestFallThroughGuestFails(t *testing.T) {
 	}
 }
 
+// TestGuestCannotUnmapMirror runs a guest that munmaps the code
+// segment's mirror alias, the first one AikidoSD maps. The munmap syscall
+// reaches the guest's own mmap mappings only, so every stack fails the
+// same way, whether or not it maps mirrors.
+func TestGuestCannotUnmapMirror(t *testing.T) {
+	b := isa.NewBuilder("unmap-mirror")
+	b.MovImm(isa.R0, int64(sharing.MirrorBase))
+	b.Syscall(isa.SysMunmap)
+	b.MovImm(isa.R0, 0)
+	b.Syscall(isa.SysExit)
+	prog := b.MustFinish()
+
+	want := fmt.Sprintf("dbi: thread 1 pc 1: guest: munmap of unknown mapping %#x", sharing.MirrorBase)
+	for _, cfg := range everyStack() {
+		if _, err := Run(prog, cfg); err == nil || err.Error() != want {
+			t.Errorf("%v %v: err = %v, want %q", cfg.Mode, cfg.Analyses, err, want)
+		}
+	}
+}
+
 func TestPrivateWorkloadNeverShares(t *testing.T) {
 	prog := privateProgram(200)
 	res := mustRun(t, prog, ModeAikidoFastTrack)

@@ -26,7 +26,7 @@ func (d *Detector) OnExit(tid guest.TID) {}
 
 // Report implements analysis.Analysis.
 func (d *Detector) Report() analysis.Findings {
-	return &Findings{Counters: d.C, Races: d.Races(), Dropped: d.Dropped}
+	return &Findings{Counters: d.C, Races: d.Races()}
 }
 
 // RacesIn extracts the FastTrack races from a name-keyed findings map
@@ -61,12 +61,7 @@ func findingsIn(fs map[string]analysis.Findings) *Findings {
 type Findings struct {
 	Counters Counters
 	Races    []Race
-	// Dropped counts races beyond the findings cap.
-	Dropped uint64
 }
-
-// Analysis implements analysis.Findings.
-func (f *Findings) Analysis() string { return Kind }
 
 // Len implements analysis.Findings.
 func (f *Findings) Len() int { return len(f.Races) }

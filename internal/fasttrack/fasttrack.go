@@ -148,10 +148,7 @@ type Detector struct {
 	races []Race
 	seen  map[raceKey]struct{}
 
-	// MaxRaces caps recorded races (reports stay useful on very racy
-	// programs); further races are counted but not stored.
-	MaxRaces int
-	// Dropped counts races beyond MaxRaces.
+	// Dropped counts races beyond maxRaces.
 	Dropped uint64
 
 	// liveThreads tracks concurrently live threads for the metadata
@@ -169,18 +166,18 @@ type raceKey struct {
 	tidA, tB vclock.TID
 }
 
-// defaultMaxRaces is the default findings cap.
-const defaultMaxRaces = 1000
+// maxRaces caps recorded races (reports stay useful on very racy
+// programs); further races are counted but not stored.
+const maxRaces = 1000
 
 // New creates a detector charging analysis costs to clock.
 func New(clock *stats.Clock) *Detector {
 	return &Detector{
-		clock:    clock,
-		locks:    make(map[int64]vclock.VC),
-		bars:     make(map[int64]*barrier),
-		seen:     make(map[raceKey]struct{}),
-		rvcs:     make([]vclock.VC, 1), // slot 0 = "no read VC"
-		MaxRaces: defaultMaxRaces,
+		clock: clock,
+		locks: make(map[int64]vclock.VC),
+		bars:  make(map[int64]*barrier),
+		seen:  make(map[raceKey]struct{}),
+		rvcs:  make([]vclock.VC, 1), // slot 0 = "no read VC"
 	}
 }
 
@@ -260,7 +257,7 @@ func (d *Detector) report(r Race) {
 		return
 	}
 	d.seen[k] = struct{}{}
-	if len(d.races) >= d.MaxRaces {
+	if len(d.races) >= maxRaces {
 		d.Dropped++
 		return
 	}

@@ -226,13 +226,12 @@ func TestRaceDeduplication(t *testing.T) {
 
 func TestMaxRacesCap(t *testing.T) {
 	d := det()
-	d.MaxRaces = 3
-	for i := uint64(0); i < 10; i++ {
+	for i := uint64(0); i < maxRaces+7; i++ {
 		d.OnAccess(1, 10, 0x1000+8*i, 8, true)
 		d.OnAccess(2, 20, 0x1000+8*i, 8, true)
 	}
-	if len(d.Races()) != 3 || d.Dropped != 7 {
-		t.Errorf("cap: %d stored, %d dropped", len(d.Races()), d.Dropped)
+	if len(d.Races()) != maxRaces || d.Dropped != 7 {
+		t.Errorf("cap: %d stored, %d dropped, want %d and 7", len(d.Races()), d.Dropped, maxRaces)
 	}
 }
 

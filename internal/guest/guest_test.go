@@ -156,6 +156,7 @@ func TestBrkGrowth(t *testing.T) {
 
 func TestMapAliasSharesFrames(t *testing.T) {
 	p := newProc(t, tinyProgram(t))
+	frames := p.M.Frames()
 	base := mustMmap(t, p, 2*vm.PageSize, pagetable.ProtRW)
 	orig := p.FindVMA(base)
 
@@ -192,6 +193,18 @@ func TestMapAliasSharesFrames(t *testing.T) {
 	}
 	if v := p.M.ReadU(pte2.Frame, 8, 8); v != 0xabc {
 		t.Error("mirror lost data after original unmapped")
+	}
+	// The munmap syscall cannot reach the alias; the runtime's own unmap
+	// removes it and frees the frames.
+	if err := p.Munmap(mirror.Base); err == nil {
+		t.Error("munmap removed a mirror alias")
+	}
+	p.UnmapAlias(orig)
+	if p.FindVMA(mirror.Base) != nil {
+		t.Error("alias survives UnmapAlias")
+	}
+	if p.M.Frames() != frames {
+		t.Errorf("frames leaked: %d -> %d", frames, p.M.Frames())
 	}
 }
 

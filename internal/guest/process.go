@@ -106,9 +106,8 @@ func (v *VMA) String() string {
 	return fmt.Sprintf("%s [%#x,%#x) %s %q", v.Kind, v.Base, v.End(), v.Prot, v.Name)
 }
 
-// VMAListener observes address-space changes. Umbra (shadow allocation),
-// the mirror manager (alias creation) and AikidoSD (protecting new pages)
-// all register one.
+// VMAListener observes address-space changes. Umbra (shadow allocation)
+// and AikidoSD (protecting and mirroring new pages) both register one.
 type VMAListener interface {
 	VMAAdded(v *VMA)
 	VMARemoved(v *VMA)
@@ -289,8 +288,8 @@ func encodeCode(prog *isa.Program) []byte {
 func (p *Process) SetBus(b Bus) { p.bus = b }
 
 // AddVMAListener registers an address-space observer and replays existing
-// VMAs to it so late-attaching components (Umbra, the mirror manager) see
-// the whole space.
+// VMAs to it so late-attaching components (Umbra, AikidoSD) see the whole
+// space.
 func (p *Process) AddVMAListener(l VMAListener) {
 	p.listeners = append(p.listeners, l)
 	for _, v := range p.vmas {
@@ -318,6 +317,18 @@ func (p *Process) MapAlias(of *VMA, base uint64, prot pagetable.Prot, kind VMAKi
 		Backing: of.Backing, MirrorOf: of}
 	p.installVMA(v)
 	return v
+}
+
+// UnmapAlias removes the alias MapAlias made of of, if there is one. It is
+// the runtime's own unmap: the munmap syscall reaches application mappings
+// only, so a guest cannot unmap the runtime's mirror.
+func (p *Process) UnmapAlias(of *VMA) {
+	for _, v := range p.vmas {
+		if v.MirrorOf == of {
+			p.removeVMA(v)
+			return
+		}
+	}
 }
 
 // MapShadow allocates an analysis-runtime region (Umbra shadow memory) that

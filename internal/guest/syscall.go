@@ -266,10 +266,12 @@ func (p *Process) Mmap(length uint64, prot pagetable.Prot) (uint64, error) {
 	return base, nil
 }
 
-// Munmap removes the mapping whose base address is addr.
+// Munmap removes the mmap mapping whose base address is addr. No other
+// kind of VMA can be unmapped this way: the runtime's mirror aliases go
+// only through UnmapAlias.
 func (p *Process) Munmap(addr uint64) error {
 	for _, v := range p.vmas {
-		if v.Base == addr && (v.Kind == VMAMmap || v.Kind == VMAMirror) {
+		if v.Base == addr && v.Kind == VMAMmap {
 			p.removeVMA(v)
 			return nil
 		}

@@ -72,8 +72,8 @@ func (p *Process) newThread(entry isa.PC, arg uint64, creator TID) *Thread {
 	t.Regs[isa.TP] = stack.Base
 	t.Regs[isa.SP] = stack.End() - 8
 	p.threads = append(p.threads, t)
-	p.live++
 	p.runq = append(p.runq, id)
+	p.live++
 	if p.Hooks.ThreadStarted != nil {
 		p.Hooks.ThreadStarted(t, creator)
 	}
@@ -101,6 +101,10 @@ func (p *Process) Threads() []TID {
 // Current returns the currently scheduled thread, or nil when the process
 // has no runnable work.
 func (p *Process) Current() *Thread { return p.Thread(p.current) }
+
+// LiveThreads returns the number of threads not yet Done. It changes only
+// where the ThreadStarted and ThreadExited hooks fire.
+func (p *Process) LiveThreads() int { return p.live }
 
 // Alive reports whether any thread can still make progress.
 func (p *Process) Alive() bool { return !p.Exited && p.live > 0 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
-	"repro/internal/guest"
 )
 
 // Kind is the detector's registry name.
@@ -19,10 +18,6 @@ func init() {
 
 // Name implements analysis.Analysis.
 func (d *Detector) Name() string { return Kind }
-
-// OnExit implements analysis.Analysis: Eraser has no thread-lifetime
-// notion beyond held locks, which die with the thread's events.
-func (d *Detector) OnExit(tid guest.TID) {}
 
 // Report implements analysis.Analysis.
 func (d *Detector) Report() analysis.Findings {
@@ -61,9 +56,6 @@ type Findings struct {
 	Counters Counters
 	Warnings []Warning
 }
-
-// Analysis implements analysis.Findings.
-func (f *Findings) Analysis() string { return Kind }
 
 // Len implements analysis.Findings.
 func (f *Findings) Len() int { return len(f.Warnings) }

@@ -109,8 +109,12 @@ type Counters struct {
 	Variables     uint64
 }
 
-// Detector is one Eraser LockSet instance.
+// Detector is one Eraser LockSet instance. Its OnExit is NoSync's no-op:
+// Eraser has no thread-lifetime notion beyond held locks, which die with
+// the thread's events. Its other synchronization hooks are its own.
 type Detector struct {
+	analysis.NoSync
+
 	clock *stats.Clock
 
 	held []setID // locks_held(t), indexed by TID; emptySet past the end

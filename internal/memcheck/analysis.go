@@ -50,9 +50,6 @@ type Findings struct {
 	Reports  []Report
 }
 
-// Analysis implements analysis.Findings.
-func (f *Findings) Analysis() string { return Kind }
-
 // Len implements analysis.Findings.
 func (f *Findings) Len() int { return len(f.Reports) }
 

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/isa"
-	"repro/internal/mirror"
 	"repro/internal/paged"
+	"repro/internal/sharing"
 	"repro/internal/vm"
 )
 
@@ -24,7 +24,7 @@ func TestRegionBasesDistinctSlots(t *testing.T) {
 	}
 	regions := []region{
 		{"code", isa.CodeBase}, {"data", isa.DataBase}, {"heap", isa.HeapBase},
-		{"mmap", isa.MmapBase}, {"mirror", mirror.Base},
+		{"mmap", isa.MmapBase}, {"mirror", sharing.MirrorBase},
 	}
 	for i := range 16 {
 		regions = append(regions, region{fmt.Sprintf("stack%d", i+1), isa.StackBase + uint64(i)*isa.StackStride})

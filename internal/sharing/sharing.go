@@ -12,6 +12,17 @@
 // are redirected to the page's mirror (Figure 4) — so the shared-data
 // analysis sees exactly the accesses that touch shared pages while private
 // accesses run at native speed.
+//
+// Mirror pages (§3.3.3) are AikidoSD's too: every application segment is
+// aliased at a second virtual range backed by the same physical frames, so
+// instrumented instructions reach the data while the primary pages stay
+// protected. The real system backs each segment with a file and mmaps it
+// twice; here guest.Backing plays the file and guest.Process.MapAlias the
+// second mmap. The detector maps a segment's alias in the same VMAAdded
+// that protects the segment (its interception of mmap and brk), records
+// the alias's offset on the segment's Umbra region, and removes the alias
+// in VMARemoved. A redirect is then one Umbra translation: the page-state
+// cell and the offset come from the same lookup.
 package sharing
 
 import (
@@ -21,11 +32,16 @@ import (
 	"repro/internal/guest"
 	"repro/internal/hypervisor"
 	"repro/internal/isa"
-	"repro/internal/mirror"
+	"repro/internal/pagetable"
 	"repro/internal/stats"
 	"repro/internal/umbra"
 	"repro/internal/vm"
 )
+
+// MirrorBase is where mirror aliases are placed in the guest address space,
+// far from every application region (see the isa layout constants). Each
+// alias is followed by one unmapped guard page.
+const MirrorBase uint64 = 0x0000_6000_0000_0000
 
 // PageState is the sharing state of one application page.
 type PageState uint8
@@ -125,7 +141,8 @@ type Detector struct {
 	p   *guest.Process
 	lib *hypervisor.Lib
 	um  *umbra.Umbra
-	mir *mirror.Manager
+	// nextMirror is where the next segment's mirror alias goes.
+	nextMirror uint64
 
 	pages *umbra.ShadowMap[pageInfo]
 	// instrumented is a bitmap keyed by code-cache PC (PCs are dense
@@ -143,12 +160,6 @@ type Detector struct {
 
 	clock *stats.Clock
 
-	// live reports concurrently live guest threads; mirror redirects pay
-	// a contention charge per extra thread (all redirected accesses
-	// target the mirror copies of shared data, so their cache lines
-	// ping-pong between cores). Nil means no contention accounting.
-	live func() int
-
 	// Epoch re-privatization (epoch.go): the policy, its enable bit, the
 	// cycle at which the current epoch ends, and the dense list of Shared
 	// pages the sweep walks. The deadline is checked ONLY on the
@@ -160,21 +171,17 @@ type Detector struct {
 	epochEnd   uint64
 	epochPages []epochPage
 
-	// enabled gates page protection; Attach protects existing VMAs once
-	// at the end so partially constructed state never observes faults.
-	enabled bool
-
 	C Counters
 }
 
-// Attach builds an AikidoSD over an assembled Aikido stack and protects the
-// application's entire address space through AikidoVM. The analysis may be
-// nil (pure sharing profiling).
+// Attach builds an AikidoSD over an assembled Aikido stack, protects the
+// application's entire address space through AikidoVM and mirrors every
+// segment. The analysis may be nil (pure sharing profiling).
 func Attach(p *guest.Process, lib *hypervisor.Lib, um *umbra.Umbra,
-	mir *mirror.Manager, analysis Analysis, clock *stats.Clock) *Detector {
+	analysis Analysis, clock *stats.Clock) *Detector {
 
 	d := &Detector{
-		p: p, lib: lib, um: um, mir: mir,
+		p: p, lib: lib, um: um, nextMirror: MirrorBase,
 		pages:        umbra.NewShadowMap[pageInfo](um, vm.PageSize),
 		instrumented: make([]uint64, (len(p.Prog.Code)+63)/64),
 		analysis:     analysis,
@@ -182,9 +189,10 @@ func Attach(p *guest.Process, lib *hypervisor.Lib, um *umbra.Umbra,
 	}
 	d.directPlan, d.indirectPlan = d.newPlan(true), d.newPlan(false)
 
-	// Protect every existing application page, then keep protecting new
-	// segments as they appear (mmap/brk interception).
-	d.enabled = true
+	// Protect and mirror every existing application segment ("starts by
+	// mirroring all allocated pages within the target application's
+	// address space"), then each new one as it appears (mmap/brk
+	// interception).
 	p.AddVMAListener(d)
 	return d
 }
@@ -193,22 +201,15 @@ func Attach(p *guest.Process, lib *hypervisor.Lib, um *umbra.Umbra,
 // re-JITed with instrumentation.
 func (d *Detector) SetEngine(e *dbi.Engine) { d.flush = e.Flush }
 
-// SetLiveThreads wires the live-thread count used for mirror contention
-// accounting.
-func (d *Detector) SetLiveThreads(f func() int) { d.live = f }
-
 // mirrorContention returns the per-redirect contention charge: quadratic
-// in the number of extra live threads, because every redirected access
-// lands on the mirror copy of shared data and those lines ping-pong
-// between all cores at once. Writes pay double (each store transfers
-// exclusive ownership of the line); reads pay half (shared copies
-// coexist until the next write).
+// in the number of extra live guest threads, because every redirected
+// access lands on the mirror copy of shared data and those lines
+// ping-pong between all cores at once. Writes pay double (each store
+// transfers exclusive ownership of the line); reads pay half (shared
+// copies coexist until the next write).
 func (d *Detector) mirrorContention(write bool) uint64 {
-	if d.live == nil {
-		return 0
-	}
 	n := uint64(0)
-	if l := d.live(); l > 1 {
+	if l := d.p.LiveThreads(); l > 1 {
 		n = uint64(l - 1)
 	}
 	c := stats.MirrorContention * n * n
@@ -218,29 +219,33 @@ func (d *Detector) mirrorContention(write bool) uint64 {
 	return c / 2
 }
 
-// VMAAdded implements guest.VMAListener: new application segments are
-// protected for all threads (one batched hypercall per segment).
+// VMAAdded implements guest.VMAListener: a new application segment is
+// protected for all threads (one batched hypercall per segment) and
+// mirrored. The alias is mapped read-write at the next free mirror base,
+// with a guard page after it so the aliases of adjacent segments never
+// abut, and its offset is recorded on the segment's Umbra region.
 func (d *Detector) VMAAdded(v *guest.VMA) {
-	if !d.enabled {
-		return
-	}
 	switch v.Kind {
-	case guest.VMAShadow:
-		return
-	case guest.VMAMirror:
-		// Tell AikidoVM about the mirror alias. AikidoVM keys
-		// protections by virtual page, so the alias was never
-		// protected and the hypercall records nothing; it stays
-		// because its charge is part of every calibrated Aikido
-		// cycle count.
-		d.lib.RegisterMirrorRange(vm.PageNum(v.Base), v.Pages)
+	case guest.VMAShadow, guest.VMAMirror:
 		return
 	}
 	d.lib.ProtectRange(vm.PageNum(v.Base), v.Pages)
 	d.C.PagesProtected += uint64(v.Pages)
+
+	base := d.nextMirror
+	d.nextMirror += uint64(v.Pages+1) * vm.PageSize
+	d.p.MapAlias(v, base, pagetable.ProtRW, guest.VMAMirror, "mirror("+v.Name+")")
+	d.um.Region(v).Mirror = base - v.Base
+	// Tell AikidoVM about the alias. AikidoVM keys protections by
+	// virtual page, so the alias was never protected and the hypercall
+	// records nothing; it stays because its charge is part of every
+	// calibrated Aikido cycle count.
+	d.lib.RegisterMirrorRange(vm.PageNum(base), v.Pages)
 }
 
-// VMARemoved implements guest.VMAListener.
+// VMARemoved implements guest.VMAListener: an unmapped segment's
+// protection state and its mirror alias go with it (the shared frames are
+// freed once both mappings are gone).
 func (d *Detector) VMARemoved(v *guest.VMA) {
 	switch v.Kind {
 	case guest.VMAShadow, guest.VMAMirror:
@@ -248,6 +253,7 @@ func (d *Detector) VMARemoved(v *guest.VMA) {
 	}
 	d.lib.ClearRange(vm.PageNum(v.Base), v.Pages)
 	d.dropEpochRange(vm.PageNum(v.Base), v.Pages)
+	d.p.UnmapAlias(v)
 }
 
 // PageStateOf reports the sharing state and owner of the page containing
@@ -379,9 +385,10 @@ func (d *Detector) newPlan(direct bool) *dbi.Plan {
 		// mirror-address computation, plus the re-JITed block's lost
 		// optimization opportunities.
 		d.clock.Charge(stats.InstrumentedExec)
-		// shd_addr = app_to_shd(app_addr): the page-state lookup goes
-		// through Umbra's translation caches (charged inside Get).
-		pi := d.pages.Get(tid, addr)
+		// shd_addr = app_to_shd(app_addr): one translation through
+		// Umbra's caches (charged inside Lookup) yields both shadows, the
+		// page-state cell and the region's mirror offset.
+		pi, r := d.pages.Lookup(tid, addr)
 		if pi == nil {
 			return addr
 		}
@@ -425,13 +432,8 @@ func (d *Detector) newPlan(direct bool) *dbi.Plan {
 		if d.analysis != nil {
 			d.analysis.OnSharedAccess(tid, pc, addr, size, write)
 		}
-		if m, ok := d.mir.Translate(addr); ok {
-			d.clock.Charge(stats.MirrorRedirect + d.mirrorContention(write))
-			return m
-		}
-		// No mirror (should not happen for app segments): let the
-		// original access fault visibly rather than silently pass.
-		return addr
+		d.clock.Charge(stats.MirrorRedirect + d.mirrorContention(write))
+		return addr + r.Mirror
 	}}
 }
 

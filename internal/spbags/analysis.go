@@ -54,9 +54,6 @@ type Findings struct {
 	Races    []Race
 }
 
-// Analysis implements analysis.Findings.
-func (f *Findings) Analysis() string { return Kind }
-
 // Len implements analysis.Findings.
 func (f *Findings) Len() int { return len(f.Races) }
 

@@ -80,9 +80,6 @@ type Findings struct {
 	Flows    []Flow
 }
 
-// Analysis implements analysis.Findings.
-func (f *Findings) Analysis() string { return Kind }
-
 // Len implements analysis.Findings.
 func (f *Findings) Len() int { return len(f.Flows) }
 

@@ -10,8 +10,10 @@
 // layered caches.
 //
 // Aikido extends Umbra to map each application address to *two* shadows
-// (§3.3.1): analysis metadata (ShadowMap here) and the mirror page
-// (internal/mirror).
+// (§3.3.1): analysis metadata (ShadowMap) and the mirror page (the
+// region's Mirror offset). Umbra maps no mirror itself: AikidoSD maps each
+// segment's alias and records its offset on the segment's region, so one
+// translation (ShadowMap.Lookup) answers both.
 package umbra
 
 import (
@@ -31,6 +33,10 @@ type Region struct {
 	Base uint64
 	End  uint64
 	Kind guest.VMAKind
+	// Mirror is the offset of the region's mirror alias: a + Mirror is
+	// the same byte as a, mapped read-write. AikidoSD sets it when it
+	// maps the alias; it stays 0 when no alias is mapped.
+	Mirror uint64
 }
 
 // Contains reports whether addr falls in the region.
@@ -133,6 +139,10 @@ func (u *Umbra) VMARemoved(v *guest.VMA) {
 	}
 }
 
+// Region returns the region registered for v, or nil for a VMA Umbra does
+// not track (shadow and mirror memory).
+func (u *Umbra) Region(v *guest.VMA) *Region { return u.byVMA[v] }
+
 // OnRegionRemoved registers a callback fired when a region is dropped.
 func (u *Umbra) OnRegionRemoved(f func(*Region)) {
 	u.removedListeners = append(u.removedListeners, f)
@@ -211,9 +221,17 @@ func NewShadowMap[T any](u *Umbra, granule uint64) *ShadowMap[T] {
 // caches and allocating the region's shadow on first touch. It returns nil
 // when addr is outside every region.
 func (s *ShadowMap[T]) Get(tid guest.TID, addr uint64) *T {
+	c, _ := s.Lookup(tid, addr)
+	return c
+}
+
+// Lookup is Get that also returns addr's region, so a caller reads the
+// region's other shadow (its Mirror offset) from the same translation.
+// Both are nil when addr is outside every region.
+func (s *ShadowMap[T]) Lookup(tid guest.TID, addr uint64) (*T, *Region) {
 	r, off, ok := s.u.Translate(tid, addr)
 	if !ok {
-		return nil
+		return nil, nil
 	}
 	id := int(r.ID)
 	if id >= len(s.cells) {
@@ -228,7 +246,7 @@ func (s *ShadowMap[T]) Get(tid guest.TID, addr uint64) *T {
 		s.cells[id] = c
 		s.Allocations++
 	}
-	return &c[off/s.granule]
+	return &c[off/s.granule], r
 }
 
 // ShadowBytes reports the total metadata cells allocated (footprint stats).
