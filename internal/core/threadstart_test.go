@@ -24,12 +24,12 @@ func spawnOnly(tb testing.TB, n int) *isa.Program {
 	return prog
 }
 
-// runBytes reports the heap bytes one Run of prog under cfg allocates,
-// NewSystem included: the least of three runs, so a runtime pool refill
-// in one of them does not count.
-func runBytes(t *testing.T, prog *isa.Program, cfg Config) uint64 {
+// runHeap reports the heap bytes and objects one Run of prog under cfg
+// allocates, NewSystem included: the least of three runs each, so a
+// runtime pool refill in one of them does not count.
+func runHeap(t *testing.T, prog *isa.Program, cfg Config) (bytes, objects uint64) {
 	t.Helper()
-	least := ^uint64(0)
+	bytes, objects = ^uint64(0), ^uint64(0)
 	for i := 0; i < 3; i++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -37,28 +37,46 @@ func runBytes(t *testing.T, prog *isa.Program, cfg Config) uint64 {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		objects = min(objects, after.Mallocs-before.Mallocs)
 	}
-	return least
+	return bytes, objects
 }
 
-// TestAikidoThreadStartBytes bounds what one more thread costs a whole
-// Aikido-FastTrack run: the bytes Run allocates for 33 spawned workers
-// minus those for one, per extra worker. Besides its thread, view, VMAs
-// and the frame it writes, a worker materializes a chunk of its own
-// shadow and override tables, and its stack a chunk of the shared
-// protection table. A worker costs about 12 KiB; 512-cell chunks would
-// make it about 24 KiB, past the bound.
-func TestAikidoThreadStartBytes(t *testing.T) {
+// threadStartCost reports what one more thread costs a whole
+// Aikido-FastTrack run: the heap bytes and objects Run allocates for 33
+// spawned workers minus those for one, per extra worker.
+func threadStartCost(t *testing.T) (bytes, objects float64) {
 	const extra = 32
 	cfg := DefaultConfig(ModeAikidoFastTrack)
-	one := runBytes(t, spawnOnly(t, 1), cfg)
-	many := runBytes(t, spawnOnly(t, 1+extra), cfg)
-	perThread := float64(many-one) / extra
-	t.Logf("each started thread allocates %.0f bytes (1 worker: %d bytes, %d workers: %d bytes)",
-		perThread, one, 1+extra, many)
-	if perThread >= 16<<10 {
+	oneB, oneO := runHeap(t, spawnOnly(t, 1), cfg)
+	manyB, manyO := runHeap(t, spawnOnly(t, 1+extra), cfg)
+	bytes, objects = float64(manyB-oneB)/extra, float64(manyO-oneO)/extra
+	t.Logf("each started thread allocates %.0f bytes in %.1f objects (1 worker: %d bytes, %d objects; %d workers: %d bytes, %d objects)",
+		bytes, objects, oneB, oneO, 1+extra, manyB, manyO)
+	return bytes, objects
+}
+
+// TestAikidoThreadStartBytes bounds the bytes one more thread costs a
+// whole Aikido-FastTrack run. Besides its thread, its view (one shadow
+// table, whose cells also hold the thread's protection exceptions, and
+// the host TLB), its VMAs and the frame it writes, a worker materializes
+// a chunk of its shadow table, and its stack a chunk of the shared
+// protection table. A worker costs about 10 KiB; 512-cell chunks would
+// make it about 21 KiB, past the bound.
+func TestAikidoThreadStartBytes(t *testing.T) {
+	if perThread, _ := threadStartCost(t); perThread >= 16<<10 {
 		t.Errorf("each started thread allocates %.0f bytes, want under %d", perThread, 16<<10)
+	}
+}
+
+// TestAikidoThreadStartAllocs bounds the heap objects one more thread
+// costs a whole Aikido-FastTrack run. A thread view with a second table
+// for its exceptions, a frame slice per VMA, a mirror name built per
+// segment and a vector-clock table copied per thread made it about 22.
+func TestAikidoThreadStartAllocs(t *testing.T) {
+	if _, perThread := threadStartCost(t); perThread >= 18 {
+		t.Errorf("each started thread allocates %.1f objects, want under 18", perThread)
 	}
 }
 
@@ -81,7 +99,8 @@ func TestZeroPrivatePageBytes(t *testing.T) {
 	one, many := compile(1), compile(1+extra)
 	for _, mode := range []Mode{ModeNative, ModeAikidoFastTrack} {
 		cfg := DefaultConfig(mode)
-		a, b := runBytes(t, one, cfg), runBytes(t, many, cfg)
+		a, _ := runHeap(t, one, cfg)
+		b, _ := runHeap(t, many, cfg)
 		perPage := (float64(b) - float64(a)) / (workers * extra)
 		t.Logf("%v: each zero private page allocates %.0f bytes (%d bytes with 1 page a worker, %d with %d)",
 			mode, perPage, a, b, 1+extra)

@@ -223,11 +223,11 @@ func (d *Detector) tvc(t vclock.TID) vclock.VC {
 	return v
 }
 
+// setTVC sets thread t's vector clock. The table grows by append, so
+// starting n threads costs O(n) amortized.
 func (d *Detector) setTVC(t vclock.TID, v vclock.VC) {
 	if int(t) >= len(d.threads) {
-		nt := make([]vclock.VC, int(t)+1)
-		copy(nt, d.threads)
-		d.threads = nt
+		d.threads = append(d.threads, make([]vclock.VC, int(t)+1-len(d.threads))...)
 	}
 	d.threads[t] = v
 }

@@ -103,7 +103,8 @@ func imageOracle(t *testing.T, data []byte) {
 	}
 	ref = append(ref, make([]byte, seg.Pages*vm.PageSize-len(ref))...)
 	var got, zero [vm.PageSize]byte
-	for i, f := range seg.Backing.Frames {
+	for i := range seg.Pages {
+		f := seg.Backing.Frame(i)
 		want := ref[i*vm.PageSize : (i+1)*vm.PageSize]
 		p.M.Read(f, 0, got[:])
 		if !bytes.Equal(got[:], want) {

@@ -97,7 +97,8 @@ func TestZeroGlobalsStayUnmaterialized(t *testing.T) {
 	if v := p.M.ReadU(pte.Frame, vm.PageOff(word), 8); v != 0xfeed_f00d {
 		t.Errorf("initialized word reads %#x, want 0xfeedf00d", v)
 	}
-	for i, f := range data.Backing.Frames {
+	for i := range data.Pages {
+		f := data.Backing.Frame(i)
 		wantOwn := data.Base+uint64(i)*vm.PageSize == vm.PageBase(word)
 		if p.M.Materialized(f) != wantOwn {
 			t.Errorf("data page %d: materialized %v, want %v", i, !wantOwn, wantOwn)

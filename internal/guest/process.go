@@ -74,14 +74,16 @@ func (k VMAKind) String() string {
 
 // Backing is the physical storage behind one or more VMAs — the simulator's
 // analogue of a backing file. Mirror pages are created by mapping the same
-// Backing at a second virtual range (paper §3.3.3).
+// Backing at a second virtual range (paper §3.3.3). Its frames are one run
+// from vm.Machine.AllocFrames: page i of every VMA mapping it is frame
+// First+i.
 type Backing struct {
-	Frames []vm.FrameID
-	refs   int
+	First vm.FrameID
+	refs  int
 }
 
-// Pages returns the number of pages in the backing.
-func (b *Backing) Pages() int { return len(b.Frames) }
+// Frame returns the frame behind page i of the backing.
+func (b *Backing) Frame(i int) vm.FrameID { return b.First + vm.FrameID(i) }
 
 // VMA is one contiguous virtual memory area of the process.
 type VMA struct {
@@ -297,12 +299,10 @@ func (p *Process) AddVMAListener(l VMAListener) {
 	}
 }
 
-// addVMA allocates backing frames, maps them and notifies listeners.
+// addVMA allocates a run of backing frames, maps them and notifies
+// listeners.
 func (p *Process) addVMA(base uint64, pages int, prot pagetable.Prot, kind VMAKind, name string) *VMA {
-	b := &Backing{Frames: make([]vm.FrameID, pages), refs: 1}
-	for i := range b.Frames {
-		b.Frames[i] = p.M.AllocFrame()
-	}
+	b := &Backing{First: p.M.AllocFrames(pages), refs: 1}
 	v := &VMA{Base: base, Pages: pages, Prot: prot, Kind: kind, Name: name, Backing: b}
 	p.installVMA(v)
 	return v
@@ -350,7 +350,7 @@ func (p *Process) installVMA(v *VMA) {
 		if _, exists := p.PT.Lookup(vpn); exists {
 			panic(fmt.Sprintf("guest: VMA %s overlaps mapped page %#x", v, vpn<<vm.PageShift))
 		}
-		p.PT.Map(vpn, v.Backing.Frames[i], v.Prot)
+		p.PT.Map(vpn, v.Backing.Frame(i), v.Prot)
 	}
 	p.vmas = append(p.vmas, v)
 	for _, l := range p.listeners {
@@ -372,8 +372,8 @@ func (p *Process) removeVMA(v *VMA) {
 	}
 	v.Backing.refs--
 	if v.Backing.refs == 0 {
-		for _, f := range v.Backing.Frames {
-			p.M.FreeFrame(f)
+		for i := 0; i < v.Pages; i++ {
+			p.M.FreeFrame(v.Backing.Frame(i))
 		}
 	}
 	for _, l := range p.listeners {
@@ -391,7 +391,7 @@ func (p *Process) writeImage(v *VMA, data []byte) {
 	for i := 0; i < v.Pages && len(data) > 0; i++ {
 		n := min(len(data), vm.PageSize)
 		if !bytes.Equal(data[:n], zeroPage[:n]) {
-			p.M.Write(v.Backing.Frames[i], 0, data[:n])
+			p.M.Write(v.Backing.Frame(i), 0, data[:n])
 		}
 		data = data[n:]
 	}

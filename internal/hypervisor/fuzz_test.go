@@ -53,13 +53,13 @@ func newFuzzVM(twin bool) *fuzzVM {
 	f.h = hypervisor.New(f.m, f.pt, &stats.Clock{})
 	f.lib = f.h.Lib()
 	for i := range f.frames {
-		f.frames[i] = f.m.AllocFrame()
+		f.frames[i] = f.m.AllocFrames(1)
 	}
 	for i := 0; i < fuzzPages; i++ {
 		f.pt.Map(baseVpn+uint64(i), f.frames[i], pagetable.ProtRW)
 	}
 	for i, prot := range []pagetable.Prot{pagetable.ProtWrite | pagetable.ProtUser, pagetable.ProtRO, pagetable.ProtRW} {
-		f.pt.Map(faultVpn+uint64(i), f.m.AllocFrame(), prot)
+		f.pt.Map(faultVpn+uint64(i), f.m.AllocFrames(1), prot)
 	}
 	f.lib.RegisterFaultPages(faultVpn*vm.PageSize, (faultVpn+1)*vm.PageSize, (faultVpn+2)*vm.PageSize)
 	return f
@@ -75,7 +75,7 @@ type outcome struct {
 // access performs one load or store and records its outcome.
 func (f *fuzzVM) access(tid guest.TID, addr uint64, size uint8, write, user bool, val uint64) outcome {
 	if f.twin {
-		hypervisor.DropTranslations(f.h)
+		hypervisor.DropTranslations(f.h, baseVpn, fuzzPages)
 	}
 	var o outcome
 	var fault *hypervisor.Fault

@@ -39,8 +39,8 @@ import (
 const protAll = pagetable.ProtRead | pagetable.ProtWrite | pagetable.ProtUser
 
 // protRow is one row of the per-thread protection table, keyed by vpn.
-// Rows are pointer-free: per-thread exceptions live in the threads' views,
-// and the row only counts them, so the table's chunks are noscan.
+// Rows are pointer-free: per-thread exceptions live in the threads' shadow
+// cells, and the row only counts them, so the table's chunks are noscan.
 type protRow struct {
 	// def is the protection applied to threads with no override — and,
 	// crucially, to threads created after the row was installed.
@@ -60,12 +60,17 @@ type threadProt struct {
 	set  bool
 }
 
-// shadowPTE is one cached translation in a thread's shadow page table. An
-// empty entry is zero: its prot allows nothing, and fills always carry a
-// real guest frame and a protection that allows the filling access.
+// shadowPTE is one cell of a thread's shadow page table: a cached
+// translation (frame and prot) and the thread's exception to the page's
+// protection row (own). An empty translation has frame vm.NoFrame and a
+// zero prot, which allows nothing; fills always carry a real guest frame
+// and a protection that allows the filling access. Fills and
+// invalidations rewrite the translation only, and the exception fits in
+// the translation's padding, so a cell stays 16 bytes.
 type shadowPTE struct {
 	frame vm.FrameID
 	prot  pagetable.Prot // effective = guest prot ∩ Aikido prot
+	own   threadProt
 }
 
 // tlbSize is the number of entries in each thread's host TLB. A power of
@@ -83,18 +88,16 @@ type tlbEntry struct {
 // view is one thread's translation state.
 type view struct {
 	// shadow is the thread's shadow page table, keyed by vpn and
-	// populated lazily.
+	// populated lazily. Its cells also hold the thread's exceptions to
+	// the protection table, so a thread has one table, not two.
 	shadow paged.Table[shadowPTE]
-	// prot holds the thread's exceptions to the protection table, keyed
-	// by vpn like it.
-	prot paged.Table[threadProt]
 	// tlb is the host's translation cache in front of shadow: a
 	// direct-mapped copy of recently used shadow entries, which Load and
 	// Store probe without a call. Every entry mirrors a present shadow
 	// entry and is dropped with it, so a hit is exactly a shadow hit.
 	// Entries hold FrameIDs, not host pages: a never-written frame names
 	// the shared zero page until a write, through any alias, gives it its
-	// own. It is pointer-free and comes after the tables' pointers, so
+	// own. It is pointer-free and comes after the table's pointers, so
 	// the garbage collector's scan of a view stops before it.
 	tlb [tlbSize]tlbEntry
 }
@@ -137,8 +140,8 @@ type Hypervisor struct {
 	m  *vm.Machine
 	pt *pagetable.Table
 
-	// views holds each thread's shadow table and protection exceptions,
-	// indexed by the (small) TID.
+	// views holds each thread's shadow table, whose cells carry its
+	// protection exceptions, indexed by the (small) TID.
 	views []*view
 	// cachedBy is the reverse map: vpn → the threads whose shadow table
 	// caches a translation for it, as a mask of TID mod 64.
@@ -211,11 +214,13 @@ func (h *Hypervisor) viewFor(tid guest.TID) *view {
 	return v
 }
 
-// invalidate drops vpn from every shadow table caching it. A mask bit
-// names every thread with that TID mod 64; of those, only the entries
-// actually present are dropped and counted. That count is exact: an entry
-// is present exactly when its thread filled vpn since vpn's last
-// invalidation, which is when the thread's bit was set.
+// invalidate drops vpn's translation from every shadow table caching it.
+// A mask bit names every thread with that TID mod 64; of those, only the
+// translations actually present are dropped and counted. That count is
+// exact: a translation is present exactly when its thread filled vpn since
+// vpn's last invalidation, which is when the thread's bit was set. Each
+// cell keeps its thread's exception: a translation is derived from it,
+// not the other way round.
 func (h *Hypervisor) invalidate(vpn uint64) {
 	m := h.cachedBy.Get(vpn)
 	if m == nil || *m == 0 {
@@ -225,7 +230,7 @@ func (h *Hypervisor) invalidate(vpn uint64) {
 		for tid := bits.TrailingZeros64(mask); tid < len(h.views); tid += 64 {
 			if v := h.views[tid]; v != nil {
 				if e := v.shadow.Get(vpn); e != nil && e.frame != vm.NoFrame {
-					*e = shadowPTE{}
+					e.frame, e.prot = vm.NoFrame, 0
 					v.tlbDrop(vpn)
 					h.Stats.ShadowInvalidations++
 				}
@@ -255,8 +260,8 @@ func (h *Hypervisor) protForAccess(tid guest.TID, vpn uint64) pagetable.Prot {
 	}
 	if r.overrides > 0 {
 		if v := h.viewOf(tid); v != nil {
-			if o := v.prot.Get(vpn); o != nil && o.set {
-				return o.prot
+			if e := v.shadow.Get(vpn); e != nil && e.own.set {
+				return e.own.prot
 			}
 		}
 	}
@@ -361,11 +366,12 @@ func (h *Hypervisor) Translate(tid guest.TID, addr uint64, a pagetable.Access, u
 	}
 
 	// Populate the thread's shadow page table (a hidden fault) and
-	// succeed.
-	e := shadowPTE{frame: gpte.Frame, prot: eff}
+	// succeed. The fill writes the translation; the cell's exception
+	// stays.
 	v := h.viewFor(tid)
-	*v.shadow.At(vpn) = e
-	v.tlbFill(vpn, e)
+	e := v.shadow.At(vpn)
+	e.frame, e.prot = gpte.Frame, eff
+	v.tlbFill(vpn, *e)
 	*h.cachedBy.At(vpn) |= 1 << (uint32(tid) & 63)
 	h.Stats.ShadowFills++
 	h.clock.Charge(stats.ShadowFill)

@@ -59,17 +59,19 @@ func (l *Lib) RegisterFaultPages(readFaultPage, writeFaultPage, addrSlot uint64)
 	h.faultAddrSlot = addrSlot
 }
 
-// setOverride installs tid's exception to vpn's row r.
+// setOverride installs tid's exception to vpn's row r in tid's shadow
+// cell for vpn.
 func (h *Hypervisor) setOverride(tid guest.TID, vpn uint64, r *protRow, prot pagetable.Prot) {
-	o := h.viewFor(tid).prot.At(vpn)
+	o := &h.viewFor(tid).shadow.At(vpn).own
 	if !o.set {
 		r.overrides++
 	}
 	*o = threadProt{prot: prot, set: true}
 }
 
-// dropOverrides removes every thread's exception to vpn's row r. Only a
-// row with exceptions scans the thread views.
+// dropOverrides removes every thread's exception to vpn's row r from the
+// threads' shadow cells, leaving their translations to the invalidation
+// that follows. Only a row with exceptions scans the thread views.
 func (h *Hypervisor) dropOverrides(vpn uint64, r *protRow) {
 	if r.overrides == 0 {
 		return
@@ -78,8 +80,8 @@ func (h *Hypervisor) dropOverrides(vpn uint64, r *protRow) {
 		if v == nil {
 			continue
 		}
-		if o := v.prot.Get(vpn); o != nil {
-			*o = threadProt{}
+		if e := v.shadow.Get(vpn); e != nil {
+			e.own = threadProt{}
 		}
 	}
 	r.overrides = 0

@@ -36,7 +36,7 @@ func TestProtAllows(t *testing.T) {
 func TestMapWalkUnmap(t *testing.T) {
 	m := vm.NewMachine()
 	pt := New()
-	f := m.AllocFrame()
+	f := m.AllocFrames(1)
 	pt.Map(5, f, ProtRW)
 
 	pte, fault := pt.Walk(5*vm.PageSize+100, AccessWrite, true)
@@ -87,7 +87,7 @@ func TestListenerSeesAllMutations(t *testing.T) {
 	rec := &recordingListener{}
 	pt.SetListener(rec)
 
-	f := m.AllocFrame()
+	f := m.AllocFrames(1)
 	pt.Map(9, f, ProtRW)
 	pt.SetProt(9, ProtNone)
 	pt.Unmap(9)

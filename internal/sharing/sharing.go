@@ -147,7 +147,9 @@ type Detector struct {
 	pages *umbra.ShadowMap[pageInfo]
 	// instrumented is a bitmap keyed by code-cache PC (PCs are dense
 	// instruction indices): the membership test on the fault path and at
-	// block-build time is a shift+mask, not a map probe.
+	// block-build time is a shift+mask, not a map probe. Attach sizes it
+	// from the program, whose length bounds every PC that executes, so
+	// it never grows.
 	instrumented []uint64
 	ninstr       int
 	analysis     Analysis
@@ -234,7 +236,7 @@ func (d *Detector) VMAAdded(v *guest.VMA) {
 
 	base := d.nextMirror
 	d.nextMirror += uint64(v.Pages+1) * vm.PageSize
-	d.p.MapAlias(v, base, pagetable.ProtRW, guest.VMAMirror, "mirror("+v.Name+")")
+	d.p.MapAlias(v, base, pagetable.ProtRW, guest.VMAMirror, v.Name)
 	d.um.Region(v).Mirror = base - v.Base
 	// Tell AikidoVM about the alias. AikidoVM keys protections by
 	// virtual page, so the alias was never protected and the hypercall
@@ -257,9 +259,12 @@ func (d *Detector) VMARemoved(v *guest.VMA) {
 }
 
 // PageStateOf reports the sharing state and owner of the page containing
-// addr (the tests inspect Figure 3's state machine through it).
+// addr (the tests inspect Figure 3's state machine through it). It reads
+// the page-state map without translating through Umbra, so it charges,
+// counts and allocates nothing: a page whose region no access has reached
+// reads as Unused.
 func (d *Detector) PageStateOf(addr uint64) (PageState, guest.TID) {
-	pi := d.pages.Get(0, addr)
+	pi := d.pages.Peek(addr)
 	if pi == nil {
 		return Unused, guest.NoTID
 	}
@@ -338,11 +343,6 @@ func (d *Detector) HandleFault(t *guest.Thread, pc isa.PC, in isa.Instr, f *hype
 func (d *Detector) instrument(pc isa.PC) {
 	if d.isInstrumented(pc) {
 		return
-	}
-	if w := int(pc >> 6); w >= len(d.instrumented) {
-		nb := make([]uint64, w+1)
-		copy(nb, d.instrumented)
-		d.instrumented = nb
 	}
 	d.instrumented[pc>>6] |= 1 << (pc & 63)
 	d.ninstr++

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/guest"
 	"repro/internal/isa"
 	"repro/internal/pagetable"
 	"repro/internal/sharing"
@@ -27,6 +28,47 @@ func TestPageStateOfUnmappedAddress(t *testing.T) {
 	st, owner := s.SD.PageStateOf(0xdead_0000_0000)
 	if st != sharing.Unused || owner != 0 {
 		t.Errorf("unmapped address state = %v/%d", st, owner)
+	}
+}
+
+// TestPageStateOfLeavesRunUnchanged: inspecting a finished run's page
+// states, on a page a thread touched and on an mmap region no access
+// reached, moves no clock cycle and no Umbra counter, and allocates no
+// region's page-state cells.
+func TestPageStateOfLeavesRunUnchanged(t *testing.T) {
+	b := isa.NewBuilder("peek")
+	touched := b.Global(vm.PageSize, vm.PageSize)
+	b.MovImm(isa.R0, vm.PageSize)
+	b.MovImm(isa.R1, 0)
+	b.Syscall(isa.SysMmap) // mapped, never touched
+	b.MovImm(isa.R1, 1)
+	b.StoreAbs(touched, isa.R1)
+	b.Halt()
+	s := runSD(t, b.MustFinish())
+	var untouched uint64
+	for _, v := range s.Process.VMAs() {
+		if v.Kind == guest.VMAMmap {
+			untouched = v.Base
+		}
+	}
+	if untouched == 0 {
+		t.Fatal("no mmap region")
+	}
+	cycles, um, allocs := s.Clock.Cycles(), s.Um.Stats, sharing.PageMapAllocations(s.SD)
+	if st, owner := s.SD.PageStateOf(touched); st != sharing.Private || owner != 1 {
+		t.Errorf("touched page: %v/%d, want private/1", st, owner)
+	}
+	if st, owner := s.SD.PageStateOf(untouched); st != sharing.Unused || owner != guest.NoTID {
+		t.Errorf("untouched mmap region: %v/%d, want unused/0", st, owner)
+	}
+	if got := s.Clock.Cycles(); got != cycles {
+		t.Errorf("PageStateOf moved the clock from %d to %d cycles", cycles, got)
+	}
+	if s.Um.Stats != um {
+		t.Errorf("PageStateOf moved Umbra's counters from %+v to %+v", um, s.Um.Stats)
+	}
+	if got := sharing.PageMapAllocations(s.SD); got != allocs {
+		t.Errorf("PageStateOf allocated page-state cells: %d regions, then %d", allocs, got)
 	}
 }
 

@@ -168,9 +168,7 @@ func (u *Umbra) Translate(tid guest.TID, addr uint64) (*Region, uint64, bool) {
 	}
 	u.Stats.GlobalLookups++
 	u.clock.Charge(stats.ShadowTranslateMiss)
-	i := sort.Search(len(u.regions), func(i int) bool { return u.regions[i].End > addr })
-	if i < len(u.regions) && u.regions[i].Contains(addr) {
-		r := u.regions[i]
+	if r := u.regionAt(addr); r != nil {
 		if uint32(tid) < lastHitSlots {
 			u.lastHit[tid] = r
 		} else {
@@ -183,6 +181,16 @@ func (u *Umbra) Translate(tid guest.TID, addr uint64) (*Region, uint64, bool) {
 	}
 	u.Stats.Misses++
 	return nil, 0, false
+}
+
+// regionAt is the global region scan: the region containing addr, or nil.
+// It charges, counts and memoizes nothing.
+func (u *Umbra) regionAt(addr uint64) *Region {
+	i := sort.Search(len(u.regions), func(i int) bool { return u.regions[i].End > addr })
+	if i < len(u.regions) && u.regions[i].Contains(addr) {
+		return u.regions[i]
+	}
+	return nil
 }
 
 // ShadowMap stores one metadata cell of type T per granule bytes of
@@ -247,6 +255,18 @@ func (s *ShadowMap[T]) Lookup(tid guest.TID, addr uint64) (*T, *Region) {
 		s.Allocations++
 	}
 	return &c[off/s.granule], r
+}
+
+// Peek returns the metadata cell for addr without translating it: no
+// charge, no counter, no memo and no allocation, so an inspector reads a
+// run without changing it. It returns nil when addr is outside every
+// region or its region's shadow was never allocated.
+func (s *ShadowMap[T]) Peek(addr uint64) *T {
+	r := s.u.regionAt(addr)
+	if r == nil || int(r.ID) >= len(s.cells) || s.cells[r.ID] == nil {
+		return nil
+	}
+	return &s.cells[r.ID][(addr-r.Base)/s.granule]
 }
 
 // ShadowBytes reports the total metadata cells allocated (footprint stats).

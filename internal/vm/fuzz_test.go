@@ -16,9 +16,9 @@ const (
 )
 
 // machineOracle decodes 5-byte records of fuzz input into a stream of
-// AllocFrame, FreeFrame, Write, WriteU, Read, ReadU, ReadWhole and
-// WriteWhole calls, and checks each against a reference that backs every
-// frame with its own array from the start. Offsets range over the whole
+// AllocFrames (runs of 1–3 frames), FreeFrame, Write, WriteU, Read, ReadU,
+// ReadWhole and WriteWhole calls, and checks each against a reference
+// that backs every frame with its own array from the start. Offsets range over the whole
 // page, and a record with its top bit set lands within 16 bytes of the
 // page end, so widths 1–8 and short slices often straddle it. Straddling
 // accesses, use after free and double free must panic and change nothing.
@@ -47,15 +47,24 @@ func machineOracle(t *testing.T, data []byte) {
 			n = 1 << (d % 4) // ReadWhole and WriteWhole take whole accesses
 		}
 		if kind == 0 {
-			if len(ids) == maxFuzzFrames {
+			// A run of 1–3 frames, as many as maxFuzzFrames leaves
+			// room for. It must follow the last frame handed out, and
+			// each of its frames must be live and read as zero.
+			k := min(int(a%3)+1, maxFuzzFrames-len(ids))
+			if k == 0 {
 				continue
 			}
-			id := m.AllocFrame()
-			if want := FrameID(len(ids) + 1); id != want {
-				t.Fatalf("AllocFrame = %d, want %d", id, want)
+			first := m.AllocFrames(k)
+			if want := FrameID(len(ids) + 1); first != want {
+				t.Fatalf("AllocFrames(%d) = %d, want %d, the frame after the last one handed out", k, first, want)
 			}
-			ids = append(ids, id)
-			ref[id] = new([PageSize]byte)
+			for id := first; id < first+FrameID(k); id++ {
+				if m.Materialized(id) || m.ReadU(id, 0, 8) != 0 {
+					t.Fatalf("frame %d of the run at %d is not a fresh zero frame", id, first)
+				}
+				ids = append(ids, id)
+				ref[id] = new([PageSize]byte)
+			}
 			continue
 		}
 		if len(ids) == 0 {
@@ -179,6 +188,15 @@ func FuzzMachine(f *testing.F) {
 		7, 0, 0, 8, 3, 7, 0, 0, 16, 2, 7, 0, 0, 24, 1, 7, 0, 0, 32, 0,
 		6, 0, 0, 8, 3, 6, 0, 0, 16, 2, 6, 0, 0, 24, 1, 6, 0, 0, 32, 0,
 		0x86, 0, 1, 0, 3,
+	})
+	// A run of three frames after a single one: the run's middle frame
+	// is freed (a read of it then panics), the frames either side of it
+	// are written and read, and a run of two follows the first run.
+	f.Add([]byte{
+		0, 0, 0, 0, 0, 0, 2, 0, 0, 0,
+		1, 2, 0, 0, 0, 3, 1, 0, 8, 7, 3, 3, 0, 8, 7,
+		5, 1, 0, 8, 7, 5, 3, 0, 8, 7, 5, 2, 0, 8, 7,
+		0, 1, 0, 0, 0, 3, 5, 0, 0, 7, 5, 5, 0, 0, 7,
 	})
 	f.Fuzz(machineOracle)
 }

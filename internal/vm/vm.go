@@ -48,9 +48,10 @@ var zeroPage page
 // design (determinism is a core requirement, see "Determinism lint" in
 // ARCHITECTURE.md).
 type Machine struct {
-	// frames is indexed directly by FrameID: IDs are allocated
-	// sequentially and never reused, so the per-access frame resolution is
-	// one bounds-checked load instead of a map probe. Slot 0 (NoFrame) is
+	// frames is indexed directly by FrameID: AllocFrames hands out IDs
+	// in sequence and never reuses one, so the per-access frame
+	// resolution is one bounds-checked load instead of a map probe, and
+	// the frames of one call are one run of IDs. Slot 0 (NoFrame) is
 	// permanently nil; freed frames leave nil holes; a frame that was
 	// never written points at zeroPage.
 	frames []*page
@@ -70,13 +71,16 @@ func NewMachine() *Machine {
 	return &Machine{frames: make([]*page, 1, 64)}
 }
 
-// AllocFrame allocates a frame that reads as zero. Its backing page is
-// allocated by the first write.
-func (m *Machine) AllocFrame() FrameID {
-	id := FrameID(len(m.frames))
-	m.frames = append(m.frames, &zeroPage)
-	m.live++
-	return id
+// AllocFrames allocates n consecutive frames that read as zero and
+// returns the first: the run is first, first+1, …, first+n-1. Each
+// frame's backing page is allocated by its first write.
+func (m *Machine) AllocFrames(n int) FrameID {
+	first := FrameID(len(m.frames))
+	for i := 0; i < n; i++ {
+		m.frames = append(m.frames, &zeroPage)
+	}
+	m.live += n
+	return first
 }
 
 // FreeFrame releases a frame. Freeing NoFrame or an unknown frame is a

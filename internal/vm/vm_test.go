@@ -7,7 +7,7 @@ import (
 
 func TestAllocReadWrite(t *testing.T) {
 	m := NewMachine()
-	f := m.AllocFrame()
+	f := m.AllocFrames(1)
 	if f == NoFrame {
 		t.Fatal("allocated the invalid frame")
 	}
@@ -31,7 +31,7 @@ func TestAllocReadWrite(t *testing.T) {
 // Read and through ReadU at every width and offset.
 func TestFramesAreZeroed(t *testing.T) {
 	m := NewMachine()
-	f := m.AllocFrame()
+	f := m.AllocFrames(1)
 	var buf [PageSize]byte
 	for i := range buf {
 		buf[i] = 0xff
@@ -51,7 +51,7 @@ func TestFramesAreZeroed(t *testing.T) {
 
 func TestFramesAreDistinct(t *testing.T) {
 	m := NewMachine()
-	a, b := m.AllocFrame(), m.AllocFrame()
+	a, b := m.AllocFrames(1), m.AllocFrames(1)
 	m.WriteU(a, 0, 8, 1)
 	m.WriteU(b, 0, 8, 2)
 	if m.ReadU(a, 0, 8) != 1 || m.ReadU(b, 0, 8) != 2 {
@@ -63,7 +63,7 @@ func TestFramesAreDistinct(t *testing.T) {
 // frame frees like any other.
 func TestFreeFrame(t *testing.T) {
 	m := NewMachine()
-	f := m.AllocFrame()
+	f := m.AllocFrames(1)
 	if m.Frames() != 1 {
 		t.Fatalf("Frames = %d, want 1", m.Frames())
 	}
@@ -81,7 +81,7 @@ func TestFreeFrame(t *testing.T) {
 
 func TestAccessAfterFreePanics(t *testing.T) {
 	m := NewMachine()
-	f := m.AllocFrame()
+	f := m.AllocFrames(1)
 	m.FreeFrame(f)
 	defer func() {
 		if recover() == nil {
@@ -93,7 +93,7 @@ func TestAccessAfterFreePanics(t *testing.T) {
 
 func TestCrossBoundaryPanics(t *testing.T) {
 	m := NewMachine()
-	written, fresh := m.AllocFrame(), m.AllocFrame()
+	written, fresh := m.AllocFrames(1), m.AllocFrames(1)
 	m.WriteU(written, 0, 1, 1)
 	for _, f := range []FrameID{written, fresh} {
 		if !panics(func() { m.WriteU(f, PageSize-4, 8, 1) }) {
@@ -142,7 +142,7 @@ func mix(x uint64) uint64 {
 // of page-straddling accesses) at every offset that fits in the page.
 func TestWordWideMatchesByteLoop(t *testing.T) {
 	m := NewMachine()
-	f := m.AllocFrame()
+	f := m.AllocFrames(1)
 	var ref [PageSize]byte
 	for i := range ref {
 		ref[i] = byte(mix(uint64(i)))
@@ -170,7 +170,7 @@ func TestWordWideMatchesByteLoop(t *testing.T) {
 // that an access that does not straddle is refused.
 func TestSplitAccess(t *testing.T) {
 	m := NewMachine()
-	lo, hi := m.AllocFrame(), m.AllocFrame()
+	lo, hi := m.AllocFrames(1), m.AllocFrames(1)
 	var ref [2 * PageSize]byte
 	for n := uint8(2); n <= 8; n++ {
 		for off := PageSize - uint64(n) + 1; off < PageSize; off++ {
@@ -201,7 +201,7 @@ func TestSplitAccess(t *testing.T) {
 // So does a write that panics on the page boundary.
 func TestWriteLeavesOtherFramesZero(t *testing.T) {
 	m := NewMachine()
-	before, a := m.AllocFrame(), m.AllocFrame()
+	before, a := m.AllocFrames(1), m.AllocFrames(1)
 	if !panics(func() { m.WriteU(a, PageSize-2, 4, ^uint64(0)) }) {
 		t.Fatal("cross-boundary write did not panic")
 	}
@@ -213,7 +213,7 @@ func TestWriteLeavesOtherFramesZero(t *testing.T) {
 	}
 	m.WriteU(a, 8, 8, ^uint64(0))
 	m.Write(a, PageSize-1, []byte{0xee})
-	after := m.AllocFrame()
+	after := m.AllocFrames(1)
 	for _, f := range []FrameID{before, after} {
 		for off := uint64(0); off < PageSize; off += 8 {
 			if v := m.ReadU(f, off, 8); v != 0 {
@@ -243,7 +243,7 @@ func TestPageArithmetic(t *testing.T) {
 
 func TestReadWriteURoundTrip(t *testing.T) {
 	m := NewMachine()
-	f := m.AllocFrame()
+	f := m.AllocFrames(1)
 	prop := func(off uint16, v uint64, szSel uint8) bool {
 		sizes := []uint8{1, 2, 4, 8}
 		n := sizes[szSel%4]
