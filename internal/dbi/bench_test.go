@@ -93,3 +93,17 @@ func BenchmarkPipelineDispatch(b *testing.B) {
 	}
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
 }
+
+// BenchmarkWalkerTLBHit measures the host-TLB hit path of the engine's own
+// walker (native, dbi and FastTrack-full): an 8-byte load of a warm page,
+// as BenchmarkTranslateTLBHit measures AikidoVM's.
+func BenchmarkWalkerTLBHit(b *testing.B) {
+	_, d := walkerFixture(b)
+	d.Load(1, isa.DataBase, 8, true)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, f := d.Load(1, isa.DataBase+uint64(i&4088), 8, true); f != nil {
+			b.Fatal(f)
+		}
+	}
+}

@@ -34,9 +34,10 @@ import (
 // Memory is the engine's user-mode data access path. Under Aikido it is
 // the *hypervisor.Hypervisor itself, whose Load and Store probe the
 // thread's host TLB first; in every other mode it is the engine's direct
-// page-table walker. execMem calls the hypervisor and the walker without
-// an interface call, and any other Memory, such as a wrapper installed
-// after New, through the interface.
+// page-table walker, whose Load and Store probe the process's host TLB
+// first. execMem calls the hypervisor and the walker without an interface
+// call, and any other Memory, such as a wrapper installed after New,
+// through the interface.
 type Memory interface {
 	Load(tid guest.TID, addr uint64, size uint8, user bool) (uint64, *hypervisor.Fault)
 	Store(tid guest.TID, addr uint64, size uint8, val uint64, user bool) *hypervisor.Fault
@@ -202,8 +203,9 @@ type Engine struct {
 }
 
 // New creates an engine over a loaded process, charging its events to
-// clock. mem may be nil, in which case a direct guest-page-table walker is
-// used (native runs).
+// clock. mem may be nil, in which case the engine's own guest-page-table
+// walker is used (native, dbi and FastTrack-full runs): one per process,
+// and every access probes its host TLB before it walks.
 func New(p *guest.Process, mem Memory, tool Tool, clock *stats.Clock, cfg Config) *Engine {
 	e := &Engine{
 		P: p, Mem: mem, Tool: tool, Clock: clock, Cfg: cfg,
@@ -211,55 +213,95 @@ func New(p *guest.Process, mem Memory, tool Tool, clock *stats.Clock, cfg Config
 		plans:  make([]*Plan, len(p.Prog.Code)),
 	}
 	if mem == nil {
-		e.Mem = directMemory{p}
+		e.Mem = &directMemory{pt: p.PT, m: p.M}
 	}
 	return e
 }
 
-// directMemory walks the guest page table with no hypervisor (native mode).
+// directMemory is the engine's own page-table walker, with no hypervisor
+// (native, dbi and FastTrack-full). A host TLB in front of the walk serves
+// accesses that stay inside one page, as each AikidoVM thread view's does.
+// The walker holds no listener slot on the page table (AikidoVM holds
+// that slot in its mode), so it invalidates by generation instead: a probe
+// hits only while the table's Updates equals gen, its value when the
+// entries were filled, and the first fill after any change clears them
+// all. Only the guest's maps, unmaps and protection changes bump Updates.
 // An access that straddles a page end is split the way Hypervisor.Access
 // splits it: both pages are walked before either half is performed.
-type directMemory struct{ p *guest.Process }
+type directMemory struct {
+	pt  *pagetable.Table
+	m   *vm.Machine
+	gen uint64
+	tlb vm.TLB
+}
 
-func (d directMemory) Load(_ guest.TID, addr uint64, size uint8, _ bool) (uint64, *hypervisor.Fault) {
-	pte, fault := d.p.PT.Walk(addr, pagetable.AccessRead, true)
+// Load reads through the TLB when it holds addr's page; any other load
+// walks.
+func (d *directMemory) Load(_ guest.TID, addr uint64, size uint8, _ bool) (uint64, *hypervisor.Fault) {
+	if d.gen == d.pt.Updates {
+		if frame, _, ok := d.tlb.Lookup(addr, size); ok {
+			return d.m.ReadWhole(frame, vm.PageOff(addr), size), nil
+		}
+	}
+	pte, fault := d.pt.Walk(addr, pagetable.AccessRead, true)
 	if fault != nil {
 		return 0, &hypervisor.Fault{Addr: addr, Access: pagetable.AccessRead, Unmapped: fault.Unmapped}
 	}
 	off := vm.PageOff(addr)
 	if off+uint64(size) <= vm.PageSize {
-		return d.p.M.ReadU(pte.Frame, off, size), nil
+		d.fill(addr, pte)
+		return d.m.ReadU(pte.Frame, off, size), nil
 	}
 	hi, hfault := d.nextPage(addr, pagetable.AccessRead)
 	if hfault != nil {
 		return 0, hfault
 	}
-	return d.p.M.ReadSplit(pte.Frame, hi, off, size), nil
+	return d.m.ReadSplit(pte.Frame, hi, off, size), nil
 }
 
-func (d directMemory) Store(_ guest.TID, addr uint64, size uint8, val uint64, _ bool) *hypervisor.Fault {
-	pte, fault := d.p.PT.Walk(addr, pagetable.AccessWrite, true)
+// Store writes through the TLB when it holds addr's page as writable and
+// the page's frame has been written before; any other store walks, and
+// WriteU gives a never-written frame its own page.
+func (d *directMemory) Store(_ guest.TID, addr uint64, size uint8, val uint64, _ bool) *hypervisor.Fault {
+	if d.gen == d.pt.Updates {
+		if frame, writable, ok := d.tlb.Lookup(addr, size); ok && writable && d.m.WriteWhole(frame, vm.PageOff(addr), size, val) {
+			return nil
+		}
+	}
+	pte, fault := d.pt.Walk(addr, pagetable.AccessWrite, true)
 	if fault != nil {
 		return &hypervisor.Fault{Addr: addr, Access: pagetable.AccessWrite, Unmapped: fault.Unmapped}
 	}
 	off := vm.PageOff(addr)
 	if off+uint64(size) <= vm.PageSize {
-		d.p.M.WriteU(pte.Frame, off, size, val)
+		d.fill(addr, pte)
+		d.m.WriteU(pte.Frame, off, size, val)
 		return nil
 	}
 	hi, hfault := d.nextPage(addr, pagetable.AccessWrite)
 	if hfault != nil {
 		return hfault
 	}
-	d.p.M.WriteSplit(pte.Frame, hi, off, size, val)
+	d.m.WriteSplit(pte.Frame, hi, off, size, val)
 	return nil
+}
+
+// fill caches the translation of addr's page, pte, which a user walk
+// allowed, so the entry is readable. Entries filled before the table's
+// last change are cleared first.
+func (d *directMemory) fill(addr uint64, pte pagetable.PTE) {
+	if d.gen != d.pt.Updates {
+		d.tlb.Clear()
+		d.gen = d.pt.Updates
+	}
+	d.tlb.Fill(vm.PageNum(addr), pte.Frame, pte.Prot.Allows(pagetable.AccessWrite, true))
 }
 
 // nextPage walks the page after addr's, for the second half of a
 // straddling access. A fault there reports that page's base address.
-func (d directMemory) nextPage(addr uint64, a pagetable.Access) (vm.FrameID, *hypervisor.Fault) {
+func (d *directMemory) nextPage(addr uint64, a pagetable.Access) (vm.FrameID, *hypervisor.Fault) {
 	next := vm.PageBase(addr) + vm.PageSize
-	pte, fault := d.p.PT.Walk(next, a, true)
+	pte, fault := d.pt.Walk(next, a, true)
 	if fault != nil {
 		return vm.NoFrame, &hypervisor.Fault{Addr: next, Access: a, Unmapped: fault.Unmapped}
 	}
@@ -752,7 +794,7 @@ func (e *Engine) execMem(t *guest.Thread, pc isa.PC, in *isa.Instr, plan *Plan) 
 		} else {
 			val, fault = m.Load(t.ID, target, in.Size, true)
 		}
-	case directMemory:
+	case *directMemory:
 		if write {
 			fault = m.Store(t.ID, target, in.Size, regs[in.Rt&regMask], true)
 		} else {

@@ -16,7 +16,7 @@ func DropTranslations(h *Hypervisor, first uint64, pages int) {
 			if v == nil {
 				continue
 			}
-			v.tlbDrop(vpn)
+			v.tlb.Drop(vpn)
 			if e := v.shadow.Get(vpn); e != nil {
 				e.frame, e.prot = vm.NoFrame, 0
 			}

@@ -73,33 +73,19 @@ type shadowPTE struct {
 	own   threadProt
 }
 
-// tlbSize is the number of entries in each thread's host TLB. A power of
-// two, so a vpn's slot is its low bits.
-const tlbSize = 32
-
-// tlbEntry is one host-TLB entry: the translation of the page whose vpn is
-// key>>1 - 1, readable by the thread and writable when key's low bit is
-// set. The zero entry is empty: no vpn has key>>1 == 0.
-type tlbEntry struct {
-	key   uint64
-	frame vm.FrameID
-}
-
 // view is one thread's translation state.
 type view struct {
 	// shadow is the thread's shadow page table, keyed by vpn and
 	// populated lazily. Its cells also hold the thread's exceptions to
 	// the protection table, so a thread has one table, not two.
 	shadow paged.Table[shadowPTE]
-	// tlb is the host's translation cache in front of shadow: a
-	// direct-mapped copy of recently used shadow entries, which Load and
-	// Store probe without a call. Every entry mirrors a present shadow
-	// entry and is dropped with it, so a hit is exactly a shadow hit.
-	// Entries hold FrameIDs, not host pages: a never-written frame names
-	// the shared zero page until a write, through any alias, gives it its
-	// own. It is pointer-free and comes after the table's pointers, so
-	// the garbage collector's scan of a view stops before it.
-	tlb [tlbSize]tlbEntry
+	// tlb is the host's translation cache in front of shadow: a copy of
+	// recently used shadow entries, which Load and Store probe without a
+	// call. Every entry mirrors a present shadow entry and is dropped
+	// with it, so a hit is exactly a shadow hit. It is pointer-free and
+	// comes after the table's pointers, so the garbage collector's scan
+	// of a view stops before it.
+	tlb vm.TLB
 }
 
 // Stats are AikidoVM's event counters.
@@ -231,7 +217,7 @@ func (h *Hypervisor) invalidate(vpn uint64) {
 			if v := h.views[tid]; v != nil {
 				if e := v.shadow.Get(vpn); e != nil && e.frame != vm.NoFrame {
 					e.frame, e.prot = vm.NoFrame, 0
-					v.tlbDrop(vpn)
+					v.tlb.Drop(vpn)
 					h.Stats.ShadowInvalidations++
 				}
 			}
@@ -307,11 +293,13 @@ func (f *Fault) Error() string {
 func (h *Hypervisor) Translate(tid guest.TID, addr uint64, a pagetable.Access, user bool) (vm.FrameID, uint64, *Fault) {
 	vpn := vm.PageNum(addr)
 
-	// Fast path: shadow table (hardware TLB analogue).
+	// Fast path: shadow table (hardware TLB analogue). Both user returns
+	// refill the host TLB's slot; each fill allows the access it served,
+	// so every TLB entry is readable.
 	if v := h.viewOf(tid); v != nil && user {
 		if e := v.shadow.Get(vpn); e != nil && e.prot.Allows(a, true) {
 			h.Stats.TLBHits++
-			v.tlbFill(vpn, *e)
+			v.tlb.Fill(vpn, e.frame, e.prot.Allows(pagetable.AccessWrite, true))
 			return e.frame, vm.PageOff(addr), nil
 		}
 		// No entry, or the cached entry denies: fall through to the
@@ -371,7 +359,7 @@ func (h *Hypervisor) Translate(tid guest.TID, addr uint64, a pagetable.Access, u
 	v := h.viewFor(tid)
 	e := v.shadow.At(vpn)
 	e.frame, e.prot = gpte.Frame, eff
-	v.tlbFill(vpn, *e)
+	v.tlb.Fill(vpn, e.frame, eff.Allows(pagetable.AccessWrite, true))
 	*h.cachedBy.At(vpn) |= 1 << (uint32(tid) & 63)
 	h.Stats.ShadowFills++
 	h.clock.Charge(stats.ShadowFill)
@@ -445,50 +433,16 @@ func (h *Hypervisor) Access(tid guest.TID, addr uint64, size uint8, a pagetable.
 	return h.m.ReadSplit(f1, f2, o1, size), nil
 }
 
-// tlbFill caches shadow entry e for vpn in the view's host TLB. Translate
-// fills only entries that allow the user access it served, so every entry
-// is readable.
-func (v *view) tlbFill(vpn uint64, e shadowPTE) {
-	key := (vpn + 1) << 1
-	if e.prot.Allows(pagetable.AccessWrite, true) {
-		key |= 1
-	}
-	v.tlb[vpn%tlbSize] = tlbEntry{key: key, frame: e.frame}
-}
-
-// tlbDrop removes vpn's host-TLB entry, if the view holds one.
-func (v *view) tlbDrop(vpn uint64) {
-	if e := &v.tlb[vpn%tlbSize]; e.key>>1 == vpn+1 {
-		*e = tlbEntry{}
-	}
-}
-
-// tlbProbe returns tid's host-TLB entry for the page of a size-byte user
-// access at addr, or nil when the view holds none or the access runs past
-// the page end.
-func (h *Hypervisor) tlbProbe(tid guest.TID, addr uint64, size uint8) *tlbEntry {
-	if uint32(tid) >= uint32(len(h.views)) || vm.PageOff(addr)+uint64(size) > vm.PageSize {
-		return nil
-	}
-	v := h.views[tid]
-	if v == nil {
-		return nil
-	}
-	vpn := vm.PageNum(addr)
-	if e := &v.tlb[vpn%tlbSize]; e.key>>1 == vpn+1 {
-		return e
-	}
-	return nil
-}
-
 // Load is a user/kernel load via the MMU. A user load that hits the
 // thread's host TLB reads its frame directly; every other load goes
 // through Access.
 func (h *Hypervisor) Load(tid guest.TID, addr uint64, size uint8, user bool) (uint64, *Fault) {
 	if user {
-		if e := h.tlbProbe(tid, addr, size); e != nil {
-			h.Stats.TLBHits++
-			return h.m.ReadWhole(e.frame, vm.PageOff(addr), size), nil
+		if v := h.viewOf(tid); v != nil {
+			if frame, _, ok := v.tlb.Lookup(addr, size); ok {
+				h.Stats.TLBHits++
+				return h.m.ReadWhole(frame, vm.PageOff(addr), size), nil
+			}
 		}
 	}
 	return h.Access(tid, addr, size, pagetable.AccessRead, 0, user)
@@ -500,9 +454,11 @@ func (h *Hypervisor) Load(tid guest.TID, addr uint64, size uint8, user bool) (ui
 // gives the frame its own page.
 func (h *Hypervisor) Store(tid guest.TID, addr uint64, size uint8, val uint64, user bool) *Fault {
 	if user {
-		if e := h.tlbProbe(tid, addr, size); e != nil && e.key&1 != 0 && h.m.WriteWhole(e.frame, vm.PageOff(addr), size, val) {
-			h.Stats.TLBHits++
-			return nil
+		if v := h.viewOf(tid); v != nil {
+			if frame, writable, ok := v.tlb.Lookup(addr, size); ok && writable && h.m.WriteWhole(frame, vm.PageOff(addr), size, val) {
+				h.Stats.TLBHits++
+				return nil
+			}
 		}
 	}
 	_, fault := h.Access(tid, addr, size, pagetable.AccessWrite, val, user)

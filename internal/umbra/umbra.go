@@ -18,6 +18,7 @@ package umbra
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/guest"
@@ -198,8 +199,10 @@ func (u *Umbra) regionAt(addr uint64) *Region {
 // "configurable bytes of application data → configurable bytes of shadow
 // metadata" mapping.
 type ShadowMap[T any] struct {
-	u       *Umbra
-	granule uint64
+	u *Umbra
+	// shift is log2 of the granule: a cell index is an in-region offset
+	// shifted right, not divided, on every lookup.
+	shift uint
 	// cells is indexed directly by RegionID (IDs are small sequential
 	// integers): the per-access cell lookup is one bounds-checked load
 	// instead of a map probe. A nil inner slice means not yet allocated.
@@ -210,13 +213,14 @@ type ShadowMap[T any] struct {
 }
 
 // NewShadowMap creates a shadow mapping with the given application-byte
-// granule (e.g. 8 for FastTrack variables, vm.PageSize for page states).
-// Its region shadows are dropped automatically when regions are removed.
+// granule (e.g. 1 for byte-granular taint, vm.PageSize for page states),
+// which must be a power of two. Its region shadows are dropped
+// automatically when regions are removed.
 func NewShadowMap[T any](u *Umbra, granule uint64) *ShadowMap[T] {
-	if granule == 0 {
-		panic("umbra: zero granule")
+	if granule == 0 || granule&(granule-1) != 0 {
+		panic(fmt.Sprintf("umbra: granule %d is not a power of two", granule))
 	}
-	s := &ShadowMap[T]{u: u, granule: granule}
+	s := &ShadowMap[T]{u: u, shift: uint(bits.TrailingZeros64(granule))}
 	u.OnRegionRemoved(func(r *Region) {
 		if int(r.ID) < len(s.cells) {
 			s.cells[r.ID] = nil
@@ -249,12 +253,12 @@ func (s *ShadowMap[T]) Lookup(tid guest.TID, addr uint64) (*T, *Region) {
 	}
 	c := s.cells[id]
 	if c == nil {
-		n := (r.End - r.Base + s.granule - 1) / s.granule
+		n := (r.End - r.Base + 1<<s.shift - 1) >> s.shift
 		c = make([]T, n)
 		s.cells[id] = c
 		s.Allocations++
 	}
-	return &c[off/s.granule], r
+	return &c[off>>s.shift], r
 }
 
 // Peek returns the metadata cell for addr without translating it: no
@@ -266,14 +270,5 @@ func (s *ShadowMap[T]) Peek(addr uint64) *T {
 	if r == nil || int(r.ID) >= len(s.cells) || s.cells[r.ID] == nil {
 		return nil
 	}
-	return &s.cells[r.ID][(addr-r.Base)/s.granule]
-}
-
-// ShadowBytes reports the total metadata cells allocated (footprint stats).
-func (s *ShadowMap[T]) ShadowBytes() uint64 {
-	var n uint64
-	for _, c := range s.cells {
-		n += uint64(len(c))
-	}
-	return n
+	return &s.cells[r.ID][(addr-r.Base)>>s.shift]
 }

@@ -156,14 +156,18 @@ func TestShadowMapDropsCellsWithRegion(t *testing.T) {
 	p, u, _ := fixture(t)
 	sm := NewShadowMap[uint32](u, 8)
 	base, _ := p.Mmap(vm.PageSize, pagetable.ProtRW)
-	cell := sm.Get(1, base)
+	cell, r := sm.Lookup(1, base+12)
 	*cell = 7
-	before := sm.ShadowBytes()
-	if before == 0 {
-		t.Fatal("no shadow allocated")
+	if got := sm.Peek(base + 15); got != cell || *got != 7 {
+		t.Fatalf("Peek before munmap = %p, want the cell %p holding 7", got, cell)
 	}
-	p.Munmap(base)
-	if sm.ShadowBytes() >= before {
+	if err := p.Munmap(base); err != nil {
+		t.Fatal(err)
+	}
+	if got := sm.Peek(base + 12); got != nil {
+		t.Errorf("Peek after munmap = %p, want nil", got)
+	}
+	if sm.cells[r.ID] != nil {
 		t.Error("shadow cells not released with region")
 	}
 }
@@ -176,4 +180,16 @@ func TestZeroGranulePanics(t *testing.T) {
 		}
 	}()
 	NewShadowMap[int](u, 0)
+}
+
+// TestGranuleNotPowerOfTwoPanics: a cell index is a shift, so a granule
+// that is not a power of two has no cell layout.
+func TestGranuleNotPowerOfTwoPanics(t *testing.T) {
+	_, u, _ := fixture(t)
+	defer func() {
+		if recover() == nil {
+			t.Error("granule 12 accepted")
+		}
+	}()
+	NewShadowMap[int](u, 12)
 }
