@@ -25,8 +25,8 @@ func stripEpochCounters(c sharing.Counters) sharing.Counters {
 }
 
 // TestEpochParsecByteIdentical pins that epoch demotion, on by default,
-// never perturbs the steadily-sharing PARSEC models: at scales 0.25 and
-// 0.1 (the size of the experiments package's BenchJSON tests) the
+// never perturbs the steadily-sharing PARSEC models: at scales 0.25 (the
+// size of aikido-bench's TestEquivalenceLegs) and 0.1 the
 // default configuration behaves byte-identically to the terminal-Shared
 // baseline — same cycles, same races, same engine and sharing counters —
 // because demotion never fires on them (every shared page keeps being

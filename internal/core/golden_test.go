@@ -74,8 +74,8 @@ func detectorCells() []goldenCell {
 	return cells
 }
 
-// muxCells are the runs of the mux amortization experiment
-// (experiments.MuxAmortization) at scale 1: per PARSEC model, Aikido with
+// muxCells are the runs of the mux amortization experiment (aikido-bench
+// -experiment muxbench) at scale 1: per PARSEC model, Aikido with
 // each core detector alone, then with all four multiplexed. The
 // experiment's sequential cycles are the sum of the four single cells;
 // its mux cycles are the fifth.
@@ -99,10 +99,11 @@ func muxCells() []goldenCell {
 	return cells
 }
 
-// epochCells are the runs of the epochs experiment (experiments.Epochs)
-// at scale 1: its five workloads under Aikido-FastTrack with the
-// terminal-Shared machine and with sharing.DefaultEpochPolicy. The
-// workload specs repeat experiments.epochSuite at scale 1.
+// epochCells are the runs of the epochs experiment (aikido-bench
+// -experiment epochs) at scale 1: its five workloads under
+// Aikido-FastTrack with the terminal-Shared machine and with
+// sharing.DefaultEpochPolicy. The workload specs repeat the experiment's
+// suite (internal/experiments/epochs.go) at scale 1.
 func epochCells() []goldenCell {
 	phased := func(name string, stride, writePct, pagesPerPart int) workload.PhasedSpec {
 		return workload.PhasedSpec{Name: name, Threads: 8, Phases: 6, PhaseIters: 400,

@@ -16,26 +16,26 @@ import (
 // Aikido run with the terminal-Shared state machine (baseline) and with
 // epoch demotion enabled.
 type EpochRow struct {
-	Name string `json:"name"`
+	Name string
 	// BaselineCycles is the epoch-off Aikido run; EpochCycles the
 	// epoch-on run; CycleSpeedup their ratio (>1 = demotion wins).
-	BaselineCycles uint64  `json:"baseline_cycles"`
-	EpochCycles    uint64  `json:"epoch_cycles"`
-	CycleSpeedup   float64 `json:"cycle_speedup_x"`
+	BaselineCycles uint64
+	EpochCycles    uint64
+	CycleSpeedup   float64
 	// Demotion behaviour of the epoch-on run.
-	PagesDemotedPrivate uint64 `json:"pages_demoted_private"`
-	PagesDemotedUnused  uint64 `json:"pages_demoted_unused"`
-	PagesReshared       uint64 `json:"pages_reshared"`
-	PCsUninstrumented   uint64 `json:"pcs_uninstrumented"`
+	PagesDemotedPrivate uint64
+	PagesDemotedUnused  uint64
+	PagesReshared       uint64
+	PCsUninstrumented   uint64
 	// Shared-page accesses actually instrumented in each run: the gap is
 	// the work demotion returned to native speed.
-	BaselineSharedAccesses uint64 `json:"baseline_shared_accesses"`
-	EpochSharedAccesses    uint64 `json:"epoch_shared_accesses"`
+	BaselineSharedAccesses uint64
+	EpochSharedAccesses    uint64
 	// FindingsIdentical reports whether every selected analysis rendered
 	// the same findings in both runs (the correctness half of the claim:
 	// re-protection guarantees the first post-demotion cross-thread
 	// access still faults, so nothing is missed on these workloads).
-	FindingsIdentical bool `json:"findings_identical"`
+	FindingsIdentical bool
 }
 
 // epochCase is one suite entry: a workload source built by a generator.
@@ -71,16 +71,13 @@ func epochSuite(o Options) []epochCase {
 	}
 }
 
-// Epochs measures epoch-based re-privatization on the phased/migratory
-// workload suite: per workload, one Aikido cell with the terminal-Shared
-// baseline and one with demotion enabled, sharded across the runner pool
-// like every other experiment. Beyond the speedup it checks the
+// epochCells measure epoch-based re-privatization on the suite: per
+// workload, one Aikido cell with the terminal-Shared baseline and one with
+// demotion enabled. Beyond the speedup the experiment checks the
 // correctness half: every selected analysis must render identical
 // findings in both runs. TestDetectorGolden pins both runs of every
 // workload at scale 1.
-func Epochs(o Options) ([]EpochRow, error) {
-	o = o.normalize()
-	suite := epochSuite(o)
+func epochCells(o Options) []runner.Spec {
 	epoch := core.DefaultConfig(core.ModeAikidoFastTrack)
 	if o.Analyses != nil {
 		epoch.Analyses = o.Analyses
@@ -89,18 +86,20 @@ func Epochs(o Options) ([]EpochRow, error) {
 	base.Aikido.Epoch = sharing.EpochPolicy{}
 
 	var specs []runner.Spec
-	for _, c := range suite {
+	for _, c := range epochSuite(o) {
 		specs = append(specs,
 			runner.Spec{Label: c.name + "/baseline", Source: c.src, Config: base},
 			runner.Spec{Label: c.name + "/epoch", Source: c.src, Config: epoch})
 	}
-	cells, err := o.sweep(specs)
-	if err != nil {
-		return nil, err
-	}
+	return specs
+}
+
+// epochRows reads epochCells' results, a baseline and an epoch-on run
+// per workload.
+func epochRows(o Options, res []*core.Result) []EpochRow {
 	var rows []EpochRow
-	for i, c := range suite {
-		b, e := cells[2*i].Res, cells[2*i+1].Res
+	for i, c := range epochSuite(o) {
+		b, e := res[2*i], res[2*i+1]
 		rows = append(rows, EpochRow{
 			Name:                   c.name,
 			BaselineCycles:         b.Cycles,
@@ -115,7 +114,7 @@ func Epochs(o Options) ([]EpochRow, error) {
 			FindingsIdentical:      findingsIdentical(b, e),
 		})
 	}
-	return rows, nil
+	return rows
 }
 
 // findingsIdentical compares the rendered findings of every analysis in
@@ -133,14 +132,13 @@ func findingsIdentical(a, b *core.Result) bool {
 	return true
 }
 
-// WriteEpochs renders the epochs table.
-func WriteEpochs(w io.Writer, rows []EpochRow) {
+func printEpochs(w io.Writer, o Options, res []*core.Result) {
 	fmt.Fprintln(w, "Epoch re-privatization: terminal-Shared baseline vs epoch demotion")
 	fmt.Fprintln(w, "(speedup >1 = demotion wins; findings must match in every row)")
 	fmt.Fprintf(w, "%-18s %14s %14s %9s %8s %9s %9s %9s\n",
 		"workload", "base cycles", "epoch cycles", "speedup", "demoted", "reshared", "uninstr", "findings")
 	var speedups []float64
-	for _, r := range rows {
+	for _, r := range epochRows(o, res) {
 		verdict := "match"
 		if !r.FindingsIdentical {
 			verdict = "DIVERGE"

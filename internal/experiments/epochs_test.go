@@ -7,11 +7,9 @@ import "testing"
 // phased/migratory rows, demotions firing, and a strictly neutral
 // false-sharing control.
 func TestEpochsExperiment(t *testing.T) {
-	rows, err := Epochs(Options{Scale: 0.5, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(epochSuite(Options{Scale: 0.5})) {
+	o := Options{Scale: 0.5, Workers: 2}
+	rows := epochRows(o, runNamed(t, "epochs", o, "geomean cycle speedup"))
+	if len(rows) != len(epochSuite(o)) {
 		t.Fatalf("got %d rows", len(rows))
 	}
 	byName := map[string]EpochRow{}

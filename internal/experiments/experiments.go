@@ -3,24 +3,21 @@
 // Figure 6 (shared-access fractions), Table 1 (thread-count sweep), and
 // Table 2 (instrumentation statistics), plus extensions beyond the paper.
 //
-// Each experiment builds its model×mode matrix as runner cells, shards
-// them across the concurrent runner's worker pool (Options.Workers), and
-// reconciles rows in canonical matrix order — so results are identical
-// for any worker count. Each experiment returns structured rows (for
-// tests and benchmarks) and can render itself as text (for
-// cmd/aikido-bench and EXPERIMENTS.md).
+// An experiment is a list of runner cells and a printer over their
+// results, and All lists every experiment. Run shards an experiment's
+// cells across the concurrent runner's worker pool (Options.Workers) and
+// returns the results in cell order, so every table is identical for any
+// worker count. WriteText prints the experiment's table (cmd/aikido-bench);
+// WriteJSON writes one record per cell, its label and its whole
+// core.Result (aikido-bench -json).
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 
-	"repro/internal/analysis"
-	"repro/internal/atomicity"
-	"repro/internal/commgraph"
 	"repro/internal/core"
-	"repro/internal/fasttrack"
-	"repro/internal/lockset"
 	"repro/internal/parsec"
 	"repro/internal/runner"
 	"repro/internal/stats"
@@ -40,13 +37,11 @@ type Options struct {
 	// analysis-bearing cell (registry names). nil keeps each cell's
 	// core.DefaultConfig selection, FastTrack; a non-nil empty slice runs
 	// no analysis. Multiple names multiplex onto each cell's single
-	// pass. CI diffs -analysis fasttrack against the default to pin the
-	// single-analysis path byte-identical through the registry seam.
+	// pass. cmd/aikido-bench's TestEquivalenceLegs diffs -analysis
+	// fasttrack against the default to pin the single-analysis path
+	// byte-identical through the registry seam.
 	Analyses []string
 }
-
-// DefaultOptions is the full-size harness configuration.
-func DefaultOptions() Options { return Options{Scale: 1.0} }
 
 func (o Options) normalize() Options {
 	if o.Scale <= 0 {
@@ -74,20 +69,70 @@ func (o Options) apply(b parsec.Benchmark) parsec.Benchmark {
 	return b
 }
 
-// sweep shards the cells across the configured worker pool and returns
-// the measurements in cell order, or the first failed cell's error.
-func (o Options) sweep(specs []runner.Spec) ([]runner.Measurement, error) {
-	rep := runner.Sweep(specs, o.Workers)
+// Experiment is one table or figure: the cells it runs and how it prints
+// their results.
+type Experiment struct {
+	// Name is the experiment's -experiment value.
+	Name string
+	// cells lists the experiment's runs, in the order print reads them.
+	cells func(Options) []runner.Spec
+	// print renders the table from the results of cells, in cell order.
+	print func(io.Writer, Options, []*core.Result)
+}
+
+// All lists every experiment, in the order -experiment all prints them.
+var All = []Experiment{
+	{"fig5", fig5Sweep.cells, printFig5},
+	{"fig6", aikidoCells, printFig6},
+	{"table1", table1Sweep.cells, printTable1},
+	{"table2", aikidoCells, printTable2},
+	{"detectors", detectorCells, printDetectors},
+	{"muxbench", muxCells, printMux},
+	{"epochs", epochCells, printEpochs},
+	{"scaling", scalingSweep.cells, printScaling},
+	{"nondet", nondetCells, printNondet},
+}
+
+// Run sweeps the experiment's cells across o.Workers runner workers and
+// returns their results in cell order, or the first failed cell's error.
+func (e Experiment) Run(o Options) ([]*core.Result, error) {
+	o = o.normalize()
+	rep := runner.Sweep(e.cells(o), o.Workers)
 	if len(rep.Failed) > 0 {
 		return nil, rep.Failed[0]
 	}
-	return rep.Cells, nil
+	res := make([]*core.Result, len(rep.Cells))
+	for i, m := range rep.Cells {
+		res[i] = m.Res
+	}
+	return res, nil
 }
 
-// races extracts a run's FastTrack races from its findings map (the
-// deprecated Result.Races accessor's replacement — see fasttrack.RacesIn).
-func races(r *core.Result) []fasttrack.Race {
-	return fasttrack.RacesIn(r.Findings)
+// WriteText prints the experiment's table from the results Run returned
+// for the same options.
+func (e Experiment) WriteText(w io.Writer, o Options, res []*core.Result) {
+	e.print(w, o.normalize(), res)
+}
+
+// record is one cell as WriteJSON writes it.
+type record struct {
+	Experiment string       `json:"experiment"`
+	Label      string       `json:"label"`
+	Result     *core.Result `json:"result"`
+}
+
+// WriteJSON writes one JSON line per cell, in cell order: the
+// experiment's name, the cell's label and its whole core.Result, from the
+// results Run returned for the same options. The bytes depend only on the
+// options, never on Options.Workers.
+func (e Experiment) WriteJSON(w io.Writer, o Options, res []*core.Result) error {
+	enc := json.NewEncoder(w)
+	for i, s := range e.cells(o.normalize()) {
+		if err := enc.Encode(record{e.Name, s.Label, res[i]}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // cell is one matrix entry: benchmark b under cfg.
@@ -95,10 +140,31 @@ func cell(b parsec.Benchmark, label string, cfg core.Config) runner.Spec {
 	return runner.Spec{Label: b.Name + "/" + label, Source: b.Spec, Config: cfg}
 }
 
-// sweepModes are the columns of every slowdown experiment, in
-// reconciliation order: the native baseline first, then the detectors.
-// Callers index cell strides by len(sweepModes), so adding a mode here
-// keeps every reconciliation aligned.
+// bench returns the named model; the experiments name only models that
+// exist.
+func bench(name string) parsec.Benchmark {
+	b, err := parsec.ByName(name)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// --- Figure 5, Table 1 and the thread-scaling extension --------------------
+
+// ThreadPoint is one model at one thread count: its FastTrack-full and
+// Aikido-FastTrack slowdowns over native.
+type ThreadPoint struct {
+	Name string
+	// Threads is the point's worker count; 0 (Figure 5) is
+	// Options.Threads, or the model's default.
+	Threads   int
+	FastTrack float64
+	Aikido    float64
+}
+
+// sweepModes are the cells of every point of a threadSweep, in the order
+// points reads them: the native baseline first, then the detectors.
 var sweepModes = []struct {
 	label string
 	mode  core.Mode
@@ -108,190 +174,113 @@ var sweepModes = []struct {
 	{"Aikido", core.ModeAikidoFastTrack},
 }
 
-// modeCells returns one cell per sweep mode for benchmark b. A non-nil
-// analysis selection replaces the default in the analysis-bearing modes
-// (native runs none).
-func (o Options) modeCells(b parsec.Benchmark) []runner.Spec {
-	specs := make([]runner.Spec, len(sweepModes))
-	for i, m := range sweepModes {
-		cfg := core.DefaultConfig(m.mode)
-		if m.mode != core.ModeNative && o.Analyses != nil {
-			cfg.Analyses = o.Analyses
+// threadSweep is a models × thread counts matrix, model-major, with one
+// cell per sweep mode at each point.
+type threadSweep struct {
+	names   []string
+	threads []int
+}
+
+var (
+	// fig5Sweep is every model at Options.Threads.
+	fig5Sweep = threadSweep{parsec.Names(), []int{0}}
+	// table1Sweep is Table 1's shape: fluidanimate and vips over 2/4/8
+	// threads, as in the paper.
+	table1Sweep = threadSweep{[]string{"fluidanimate", "vips"}, []int{2, 4, 8}}
+	// scalingSweep extends Table 1's sweep to 1–16 worker threads on a
+	// low-sharing (blackscholes), mid-sharing (vips) and high-sharing
+	// (fluidanimate) model, exposing where the Aikido/FastTrack
+	// crossover moves as contention grows.
+	scalingSweep = threadSweep{[]string{"blackscholes", "vips", "fluidanimate"}, []int{1, 2, 4, 8, 16}}
+)
+
+// cells returns the sweep's cells. A non-nil analysis selection replaces
+// the default in the analysis-bearing modes (native runs none).
+func (s threadSweep) cells(o Options) []runner.Spec {
+	var specs []runner.Spec
+	for _, name := range s.names {
+		for _, threads := range s.threads {
+			opt, label := o, name
+			if threads > 0 {
+				opt.Threads, label = threads, fmt.Sprintf("%s/threads=%d", name, threads)
+			}
+			b := opt.apply(bench(name))
+			for _, m := range sweepModes {
+				cfg := core.DefaultConfig(m.mode)
+				if m.mode != core.ModeNative && o.Analyses != nil {
+					cfg.Analyses = o.Analyses
+				}
+				specs = append(specs, runner.Spec{Label: label + "/" + m.label, Source: b.Spec, Config: cfg})
+			}
 		}
-		specs[i] = cell(b, m.label, cfg)
 	}
 	return specs
 }
 
-// --- Figure 5 --------------------------------------------------------------
-
-// Fig5Row is one benchmark's bar pair in Figure 5.
-type Fig5Row struct {
-	Name        string
-	FastTrack   float64 // slowdown vs native
-	Aikido      float64 // slowdown vs native
-	Speedup     float64 // FastTrack / Aikido (>1 means Aikido wins)
-	RacesFT     int
-	RacesAikido int
-}
-
-// Figure5 measures the slowdown of FastTrack and Aikido-FastTrack over
-// native for every benchmark, plus the geomean row.
-func Figure5(o Options) ([]Fig5Row, error) {
-	o = o.normalize()
-	benches := parsec.All()
-	var specs []runner.Spec
-	for _, b := range benches {
-		specs = append(specs, o.modeCells(o.apply(b))...)
-	}
-	cells, err := o.sweep(specs)
-	if err != nil {
-		return nil, err
-	}
-	var rows []Fig5Row
-	var ftS, aftS []float64
-	stride := len(sweepModes)
-	for i, b := range benches {
-		native, ft, aft := cells[stride*i].Res, cells[stride*i+1].Res, cells[stride*i+2].Res
-		r := Fig5Row{
-			Name:        b.Name,
-			FastTrack:   ft.Slowdown(native),
-			Aikido:      aft.Slowdown(native),
-			RacesFT:     len(races(ft)),
-			RacesAikido: len(races(aft)),
+// points reads the results of cells, one native/FastTrack/Aikido triple
+// per point, as slowdowns over native.
+func (s threadSweep) points(res []*core.Result) []ThreadPoint {
+	var pts []ThreadPoint
+	for _, name := range s.names {
+		for _, threads := range s.threads {
+			native, ft, aikido := res[0], res[1], res[2]
+			res = res[len(sweepModes):]
+			pts = append(pts, ThreadPoint{Name: name, Threads: threads,
+				FastTrack: ft.Slowdown(native), Aikido: aikido.Slowdown(native)})
 		}
-		r.Speedup = r.FastTrack / r.Aikido
-		rows = append(rows, r)
-		ftS = append(ftS, r.FastTrack)
-		aftS = append(aftS, r.Aikido)
 	}
-	geo := Fig5Row{
-		Name:      "geomean",
-		FastTrack: stats.Geomean(ftS),
-		Aikido:    stats.Geomean(aftS),
-	}
-	geo.Speedup = geo.FastTrack / geo.Aikido
-	rows = append(rows, geo)
-	return rows, nil
+	return pts
 }
 
-// WriteFigure5 renders the Figure 5 reproduction.
-func WriteFigure5(w io.Writer, rows []Fig5Row) {
+// fig5Rows is Figure 5's bars: every model's slowdowns, then their
+// geomeans.
+func fig5Rows(res []*core.Result) []ThreadPoint {
+	pts := fig5Sweep.points(res)
+	var ft, aikido []float64
+	for _, p := range pts {
+		ft, aikido = append(ft, p.FastTrack), append(aikido, p.Aikido)
+	}
+	return append(pts, ThreadPoint{Name: "geomean", FastTrack: stats.Geomean(ft), Aikido: stats.Geomean(aikido)})
+}
+
+func printFig5(w io.Writer, _ Options, res []*core.Result) {
 	fmt.Fprintln(w, "Figure 5: slowdown vs native (lower is better)")
 	fmt.Fprintf(w, "%-15s %12s %18s %10s\n", "benchmark", "FastTrack", "Aikido-FastTrack", "speedup")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-15s %11.2fx %17.2fx %9.2fx\n", r.Name, r.FastTrack, r.Aikido, r.Speedup)
+	for _, p := range fig5Rows(res) {
+		fmt.Fprintf(w, "%-15s %11.2fx %17.2fx %9.2fx\n", p.Name, p.FastTrack, p.Aikido, p.FastTrack/p.Aikido)
 	}
 }
 
-// --- Figure 6 --------------------------------------------------------------
-
-// Fig6Row is one benchmark's shared-access bar in Figure 6.
-type Fig6Row struct {
-	Name     string
-	Measured float64 // fraction of accesses targeting shared pages
-	Paper    float64 // Table 2 column3/column1
-}
-
-// Figure6 measures the fraction of memory accesses that target shared
-// pages under Aikido.
-func Figure6(o Options) ([]Fig6Row, error) {
-	o = o.normalize()
-	benches := parsec.All()
-	var specs []runner.Spec
-	for _, b := range benches {
-		specs = append(specs, cell(o.apply(b), "Aikido", core.DefaultConfig(core.ModeAikidoFastTrack)))
-	}
-	cells, err := o.sweep(specs)
-	if err != nil {
-		return nil, err
-	}
-	var rows []Fig6Row
-	for i, b := range benches {
-		rows = append(rows, Fig6Row{
-			Name:     b.Name,
-			Measured: cells[i].Res.SharedAccessFraction(),
-			Paper:    b.Paper.SharedFrac(),
-		})
-	}
-	return rows, nil
-}
-
-// WriteFigure6 renders the Figure 6 reproduction.
-func WriteFigure6(w io.Writer, rows []Fig6Row) {
-	fmt.Fprintln(w, "Figure 6: accesses to shared pages (percent of all memory accesses)")
-	fmt.Fprintf(w, "%-15s %10s %10s\n", "benchmark", "measured", "paper")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-15s %9.2f%% %9.2f%%\n", r.Name, 100*r.Measured, 100*r.Paper)
-	}
-}
-
-// --- Table 1 ---------------------------------------------------------------
-
-// Table1Cell is one (benchmark, threads) measurement pair.
-type Table1Cell struct {
-	Name      string
-	Threads   int
-	FastTrack float64
-	Aikido    float64
-	// Paper values (0 when the paper does not publish the cell).
-	PaperFastTrack float64
-	PaperAikido    float64
-}
-
-// table1Sweep is Table 1's matrix shape: fluidanimate and vips over
-// 2/4/8 threads, as in the paper.
-var table1Sweep = struct {
-	names   []string
-	threads []int
-}{[]string{"fluidanimate", "vips"}, []int{2, 4, 8}}
-
-// Table1 sweeps fluidanimate and vips over 2/4/8 threads, as in the paper.
-func Table1(o Options) ([]Table1Cell, error) {
-	o = o.normalize()
-	var specs []runner.Spec
-	var shape []Table1Cell
-	for _, name := range table1Sweep.names {
-		b, err := parsec.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, threads := range table1Sweep.threads {
-			opt := o
-			opt.Threads = threads
-			specs = append(specs, opt.modeCells(opt.apply(b))...)
-			shape = append(shape, Table1Cell{
-				Name:           name,
-				Threads:        threads,
-				PaperFastTrack: b.Paper.FastTrack[threads],
-				PaperAikido:    b.Paper.AikidoFastTrack[threads],
-			})
-		}
-	}
-	cells, err := o.sweep(specs)
-	if err != nil {
-		return nil, err
-	}
-	stride := len(sweepModes)
-	for i := range shape {
-		native, ft, aft := cells[stride*i].Res, cells[stride*i+1].Res, cells[stride*i+2].Res
-		shape[i].FastTrack = ft.Slowdown(native)
-		shape[i].Aikido = aft.Slowdown(native)
-	}
-	return shape, nil
-}
-
-// WriteTable1 renders the Table 1 reproduction.
-func WriteTable1(w io.Writer, cells []Table1Cell) {
+func printTable1(w io.Writer, _ Options, res []*core.Result) {
 	fmt.Fprintln(w, "Table 1: slowdown vs native at 2/4/8 threads (paper values in parens)")
 	fmt.Fprintf(w, "%-14s %8s %22s %22s\n", "benchmark", "threads", "FastTrack", "Aikido-FastTrack")
-	for _, c := range cells {
+	for _, p := range table1Sweep.points(res) {
+		paper := bench(p.Name).Paper
 		fmt.Fprintf(w, "%-14s %8d %12.2fx (%6.2fx) %12.2fx (%6.2fx)\n",
-			c.Name, c.Threads, c.FastTrack, c.PaperFastTrack, c.Aikido, c.PaperAikido)
+			p.Name, p.Threads, p.FastTrack, paper.FastTrack[p.Threads], p.Aikido, paper.AikidoFastTrack[p.Threads])
 	}
 }
 
-// --- Table 2 ---------------------------------------------------------------
+func printScaling(w io.Writer, _ Options, res []*core.Result) {
+	fmt.Fprintln(w, "Extension: thread scaling 1-16 (slowdown vs native)")
+	fmt.Fprintf(w, "%-14s %8s %12s %18s %8s\n", "benchmark", "threads", "FastTrack", "Aikido-FastTrack", "ratio")
+	for _, p := range scalingSweep.points(res) {
+		fmt.Fprintf(w, "%-14s %8d %11.2fx %17.2fx %8.2f\n",
+			p.Name, p.Threads, p.FastTrack, p.Aikido, p.FastTrack/p.Aikido)
+	}
+}
+
+// --- Figure 6 and Table 2 --------------------------------------------------
+
+// aikidoCells runs every model once under Aikido-FastTrack's default
+// configuration; Figure 6 and Table 2 read the same ten cells.
+func aikidoCells(o Options) []runner.Spec {
+	var specs []runner.Spec
+	for _, b := range parsec.All() {
+		specs = append(specs, cell(o.apply(b), "Aikido", core.DefaultConfig(core.ModeAikidoFastTrack)))
+	}
+	return specs
+}
 
 // Table2Row is one benchmark's instrumentation statistics.
 type Table2Row struct {
@@ -301,28 +290,20 @@ type Table2Row struct {
 	Instrumented uint64
 	SharedAccess uint64
 	Segfaults    uint64
-	// Scale-independent ratios, measured and from the paper.
+	// Scale-independent ratios, measured and from the paper. SharedFrac
+	// and PaperSharedFrac are Figure 6's bars.
 	InstrFrac, PaperInstrFrac   float64
 	SharedFrac, PaperSharedFrac float64
 }
 
-// Table2 collects instrumentation statistics per benchmark and the geomean
-// reduction in instructions needing instrumentation (paper: 6.75×).
-func Table2(o Options) ([]Table2Row, float64, error) {
-	o = o.normalize()
-	benches := parsec.All()
-	var specs []runner.Spec
-	for _, b := range benches {
-		specs = append(specs, cell(o.apply(b), "Aikido", core.DefaultConfig(core.ModeAikidoFastTrack)))
-	}
-	cells, err := o.sweep(specs)
-	if err != nil {
-		return nil, 0, err
-	}
+// table2Rows reads aikidoCells' results as instrumentation statistics,
+// with the geomean reduction in instructions needing instrumentation
+// (paper: 6.75×).
+func table2Rows(res []*core.Result) ([]Table2Row, float64) {
 	var rows []Table2Row
 	var reductions []float64
-	for i, b := range benches {
-		aft := cells[i].Res
+	for i, b := range parsec.All() {
+		aft := res[i]
 		r := Table2Row{
 			Name:            b.Name,
 			MemRefs:         aft.Engine.MemRefs,
@@ -341,11 +322,20 @@ func Table2(o Options) ([]Table2Row, float64, error) {
 		}
 		rows = append(rows, r)
 	}
-	return rows, stats.Geomean(reductions), nil
+	return rows, stats.Geomean(reductions)
 }
 
-// WriteTable2 renders the Table 2 reproduction.
-func WriteTable2(w io.Writer, rows []Table2Row, reduction float64) {
+func printFig6(w io.Writer, _ Options, res []*core.Result) {
+	rows, _ := table2Rows(res)
+	fmt.Fprintln(w, "Figure 6: accesses to shared pages (percent of all memory accesses)")
+	fmt.Fprintf(w, "%-15s %10s %10s\n", "benchmark", "measured", "paper")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-15s %9.2f%% %9.2f%%\n", r.Name, 100*r.SharedFrac, 100*r.PaperSharedFrac)
+	}
+}
+
+func printTable2(w io.Writer, _ Options, res []*core.Result) {
+	rows, reduction := table2Rows(res)
 	fmt.Fprintln(w, "Table 2: instrumentation statistics (counts from scaled-down workloads;")
 	fmt.Fprintln(w, "ratios are scale-independent and compared against the paper)")
 	fmt.Fprintf(w, "%-14s %12s %12s %12s %9s %10s %8s %10s %8s\n",
@@ -358,191 +348,4 @@ func WriteTable2(w io.Writer, rows []Table2Row, reduction float64) {
 			100*r.SharedFrac, 100*r.PaperSharedFrac)
 	}
 	fmt.Fprintf(w, "geomean reduction in instrumented memory instructions: %.2fx (paper: 6.75x)\n", reduction)
-}
-
-// --- Extension: detector comparison (beyond the paper) ---------------------
-
-// DetectorRow compares one hosted analysis configuration on the racy
-// canneal model.
-type DetectorRow struct {
-	Variant string
-	// Slow is the slowdown vs native. Rows extracted from the multiplexed
-	// run share the cost of that single pass.
-	Slow float64
-	// Findings is the number of distinct races/warnings/violations.
-	Findings int
-	// Analyzed is how many access events the analysis processed.
-	Analyzed uint64
-	// FoundRNGRace reports whether the §5.3 RNG race was caught.
-	FoundRNGRace bool
-	// Multiplexed marks rows that came out of the single multiplexed
-	// Aikido pass (one execution hosting every registry analysis at
-	// once), rather than a dedicated run.
-	Multiplexed bool
-}
-
-// muxedDetectors is the analysis set the detectors extension multiplexes
-// onto one Aikido pass.
-var muxedDetectors = []string{"fasttrack", "lockset", "atomicity", "commgraph"}
-
-// ExtensionDetectors runs the canneal model (with its §5.3 RNG race) under
-// the hosted analyses. The Aikido-hosted detectors — FastTrack, LockSet,
-// the atomicity checker, the communication-graph profiler — all ride ONE
-// multiplexed execution instead of one full run each: the sweep is native,
-// full FastTrack and a single mux cell, and the per-analysis rows are
-// unpacked from the mux run's findings map. It quantifies the paper's
-// positioning: Aikido finds the races full FastTrack finds, missing only
-// the first-access window, at a fraction of its cost; LockSet trades
-// precision differently — and the framework amortizes one DBI+sharing
-// pass over all of them.
-func ExtensionDetectors(o Options) ([]DetectorRow, error) {
-	o = o.normalize()
-	b, err := parsec.ByName("canneal")
-	if err != nil {
-		return nil, err
-	}
-	bb := o.apply(b)
-
-	muxCfg := core.DefaultConfig(core.ModeAikidoFastTrack).WithAnalyses(muxedDetectors...)
-	specs := []runner.Spec{
-		cell(bb, "native", core.DefaultConfig(core.ModeNative)),
-		cell(bb, "fasttrack-full", core.DefaultConfig(core.ModeFastTrackFull)),
-		cell(bb, "aikido-mux", muxCfg),
-	}
-	cells, err := o.sweep(specs)
-	if err != nil {
-		return nil, err
-	}
-	native := cells[0].Res
-
-	rows := []DetectorRow{
-		detectorRow("fasttrack-full", cells[1].Res, cells[1].Res.AnalysisFindings("fasttrack"), native, false),
-	}
-	mux := cells[2].Res
-	for _, name := range muxedDetectors {
-		rows = append(rows,
-			detectorRow("aikido:"+name, mux, mux.AnalysisFindings(name), native, true))
-	}
-	return rows, nil
-}
-
-// detectorRow distills one analysis's findings into a comparison row.
-func detectorRow(label string, res *core.Result, f analysis.Findings, native *core.Result, muxed bool) DetectorRow {
-	row := DetectorRow{Variant: label, Slow: res.Slowdown(native), Multiplexed: muxed}
-	if f == nil {
-		return row
-	}
-	row.Findings = f.Len()
-	// Unpack the typed findings for the analyzed-event count and the
-	// §5.3 RNG-race check.
-	switch tf := f.(type) {
-	case *fasttrack.Findings:
-		row.Analyzed = tf.Counters.Reads + tf.Counters.Writes
-		for _, r := range tf.Races {
-			if rngRaceAddr(r.Addr) {
-				row.FoundRNGRace = true
-			}
-		}
-	case *lockset.Findings:
-		row.Analyzed = tf.Counters.Reads + tf.Counters.Writes
-		for _, w := range tf.Warnings {
-			if rngRaceAddr(w.Addr) {
-				row.FoundRNGRace = true
-			}
-		}
-	case *atomicity.Findings:
-		row.Analyzed = tf.Counters.Reads + tf.Counters.Writes
-		for _, v := range tf.Violations {
-			if rngRaceAddr(v.Addr) {
-				row.FoundRNGRace = true
-			}
-		}
-	case *commgraph.Findings:
-		row.Analyzed = tf.Counters.Reads + tf.Counters.Writes
-	}
-	return row
-}
-
-// rngRaceAddr reports whether addr lies on the canneal model's racy page
-// (the second page of the data segment: shared region first, then the racy
-// page — see workload.Build's layout).
-func rngRaceAddr(addr uint64) bool {
-	// Layout: shared region occupies Locks pages from DataBase; the racy
-	// page follows it. canneal has 4 locks.
-	const racyBase = 0x1000_0000 + 4*4096
-	return addr >= racyBase && addr < racyBase+4096
-}
-
-// --- Extension: thread scaling (beyond the paper's 2/4/8 sweep) ------------
-
-// ScalingPoint is one (benchmark, threads) pair of slowdowns.
-type ScalingPoint struct {
-	Name      string
-	Threads   int
-	FastTrack float64
-	Aikido    float64
-}
-
-// ExtensionScaling extends Table 1's sweep to 1–16 worker threads on a
-// low-sharing (blackscholes), mid-sharing (vips) and high-sharing
-// (fluidanimate) model, exposing where the Aikido/FastTrack crossover moves
-// as contention grows.
-func ExtensionScaling(o Options) ([]ScalingPoint, error) {
-	o = o.normalize()
-	names := []string{"blackscholes", "vips", "fluidanimate"}
-	threadCounts := []int{1, 2, 4, 8, 16}
-	var specs []runner.Spec
-	var pts []ScalingPoint
-	for _, name := range names {
-		b, err := parsec.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, threads := range threadCounts {
-			opt := o
-			opt.Threads = threads
-			specs = append(specs, opt.modeCells(opt.apply(b))...)
-			pts = append(pts, ScalingPoint{Name: name, Threads: threads})
-		}
-	}
-	cells, err := o.sweep(specs)
-	if err != nil {
-		return nil, err
-	}
-	stride := len(sweepModes)
-	for i := range pts {
-		native, ft, aft := cells[stride*i].Res, cells[stride*i+1].Res, cells[stride*i+2].Res
-		pts[i].FastTrack = ft.Slowdown(native)
-		pts[i].Aikido = aft.Slowdown(native)
-	}
-	return pts, nil
-}
-
-// WriteExtensionScaling renders the sweep.
-func WriteExtensionScaling(w io.Writer, pts []ScalingPoint) {
-	fmt.Fprintln(w, "Extension: thread scaling 1-16 (slowdown vs native)")
-	fmt.Fprintf(w, "%-14s %8s %12s %18s %8s\n", "benchmark", "threads", "FastTrack", "Aikido-FastTrack", "ratio")
-	for _, p := range pts {
-		fmt.Fprintf(w, "%-14s %8d %11.2fx %17.2fx %8.2f\n",
-			p.Name, p.Threads, p.FastTrack, p.Aikido, p.FastTrack/p.Aikido)
-	}
-}
-
-// WriteExtensionDetectors renders the comparison.
-func WriteExtensionDetectors(w io.Writer, rows []DetectorRow) {
-	fmt.Fprintln(w, "Extension: hosted analyses on canneal (racy RNG state, §5.3)")
-	fmt.Fprintln(w, "(\"mux\" rows share ONE multiplexed Aikido pass; its slowdown is the")
-	fmt.Fprintln(w, "whole pass's — N analyses amortize a single DBI+sharing execution)")
-	fmt.Fprintf(w, "%-22s %6s %10s %10s %12s %10s\n", "detector", "pass", "slowdown", "findings", "analyzed", "RNG race")
-	for _, r := range rows {
-		found := "missed"
-		if r.FoundRNGRace {
-			found = "caught"
-		}
-		pass := "own"
-		if r.Multiplexed {
-			pass = "mux"
-		}
-		fmt.Fprintf(w, "%-22s %6s %9.2fx %10d %12d %10s\n", r.Variant, pass, r.Slow, r.Findings, r.Analyzed, found)
-	}
 }

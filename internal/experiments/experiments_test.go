@@ -1,19 +1,49 @@
 package experiments
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // quick is a small-scale option set for fast tests.
 var quick = Options{Scale: 0.2}
 
-func TestFigure5Structure(t *testing.T) {
-	rows, err := Figure5(quick)
+// byName returns the experiment named name.
+func byName(t *testing.T, name string) Experiment {
+	t.Helper()
+	for _, e := range All {
+		if e.Name == name {
+			return e
+		}
+	}
+	t.Fatalf("no experiment %q", name)
+	return Experiment{}
+}
+
+// runNamed runs the named experiment and checks that its table renders
+// and contains want.
+func runNamed(t *testing.T, name string, o Options, want string) []*core.Result {
+	t.Helper()
+	e := byName(t, name)
+	res, err := e.Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var buf bytes.Buffer
+	e.WriteText(&buf, o, res)
+	if !strings.Contains(buf.String(), want) {
+		t.Errorf("%s: rendering lacks %q:\n%s", name, want, buf.String())
+	}
+	return res
+}
+
+func TestFigure5Structure(t *testing.T) {
+	rows := fig5Rows(runNamed(t, "fig5", quick, "raytrace"))
 	if len(rows) != 11 { // 10 benchmarks + geomean
 		t.Fatalf("rows = %d, want 11", len(rows))
 	}
@@ -24,13 +54,10 @@ func TestFigure5Structure(t *testing.T) {
 		if r.FastTrack <= 1 || r.Aikido <= 1 {
 			t.Errorf("%s: slowdowns not > 1: %+v", r.Name, r)
 		}
-		if r.Speedup <= 0 {
-			t.Errorf("%s: bad speedup", r.Name)
-		}
 	}
 	// Headline claims at small scale: raytrace is the biggest win and the
 	// geomean favours Aikido.
-	var ray, geo Fig5Row
+	var ray, geo ThreadPoint
 	for _, r := range rows {
 		switch r.Name {
 		case "raytrace":
@@ -39,40 +66,26 @@ func TestFigure5Structure(t *testing.T) {
 			geo = r
 		}
 	}
-	if ray.Speedup < 2 {
-		t.Errorf("raytrace speedup = %.2f, want large", ray.Speedup)
+	if s := ray.FastTrack / ray.Aikido; s < 2 {
+		t.Errorf("raytrace speedup = %.2f, want large", s)
 	}
-	if geo.Speedup < 1.2 {
-		t.Errorf("geomean speedup = %.2f, want > 1.2", geo.Speedup)
-	}
-
-	var buf bytes.Buffer
-	WriteFigure5(&buf, rows)
-	if !strings.Contains(buf.String(), "raytrace") {
-		t.Error("rendering lost benchmarks")
+	if s := geo.FastTrack / geo.Aikido; s < 1.2 {
+		t.Errorf("geomean speedup = %.2f, want > 1.2", s)
 	}
 }
 
 func TestFigure6Structure(t *testing.T) {
-	rows, err := Figure6(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, _ := table2Rows(runNamed(t, "fig6", quick, "%"))
 	if len(rows) != 10 {
 		t.Fatalf("rows = %d, want 10", len(rows))
 	}
 	for _, r := range rows {
-		if r.Measured < 0 || r.Measured > 1 {
-			t.Errorf("%s: measured fraction %v out of range", r.Name, r.Measured)
+		if r.SharedFrac < 0 || r.SharedFrac > 1 {
+			t.Errorf("%s: measured fraction %v out of range", r.Name, r.SharedFrac)
 		}
-		if r.Paper <= 0 {
+		if r.PaperSharedFrac <= 0 {
 			t.Errorf("%s: missing paper value", r.Name)
 		}
-	}
-	var buf bytes.Buffer
-	WriteFigure6(&buf, rows)
-	if !strings.Contains(buf.String(), "%") {
-		t.Error("rendering missing percentages")
 	}
 }
 
@@ -80,16 +93,13 @@ func TestTable1Structure(t *testing.T) {
 	// Table 1's orderings (Aikido wins at low thread counts) only emerge
 	// once startup costs amortize, so this test runs at full scale, as
 	// the paper's measurements do.
-	cells, err := Table1(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells := table1Sweep.points(runNamed(t, "table1", Options{}, "fluidanimate"))
 	if len(cells) != 6 { // 2 benchmarks × 3 thread counts
 		t.Fatalf("cells = %d, want 6", len(cells))
 	}
 	// Overheads must rise with thread count for both detectors, and
 	// Aikido must win at 2 and 4 threads (the paper's Table 1 claims).
-	byName := map[string][]Table1Cell{}
+	byName := map[string][]ThreadPoint{}
 	for _, c := range cells {
 		byName[c.Name] = append(byName[c.Name], c)
 	}
@@ -107,18 +117,10 @@ func TestTable1Structure(t *testing.T) {
 			}
 		}
 	}
-	var buf bytes.Buffer
-	WriteTable1(&buf, cells)
-	if !strings.Contains(buf.String(), "fluidanimate") {
-		t.Error("rendering lost rows")
-	}
 }
 
 func TestTable2Structure(t *testing.T) {
-	rows, reduction, err := Table2(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, reduction := table2Rows(runNamed(t, "table2", quick, "geomean reduction"))
 	if len(rows) != 10 {
 		t.Fatalf("rows = %d, want 10", len(rows))
 	}
@@ -139,11 +141,6 @@ func TestTable2Structure(t *testing.T) {
 	if reduction < 3 || reduction > 15 {
 		t.Errorf("instrumentation reduction = %.2fx, want near 6.75x", reduction)
 	}
-	var buf bytes.Buffer
-	WriteTable2(&buf, rows, reduction)
-	if !strings.Contains(buf.String(), "geomean reduction") {
-		t.Error("rendering missing reduction line")
-	}
 }
 
 func TestOptionsNormalize(t *testing.T) {
@@ -153,21 +150,69 @@ func TestOptionsNormalize(t *testing.T) {
 	}
 }
 
-// TestBenchJSONDeterministicAcrossWorkers is the CI equivalence contract:
-// the rendered -json report is byte-identical at any runner pool size.
+// TestWriteJSONRecords: -json's shape is one line per cell, in cell
+// order, naming the experiment and the cell and carrying the cell's
+// whole result.
+func TestWriteJSONRecords(t *testing.T) {
+	e := byName(t, "detectors")
+	res, err := e.Run(quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := e.WriteJSON(&buf, quick, res); err != nil {
+		t.Fatal(err)
+	}
+	var labels []string
+	sc := bufio.NewScanner(&buf)
+	sc.Buffer(nil, 1<<20)
+	for i := 0; sc.Scan(); i++ {
+		var rec struct {
+			Experiment string
+			Label      string
+			Result     struct {
+				Cycles   uint64
+				Findings map[string]json.RawMessage
+			}
+		}
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("line %d: %v", i+1, err)
+		}
+		if rec.Experiment != "detectors" || i >= len(res) || rec.Result.Cycles != res[i].Cycles ||
+			len(rec.Result.Findings) != len(res[i].Findings) {
+			t.Errorf("line %d: %+v does not match cell %d", i+1, rec, i)
+		}
+		labels = append(labels, rec.Label)
+	}
+	want := []string{"canneal/native", "canneal/fasttrack-full", "canneal/aikido-mux"}
+	if strings.Join(labels, " ") != strings.Join(want, " ") {
+		t.Errorf("labels = %q, want %q", labels, want)
+	}
+}
+
+// jsonOf runs the named experiment and returns its -json records.
+func jsonOf(t *testing.T, name string, o Options) string {
+	t.Helper()
+	e := byName(t, name)
+	res, err := e.Run(o)
+	if err != nil {
+		t.Fatalf("%s %+v: %v", name, o, err)
+	}
+	var buf bytes.Buffer
+	if err := e.WriteJSON(&buf, o, res); err != nil || buf.Len() == 0 {
+		t.Fatalf("%s: %d bytes of records: %v", name, buf.Len(), err)
+	}
+	return buf.String()
+}
+
+// TestBenchJSONDeterministicAcrossWorkers is the runner's equivalence
+// contract on the -json records of Figure 5's cells: they are
+// byte-identical at any runner pool size.
 func TestBenchJSONDeterministicAcrossWorkers(t *testing.T) {
 	render := func(workers int) string {
 		o := quick
 		o.Workers = workers
-		rep, err := BenchJSON(o)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		var buf bytes.Buffer
-		if err := WriteBenchJSON(&buf, rep); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
+		return jsonOf(t, "fig5", o)
 	}
 	ref := render(1)
 	for _, workers := range []int{2, 8} {
@@ -179,32 +224,20 @@ func TestBenchJSONDeterministicAcrossWorkers(t *testing.T) {
 
 // TestTextExperimentsDeterministicAcrossWorkers: the text renderings of
 // the sweep-based experiments, the mux amortization, epochs and nondet
-// tables among them, are also identical at any pool size.
+// tables among them, are identical at any pool size.
 func TestTextExperimentsDeterministicAcrossWorkers(t *testing.T) {
 	render := func(workers int) string {
 		o := quick
 		o.Workers = workers
 		var buf bytes.Buffer
-		f5, err := Figure5(o)
-		if err != nil {
-			t.Fatal(err)
+		for _, name := range []string{"fig5", "muxbench", "epochs", "nondet"} {
+			e := byName(t, name)
+			res, err := e.Run(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.WriteText(&buf, o, res)
 		}
-		WriteFigure5(&buf, f5)
-		mux, err := MuxAmortization(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		WriteMuxAmortization(&buf, mux)
-		ep, err := Epochs(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		WriteEpochs(&buf, ep)
-		nondet, err := ExtensionNondeterminator(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		WriteExtensionNondeterminator(&buf, nondet)
 		return buf.String()
 	}
 	ref := render(1)
@@ -214,14 +247,11 @@ func TestTextExperimentsDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestExtensionScaling(t *testing.T) {
-	pts, err := ExtensionScaling(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := scalingSweep.points(runNamed(t, "scaling", Options{}, "threads"))
 	if len(pts) != 15 { // 3 benchmarks × 5 thread counts
 		t.Fatalf("points = %d, want 15", len(pts))
 	}
-	byName := map[string][]ScalingPoint{}
+	byName := map[string][]ThreadPoint{}
 	for _, p := range pts {
 		byName[p.Name] = append(byName[p.Name], p)
 	}
@@ -244,18 +274,10 @@ func TestExtensionScaling(t *testing.T) {
 	if rLast >= 1.0 {
 		t.Errorf("fluidanimate@16: no crossover (ratio %.2f)", rLast)
 	}
-	var buf bytes.Buffer
-	WriteExtensionScaling(&buf, pts)
-	if !strings.Contains(buf.String(), "threads") {
-		t.Error("rendering incomplete")
-	}
 }
 
 func TestExtensionDetectors(t *testing.T) {
-	rows, err := ExtensionDetectors(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := detectorRows(runNamed(t, "detectors", Options{}, "RNG race"))
 	byVariant := map[string]DetectorRow{}
 	for _, r := range rows {
 		byVariant[r.Variant] = r
@@ -287,10 +309,5 @@ func TestExtensionDetectors(t *testing.T) {
 	}
 	if !ls.FoundRNGRace {
 		t.Error("LockSet missed the unlocked RNG state")
-	}
-	var buf bytes.Buffer
-	WriteExtensionDetectors(&buf, rows)
-	if !strings.Contains(buf.String(), "RNG race") {
-		t.Error("rendering incomplete")
 	}
 }

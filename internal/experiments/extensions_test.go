@@ -1,36 +1,31 @@
 package experiments
 
 import (
-	"bytes"
-	"strings"
 	"testing"
+
+	"repro/internal/fasttrack"
+	"repro/internal/spbags"
 )
 
 func TestExtensionNondeterminatorStructure(t *testing.T) {
-	rows, err := ExtensionNondeterminator(quick)
-	if err != nil {
-		t.Fatal(err)
+	res := runNamed(t, "nondet", quick, "SP-bags")
+	cases := nondetCases(quick.normalize())
+	if len(res) != 2*len(cases) || len(cases) != 3 {
+		t.Fatalf("%d cells for %d programs, want 6 for 3", len(res), len(cases))
 	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
+	races := map[string][2]int{} // program → SP-bags, FastTrack
+	for i, c := range cases {
+		races[c.label] = [2]int{res[2*i].AnalysisFindings(spbags.Kind).Len(),
+			len(fasttrack.RacesIn(res[2*i+1].Findings))}
 	}
-	byName := map[string]NondetRow{}
-	for _, r := range rows {
-		byName[r.Program] = r
+	if r := races["race-free"]; r[0] != 0 || r[1] != 0 {
+		t.Errorf("race-free: SP-bags, FastTrack = %v", r)
 	}
-	if r := byName["race-free"]; r.SPBagsRaces != 0 || r.FastTrackRaces != 0 {
-		t.Errorf("race-free: %+v", r)
-	}
-	if r := byName["racy-counter"]; r.SPBagsRaces == 0 || r.FastTrackRaces == 0 {
-		t.Errorf("racy-counter: %+v", r)
+	if r := races["racy-counter"]; r[0] == 0 || r[1] == 0 {
+		t.Errorf("racy-counter: SP-bags, FastTrack = %v", r)
 	}
 	// The semantic gap: determinacy race without a data race.
-	if r := byName["locked-counter"]; r.SPBagsRaces == 0 || r.FastTrackRaces != 0 {
-		t.Errorf("locked-counter: %+v", r)
-	}
-	var buf bytes.Buffer
-	WriteExtensionNondeterminator(&buf, rows)
-	if !strings.Contains(buf.String(), "SP-bags") {
-		t.Error("rendering broken")
+	if r := races["locked-counter"]; r[0] == 0 || r[1] != 0 {
+		t.Errorf("locked-counter: SP-bags, FastTrack = %v", r)
 	}
 }

@@ -1,24 +1,17 @@
 package experiments
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestMuxAmortization pins the registry refactor's headline property on
 // every model: one multiplexed pass is cheaper than N sequential
 // single-analysis passes, and it executes the guest exactly once instead
 // of N times.
 func TestMuxAmortization(t *testing.T) {
-	rows, err := MuxAmortization(Options{Scale: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := muxRows(runNamed(t, "muxbench", Options{Scale: 0.25}, "geomean cycle speedup"))
 	if len(rows) == 0 {
 		t.Fatal("no rows")
 	}
-	n := uint64(len(muxAmortizationSet))
+	n := uint64(len(mux4))
 	for _, r := range rows {
 		if r.CycleSpeedup <= 1 {
 			t.Errorf("%s: multiplexing did not amortize (speedup %.2fx)", r.Name, r.CycleSpeedup)
@@ -30,38 +23,20 @@ func TestMuxAmortization(t *testing.T) {
 				r.Name, r.SequentialExecutions, n, r.MuxExecutions)
 		}
 	}
-	var buf bytes.Buffer
-	WriteMuxAmortization(&buf, rows)
-	if !strings.Contains(buf.String(), "geomean cycle speedup") {
-		t.Error("rendering incomplete")
-	}
 }
 
 // TestBenchJSONAnalysesOverride: the -analysis plumbing must keep the
-// default single-analysis report byte-identical when the selection names
-// the default explicitly (the CI mux-equivalence leg in miniature).
+// default single-analysis records byte-identical when the selection names
+// the default explicitly, by name or alias (cmd/aikido-bench's
+// TestEquivalenceLegs in miniature).
 func TestBenchJSONAnalysesOverride(t *testing.T) {
 	base := Options{Scale: 0.1, Workers: 2}
-	def, err := BenchJSON(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	def := jsonOf(t, "fig5", base)
 	for _, names := range [][]string{{"fasttrack"}, {"ft"}} {
 		o := base
 		o.Analyses = names
-		got, err := BenchJSON(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var a, b bytes.Buffer
-		if err := WriteBenchJSON(&a, def); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteBenchJSON(&b, got); err != nil {
-			t.Fatal(err)
-		}
-		if a.String() != b.String() {
-			t.Errorf("-analysis %v report differs from the default FastTrack report", names)
+		if jsonOf(t, "fig5", o) != def {
+			t.Errorf("-analysis %v records differ from the default FastTrack records", names)
 		}
 	}
 }

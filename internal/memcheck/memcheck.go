@@ -107,6 +107,7 @@ const maxReports = 64
 // Checker is one memory checker instance.
 type Checker struct {
 	analysis.NoSync
+	um     *umbra.Umbra
 	shadow *umbra.ShadowMap[byteState]
 
 	reports []Report
@@ -127,6 +128,7 @@ type Checker struct {
 // initial stacks) are treated as loader-initialized: defined.
 func Attach(p *guest.Process, um *umbra.Umbra, clock *stats.Clock) *Checker {
 	c := &Checker{
+		um:     um,
 		shadow: umbra.NewShadowMap[byteState](um, 1),
 		dedup:  make(map[uint64]struct{}),
 		clock:  clock,
@@ -143,12 +145,15 @@ func Attach(p *guest.Process, um *umbra.Umbra, clock *stats.Clock) *Checker {
 	return c
 }
 
-// fill sets the state of every byte of a VMA.
+// fill sets the state of every byte of a VMA. It writes the region's
+// shadow cells directly, translating no address, so marking a mapping
+// charges no cycle and moves no Umbra counter.
 func (c *Checker) fill(v *guest.VMA, st byteState) {
 	c.C.RegionsTracked++
-	for a := v.Base; a < v.End(); a++ {
-		if cell := c.shadow.Get(guest.NoTID, a); cell != nil {
-			*cell = st
+	if r := c.um.Region(v); r != nil {
+		cells := c.shadow.Cells(r)
+		for i := range cells {
+			cells[i] = st
 		}
 	}
 }

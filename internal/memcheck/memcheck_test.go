@@ -8,6 +8,7 @@ import (
 	"repro/internal/memcheck"
 	"repro/internal/pagetable"
 	"repro/internal/parsec"
+	"repro/internal/umbra"
 	"repro/internal/workload"
 )
 
@@ -22,6 +23,32 @@ func run(t *testing.T, prog *isa.Program) (*memcheck.Checker, *core.Result, erro
 	}
 	res, err := s.Run()
 	return s.Analysis(memcheck.Kind).(*memcheck.Checker), res, err
+}
+
+// TestSetupChargesNothing: the checker marks the address space it
+// attaches to, and each later mapping, by writing the regions' shadow
+// cells directly, so a system hosting it starts with the clock and the
+// Umbra counters of one with no analysis, under full instrumentation and
+// under Aikido.
+func TestSetupChargesNothing(t *testing.T) {
+	prog, err := workload.Spec{Name: "spawn", Threads: 2, Iters: 1, PrivateOps: 1, PrivatePages: 1}.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []core.Mode{core.ModeFastTrackFull, core.ModeAikidoFastTrack} {
+		start := func(analyses ...string) (uint64, umbra.Stats) {
+			s, err := core.NewSystem(prog, core.DefaultConfig(mode).WithAnalyses(analyses...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s.Clock.Cycles(), s.Um.Stats
+		}
+		cycles, stats := start()
+		if c, s := start(memcheck.Kind); c != cycles || s != stats {
+			t.Errorf("%v: NewSystem with memcheck: %d cycles, Umbra %+v; with no analysis: %d, %+v",
+				mode, c, s, cycles, stats)
+		}
+	}
 }
 
 // TestCleanProgramNoReports: a program that initializes before reading

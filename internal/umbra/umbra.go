@@ -245,6 +245,22 @@ func (s *ShadowMap[T]) Lookup(tid guest.TID, addr uint64) (*T, *Region) {
 	if !ok {
 		return nil, nil
 	}
+	var c []T
+	if id := int(r.ID); id < len(s.cells) {
+		c = s.cells[id]
+	}
+	if c == nil {
+		c = s.Cells(r)
+	}
+	return &c[off>>s.shift], r
+}
+
+// Cells returns region r's shadow, one cell per granule from r.Base,
+// allocating it on first use. It translates nothing, so it charges no
+// cycle, moves no Umbra counter and memoizes nothing: a caller that sets
+// a whole region at once (memcheck marking a new mapping) leaves the run
+// where it was.
+func (s *ShadowMap[T]) Cells(r *Region) []T {
 	id := int(r.ID)
 	if id >= len(s.cells) {
 		// Amortized growth: every thread stack is a new region, and a
@@ -258,7 +274,7 @@ func (s *ShadowMap[T]) Lookup(tid guest.TID, addr uint64) (*T, *Region) {
 		s.cells[id] = c
 		s.Allocations++
 	}
-	return &c[off>>s.shift], r
+	return c
 }
 
 // Peek returns the metadata cell for addr without translating it: no

@@ -141,6 +141,29 @@ func TestShadowMapCells(t *testing.T) {
 	}
 }
 
+// TestShadowMapRegionCells: Cells hands out a region's whole shadow,
+// the cells Lookup translates to, allocating it once and charging,
+// counting and memoizing nothing.
+func TestShadowMapRegionCells(t *testing.T) {
+	p, u, clk := fixture(t)
+	sm := NewShadowMap[uint16](u, 8)
+	r := u.Region(p.FindVMA(isa.DataBase))
+	cells := sm.Cells(r)
+	if want := int((r.End - r.Base) / 8); len(cells) != want {
+		t.Fatalf("len(Cells) = %d, want %d, one per 8-byte granule", len(cells), want)
+	}
+	if clk.Cycles() != 0 || u.Stats != (Stats{}) {
+		t.Errorf("Cells charged %d cycles, stats %+v; want none", clk.Cycles(), u.Stats)
+	}
+	if &sm.Cells(r)[0] != &cells[0] || sm.Allocations != 1 {
+		t.Errorf("second Cells reallocated (Allocations = %d)", sm.Allocations)
+	}
+	cells[3] = 9
+	if c, _ := sm.Lookup(1, isa.DataBase+3*8+5); c != &cells[3] || sm.Allocations != 1 {
+		t.Errorf("Lookup = %p, want Cells' cell %p in the same allocation", c, &cells[3])
+	}
+}
+
 func TestShadowMapPageGranule(t *testing.T) {
 	_, u, _ := fixture(t)
 	sm := NewShadowMap[uint8](u, vm.PageSize)
